@@ -3,7 +3,8 @@
 Subcommands: ``demo`` (bundled walkthrough), ``oracle`` (exact values),
 ``estimate`` (Monte Carlo values), ``attend`` (full pipeline or solver-only),
 ``bench`` (scaling sweep).  Exit codes: 0 success, 2 input or configuration
-errors, 3 enumeration-limit refusals, 4 internal failures.
+errors (including embeddings whose game values cannot be normalized into
+attention scores), 3 enumeration-limit refusals, 4 internal failures.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .bench import run_bench, write_bench_csv
 from .demo import render_demo, run_demo
 from .inputs import InputError, load_config, load_input
 from .oracles import EnumerationLimitError
+from .pipeline import DegenerateScoresError
 from .reports import dump_json, run_attend, run_estimate, run_oracle
 
 EXIT_OK = 0
@@ -126,6 +128,10 @@ def main(argv=None) -> int:
 
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except DegenerateScoresError as exc:
+        # the commands only normalize game values of the document's embeddings
+        print(f"input error: embeddings: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EnumerationLimitError as exc:
         print(f"limit refusal: {exc}", file=sys.stderr)

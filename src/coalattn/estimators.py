@@ -16,11 +16,15 @@ Two modes share one sampling path:
 Randomness is counter-based: each (estimator kind, token or pair) gets its
 own Philox stream keyed by (seed, kind, indices), so results are a pure
 function of (game, config) no matter how calls are scheduled, and estimating
-one token never perturbs another.
+one token never perturbs another.  A Bernoulli coalition is one 64-bit
+Philox word masked to the allowed token bits: every bit of the word is an
+independent fair coin, so each allowed token is a member with probability
+1/2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,14 +135,17 @@ def token_stream(seed: int, kind: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+@functools.lru_cache(maxsize=64)
 def _prefix_size_probs(n: int) -> np.ndarray:
     # proposal probability of a specific prefix set of size s: s!(n-1-s)!/(n-1)!
-    return np.array(
+    probs = np.array(
         [
             math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n - 1)
             for s in range(n)
         ]
     )
+    probs.flags.writeable = False  # shared by every caller through the cache
+    return probs
 
 
 def sample_permutation_prefixes(
@@ -162,9 +169,10 @@ def sample_permutation_prefixes(
         return masks, size_probs[sizes]
     others = np.array([t for t in range(n) if t != i], dtype=np.uint64)
     perms = rng.permuted(np.tile(others, (count, 1)), axis=1)
-    keep = np.arange(n - 1)[None, :] < sizes[:, None]
-    bits = np.left_shift(np.uint64(1), perms)
-    masks = np.where(keep, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+    # column s of the running OR is the set of the first s permuted tokens
+    prefixes = np.zeros((count, n), dtype=np.uint64)
+    np.bitwise_or.accumulate(np.left_shift(np.uint64(1), perms), axis=1, out=prefixes[:, 1:])
+    masks = prefixes[np.arange(count), sizes]
     return masks, size_probs[sizes]
 
 
@@ -183,6 +191,9 @@ def sample_bernoulli_coalitions(
     probability 1/2.  Returns (masks, proposal_probs); every draw has the
     same proposal probability ``2**-(n - |excluded|)``.
 
+    Each coalition is one full-range 64-bit word from *rng* ANDed with the
+    mask of allowed tokens (bits below ``n`` that are not excluded).
+
     Excluding every token is allowed and degenerates to the empty coalition
     with proposal probability 1: a one-token game still has a well-defined
     (empty) coalition family for its lone token.
@@ -190,12 +201,13 @@ def sample_bernoulli_coalitions(
     excluded = frozenset(int(t) for t in excluded)
     if any(not 0 <= t < n for t in excluded):
         raise ValueError(f"excluded tokens must lie in 0..{n - 1}")
-    positions = np.array(sorted(set(range(n)) - excluded), dtype=np.uint64)
-    draws = rng.integers(0, 2, size=(count, positions.size), dtype=np.uint64)
-    masks = (draws * np.left_shift(np.uint64(1), positions)[None, :]).sum(
-        axis=1, dtype=np.uint64
-    )
-    probs = np.full(count, 0.5 ** positions.size)
+    allowed = (1 << n) - 1
+    for t in excluded:
+        allowed &= ~(1 << t)
+    # one raw word per coalition: the values rng.integers(0, 2**64, dtype=np.uint64)
+    # draws, without its per-call argument handling
+    masks = rng.bit_generator.random_raw(count) & np.uint64(allowed)
+    probs = np.full(count, 0.5 ** (n - len(excluded)))
     return masks, probs
 
 

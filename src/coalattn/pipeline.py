@@ -142,16 +142,16 @@ def gate_lambda(embedding, gate_weights, gate_bias: float) -> float:
     return logistic(float(x @ w) + float(gate_bias))
 
 
-def normalize_scores(raw, convention: str = "l1") -> np.ndarray:
+def normalize_scores(raw, convention: str = "l1", name: str = "scores") -> np.ndarray:
     """Scale a score vector by its L1 norm ("l1") or its signed sum ("sum").
 
     The two agree for one-signed scores; for mixed signs they diverge, which
     is logged once per call.  A zero denominator cannot be normalized and is
-    rejected.
+    rejected; *name* labels the vector in that error.
     """
     if convention not in NORMALIZATIONS:
         raise ValueError(f"normalize_scores: unknown convention {convention!r}")
-    v = as_vector(raw, "scores")
+    v = as_vector(raw, name)
     l1 = float(np.sum(np.abs(v)))
     total = float(np.sum(v))
     if abs(total - l1) > 1e-12:
@@ -161,7 +161,7 @@ def normalize_scores(raw, convention: str = "l1") -> np.ndarray:
     denom = l1 if convention == "l1" else total
     if denom == 0.0:
         raise DegenerateScoresError(
-            f"cannot normalize scores: {'all scores are zero' if l1 == 0.0 else 'scores sum to zero'}"
+            f"cannot normalize {name}: {'all are zero' if l1 == 0.0 else 'they sum to zero'}"
         )
     return v / denom
 
@@ -218,8 +218,8 @@ def single_head_attend(embeddings, params: HeadParams, game_values=None) -> Atte
         game_values = estimate_all(game, params.estimator)
     shapley, banzhaf, interactions, ess = _extract_values(game_values)
 
-    shapley_norm = normalize_scores(shapley, params.normalization)
-    banzhaf_norm = normalize_scores(banzhaf, params.normalization)
+    shapley_norm = normalize_scores(shapley, params.normalization, "shapley scores")
+    banzhaf_norm = normalize_scores(banzhaf, params.normalization, "banzhaf scores")
     fields = combine_fields(shapley_norm, banzhaf_norm, lambdas)
 
     mf = solve_fixed_point(fields, interactions, params.meanfield)

@@ -46,8 +46,12 @@ __all__ = [
 
 
 def dump_json(report: dict, path=None) -> str:
-    """Canonical JSON encoding; writes to *path* when given."""
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON encoding; writes to *path* when given.
+
+    NaN and infinities are not JSON, so a report holding one raises
+    ``ValueError`` instead of producing an invalid file.
+    """
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text
@@ -136,8 +140,8 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
                 ]
             )
             fields = combine_fields(
-                normalize_scores(exact.shapley, cfg.normalization),
-                normalize_scores(exact.banzhaf, cfg.normalization),
+                normalize_scores(exact.shapley, cfg.normalization, "shapley scores"),
+                normalize_scores(exact.banzhaf, cfg.normalization, "banzhaf scores"),
                 lambdas,
             )
             couplings = exact.interactions

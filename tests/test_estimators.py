@@ -82,6 +82,26 @@ class TestPrefixSampling:
         with pytest.raises(ValueError):
             sample_permutation_prefixes(token_stream(0, 99), 3, 3, 1)
 
+    @pytest.mark.parametrize(
+        "n,i,seed", [(1, 0, 0), (2, 1, 3), (5, 2, 7), (17, 0, 11), (64, 63, 5), (64, 20, 9)]
+    )
+    def test_masks_match_masked_sum_of_permuted_bits(self, n, i, seed):
+        count = 300
+        masks, probs = sample_permutation_prefixes(token_stream(seed, 99), n, i, count)
+        # the same draws, summed over the kept prefix positions
+        rng = token_stream(seed, 99)
+        sizes = rng.integers(0, n, size=count)
+        expected = np.zeros(count, dtype=np.uint64)
+        if n > 1:
+            others = np.array([t for t in range(n) if t != i], dtype=np.uint64)
+            perms = rng.permuted(np.tile(others, (count, 1)), axis=1)
+            keep = np.arange(n - 1)[None, :] < sizes[:, None]
+            bits = np.left_shift(np.uint64(1), perms)
+            expected = np.where(keep, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+        np.testing.assert_array_equal(masks, expected)
+        assert masks.dtype == np.uint64
+        assert np.array_equal([int(m).bit_count() for m in masks], sizes)
+
 
 class TestBernoulliSampling:
     def test_single_exclusion_probability(self):

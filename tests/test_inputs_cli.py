@@ -315,6 +315,11 @@ class TestReports:
         assert base == other
 
 
+def test_dump_json_rejects_nan():
+    with pytest.raises(ValueError):
+        dump_json({"effective_sample_size": [float("nan")]})
+
+
 class TestCli:
     def test_demo_prints_reference_lines(self, capsys):
         assert cli.main(["demo"]) == 0
@@ -382,6 +387,18 @@ class TestCli:
         assert cli.main(["oracle", "--input", str(path)]) == cli.EXIT_LIMIT
         err = capsys.readouterr().err
         assert "12" in err  # refusal names the limit
+
+    @pytest.mark.parametrize("command", ["attend", "oracle"])
+    def test_zero_embeddings_are_an_input_error(self, tmp_path, capsys, command):
+        doc = _embedding_doc(n=3, d=3, seed=4)
+        doc["embeddings"] = [[0.0, 0.0, 0.0]] * 3
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--input", str(path)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "embeddings" in err and "shapley scores" in err
+        assert "Traceback" not in err
 
     def test_oracle_cli_writes_report(self, tmp_path, capsys):
         doc_path = tmp_path / "doc.json"
