@@ -17,23 +17,22 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .estimators import MODES, EstimatorConfig
 from .games import MAX_TOKENS, NONLINEARITIES, TABULAR_MAX_TOKENS, TabularGame, monotonicity_violations
-from .meanfield import MeanFieldConfig
-from .pipeline import NORMALIZATIONS
+from .linalg import as_matrix, as_scalar, as_vector
+from .meanfield import MeanFieldConfig, check_spin_system
+from .pipeline import NORMALIZATIONS, HeadParams
 
 __all__ = [
     "SCHEMA_VERSION",
     "THREADS_ENV_VAR",
     "InputError",
-    "HeadSpec",
     "InputDocument",
     "RunConfig",
     "load_input",
@@ -82,13 +81,6 @@ class InputError(ValueError):
 
 
 @dataclass(frozen=True)
-class HeadSpec:
-    value_projection: np.ndarray
-    gate_weights: np.ndarray
-    gate_bias: float
-
-
-@dataclass(frozen=True)
 class InputDocument:
     n: int
     d: int | None
@@ -96,7 +88,7 @@ class InputDocument:
     characteristic_table: np.ndarray | None
     fields: np.ndarray | None
     couplings: np.ndarray | None
-    heads: tuple[HeadSpec, ...] | None
+    heads: tuple[HeadParams, ...] | None
     output_projection: np.ndarray | None
     nonlinearity: str
 
@@ -149,13 +141,12 @@ def _fail(field: str, message: str) -> "InputError":
     return InputError(f"{field}: {message}")
 
 
-def _as_float(obj, field: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise _fail(field, f"expected a number, got {type(obj).__name__}")
-    value = float(obj)
-    if not math.isfinite(value):
-        raise _fail(field, "must be finite")
-    return value
+def _checked(check, *args):
+    # the shared validators name the field first, so their message is ours
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _as_int(obj, field: str) -> int:
@@ -164,47 +155,27 @@ def _as_int(obj, field: str) -> int:
     return obj
 
 
-def _as_vector(obj, field: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise _fail(field, f"not a numeric array: {exc}") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise _fail(field, "expected a non-empty flat array")
-    if not np.all(np.isfinite(arr)):
-        raise _fail(field, "all entries must be finite")
-    return arr
+_HEAD_KEYS = {"value_projection", "gate_weights", "gate_bias"}
 
 
-def _as_matrix(obj, field: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise _fail(field, f"not a numeric matrix: {exc}") from None
-    if arr.ndim != 2 or arr.size == 0:
-        raise _fail(field, "expected a non-empty 2-d array")
-    if not np.all(np.isfinite(arr)):
-        raise _fail(field, "all entries must be finite")
-    return arr
-
-
-def _parse_head(obj, field: str, d: int | None) -> HeadSpec:
+def _parse_head(obj, field: str, d: int | None) -> HeadParams:
+    """Head parameters with the run's defaults; ``HeadParams`` checks the
+    arrays and the bias, this checks the keys and the width ``d``."""
     if not isinstance(obj, dict):
         raise _fail(field, "expected an object")
-    missing = {"value_projection", "gate_weights", "gate_bias"} - obj.keys()
+    missing = _HEAD_KEYS - obj.keys()
     if missing:
         raise _fail(field, f"missing keys: {sorted(missing)}")
-    extra = obj.keys() - {"value_projection", "gate_weights", "gate_bias"}
+    extra = obj.keys() - _HEAD_KEYS
     if extra:
         raise _fail(field, f"unknown keys: {sorted(extra)}")
-    projection = _as_matrix(obj["value_projection"], f"{field}.value_projection")
-    weights = _as_vector(obj["gate_weights"], f"{field}.gate_weights")
-    bias = _as_float(obj["gate_bias"], f"{field}.gate_bias")
-    if projection.shape[0] != weights.size:
-        raise _fail(field, "value_projection rows must equal gate_weights length")
-    if d is not None and projection.shape[0] != d:
+    try:
+        head = HeadParams(**obj)
+    except ValueError as exc:
+        raise _fail(field, str(exc)) from None
+    if d is not None and head.value_projection.shape[0] != d:
         raise _fail(f"{field}.value_projection", f"expected {d} rows to match embeddings")
-    return HeadSpec(value_projection=projection, gate_weights=weights, gate_bias=bias)
+    return head
 
 
 def parse_document(obj) -> InputDocument:
@@ -236,7 +207,7 @@ def parse_document(obj) -> InputDocument:
         )
 
     if "embeddings" in obj:
-        embeddings = _as_matrix(obj["embeddings"], "embeddings")
+        embeddings = _checked(as_matrix, obj["embeddings"], "embeddings")
         if embeddings.shape[0] != n:
             raise _fail("embeddings", f"expected {n} rows, got {embeddings.shape[0]}")
         if d is not None and embeddings.shape[1] != d:
@@ -246,7 +217,7 @@ def parse_document(obj) -> InputDocument:
     if "characteristic_table" in obj:
         if n > TABULAR_MAX_TOKENS:
             raise _fail("characteristic_table", f"tables support at most {TABULAR_MAX_TOKENS} tokens")
-        table = _as_vector(obj["characteristic_table"], "characteristic_table")
+        table = _checked(as_vector, obj["characteristic_table"], "characteristic_table")
         if table.size != (1 << n):
             raise _fail("characteristic_table", f"expected {1 << n} entries for n={n}, got {table.size}")
         if table[0] != 0.0:
@@ -255,17 +226,11 @@ def parse_document(obj) -> InputDocument:
     fields = None
     couplings = None
     if "fields" in obj:
-        fields = _as_vector(obj["fields"], "fields")
+        fields = _checked(as_vector, obj["fields"], "fields")
         if fields.size != n:
             raise _fail("fields", f"expected length {n}, got {fields.size}")
     if "couplings" in obj:
-        couplings = _as_matrix(obj["couplings"], "couplings")
-        if couplings.shape != (n, n):
-            raise _fail("couplings", f"expected {n}x{n}, got {couplings.shape}")
-        if not np.array_equal(couplings, couplings.T):
-            raise _fail("couplings", "matrix must be symmetric")
-        if np.any(np.diag(couplings) != 0.0):
-            raise _fail("couplings", "diagonal must be zero")
+        _, couplings = _checked(check_spin_system, np.zeros(n), obj["couplings"])
 
     if embeddings is None and table is None and fields is None and couplings is None:
         raise InputError(
@@ -277,8 +242,8 @@ def parse_document(obj) -> InputDocument:
     if nonlinearity not in NONLINEARITIES:
         raise _fail("nonlinearity", f"must be one of {NONLINEARITIES}")
 
-    single_keys = {"value_projection", "gate_weights", "gate_bias"} & obj.keys()
-    heads: tuple[HeadSpec, ...] | None = None
+    single_keys = _HEAD_KEYS & obj.keys()
+    heads: tuple[HeadParams, ...] | None = None
     output_projection = None
     if "multi_head" in obj:
         if single_keys:
@@ -299,7 +264,7 @@ def parse_document(obj) -> InputDocument:
         heads = tuple(
             _parse_head(h, f"multi_head.heads[{idx}]", d) for idx, h in enumerate(raw_heads)
         )
-        output_projection = _as_matrix(block["output_projection"], "multi_head.output_projection")
+        output_projection = _checked(as_matrix, block["output_projection"], "multi_head.output_projection")
         total_dv = sum(h.value_projection.shape[1] for h in heads)
         if output_projection.shape[0] != total_dv:
             raise _fail(
@@ -307,16 +272,10 @@ def parse_document(obj) -> InputDocument:
                 f"expected {total_dv} rows (concatenated head width), got {output_projection.shape[0]}",
             )
     elif single_keys:
-        if single_keys != {"value_projection", "gate_weights", "gate_bias"}:
-            missing = {"value_projection", "gate_weights", "gate_bias"} - single_keys
+        if single_keys != _HEAD_KEYS:
+            missing = _HEAD_KEYS - single_keys
             raise InputError(f"document: incomplete head parameters, missing {sorted(missing)}")
-        heads = (
-            _parse_head(
-                {k: obj[k] for k in ("value_projection", "gate_weights", "gate_bias")},
-                "head",
-                d,
-            ),
-        )
+        heads = (_parse_head({k: obj[k] for k in _HEAD_KEYS}, "head", d),)
 
     return InputDocument(
         n=n,
@@ -367,15 +326,18 @@ class RunConfig:
     threads: str = "auto"
 
     def __post_init__(self) -> None:
+        # values are checked, never converted, so the echo shows them as given
         for name in ("coalition_gamma", "spin_gamma", "tolerance"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not _checked(as_scalar, value, name) > 0:
                 raise _fail(name, f"must be positive and finite, got {value!r}")
+        for name in ("sample_count", "max_iterations", "seed"):
+            _as_int(getattr(self, name), name)
         if self.sample_count < 1:
             raise _fail("sample_count", "must be >= 1")
         if self.max_iterations < 1:
             raise _fail("max_iterations", "must be >= 1")
-        if not 0.0 <= self.damping < 1.0:
+        if not 0.0 <= _checked(as_scalar, self.damping, "damping") < 1.0:
             raise _fail("damping", "must lie in [0, 1)")
         if not 0 <= self.seed < 2**64:
             raise _fail("seed", "must fit in an unsigned 64-bit integer")

@@ -8,15 +8,38 @@ precision is assumed engine-wide.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-__all__ = ["as_vector", "as_matrix", "dense_matvec", "l2_norm", "logistic"]
+__all__ = ["as_scalar", "as_vector", "as_matrix", "dense_matvec", "l2_norm", "logistic"]
+
+
+def as_scalar(data, name: str = "scalar") -> float:
+    """Validate *data* as a finite real number (a bool is not one)."""
+    if isinstance(data, bool) or not isinstance(data, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {type(data).__name__}")
+    try:
+        value = float(data)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: must be finite")
+    return value
+
+
+def _as_float_array(data, name: str) -> np.ndarray:
+    # ragged nesting, strings, objects and ints beyond the float range all
+    # surface as a ValueError naming the field
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: not a numeric array: {exc}") from None
 
 
 def as_vector(data, name: str = "vector") -> np.ndarray:
     """Validate *data* as a finite, non-empty 1-d float64 array."""
-    arr = np.asarray(data, dtype=np.float64)
+    arr = _as_float_array(data, name)
     if arr.ndim != 1:
         raise ValueError(f"{name}: expected a 1-d array, got shape {arr.shape}")
     if arr.size == 0:
@@ -28,7 +51,7 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Validate *data* as a finite, non-empty 2-d float64 array."""
-    arr = np.asarray(data, dtype=np.float64)
+    arr = _as_float_array(data, name)
     if arr.ndim != 2:
         raise ValueError(f"{name}: expected a 2-d array, got shape {arr.shape}")
     if arr.size == 0:

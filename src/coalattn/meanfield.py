@@ -24,6 +24,7 @@ from .linalg import as_matrix, as_vector
 __all__ = [
     "MeanFieldConfig",
     "MeanFieldResult",
+    "check_spin_system",
     "effective_field",
     "mean_field_step",
     "solve_fixed_point",
@@ -70,7 +71,9 @@ class MeanFieldResult:
     trace: tuple[tuple[int, float], ...] | None = field(default=None)
 
 
-def _check_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
+def check_spin_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
+    """Validate fields and couplings: equal sizes, symmetric couplings with a
+    zero diagonal.  Every message starts with the offending field's name."""
     fields = as_vector(fields, "fields")
     couplings = as_matrix(couplings, "couplings")
     n = fields.size
@@ -86,7 +89,7 @@ def _check_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
 def effective_field(fields, couplings, spins, i: int) -> float:
     """Field seen by spin i: its own bias plus the coupling-weighted sum of
     the other spins' expectations (the zero diagonal excludes j = i)."""
-    fields, couplings = _check_system(fields, couplings)
+    fields, couplings = check_spin_system(fields, couplings)
     spins = as_vector(spins, "spins")
     if spins.size != fields.size:
         raise ValueError(f"spins: expected length {fields.size}, got {spins.size}")
@@ -102,7 +105,7 @@ def _update_target(fields, couplings, spins, gamma) -> np.ndarray:
 
 def mean_field_step(fields, couplings, spins, cfg: MeanFieldConfig) -> np.ndarray:
     """One synchronous update followed by the damped blend."""
-    fields, couplings = _check_system(fields, couplings)
+    fields, couplings = check_spin_system(fields, couplings)
     spins = as_vector(spins, "spins")
     target = _update_target(fields, couplings, spins, cfg.gamma)
     return cfg.damping * spins + (1.0 - cfg.damping) * target
@@ -123,7 +126,7 @@ def solve_fixed_point(
     couplings zero and no damping the exact solution ``tanh(J_i/gamma)`` is
     reached in a single update.
     """
-    fields, couplings = _check_system(fields, couplings)
+    fields, couplings = check_spin_system(fields, couplings)
     n = fields.size
     if initial_spins is None:
         spins = np.zeros(n)

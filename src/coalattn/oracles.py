@@ -14,6 +14,16 @@ a few seconds of CPython time:
 * ``SPIN_ENUM_LIMIT`` (16): full ``2**n`` spin-configuration sums.
 * ``TILTED_ENUM_LIMIT`` (16): exact limits of the Gibbs-weighted estimators.
 
+``exact_game_values`` and ``exact_gibbs_tilted_values`` check their limits,
+tabulate the game once, and run the per-token and per-pair oracles on that
+table, so a call costs ``2**n`` characteristic evaluations.
+
+In ``gibbs`` mode the prefix-sampled Shapley estimator and the Bernoulli
+Banzhaf estimator converge to the same tilted average (see
+``exact_tilted_shapley_prefix``), so ``shapley_hat`` and ``banzhaf_hat``
+estimate one quantity and the pipeline's lambda-blend averages two estimators
+of one value.
+
 Partition sums are always formed in log space so the oracle is never the
 numerically fragile side of a comparison.
 """
@@ -27,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .games import Coalition, GibbsTarget, tabulate
-from .linalg import as_matrix, as_vector
+from .games import GibbsTarget, TabularGame, tabulate
+from .meanfield import check_spin_system
 
 __all__ = [
     "SHAPLEY_ENUM_LIMIT",
@@ -125,7 +135,7 @@ def exact_shapley(game, i: int) -> float:
     n = game.n
     table = tabulate(game)
     masks = _masks_excluding(n, i)
-    sizes = np.array([int(m).bit_count() for m in masks], dtype=np.int64)
+    sizes = np.bitwise_count(masks)
     weights = _shapley_size_weights(n)[sizes]
     deltas = table[masks | (1 << i)] - table[masks]
     return float(np.dot(weights, deltas))
@@ -183,6 +193,8 @@ def exact_interaction(game, i: int, j: int) -> float:
 def exact_game_values(game) -> ExactGameValues:
     """All exact per-token and per-pair values in one structure."""
     n = game.n
+    _require_limit(n, SHAPLEY_ENUM_LIMIT, "exact Shapley value")
+    game = TabularGame(tabulate(game))
     shapley = np.array([exact_shapley(game, i) for i in range(n)])
     banzhaf = np.array([exact_banzhaf(game, i) for i in range(n)])
     interactions = np.zeros((n, n))
@@ -232,7 +244,7 @@ def exact_tilted_shapley_prefix(game, i: int, target: GibbsTarget) -> float:
     n = game.n
     table = tabulate(game)
     masks = _masks_excluding(n, i)
-    sizes = np.array([int(m).bit_count() for m in masks], dtype=np.int64)
+    sizes = np.bitwise_count(masks)
     # proposal probability used in the weight (conditional on prefix size)
     log_p = np.array(
         [
@@ -266,6 +278,8 @@ def exact_tilted_interaction(game, i: int, j: int, target: GibbsTarget) -> float
 def exact_gibbs_tilted_values(game, target: GibbsTarget) -> ExactGameValues:
     """Tilted counterparts of every per-token and per-pair value."""
     n = game.n
+    _require_limit(n, TILTED_ENUM_LIMIT, "tilted prefix-sampled Shapley value")
+    game = TabularGame(tabulate(game))
     shapley = np.array([exact_tilted_shapley_prefix(game, i, target) for i in range(n)])
     banzhaf = np.array([exact_tilted_banzhaf(game, i, target) for i in range(n)])
     interactions = np.zeros((n, n))
@@ -277,26 +291,13 @@ def exact_gibbs_tilted_values(game, target: GibbsTarget) -> ExactGameValues:
     return ExactGameValues(shapley=shapley, banzhaf=banzhaf, interactions=interactions)
 
 
-def _check_spin_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
-    fields = as_vector(fields, "fields")
-    couplings = as_matrix(couplings, "couplings")
-    n = fields.size
-    if couplings.shape != (n, n):
-        raise ValueError(f"couplings: expected {n}x{n}, got {couplings.shape}")
-    if not np.array_equal(couplings, couplings.T):
-        raise ValueError("couplings: matrix must be symmetric")
-    if np.any(np.diag(couplings) != 0.0):
-        raise ValueError("couplings: diagonal must be zero")
-    return fields, couplings
-
-
 def hamiltonian(fields, couplings, spins) -> float:
     """Energy of one spin configuration.
 
     ``H(S) = -sum_i J_i s_i - sum_{i<j} J_ij s_i s_j`` with every spin
     exactly +1 or -1.
     """
-    fields, couplings = _check_spin_system(fields, couplings)
+    fields, couplings = check_spin_system(fields, couplings)
     s = np.asarray(spins, dtype=np.float64)
     if s.shape != fields.shape:
         raise ValueError(f"spins: expected length {fields.size}, got shape {s.shape}")
@@ -312,7 +313,7 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
     The partition function and the per-spin restricted sums are accumulated
     in log space; ``alphas[i]`` is ``exp(logZ_{s_i=+1} - logZ)``.
     """
-    fields, couplings = _check_spin_system(fields, couplings)
+    fields, couplings = check_spin_system(fields, couplings)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = fields.size

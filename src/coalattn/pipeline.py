@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimators import EstimatedGameValues, EstimatorConfig, estimate_all
 from .games import NONLINEARITIES, EmbeddingGame
-from .linalg import as_matrix, as_vector, logistic
+from .linalg import as_matrix, as_scalar, as_vector, logistic
 from .meanfield import MeanFieldConfig, MeanFieldResult, solve_fixed_point
 from .oracles import ExactGameValues
 
@@ -70,11 +70,9 @@ class HeadParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value_projection", as_matrix(self.value_projection, "value_projection"))
         object.__setattr__(self, "gate_weights", as_vector(self.gate_weights, "gate_weights"))
-        object.__setattr__(self, "gate_bias", float(self.gate_bias))
+        object.__setattr__(self, "gate_bias", as_scalar(self.gate_bias, "gate_bias"))
         if self.value_projection.shape[0] != self.gate_weights.size:
-            raise ValueError(
-                "head params: value projection rows and gate weight length must both equal d"
-            )
+            raise ValueError("value_projection rows must equal gate_weights length")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"head params: unknown nonlinearity {self.nonlinearity!r}")
         if self.normalization not in NORMALIZATIONS:

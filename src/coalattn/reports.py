@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,21 +73,18 @@ def _head_params_from_doc(doc: InputDocument, cfg: RunConfig) -> list[HeadParams
             "document: attend needs head parameters "
             "(value_projection/gate_weights/gate_bias or a multi_head block)"
         )
-    heads = []
-    for index, spec in enumerate(doc.heads):
-        seed = cfg.seed if len(doc.heads) == 1 else derive_head_seed(cfg.seed, index)
-        heads.append(
-            HeadParams(
-                value_projection=spec.value_projection,
-                gate_weights=spec.gate_weights,
-                gate_bias=spec.gate_bias,
-                estimator=cfg.estimator_config(seed),
-                meanfield=cfg.meanfield_config(),
-                nonlinearity=doc.nonlinearity,
-                normalization=cfg.normalization,
-            )
+    return [
+        replace(
+            head,
+            estimator=cfg.estimator_config(
+                cfg.seed if len(doc.heads) == 1 else derive_head_seed(cfg.seed, index)
+            ),
+            meanfield=cfg.meanfield_config(),
+            nonlinearity=doc.nonlinearity,
+            normalization=cfg.normalization,
         )
-    return heads
+        for index, head in enumerate(doc.heads)
+    ]
 
 
 def _solver_input(n: int, fields, couplings) -> dict:
@@ -132,10 +130,10 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
             "efficiency_gap": float(np.sum(exact.shapley) - (grand - empty)),
         }
         if doc.heads is not None and doc.embeddings is not None and len(doc.heads) == 1:
-            spec = doc.heads[0]
+            head = doc.heads[0]
             lambdas = np.array(
                 [
-                    gate_lambda(doc.embeddings[i], spec.gate_weights, spec.gate_bias)
+                    gate_lambda(doc.embeddings[i], head.gate_weights, head.gate_bias)
                     for i in range(game.n)
                 ]
             )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coalattn import cli
+from coalattn import cli, oracles
 from coalattn.inputs import (
     InputError,
     RunConfig,
@@ -12,6 +12,8 @@ from coalattn.inputs import (
     load_input,
     parse_document,
 )
+from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
+from coalattn.oracles import exact_spin_marginals
 from coalattn.reports import dump_json, run_attend, run_estimate, run_oracle
 
 from conftest import WORKED_TABLE
@@ -36,6 +38,10 @@ def _embedding_doc(n=4, d=3, seed=1, **extra):
     }
     doc.update(extra)
     return doc
+
+
+# an integer JSON literal no float can hold
+HUGE = 10**400
 
 
 def _solver_doc():
@@ -100,6 +106,18 @@ class TestDocumentValidation:
         bad["couplings"][1][1] = 0.5
         with pytest.raises(InputError, match="diagonal"):
             parse_document(bad)
+
+    def test_asymmetric_couplings_give_one_message_everywhere(self):
+        doc = _solver_doc()
+        doc["couplings"][0][1] = 0.9
+        with pytest.raises(InputError) as parsed:
+            parse_document(doc)
+        with pytest.raises(ValueError) as solved:
+            solve_fixed_point(doc["fields"], doc["couplings"], MeanFieldConfig())
+        with pytest.raises(ValueError) as exact:
+            exact_spin_marginals(doc["fields"], doc["couplings"], 1.0)
+        messages = {str(parsed.value), str(solved.value), str(exact.value)}
+        assert messages == {"couplings: matrix must be symmetric"}
 
     def test_fields_length_checked(self):
         bad = _solver_doc()
@@ -398,6 +416,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("input error:")
         assert "embeddings" in err and "shapley scores" in err
+        assert "Traceback" not in err
+
+    def test_oracle_limit_refused_before_tabulating(self, tmp_path, capsys, monkeypatch):
+        tabulated = []
+        monkeypatch.setattr(oracles, "tabulate", lambda game: tabulated.append(game.n))
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(_embedding_doc(n=40, d=3, seed=6)))
+        assert cli.main(["oracle", "--input", str(path)]) == cli.EXIT_LIMIT
+        err = capsys.readouterr().err
+        assert "at most 12 tokens, got 40" in err
+        assert tabulated == []
+
+    @pytest.mark.parametrize(
+        "setting", [{"sample_count": 25.0}, {"seed": 1.5}, {"max_iterations": True}]
+    )
+    def test_integer_config_fields_reject_floats_and_bools(self, tmp_path, capsys, setting):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(_embedding_doc()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(setting))
+        code = cli.main(["attend", "--input", str(doc_path), "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        (name,) = setting
+        assert err.startswith(f"input error: {name}: expected an integer")
+
+    @pytest.mark.parametrize(
+        "doc, config, field",
+        [
+            ({**_solver_doc(), "fields": [0.1, HUGE, 0.2]}, {}, "fields"),
+            (_embedding_doc(gate_bias=HUGE), {}, "gate_bias"),
+            (_embedding_doc(), {"tolerance": HUGE}, "tolerance"),
+        ],
+        ids=["array", "scalar", "config"],
+    )
+    def test_integers_beyond_float_range_are_input_errors(self, tmp_path, capsys, doc, config, field):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = cli.main(["attend", "--input", str(doc_path), "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert err.startswith("input error:") and field in err
         assert "Traceback" not in err
 
     def test_oracle_cli_writes_report(self, tmp_path, capsys):

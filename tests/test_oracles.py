@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coalattn.games import EmbeddingGame, GibbsTarget, TabularGame
+from coalattn.games import CountingGame, EmbeddingGame, GibbsTarget, TabularGame
 from coalattn.oracles import (
     EnumerationLimitError,
     exact_banzhaf,
@@ -281,3 +281,50 @@ def test_exact_game_values_structure(worked_game):
     np.testing.assert_array_equal(values.interactions, values.interactions.T)
     assert np.all(np.diag(values.interactions) == 0.0)
     assert float(np.sum(values.shapley)) == pytest.approx(1.8, abs=1e-9)
+
+
+class TestOneTablePerCall:
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_game_values_evaluate_each_coalition_once(self, n):
+        rng = np.random.default_rng(n)
+        game = CountingGame(EmbeddingGame(rng.normal(size=(n, 3)), rng.normal(size=(3, 4))))
+        exact_game_values(game)
+        assert game.evaluations == 2**n
+        game.evaluations = 0
+        exact_gibbs_tilted_values(game, GibbsTarget(0.5))
+        assert game.evaluations == 2**n
+
+    def test_same_numbers_as_the_per_token_oracles(self):
+        rng = np.random.default_rng(23)
+        n = 6
+        game = EmbeddingGame(rng.normal(size=(n, 3)), rng.normal(size=(3, 4)), "tanh")
+        target = GibbsTarget(0.5)
+        pairs = list(itertools.combinations(range(n), 2))
+        exact = exact_game_values(game)
+        tilted = exact_gibbs_tilted_values(game, target)
+        assert exact.shapley.tolist() == [exact_shapley(game, i) for i in range(n)]
+        assert exact.banzhaf.tolist() == [exact_banzhaf(game, i) for i in range(n)]
+        assert [exact.interactions[i, j] for i, j in pairs] == [
+            exact_interaction(game, i, j) for i, j in pairs
+        ]
+        assert tilted.shapley.tolist() == [
+            exact_tilted_shapley_prefix(game, i, target) for i in range(n)
+        ]
+        assert tilted.banzhaf.tolist() == [exact_tilted_banzhaf(game, i, target) for i in range(n)]
+        assert [tilted.interactions[i, j] for i, j in pairs] == [
+            exact_tilted_interaction(game, i, j, target) for i, j in pairs
+        ]
+
+    @pytest.mark.parametrize(
+        "oracle, n, limit",
+        [
+            (exact_game_values, 13, "12"),
+            (lambda game: exact_gibbs_tilted_values(game, GibbsTarget(1.0)), 17, "16"),
+        ],
+    )
+    def test_limit_refused_before_any_evaluation(self, oracle, n, limit):
+        rng = np.random.default_rng(n)
+        game = CountingGame(EmbeddingGame(rng.normal(size=(n, 2)), np.eye(2)))
+        with pytest.raises(EnumerationLimitError, match=limit):
+            oracle(game)
+        assert game.evaluations == 0

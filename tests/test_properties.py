@@ -1,7 +1,8 @@
-"""Property-based checks of the evaluation and sampling hot paths.
+"""Property-based checks of the evaluation and sampling hot paths and of the
+exact oracles' game-theory axioms.
 
-Example counts are kept small so the suite stays fast; each property is
-also covered at the byte boundaries of the 64-bit coalition masks.
+Example counts are kept small so the suite stays fast; each hot-path property
+is also covered at the byte boundaries of the 64-bit coalition masks.
 """
 
 import numpy as np
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalattn.estimators import sample_bernoulli_coalitions, token_stream
-from coalattn.games import NONLINEARITIES, EmbeddingGame
+from coalattn.games import NONLINEARITIES, EmbeddingGame, GibbsTarget, TabularGame
+from coalattn.oracles import (
+    exact_game_values,
+    exact_gibbs_tilted_values,
+    exact_interaction,
+    exact_tilted_interaction,
+)
+
+from conftest import random_table_game
 
 # token counts on either side of the byte boundaries of a mask
 BOUNDARY_TOKEN_COUNTS = (1, 8, 9, 63, 64)
@@ -91,3 +100,68 @@ def test_bernoulli_sampler_sets_only_allowed_bits(case):
         assert mask < (1 << n)
         assert not any((mask >> t) & 1 for t in excluded)
     np.testing.assert_array_equal(probs, np.full(count, 0.5 ** (n - len(excluded))))
+
+
+# exact-oracle axioms on random tabular games of up to 8 tokens
+_AXIOM_SETTINGS = settings(max_examples=25, deadline=None)
+_AXIOM_TOL = 1e-12
+
+
+@st.composite
+def _table_games(draw, min_n=1):
+    n = draw(st.integers(min_n, 8))
+    return random_table_game(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+
+
+@_AXIOM_SETTINGS
+@given(_table_games())
+def test_shapley_efficiency(game):
+    values = exact_game_values(game)
+    grand = game.value_by_mask((1 << game.n) - 1)
+    assert abs(float(np.sum(values.shapley)) - grand) <= _AXIOM_TOL
+
+
+@_AXIOM_SETTINGS
+@given(_table_games(min_n=2), st.data())
+def test_symmetric_tokens_get_equal_values(game, data):
+    a, b = data.draw(st.lists(st.integers(0, game.n - 1), min_size=2, max_size=2, unique=True))
+    masks = np.arange(1 << game.n, dtype=np.int64)
+    bit_a, bit_b = (masks >> a) & 1, (masks >> b) & 1
+    swapped = (masks & ~((1 << a) | (1 << b))) | (bit_b << a) | (bit_a << b)
+    sym = TabularGame(0.5 * (game.table + game.table[swapped]))
+    others = [k for k in range(game.n) if k not in (a, b)]
+    for values in (exact_game_values(sym), exact_gibbs_tilted_values(sym, GibbsTarget(0.5))):
+        assert abs(values.shapley[a] - values.shapley[b]) <= _AXIOM_TOL
+        assert abs(values.banzhaf[a] - values.banzhaf[b]) <= _AXIOM_TOL
+        gap = values.interactions[a, others] - values.interactions[b, others]
+        assert np.all(np.abs(gap) <= _AXIOM_TOL)
+
+
+@_AXIOM_SETTINGS
+@given(_table_games(), st.data())
+def test_dummy_token_is_worth_its_own_contribution(base, data):
+    # insert token p, which adds the constant c to every coalition it joins
+    n = base.n + 1
+    p = data.draw(st.integers(0, base.n))
+    c = data.draw(st.sampled_from((0.0, 0.375, -1.25)))
+    masks = np.arange(1 << n, dtype=np.int64)
+    low = masks & ((1 << p) - 1)
+    rest = (masks >> (p + 1)) << p
+    game = TabularGame(base.table[low | rest] + c * ((masks >> p) & 1))
+    others = [k for k in range(n) if k != p]
+    for values in (exact_game_values(game), exact_gibbs_tilted_values(game, GibbsTarget(0.5))):
+        assert abs(values.shapley[p] - c) <= _AXIOM_TOL
+        assert abs(values.banzhaf[p] - c) <= _AXIOM_TOL
+        assert np.all(np.abs(values.interactions[p, others]) <= _AXIOM_TOL)
+
+
+@_AXIOM_SETTINGS
+@given(_table_games(min_n=2), st.data())
+def test_interactions_ignore_pair_orientation(game, data):
+    i, j = data.draw(st.lists(st.integers(0, game.n - 1), min_size=2, max_size=2, unique=True))
+    target = GibbsTarget(0.5)
+    assert exact_interaction(game, i, j) == exact_interaction(game, j, i)
+    assert exact_tilted_interaction(game, i, j, target) == exact_tilted_interaction(game, j, i, target)
+    for values in (exact_game_values(game), exact_gibbs_tilted_values(game, target)):
+        np.testing.assert_array_equal(values.interactions, values.interactions.T)
+        assert np.all(np.diag(values.interactions) == 0.0)
