@@ -17,22 +17,15 @@ from .estimators import (
     normalize_weights,
 )
 from .games import (
-    Coalition,
     CountingGame,
     EmbeddingGame,
     GibbsTarget,
     TabularGame,
-    characteristic_value,
-    coalition_energy,
-    gibbs_unnormalized_weight,
-    marginal_contribution,
-    pairwise_delta,
 )
-from .linalg import dense_matvec, l2_norm, logistic
+from .linalg import logistic
 from .meanfield import (
     MeanFieldConfig,
     MeanFieldResult,
-    effective_field,
     mean_field_step,
     solve_fixed_point,
     spins_to_attention,
@@ -63,18 +56,10 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coalition",
     "CountingGame",
     "EmbeddingGame",
     "GibbsTarget",
     "TabularGame",
-    "characteristic_value",
-    "coalition_energy",
-    "gibbs_unnormalized_weight",
-    "marginal_contribution",
-    "pairwise_delta",
-    "dense_matvec",
-    "l2_norm",
     "logistic",
     "EstimatedGameValues",
     "EstimatorConfig",
@@ -86,7 +71,6 @@ __all__ = [
     "normalize_weights",
     "MeanFieldConfig",
     "MeanFieldResult",
-    "effective_field",
     "mean_field_step",
     "solve_fixed_point",
     "spins_to_attention",

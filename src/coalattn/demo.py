@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import normalize_weights
-from .games import Coalition, TabularGame
+from .games import TabularGame
 from .meanfield import MeanFieldConfig, mean_field_step, solve_fixed_point, spins_to_attention
 
 __all__ = ["FIXTURE", "run_demo", "render_demo"]
@@ -153,7 +153,7 @@ def run_demo() -> dict:
         "schema_version": 1,
         "table": list(fx.table),
         "sampled_coalitions": [
-            sorted(Coalition(m, fx.n).members()) for m in fx.sampled_masks
+            [t for t in range(fx.n) if (m >> t) & 1] for m in fx.sampled_masks
         ],
         "weights": _compare(batch.normalized_weights, fx.reference_weights),
         "shapley_estimate": _compare(shapley_hat, fx.reference_shapley),

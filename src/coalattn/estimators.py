@@ -30,15 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Coalition
-
 __all__ = [
     "EstimatorConfig",
     "WeightedSampleBatch",
     "EstimatedGameValues",
-    "sample_permutation_prefix",
     "sample_permutation_prefixes",
-    "sample_bernoulli_coalition",
     "sample_bernoulli_coalitions",
     "normalize_weights",
     "shapley_sample_batch",
@@ -176,14 +172,6 @@ def sample_permutation_prefixes(
     return masks, size_probs[sizes]
 
 
-def sample_permutation_prefix(
-    rng: np.random.Generator, n: int, i: int
-) -> tuple[Coalition, float]:
-    """Single draw of a permutation prefix; see the batch form."""
-    masks, probs = sample_permutation_prefixes(rng, n, i, 1)
-    return Coalition(int(masks[0]), n), float(probs[0])
-
-
 def sample_bernoulli_coalitions(
     rng: np.random.Generator, n: int, excluded, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,14 +197,6 @@ def sample_bernoulli_coalitions(
     masks = rng.bit_generator.random_raw(count) & np.uint64(allowed)
     probs = np.full(count, 0.5 ** (n - len(excluded)))
     return masks, probs
-
-
-def sample_bernoulli_coalition(
-    rng: np.random.Generator, n: int, excluded
-) -> tuple[Coalition, float]:
-    """Single Bernoulli(1/2) coalition draw; see the batch form."""
-    masks, probs = sample_bernoulli_coalitions(rng, n, excluded, 1)
-    return Coalition(int(masks[0]), n), float(probs[0])
 
 
 def normalize_weights(values, proposal_probs, gamma: float, marginals=None) -> WeightedSampleBatch:

@@ -15,15 +15,18 @@ provided:
     game (``ceil(n/8) * 256 * d_v`` floats), so evaluating a batch of masks
     is one table gather and add per mask byte plus a row norm.
 
-Both expose the same evaluation interface (``n``, ``value_by_mask``,
-``values_by_mask``) so oracles and estimators are agnostic to the family.
+Both expose the same evaluation interface, so oracles and estimators are
+agnostic to the family: ``n`` and ``values_by_mask``, which evaluates a
+batch of masks and is the one path every estimator and oracle evaluates
+through (``tabulate`` feeds it every mask in chunks).  ``value_by_mask`` is
+the single-mask convenience for the demo walkthrough and tests; no estimator
+or oracle calls it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,17 +35,10 @@ from .linalg import as_matrix
 __all__ = [
     "MAX_TOKENS",
     "TABULAR_MAX_TOKENS",
-    "Coalition",
     "GibbsTarget",
     "TabularGame",
     "EmbeddingGame",
     "CountingGame",
-    "characteristic_value",
-    "coalition_energy",
-    "log_gibbs_weight",
-    "gibbs_unnormalized_weight",
-    "marginal_contribution",
-    "pairwise_delta",
     "tabulate",
     "monotonicity_violations",
 ]
@@ -51,57 +47,6 @@ MAX_TOKENS = 64           # coalition masks are 64-bit
 TABULAR_MAX_TOKENS = 20   # 2**20 table entries
 
 NONLINEARITIES = ("relu", "tanh", "identity")
-
-# largest x with math.exp(x) still finite in float64
-_MAX_EXP = 709.0
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """Subset of the token indices ``0..n-1``, stored as a bitmask."""
-
-    mask: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_TOKENS:
-            raise ValueError(f"coalition: token count must be in 1..{MAX_TOKENS}, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"coalition: mask {self.mask:#x} has bits outside 0..{self.n - 1}")
-
-    @classmethod
-    def empty(cls, n: int) -> "Coalition":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "Coalition":
-        return cls((1 << n) - 1, n)
-
-    @classmethod
-    def from_members(cls, members: Iterable[int], n: int) -> "Coalition":
-        mask = 0
-        for i in members:
-            if not 0 <= i < n:
-                raise ValueError(f"coalition: member {i} outside 0..{n - 1}")
-            mask |= 1 << i
-        return cls(mask, n)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self.mask >> i) & 1)
-
-    def with_token(self, i: int) -> "Coalition":
-        if not 0 <= i < self.n:
-            raise ValueError(f"coalition: token {i} outside 0..{self.n - 1}")
-        return Coalition(self.mask | (1 << i), self.n)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.n and bool((self.mask >> i) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
 
 
 @dataclass(frozen=True)
@@ -261,72 +206,6 @@ class CountingGame:
     def values_by_mask(self, masks: np.ndarray) -> np.ndarray:
         self.evaluations += int(np.asarray(masks).size)
         return self._game.values_by_mask(masks)
-
-
-def _check_coalition(game, c: Coalition) -> None:
-    if c.n != game.n:
-        raise ValueError(f"coalition is over {c.n} tokens but the game has {game.n}")
-
-
-def characteristic_value(game, c: Coalition) -> float:
-    """Value v(C) of a coalition under either game family."""
-    _check_coalition(game, c)
-    return game.value_by_mask(c.mask)
-
-
-def coalition_energy(game, c: Coalition) -> float:
-    """Coalition energy, the negated characteristic value."""
-    return -characteristic_value(game, c)
-
-
-def log_gibbs_weight(game, c: Coalition, target: GibbsTarget) -> float:
-    """log of the unnormalized Gibbs weight, v(C)/gamma; never overflows."""
-    return characteristic_value(game, c) / target.gamma
-
-
-def gibbs_unnormalized_weight(game, c: Coalition, target: GibbsTarget) -> float:
-    """Unnormalized Gibbs weight exp(v(C)/gamma), strictly positive.
-
-    The exponent is formed in log space first; results beyond float64 range
-    saturate to ``inf`` instead of raising.  Downstream weight normalization
-    works entirely on the log scale and never calls this.
-    """
-    lw = log_gibbs_weight(game, c, target)
-    if lw > _MAX_EXP:
-        return math.inf
-    return math.exp(lw)
-
-
-def marginal_contribution(game, i: int, c: Coalition) -> float:
-    """v(C + {i}) - v(C) for a token i outside C."""
-    _check_coalition(game, c)
-    if i in c:
-        raise ValueError(f"marginal contribution: token {i} already in the coalition")
-    with_i = c.with_token(i)
-    return game.value_by_mask(with_i.mask) - game.value_by_mask(c.mask)
-
-
-def pairwise_delta(game, i: int, j: int, c: Coalition) -> float:
-    """Second difference v(C+{i,j}) - v(C+{i}) - v(C+{j}) + v(C).
-
-    Symmetric in (i, j) by construction; the context C must contain neither
-    token.
-    """
-    _check_coalition(game, c)
-    if i == j:
-        raise ValueError("pairwise delta: tokens must be distinct")
-    if i in c or j in c:
-        raise ValueError("pairwise delta: context must exclude both tokens")
-    m = c.mask
-    # canonical token order keeps the arithmetic bitwise-symmetric in (i, j)
-    lo, hi = (i, j) if i < j else (j, i)
-    bl, bh = 1 << lo, 1 << hi
-    return (
-        game.value_by_mask(m | bl | bh)
-        - game.value_by_mask(m | bl)
-        - game.value_by_mask(m | bh)
-        + game.value_by_mask(m)
-    )
 
 
 def tabulate(game, chunk: int = 1 << 16) -> np.ndarray:

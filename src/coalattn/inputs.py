@@ -27,7 +27,7 @@ from .estimators import MODES, EstimatorConfig
 from .games import MAX_TOKENS, NONLINEARITIES, TABULAR_MAX_TOKENS, TabularGame, monotonicity_violations
 from .linalg import as_matrix, as_scalar, as_vector
 from .meanfield import MeanFieldConfig, check_spin_system
-from .pipeline import NORMALIZATIONS, HeadParams
+from .pipeline import NORMALIZATIONS, HeadParams, MultiHeadParams
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -265,12 +265,10 @@ def parse_document(obj) -> InputDocument:
             _parse_head(h, f"multi_head.heads[{idx}]", d) for idx, h in enumerate(raw_heads)
         )
         output_projection = _checked(as_matrix, block["output_projection"], "multi_head.output_projection")
-        total_dv = sum(h.value_projection.shape[1] for h in heads)
-        if output_projection.shape[0] != total_dv:
-            raise _fail(
-                "multi_head.output_projection",
-                f"expected {total_dv} rows (concatenated head width), got {output_projection.shape[0]}",
-            )
+        try:
+            MultiHeadParams(heads, output_projection)
+        except ValueError as exc:
+            raise _fail("multi_head.output_projection", str(exc)) from None
     elif single_keys:
         if single_keys != _HEAD_KEYS:
             missing = _HEAD_KEYS - single_keys

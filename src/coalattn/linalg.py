@@ -12,7 +12,7 @@ import numbers
 
 import numpy as np
 
-__all__ = ["as_scalar", "as_vector", "as_matrix", "dense_matvec", "l2_norm", "logistic"]
+__all__ = ["as_scalar", "as_vector", "as_matrix", "logistic"]
 
 
 def as_scalar(data, name: str = "scalar") -> float:
@@ -28,9 +28,28 @@ def as_scalar(data, name: str = "scalar") -> float:
     return value
 
 
+def _check_numbers(data, name: str) -> None:
+    """Reject any entry of nested lists that is not a real number; a bool or
+    a numeric string is not one, although ``float()`` would take it.  An
+    array is judged by its dtype alone."""
+    if isinstance(data, np.ndarray):
+        if data.dtype.kind not in "iuf":
+            raise ValueError(f"{name}: not a numeric array: dtype {data.dtype}")
+        return
+    if isinstance(data, (list, tuple)):
+        # rows of plain floats and ints, as JSON gives them, need no per-entry check
+        if not set(map(type, data)) <= {float, int}:
+            for item in data:
+                _check_numbers(item, name)
+        return
+    if isinstance(data, bool) or not isinstance(data, numbers.Real):
+        raise ValueError(f"{name}: not a numeric array: found {type(data).__name__}")
+
+
 def _as_float_array(data, name: str) -> np.ndarray:
-    # ragged nesting, strings, objects and ints beyond the float range all
-    # surface as a ValueError naming the field
+    # ragged nesting, strings, bools, objects and ints beyond the float range
+    # all surface as a ValueError naming the field
+    _check_numbers(data, name)
     try:
         return np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -59,23 +78,6 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: all entries must be finite")
     return arr
-
-
-def dense_matvec(m, v) -> np.ndarray:
-    """Standard matrix-vector product with shape and finiteness checks."""
-    m = as_matrix(m, "matrix")
-    v = as_vector(v, "vector")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {m.shape[0]}x{m.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return m @ v
-
-
-def l2_norm(v) -> float:
-    """Euclidean norm; zero exactly for the zero vector."""
-    return float(np.linalg.norm(as_vector(v)))
 
 
 def logistic(x: float) -> float:

@@ -15,7 +15,7 @@ damping, and damping never moves the fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "MeanFieldConfig",
     "MeanFieldResult",
     "check_spin_system",
-    "effective_field",
     "mean_field_step",
     "solve_fixed_point",
     "spins_to_attention",
@@ -60,7 +59,10 @@ class MeanFieldResult:
 
     ``final_residual`` is the self-consistency defect of the returned
     iterate; ``converged`` is exactly ``final_residual < tolerance``.
-    ``trace`` (when recorded) lists ``(iteration, residual)`` per step.
+    ``trace`` lists ``(iteration, residual)`` for every iterate the solver
+    measured, from 0 to ``iterations_used``, so it has
+    ``iterations_used + 1`` rows and its last residual is
+    ``final_residual``.
     """
 
     expected_spins: np.ndarray
@@ -68,7 +70,7 @@ class MeanFieldResult:
     iterations_used: int
     final_residual: float
     converged: bool
-    trace: tuple[tuple[int, float], ...] | None = field(default=None)
+    trace: tuple[tuple[int, float], ...]
 
 
 def check_spin_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
@@ -84,18 +86,6 @@ def check_spin_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.diag(couplings) != 0.0):
         raise ValueError("couplings: diagonal must be zero")
     return fields, couplings
-
-
-def effective_field(fields, couplings, spins, i: int) -> float:
-    """Field seen by spin i: its own bias plus the coupling-weighted sum of
-    the other spins' expectations (the zero diagonal excludes j = i)."""
-    fields, couplings = check_spin_system(fields, couplings)
-    spins = as_vector(spins, "spins")
-    if spins.size != fields.size:
-        raise ValueError(f"spins: expected length {fields.size}, got {spins.size}")
-    if not 0 <= i < fields.size:
-        raise ValueError(f"spin index {i} out of range")
-    return float(fields[i] + couplings[i] @ spins)
 
 
 def _update_target(fields, couplings, spins, gamma) -> np.ndarray:
@@ -116,7 +106,6 @@ def solve_fixed_point(
     couplings,
     cfg: MeanFieldConfig,
     initial_spins=None,
-    record_trace: bool = False,
 ) -> MeanFieldResult:
     """Iterate the damped synchronous update until self-consistent.
 
@@ -124,7 +113,8 @@ def solve_fixed_point(
     within ``max_iterations`` is not an error: the last iterate is returned
     with ``converged=False`` and its defect in ``final_residual``.  With all
     couplings zero and no damping the exact solution ``tanh(J_i/gamma)`` is
-    reached in a single update.
+    reached in a single update.  The result's ``trace`` holds the residual
+    of every measured iterate, at most ``max_iterations + 1`` rows.
     """
     fields, couplings = check_spin_system(fields, couplings)
     n = fields.size
@@ -142,8 +132,7 @@ def solve_fixed_point(
     while True:
         target = _update_target(fields, couplings, spins, cfg.gamma)
         defect = float(np.max(np.abs(target - spins)))
-        if record_trace:
-            trace.append((used, defect))
+        trace.append((used, defect))
         if defect < cfg.tolerance or used >= cfg.max_iterations:
             break
         spins = cfg.damping * spins + (1.0 - cfg.damping) * target
@@ -155,7 +144,7 @@ def solve_fixed_point(
         iterations_used=used,
         final_residual=defect,
         converged=defect < cfg.tolerance,
-        trace=tuple(trace) if record_trace else None,
+        trace=tuple(trace),
     )
 
 

@@ -16,7 +16,9 @@ a few seconds of CPython time:
 
 ``exact_game_values`` and ``exact_gibbs_tilted_values`` check their limits,
 tabulate the game once, and run the per-token and per-pair oracles on that
-table, so a call costs ``2**n`` characteristic evaluations.
+table, so a call costs ``2**n`` characteristic evaluations.  Given a
+``TabularGame`` they evaluate nothing, so a caller that needs both passes
+them the table from ``exact_table``.
 
 In ``gibbs`` mode the prefix-sampled Shapley estimator and the Bernoulli
 Banzhaf estimator converge to the same tilted average (see
@@ -53,6 +55,7 @@ __all__ = [
     "exact_shapley_by_permutations",
     "exact_banzhaf",
     "exact_interaction",
+    "exact_table",
     "exact_game_values",
     "exact_tilted_shapley_prefix",
     "exact_tilted_banzhaf",
@@ -190,11 +193,21 @@ def exact_interaction(game, i: int, j: int) -> float:
     return float(np.mean(deltas))
 
 
+def exact_table(game) -> TabularGame:
+    """The game as a table for the exact oracles, built with ``2**n``
+    evaluations; a ``TabularGame`` is returned as it is.
+
+    Past ``SHAPLEY_ENUM_LIMIT`` tokens it refuses before evaluating any
+    coalition, as ``exact_game_values`` does.
+    """
+    _require_limit(game.n, SHAPLEY_ENUM_LIMIT, "exact Shapley value")
+    return game if isinstance(game, TabularGame) else TabularGame(tabulate(game))
+
+
 def exact_game_values(game) -> ExactGameValues:
     """All exact per-token and per-pair values in one structure."""
     n = game.n
-    _require_limit(n, SHAPLEY_ENUM_LIMIT, "exact Shapley value")
-    game = TabularGame(tabulate(game))
+    game = exact_table(game)
     shapley = np.array([exact_shapley(game, i) for i in range(n)])
     banzhaf = np.array([exact_banzhaf(game, i) for i in range(n)])
     interactions = np.zeros((n, n))

@@ -101,7 +101,10 @@ class MultiHeadParams:
 
 @dataclass(frozen=True)
 class HeadResult:
-    """Every intermediate of one head, kept for interpretability."""
+    """Every intermediate of one head, kept for interpretability.
+
+    ``effective_sample_size`` is None when the head was fed exact values.
+    """
 
     output: np.ndarray
     alphas: np.ndarray
@@ -112,7 +115,7 @@ class HeadResult:
     banzhaf_hat: np.ndarray
     shapley_norm: np.ndarray
     banzhaf_norm: np.ndarray
-    effective_sample_size: np.ndarray
+    effective_sample_size: np.ndarray | None
     projected_values: np.ndarray
     meanfield: MeanFieldResult
 
@@ -176,7 +179,7 @@ def combine_fields(shapley_norm, banzhaf_norm, lambdas) -> np.ndarray:
     return lam * phi + (1.0 - lam) * beta
 
 
-def _extract_values(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _extract_values(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     if isinstance(values, EstimatedGameValues):
         return (
             values.shapley_hat,
@@ -185,8 +188,7 @@ def _extract_values(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
             values.effective_sample_size,
         )
     if isinstance(values, ExactGameValues):
-        n = values.shapley.size
-        return values.shapley, values.banzhaf, values.interactions, np.full(n, np.nan)
+        return values.shapley, values.banzhaf, values.interactions, None
     raise TypeError(f"unsupported game-values object: {type(values).__name__}")
 
 
@@ -233,7 +235,7 @@ def single_head_attend(embeddings, params: HeadParams, game_values=None) -> Atte
         banzhaf_hat=np.asarray(banzhaf),
         shapley_norm=shapley_norm,
         banzhaf_norm=banzhaf_norm,
-        effective_sample_size=np.asarray(ess),
+        effective_sample_size=None if ess is None else np.asarray(ess),
         projected_values=values,
         meanfield=mf,
     )

@@ -5,6 +5,13 @@ indent, shortest round-trip float repr, trailing newline) so identical
 inputs and seeds always produce byte-identical files.  Wall-clock timings
 are deliberately kept out of these reports; only the benchmark CSV carries
 timings, and those are documented as environment-dependent.
+
+Each command runs the engine's one path for its stage: ``run_oracle``
+tabulates the game once (``2**n`` evaluations) for the exact and tilted
+values and feeds the exact values through ``single_head_attend``;
+``run_attend``'s ``--trace`` CSV is the trace the first head's solve
+recorded.  A head fed exact values has no sample size, so its report
+carries ``"effective_sample_size": null``.
 """
 
 from __future__ import annotations
@@ -24,18 +31,19 @@ from .oracles import (
     exact_game_values,
     exact_gibbs_tilted_values,
     exact_spin_marginals,
+    exact_table,
 )
 from .pipeline import (
     AttentionOutput,
     HeadParams,
     MultiHeadParams,
-    combine_fields,
     derive_head_seed,
-    gate_lambda,
     multi_head_attend,
-    normalize_scores,
     single_head_attend,
 )
+
+# not called here; perfbench/layertrace.py wraps these names in this module
+from .pipeline import combine_fields, gate_lambda, normalize_scores
 
 __all__ = [
     "dump_json",
@@ -109,14 +117,14 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
     """
     report: dict = {"schema_version": SCHEMA_VERSION, "config": cfg.echo()}
 
-    fields = couplings = None
+    fields = couplings = solved = None
     if doc.has_game:
         projection = doc.heads[0].value_projection if doc.heads else None
-        game = doc.build_game(projection)
+        # one table serves every exact value below
+        game = exact_table(doc.build_game(projection))
         exact = exact_game_values(game)
         tilted = exact_gibbs_tilted_values(game, GibbsTarget(cfg.coalition_gamma))
-        grand = game.value_by_mask((1 << game.n) - 1)
-        empty = game.value_by_mask(0)
+        grand, empty = game.table[-1], game.table[0]  # masks 2**n - 1 and 0
         report["game"] = {
             "n": game.n,
             "shapley": exact.shapley.tolist(),
@@ -130,26 +138,17 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
             "efficiency_gap": float(np.sum(exact.shapley) - (grand - empty)),
         }
         if doc.heads is not None and doc.embeddings is not None and len(doc.heads) == 1:
-            head = doc.heads[0]
-            lambdas = np.array(
-                [
-                    gate_lambda(doc.embeddings[i], head.gate_weights, head.gate_bias)
-                    for i in range(game.n)
-                ]
-            )
-            fields = combine_fields(
-                normalize_scores(exact.shapley, cfg.normalization, "shapley scores"),
-                normalize_scores(exact.banzhaf, cfg.normalization, "banzhaf scores"),
-                lambdas,
-            )
-            couplings = exact.interactions
+            head = _head_params_from_doc(doc, cfg)[0]
+            result = single_head_attend(doc.embeddings, head, game_values=exact).heads[0]
+            fields, couplings = result.field_vector, result.interaction_matrix
+            solved = result.meanfield
 
     if doc.has_spin_system:
         fields, couplings = doc.spin_system()
+        solved = solve_fixed_point(fields, couplings, cfg.meanfield_config())
 
     if fields is not None:
         marginals = exact_spin_marginals(fields, couplings, cfg.spin_gamma)
-        solved = solve_fixed_point(fields, couplings, cfg.meanfield_config())
         report["spins"] = {
             "fields": np.asarray(fields).tolist(),
             "couplings": np.asarray(couplings).tolist(),
@@ -185,6 +184,7 @@ def run_estimate(doc: InputDocument, cfg: RunConfig) -> dict:
 
 def _head_report(result, n: int) -> dict:
     mf = result.meanfield
+    ess = result.effective_sample_size
     return {
         "alphas": result.alphas.tolist(),
         "alpha_sum": result.alpha_sum,
@@ -194,7 +194,7 @@ def _head_report(result, n: int) -> dict:
         "interaction_matrix": result.interaction_matrix.tolist(),
         "shapley_hat": result.shapley_hat.tolist(),
         "banzhaf_hat": result.banzhaf_hat.tolist(),
-        "effective_sample_size": result.effective_sample_size.tolist(),
+        "effective_sample_size": None if ess is None else ess.tolist(),
         "output": result.output.tolist(),
         "converged": mf.converged,
         "iterations_used": mf.iterations_used,
@@ -223,22 +223,12 @@ def run_attend(doc: InputDocument, cfg: RunConfig, trace_path=None) -> dict:
         report["output"] = result.output.tolist()
         report["heads"] = [_head_report(h, doc.n) for h in result.heads]
         if trace_path is not None:
-            # rerun the first head's solve with tracing; identical inputs
-            head0 = result.heads[0]
-            solved = solve_fixed_point(
-                head0.field_vector,
-                head0.interaction_matrix,
-                cfg.meanfield_config(),
-                record_trace=True,
-            )
-            write_trace_csv(solved.trace, trace_path)
+            write_trace_csv(result.heads[0].meanfield.trace, trace_path)
         return report
 
     if doc.has_spin_system:
         fields, couplings = doc.spin_system()
-        solved = solve_fixed_point(
-            fields, couplings, cfg.meanfield_config(), record_trace=trace_path is not None
-        )
+        solved = solve_fixed_point(fields, couplings, cfg.meanfield_config())
         report["solver"] = {
             "alphas": solved.alphas.tolist(),
             "alpha_sum": float(np.sum(solved.alphas)),

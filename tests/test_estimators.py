@@ -10,9 +10,7 @@ from coalattn.estimators import (
     estimate_shapley,
     interaction_sample_batch,
     normalize_weights,
-    sample_bernoulli_coalition,
     sample_bernoulli_coalitions,
-    sample_permutation_prefix,
     sample_permutation_prefixes,
     shapley_sample_batch,
     token_stream,
@@ -64,8 +62,8 @@ class TestPrefixSampling:
         assert {0, 1, 2} == set(sizes.tolist())
 
     def test_single_token_sequence(self):
-        coalition, prob = sample_permutation_prefix(token_stream(1, 99), 1, 0)
-        assert coalition.mask == 0 and prob == 1.0
+        masks, probs = sample_permutation_prefixes(token_stream(1, 99), 1, 0, count=1)
+        assert masks.tolist() == [0] and probs.tolist() == [1.0]
 
     def test_target_token_never_sampled(self):
         rng = token_stream(2, 99)
@@ -124,8 +122,9 @@ class TestBernoulliSampling:
         assert not np.any(masks & np.uint64((1 << 1) | (1 << 4)))
 
     def test_scalar_wrapper(self):
-        coalition, prob = sample_bernoulli_coalition(token_stream(3, 98), 3, {2})
-        assert 2 not in coalition and prob == 0.25
+        masks, probs = sample_bernoulli_coalitions(token_stream(3, 98), 3, {2}, count=1)
+        assert masks.shape == (1,) and not masks[0] & np.uint64(1 << 2)
+        assert probs.tolist() == [0.25]
 
     def test_excluding_every_token_degenerates_to_empty(self):
         # one-token Banzhaf sampling: the only coalition is empty, prob 1

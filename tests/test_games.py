@@ -4,64 +4,29 @@ import numpy as np
 import pytest
 
 from coalattn.games import (
-    Coalition,
     CountingGame,
     EmbeddingGame,
     GibbsTarget,
     TabularGame,
-    characteristic_value,
-    coalition_energy,
-    gibbs_unnormalized_weight,
-    log_gibbs_weight,
-    marginal_contribution,
     monotonicity_violations,
-    pairwise_delta,
     tabulate,
 )
+
+from coalattn.estimators import normalize_weights
 
 from conftest import WORKED_TABLE, additive_table_game, random_table_game
 
 
-class TestCoalition:
-    def test_members_roundtrip(self):
-        c = Coalition.from_members([0, 2], 3)
-        assert c.mask == 0b101
-        assert c.members() == (0, 2)
-        assert len(c) == 2
-        assert 0 in c and 2 in c and 1 not in c
-        assert list(c) == [0, 2]
-
-    def test_with_token(self):
-        c = Coalition.empty(3).with_token(1)
-        assert c.mask == 0b010
-
-    def test_out_of_range_bits_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            Coalition(0b1000, 3)
-
-    def test_member_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Coalition.from_members([3], 3)
-
-    def test_token_count_cap(self):
-        with pytest.raises(ValueError):
-            Coalition(0, 65)
-
-
 class TestCharacteristicValue:
     def test_worked_pair(self, worked_game):
-        assert characteristic_value(worked_game, Coalition.from_members([0, 1], 3)) == 1.2
+        assert worked_game.value_by_mask(0b011) == 1.2
 
     def test_empty_is_zero(self, worked_game):
-        assert characteristic_value(worked_game, Coalition.empty(3)) == 0.0
+        assert worked_game.value_by_mask(0) == 0.0
 
     def test_embedding_single_token_is_norm(self):
         game = EmbeddingGame([[3.0, 4.0]], np.eye(2), nonlinearity="identity")
-        assert characteristic_value(game, Coalition.full(1)) == pytest.approx(5.0, abs=1e-12)
-
-    def test_token_count_mismatch_rejected(self, worked_game):
-        with pytest.raises(ValueError, match="tokens"):
-            characteristic_value(worked_game, Coalition.empty(4))
+        assert game.value_by_mask(0b1) == pytest.approx(5.0, abs=1e-12)
 
     def test_empty_is_zero_for_random_games(self):
         rng = np.random.default_rng(5)
@@ -72,101 +37,44 @@ class TestCharacteristicValue:
         assert emb.value_by_mask(0) == 0.0
 
 
-class TestCoalitionEnergy:
-    def test_single_token(self, worked_game):
-        assert coalition_energy(worked_game, Coalition.from_members([1], 3)) == -0.5
-
-    def test_empty(self, worked_game):
-        assert coalition_energy(worked_game, Coalition.empty(3)) == 0.0
-
-    def test_grand_coalition(self, worked_game):
-        assert coalition_energy(worked_game, Coalition.full(3)) == -1.8
+def _gibbs_weights(game, masks, target):
+    """Weights of *masks* under ``exp(v(C)/gamma)``, as ``normalize_weights``
+    forms them from uniform proposals (common scale: largest weight 1)."""
+    values = [game.value_by_mask(m) for m in masks]
+    return normalize_weights(values, np.ones(len(masks)), target.gamma).raw_weights
 
 
 class TestGibbsWeight:
     def test_half(self, worked_game):
-        c = Coalition.from_members([1], 3)
-        w = gibbs_unnormalized_weight(worked_game, c, GibbsTarget(1.0))
-        assert w == pytest.approx(1.65, abs=0.005)
+        w = _gibbs_weights(worked_game, [0, 0b010], GibbsTarget(1.0))
+        assert w[1] / w[0] == pytest.approx(1.65, abs=0.005)
 
     def test_unit_value(self, worked_game):
-        c = Coalition.from_members([1, 2], 3)
-        w = gibbs_unnormalized_weight(worked_game, c, GibbsTarget(1.0))
-        assert w == pytest.approx(2.72, abs=0.005)
+        w = _gibbs_weights(worked_game, [0, 0b110], GibbsTarget(1.0))
+        assert w[1] / w[0] == pytest.approx(2.72, abs=0.005)
 
     def test_zero_value(self, worked_game):
-        assert gibbs_unnormalized_weight(worked_game, Coalition.empty(3), GibbsTarget(0.37)) == 1.0
+        assert _gibbs_weights(worked_game, [0], GibbsTarget(0.37))[0] == 1.0
 
     def test_monotone_in_value(self, worked_game):
-        target = GibbsTarget(0.8)
         masks = sorted(range(8), key=worked_game.value_by_mask)
-        weights = [
-            gibbs_unnormalized_weight(worked_game, Coalition(m, 3), target) for m in masks
-        ]
+        weights = _gibbs_weights(worked_game, masks, GibbsTarget(0.8))
         assert all(a <= b for a, b in zip(weights, weights[1:]))
 
     def test_log_weight_matches(self, worked_game):
-        c = Coalition.from_members([0, 1], 3)
         target = GibbsTarget(0.5)
-        assert math.exp(log_gibbs_weight(worked_game, c, target)) == pytest.approx(
-            gibbs_unnormalized_weight(worked_game, c, target)
-        )
+        w = _gibbs_weights(worked_game, [0, 0b011], target)
+        assert math.log(w[1] / w[0]) == pytest.approx(worked_game.value_by_mask(0b011) / target.gamma)
 
     def test_saturates_instead_of_overflowing(self):
+        # exp(400 / 0.25) is beyond float64; the weights are formed in log space
         game = additive_table_game([400.0])
-        w = gibbs_unnormalized_weight(game, Coalition.full(1), GibbsTarget(0.25))
-        assert w == math.inf
+        w = _gibbs_weights(game, [0, 1], GibbsTarget(0.25))
+        np.testing.assert_array_equal(w, [0.0, 1.0])
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             GibbsTarget(0.0)
-
-
-class TestMarginalContribution:
-    def test_against_pair_context(self, worked_game):
-        c = Coalition.from_members([0, 2], 3)
-        assert marginal_contribution(worked_game, 1, c) == pytest.approx(1.0)
-
-    def test_against_empty(self, worked_game):
-        assert marginal_contribution(worked_game, 1, Coalition.empty(3)) == pytest.approx(0.5)
-
-    def test_additive_game_is_constant(self):
-        game = additive_table_game([1.0, 1.0, 1.0, 1.0])
-        for mask in (0, 0b0110, 0b1010):
-            c = Coalition(mask, 4)
-            assert marginal_contribution(game, 0, c) == pytest.approx(1.0)
-
-    def test_member_rejected(self, worked_game):
-        with pytest.raises(ValueError, match="already"):
-            marginal_contribution(worked_game, 1, Coalition.from_members([1], 3))
-
-
-class TestPairwiseDelta:
-    def test_empty_context(self, worked_game):
-        assert pairwise_delta(worked_game, 0, 1, Coalition.empty(3)) == pytest.approx(0.5)
-
-    def test_third_token_context(self, worked_game):
-        c = Coalition.from_members([2], 3)
-        assert pairwise_delta(worked_game, 0, 1, c) == pytest.approx(0.4)
-
-    def test_additive_game_vanishes(self):
-        rng = np.random.default_rng(9)
-        game = additive_table_game(rng.normal(size=5))
-        for mask in (0, 0b10000, 0b11000):
-            val = pairwise_delta(game, 0, 1, Coalition(mask, 5))
-            assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_symmetric_in_tokens(self):
-        rng = np.random.default_rng(13)
-        game = random_table_game(rng, 5)
-        c = Coalition.from_members([4], 5)
-        assert pairwise_delta(game, 1, 3, c) == pairwise_delta(game, 3, 1, c)
-
-    def test_rejects_equal_or_member_tokens(self, worked_game):
-        with pytest.raises(ValueError):
-            pairwise_delta(worked_game, 1, 1, Coalition.empty(3))
-        with pytest.raises(ValueError):
-            pairwise_delta(worked_game, 0, 1, Coalition.from_members([1], 3))
 
 
 class TestTabularGameValidation:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coalattn import cli, oracles
+from coalattn.games import EmbeddingGame
 from coalattn.inputs import (
     InputError,
     RunConfig,
@@ -461,6 +462,68 @@ class TestCli:
         assert code == cli.EXIT_INPUT
         assert err.startswith("input error:") and field in err
         assert "Traceback" not in err
+
+    def test_oracle_report_tabulates_the_game_once(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+        evaluate = EmbeddingGame.values_by_mask
+
+        def counting(game, masks):
+            sizes.append(np.asarray(masks).size)
+            return evaluate(game, masks)
+
+        monkeypatch.setattr(EmbeddingGame, "values_by_mask", counting)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_embedding_doc(n=12, d=4, seed=7)))
+        assert cli.main(["oracle", "--input", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        assert sum(sizes) == 2**12
+
+    def test_attend_trace_is_the_first_heads_solve(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        n, d, d_v = 5, 3, 2
+        heads = [
+            {
+                "value_projection": rng.normal(size=(d, d_v)).tolist(),
+                "gate_weights": rng.normal(size=d).tolist(),
+                "gate_bias": 0.1,
+            }
+            for _ in range(2)
+        ]
+        doc = {
+            "schema_version": 1,
+            "n": n,
+            "embeddings": rng.normal(size=(n, d)).tolist(),
+            "multi_head": {"heads": heads, "output_projection": rng.normal(size=(2 * d_v, d)).tolist()},
+        }
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+        argv = ["attend", "--input", str(doc_path), "--out", str(out), "--trace", str(trace)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        head0 = json.loads(out.read_text())["heads"][0]
+        rows = trace.read_text().strip().splitlines()
+        assert rows[0] == "iteration,residual"
+        assert len(rows) - 1 == head0["iterations_used"] + 1
+        assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(len(rows) - 1))
+        assert float(rows[-1].split(",")[1]) == head0["final_residual"]
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"schema_version": 1, "n": 2, "fields": ["0.5", True]}, "fields"),
+            (_embedding_doc(embeddings=[[0.1, 0.2, True]] + [[0.3, 0.1, 0.2]] * 3), "embeddings"),
+            (_table_doc(characteristic_table=[0.0, 0.2, 0.5, "1.2", 0.4, 0.8, 1.0, 1.8]), "characteristic_table"),
+        ],
+        ids=["string-in-fields", "bool-in-embeddings", "string-in-table"],
+    )
+    def test_strings_and_bools_in_arrays_are_input_errors(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["attend", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert err.startswith(f"input error: {field}: ")
 
     def test_oracle_cli_writes_report(self, tmp_path, capsys):
         doc_path = tmp_path / "doc.json"

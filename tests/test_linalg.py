@@ -3,54 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from coalattn.linalg import dense_matvec, l2_norm, logistic
+from coalattn.games import EmbeddingGame
+from coalattn.linalg import as_matrix, as_vector, logistic
 
 
-class TestDenseMatvec:
-    def test_identity(self):
-        np.testing.assert_array_equal(dense_matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(dense_matvec(np.zeros((2, 2)), [3.0, 4.0]), [0.0, 0.0])
-
-    def test_hand_product(self):
-        np.testing.assert_array_equal(dense_matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            dense_matvec(np.eye(3), [1.0, 2.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            dense_matvec([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            m = rng.normal(size=(4, 3))
-            u, v = rng.normal(size=3), rng.normal(size=3)
-            a, b = rng.normal(size=2)
-            lhs = dense_matvec(m, a * u + b * v)
-            rhs = a * dense_matvec(m, u) + b * dense_matvec(m, v)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+def _l2_norm(*rows):
+    """Norm of the summed *rows*: the value of the grand coalition of an
+    ``EmbeddingGame`` with identity projection and nonlinearity."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    game = EmbeddingGame(rows, np.eye(rows.shape[1]), nonlinearity="identity")
+    return game.value_by_mask((1 << len(rows)) - 1)
 
 
 class TestL2Norm:
     def test_zero_vector(self):
-        assert l2_norm([0.0, 0.0, 0.0]) == 0.0
+        assert _l2_norm([0.0, 0.0, 0.0]) == 0.0
 
     def test_three_four_five(self):
-        assert l2_norm([3.0, 4.0]) == 5.0
+        assert _l2_norm([3.0, 4.0]) == 5.0
 
     def test_unit(self):
-        assert l2_norm([1.0]) == 1.0
+        assert _l2_norm([1.0]) == 1.0
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             u = rng.normal(size=5)
             v = rng.normal(size=5)
-            assert l2_norm(u + v) <= l2_norm(u) + l2_norm(v) + 1e-12
+            assert _l2_norm(u, v) <= _l2_norm(u) + _l2_norm(v) + 1e-12
 
 
 class TestLogistic:
@@ -80,3 +60,24 @@ class TestLogistic:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             logistic(float("nan"))
+
+
+class TestArrayEntries:
+    @pytest.mark.parametrize(
+        "check, data",
+        [
+            (as_vector, ["0.5", 1.0]),
+            (as_vector, [0.5, True]),
+            (as_matrix, [[1.0, 2.0], [3.0, None]]),
+            (as_vector, np.array([True, False])),
+            (as_vector, np.array(["1.0"])),
+        ],
+    )
+    def test_non_numbers_rejected(self, check, data):
+        with pytest.raises(ValueError, match="values: not a numeric array"):
+            check(data, "values")
+
+    def test_numbers_of_any_real_type_accepted(self):
+        np.testing.assert_array_equal(as_vector([1, 2.5, np.float64(3.0), np.int32(4)]), [1.0, 2.5, 3.0, 4.0])
+        np.testing.assert_array_equal(as_vector(np.arange(3, dtype=np.uint8)), [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(as_matrix([np.array([1.0, 2.0]), [3, 4]]), [[1.0, 2.0], [3.0, 4.0]])

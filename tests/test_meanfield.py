@@ -5,7 +5,6 @@ import pytest
 
 from coalattn.meanfield import (
     MeanFieldConfig,
-    effective_field,
     mean_field_step,
     solve_fixed_point,
     spins_to_attention,
@@ -47,26 +46,29 @@ class TestConfigValidation:
 
 
 class TestEffectiveField:
+    """The field ``h_i + sum_j J_ij m_j`` that one undamped ``gamma=1`` step
+    passes through tanh."""
+
     def test_zero_couplings_passthrough(self):
         fields = np.array([0.3, -0.7])
-        got = effective_field(fields, np.zeros((2, 2)), np.array([0.9, -0.9]), 1)
-        assert got == -0.7
+        got = mean_field_step(fields, np.zeros((2, 2)), np.array([0.9, -0.9]), _undamped())
+        assert got[1] == np.tanh(-0.7)
 
     def test_worked_second_iteration_value(self):
         # field on spin 0 once the first-iteration expectations are plugged in
         spins = np.array([0.0, 0.611, 0.471])
-        got = effective_field(WORKED_FIELDS, WORKED_COUPLINGS, spins, 0)
-        assert got == pytest.approx(0.8547, abs=5e-5)
+        got = mean_field_step(WORKED_FIELDS, WORKED_COUPLINGS, spins, _undamped())
+        assert math.atanh(got[0]) == pytest.approx(0.8547, abs=5e-5)
 
     def test_direct_substitution(self):
         fields = np.zeros(2)
         couplings = np.array([[0.0, 1.0], [1.0, 0.0]])
-        got = effective_field(fields, couplings, np.array([0.5, -0.5]), 0)
-        assert got == pytest.approx(-0.5, abs=1e-15)
+        got = mean_field_step(fields, couplings, np.array([0.5, -0.5]), _undamped())
+        assert got[0] == np.tanh(-0.5)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            effective_field(np.zeros(3), np.zeros((2, 2)), np.zeros(3), 0)
+            mean_field_step(np.zeros(3), np.zeros((2, 2)), np.zeros(3), _undamped())
 
 
 class TestMeanFieldStep:
@@ -199,10 +201,8 @@ class TestSolveFixedPoint:
         assert result.iterations_used == 0 and result.converged
 
     def test_trace_records_residual_per_step(self):
-        result = solve_fixed_point(
-            WORKED_FIELDS, WORKED_COUPLINGS, _undamped(tol=1e-6), record_trace=True
-        )
-        assert result.trace is not None and len(result.trace) == result.iterations_used + 1
+        result = solve_fixed_point(WORKED_FIELDS, WORKED_COUPLINGS, _undamped(tol=1e-6))
+        assert len(result.trace) == result.iterations_used + 1
         iterations = [row[0] for row in result.trace]
         assert iterations == list(range(len(iterations)))
         residuals = [row[1] for row in result.trace]

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -19,6 +20,7 @@ from coalattn.pipeline import (
     normalize_scores,
     single_head_attend,
 )
+from coalattn.reports import _head_report, dump_json
 
 
 def _head(rng, d, d_v=None, sample_count=64, seed=5, gamma=0.5, mode="gibbs", damping=0.0):
@@ -156,6 +158,16 @@ class TestSingleHead:
         out = single_head_attend(x, params, game_values=exact_game_values(game))
         alphas = out.heads[0].alphas
         assert np.max(alphas) - np.min(alphas) <= 1e-9
+
+    def test_head_report_with_exact_values_dumps(self):
+        rng = np.random.default_rng(66)
+        x = rng.normal(size=(4, 3))
+        params = _head(rng, 3)
+        game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
+        head = single_head_attend(x, params, game_values=exact_game_values(game)).heads[0]
+        report = json.loads(dump_json(_head_report(head, 4)))
+        assert report["effective_sample_size"] is None
+        assert report["alphas"] == head.alphas.tolist()
 
     def test_zero_embeddings_degenerate(self):
         rng = np.random.default_rng(64)
