@@ -13,13 +13,24 @@ Two modes share one sampling path:
     exact Shapley value (permutation-prefix sampling) and the exact Banzhaf
     index / interaction potential (Bernoulli coalition sampling).
 
-Randomness is counter-based: each (estimator kind, token or pair) gets its
-own Philox stream keyed by (seed, kind, indices), so results are a pure
-function of (game, config) no matter how calls are scheduled, and estimating
-one token never perturbs another.  A Bernoulli coalition is one 64-bit
-Philox word masked to the allowed token bits: every bit of the word is an
-independent fair coin, so each allowed token is a member with probability
-1/2.
+Randomness is counter-based: each slot (one estimated quantity: a token's
+Shapley or Banzhaf value, or a pair's interaction) gets its own Philox
+stream, the one ``Philox(SeedSequence(entropy=seed, spawn_key=(kind,
+*indices)))`` produces, so results are a pure function of (game, config) no
+matter how calls are scheduled, and estimating one token never perturbs
+another.  A Bernoulli coalition is one 64-bit Philox word masked to the
+allowed token bits: every bit of the word is an independent fair coin, so
+each allowed token is a member with probability 1/2.
+
+Every estimate runs through one block path.  The Philox keys of all slots
+of a family are derived in one vectorized replay of ``SeedSequence``'s hash,
+and a single generator is re-keyed for each slot (counter 0, empty buffer),
+which gives the same words as a freshly built generator without building a
+``SeedSequence`` and a ``Philox`` per slot.  Slots are then sampled one by
+one from their own streams, and a block of them is evaluated by one
+``values_by_mask`` call of at most ``_BLOCK_MASKS`` masks and weighted row by
+row.  The per-slot public functions are blocks of one slot, so a slot's
+numbers do not depend on the block it lands in.
 """
 
 from __future__ import annotations
@@ -54,6 +65,24 @@ MODES = ("gibbs", "classic")
 _SHAPLEY_STREAM = 1
 _BANZHAF_STREAM = 2
 _INTERACTION_STREAM = 3
+
+# Most masks one values_by_mask call of estimate_all evaluates; a block holds
+# as many slots as fit, and one slot once a slot alone fills it (pairs at
+# K >= 256, tokens at K >= 512).  Blocks spread the per-call cost over many
+# slots at small K, and the cap bounds their working arrays, which grow with
+# the mask count (one d_v-wide row of partial sums per mask for an
+# EmbeddingGame).  Estimating two n=32, d_v=32 games at K=256 peaked 0.1 MB
+# above one call per slot with this cap, 1.7 MB above with 4096 masks, and
+# 270 MB above with a whole family per call.
+_BLOCK_MASKS = 1024
+
+# SeedSequence's hash constants, as in numpy's random/bit_generator.pyx
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -103,8 +132,7 @@ class WeightedSampleBatch:
     def effective_sample_size(self) -> float:
         """(sum w)^2 / sum w^2, clamped to [1, K] against roundoff."""
         raw = self.raw_weights
-        ess = float(np.sum(raw)) ** 2 / float(np.sum(raw * raw))
-        return min(max(ess, 1.0), float(raw.size))
+        return _ess(float(np.sum(raw)), float(np.sum(raw * raw)), raw.size)
 
     def estimate(self) -> float:
         return float(np.dot(self.normalized_weights, self.marginals))
@@ -125,10 +153,109 @@ class EstimatedGameValues:
     effective_sample_size: np.ndarray
 
 
+def _ess(total: float, square_total: float, k: int) -> float:
+    """Effective sample size ``total**2 / square_total`` of K raw weights,
+    clamped to [1, K] against roundoff."""
+    return min(max(total**2 / square_total, 1.0), float(k))
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> list[int]:
+    """The constants of *calls* successive ``hashmix`` calls of
+    ``SeedSequence``: call t xors its value with ``c[t]`` and multiplies it
+    by ``c[t + 1]``."""
+    constants = [init]
+    for _ in range(calls):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+def _hashmix(value, xor_const, mul_const):
+    value = (value ^ xor_const) * mul_const & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _philox_keys(seed: int, kind: int, slots) -> np.ndarray:
+    """Philox keys of many slots of one kind, one ``(2,)`` uint64 row each.
+
+    Row r equals ``np.random.SeedSequence(entropy=seed, spawn_key=(kind,
+    *slots[r])).generate_state(2, np.uint64)``, the key ``Philox`` takes from
+    that seed sequence, for a non-negative seed and a kind and indices below
+    ``2**32`` (one 32-bit spawn-key word each).  The seed and the kind are
+    the same for every slot, so their part of the hash runs once in Python
+    integers.  The slot indices then enter as uint64 arrays: the pool is one
+    row per pool word and one column per slot, and each index word is mixed
+    into all four rows at once, so the hash runs once for the whole family.
+    """
+    seed = int(seed)
+    columns = np.asarray(slots, dtype=np.uint64).T  # one array per index position
+    # the seed's 32-bit words, zero-padded to the pool size as SeedSequence
+    # pads them when there is a spawn key, then the spawn key's words
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (_POOL_SIZE - len(entropy)) + [kind]
+    calls = _POOL_SIZE**2 + _POOL_SIZE * (len(entropy) - _POOL_SIZE + len(columns))
+    const = _hash_constants(_INIT_A, _MULT_A, calls)
+    t = 0  # hashmix calls so far
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        pool.append(_hashmix(word, const[t], const[t + 1]))
+        t += 1
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const[t], const[t + 1]))
+                t += 1
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, const[t], const[t + 1]))
+            t += 1
+    # from here on: one row per pool word, one column per slot; an index
+    # word goes through the next four hashmix calls, one per row
+    pool = np.repeat(np.array(pool, dtype=np.uint64)[:, None], len(slots), axis=1)
+    lanes = np.array(const, dtype=np.uint64)[:, None]
+    for column in columns:
+        hashed = _hashmix(column, lanes[t : t + _POOL_SIZE], lanes[t + 1 : t + 1 + _POOL_SIZE])
+        pool = _mix(pool, hashed)
+        t += _POOL_SIZE
+    # generate_state(2, np.uint64): four 32-bit words, paired little-endian
+    out = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint64)[:, None]
+    words = _hashmix(pool, out[:-1], out[1:])
+    return (words[0::2] | words[1::2] << np.uint64(32)).T
+
+
+def _slot_streams(seed: int, kind: int, slots):
+    """Yield each slot's Philox stream, in order.
+
+    One generator is re-keyed per slot: counter 0 and an empty buffer are
+    the state ``Philox`` starts from, so the draws equal those of a new
+    generator.  Each yielded generator is only valid until the next one.
+    """
+    rng = np.random.Generator(np.random.Philox(0))
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": None},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in _philox_keys(seed, kind, slots).tolist():
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        yield rng
+
+
 def token_stream(seed: int, kind: int, *indices: int) -> np.random.Generator:
-    """Philox generator for one (estimator kind, token/pair) slot."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(kind), *(int(x) for x in indices)))
-    return np.random.Generator(np.random.Philox(ss))
+    """Philox generator for one (estimator kind, token/pair) slot: the stream
+    of ``Philox(SeedSequence(entropy=seed, spawn_key=(kind, *indices)))``."""
+    seed, kind, indices = int(seed), int(kind), tuple(int(x) for x in indices)
+    if seed < 0 or any(not 0 <= x <= _MASK32 for x in (kind, *indices)):
+        raise ValueError("stream key: need a non-negative seed, and kind and indices in [0, 2**32)")
+    return next(_slot_streams(seed, kind, [indices]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -213,22 +340,13 @@ def normalize_weights(values, proposal_probs, gamma: float, marginals=None) -> W
         raise ValueError("values: need a non-empty 1-d array")
     if probs.shape != values.shape:
         raise ValueError("proposal_probs must match values in length")
-    if np.any(np.isnan(values)):
-        raise ValueError("values must not contain NaN")
-    if np.any((probs <= 0.0) | (probs > 1.0)):
-        raise ValueError("proposal probabilities must lie in (0, 1]")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    raw, normalized = _gibbs_weights(values, probs, gamma)
     if marginals is None:
         marginals = np.zeros_like(values)
     else:
         marginals = np.asarray(marginals, dtype=np.float64)
         if marginals.shape != values.shape:
             raise ValueError("marginals must match values in length")
-
-    log_raw = values / gamma - np.log(probs)
-    raw = np.exp(log_raw - np.max(log_raw))
-    normalized = raw / raw.sum()
     return WeightedSampleBatch(
         raw_weights=raw,
         normalized_weights=normalized,
@@ -237,51 +355,99 @@ def normalize_weights(values, proposal_probs, gamma: float, marginals=None) -> W
     )
 
 
-def _uniform_batch(proposal_probs: np.ndarray, marginals: np.ndarray) -> WeightedSampleBatch:
-    k = proposal_probs.size
+def _gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and normalized Gibbs weights of each row (the last axis) of
+    *values*, as :func:`normalize_weights` defines them for one batch."""
+    if np.any(np.isnan(values)):
+        raise ValueError("values must not contain NaN")
+    if np.any((probs <= 0.0) | (probs > 1.0)):
+        raise ValueError("proposal probabilities must lie in (0, 1]")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    log_raw = values / gamma - np.log(probs)
+    raw = np.exp(log_raw - np.max(log_raw, axis=-1, keepdims=True))
+    return raw, raw / raw.sum(axis=-1, keepdims=True)
+
+
+def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[int, ...]]):
+    """Sample, evaluate and weight the slots of one family, block by block.
+
+    Each slot is a tuple of token indices: ``(i,)`` for the Shapley and
+    Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  Yields
+    ``(raw_weights, normalized_weights, marginals, proposal_probs)`` for
+    consecutive blocks of slots, each of shape ``(slots in block, K)``.
+    """
+    n, k = game.n, cfg.sample_count
+    # each slot's coalitions are its sampled contexts with every subset of
+    # its tokens added, in the order none, first, (second, both)
+    added = np.zeros((len(slots), 1), dtype=np.uint64)
+    for column in np.array(slots, dtype=np.uint64).T:
+        added = np.concatenate([added, added | np.left_shift(np.uint64(1), column)[:, None]], axis=1)
+    per_block = max(1, _BLOCK_MASKS // (added.shape[1] * k))
+    streams = _slot_streams(cfg.seed, kind, slots)
+    for start in range(0, len(slots), per_block):
+        block = slots[start : start + per_block]
+        contexts = np.empty((len(block), k), dtype=np.uint64)
+        probs = np.empty((len(block), k))
+        for row, (slot, rng) in enumerate(zip(block, streams)):
+            if kind == _SHAPLEY_STREAM:
+                contexts[row], probs[row] = sample_permutation_prefixes(rng, n, slot[0], k)
+            else:
+                contexts[row], probs[row] = sample_bernoulli_coalitions(rng, n, slot, k)
+        masks = added[start : start + per_block, :, None] | contexts[:, None, :]
+        values = game.values_by_mask(masks.reshape(-1)).reshape(masks.shape)
+        base = values[:, 0]
+        if values.shape[1] == 2:
+            marginals = values[:, 1] - base
+        else:
+            marginals = values[:, 3] - values[:, 1] - values[:, 2] + base
+        if cfg.mode == "gibbs":
+            raw, normalized = _gibbs_weights(base, probs, cfg.gamma)
+        else:
+            raw, normalized = np.ones((len(block), k)), np.full((len(block), k), 1.0 / k)
+        yield raw, normalized, marginals, probs
+
+
+def _slot_batch(game, cfg: EstimatorConfig, kind: int, slot: tuple[int, ...]) -> WeightedSampleBatch:
+    ((raw, normalized, marginals, probs),) = _weighted_blocks(game, cfg, kind, [slot])
     return WeightedSampleBatch(
-        raw_weights=np.ones(k),
-        normalized_weights=np.full(k, 1.0 / k),
-        marginals=np.asarray(marginals, dtype=np.float64),
-        proposal_probs=np.asarray(proposal_probs, dtype=np.float64),
+        raw_weights=raw[0],
+        normalized_weights=normalized[0],
+        marginals=marginals[0],
+        proposal_probs=probs[0],
     )
 
 
-def _finish_batch(
-    base_values: np.ndarray,
-    probs: np.ndarray,
-    marginals: np.ndarray,
-    cfg: EstimatorConfig,
-) -> WeightedSampleBatch:
-    if cfg.mode == "gibbs":
-        return normalize_weights(base_values, probs, cfg.gamma, marginals)
-    return _uniform_batch(probs, marginals)
+def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[int, ...]]):
+    """Estimate and effective sample size of every slot of one family."""
+    estimates = np.empty(len(slots))
+    ess = np.empty(len(slots))
+    row = 0
+    for raw, normalized, marginals, _ in _weighted_blocks(game, cfg, kind, slots):
+        totals = raw.sum(axis=-1).tolist()
+        square_totals = (raw * raw).sum(axis=-1).tolist()
+        for r in range(raw.shape[0]):
+            estimates[row] = np.dot(normalized[r], marginals[r])
+            ess[row] = _ess(totals[r], square_totals[r], raw.shape[1])
+            row += 1
+    return estimates, ess
+
+
+def _check_token(game, t: int) -> None:
+    if not 0 <= t < game.n:
+        raise ValueError(f"token index {t} out of range for n={game.n}")
 
 
 def shapley_sample_batch(game, i: int, cfg: EstimatorConfig) -> WeightedSampleBatch:
     """Sampled prefix batch for token i's Shapley estimate."""
-    if not 0 <= i < game.n:
-        raise ValueError(f"token index {i} out of range for n={game.n}")
-    rng = token_stream(cfg.seed, _SHAPLEY_STREAM, i)
-    masks, probs = sample_permutation_prefixes(rng, game.n, i, cfg.sample_count)
-    bit = np.uint64(1 << i)
-    values = game.values_by_mask(np.concatenate([masks, masks | bit]))
-    base = values[: cfg.sample_count]
-    marginals = values[cfg.sample_count :] - base
-    return _finish_batch(base, probs, marginals, cfg)
+    _check_token(game, i)
+    return _slot_batch(game, cfg, _SHAPLEY_STREAM, (i,))
 
 
 def banzhaf_sample_batch(game, i: int, cfg: EstimatorConfig) -> WeightedSampleBatch:
     """Sampled Bernoulli-coalition batch for token i's Banzhaf estimate."""
-    if not 0 <= i < game.n:
-        raise ValueError(f"token index {i} out of range for n={game.n}")
-    rng = token_stream(cfg.seed, _BANZHAF_STREAM, i)
-    masks, probs = sample_bernoulli_coalitions(rng, game.n, {i}, cfg.sample_count)
-    bit = np.uint64(1 << i)
-    values = game.values_by_mask(np.concatenate([masks, masks | bit]))
-    base = values[: cfg.sample_count]
-    marginals = values[cfg.sample_count :] - base
-    return _finish_batch(base, probs, marginals, cfg)
+    _check_token(game, i)
+    return _slot_batch(game, cfg, _BANZHAF_STREAM, (i,))
 
 
 def interaction_sample_batch(game, i: int, j: int, cfg: EstimatorConfig) -> WeightedSampleBatch:
@@ -293,19 +459,8 @@ def interaction_sample_batch(game, i: int, j: int, cfg: EstimatorConfig) -> Weig
     if i == j:
         raise ValueError("interaction estimate: tokens must be distinct")
     for t in (i, j):
-        if not 0 <= t < game.n:
-            raise ValueError(f"token index {t} out of range for n={game.n}")
-    a, b = (i, j) if i < j else (j, i)
-    rng = token_stream(cfg.seed, _INTERACTION_STREAM, a, b)
-    k = cfg.sample_count
-    masks, probs = sample_bernoulli_coalitions(rng, game.n, {a, b}, k)
-    ba, bb = np.uint64(1 << a), np.uint64(1 << b)
-    values = game.values_by_mask(
-        np.concatenate([masks, masks | ba, masks | bb, masks | ba | bb])
-    )
-    base = values[:k]
-    deltas = values[3 * k :] - values[k : 2 * k] - values[2 * k : 3 * k] + base
-    return _finish_batch(base, probs, deltas, cfg)
+        _check_token(game, t)
+    return _slot_batch(game, cfg, _INTERACTION_STREAM, (min(i, j), max(i, j)))
 
 
 def estimate_shapley(game, i: int, cfg: EstimatorConfig) -> float:
@@ -325,29 +480,29 @@ def estimate_all(game, cfg: EstimatorConfig) -> EstimatedGameValues:
     interaction potential.
 
     Uses ``2K`` characteristic evaluations per token per index family and
-    ``4K`` per pair: ``2*K*n*(n+1)`` in total for the full set.
+    ``4K`` per pair: ``2*K*n*(n+1)`` in total for the full set, all through
+    ``values_by_mask``.  Each family runs in blocks of slots: the keys of
+    all its slots are derived at once, one generator is re-keyed for each
+    slot, and each block is one ``values_by_mask`` call of at most
+    ``_BLOCK_MASKS`` masks (one slot when a slot alone needs more) whose
+    weights are formed row-wise.  Every number equals the per-slot
+    ``estimate_*`` and batch functions' bit for bit.
     """
     n = game.n
-    shapley = np.empty(n)
-    banzhaf = np.empty(n)
-    ess = np.empty(n)
-    for i in range(n):
-        sb = shapley_sample_batch(game, i, cfg)
-        bb = banzhaf_sample_batch(game, i, cfg)
-        shapley[i] = sb.estimate()
-        banzhaf[i] = bb.estimate()
-        ess[i] = min(sb.effective_sample_size, bb.effective_sample_size)
+    tokens = [(i,) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    shapley, shapley_ess = _estimate_family(game, cfg, _SHAPLEY_STREAM, tokens)
+    banzhaf, banzhaf_ess = _estimate_family(game, cfg, _BANZHAF_STREAM, tokens)
+    pair_values, _ = _estimate_family(game, cfg, _INTERACTION_STREAM, pairs)
     interactions = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = estimate_interaction(game, i, j, cfg)
-            interactions[i, j] = val
-            interactions[j, i] = val
+    rows, cols = np.triu_indices(n, 1)  # the order of `pairs`
+    interactions[rows, cols] = pair_values
+    interactions[cols, rows] = pair_values
     return EstimatedGameValues(
         shapley_hat=shapley,
         banzhaf_hat=banzhaf,
         interactions_hat=interactions,
-        effective_sample_size=ess,
+        effective_sample_size=np.minimum(shapley_ess, banzhaf_ess),
     )
 
 

@@ -198,7 +198,8 @@ def single_head_attend(embeddings, params: HeadParams, game_values=None) -> Atte
     ``game_values`` may inject precomputed values (estimated or exact); by
     default they are estimated on the embedding game induced by this head's
     value projection, so every characteristic evaluation sees the same
-    projected vectors that the final aggregation uses.
+    projected vectors that the final aggregation uses.  With injected values
+    no game is built: the aggregation projects the embeddings directly.
     """
     x = as_matrix(embeddings, "embeddings")
     n, d = x.shape
@@ -207,15 +208,16 @@ def single_head_attend(embeddings, params: HeadParams, game_values=None) -> Atte
             f"embeddings have width {d} but the value projection expects "
             f"{params.value_projection.shape[0]}"
         )
-    game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
-    values = game.projected
-
     lambdas = np.array(
         [gate_lambda(x[i], params.gate_weights, params.gate_bias) for i in range(n)]
     )
 
     if game_values is None:
+        game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
+        values = game.projected
         game_values = estimate_all(game, params.estimator)
+    else:
+        values = x @ params.value_projection
     shapley, banzhaf, interactions, ess = _extract_values(game_values)
 
     shapley_norm = normalize_scores(shapley, params.normalization, "shapley scores")

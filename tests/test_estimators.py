@@ -3,6 +3,8 @@ import pytest
 
 from coalattn.estimators import (
     EstimatorConfig,
+    _philox_keys,
+    _slot_streams,
     banzhaf_sample_batch,
     estimate_all,
     estimate_banzhaf,
@@ -16,7 +18,7 @@ from coalattn.estimators import (
     token_stream,
     weighted_standard_error,
 )
-from coalattn.games import GibbsTarget
+from coalattn.games import EmbeddingGame, GibbsTarget
 from coalattn.oracles import (
     exact_banzhaf,
     exact_interaction,
@@ -135,6 +137,109 @@ class TestBernoulliSampling:
     def test_out_of_range_exclusion_rejected(self):
         with pytest.raises(ValueError):
             sample_bernoulli_coalitions(token_stream(0, 98), 2, {5}, 1)
+
+
+def _fresh_stream(seed: int, kind: int, *indices: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(kind, *indices))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def _mixed_draws(rng: np.random.Generator, size: int) -> list:
+    # 32-bit bounded integers, a permutation and raw words touch every part
+    # of the Philox state a re-keying has to reset (counter, key, buffer,
+    # buffered 32-bit half)
+    return [
+        rng.integers(0, 7, size=size).tolist(),
+        rng.permuted(np.arange(size)).tolist(),
+        rng.bit_generator.random_raw(size).tolist(),
+        rng.integers(0, 2**40, size=3).tolist(),
+    ]
+
+
+class TestStreamKeys:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [
+        int(s) for s in np.random.default_rng(404).integers(0, 2**63, size=3)
+    ]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_match_seed_sequence(self, seed):
+        tokens = [(i,) for i in range(64)]
+        pairs = [(i, j) for i in range(64) for j in range(i + 1, 64)]
+        for kind, slots in ((1, tokens), (2, tokens), (3, pairs)):
+            expected = [
+                np.random.SeedSequence(entropy=seed, spawn_key=(kind, *slot)).generate_state(2, np.uint64)
+                for slot in slots
+            ]
+            np.testing.assert_array_equal(_philox_keys(seed, kind, slots), expected)
+
+    @pytest.mark.parametrize(
+        "seed,kind,indices",
+        [(0, 99, ()), (7, 1, (3,)), (2**64 - 1, 3, (5, 63)), (2**70, 98, (1, 2, 3))],
+    )
+    def test_token_stream_matches_fresh_generator(self, seed, kind, indices):
+        assert _mixed_draws(token_stream(seed, kind, *indices), 9) == _mixed_draws(
+            _fresh_stream(seed, kind, *indices), 9
+        )
+
+    def test_rekeyed_generator_forgets_the_previous_slot(self):
+        slots = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        for size, (slot, rng) in enumerate(zip(slots, _slot_streams(11, 3, slots)), start=1):
+            assert _mixed_draws(rng, size) == _mixed_draws(_fresh_stream(11, 3, *slot), size)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), 7.0])
+    def test_seed_of_another_numeric_type_gives_the_int_seed_values(self, seed):
+        rng = np.random.default_rng(3)
+        game = EmbeddingGame(rng.normal(size=(9, 3)), rng.normal(size=(3, 2)))
+        got = estimate_all(game, EstimatorConfig(seed=seed))
+        expected = estimate_all(game, EstimatorConfig(seed=7))
+        for field in ("shapley_hat", "banzhaf_hat", "interactions_hat", "effective_sample_size"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))
+        assert _mixed_draws(token_stream(seed, 3, 1, 2), 5) == _mixed_draws(_fresh_stream(7, 3, 1, 2), 5)
+
+    def test_bad_key_parts_rejected(self):
+        for seed, kind, indices in ((-1, 1, (0,)), (0, 2**32, (0,)), (0, 1, (-1,)), (0, 1, (2**32,))):
+            with pytest.raises(ValueError, match="stream key"):
+                token_stream(seed, kind, *indices)
+
+
+class _RecordingGame:
+    """Embedding game that keeps every mask batch it evaluates."""
+
+    def __init__(self, game):
+        self._game = game
+        self.n = game.n
+        self.batches = []
+
+    def values_by_mask(self, masks):
+        self.batches.append(np.array(masks))
+        return self._game.values_by_mask(masks)
+
+
+class TestPinnedStream:
+    """The first interaction contexts of one seed, written out as integers,
+    so a change to the key derivation or the re-keying fails here instead of
+    silently shifting every report.  Masks only, so no float math is pinned."""
+
+    SEED = 20260318
+    FIRST_CONTEXTS = [
+        2055373070949236191,
+        1843652484238770384,
+        3717263795099168153,
+        7322406645919379785,
+    ]
+
+    def test_sampler_on_the_pair_stream(self):
+        masks, _ = sample_bernoulli_coalitions(token_stream(self.SEED, 3, 5, 63), 64, {5, 63}, 4)
+        assert masks.tolist() == self.FIRST_CONTEXTS
+
+    def test_interaction_batch_evaluates_the_pinned_contexts(self):
+        rng = np.random.default_rng(1)
+        game = _RecordingGame(EmbeddingGame(rng.normal(size=(64, 3)), rng.normal(size=(3, 2))))
+        cfg = EstimatorConfig(sample_count=4, seed=self.SEED)
+        interaction_sample_batch(game, 63, 5, cfg)
+        (masks,) = game.batches
+        bits = [0, 1 << 5, 1 << 63, (1 << 5) | (1 << 63)]
+        assert masks.tolist() == [m | b for b in bits for m in self.FIRST_CONTEXTS]
 
 
 class TestNormalizeWeights:

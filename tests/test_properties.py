@@ -1,5 +1,5 @@
-"""Property-based checks of the evaluation and sampling hot paths and of the
-exact oracles' game-theory axioms.
+"""Property-based checks of the evaluation, sampling and estimation hot paths
+and of the exact oracles' game-theory axioms.
 
 Example counts are kept small so the suite stays fast; each hot-path property
 is also covered at the byte boundaries of the 64-bit coalition masks.
@@ -10,7 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalattn.estimators import sample_bernoulli_coalitions, token_stream
+from coalattn.estimators import (
+    MODES,
+    EstimatorConfig,
+    banzhaf_sample_batch,
+    estimate_all,
+    estimate_banzhaf,
+    estimate_interaction,
+    estimate_shapley,
+    sample_bernoulli_coalitions,
+    sample_permutation_prefixes,
+    shapley_sample_batch,
+    token_stream,
+)
 from coalattn.games import NONLINEARITIES, EmbeddingGame, GibbsTarget, TabularGame
 from coalattn.oracles import (
     exact_game_values,
@@ -100,6 +112,80 @@ def test_bernoulli_sampler_sets_only_allowed_bits(case):
         assert mask < (1 << n)
         assert not any((mask >> t) & 1 for t in excluded)
     np.testing.assert_array_equal(probs, np.full(count, 0.5 ** (n - len(excluded))))
+
+
+@st.composite
+def _estimation_cases(draw):
+    n = draw(st.sampled_from((1, 2, 9, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n == 64 or draw(st.booleans()):
+        nonlinearity = draw(st.sampled_from(NONLINEARITIES))
+        game = EmbeddingGame(rng.normal(size=(n, 4)), rng.normal(size=(4, 3)), nonlinearity)
+    else:
+        game = random_table_game(rng, n)
+    # at most 1024 masks go to one evaluation: K = 5, 25 and 100 leave a
+    # partly filled last block, and at K = 300 a pair alone (1200 masks),
+    # at K = 1025 every slot alone, is over the cap
+    k = draw(st.sampled_from((1, 5, 25) if n == 64 else (1, 5, 25, 100, 300, 1025)))
+    return game, k, draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from((0.05, 0.25, 4.0)))
+
+
+def _reference_slot(game, cfg: EstimatorConfig, kind: int, slot: tuple) -> tuple[float, float]:
+    """(estimate, ESS) of one slot the way the per-slot code computed it:
+    a freshly seeded stream, one evaluation and one weighting per slot."""
+    k = cfg.sample_count
+    seeds = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind, *slot))
+    rng = np.random.Generator(np.random.Philox(seeds))
+    if kind == 1:
+        contexts, probs = sample_permutation_prefixes(rng, game.n, slot[0], k)
+    else:
+        contexts, probs = sample_bernoulli_coalitions(rng, game.n, set(slot), k)
+    bits = [np.uint64(1 << t) for t in slot]
+    added = [contexts, contexts | bits[0]]
+    if len(slot) == 2:
+        added += [contexts | bits[1], contexts | bits[0] | bits[1]]
+    values = game.values_by_mask(np.concatenate(added))
+    base = values[:k]
+    if len(slot) == 1:
+        marginals = values[k:] - base
+    else:
+        marginals = values[3 * k :] - values[k : 2 * k] - values[2 * k : 3 * k] + base
+    if cfg.mode == "gibbs":
+        log_raw = base / cfg.gamma - np.log(probs)
+        raw = np.exp(log_raw - np.max(log_raw))
+        normalized = raw / raw.sum()
+    else:
+        raw, normalized = np.ones(k), np.full(k, 1.0 / k)
+    ess = min(max(float(np.sum(raw)) ** 2 / float(np.sum(raw * raw)), 1.0), float(k))
+    return float(np.dot(normalized, marginals)), ess
+
+
+@settings(max_examples=10, deadline=None)
+@given(_estimation_cases())
+def test_estimate_all_equals_the_per_slot_estimates(case):
+    game, k, seed, gamma = case
+    n = game.n
+    for mode in MODES:
+        cfg = EstimatorConfig(sample_count=k, seed=seed, gamma=gamma, mode=mode)
+        values = estimate_all(game, cfg)
+        for i in range(n):
+            ess = min(
+                shapley_sample_batch(game, i, cfg).effective_sample_size,
+                banzhaf_sample_batch(game, i, cfg).effective_sample_size,
+            )
+            assert values.shapley_hat[i] == estimate_shapley(game, i, cfg)
+            assert values.banzhaf_hat[i] == estimate_banzhaf(game, i, cfg)
+            assert values.effective_sample_size[i] == ess
+            (shapley, shapley_ess), (banzhaf, banzhaf_ess) = (
+                _reference_slot(game, cfg, kind, (i,)) for kind in (1, 2)
+            )
+            assert (values.shapley_hat[i], values.banzhaf_hat[i]) == (shapley, banzhaf)
+            assert ess == min(shapley_ess, banzhaf_ess)
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert values.interactions_hat[i, j] == values.interactions_hat[j, i]
+                assert values.interactions_hat[i, j] == estimate_interaction(game, j, i, cfg)
+                assert values.interactions_hat[i, j] == _reference_slot(game, cfg, 3, (i, j))[0]
 
 
 # exact-oracle axioms on random tabular games of up to 8 tokens
