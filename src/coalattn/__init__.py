@@ -9,12 +9,8 @@ approximation ships with an exhaustive exact oracle for small instances.
 from .estimators import (
     EstimatedGameValues,
     EstimatorConfig,
-    WeightedSampleBatch,
     estimate_all,
-    estimate_banzhaf,
-    estimate_interaction,
-    estimate_shapley,
-    normalize_weights,
+    gibbs_weights,
 )
 from .games import (
     CountingGame,
@@ -63,12 +59,8 @@ __all__ = [
     "logistic",
     "EstimatedGameValues",
     "EstimatorConfig",
-    "WeightedSampleBatch",
     "estimate_all",
-    "estimate_banzhaf",
-    "estimate_interaction",
-    "estimate_shapley",
-    "normalize_weights",
+    "gibbs_weights",
     "MeanFieldConfig",
     "MeanFieldResult",
     "mean_field_step",

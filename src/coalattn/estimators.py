@@ -29,8 +29,7 @@ which gives the same words as a freshly built generator without building a
 ``SeedSequence`` and a ``Philox`` per slot.  Slots are then sampled one by
 one from their own streams, and a block of them is evaluated by one
 ``values_by_mask`` call of at most ``_BLOCK_MASKS`` masks and weighted row by
-row.  The per-slot public functions are blocks of one slot, so a slot's
-numbers do not depend on the block it lands in.
+row, so a slot's numbers do not depend on the block it lands in.
 """
 
 from __future__ import annotations
@@ -43,19 +42,11 @@ import numpy as np
 
 __all__ = [
     "EstimatorConfig",
-    "WeightedSampleBatch",
     "EstimatedGameValues",
     "sample_permutation_prefixes",
     "sample_bernoulli_coalitions",
-    "normalize_weights",
-    "shapley_sample_batch",
-    "banzhaf_sample_batch",
-    "interaction_sample_batch",
-    "estimate_shapley",
-    "estimate_banzhaf",
-    "estimate_interaction",
+    "gibbs_weights",
     "estimate_all",
-    "weighted_standard_error",
     "token_stream",
 ]
 
@@ -108,34 +99,6 @@ class EstimatorConfig:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class WeightedSampleBatch:
-    """One batch of sampled coalitions with weights and marginals.
-
-    ``raw_weights`` are stored under a common scaling (largest weight equals
-    1) so extreme exponents never overflow; any common factor cancels in the
-    self-normalization, so the scaling is unobservable downstream.
-    """
-
-    raw_weights: np.ndarray
-    normalized_weights: np.ndarray
-    marginals: np.ndarray
-    proposal_probs: np.ndarray
-
-    @property
-    def sample_count(self) -> int:
-        return int(self.raw_weights.size)
-
-    @property
-    def effective_sample_size(self) -> float:
-        """(sum w)^2 / sum w^2, clamped to [1, K] against roundoff."""
-        raw = self.raw_weights
-        return _ess(float(np.sum(raw)), float(np.sum(raw * raw)), raw.size)
-
-    def estimate(self) -> float:
-        return float(np.dot(self.normalized_weights, self.marginals))
 
 
 @dataclass(frozen=True)
@@ -326,38 +289,17 @@ def sample_bernoulli_coalitions(
     return masks, probs
 
 
-def normalize_weights(values, proposal_probs, gamma: float, marginals=None) -> WeightedSampleBatch:
-    """Self-normalized Gibbs importance weights for one batch.
+def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Self-normalized Gibbs importance weights of each row (the last axis)
+    of *values*, with *probs* the matching proposal probabilities.
 
-    The raw weight of sample k is ``exp(v_k/gamma) / p_k``; the batch is
-    normalized to sum to one.  Everything is formed on the log scale and
-    shifted by the max log-weight before exponentiation, so the partition
-    constant cancels without any explicit large exponential.
+    The raw weight of sample k is ``exp(v_k/gamma) / p_k`` and each row of
+    normalized weights sums to one.  Raw weights are formed on the log scale
+    and shifted by the row's max log-weight before exponentiation, so the
+    largest raw weight of a row is 1 and no large exponential is ever formed;
+    the common factor cancels in the normalization.  Returns (raw,
+    normalized).
     """
-    values = np.asarray(values, dtype=np.float64)
-    probs = np.asarray(proposal_probs, dtype=np.float64)
-    if values.ndim != 1 or values.size < 1:
-        raise ValueError("values: need a non-empty 1-d array")
-    if probs.shape != values.shape:
-        raise ValueError("proposal_probs must match values in length")
-    raw, normalized = _gibbs_weights(values, probs, gamma)
-    if marginals is None:
-        marginals = np.zeros_like(values)
-    else:
-        marginals = np.asarray(marginals, dtype=np.float64)
-        if marginals.shape != values.shape:
-            raise ValueError("marginals must match values in length")
-    return WeightedSampleBatch(
-        raw_weights=raw,
-        normalized_weights=normalized,
-        marginals=marginals,
-        proposal_probs=probs,
-    )
-
-
-def _gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and normalized Gibbs weights of each row (the last axis) of
-    *values*, as :func:`normalize_weights` defines them for one batch."""
     if np.any(np.isnan(values)):
         raise ValueError("values must not contain NaN")
     if np.any((probs <= 0.0) | (probs > 1.0)):
@@ -374,8 +316,8 @@ def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
 
     Each slot is a tuple of token indices: ``(i,)`` for the Shapley and
     Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  Yields
-    ``(raw_weights, normalized_weights, marginals, proposal_probs)`` for
-    consecutive blocks of slots, each of shape ``(slots in block, K)``.
+    ``(raw_weights, normalized_weights, marginals)`` for consecutive blocks
+    of slots, each of shape ``(slots in block, K)``.
     """
     n, k = game.n, cfg.sample_count
     # each slot's coalitions are its sampled contexts with every subset of
@@ -402,20 +344,10 @@ def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
         else:
             marginals = values[:, 3] - values[:, 1] - values[:, 2] + base
         if cfg.mode == "gibbs":
-            raw, normalized = _gibbs_weights(base, probs, cfg.gamma)
+            raw, normalized = gibbs_weights(base, probs, cfg.gamma)
         else:
             raw, normalized = np.ones((len(block), k)), np.full((len(block), k), 1.0 / k)
-        yield raw, normalized, marginals, probs
-
-
-def _slot_batch(game, cfg: EstimatorConfig, kind: int, slot: tuple[int, ...]) -> WeightedSampleBatch:
-    ((raw, normalized, marginals, probs),) = _weighted_blocks(game, cfg, kind, [slot])
-    return WeightedSampleBatch(
-        raw_weights=raw[0],
-        normalized_weights=normalized[0],
-        marginals=marginals[0],
-        proposal_probs=probs[0],
-    )
+        yield raw, normalized, marginals
 
 
 def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[int, ...]]):
@@ -423,7 +355,7 @@ def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
     estimates = np.empty(len(slots))
     ess = np.empty(len(slots))
     row = 0
-    for raw, normalized, marginals, _ in _weighted_blocks(game, cfg, kind, slots):
+    for raw, normalized, marginals in _weighted_blocks(game, cfg, kind, slots):
         totals = raw.sum(axis=-1).tolist()
         square_totals = (raw * raw).sum(axis=-1).tolist()
         for r in range(raw.shape[0]):
@@ -431,48 +363,6 @@ def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
             ess[row] = _ess(totals[r], square_totals[r], raw.shape[1])
             row += 1
     return estimates, ess
-
-
-def _check_token(game, t: int) -> None:
-    if not 0 <= t < game.n:
-        raise ValueError(f"token index {t} out of range for n={game.n}")
-
-
-def shapley_sample_batch(game, i: int, cfg: EstimatorConfig) -> WeightedSampleBatch:
-    """Sampled prefix batch for token i's Shapley estimate."""
-    _check_token(game, i)
-    return _slot_batch(game, cfg, _SHAPLEY_STREAM, (i,))
-
-
-def banzhaf_sample_batch(game, i: int, cfg: EstimatorConfig) -> WeightedSampleBatch:
-    """Sampled Bernoulli-coalition batch for token i's Banzhaf estimate."""
-    _check_token(game, i)
-    return _slot_batch(game, cfg, _BANZHAF_STREAM, (i,))
-
-
-def interaction_sample_batch(game, i: int, j: int, cfg: EstimatorConfig) -> WeightedSampleBatch:
-    """Sampled context batch for the (i, j) interaction estimate.
-
-    The stream is keyed on the unordered pair, so both orientations draw the
-    same contexts and the stored estimate is symmetric by construction.
-    """
-    if i == j:
-        raise ValueError("interaction estimate: tokens must be distinct")
-    for t in (i, j):
-        _check_token(game, t)
-    return _slot_batch(game, cfg, _INTERACTION_STREAM, (min(i, j), max(i, j)))
-
-
-def estimate_shapley(game, i: int, cfg: EstimatorConfig) -> float:
-    return shapley_sample_batch(game, i, cfg).estimate()
-
-
-def estimate_banzhaf(game, i: int, cfg: EstimatorConfig) -> float:
-    return banzhaf_sample_batch(game, i, cfg).estimate()
-
-
-def estimate_interaction(game, i: int, j: int, cfg: EstimatorConfig) -> float:
-    return interaction_sample_batch(game, i, j, cfg).estimate()
 
 
 def estimate_all(game, cfg: EstimatorConfig) -> EstimatedGameValues:
@@ -485,8 +375,9 @@ def estimate_all(game, cfg: EstimatorConfig) -> EstimatedGameValues:
     all its slots are derived at once, one generator is re-keyed for each
     slot, and each block is one ``values_by_mask`` call of at most
     ``_BLOCK_MASKS`` masks (one slot when a slot alone needs more) whose
-    weights are formed row-wise.  Every number equals the per-slot
-    ``estimate_*`` and batch functions' bit for bit.
+    weights are formed row-wise.  Every number equals, bit for bit, what one
+    slot sampled from a freshly built ``Philox`` stream, evaluated and
+    weighted on its own would give.
     """
     n = game.n
     tokens = [(i,) for i in range(n)]
@@ -504,14 +395,3 @@ def estimate_all(game, cfg: EstimatorConfig) -> EstimatedGameValues:
         interactions_hat=interactions,
         effective_sample_size=np.minimum(shapley_ess, banzhaf_ess),
     )
-
-
-def weighted_standard_error(batch: WeightedSampleBatch) -> float:
-    """Delta-method standard error of a self-normalized batch estimate.
-
-    ``sqrt(sum w_k^2 (m_k - est)^2)`` over normalized weights; reduces to
-    the plain ``std/sqrt(K)`` for uniform weights.
-    """
-    est = batch.estimate()
-    w = batch.normalized_weights
-    return float(np.sqrt(np.sum(w * w * (batch.marginals - est) ** 2)))

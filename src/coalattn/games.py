@@ -17,10 +17,9 @@ provided:
 
 Both expose the same evaluation interface, so oracles and estimators are
 agnostic to the family: ``n`` and ``values_by_mask``, which evaluates a
-batch of masks and is the one path every estimator and oracle evaluates
-through (``tabulate`` feeds it every mask in chunks).  ``value_by_mask`` is
-the single-mask convenience for the demo walkthrough and tests; no estimator
-or oracle calls it.
+batch of masks.  It is the only evaluation path: every estimator and oracle
+evaluates through it (``tabulate`` feeds it every mask in chunks), so a
+``CountingGame`` sees every evaluation.
 """
 
 from __future__ import annotations
@@ -48,6 +47,8 @@ TABULAR_MAX_TOKENS = 20   # 2**20 table entries
 
 NONLINEARITIES = ("relu", "tanh", "identity")
 
+_TABULATE_CHUNK = 1 << 16  # masks per values_by_mask call of tabulate
+
 
 @dataclass(frozen=True)
 class GibbsTarget:
@@ -64,11 +65,10 @@ class TabularGame:
     """Characteristic function given explicitly as a table of ``2**n`` values.
 
     ``values[mask]`` is the value of the coalition with that bitmask; the
-    empty coalition must have value exactly 0.  An optional ``bound`` asserts
-    ``|v(C)| <= bound`` for every coalition at construction time.
+    empty coalition must have value exactly 0.
     """
 
-    def __init__(self, values, bound: float | None = None):
+    def __init__(self, values):
         arr = np.array(values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("tabular game: values must be a flat array")
@@ -82,17 +82,9 @@ class TabularGame:
             raise ValueError("tabular game: all values must be finite")
         if arr[0] != 0.0:
             raise ValueError(f"tabular game: empty coalition must have value 0, got {arr[0]}")
-        if bound is not None and np.max(np.abs(arr)) > bound:
-            raise ValueError(f"tabular game: values exceed the declared bound {bound}")
         arr.flags.writeable = False
         self._values = arr
         self.n = n
-        self.bound = bound
-
-    def value_by_mask(self, mask: int) -> float:
-        if not 0 <= mask < self._values.size:
-            raise ValueError(f"tabular game: mask {mask:#x} out of range for n={self.n}")
-        return float(self._values[mask])
 
     def values_by_mask(self, masks: np.ndarray) -> np.ndarray:
         return self._values[np.asarray(masks).astype(np.int64)]
@@ -132,8 +124,6 @@ class EmbeddingGame:
             )
         if nonlinearity not in NONLINEARITIES:
             raise ValueError(f"embedding game: unknown nonlinearity {nonlinearity!r}")
-        self.embeddings = x.copy()
-        self.embeddings.flags.writeable = False
         projected = x @ w
         projected.flags.writeable = False
         self.projected = projected   # n x d_v, row i is the value vector of token i
@@ -158,11 +148,6 @@ class EmbeddingGame:
             sums += tables[b].take(rows[b], axis=0)
         norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
         return self._apply_nonlinearity(norms)
-
-    def value_by_mask(self, mask: int) -> float:
-        if not 0 <= mask < (1 << self.n):
-            raise ValueError(f"embedding game: mask {mask:#x} out of range for n={self.n}")
-        return float(self.values_by_mask(np.array([mask], dtype=np.uint64))[0])
 
 
 def _byte_sum_tables(rows: np.ndarray) -> np.ndarray:
@@ -199,23 +184,19 @@ class CountingGame:
     def n(self) -> int:
         return self._game.n
 
-    def value_by_mask(self, mask: int) -> float:
-        self.evaluations += 1
-        return self._game.value_by_mask(mask)
-
     def values_by_mask(self, masks: np.ndarray) -> np.ndarray:
         self.evaluations += int(np.asarray(masks).size)
         return self._game.values_by_mask(masks)
 
 
-def tabulate(game, chunk: int = 1 << 16) -> np.ndarray:
+def tabulate(game) -> np.ndarray:
     """Evaluate every coalition of a game into a mask-indexed table."""
     if isinstance(game, TabularGame):
         return game.table
     size = 1 << game.n
     out = np.empty(size, dtype=np.float64)
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
+    for start in range(0, size, _TABULATE_CHUNK):
+        stop = min(start + _TABULATE_CHUNK, size)
         out[start:stop] = game.values_by_mask(np.arange(start, stop, dtype=np.uint64))
     return out
 

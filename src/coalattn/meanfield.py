@@ -101,31 +101,18 @@ def mean_field_step(fields, couplings, spins, cfg: MeanFieldConfig) -> np.ndarra
     return cfg.damping * spins + (1.0 - cfg.damping) * target
 
 
-def solve_fixed_point(
-    fields,
-    couplings,
-    cfg: MeanFieldConfig,
-    initial_spins=None,
-) -> MeanFieldResult:
+def solve_fixed_point(fields, couplings, cfg: MeanFieldConfig) -> MeanFieldResult:
     """Iterate the damped synchronous update until self-consistent.
 
-    Starts from zeros unless ``initial_spins`` is given.  Non-convergence
-    within ``max_iterations`` is not an error: the last iterate is returned
-    with ``converged=False`` and its defect in ``final_residual``.  With all
-    couplings zero and no damping the exact solution ``tanh(J_i/gamma)`` is
-    reached in a single update.  The result's ``trace`` holds the residual
-    of every measured iterate, at most ``max_iterations + 1`` rows.
+    Starts from zeros.  Non-convergence within ``max_iterations`` is not an
+    error: the last iterate is returned with ``converged=False`` and its
+    defect in ``final_residual``.  With all couplings zero and no damping
+    the exact solution ``tanh(J_i/gamma)`` is reached in a single update.
+    The result's ``trace`` holds the residual of every measured iterate, at
+    most ``max_iterations + 1`` rows.
     """
     fields, couplings = check_spin_system(fields, couplings)
-    n = fields.size
-    if initial_spins is None:
-        spins = np.zeros(n)
-    else:
-        spins = as_vector(initial_spins, "initial_spins").copy()
-        if spins.size != n:
-            raise ValueError(f"initial_spins: expected length {n}, got {spins.size}")
-        if np.any(np.abs(spins) > 1.0):
-            raise ValueError("initial_spins: entries must lie in [-1, 1]")
+    spins = np.zeros(fields.size)
 
     trace: list[tuple[int, float]] = []
     used = 0

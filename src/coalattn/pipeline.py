@@ -129,10 +129,6 @@ class AttentionOutput:
     output: np.ndarray
     heads: tuple[HeadResult, ...]
 
-    @property
-    def alphas_per_head(self) -> tuple[np.ndarray, ...]:
-        return tuple(h.alphas for h in self.heads)
-
 
 def gate_lambda(embedding, gate_weights, gate_bias: float) -> float:
     """Gate value in (0, 1): logistic of the affine token score."""

@@ -42,9 +42,6 @@ from .pipeline import (
     single_head_attend,
 )
 
-# not called here; perfbench/layertrace.py wraps these names in this module
-from .pipeline import combine_fields, gate_lambda, normalize_scores
-
 __all__ = [
     "dump_json",
     "write_trace_csv",

@@ -18,15 +18,7 @@ from coalattn.bench import (
     synthetic_embedding_game,
 )
 from coalattn.demo import run_demo
-from coalattn.estimators import (
-    EstimatorConfig,
-    banzhaf_sample_batch,
-    estimate_all,
-    interaction_sample_batch,
-    normalize_weights,
-    shapley_sample_batch,
-    weighted_standard_error,
-)
+from coalattn.estimators import EstimatorConfig, estimate_all, gibbs_weights
 from coalattn.games import CountingGame, GibbsTarget, TabularGame
 from coalattn.inputs import RunConfig, parse_document
 from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
@@ -40,7 +32,7 @@ from coalattn.oracles import (
 from coalattn.pipeline import HeadParams, MultiHeadParams, multi_head_attend, single_head_attend
 from coalattn.reports import dump_json, run_attend
 
-from conftest import random_table_game
+from conftest import random_table_game, reference_slot
 
 GAME_SEED = 20250810
 
@@ -86,7 +78,7 @@ def test_criterion_2_exact_oracle_axioms():
         n = int(rng.integers(3, 9))
         game = random_table_game(rng, n)
         values = exact_game_values(game)
-        target = game.value_by_mask((1 << n) - 1) - game.value_by_mask(0)
+        target = game.table[(1 << n) - 1] - game.table[0]
         efficiency_ok &= abs(float(np.sum(values.shapley)) - target) < 1e-9
 
         a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
@@ -123,31 +115,33 @@ def test_criterion_3_classic_estimator_consistency():
     exact = exact_game_values(game)
 
     cfg = EstimatorConfig(sample_count=50_000, seed=1001, gamma=1.0, mode="classic")
-    within_se = True
-    for i in range(8):
-        batch = shapley_sample_batch(game, i, cfg)
-        within_se &= abs(batch.estimate() - exact.shapley[i]) <= 3 * weighted_standard_error(batch)
-        batch = banzhaf_sample_batch(game, i, cfg)
-        within_se &= abs(batch.estimate() - exact.banzhaf[i]) <= 3 * weighted_standard_error(batch)
+    estimated = estimate_all(game, cfg)
+    within_se = per_slot_ok = True
+    for kind, estimates, exact_values in (
+        (1, estimated.shapley_hat, exact.shapley),
+        (2, estimated.banzhaf_hat, exact.banzhaf),
+    ):
+        for i in range(8):
+            slot_estimate, _, se = reference_slot(game, cfg, kind, (i,))
+            per_slot_ok &= estimates[i] == slot_estimate
+            within_se &= abs(estimates[i] - exact_values[i]) <= 3 * se
 
-    def rmse(sample_count, sampler, reference):
-        errors = []
+    def rmse(sample_count):
+        """(Shapley, Banzhaf) RMSE over 50 seeds and all 8 tokens."""
+        shapley_errors, banzhaf_errors = [], []
         for rep in range(50):
             rep_cfg = EstimatorConfig(
                 sample_count=sample_count, seed=7000 + rep, gamma=1.0, mode="classic"
             )
-            for i in range(8):
-                errors.append((sampler(game, i, rep_cfg).estimate() - reference[i]) ** 2)
-        return float(np.sqrt(np.mean(errors)))
+            values = estimate_all(game, rep_cfg)
+            shapley_errors.extend((values.shapley_hat - exact.shapley) ** 2)
+            banzhaf_errors.extend((values.banzhaf_hat - exact.banzhaf) ** 2)
+        return float(np.sqrt(np.mean(shapley_errors))), float(np.sqrt(np.mean(banzhaf_errors)))
 
-    ratios = []
-    for sampler, reference in (
-        (shapley_sample_batch, exact.shapley),
-        (banzhaf_sample_batch, exact.banzhaf),
-    ):
-        ratios.append(rmse(4096, sampler, reference) / rmse(1024, sampler, reference))
+    ratios = [fine / coarse for fine, coarse in zip(rmse(4096), rmse(1024))]
 
     checks = [
+        ("estimate_all equals the per-slot reference bit for bit", bool(per_slot_ok)),
         ("every token within 3 standard errors at K=50000", bool(within_se)),
         ("shapley RMSE(K=4096) <= 0.6 x RMSE(K=1024)", ratios[0] <= 0.6),
         ("banzhaf RMSE(K=4096) <= 0.6 x RMSE(K=1024)", ratios[1] <= 0.6),
@@ -160,28 +154,29 @@ def test_criterion_4_gibbs_estimator_consistency():
     target = GibbsTarget(1.0)
     cfg = EstimatorConfig(sample_count=50_000, seed=2003, gamma=1.0, mode="gibbs")
 
-    within_se = True
-    for i in range(8):
-        batch = shapley_sample_batch(game, i, cfg)
-        ref = exact_tilted_shapley_prefix(game, i, target)
-        within_se &= abs(batch.estimate() - ref) <= 3 * weighted_standard_error(batch)
-        batch = banzhaf_sample_batch(game, i, cfg)
-        ref = exact_tilted_banzhaf(game, i, target)
-        within_se &= abs(batch.estimate() - ref) <= 3 * weighted_standard_error(batch)
-    for i in range(8):
-        for j in range(i + 1, 8):
-            batch = interaction_sample_batch(game, i, j, cfg)
-            ref = exact_tilted_interaction(game, i, j, target)
-            within_se &= abs(batch.estimate() - ref) <= 3 * weighted_standard_error(batch)
+    estimated = estimate_all(game, cfg)
+    slots = [(1, (i,), estimated.shapley_hat[i], exact_tilted_shapley_prefix(game, i, target)) for i in range(8)]
+    slots += [(2, (i,), estimated.banzhaf_hat[i], exact_tilted_banzhaf(game, i, target)) for i in range(8)]
+    slots += [
+        (3, (i, j), estimated.interactions_hat[i, j], exact_tilted_interaction(game, i, j, target))
+        for i in range(8)
+        for j in range(i + 1, 8)
+    ]
+    within_se = per_slot_ok = True
+    for kind, slot, estimate, ref in slots:
+        slot_estimate, _, se = reference_slot(game, cfg, kind, slot)
+        per_slot_ok &= estimate == slot_estimate
+        within_se &= abs(estimate - ref) <= 3 * se
 
     rng = np.random.default_rng(4)
     values = rng.normal(size=1000)
     probs = rng.uniform(0.05, 1.0, size=1000)
-    base = normalize_weights(values, probs, 1.0)
-    shifted = normalize_weights(values + 42.5, probs, 1.0)
-    shift_gap = float(np.max(np.abs(base.normalized_weights - shifted.normalized_weights)))
+    _, base = gibbs_weights(values, probs, 1.0)
+    _, shifted = gibbs_weights(values + 42.5, probs, 1.0)
+    shift_gap = float(np.max(np.abs(base - shifted)))
 
     checks = [
+        ("estimate_all equals the per-slot reference bit for bit", bool(per_slot_ok)),
         ("every estimate within 3 standard errors of its tilted oracle", bool(within_se)),
         ("weight scale invariance under value shifts within 1e-12", shift_gap <= 1e-12),
     ]

@@ -5,20 +5,13 @@ from coalattn.estimators import (
     EstimatorConfig,
     _philox_keys,
     _slot_streams,
-    banzhaf_sample_batch,
     estimate_all,
-    estimate_banzhaf,
-    estimate_interaction,
-    estimate_shapley,
-    interaction_sample_batch,
-    normalize_weights,
+    gibbs_weights,
     sample_bernoulli_coalitions,
     sample_permutation_prefixes,
-    shapley_sample_batch,
     token_stream,
-    weighted_standard_error,
 )
-from coalattn.games import EmbeddingGame, GibbsTarget
+from coalattn.games import EmbeddingGame, GibbsTarget, TabularGame
 from coalattn.oracles import (
     exact_banzhaf,
     exact_interaction,
@@ -28,7 +21,7 @@ from coalattn.oracles import (
     exact_tilted_shapley_prefix,
 )
 
-from conftest import additive_table_game, random_table_game
+from conftest import WORKED_TABLE, additive_table_game, random_table_game, reference_slot
 
 
 class TestConfigValidation:
@@ -235,63 +228,98 @@ class TestPinnedStream:
     def test_interaction_batch_evaluates_the_pinned_contexts(self):
         rng = np.random.default_rng(1)
         game = _RecordingGame(EmbeddingGame(rng.normal(size=(64, 3)), rng.normal(size=(3, 2))))
-        cfg = EstimatorConfig(sample_count=4, seed=self.SEED)
-        interaction_sample_batch(game, 63, 5, cfg)
-        (masks,) = game.batches
+        k = 4
+        estimate_all(game, EstimatorConfig(sample_count=k, seed=self.SEED))
+        masks = np.concatenate(game.batches).tolist()
+        # in evaluation order: 2K masks per token for each of the two token
+        # families, then 4K per pair in row-major pair order
+        pairs = [(i, j) for i in range(64) for j in range(i + 1, 64)]
+        start = 2 * 2 * k * 64 + 4 * k * pairs.index((5, 63))
         bits = [0, 1 << 5, 1 << 63, (1 << 5) | (1 << 63)]
-        assert masks.tolist() == [m | b for b in bits for m in self.FIRST_CONTEXTS]
+        assert len(masks) == 2 * k * 64 * 65
+        assert masks[start : start + 4 * k] == [m | b for b in bits for m in self.FIRST_CONTEXTS]
 
 
 class TestNormalizeWeights:
     def test_worked_values(self):
-        batch = normalize_weights([0.5, 0.8, 1.0], [1.0, 1.0, 1.0], 1.0)
+        _, weights = gibbs_weights(np.array([0.5, 0.8, 1.0]), np.ones(3), 1.0)
         # frozen full-precision weights; the 2-decimal view is 0.25/0.34/0.41
-        np.testing.assert_allclose(
-            batch.normalized_weights, [0.250089, 0.337585, 0.412327], atol=5e-7
-        )
-        np.testing.assert_allclose(batch.normalized_weights, [0.25, 0.34, 0.41], atol=0.005)
+        np.testing.assert_allclose(weights, [0.250089, 0.337585, 0.412327], atol=5e-7)
+        np.testing.assert_allclose(weights, [0.25, 0.34, 0.41], atol=0.005)
 
     def test_single_sample(self):
-        batch = normalize_weights([2.0], [0.5], 1.0)
-        np.testing.assert_array_equal(batch.normalized_weights, [1.0])
+        _, weights = gibbs_weights(np.array([2.0]), np.array([0.5]), 1.0)
+        np.testing.assert_array_equal(weights, [1.0])
 
     def test_equal_values_equal_proposals(self):
-        batch = normalize_weights([0.7] * 8, [0.25] * 8, 0.5)
-        np.testing.assert_allclose(batch.normalized_weights, 1.0 / 8, atol=1e-15)
+        _, weights = gibbs_weights(np.full(8, 0.7), np.full(8, 0.25), 0.5)
+        np.testing.assert_allclose(weights, 1.0 / 8, atol=1e-15)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(71)
         for _ in range(25):
             k = int(rng.integers(1, 40))
-            batch = normalize_weights(
-                rng.normal(size=k), rng.uniform(0.01, 1.0, size=k), 0.4
-            )
-            assert abs(float(np.sum(batch.normalized_weights)) - 1.0) <= 1e-12
+            _, weights = gibbs_weights(rng.normal(size=k), rng.uniform(0.01, 1.0, size=k), 0.4)
+            assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
+
+    def test_rows_are_weighted_on_their_own(self):
+        rng = np.random.default_rng(73)
+        values = rng.normal(size=(4, 9)) * [[1.0], [10.0], [100.0], [0.0]]
+        probs = rng.uniform(0.05, 1.0, size=(4, 9))
+        raw, normalized = gibbs_weights(values, probs, 0.3)
+        for row in range(4):
+            row_raw, row_normalized = gibbs_weights(values[row], probs[row], 0.3)
+            np.testing.assert_array_equal(raw[row], row_raw)
+            np.testing.assert_array_equal(normalized[row], row_normalized)
+        np.testing.assert_array_equal(raw.max(axis=1), 1.0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(72)
         values = rng.normal(size=30)
         probs = rng.uniform(0.1, 1.0, size=30)
-        base = normalize_weights(values, probs, 0.7)
-        shifted = normalize_weights(values + 123.456, probs, 0.7)
-        np.testing.assert_allclose(
-            base.normalized_weights, shifted.normalized_weights, atol=1e-12
-        )
+        _, base = gibbs_weights(values, probs, 0.7)
+        _, shifted = gibbs_weights(values + 123.456, probs, 0.7)
+        np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     def test_extreme_exponents_stay_finite(self):
-        batch = normalize_weights([4000.0, 3990.0], [0.5, 0.5], 1.0)
-        assert np.all(np.isfinite(batch.normalized_weights))
-        assert np.all(batch.raw_weights > 0.0)
+        raw, weights = gibbs_weights(np.array([4000.0, 3990.0]), np.array([0.5, 0.5]), 1.0)
+        assert np.all(np.isfinite(weights))
+        assert np.all(raw > 0.0)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            normalize_weights([np.nan], [1.0], 1.0)
+            gibbs_weights(np.array([np.nan]), np.ones(1), 1.0)
 
     def test_bad_proposals_rejected(self):
         with pytest.raises(ValueError, match="probabilities"):
-            normalize_weights([1.0], [0.0], 1.0)
+            gibbs_weights(np.ones(1), np.zeros(1), 1.0)
         with pytest.raises(ValueError, match="probabilities"):
-            normalize_weights([1.0], [1.5], 1.0)
+            gibbs_weights(np.ones(1), np.array([1.5]), 1.0)
+
+    def test_bad_gamma_rejected(self):
+        for gamma in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="gamma"):
+                gibbs_weights(np.ones(1), np.ones(1), gamma)
+
+
+_SHAPLEY, _BANZHAF, _INTERACTION = 1, 2, 3
+
+
+def _slot_estimate(values, kind: int, slot: tuple) -> float:
+    """``estimate_all``'s value for one slot."""
+    if kind == _SHAPLEY:
+        return values.shapley_hat[slot[0]]
+    if kind == _BANZHAF:
+        return values.banzhaf_hat[slot[0]]
+    return values.interactions_hat[slot]
+
+
+def _checked_slot(values, game, cfg, kind: int, slot: tuple) -> tuple[float, float]:
+    """(estimate, standard error) of one slot of *values*, after checking
+    that ``estimate_all`` gave the per-slot reference estimate bit for bit."""
+    estimate, _, se = reference_slot(game, cfg, kind, slot)
+    assert _slot_estimate(values, kind, slot) == estimate
+    return estimate, se
 
 
 class TestClassicMode:
@@ -299,22 +327,24 @@ class TestClassicMode:
         weights = [0.4, -0.9, 1.7]
         game = additive_table_game(weights)
         cfg = EstimatorConfig(sample_count=13, seed=5, gamma=1.0, mode="classic")
+        values = estimate_all(game, cfg)
         for i, w in enumerate(weights):
-            assert estimate_shapley(game, i, cfg) == pytest.approx(w, abs=1e-12)
-            assert estimate_banzhaf(game, i, cfg) == pytest.approx(w, abs=1e-12)
-        assert estimate_interaction(game, 0, 2, cfg) == pytest.approx(0.0, abs=1e-12)
+            assert _checked_slot(values, game, cfg, _SHAPLEY, (i,))[0] == pytest.approx(w, abs=1e-12)
+            assert _checked_slot(values, game, cfg, _BANZHAF, (i,))[0] == pytest.approx(w, abs=1e-12)
+        assert _checked_slot(values, game, cfg, _INTERACTION, (0, 2))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_table_converges_to_exact(self, worked_game):
         cfg = EstimatorConfig(sample_count=100_000, seed=12, gamma=1.0, mode="classic")
-        assert estimate_shapley(worked_game, 1, cfg) == pytest.approx(0.7667, abs=0.02)
-        assert estimate_banzhaf(worked_game, 1, cfg) == pytest.approx(0.775, abs=0.02)
-        assert estimate_interaction(worked_game, 0, 1, cfg) == pytest.approx(0.45, abs=0.02)
+        values = estimate_all(worked_game, cfg)
+        assert values.shapley_hat[1] == pytest.approx(0.7667, abs=0.02)
+        assert values.banzhaf_hat[1] == pytest.approx(0.775, abs=0.02)
+        assert values.interactions_hat[0, 1] == pytest.approx(0.45, abs=0.02)
 
     def test_uniform_weights_and_full_ess(self, worked_game):
         cfg = EstimatorConfig(sample_count=50, seed=3, gamma=1.0, mode="classic")
-        batch = shapley_sample_batch(worked_game, 0, cfg)
-        np.testing.assert_array_equal(batch.normalized_weights, np.full(50, 1.0 / 50))
-        assert batch.effective_sample_size == 50.0
+        values = estimate_all(worked_game, cfg)
+        _checked_slot(values, worked_game, cfg, _SHAPLEY, (0,))
+        np.testing.assert_array_equal(values.effective_sample_size, 50.0)
 
 
 class TestGibbsMode:
@@ -323,35 +353,29 @@ class TestGibbsMode:
         game = random_table_game(rng, 5)
         target = GibbsTarget(0.8)
         cfg = EstimatorConfig(sample_count=20_000, seed=77, gamma=0.8, mode="gibbs")
+        values = estimate_all(game, cfg)
         for i in range(5):
-            batch = shapley_sample_batch(game, i, cfg)
-            se = weighted_standard_error(batch)
-            assert abs(batch.estimate() - exact_tilted_shapley_prefix(game, i, target)) <= 3 * se
-            batch = banzhaf_sample_batch(game, i, cfg)
-            se = weighted_standard_error(batch)
-            assert abs(batch.estimate() - exact_tilted_banzhaf(game, i, target)) <= 3 * se
-        batch = interaction_sample_batch(game, 0, 3, cfg)
-        se = weighted_standard_error(batch)
-        assert abs(batch.estimate() - exact_tilted_interaction(game, 0, 3, target)) <= 3 * se
+            estimate, se = _checked_slot(values, game, cfg, _SHAPLEY, (i,))
+            assert abs(estimate - exact_tilted_shapley_prefix(game, i, target)) <= 3 * se
+            estimate, se = _checked_slot(values, game, cfg, _BANZHAF, (i,))
+            assert abs(estimate - exact_tilted_banzhaf(game, i, target)) <= 3 * se
+        estimate, se = _checked_slot(values, game, cfg, _INTERACTION, (0, 3))
+        assert abs(estimate - exact_tilted_interaction(game, 0, 3, target)) <= 3 * se
 
     def test_high_temperature_flattens_to_classic_for_subset_samplers(self, worked_game):
-        hot = EstimatorConfig(sample_count=500, seed=9, gamma=1e9, mode="gibbs")
-        cold = EstimatorConfig(sample_count=500, seed=9, gamma=1e9, mode="classic")
-        assert estimate_banzhaf(worked_game, 1, hot) == pytest.approx(
-            estimate_banzhaf(worked_game, 1, cold), abs=1e-6
-        )
-        assert estimate_interaction(worked_game, 0, 1, hot) == pytest.approx(
-            estimate_interaction(worked_game, 0, 1, cold), abs=1e-6
-        )
+        hot = estimate_all(worked_game, EstimatorConfig(sample_count=500, seed=9, gamma=1e9, mode="gibbs"))
+        cold = estimate_all(worked_game, EstimatorConfig(sample_count=500, seed=9, gamma=1e9, mode="classic"))
+        assert hot.banzhaf_hat[1] == pytest.approx(cold.banzhaf_hat[1], abs=1e-6)
+        assert hot.interactions_hat[0, 1] == pytest.approx(cold.interactions_hat[0, 1], abs=1e-6)
 
     def test_high_temperature_prefix_estimator_targets_subset_average(self, worked_game):
         # the 1/p reweighting converts the permutation measure into the
         # uniform subset measure, so at high temperature the prefix
         # estimator's target is the Banzhaf average, not the Shapley value
         cfg = EstimatorConfig(sample_count=200_000, seed=31, gamma=1e9, mode="gibbs")
-        batch = shapley_sample_batch(worked_game, 1, cfg)
-        se = weighted_standard_error(batch)
-        assert abs(batch.estimate() - exact_banzhaf(worked_game, 1)) <= 3 * se
+        values = estimate_all(worked_game, cfg)
+        estimate, se = _checked_slot(values, worked_game, cfg, _SHAPLEY, (1,))
+        assert abs(estimate - exact_banzhaf(worked_game, 1)) <= 3 * se
 
 
 class TestDeterminism:
@@ -368,21 +392,31 @@ class TestDeterminism:
         cfg = EstimatorConfig(sample_count=64, seed=7, gamma=0.5, mode="gibbs")
         values = estimate_all(worked_game, cfg)
         for i in range(3):
-            assert values.shapley_hat[i] == estimate_shapley(worked_game, i, cfg)
-            assert values.banzhaf_hat[i] == estimate_banzhaf(worked_game, i, cfg)
-        assert values.interactions_hat[0, 2] == estimate_interaction(worked_game, 0, 2, cfg)
+            shapley_ess = reference_slot(worked_game, cfg, _SHAPLEY, (i,))[1]
+            banzhaf_ess = reference_slot(worked_game, cfg, _BANZHAF, (i,))[1]
+            _checked_slot(values, worked_game, cfg, _SHAPLEY, (i,))
+            _checked_slot(values, worked_game, cfg, _BANZHAF, (i,))
+            assert values.effective_sample_size[i] == min(shapley_ess, banzhaf_ess)
+        _checked_slot(values, worked_game, cfg, _INTERACTION, (0, 2))
 
     def test_interaction_orientation_is_identical(self, worked_game):
         cfg = EstimatorConfig(sample_count=100, seed=5, gamma=1.0, mode="gibbs")
-        assert estimate_interaction(worked_game, 2, 0, cfg) == estimate_interaction(
-            worked_game, 0, 2, cfg
-        )
+        values = estimate_all(worked_game, cfg)
+        assert values.interactions_hat[2, 0] == values.interactions_hat[0, 2]
+        _checked_slot(values, worked_game, cfg, _INTERACTION, (0, 2))
 
-    def test_tokens_use_independent_streams(self, worked_game):
+    def test_tokens_use_independent_streams(self):
+        # tokens 0 and 1 are interchangeable, so with one shared stream the
+        # prefix sampler would give them mirrored coalitions and equal
+        # Shapley estimates
+        table = np.asarray(WORKED_TABLE)
+        masks = np.arange(8)
+        swapped = (masks & 0b100) | ((masks & 1) << 1) | ((masks >> 1) & 1)
+        game = TabularGame(0.5 * (table + table[swapped]))
         cfg = EstimatorConfig(sample_count=50, seed=11, gamma=1.0, mode="classic")
-        a = shapley_sample_batch(worked_game, 0, cfg)
-        b = shapley_sample_batch(worked_game, 1, cfg)
-        assert not np.array_equal(a.marginals, b.marginals)
+        values = estimate_all(game, cfg)
+        assert values.shapley_hat[0] != values.shapley_hat[1]
+        assert exact_shapley(game, 0) == pytest.approx(exact_shapley(game, 1), abs=1e-15)
 
 
 class TestDiagnostics:
@@ -396,9 +430,14 @@ class TestDiagnostics:
 
     def test_standard_error_reduces_to_classic_formula(self, worked_game):
         cfg = EstimatorConfig(sample_count=400, seed=6, gamma=1.0, mode="classic")
-        batch = banzhaf_sample_batch(worked_game, 1, cfg)
-        expected = float(np.std(batch.marginals) / np.sqrt(batch.sample_count))
-        assert weighted_standard_error(batch) == pytest.approx(expected, rel=1e-12)
+        values = estimate_all(worked_game, cfg)
+        estimate, se = _checked_slot(values, worked_game, cfg, _BANZHAF, (1,))
+        # token 1's Banzhaf stream: coalitions of tokens 0 and 2
+        contexts, _ = sample_bernoulli_coalitions(token_stream(6, _BANZHAF, 1), 3, {1}, 400)
+        contexts = contexts.astype(np.int64)
+        marginals = worked_game.table[contexts | 0b010] - worked_game.table[contexts]
+        assert estimate == pytest.approx(float(np.mean(marginals)), rel=1e-12)
+        assert se == pytest.approx(float(np.std(marginals) / np.sqrt(400)), rel=1e-12)
 
     def test_structural_shape(self, worked_game):
         cfg = EstimatorConfig(sample_count=10, seed=1, gamma=1.0, mode="gibbs")
@@ -414,10 +453,11 @@ class TestConsistencyAgainstExactOracles:
         rng = np.random.default_rng(301)
         game = random_table_game(rng, 6)
         cfg = EstimatorConfig(sample_count=30_000, seed=56, gamma=1.0, mode="classic")
+        values = estimate_all(game, cfg)
         for i in range(6):
-            batch = shapley_sample_batch(game, i, cfg)
-            assert abs(batch.estimate() - exact_shapley(game, i)) <= 3 * weighted_standard_error(batch)
-            batch = banzhaf_sample_batch(game, i, cfg)
-            assert abs(batch.estimate() - exact_banzhaf(game, i)) <= 3 * weighted_standard_error(batch)
-        batch = interaction_sample_batch(game, 1, 4, cfg)
-        assert abs(batch.estimate() - exact_interaction(game, 1, 4)) <= 3 * weighted_standard_error(batch)
+            estimate, se = _checked_slot(values, game, cfg, _SHAPLEY, (i,))
+            assert abs(estimate - exact_shapley(game, i)) <= 3 * se
+            estimate, se = _checked_slot(values, game, cfg, _BANZHAF, (i,))
+            assert abs(estimate - exact_banzhaf(game, i)) <= 3 * se
+        estimate, se = _checked_slot(values, game, cfg, _INTERACTION, (1, 4))
+        assert abs(estimate - exact_interaction(game, 1, 4)) <= 3 * se

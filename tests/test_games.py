@@ -12,36 +12,41 @@ from coalattn.games import (
     tabulate,
 )
 
-from coalattn.estimators import normalize_weights
+from coalattn.estimators import gibbs_weights
 
 from conftest import WORKED_TABLE, additive_table_game, random_table_game
 
 
+def _value(game, mask: int) -> float:
+    """Value of one coalition, through a one-mask ``values_by_mask`` call."""
+    return float(game.values_by_mask(np.array([mask], dtype=np.uint64))[0])
+
+
 class TestCharacteristicValue:
     def test_worked_pair(self, worked_game):
-        assert worked_game.value_by_mask(0b011) == 1.2
+        assert _value(worked_game, 0b011) == 1.2
 
     def test_empty_is_zero(self, worked_game):
-        assert worked_game.value_by_mask(0) == 0.0
+        assert _value(worked_game, 0) == 0.0
 
     def test_embedding_single_token_is_norm(self):
         game = EmbeddingGame([[3.0, 4.0]], np.eye(2), nonlinearity="identity")
-        assert game.value_by_mask(0b1) == pytest.approx(5.0, abs=1e-12)
+        assert _value(game, 0b1) == pytest.approx(5.0, abs=1e-12)
 
     def test_empty_is_zero_for_random_games(self):
         rng = np.random.default_rng(5)
         for k in range(20):
             game = random_table_game(rng, int(rng.integers(1, 7)))
-            assert game.value_by_mask(0) == 0.0
+            assert _value(game, 0) == 0.0
         emb = EmbeddingGame(rng.normal(size=(4, 3)), rng.normal(size=(3, 3)))
-        assert emb.value_by_mask(0) == 0.0
+        assert _value(emb, 0) == 0.0
 
 
 def _gibbs_weights(game, masks, target):
-    """Weights of *masks* under ``exp(v(C)/gamma)``, as ``normalize_weights``
+    """Raw weights of *masks* under ``exp(v(C)/gamma)``, as ``gibbs_weights``
     forms them from uniform proposals (common scale: largest weight 1)."""
-    values = [game.value_by_mask(m) for m in masks]
-    return normalize_weights(values, np.ones(len(masks)), target.gamma).raw_weights
+    values = game.values_by_mask(np.array(masks, dtype=np.uint64))
+    return gibbs_weights(values, np.ones(len(masks)), target.gamma)[0]
 
 
 class TestGibbsWeight:
@@ -57,14 +62,14 @@ class TestGibbsWeight:
         assert _gibbs_weights(worked_game, [0], GibbsTarget(0.37))[0] == 1.0
 
     def test_monotone_in_value(self, worked_game):
-        masks = sorted(range(8), key=worked_game.value_by_mask)
+        masks = sorted(range(8), key=lambda m: worked_game.table[m])
         weights = _gibbs_weights(worked_game, masks, GibbsTarget(0.8))
         assert all(a <= b for a, b in zip(weights, weights[1:]))
 
     def test_log_weight_matches(self, worked_game):
         target = GibbsTarget(0.5)
         w = _gibbs_weights(worked_game, [0, 0b011], target)
-        assert math.log(w[1] / w[0]) == pytest.approx(worked_game.value_by_mask(0b011) / target.gamma)
+        assert math.log(w[1] / w[0]) == pytest.approx(worked_game.table[0b011] / target.gamma)
 
     def test_saturates_instead_of_overflowing(self):
         # exp(400 / 0.25) is beyond float64; the weights are formed in log space
@@ -90,11 +95,6 @@ class TestTabularGameValidation:
         with pytest.raises(ValueError, match="finite"):
             TabularGame([0.0, np.nan])
 
-    def test_bound_enforced(self):
-        with pytest.raises(ValueError, match="bound"):
-            TabularGame([0.0, 5.0], bound=2.0)
-        TabularGame([0.0, 5.0], bound=5.0)
-
     def test_token_cap(self):
         with pytest.raises(ValueError, match="at most 20"):
             TabularGame(np.zeros(1 << 21))
@@ -116,7 +116,7 @@ class TestEmbeddingGame:
         game = EmbeddingGame(x, w, nonlinearity="identity")
         for i in range(4):
             expected = float(np.linalg.norm(x[i] @ w))
-            got = game.value_by_mask(1 << i)
+            got = _value(game, 1 << i)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_relu_equals_identity_on_norms(self):
@@ -140,7 +140,7 @@ def test_tabulate_matches_scalar_path():
     game = EmbeddingGame(rng.normal(size=(5, 4)), rng.normal(size=(4, 4)))
     table = tabulate(game)
     for mask in range(32):
-        assert table[mask] == game.value_by_mask(mask)
+        assert table[mask] == _value(game, mask)
 
 
 def test_tabulate_is_identity_for_tables(worked_game):
@@ -155,7 +155,7 @@ def test_monotonicity_check_counts_decreases():
 
 def test_counting_game_counts_evaluations(worked_game):
     counting = CountingGame(worked_game)
-    counting.value_by_mask(3)
+    counting.values_by_mask(np.array([3], dtype=np.uint64))
     counting.values_by_mask(np.arange(8, dtype=np.uint64))
     assert counting.evaluations == 9
     assert counting.n == 3

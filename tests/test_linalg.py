@@ -12,7 +12,7 @@ def _l2_norm(*rows):
     ``EmbeddingGame`` with identity projection and nonlinearity."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     game = EmbeddingGame(rows, np.eye(rows.shape[1]), nonlinearity="identity")
-    return game.value_by_mask((1 << len(rows)) - 1)
+    return float(game.values_by_mask(np.array([(1 << len(rows)) - 1], dtype=np.uint64))[0])
 
 
 class TestL2Norm:

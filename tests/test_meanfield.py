@@ -189,17 +189,6 @@ class TestSolveFixedPoint:
             result.alphas, (1.0 + result.expected_spins) / 2.0, atol=1e-15
         )
 
-    def test_initial_spins_validated(self):
-        with pytest.raises(ValueError):
-            solve_fixed_point(np.zeros(2), np.zeros((2, 2)), _undamped(), initial_spins=[2.0, 0.0])
-
-    def test_custom_initialization_used(self):
-        fields = np.array([0.4])
-        cfg = MeanFieldConfig(gamma=1.0, max_iterations=1, tolerance=1e-15, damping=0.0)
-        result = solve_fixed_point(fields, np.zeros((1, 1)), cfg, initial_spins=[math.tanh(0.4)])
-        # already at the fixed point: zero iterations needed
-        assert result.iterations_used == 0 and result.converged
-
     def test_trace_records_residual_per_step(self):
         result = solve_fixed_point(WORKED_FIELDS, WORKED_COUPLINGS, _undamped(tol=1e-6))
         assert len(result.trace) == result.iterations_used + 1

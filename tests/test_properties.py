@@ -1,9 +1,12 @@
-"""Property-based checks of the evaluation, sampling and estimation hot paths
-and of the exact oracles' game-theory axioms.
+"""Property-based checks of the evaluation, sampling and estimation hot paths,
+of the exact oracles' game-theory axioms and of the mean-field solver's
+residual contract.
 
 Example counts are kept small so the suite stays fast; each hot-path property
 is also covered at the byte boundaries of the 64-bit coalition masks.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -13,25 +16,22 @@ from hypothesis import strategies as st
 from coalattn.estimators import (
     MODES,
     EstimatorConfig,
-    banzhaf_sample_batch,
     estimate_all,
-    estimate_banzhaf,
-    estimate_interaction,
-    estimate_shapley,
     sample_bernoulli_coalitions,
-    sample_permutation_prefixes,
-    shapley_sample_batch,
     token_stream,
 )
 from coalattn.games import NONLINEARITIES, EmbeddingGame, GibbsTarget, TabularGame
+from coalattn.inputs import RunConfig, parse_document
+from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
 from coalattn.oracles import (
     exact_game_values,
     exact_gibbs_tilted_values,
     exact_interaction,
     exact_tilted_interaction,
 )
+from coalattn.reports import dump_json, run_attend
 
-from conftest import random_table_game
+from conftest import random_table_game, reference_slot
 
 # token counts on either side of the byte boundaries of a mask
 BOUNDARY_TOKEN_COUNTS = (1, 8, 9, 63, 64)
@@ -92,7 +92,6 @@ def test_values_match_membership_matmul(game_and_masks, layout):
 def test_empty_coalition_is_exactly_zero(n, nonlinearity):
     game = _game(n, n, 3, 4, nonlinearity)
     assert game.values_by_mask(np.zeros(3, dtype=np.uint64)).tolist() == [0.0, 0.0, 0.0]
-    assert game.value_by_mask(0) == 0.0
 
 
 @st.composite
@@ -130,36 +129,6 @@ def _estimation_cases(draw):
     return game, k, draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from((0.05, 0.25, 4.0)))
 
 
-def _reference_slot(game, cfg: EstimatorConfig, kind: int, slot: tuple) -> tuple[float, float]:
-    """(estimate, ESS) of one slot the way the per-slot code computed it:
-    a freshly seeded stream, one evaluation and one weighting per slot."""
-    k = cfg.sample_count
-    seeds = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind, *slot))
-    rng = np.random.Generator(np.random.Philox(seeds))
-    if kind == 1:
-        contexts, probs = sample_permutation_prefixes(rng, game.n, slot[0], k)
-    else:
-        contexts, probs = sample_bernoulli_coalitions(rng, game.n, set(slot), k)
-    bits = [np.uint64(1 << t) for t in slot]
-    added = [contexts, contexts | bits[0]]
-    if len(slot) == 2:
-        added += [contexts | bits[1], contexts | bits[0] | bits[1]]
-    values = game.values_by_mask(np.concatenate(added))
-    base = values[:k]
-    if len(slot) == 1:
-        marginals = values[k:] - base
-    else:
-        marginals = values[3 * k :] - values[k : 2 * k] - values[2 * k : 3 * k] + base
-    if cfg.mode == "gibbs":
-        log_raw = base / cfg.gamma - np.log(probs)
-        raw = np.exp(log_raw - np.max(log_raw))
-        normalized = raw / raw.sum()
-    else:
-        raw, normalized = np.ones(k), np.full(k, 1.0 / k)
-    ess = min(max(float(np.sum(raw)) ** 2 / float(np.sum(raw * raw)), 1.0), float(k))
-    return float(np.dot(normalized, marginals)), ess
-
-
 @settings(max_examples=10, deadline=None)
 @given(_estimation_cases())
 def test_estimate_all_equals_the_per_slot_estimates(case):
@@ -169,23 +138,15 @@ def test_estimate_all_equals_the_per_slot_estimates(case):
         cfg = EstimatorConfig(sample_count=k, seed=seed, gamma=gamma, mode=mode)
         values = estimate_all(game, cfg)
         for i in range(n):
-            ess = min(
-                shapley_sample_batch(game, i, cfg).effective_sample_size,
-                banzhaf_sample_batch(game, i, cfg).effective_sample_size,
-            )
-            assert values.shapley_hat[i] == estimate_shapley(game, i, cfg)
-            assert values.banzhaf_hat[i] == estimate_banzhaf(game, i, cfg)
-            assert values.effective_sample_size[i] == ess
-            (shapley, shapley_ess), (banzhaf, banzhaf_ess) = (
-                _reference_slot(game, cfg, kind, (i,)) for kind in (1, 2)
+            (shapley, shapley_ess, _), (banzhaf, banzhaf_ess, _) = (
+                reference_slot(game, cfg, kind, (i,)) for kind in (1, 2)
             )
             assert (values.shapley_hat[i], values.banzhaf_hat[i]) == (shapley, banzhaf)
-            assert ess == min(shapley_ess, banzhaf_ess)
+            assert values.effective_sample_size[i] == min(shapley_ess, banzhaf_ess)
         for i in range(n):
             for j in range(i + 1, n):
                 assert values.interactions_hat[i, j] == values.interactions_hat[j, i]
-                assert values.interactions_hat[i, j] == estimate_interaction(game, j, i, cfg)
-                assert values.interactions_hat[i, j] == _reference_slot(game, cfg, 3, (i, j))[0]
+                assert values.interactions_hat[i, j] == reference_slot(game, cfg, 3, (i, j))[0]
 
 
 # exact-oracle axioms on random tabular games of up to 8 tokens
@@ -203,7 +164,7 @@ def _table_games(draw, min_n=1):
 @given(_table_games())
 def test_shapley_efficiency(game):
     values = exact_game_values(game)
-    grand = game.value_by_mask((1 << game.n) - 1)
+    grand = game.table[-1]
     assert abs(float(np.sum(values.shapley)) - grand) <= _AXIOM_TOL
 
 
@@ -251,3 +212,62 @@ def test_interactions_ignore_pair_orientation(game, data):
     for values in (exact_game_values(game), exact_gibbs_tilted_values(game, target)):
         np.testing.assert_array_equal(values.interactions, values.interactions.T)
         assert np.all(np.diag(values.interactions) == 0.0)
+
+
+# mean-field solver contract on random symmetric, zero-diagonal systems
+_SOLVER_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def _spin_systems(draw):
+    """(fields, couplings, gamma, damping, tolerance, max_iterations)."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((0.0, 0.1, 0.5, 2.0)))
+    fields = rng.uniform(-1.0, 1.0, size=n)
+    raw = rng.uniform(-scale, scale, size=(n, n))
+    couplings = (raw + raw.T) / 2.0
+    np.fill_diagonal(couplings, 0.0)
+    return (
+        fields,
+        couplings,
+        draw(st.sampled_from((0.25, 1.0, 4.0))),
+        draw(st.floats(0.0, 1.0, exclude_max=True)),
+        draw(st.sampled_from((1e-4, 1e-8, 1e-10))),
+        draw(st.integers(1, 300)),
+    )
+
+
+@_SOLVER_SETTINGS
+@given(_spin_systems())
+def test_converged_exactly_when_the_residual_is_below_tolerance(system):
+    fields, couplings, gamma, damping, tolerance, iterations = system
+    cfg = MeanFieldConfig(gamma=gamma, max_iterations=iterations, tolerance=tolerance, damping=damping)
+    result = solve_fixed_point(fields, couplings, cfg)
+    assert result.converged == (result.final_residual < tolerance)
+    assert result.final_residual == result.trace[-1][1]
+    assert result.converged or result.iterations_used == iterations
+
+
+@_SOLVER_SETTINGS
+@given(_spin_systems())
+def test_converged_results_meet_the_undamped_residual_bound(system):
+    # damping only slows the approach; a converged iterate at any damping is
+    # a fixed point of the undamped update s = tanh((J + C s) / gamma)
+    fields, couplings, gamma, damping, tolerance, iterations = system
+    cfg = MeanFieldConfig(gamma=gamma, max_iterations=iterations, tolerance=tolerance, damping=damping)
+    result = solve_fixed_point(fields, couplings, cfg)
+    if result.converged:
+        s = result.expected_spins
+        assert float(np.max(np.abs(s - np.tanh((fields + couplings @ s) / gamma)))) < tolerance
+
+
+@_SOLVER_SETTINGS
+@given(_spin_systems())
+def test_solver_input_round_trips_to_the_same_solver_block(system):
+    fields, couplings, gamma, damping, tolerance, iterations = system
+    cfg = RunConfig(spin_gamma=gamma, max_iterations=iterations, tolerance=tolerance, damping=damping)
+    document = {"schema_version": 1, "n": fields.size, "fields": fields.tolist(), "couplings": couplings.tolist()}
+    solver = json.loads(dump_json(run_attend(parse_document(document), cfg)))["solver"]
+    rerun = json.loads(dump_json(run_attend(parse_document(solver["solver_input"]), cfg)))["solver"]
+    assert rerun == solver
