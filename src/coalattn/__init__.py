@@ -15,6 +15,7 @@ from .estimators import (
 from .games import (
     CountingGame,
     EmbeddingGame,
+    Extensions,
     GibbsTarget,
     TabularGame,
 )
@@ -54,6 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CountingGame",
     "EmbeddingGame",
+    "Extensions",
     "GibbsTarget",
     "TabularGame",
     "logistic",

@@ -27,9 +27,11 @@ of a family are derived in one vectorized replay of ``SeedSequence``'s hash,
 and a single generator is re-keyed for each slot (counter 0, empty buffer),
 which gives the same words as a freshly built generator without building a
 ``SeedSequence`` and a ``Philox`` per slot.  Slots are then sampled one by
-one from their own streams, and a block of them is evaluated by one
-``values_by_mask`` call of at most ``_BLOCK_MASKS`` masks and weighted row by
-row, so a slot's numbers do not depend on the block it lands in.
+one from their own streams, and a block of at most ``_BLOCK_CONTEXTS``
+sampled contexts is evaluated by one ``values_by_mask`` call on the
+``Extensions`` of those contexts by each slot's added token sets, and
+weighted row by row, so a slot's numbers do not depend on the block it lands
+in.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .games import Extensions
 
 __all__ = [
     "EstimatorConfig",
@@ -57,15 +61,16 @@ _SHAPLEY_STREAM = 1
 _BANZHAF_STREAM = 2
 _INTERACTION_STREAM = 3
 
-# Most masks one values_by_mask call of estimate_all evaluates; a block holds
-# as many slots as fit, and one slot once a slot alone fills it (pairs at
-# K >= 256, tokens at K >= 512).  Blocks spread the per-call cost over many
-# slots at small K, and the cap bounds their working arrays, which grow with
-# the mask count (one d_v-wide row of partial sums per mask for an
-# EmbeddingGame).  Estimating two n=32, d_v=32 games at K=256 peaked 0.1 MB
-# above one call per slot with this cap, 1.7 MB above with 4096 masks, and
-# 270 MB above with a whole family per call.
-_BLOCK_MASKS = 1024
+# Most sampled contexts one values_by_mask call of estimate_all evaluates; a
+# block holds as many whole slots as fit, at least one (one slot per call for
+# K > 512).  Each context is evaluated with all 2 (token) or 4 (pair) of
+# its slot's added sets, but its coalition sum is gathered once, so the
+# working arrays grow with the context count: one d_v-wide row of partial
+# sums per context for an EmbeddingGame.  Blocks spread the per-call cost
+# over many slots (4 pairs per call at K = 256).  On an n=32, d_v=32 game at
+# K = 256, caps of 1024 and 2048 contexts were fastest of 512-4096 (75-85 ms
+# per estimate_all against 110 ms at 512), and 1024 keeps the arrays smaller.
+_BLOCK_CONTEXTS = 1024
 
 # SeedSequence's hash constants, as in numpy's random/bit_generator.pyx
 _POOL_SIZE = 4
@@ -315,7 +320,10 @@ def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
     """Sample, evaluate and weight the slots of one family, block by block.
 
     Each slot is a tuple of token indices: ``(i,)`` for the Shapley and
-    Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  Yields
+    Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  A block
+    holds as many slots as ``_BLOCK_CONTEXTS`` sampled contexts allow, at
+    least one, and is evaluated by one ``values_by_mask`` call on the
+    ``Extensions`` of its contexts by its slots' added sets.  Yields
     ``(raw_weights, normalized_weights, marginals)`` for consecutive blocks
     of slots, each of shape ``(slots in block, K)``.
     """
@@ -325,7 +333,7 @@ def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
     added = np.zeros((len(slots), 1), dtype=np.uint64)
     for column in np.array(slots, dtype=np.uint64).T:
         added = np.concatenate([added, added | np.left_shift(np.uint64(1), column)[:, None]], axis=1)
-    per_block = max(1, _BLOCK_MASKS // (added.shape[1] * k))
+    per_block = max(1, _BLOCK_CONTEXTS // k)
     streams = _slot_streams(cfg.seed, kind, slots)
     for start in range(0, len(slots), per_block):
         block = slots[start : start + per_block]
@@ -336,8 +344,7 @@ def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
                 contexts[row], probs[row] = sample_permutation_prefixes(rng, n, slot[0], k)
             else:
                 contexts[row], probs[row] = sample_bernoulli_coalitions(rng, n, slot, k)
-        masks = added[start : start + per_block, :, None] | contexts[:, None, :]
-        values = game.values_by_mask(masks.reshape(-1)).reshape(masks.shape)
+        values = game.values_by_mask(Extensions(contexts, added[start : start + per_block]))
         base = values[:, 0]
         if values.shape[1] == 2:
             marginals = values[:, 1] - base
@@ -373,11 +380,12 @@ def estimate_all(game, cfg: EstimatorConfig) -> EstimatedGameValues:
     ``4K`` per pair: ``2*K*n*(n+1)`` in total for the full set, all through
     ``values_by_mask``.  Each family runs in blocks of slots: the keys of
     all its slots are derived at once, one generator is re-keyed for each
-    slot, and each block is one ``values_by_mask`` call of at most
-    ``_BLOCK_MASKS`` masks (one slot when a slot alone needs more) whose
-    weights are formed row-wise.  Every number equals, bit for bit, what one
-    slot sampled from a freshly built ``Philox`` stream, evaluated and
-    weighted on its own would give.
+    slot, and each block is one ``values_by_mask`` call on the
+    ``Extensions`` of at most ``_BLOCK_CONTEXTS`` sampled contexts (one slot
+    when a slot alone has more) whose weights are formed row-wise.  Every
+    number equals, bit for bit, what one slot sampled from a freshly built
+    ``Philox`` stream, evaluated as the ``Extensions`` of its own contexts
+    and weighted on its own would give.
     """
     n = game.n
     tokens = [(i,) for i in range(n)]

@@ -16,16 +16,29 @@ provided:
     is one table gather and add per mask byte plus a row norm.
 
 Both expose the same evaluation interface, so oracles and estimators are
-agnostic to the family: ``n`` and ``values_by_mask``, which evaluates a
-batch of masks.  It is the only evaluation path: every estimator and oracle
-evaluates through it (``tabulate`` feeds it every mask in chunks), so a
-``CountingGame`` sees every evaluation.
+agnostic to the family: ``n`` and ``values_by_mask``.  It is the one
+evaluation entry point: every estimator and oracle evaluates through it
+(``tabulate`` feeds it every mask in chunks), so a ``CountingGame`` sees
+every evaluation.  It takes either an array of masks, whose values come back
+in the array's shape, or an ``Extensions``: K context masks, each extended
+by each of m added sets disjoint from it, whose ``m x K`` values come back
+in the shape ``Extensions.shape``.  A plain array is the case of one added
+set, the empty one.
+
+An ``EmbeddingGame`` gathers the sum ``s`` of each context once and the sum
+``a`` of each added set once, and forms every squared norm as ``|s + a|^2 =
+|s|^2 + 2 a.s + |a|^2``, clamped at 0.  With ``a = 0`` that is exactly the
+squared norm of ``s``, so plain masks and every empty added set get the same
+bits as a direct norm.  Otherwise it rounds differently from the direct
+squared norm of ``s + a``: from the same sums the two differ by at most
+``(d_v + 1) eps (|s| + |a|)^2`` (``eps`` the float64 machine epsilon), which
+only matters where ``s`` nearly cancels ``a``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +48,7 @@ __all__ = [
     "MAX_TOKENS",
     "TABULAR_MAX_TOKENS",
     "GibbsTarget",
+    "Extensions",
     "TabularGame",
     "EmbeddingGame",
     "CountingGame",
@@ -59,6 +73,48 @@ class GibbsTarget:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gibbs target: gamma must be positive and finite, got {self.gamma}")
+
+
+@dataclass(frozen=True)
+class Extensions:
+    """The coalitions ``added[..., :, None] | contexts[..., None, :]``.
+
+    ``contexts`` has shape ``(..., K)`` and ``added`` shape ``(..., m)``, both
+    uint64 masks with broadcastable leading axes; every added set must be
+    disjoint from each context of its row, so the coalition is their union.
+    ``shape`` and ``size`` describe the ``(..., m, K)`` coalitions, and
+    ``np.asarray`` builds their masks, so a caller that only takes the size or
+    the masks of its argument sees the coalitions themselves.
+    """
+
+    contexts: np.ndarray
+    added: np.ndarray
+    shape: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        contexts = np.asarray(self.contexts, dtype=np.uint64)
+        added = np.asarray(self.added, dtype=np.uint64)
+        if contexts.ndim < 1 or added.ndim < 1:
+            raise ValueError("extensions: contexts and added sets need a last axis")
+        # an added set misses every context of its row iff it misses their
+        # union; broadcasting the leading axes raises ValueError if they differ
+        overlaps = added & np.bitwise_or.reduce(contexts, axis=-1)[..., None]
+        if overlaps.any():
+            raise ValueError("extensions: an added set overlaps a context of its row")
+        object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "shape", overlaps.shape + contexts.shape[-1:])
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        masks = self.added[..., :, None] | self.contexts[..., None, :]
+        return masks if dtype is None else masks.astype(dtype, copy=False)
+
+
+_NOTHING_ADDED = np.zeros(1, dtype=np.uint64)
 
 
 class TabularGame:
@@ -86,7 +142,7 @@ class TabularGame:
         self._values = arr
         self.n = n
 
-    def values_by_mask(self, masks: np.ndarray) -> np.ndarray:
+    def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
         return self._values[np.asarray(masks).astype(np.int64)]
 
     @property
@@ -138,7 +194,24 @@ class EmbeddingGame:
             return np.tanh(norms)
         return norms
 
-    def values_by_mask(self, masks: np.ndarray) -> np.ndarray:
+    def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
+        if isinstance(masks, Extensions):
+            extensions, shape = masks, masks.shape
+        else:
+            extensions, shape = Extensions(np.reshape(masks, -1), _NOTHING_ADDED), np.shape(masks)
+        s, s_squared = self._sums(extensions.contexts)
+        a, a_squared = self._sums(extensions.added)
+        # |s|^2 + 2 a.s + |a|^2, formed in place in the (..., m, K) cross term
+        squared = a @ np.swapaxes(s, -1, -2)
+        squared *= 2.0
+        squared += s_squared[..., None, :]
+        squared += a_squared[..., :, None]
+        norms = np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
+        return self._apply_nonlinearity(norms).reshape(shape)
+
+    def _sums(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coalition sums of *masks*, shape ``masks.shape + (d_v,)``, and
+        their squared norms, shape ``masks.shape``."""
         tables = self._byte_sums
         # byte b of a little-endian 64-bit mask holds the bits of tokens 8b..8b+7
         mask_bytes = np.ascontiguousarray(masks, dtype="<u8").reshape(-1).view(np.uint8)
@@ -146,8 +219,8 @@ class EmbeddingGame:
         sums = tables[0].take(rows[0], axis=0)
         for b in range(1, tables.shape[0]):
             sums += tables[b].take(rows[b], axis=0)
-        norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
-        return self._apply_nonlinearity(norms)
+        squared = np.einsum("ij,ij->i", sums, sums)
+        return sums.reshape(masks.shape + sums.shape[-1:]), squared.reshape(masks.shape)
 
 
 def _byte_sum_tables(rows: np.ndarray) -> np.ndarray:
@@ -184,8 +257,8 @@ class CountingGame:
     def n(self) -> int:
         return self._game.n
 
-    def values_by_mask(self, masks: np.ndarray) -> np.ndarray:
-        self.evaluations += int(np.asarray(masks).size)
+    def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
+        self.evaluations += int(np.size(masks))
         return self._game.values_by_mask(masks)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coalattn.estimators import sample_bernoulli_coalitions, sample_permutation_prefixes
-from coalattn.games import TabularGame
+from coalattn.games import Extensions, TabularGame
 
 # three-token walkthrough table, indexed by coalition bitmask (bit i = token i)
 WORKED_TABLE = (0.0, 0.2, 0.5, 1.2, 0.4, 0.8, 1.0, 1.8)
@@ -33,7 +33,8 @@ def additive_table_game(weights) -> TabularGame:
 
 def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, float]:
     """(estimate, ESS, standard error) of one slot computed on its own: a
-    freshly seeded ``Philox`` stream, one evaluation and one weighting.
+    freshly seeded ``Philox`` stream, one evaluation of the ``Extensions`` of
+    its contexts by the subsets of its tokens, and one weighting.
 
     *kind* is the stream identifier (1 Shapley prefixes, 2 Banzhaf
     coalitions, 3 pair interactions) and *slot* the token indices, ``(i,)``
@@ -48,16 +49,16 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
         contexts, probs = sample_permutation_prefixes(rng, game.n, slot[0], k)
     else:
         contexts, probs = sample_bernoulli_coalitions(rng, game.n, set(slot), k)
-    bits = [np.uint64(1 << t) for t in slot]
-    added = [contexts, contexts | bits[0]]
+    bits = [1 << t for t in slot]
+    added = [0, bits[0]]
     if len(slot) == 2:
-        added += [contexts | bits[1], contexts | bits[0] | bits[1]]
-    values = game.values_by_mask(np.concatenate(added))
-    base = values[:k]
+        added += [bits[1], bits[0] | bits[1]]
+    values = game.values_by_mask(Extensions(contexts[None], np.array(added, dtype=np.uint64)[None]))[0]
+    base = values[0]
     if len(slot) == 1:
-        marginals = values[k:] - base
+        marginals = values[1] - base
     else:
-        marginals = values[3 * k :] - values[k : 2 * k] - values[2 * k : 3 * k] + base
+        marginals = values[3] - values[1] - values[2] + base
     if cfg.mode == "gibbs":
         log_raw = base / cfg.gamma - np.log(probs)
         raw = np.exp(log_raw - np.max(log_raw))

@@ -204,7 +204,7 @@ class _RecordingGame:
         self.batches = []
 
     def values_by_mask(self, masks):
-        self.batches.append(np.array(masks))
+        self.batches.append(np.asarray(masks).reshape(-1))
         return self._game.values_by_mask(masks)
 
 
@@ -238,6 +238,35 @@ class TestPinnedStream:
         bits = [0, 1 << 5, 1 << 63, (1 << 5) | (1 << 63)]
         assert len(masks) == 2 * k * 64 * 65
         assert masks[start : start + 4 * k] == [m | b for b in bits for m in self.FIRST_CONTEXTS]
+
+
+class TestTracedEvaluationCount:
+    """The evaluation count an outside tracer sees: it wraps each game class's
+    ``values_by_mask`` and adds up ``np.asarray(masks).size`` per call, so
+    that count must stay ``2*K*n*(n+1)`` per ``estimate_all`` whatever form
+    the masks are handed over in."""
+
+    # K = 25 puts many slots in one evaluation, K = 1100 one slot per call
+    @pytest.mark.parametrize("k", [25, 1100])
+    @pytest.mark.parametrize("kind", ["embedding", "table"])
+    def test_count_is_2kn_n_plus_1(self, monkeypatch, kind, k):
+        sizes = []
+        for cls in (EmbeddingGame, TabularGame):
+            def traced(*args, _evaluate=cls.values_by_mask, **kwargs):
+                sizes.append(np.asarray(args[1]).size)
+                return _evaluate(*args, **kwargs)
+
+            monkeypatch.setattr(cls, "values_by_mask", traced)
+        rng = np.random.default_rng(k)
+        n = 6
+        if kind == "embedding":
+            game = EmbeddingGame(rng.normal(size=(n, 3)), rng.normal(size=(3, 2)))
+        else:
+            game = random_table_game(rng, n)
+        for mode in ("gibbs", "classic"):
+            sizes.clear()
+            estimate_all(game, EstimatorConfig(sample_count=k, seed=3, mode=mode))
+            assert sum(sizes) == 2 * k * n * (n + 1)
 
 
 class TestNormalizeWeights:

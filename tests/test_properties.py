@@ -1,6 +1,6 @@
 """Property-based checks of the evaluation, sampling and estimation hot paths,
-of the exact oracles' game-theory axioms and of the mean-field solver's
-residual contract.
+of the exact oracles' game-theory axioms, of the mean-field solver's
+residual contract and of the byte stability of reports.
 
 Example counts are kept small so the suite stays fast; each hot-path property
 is also covered at the byte boundaries of the 64-bit coalition masks.
@@ -20,7 +20,14 @@ from coalattn.estimators import (
     sample_bernoulli_coalitions,
     token_stream,
 )
-from coalattn.games import NONLINEARITIES, EmbeddingGame, GibbsTarget, TabularGame
+from coalattn.games import (
+    NONLINEARITIES,
+    CountingGame,
+    EmbeddingGame,
+    Extensions,
+    GibbsTarget,
+    TabularGame,
+)
 from coalattn.inputs import RunConfig, parse_document
 from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
 from coalattn.oracles import (
@@ -29,6 +36,7 @@ from coalattn.oracles import (
     exact_interaction,
     exact_tilted_interaction,
 )
+from coalattn.pipeline import NORMALIZATIONS
 from coalattn.reports import dump_json, run_attend
 
 from conftest import random_table_game, reference_slot
@@ -94,6 +102,87 @@ def test_empty_coalition_is_exactly_zero(n, nonlinearity):
     assert game.values_by_mask(np.zeros(3, dtype=np.uint64)).tolist() == [0.0, 0.0, 0.0]
 
 
+def _disjoint_extensions(rng: np.random.Generator, n: int, rows: int, m: int, k: int) -> Extensions:
+    """Random contexts and added sets over *n* tokens: each row splits the
+    tokens at random, draws its added sets from one part (the first one
+    empty) and its contexts from the other."""
+    full = np.uint64((1 << n) - 1)
+    split = rng.integers(0, 2**64, size=(rows, 1), dtype=np.uint64) & full
+    added = rng.integers(0, 2**64, size=(rows, m), dtype=np.uint64) & split
+    added[:, 0] = 0
+    contexts = rng.integers(0, 2**64, size=(rows, k), dtype=np.uint64) & (full & ~split)
+    return Extensions(contexts, added)
+
+
+@st.composite
+def _extension_cases(draw):
+    n = draw(st.sampled_from(BOUNDARY_TOKEN_COUNTS))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # entries with 40 significant bits: every sum of up to 64 of them is
+    # exact, so only the squared-norm arithmetic rounds
+    x = rng.integers(-(2**40), 2**40, size=(n, d)) * 2.0**-40
+    game = EmbeddingGame(x, np.eye(d), "identity")
+    extensions = _disjoint_extensions(
+        rng, n, draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    )
+    return game, extensions
+
+
+@_SETTINGS
+@given(_extension_cases())
+def test_extension_values_match_the_plain_masks(case):
+    # |s + a|^2 formed as |s|^2 + 2 a.s + |a|^2 and the direct |s + a|^2
+    # each round by at most (d + 2) eps/2 (|s| + |a|)^2, and the square root
+    # and re-squaring add 3 eps/2 per side: 8 eps in all for d <= 4
+    game, extensions = case
+    got = game.values_by_mask(extensions)
+    ref = game.values_by_mask(np.asarray(extensions))
+    assert got.shape == ref.shape == extensions.shape
+    s = game.values_by_mask(extensions.contexts)[..., None, :]
+    a = game.values_by_mask(extensions.added)[..., :, None]
+    assert np.all(np.abs(got**2 - ref**2) <= 8 * np.finfo(float).eps * (s + a) ** 2)
+    # the empty added set is the plain context: the same bits
+    np.testing.assert_array_equal(got[:, 0], ref[:, 0])
+
+
+@pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
+@pytest.mark.parametrize("n", BOUNDARY_TOKEN_COUNTS)
+def test_empty_context_with_empty_added_set_is_exactly_zero(n, nonlinearity):
+    game = _game(n, n, 3, 4, nonlinearity)
+    values = game.values_by_mask(Extensions(np.zeros((2, 3), np.uint64), np.zeros((2, 2), np.uint64)))
+    assert values.shape == (2, 2, 3)
+    assert values.tolist() == [[[0.0] * 3] * 2] * 2
+
+
+@pytest.mark.parametrize("n", BOUNDARY_TOKEN_COUNTS)
+def test_added_set_overlapping_a_context_is_rejected(n):
+    top = np.uint64(1 << (n - 1))
+    contexts = np.array([[0, 0], [0, top]], dtype=np.uint64)
+    with pytest.raises(ValueError, match="overlaps"):
+        Extensions(contexts, np.array([[top], [top]], dtype=np.uint64))
+    Extensions(contexts, np.array([[top], [0]], dtype=np.uint64))  # disjoint per row
+
+
+@_SETTINGS
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_table_extension_values_are_table_lookups(n, seed):
+    rng = np.random.default_rng(seed)
+    game = random_table_game(rng, n)
+    extensions = _disjoint_extensions(rng, n, 3, 4, 5)
+    got = game.values_by_mask(extensions)
+    assert got.shape == (3, 4, 5)
+    masks = extensions.added[..., :, None] | extensions.contexts[..., None, :]
+    np.testing.assert_array_equal(got, game.table[masks.astype(np.int64)])
+
+
+def test_counting_game_counts_every_extension():
+    counting = CountingGame(_game(0, 9, 3, 2, "relu"))
+    counting.values_by_mask(_disjoint_extensions(np.random.default_rng(0), 9, 3, 4, 7))
+    counting.values_by_mask(Extensions(np.zeros(5, np.uint64), np.zeros(2, np.uint64)))
+    assert counting.evaluations == 3 * 4 * 7 + 2 * 5
+
+
 @st.composite
 def _bernoulli_cases(draw):
     n = draw(st.sampled_from((1, 63, 64)))
@@ -122,9 +211,9 @@ def _estimation_cases(draw):
         game = EmbeddingGame(rng.normal(size=(n, 4)), rng.normal(size=(4, 3)), nonlinearity)
     else:
         game = random_table_game(rng, n)
-    # at most 1024 masks go to one evaluation: K = 5, 25 and 100 leave a
-    # partly filled last block, and at K = 300 a pair alone (1200 masks),
-    # at K = 1025 every slot alone, is over the cap
+    # at most 1024 contexts go to one evaluation: K = 5, 25, 100 and 300
+    # leave a partly filled last block, and at K = 1025 every slot alone is
+    # over the cap
     k = draw(st.sampled_from((1, 5, 25) if n == 64 else (1, 5, 25, 100, 300, 1025)))
     return game, k, draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from((0.05, 0.25, 4.0)))
 
@@ -271,3 +360,35 @@ def test_solver_input_round_trips_to_the_same_solver_block(system):
     solver = json.loads(dump_json(run_attend(parse_document(document), cfg)))["solver"]
     rerun = json.loads(dump_json(run_attend(parse_document(solver["solver_input"]), cfg)))["solver"]
     assert rerun == solver
+
+
+@st.composite
+def _small_documents(draw):
+    n, d, d_v = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    doc = {
+        "schema_version": 1,
+        "n": n,
+        "embeddings": rng.normal(size=(n, d)).tolist(),
+        "value_projection": rng.normal(size=(d, d_v)).tolist(),
+        "gate_weights": rng.normal(size=d).tolist(),
+        "gate_bias": float(rng.normal()),
+    }
+    cfg = {
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "sample_count": draw(st.integers(1, 40)),
+        "mode": draw(st.sampled_from(MODES)),
+        "normalization": draw(st.sampled_from(NORMALIZATIONS)),
+    }
+    return doc, cfg
+
+
+@settings(max_examples=20, deadline=None)
+@given(_small_documents())
+def test_attend_reports_are_byte_identical_across_thread_hints(case):
+    doc, cfg = case
+    reports = [
+        dump_json(run_attend(parse_document(doc), RunConfig(threads=threads, **cfg)))
+        for threads in ("1", "16")
+    ]
+    assert reports[0] == reports[1]
