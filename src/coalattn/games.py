@@ -52,6 +52,7 @@ __all__ = [
     "TabularGame",
     "EmbeddingGame",
     "CountingGame",
+    "project_values",
     "tabulate",
     "monotonicity_violations",
 ]
@@ -166,6 +167,18 @@ class EmbeddingGame:
     (256 KB at n=32, d_v=32); a coalition's sum is then the sum of one table
     row per mask byte.  Mask bits at or above ``n`` select zero rows and so
     do not change the value.
+
+    The gathered rows go into buffers the game allocates on first use and
+    enlarges only when a call needs more rows, one pair for the contexts and
+    one for the added sets.  A block's gathers are a few hundred KB, above
+    glibc's initial mmap threshold, so fresh temporaries of that size are
+    mapped, or trimmed from the heap, and faulted in again on every call
+    unless something else the process allocated earlier has raised glibc's
+    thresholds (about 27,000 minor page faults per ``attend-wide`` operation
+    against a few hundred with the buffers).  The buffers make
+    ``values_by_mask`` reuse the same memory on every call, so one game must
+    not serve concurrent calls; its results are fresh arrays and stay valid
+    after later calls.
     """
 
     def __init__(self, embeddings, value_projection, nonlinearity: str = "relu"):
@@ -180,10 +193,12 @@ class EmbeddingGame:
             )
         if nonlinearity not in NONLINEARITIES:
             raise ValueError(f"embedding game: unknown nonlinearity {nonlinearity!r}")
-        projected = x @ w
+        projected = project_values(x, w)
         projected.flags.writeable = False
         self.projected = projected   # n x d_v, row i is the value vector of token i
         self._byte_sums = _byte_sum_tables(projected)
+        # (sums, gathered rows) for the contexts and for the added sets
+        self._buffers: list[tuple[np.ndarray, np.ndarray] | None] = [None, None]
         self.nonlinearity = nonlinearity
         self.n = n
 
@@ -199,8 +214,8 @@ class EmbeddingGame:
             extensions, shape = masks, masks.shape
         else:
             extensions, shape = Extensions(np.reshape(masks, -1), _NOTHING_ADDED), np.shape(masks)
-        s, s_squared = self._sums(extensions.contexts)
-        a, a_squared = self._sums(extensions.added)
+        s, s_squared = self._sums(extensions.contexts, 0)
+        a, a_squared = self._sums(extensions.added, 1)
         # |s|^2 + 2 a.s + |a|^2, formed in place in the (..., m, K) cross term
         squared = a @ np.swapaxes(s, -1, -2)
         squared *= 2.0
@@ -209,18 +224,53 @@ class EmbeddingGame:
         norms = np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
         return self._apply_nonlinearity(norms).reshape(shape)
 
-    def _sums(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _sums(self, masks: np.ndarray, role: int) -> tuple[np.ndarray, np.ndarray]:
         """Coalition sums of *masks*, shape ``masks.shape + (d_v,)``, and
-        their squared norms, shape ``masks.shape``."""
+        their squared norms, shape ``masks.shape``.
+
+        The sums are a view of the game's buffers for *role* (0 contexts,
+        1 added sets), valid until the next call for that role.
+        """
         tables = self._byte_sums
         # byte b of a little-endian 64-bit mask holds the bits of tokens 8b..8b+7
         mask_bytes = np.ascontiguousarray(masks, dtype="<u8").reshape(-1).view(np.uint8)
         rows = mask_bytes.reshape(-1, 8)[:, : tables.shape[0]].T.astype(np.intp)
-        sums = tables[0].take(rows[0], axis=0)
+        buffers = self._buffers[role]
+        if buffers is None or len(buffers[0]) < rows.shape[1]:
+            buffers = tuple(np.empty(rows.shape[1:] + tables.shape[2:]) for _ in range(2))
+            self._buffers[role] = buffers
+        sums, gathered = (buffer[: rows.shape[1]] for buffer in buffers)
+        # byte values index 256 rows, so "clip" never clips; unlike the
+        # default "raise", it lets take write into `out` without a copy
+        tables[0].take(rows[0], axis=0, out=sums, mode="clip")
         for b in range(1, tables.shape[0]):
-            sums += tables[b].take(rows[b], axis=0)
+            sums += tables[b].take(rows[b], axis=0, out=gathered, mode="clip")
         squared = np.einsum("ij,ij->i", sums, sums)
         return sums.reshape(masks.shape + sums.shape[-1:]), squared.reshape(masks.shape)
+
+
+def project_values(
+    embeddings: np.ndarray, value_projection: np.ndarray, name: str = "embedding game"
+) -> np.ndarray:
+    """The value vectors ``embeddings @ value_projection`` of an embedding
+    game, one row per token.
+
+    Raises ValueError, naming *name*, when a coalition's squared norm could
+    overflow float64.  Every squared norm of a coalition sum, and every
+    intermediate of ``|s|^2 + 2 a.s + |a|^2``, is at most ``4 B^2`` with
+    ``B = sum_i |x_i W|_2``, so a finite ``4 B^2`` keeps every value of the
+    game, and every difference of values the estimators and oracles form,
+    finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = embeddings @ value_projection
+        total = float(np.sum(np.sqrt(np.einsum("ij,ij->i", projected, projected))))
+    if not math.isfinite(4.0 * total * total):
+        raise ValueError(
+            f"{name}: coalition norms overflow float64 with these embeddings "
+            "(4 * (sum of the projected rows' norms)**2 is not finite)"
+        )
+    return projected
 
 
 def _byte_sum_tables(rows: np.ndarray) -> np.ndarray:
@@ -236,8 +286,9 @@ def _byte_sum_tables(rows: np.ndarray) -> np.ndarray:
     padded[:n] = rows
     tables = np.zeros((byte_count, 256, width))
     for k in range(8):
-        # byte values with highest set bit k: the values below 2**k plus row k
-        tables[:, 1 << k : 2 << k] = tables[:, : 1 << k] + padded[k::8, None, :]
+        # byte values with highest set bit k: the values below 2**k plus row k,
+        # added in place so no temporary of the tables' size is allocated
+        np.add(tables[:, : 1 << k], padded[k::8, None, :], out=tables[:, 1 << k : 2 << k])
     tables.flags.writeable = False
     return tables
 

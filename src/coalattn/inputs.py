@@ -24,7 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import MODES, EstimatorConfig
-from .games import MAX_TOKENS, NONLINEARITIES, TABULAR_MAX_TOKENS, TabularGame, monotonicity_violations
+from .games import (
+    MAX_TOKENS,
+    NONLINEARITIES,
+    TABULAR_MAX_TOKENS,
+    TabularGame,
+    monotonicity_violations,
+    project_values,
+)
 from .linalg import as_matrix, as_scalar, as_vector
 from .meanfield import MeanFieldConfig, check_spin_system
 from .pipeline import NORMALIZATIONS, HeadParams, MultiHeadParams
@@ -158,9 +165,10 @@ def _as_int(obj, field: str) -> int:
 _HEAD_KEYS = {"value_projection", "gate_weights", "gate_bias"}
 
 
-def _parse_head(obj, field: str, d: int | None) -> HeadParams:
+def _parse_head(obj, field: str, d: int | None, embeddings: np.ndarray | None) -> HeadParams:
     """Head parameters with the run's defaults; ``HeadParams`` checks the
-    arrays and the bias, this checks the keys and the width ``d``."""
+    arrays and the bias, this checks the keys, the width ``d`` and, given
+    the document's embeddings, that the head's game stays finite."""
     if not isinstance(obj, dict):
         raise _fail(field, "expected an object")
     missing = _HEAD_KEYS - obj.keys()
@@ -175,6 +183,8 @@ def _parse_head(obj, field: str, d: int | None) -> HeadParams:
         raise _fail(field, str(exc)) from None
     if d is not None and head.value_projection.shape[0] != d:
         raise _fail(f"{field}.value_projection", f"expected {d} rows to match embeddings")
+    if embeddings is not None:
+        _checked(project_values, embeddings, head.value_projection, f"{field}.value_projection")
     return head
 
 
@@ -262,7 +272,7 @@ def parse_document(obj) -> InputDocument:
         if not isinstance(raw_heads, list) or not raw_heads:
             raise _fail("multi_head.heads", "expected a non-empty list")
         heads = tuple(
-            _parse_head(h, f"multi_head.heads[{idx}]", d) for idx, h in enumerate(raw_heads)
+            _parse_head(h, f"multi_head.heads[{idx}]", d, embeddings) for idx, h in enumerate(raw_heads)
         )
         output_projection = _checked(as_matrix, block["output_projection"], "multi_head.output_projection")
         try:
@@ -273,7 +283,7 @@ def parse_document(obj) -> InputDocument:
         if single_keys != _HEAD_KEYS:
             missing = _HEAD_KEYS - single_keys
             raise InputError(f"document: incomplete head parameters, missing {sorted(missing)}")
-        heads = (_parse_head({k: obj[k] for k in _HEAD_KEYS}, "head", d),)
+        heads = (_parse_head({k: obj[k] for k in _HEAD_KEYS}, "head", d, embeddings),)
 
     return InputDocument(
         n=n,

@@ -14,9 +14,13 @@ a few seconds of CPython time:
 * ``SPIN_ENUM_LIMIT`` (16): full ``2**n`` spin-configuration sums.
 * ``TILTED_ENUM_LIMIT`` (16): exact limits of the Gibbs-weighted estimators.
 
+Every game oracle reads the game's table as a ``(2,)*n`` cube whose axis
+``n-1-i`` is the bit of token i.  Fixing the axes of a slot's tokens gives a
+view whose C-order flattening is the contexts that exclude those tokens, in
+increasing mask order, so no oracle filters the ``2**n`` masks.
 ``exact_game_values`` and ``exact_gibbs_tilted_values`` check their limits,
 tabulate the game once, and run the per-token and per-pair oracles on that
-table, so a call costs ``2**n`` characteristic evaluations.  Given a
+cube, so a call costs ``2**n`` characteristic evaluations.  Given a
 ``TabularGame`` they evaluate nothing, so a caller that needs both passes
 them the table from ``exact_table``.
 
@@ -27,7 +31,13 @@ estimate one quantity and the pipeline's lambda-blend averages two estimators
 of one value.
 
 Partition sums are always formed in log space so the oracle is never the
-numerically fragile side of a comparison.
+numerically fragile side of a comparison.  ``_logsumexp`` is the formula of
+``scipy.special.logsumexp`` (Blanchard, Higham & Higham, *Accurately
+computing the log-sum-exp and softmax functions*, IMA J. Numer. Anal. 41(4),
+2021), ``log1p(s/m) + log(m) + max``, where ``m`` counts the entries at the
+maximum and ``s`` sums ``exp(a - max)`` over the others; it gives scipy's
+bits on finite input without importing scipy, which would double the cold
+start of every command.
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .games import GibbsTarget, TabularGame, tabulate
 from .meanfield import check_spin_system
@@ -110,20 +119,72 @@ class ExactSpinMarginals:
     log_partition: float
 
 
-def _masks_excluding(n: int, *tokens: int) -> np.ndarray:
-    """All coalition masks over n tokens containing none of *tokens*."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    keep = np.ones(masks.size, dtype=bool)
-    for t in tokens:
-        keep &= (masks & (1 << t)) == 0
-    return masks[keep]
+def _cube(game) -> np.ndarray:
+    """The game's table as a ``(2,)*n`` cube; token i is axis ``n-1-i``."""
+    return tabulate(game).reshape((2,) * game.n)
 
 
-def _shapley_size_weights(n: int) -> np.ndarray:
-    # weight of a prefix of size s in the permutation average: s!(n-1-s)!/n!
-    return np.array(
+def _face(cube: np.ndarray, tokens: tuple[int, ...], bits: tuple[int, ...]) -> np.ndarray:
+    """The view of *cube* at the masks holding ``bits[k]`` for ``tokens[k]``;
+    its C-order flattening lists them in increasing mask order."""
+    index = [slice(None)] * cube.ndim
+    for token, bit in zip(tokens, bits):
+        index[cube.ndim - 1 - token] = bit
+    return cube[tuple(index)]
+
+
+def _slot_values(cube: np.ndarray, slot: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The values ``v(C)`` of the contexts C excluding every token of *slot*,
+    in increasing mask order, and the slot's differences on them.
+
+    For ``(i,)`` the differences are ``v(C+i) - v(C)``; for ``(lo, hi)`` with
+    ``lo < hi`` they are ``v(C+lo+hi) - v(C+lo) - v(C+hi) + v(C)``, summed
+    in that order so the result does not depend on the argument order.
+    """
+    if len(slot) == 1:
+        base = _face(cube, slot, (0,))
+        deltas = _face(cube, slot, (1,)) - base
+    else:
+        base = _face(cube, slot, (0, 0))
+        deltas = (
+            _face(cube, slot, (1, 1)) - _face(cube, slot, (1, 0)) - _face(cube, slot, (0, 1)) + base
+        )
+    return base.reshape(-1), deltas.reshape(-1)
+
+
+def _pair(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i < j else (j, i)
+
+
+def _context_sizes(n: int) -> np.ndarray:
+    # the contexts excluding one token, in increasing mask order, have the
+    # sizes of the (n-1)-bit masks in increasing order
+    return np.bitwise_count(np.arange(1 << (n - 1), dtype=np.int64))
+
+
+def _shapley_weights(n: int) -> np.ndarray:
+    """Permutation-average weight of each context excluding one token, in
+    increasing mask order: ``s!(n-1-s)!/n!`` for a context of size s."""
+    per_size = np.array(
         [math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n) for s in range(n)]
     )
+    return per_size[_context_sizes(n)]
+
+
+def _shapley(cube: np.ndarray, i: int, weights: np.ndarray) -> float:
+    return float(np.dot(weights, _slot_values(cube, (i,))[1]))
+
+
+def _mean_difference(cube: np.ndarray, slot: tuple[int, ...]) -> float:
+    return float(np.mean(_slot_values(cube, slot)[1]))
+
+
+def _pair_matrix(n: int, value) -> np.ndarray:
+    """Symmetric matrix with zero diagonal holding ``value((i, j))`` for i < j."""
+    out = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        out[i, j] = out[j, i] = value((i, j))
+    return out
 
 
 def exact_shapley(game, i: int) -> float:
@@ -135,13 +196,7 @@ def exact_shapley(game, i: int) -> float:
     """
     _require_token(game, i)
     _require_limit(game.n, SHAPLEY_ENUM_LIMIT, "exact Shapley value")
-    n = game.n
-    table = tabulate(game)
-    masks = _masks_excluding(n, i)
-    sizes = np.bitwise_count(masks)
-    weights = _shapley_size_weights(n)[sizes]
-    deltas = table[masks | (1 << i)] - table[masks]
-    return float(np.dot(weights, deltas))
+    return _shapley(_cube(game), i, _shapley_weights(game.n))
 
 
 def exact_shapley_by_permutations(game, i: int) -> float:
@@ -171,10 +226,7 @@ def exact_banzhaf(game, i: int) -> float:
     excluding token i, each equally likely."""
     _require_token(game, i)
     _require_limit(game.n, SUBSET_ENUM_LIMIT, "exact Banzhaf index")
-    table = tabulate(game)
-    masks = _masks_excluding(game.n, i)
-    deltas = table[masks | (1 << i)] - table[masks]
-    return float(np.mean(deltas))
+    return _mean_difference(_cube(game), (i,))
 
 
 def exact_interaction(game, i: int, j: int) -> float:
@@ -185,12 +237,7 @@ def exact_interaction(game, i: int, j: int) -> float:
     if i == j:
         raise ValueError("interaction potential: tokens must be distinct")
     _require_limit(game.n, SUBSET_ENUM_LIMIT, "exact interaction potential")
-    table = tabulate(game)
-    lo, hi = (i, j) if i < j else (j, i)  # keep the sum bitwise-symmetric
-    masks = _masks_excluding(game.n, lo, hi)
-    bl, bh = 1 << lo, 1 << hi
-    deltas = table[masks | bl | bh] - table[masks | bl] - table[masks | bh] + table[masks]
-    return float(np.mean(deltas))
+    return _mean_difference(_cube(game), _pair(i, j))
 
 
 def exact_table(game) -> TabularGame:
@@ -207,16 +254,13 @@ def exact_table(game) -> TabularGame:
 def exact_game_values(game) -> ExactGameValues:
     """All exact per-token and per-pair values in one structure."""
     n = game.n
-    game = exact_table(game)
-    shapley = np.array([exact_shapley(game, i) for i in range(n)])
-    banzhaf = np.array([exact_banzhaf(game, i) for i in range(n)])
-    interactions = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = exact_interaction(game, i, j)
-            interactions[i, j] = val
-            interactions[j, i] = val
-    return ExactGameValues(shapley=shapley, banzhaf=banzhaf, interactions=interactions)
+    cube = _cube(exact_table(game))
+    weights = _shapley_weights(n)
+    return ExactGameValues(
+        shapley=np.array([_shapley(cube, i, weights) for i in range(n)]),
+        banzhaf=np.array([_mean_difference(cube, (i,)) for i in range(n)]),
+        interactions=_pair_matrix(n, lambda pair: _mean_difference(cube, pair)),
+    )
 
 
 def _tilted_average(log_weights: np.ndarray, deltas: np.ndarray) -> float:
@@ -224,6 +268,28 @@ def _tilted_average(log_weights: np.ndarray, deltas: np.ndarray) -> float:
     w = np.exp(shifted)
     w /= w.sum()
     return float(np.dot(w, deltas))
+
+
+def _tilted(cube: np.ndarray, slot: tuple[int, ...], gamma: float) -> float:
+    base, deltas = _slot_values(cube, slot)
+    return _tilted_average(base / gamma, deltas)
+
+
+def _prefix_log_p(n: int) -> np.ndarray:
+    """Log of the probability ``|P|!(n-1-|P|)!/(n-1)!`` that the prefix
+    estimator's weight divides by, for each context excluding one token, in
+    increasing mask order."""
+    per_size = np.array(
+        [math.lgamma(s + 1) + math.lgamma(n - s) - math.lgamma(n) for s in range(n)]
+    )
+    return per_size[_context_sizes(n)]
+
+
+def _tilted_prefix(cube: np.ndarray, i: int, gamma: float, log_p: np.ndarray) -> float:
+    base, deltas = _slot_values(cube, (i,))
+    # actual sampling probability of the prefix set
+    log_q = log_p - math.log(cube.ndim)
+    return _tilted_average(log_q + base / gamma - log_p, deltas)
 
 
 def exact_tilted_banzhaf(game, i: int, target: GibbsTarget) -> float:
@@ -235,11 +301,7 @@ def exact_tilted_banzhaf(game, i: int, target: GibbsTarget) -> float:
     """
     _require_token(game, i)
     _require_limit(game.n, TILTED_ENUM_LIMIT, "tilted Banzhaf value")
-    table = tabulate(game)
-    masks = _masks_excluding(game.n, i)
-    base = table[masks]
-    deltas = table[masks | (1 << i)] - base
-    return _tilted_average(base / target.gamma, deltas)
+    return _tilted(_cube(game), (i,), target.gamma)
 
 
 def exact_tilted_shapley_prefix(game, i: int, target: GibbsTarget) -> float:
@@ -254,22 +316,7 @@ def exact_tilted_shapley_prefix(game, i: int, target: GibbsTarget) -> float:
     """
     _require_token(game, i)
     _require_limit(game.n, TILTED_ENUM_LIMIT, "tilted prefix-sampled Shapley value")
-    n = game.n
-    table = tabulate(game)
-    masks = _masks_excluding(n, i)
-    sizes = np.bitwise_count(masks)
-    # proposal probability used in the weight (conditional on prefix size)
-    log_p = np.array(
-        [
-            math.lgamma(s + 1) + math.lgamma(n - s) - math.lgamma(n)
-            for s in range(n)
-        ]
-    )[sizes]
-    # actual sampling probability of the prefix set
-    log_q = log_p - math.log(n)
-    base = table[masks]
-    deltas = table[masks | (1 << i)] - base
-    return _tilted_average(log_q + base / target.gamma - log_p, deltas)
+    return _tilted_prefix(_cube(game), i, target.gamma, _prefix_log_p(game.n))
 
 
 def exact_tilted_interaction(game, i: int, j: int, target: GibbsTarget) -> float:
@@ -279,29 +326,37 @@ def exact_tilted_interaction(game, i: int, j: int, target: GibbsTarget) -> float
     if i == j:
         raise ValueError("tilted interaction: tokens must be distinct")
     _require_limit(game.n, TILTED_ENUM_LIMIT, "tilted interaction potential")
-    table = tabulate(game)
-    lo, hi = (i, j) if i < j else (j, i)
-    masks = _masks_excluding(game.n, lo, hi)
-    bl, bh = 1 << lo, 1 << hi
-    base = table[masks]
-    deltas = table[masks | bl | bh] - table[masks | bl] - table[masks | bh] + base
-    return _tilted_average(base / target.gamma, deltas)
+    return _tilted(_cube(game), _pair(i, j), target.gamma)
 
 
 def exact_gibbs_tilted_values(game, target: GibbsTarget) -> ExactGameValues:
     """Tilted counterparts of every per-token and per-pair value."""
     n = game.n
     _require_limit(n, TILTED_ENUM_LIMIT, "tilted prefix-sampled Shapley value")
-    game = TabularGame(tabulate(game))
-    shapley = np.array([exact_tilted_shapley_prefix(game, i, target) for i in range(n)])
-    banzhaf = np.array([exact_tilted_banzhaf(game, i, target) for i in range(n)])
-    interactions = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = exact_tilted_interaction(game, i, j, target)
-            interactions[i, j] = val
-            interactions[j, i] = val
-    return ExactGameValues(shapley=shapley, banzhaf=banzhaf, interactions=interactions)
+    cube = _cube(game)
+    gamma = target.gamma
+    log_p = _prefix_log_p(n)
+    return ExactGameValues(
+        shapley=np.array([_tilted_prefix(cube, i, gamma, log_p) for i in range(n)]),
+        banzhaf=np.array([_tilted(cube, (i,), gamma) for i in range(n)]),
+        interactions=_pair_matrix(n, lambda pair: _tilted(cube, pair, gamma)),
+    )
+
+
+def _logsumexp(a: np.ndarray, axis: int | None = None):
+    """``log(sum(exp(a)))`` of a finite float64 array, over all entries or
+    along *axis*, with the bits of ``scipy.special.logsumexp``: with ``m``
+    entries at the maximum and ``s`` the sum of ``exp(a - max)`` over the
+    others, ``log1p(s/m) + log(m) + max``.  Keeping the maximal terms out of
+    ``s`` keeps the ``log1p`` accurate when they dominate the sum."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max, axis=axis, keepdims=True, dtype=np.float64)
+    shifted = a - a_max
+    shifted[at_max] = -np.inf
+    s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
+    out = np.log1p(s / m) + np.log(m) + a_max
+    return np.squeeze(out, axis=axis)[()]
 
 
 def hamiltonian(fields, couplings, spins) -> float:
@@ -338,10 +393,10 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
     energies = -(spins @ fields) - 0.5 * np.einsum("ki,ij,kj->k", spins, couplings, spins)
     log_weights = -energies / gamma
 
-    log_z = float(logsumexp(log_weights))
-    alphas = np.empty(n)
-    for i in range(n):
-        plus = bits[:, i] == 1
-        alphas[i] = math.exp(float(logsumexp(log_weights[plus])) - log_z)
+    log_z = float(_logsumexp(log_weights))
+    # row i: the configurations with spin i up, in increasing order
+    cube = log_weights.reshape((2,) * n)
+    ups = np.stack([_face(cube, (i,), (1,)).reshape(-1) for i in range(n)])
+    alphas = np.array([math.exp(float(log_up) - log_z) for log_up in _logsumexp(ups, axis=1)])
     expected = 2.0 * alphas - 1.0
     return ExactSpinMarginals(expected_spins=expected, alphas=alphas, log_partition=log_z)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,92 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     estimate = float(np.dot(normalized, marginals))
     se = float(np.sqrt(np.sum(normalized * normalized * (marginals - estimate) ** 2)))
     return estimate, ess, se
+
+
+# The exact oracles as they were written before they read the table as a
+# (2,)*n cube: every slot filters the 2**n masks for its contexts.  Kept as
+# an independent reference that the cube views must match bit for bit.
+
+
+def _masks_excluding(n: int, *tokens: int) -> np.ndarray:
+    """All coalition masks over n tokens containing none of *tokens*."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    keep = np.ones(masks.size, dtype=bool)
+    for t in tokens:
+        keep &= (masks & (1 << t)) == 0
+    return masks[keep]
+
+
+def _reference_tilted_average(log_weights: np.ndarray, deltas: np.ndarray) -> float:
+    shifted = log_weights - np.max(log_weights)
+    w = np.exp(shifted)
+    w /= w.sum()
+    return float(np.dot(w, deltas))
+
+
+def _reference_pair_deltas(table: np.ndarray, n: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi = (i, j) if i < j else (j, i)
+    masks = _masks_excluding(n, lo, hi)
+    bl, bh = 1 << lo, 1 << hi
+    base = table[masks]
+    return base, table[masks | bl | bh] - table[masks | bl] - table[masks | bh] + base
+
+
+def reference_game_values(table: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """(Shapley values, Banzhaf values, interaction matrix) of a table game
+    by mask filtering, one token or pair at a time."""
+    n = table.size.bit_length() - 1
+    size_weights = np.array(
+        [math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n) for s in range(n)]
+    )
+    shapley, banzhaf = [], []
+    for i in range(n):
+        masks = _masks_excluding(n, i)
+        deltas = table[masks | (1 << i)] - table[masks]
+        shapley.append(float(np.dot(size_weights[np.bitwise_count(masks)], deltas)))
+        banzhaf.append(float(np.mean(deltas)))
+    interactions = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            interactions[i, j] = interactions[j, i] = float(np.mean(_reference_pair_deltas(table, n, i, j)[1]))
+    return shapley, banzhaf, interactions
+
+
+def reference_tilted_values(table: np.ndarray, gamma: float) -> tuple[list, list, np.ndarray]:
+    """The Gibbs-tilted counterparts of ``reference_game_values``: (prefix
+    Shapley limits, Banzhaf limits, interaction matrix)."""
+    n = table.size.bit_length() - 1
+    log_p_by_size = np.array(
+        [math.lgamma(s + 1) + math.lgamma(n - s) - math.lgamma(n) for s in range(n)]
+    )
+    shapley, banzhaf = [], []
+    for i in range(n):
+        masks = _masks_excluding(n, i)
+        base = table[masks]
+        deltas = table[masks | (1 << i)] - base
+        log_p = log_p_by_size[np.bitwise_count(masks)]
+        log_q = log_p - math.log(n)
+        shapley.append(_reference_tilted_average(log_q + base / gamma - log_p, deltas))
+        banzhaf.append(_reference_tilted_average(base / gamma, deltas))
+    interactions = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            base, deltas = _reference_pair_deltas(table, n, i, j)
+            interactions[i, j] = interactions[j, i] = _reference_tilted_average(base / gamma, deltas)
+    return shapley, banzhaf, interactions
+
+
+def reference_spin_marginals(fields, couplings, gamma: float, logsumexp) -> tuple[list, float]:
+    """(alphas, log partition) of a spin system by full enumeration, with one
+    *logsumexp* call per spin over the configurations whose bit is set."""
+    fields = np.asarray(fields, dtype=np.float64)
+    couplings = np.asarray(couplings, dtype=np.float64)
+    n = fields.size
+    configs = np.arange(1 << n, dtype=np.uint64)
+    bits = (configs[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
+    spins = 2.0 * bits.astype(np.float64) - 1.0
+    energies = -(spins @ fields) - 0.5 * np.einsum("ki,ij,kj->k", spins, couplings, spins)
+    log_weights = -energies / gamma
+    log_z = float(logsumexp(log_weights))
+    alphas = [math.exp(float(logsumexp(log_weights[bits[:, i] == 1])) - log_z) for i in range(n)]
+    return alphas, log_z

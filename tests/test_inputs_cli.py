@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coalattn
 from coalattn import cli, oracles
 from coalattn.games import EmbeddingGame
 from coalattn.inputs import (
@@ -418,6 +423,62 @@ class TestCli:
         assert err.startswith("input error:")
         assert "embeddings" in err and "shapley scores" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["attend", "estimate", "oracle"])
+    @pytest.mark.parametrize(
+        "embedding_scale, projection",
+        [(1e160, np.eye(3)), (1e200, np.full((3, 3), 1e200))],
+        ids=["embeddings-1e160", "both-1e200"],
+    )
+    def test_overflowing_coalition_norms_are_input_errors(
+        self, tmp_path, capsys, monkeypatch, command, embedding_scale, projection
+    ):
+        evaluated = []
+        monkeypatch.setattr(EmbeddingGame, "values_by_mask", lambda game, masks: evaluated.append(masks))
+        doc = _embedding_doc(n=3, d=3, seed=9)
+        doc["embeddings"] = (np.asarray(doc["embeddings"]) * embedding_scale).tolist()
+        doc["value_projection"] = projection.tolist()
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--input", str(path)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: head.value_projection: coalition norms overflow float64")
+        assert "Traceback" not in err
+        assert evaluated == []
+
+    def test_overflow_in_a_later_head_is_refused_before_any_evaluation(self, tmp_path, capsys, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(EmbeddingGame, "values_by_mask", lambda game, masks: evaluated.append(masks))
+        rng = np.random.default_rng(10)
+        n, d = 4, 3
+        heads = [
+            {"value_projection": scale * rng.normal(size=(d, d)), "gate_weights": rng.normal(size=d), "gate_bias": 0.0}
+            for scale in (1.0, 1e300)
+        ]
+        doc = {
+            "schema_version": 1,
+            "n": n,
+            "embeddings": (1e10 * rng.normal(size=(n, d))).tolist(),
+            "multi_head": {
+                "heads": [{k: np.asarray(v).tolist() for k, v in head.items()} for head in heads],
+                "output_projection": rng.normal(size=(2 * d, d)).tolist(),
+            },
+        }
+        path = tmp_path / "heads.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["attend", "--input", str(path)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: multi_head.heads[1].value_projection: coalition norms overflow")
+        assert evaluated == []
+
+    def test_cli_import_loads_no_scipy(self):
+        # every command is a fresh process, and scipy alone would double the
+        # cost of importing the CLI
+        code = "import sys, coalattn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = str(Path(coalattn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_oracle_limit_refused_before_tabulating(self, tmp_path, capsys, monkeypatch):
         tabulated = []

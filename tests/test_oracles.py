@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coalattn import oracles
 from coalattn.games import CountingGame, EmbeddingGame, GibbsTarget, TabularGame
 from coalattn.oracles import (
     EnumerationLimitError,
@@ -14,13 +17,20 @@ from coalattn.oracles import (
     exact_shapley,
     exact_shapley_by_permutations,
     exact_spin_marginals,
+    exact_table,
     exact_tilted_banzhaf,
     exact_tilted_interaction,
     exact_tilted_shapley_prefix,
     hamiltonian,
 )
 
-from conftest import additive_table_game, random_table_game
+from conftest import (
+    additive_table_game,
+    random_table_game,
+    reference_game_values,
+    reference_spin_marginals,
+    reference_tilted_values,
+)
 
 WORKED_FIELDS = [0.423, 0.711, 0.512]
 WORKED_COUPLINGS = [[0.0, 0.466, 0.312], [0.466, 0.0, 0.278], [0.312, 0.278, 0.0]]
@@ -314,6 +324,10 @@ class TestOneTablePerCall:
         assert [tilted.interactions[i, j] for i, j in pairs] == [
             exact_tilted_interaction(game, i, j, target) for i, j in pairs
         ]
+        # both share the cube views, so pin them to the mask-filter formulas too
+        table = exact_table(game).table
+        _assert_same_bits(exact, reference_game_values(table))
+        _assert_same_bits(tilted, reference_tilted_values(table, target.gamma))
 
     @pytest.mark.parametrize(
         "oracle, n, limit",
@@ -328,3 +342,99 @@ class TestOneTablePerCall:
         with pytest.raises(EnumerationLimitError, match=limit):
             oracle(game)
         assert game.evaluations == 0
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_same_bits(values, reference) -> None:
+    shapley, banzhaf, interactions = reference
+    assert _bits(values.shapley) == _bits(shapley)
+    assert _bits(values.banzhaf) == _bits(banzhaf)
+    assert _bits(values.interactions) == _bits(interactions)
+
+
+def _reference_table(n: int) -> TabularGame:
+    # values spread over a few units, so the tilted weights at gamma 0.3
+    # range over many orders of magnitude
+    return random_table_game(np.random.default_rng(1000 + n), n, scale=3.0)
+
+
+class TestMaskFilterReference:
+    """The cube-view oracles against ``conftest``'s mask-filter formulas,
+    bit for bit, batched and one slot at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_exact_values(self, n):
+        game = _reference_table(n)
+        reference = reference_game_values(game.table)
+        _assert_same_bits(exact_game_values(game), reference)
+        shapley, banzhaf, interactions = reference
+        assert _bits([exact_shapley(game, i) for i in range(n)]) == _bits(shapley)
+        assert _bits([exact_banzhaf(game, i) for i in range(n)]) == _bits(banzhaf)
+        for i, j in itertools.permutations(range(n), 2):
+            assert _bits(exact_interaction(game, i, j)) == _bits(interactions[i, j])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 16])
+    def test_tilted_values(self, n):
+        game = _reference_table(n)
+        target = GibbsTarget(0.3)
+        reference = reference_tilted_values(game.table, target.gamma)
+        _assert_same_bits(exact_gibbs_tilted_values(game, target), reference)
+        shapley, banzhaf, interactions = reference
+        assert _bits([exact_tilted_shapley_prefix(game, i, target) for i in range(n)]) == _bits(shapley)
+        assert _bits([exact_tilted_banzhaf(game, i, target) for i in range(n)]) == _bits(banzhaf)
+        for i, j in itertools.permutations(range(n), 2):
+            assert _bits(exact_tilted_interaction(game, i, j, target)) == _bits(interactions[i, j])
+
+    @pytest.mark.parametrize("logsumexp", ["engine", "scipy"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 16])
+    def test_spin_marginals(self, n, logsumexp):
+        # the engine's _logsumexp applied per spin checks the row-wise call
+        # and the cube faces; scipy's is the function the oracle used before
+        if logsumexp == "scipy":
+            reference_logsumexp = pytest.importorskip("scipy.special").logsumexp
+        else:
+            reference_logsumexp = oracles._logsumexp
+        fields, couplings = _random_spin_system(np.random.default_rng(2000 + n), n, scale=2.0)
+        gamma = 0.25
+        alphas, log_z = reference_spin_marginals(fields, couplings, gamma, reference_logsumexp)
+        result = exact_spin_marginals(fields, couplings, gamma)
+        assert _bits(result.alphas) == _bits(alphas)
+        assert _bits(result.log_partition) == _bits(log_z)
+
+
+@pytest.fixture(scope="module")
+def scipy_logsumexp():
+    return pytest.importorskip("scipy.special").logsumexp
+
+
+@st.composite
+def _log_weight_arrays(draw):
+    """Finite float64 arrays of 1-5000 entries at scales from 1e-300 to
+    1e300, some around a large offset, some with several entries tied at
+    the maximum, and some holding hand-picked floats."""
+    length = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    offset = draw(st.sampled_from([0.0, 1.0, -745.0, 709.0, 1e15, -1e300]))
+    a = offset + scale * rng.standard_normal(length)
+    picked = draw(st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=min(8, length)))
+    a[rng.choice(length, len(picked), replace=False)] = picked
+    ties = draw(st.integers(0, length - 1))
+    a[rng.choice(length, ties, replace=False)] = a.max()
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_log_weight_arrays(), st.integers(1, 20))
+def test_logsumexp_matches_scipy(scipy_logsumexp, a, rows):
+    assert _bits(oracles._logsumexp(a)) == _bits(scipy_logsumexp(a))
+    # row-wise: each row's result is that of a call on the row alone
+    width = max(1, a.size // rows)
+    table = a[: rows * width].reshape(-1, width)
+    got = oracles._logsumexp(table, axis=1)
+    assert got.shape == (table.shape[0],)
+    assert _bits(got) == _bits([scipy_logsumexp(row) for row in table])
+    assert _bits(got) == _bits([oracles._logsumexp(row) for row in table])

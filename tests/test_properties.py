@@ -184,6 +184,48 @@ def test_counting_game_counts_every_extension():
 
 
 @st.composite
+def _call_sequences(draw):
+    """Parameters of an embedding game and ``values_by_mask`` arguments whose
+    sizes first grow and then shrink, each a plain mask array or an
+    ``Extensions``."""
+    n = draw(st.sampled_from(BOUNDARY_TOKEN_COUNTS))
+    params = (
+        draw(st.integers(0, 2**32 - 1)),
+        n,
+        draw(st.integers(1, 5)),
+        draw(st.integers(1, 5)),
+        draw(st.sampled_from(NONLINEARITIES)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = sorted(draw(st.lists(st.integers(0, 1500), min_size=2, max_size=5)))
+    arguments = []
+    for size in sizes + sizes[-2::-1]:
+        if draw(st.booleans()):
+            arguments.append(rng.integers(0, 2**64, size=size, dtype=np.uint64) & np.uint64((1 << n) - 1))
+        else:
+            rows, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+            arguments.append(_disjoint_extensions(rng, n, rows, m, max(1, size // rows)))
+    return params, arguments
+
+
+@_SETTINGS
+@given(_call_sequences())
+def test_reused_gather_buffers_do_not_show_in_results(case):
+    params, arguments = case
+    game = _game(*params)
+    results, copies = [], []
+    for argument in arguments:
+        results.append(game.values_by_mask(argument))
+        copies.append(results[-1].copy())
+        # a later call leaves every earlier result as it was
+        for result, copy in zip(results, copies):
+            assert result.tobytes() == copy.tobytes()
+    for argument, result in zip(arguments, results):
+        fresh = _game(*params).values_by_mask(argument)
+        assert fresh.shape == result.shape and fresh.tobytes() == result.tobytes()
+
+
+@st.composite
 def _bernoulli_cases(draw):
     n = draw(st.sampled_from((1, 63, 64)))
     excluded = draw(st.sets(st.integers(0, n - 1), max_size=n))
