@@ -4,7 +4,8 @@ Subcommands: ``demo`` (bundled walkthrough), ``oracle`` (exact values),
 ``estimate`` (Monte Carlo values), ``attend`` (full pipeline or solver-only),
 ``bench`` (scaling sweep).  Exit codes: 0 success, 2 input or configuration
 errors (including embeddings whose game values cannot be normalized into
-attention scores), 3 enumeration-limit refusals, 4 internal failures.
+attention scores, and a temperature so small that values divided by it
+overflow), 3 enumeration-limit refusals, 4 internal failures.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import traceback
 from .bench import run_bench, write_bench_csv
 from .demo import render_demo, run_demo
 from .inputs import InputError, load_config, load_input
+from .linalg import TemperatureError
 from .oracles import EnumerationLimitError
 from .pipeline import DegenerateScoresError
 from .reports import dump_json, run_attend, run_estimate, run_oracle
@@ -126,7 +128,7 @@ def main(argv=None) -> int:
         _emit(dump_json(report), args.out)
         return EXIT_OK
 
-    except InputError as exc:
+    except (InputError, TemperatureError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateScoresError as exc:

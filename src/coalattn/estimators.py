@@ -15,23 +15,24 @@ Two modes share one sampling path:
 
 Randomness is counter-based: each slot (one estimated quantity: a token's
 Shapley or Banzhaf value, or a pair's interaction) gets its own Philox
-stream, the one ``Philox(SeedSequence(entropy=seed, spawn_key=(kind,
-*indices)))`` produces, so results are a pure function of (game, config) no
-matter how calls are scheduled, and estimating one token never perturbs
-another.  A Bernoulli coalition is one 64-bit Philox word masked to the
-allowed token bits: every bit of the word is an independent fair coin, so
-each allowed token is a member with probability 1/2.
+stream.  The seed and the family's kind are hashed once by
+``SeedSequence(entropy=seed, spawn_key=(kind,))`` into two words ``(h0,
+h1)``, and a slot's key is ``(h0, h1 ^ id)`` with ``id`` its token index, or
+``a << 32 | b`` for a pair ``(a, b)``.  Results are a pure function of
+(game, config) no matter how calls are scheduled, and estimating one token
+never perturbs another.  A Bernoulli coalition is one 64-bit Philox word
+masked to the allowed token bits: every bit of the word is an independent
+fair coin, so each allowed token is a member with probability 1/2.
 
 Every estimate runs through one block path.  The Philox keys of all slots
-of a family are derived in one vectorized replay of ``SeedSequence``'s hash,
-and a single generator is re-keyed for each slot (counter 0, empty buffer),
-which gives the same words as a freshly built generator without building a
-``SeedSequence`` and a ``Philox`` per slot.  Slots are then sampled one by
-one from their own streams, and a block of at most ``_BLOCK_CONTEXTS``
-sampled contexts is evaluated by one ``values_by_mask`` call on the
-``Extensions`` of those contexts by each slot's added token sets, and
-weighted row by row, so a slot's numbers do not depend on the block it lands
-in.
+of a family are formed at once, and a single generator is re-keyed for each
+slot (counter 0, empty buffer), which gives the same words as a freshly
+built ``Philox(key=...)`` without building a generator per slot.  Slots are
+then sampled one by one from their own streams, and a block of at most
+``_BLOCK_CONTEXTS`` sampled contexts is evaluated by one ``values_by_mask``
+call on the ``Extensions`` of those contexts by each slot's added token
+sets, and weighted row by row, so a slot's numbers do not depend on the
+block it lands in.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Extensions
+from .linalg import over_temperature
 
 __all__ = [
     "EstimatorConfig",
@@ -71,14 +73,6 @@ _INTERACTION_STREAM = 3
 # K = 256, caps of 1024 and 2048 contexts were fastest of 512-4096 (75-85 ms
 # per estimate_all against 110 ms at 512), and 1024 keeps the arrays smaller.
 _BLOCK_CONTEXTS = 1024
-
-# SeedSequence's hash constants, as in numpy's random/bit_generator.pyx
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -127,72 +121,21 @@ def _ess(total: float, square_total: float, k: int) -> float:
     return min(max(total**2 / square_total, 1.0), float(k))
 
 
-def _hash_constants(init: int, mult: int, calls: int) -> list[int]:
-    """The constants of *calls* successive ``hashmix`` calls of
-    ``SeedSequence``: call t xors its value with ``c[t]`` and multiplies it
-    by ``c[t + 1]``."""
-    constants = [init]
-    for _ in range(calls):
-        constants.append(constants[-1] * mult & _MASK32)
-    return constants
-
-
-def _hashmix(value, xor_const, mul_const):
-    value = (value ^ xor_const) * mul_const & _MASK32
-    return value ^ value >> _XSHIFT
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> _XSHIFT
-
-
 def _philox_keys(seed: int, kind: int, slots) -> np.ndarray:
     """Philox keys of many slots of one kind, one ``(2,)`` uint64 row each.
 
-    Row r equals ``np.random.SeedSequence(entropy=seed, spawn_key=(kind,
-    *slots[r])).generate_state(2, np.uint64)``, the key ``Philox`` takes from
-    that seed sequence, for a non-negative seed and a kind and indices below
-    ``2**32`` (one 32-bit spawn-key word each).  The seed and the kind are
-    the same for every slot, so their part of the hash runs once in Python
-    integers.  The slot indices then enter as uint64 arrays: the pool is one
-    row per pool word and one column per slot, and each index word is mixed
-    into all four rows at once, so the hash runs once for the whole family.
+    With ``(h0, h1) = np.random.SeedSequence(entropy=seed,
+    spawn_key=(kind,)).generate_state(2, np.uint64)``, row r is ``(h0, h1 ^
+    id)``, where ``id`` packs the slot's indices, each below ``2**32``, into
+    one word: 0 for ``()``, ``i`` for ``(i,)``, ``a << 32 | b`` for ``(a,
+    b)``.  A counter-based generator takes a stream identifier as its key
+    (Salmon et al., *Parallel Random Numbers: As Easy as 1, 2, 3*, SC 2011).
     """
-    seed = int(seed)
-    columns = np.asarray(slots, dtype=np.uint64).T  # one array per index position
-    # the seed's 32-bit words, zero-padded to the pool size as SeedSequence
-    # pads them when there is a spawn key, then the spawn key's words
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [0] * (_POOL_SIZE - len(entropy)) + [kind]
-    calls = _POOL_SIZE**2 + _POOL_SIZE * (len(entropy) - _POOL_SIZE + len(columns))
-    const = _hash_constants(_INIT_A, _MULT_A, calls)
-    t = 0  # hashmix calls so far
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        pool.append(_hashmix(word, const[t], const[t + 1]))
-        t += 1
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const[t], const[t + 1]))
-                t += 1
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, const[t], const[t + 1]))
-            t += 1
-    # from here on: one row per pool word, one column per slot; an index
-    # word goes through the next four hashmix calls, one per row
-    pool = np.repeat(np.array(pool, dtype=np.uint64)[:, None], len(slots), axis=1)
-    lanes = np.array(const, dtype=np.uint64)[:, None]
-    for column in columns:
-        hashed = _hashmix(column, lanes[t : t + _POOL_SIZE], lanes[t + 1 : t + 1 + _POOL_SIZE])
-        pool = _mix(pool, hashed)
-        t += _POOL_SIZE
-    # generate_state(2, np.uint64): four 32-bit words, paired little-endian
-    out = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint64)[:, None]
-    words = _hashmix(pool, out[:-1], out[1:])
-    return (words[0::2] | words[1::2] << np.uint64(32)).T
+    h0, h1 = np.random.SeedSequence(entropy=int(seed), spawn_key=(kind,)).generate_state(2, np.uint64)
+    ids = np.zeros(len(slots), dtype=np.uint64)
+    for column in np.asarray(slots, dtype=np.uint64).T:  # one array per index position
+        ids = ids << np.uint64(32) | column
+    return np.column_stack([np.full_like(ids, h0), ids ^ h1])
 
 
 def _slot_streams(seed: int, kind: int, slots):
@@ -218,11 +161,11 @@ def _slot_streams(seed: int, kind: int, slots):
 
 
 def token_stream(seed: int, kind: int, *indices: int) -> np.random.Generator:
-    """Philox generator for one (estimator kind, token/pair) slot: the stream
-    of ``Philox(SeedSequence(entropy=seed, spawn_key=(kind, *indices)))``."""
+    """Philox generator for one (estimator kind, token/pair) slot, keyed as
+    ``_philox_keys`` keys the slot ``indices``: at most two indices."""
     seed, kind, indices = int(seed), int(kind), tuple(int(x) for x in indices)
-    if seed < 0 or any(not 0 <= x <= _MASK32 for x in (kind, *indices)):
-        raise ValueError("stream key: need a non-negative seed, and kind and indices in [0, 2**32)")
+    if seed < 0 or len(indices) > 2 or any(not 0 <= x < 2**32 for x in (kind, *indices)):
+        raise ValueError("stream key: need a seed >= 0, and kind and up to two indices in [0, 2**32)")
     return next(_slot_streams(seed, kind, [indices]))
 
 
@@ -302,7 +245,8 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
     normalized weights sums to one.  Raw weights are formed on the log scale
     and shifted by the row's max log-weight before exponentiation, so the
     largest raw weight of a row is 1 and no large exponential is ever formed;
-    the common factor cancels in the normalization.  Returns (raw,
+    the common factor cancels in the normalization; an overflowing
+    ``v_k/gamma`` raises ``linalg.TemperatureError``.  Returns (raw,
     normalized).
     """
     if np.any(np.isnan(values)):
@@ -311,7 +255,7 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
         raise ValueError("proposal probabilities must lie in (0, 1]")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    log_raw = values / gamma - np.log(probs)
+    log_raw = over_temperature(values, gamma, "coalition_gamma") - np.log(probs)
     raw = np.exp(log_raw - np.max(log_raw, axis=-1, keepdims=True))
     return raw, raw / raw.sum(axis=-1, keepdims=True)
 
@@ -378,14 +322,10 @@ def estimate_all(game, cfg: EstimatorConfig) -> EstimatedGameValues:
 
     Uses ``2K`` characteristic evaluations per token per index family and
     ``4K`` per pair: ``2*K*n*(n+1)`` in total for the full set, all through
-    ``values_by_mask``.  Each family runs in blocks of slots: the keys of
-    all its slots are derived at once, one generator is re-keyed for each
-    slot, and each block is one ``values_by_mask`` call on the
-    ``Extensions`` of at most ``_BLOCK_CONTEXTS`` sampled contexts (one slot
-    when a slot alone has more) whose weights are formed row-wise.  Every
-    number equals, bit for bit, what one slot sampled from a freshly built
-    ``Philox`` stream, evaluated as the ``Extensions`` of its own contexts
-    and weighted on its own would give.
+    ``values_by_mask``, in the blocks of slots the module docstring
+    describes.  Every number equals, bit for bit, what one slot sampled from
+    a freshly keyed ``Philox`` stream, evaluated as the ``Extensions`` of
+    its own contexts and weighted on its own would give.
     """
     n = game.n
     tokens = [(i,) for i in range(n)]

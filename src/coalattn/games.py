@@ -202,13 +202,6 @@ class EmbeddingGame:
         self.nonlinearity = nonlinearity
         self.n = n
 
-    def _apply_nonlinearity(self, norms: np.ndarray) -> np.ndarray:
-        if self.nonlinearity == "relu":
-            return np.maximum(norms, 0.0)
-        if self.nonlinearity == "tanh":
-            return np.tanh(norms)
-        return norms
-
     def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
         if isinstance(masks, Extensions):
             extensions, shape = masks, masks.shape
@@ -222,7 +215,9 @@ class EmbeddingGame:
         squared += s_squared[..., None, :]
         squared += a_squared[..., :, None]
         norms = np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
-        return self._apply_nonlinearity(norms).reshape(shape)
+        if self.nonlinearity == "tanh":  # relu, like identity, keeps the norms
+            np.tanh(norms, out=norms)
+        return norms.reshape(shape)
 
     def _sums(self, masks: np.ndarray, role: int) -> tuple[np.ndarray, np.ndarray]:
         """Coalition sums of *masks*, shape ``masks.shape + (d_v,)``, and

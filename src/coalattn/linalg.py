@@ -12,7 +12,7 @@ import numbers
 
 import numpy as np
 
-__all__ = ["as_scalar", "as_vector", "as_matrix", "logistic"]
+__all__ = ["TemperatureError", "as_scalar", "as_vector", "as_matrix", "over_temperature", "logistic"]
 
 
 def as_scalar(data, name: str = "scalar") -> float:
@@ -46,38 +46,45 @@ def _check_numbers(data, name: str) -> None:
         raise ValueError(f"{name}: not a numeric array: found {type(data).__name__}")
 
 
-def _as_float_array(data, name: str) -> np.ndarray:
+def _as_array(data, name: str, ndim: int) -> np.ndarray:
     # ragged nesting, strings, bools, objects and ints beyond the float range
     # all surface as a ValueError naming the field
     _check_numbers(data, name)
     try:
-        return np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: not a numeric array: {exc}") from None
+    if arr.ndim != ndim:
+        raise ValueError(f"{name}: expected a {ndim}-d array, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name}: must not be empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name}: all entries must be finite")
+    return arr
 
 
 def as_vector(data, name: str = "vector") -> np.ndarray:
     """Validate *data* as a finite, non-empty 1-d float64 array."""
-    arr = _as_float_array(data, name)
-    if arr.ndim != 1:
-        raise ValueError(f"{name}: expected a 1-d array, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name}: must not be empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: all entries must be finite")
-    return arr
+    return _as_array(data, name, 1)
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Validate *data* as a finite, non-empty 2-d float64 array."""
-    arr = _as_float_array(data, name)
-    if arr.ndim != 2:
-        raise ValueError(f"{name}: expected a 2-d array, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name}: must not be empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: all entries must be finite")
-    return arr
+    return _as_array(data, name, 2)
+
+
+class TemperatureError(ValueError):
+    """A temperature so small that values divided by it overflow float64."""
+
+
+def over_temperature(values, gamma: float, name: str) -> np.ndarray:
+    """``values / gamma``, bit for bit, or a ``TemperatureError`` naming the
+    temperature setting *name* when a quotient is not finite."""
+    with np.errstate(over="ignore"):
+        scaled = values / gamma
+    if not np.isfinite(scaled).all():
+        raise TemperatureError(f"{name}: {gamma!r} is too small: values / {name} overflow float64")
+    return scaled
 
 
 def logistic(x: float) -> float:

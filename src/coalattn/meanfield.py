@@ -89,7 +89,9 @@ def check_spin_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _update_target(fields, couplings, spins, gamma) -> np.ndarray:
-    target = np.tanh((fields + couplings @ spins) / gamma)
+    # at a tiny gamma the quotient may overflow; tanh(+-inf) is its limit +-1
+    with np.errstate(over="ignore"):
+        target = np.tanh((fields + couplings @ spins) / gamma)
     return np.clip(target, -_SPIN_CAP, _SPIN_CAP)
 
 

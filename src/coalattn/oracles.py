@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import GibbsTarget, TabularGame, tabulate
+from .linalg import over_temperature
 from .meanfield import check_spin_system
 
 __all__ = [
@@ -263,6 +264,14 @@ def exact_game_values(game) -> ExactGameValues:
     )
 
 
+def _tilted_cube(game, gamma: float) -> np.ndarray:
+    """The game's cube, once ``v(C) / gamma`` is finite for every coalition C
+    but the grand one, which is the context of no slot."""
+    cube = _cube(game)
+    over_temperature(cube.reshape(-1)[:-1], gamma, "coalition_gamma")
+    return cube
+
+
 def _tilted_average(log_weights: np.ndarray, deltas: np.ndarray) -> float:
     shifted = log_weights - np.max(log_weights)
     w = np.exp(shifted)
@@ -301,7 +310,7 @@ def exact_tilted_banzhaf(game, i: int, target: GibbsTarget) -> float:
     """
     _require_token(game, i)
     _require_limit(game.n, TILTED_ENUM_LIMIT, "tilted Banzhaf value")
-    return _tilted(_cube(game), (i,), target.gamma)
+    return _tilted(_tilted_cube(game, target.gamma), (i,), target.gamma)
 
 
 def exact_tilted_shapley_prefix(game, i: int, target: GibbsTarget) -> float:
@@ -316,7 +325,7 @@ def exact_tilted_shapley_prefix(game, i: int, target: GibbsTarget) -> float:
     """
     _require_token(game, i)
     _require_limit(game.n, TILTED_ENUM_LIMIT, "tilted prefix-sampled Shapley value")
-    return _tilted_prefix(_cube(game), i, target.gamma, _prefix_log_p(game.n))
+    return _tilted_prefix(_tilted_cube(game, target.gamma), i, target.gamma, _prefix_log_p(game.n))
 
 
 def exact_tilted_interaction(game, i: int, j: int, target: GibbsTarget) -> float:
@@ -326,15 +335,15 @@ def exact_tilted_interaction(game, i: int, j: int, target: GibbsTarget) -> float
     if i == j:
         raise ValueError("tilted interaction: tokens must be distinct")
     _require_limit(game.n, TILTED_ENUM_LIMIT, "tilted interaction potential")
-    return _tilted(_cube(game), _pair(i, j), target.gamma)
+    return _tilted(_tilted_cube(game, target.gamma), _pair(i, j), target.gamma)
 
 
 def exact_gibbs_tilted_values(game, target: GibbsTarget) -> ExactGameValues:
     """Tilted counterparts of every per-token and per-pair value."""
     n = game.n
     _require_limit(n, TILTED_ENUM_LIMIT, "tilted prefix-sampled Shapley value")
-    cube = _cube(game)
     gamma = target.gamma
+    cube = _tilted_cube(game, gamma)
     log_p = _prefix_log_p(n)
     return ExactGameValues(
         shapley=np.array([_tilted_prefix(cube, i, gamma, log_p) for i in range(n)]),
@@ -379,7 +388,8 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
     """Exact Gibbs marginals of the spin system by full enumeration.
 
     The partition function and the per-spin restricted sums are accumulated
-    in log space; ``alphas[i]`` is ``exp(logZ_{s_i=+1} - logZ)``.
+    in log space; ``alphas[i]`` is ``exp(logZ_{s_i=+1} - logZ)``.  An
+    overflowing ``-H(S)/gamma`` raises ``linalg.TemperatureError``.
     """
     fields, couplings = check_spin_system(fields, couplings)
     if not (math.isfinite(gamma) and gamma > 0.0):
@@ -391,7 +401,7 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
     bits = ((configs[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1))
     spins = 2.0 * bits.astype(np.float64) - 1.0
     energies = -(spins @ fields) - 0.5 * np.einsum("ki,ij,kj->k", spins, couplings, spins)
-    log_weights = -energies / gamma
+    log_weights = over_temperature(-energies, gamma, "spin_gamma")
 
     log_z = float(_logsumexp(log_weights))
     # row i: the configurations with spin i up, in increasing order

@@ -26,7 +26,7 @@ import numpy as np
 from .estimators import estimate_all
 from .games import GibbsTarget
 from .inputs import SCHEMA_VERSION, InputDocument, InputError, RunConfig
-from .meanfield import solve_fixed_point
+from .meanfield import MeanFieldResult, solve_fixed_point
 from .oracles import (
     exact_game_values,
     exact_gibbs_tilted_values,
@@ -92,13 +92,22 @@ def _head_params_from_doc(doc: InputDocument, cfg: RunConfig) -> list[HeadParams
     ]
 
 
-def _solver_input(n: int, fields, couplings) -> dict:
-    # a self-contained document: feed it back through `attend`/`oracle`
+def _solver_report(solved: MeanFieldResult, n: int, fields, couplings) -> dict:
+    """The solver's keys of an ``attend`` report: in each head and in the solver-only block."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "n": n,
-        "fields": np.asarray(fields).tolist(),
-        "couplings": np.asarray(couplings).tolist(),
+        "alphas": solved.alphas.tolist(),
+        "alpha_sum": float(np.sum(solved.alphas)),
+        "expected_spins": solved.expected_spins.tolist(),
+        "converged": solved.converged,
+        "iterations_used": solved.iterations_used,
+        "final_residual": solved.final_residual,
+        # a self-contained document: feed it back through `attend`/`oracle`
+        "solver_input": {
+            "schema_version": SCHEMA_VERSION,
+            "n": n,
+            "fields": np.asarray(fields).tolist(),
+            "couplings": np.asarray(couplings).tolist(),
+        },
     }
 
 
@@ -180,12 +189,9 @@ def run_estimate(doc: InputDocument, cfg: RunConfig) -> dict:
 
 
 def _head_report(result, n: int) -> dict:
-    mf = result.meanfield
     ess = result.effective_sample_size
     return {
-        "alphas": result.alphas.tolist(),
-        "alpha_sum": result.alpha_sum,
-        "expected_spins": mf.expected_spins.tolist(),
+        **_solver_report(result.meanfield, n, result.field_vector, result.interaction_matrix),
         "lambdas": result.lambdas.tolist(),
         "field_vector": result.field_vector.tolist(),
         "interaction_matrix": result.interaction_matrix.tolist(),
@@ -193,10 +199,6 @@ def _head_report(result, n: int) -> dict:
         "banzhaf_hat": result.banzhaf_hat.tolist(),
         "effective_sample_size": None if ess is None else ess.tolist(),
         "output": result.output.tolist(),
-        "converged": mf.converged,
-        "iterations_used": mf.iterations_used,
-        "final_residual": mf.final_residual,
-        "solver_input": _solver_input(n, result.field_vector, result.interaction_matrix),
     }
 
 
@@ -226,15 +228,7 @@ def run_attend(doc: InputDocument, cfg: RunConfig, trace_path=None) -> dict:
     if doc.has_spin_system:
         fields, couplings = doc.spin_system()
         solved = solve_fixed_point(fields, couplings, cfg.meanfield_config())
-        report["solver"] = {
-            "alphas": solved.alphas.tolist(),
-            "alpha_sum": float(np.sum(solved.alphas)),
-            "expected_spins": solved.expected_spins.tolist(),
-            "converged": solved.converged,
-            "iterations_used": solved.iterations_used,
-            "final_residual": solved.final_residual,
-            "solver_input": _solver_input(doc.n, fields, couplings),
-        }
+        report["solver"] = _solver_report(solved, doc.n, fields, couplings)
         if trace_path is not None:
             write_trace_csv(solved.trace, trace_path)
         return report

@@ -33,10 +33,28 @@ def additive_table_game(weights) -> TabularGame:
     return TabularGame(values)
 
 
+def reference_stream(seed: int, kind: int, *indices: int) -> np.random.Generator:
+    """A fresh generator on one slot's stream, keyed from the documented
+    formula: with ``(h0, h1)`` the two words ``SeedSequence(entropy=seed,
+    spawn_key=(kind,))`` generates, the key is ``(h0, h1 ^ id)``, where
+    ``id`` is 0 for no index, ``i`` for ``(i,)`` and ``a * 2**32 + b`` for
+    ``(a, b)``.  The key goes to ``Philox`` as a uint64 array: ``Philox``
+    turns a list of Python ints into float64, and a word of 64 bits loses
+    its low bits on the way."""
+    h0, h1 = np.random.SeedSequence(entropy=int(seed), spawn_key=(kind,)).generate_state(2, np.uint64)
+    if len(indices) == 2:
+        ident = indices[0] * 2**32 + indices[1]
+    else:
+        ident = indices[0] if indices else 0
+    key = np.array([int(h0), int(h1) ^ ident], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, float]:
     """(estimate, ESS, standard error) of one slot computed on its own: a
-    freshly seeded ``Philox`` stream, one evaluation of the ``Extensions`` of
-    its contexts by the subsets of its tokens, and one weighting.
+    freshly keyed ``Philox`` stream (``reference_stream``), one evaluation
+    of the ``Extensions`` of its contexts by the subsets of its tokens, and
+    one weighting.
 
     *kind* is the stream identifier (1 Shapley prefixes, 2 Banzhaf
     coalitions, 3 pair interactions) and *slot* the token indices, ``(i,)``
@@ -45,8 +63,7 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     reduces to ``std/sqrt(K)`` for uniform weights.
     """
     k = cfg.sample_count
-    seeds = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(kind, *slot))
-    rng = np.random.Generator(np.random.Philox(seeds))
+    rng = reference_stream(cfg.seed, kind, *slot)
     if kind == 1:
         contexts, probs = sample_permutation_prefixes(rng, game.n, slot[0], k)
     else:

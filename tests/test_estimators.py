@@ -21,7 +21,13 @@ from coalattn.oracles import (
     exact_tilted_shapley_prefix,
 )
 
-from conftest import WORKED_TABLE, additive_table_game, random_table_game, reference_slot
+from conftest import (
+    WORKED_TABLE,
+    additive_table_game,
+    random_table_game,
+    reference_slot,
+    reference_stream,
+)
 
 
 class TestConfigValidation:
@@ -132,11 +138,6 @@ class TestBernoulliSampling:
             sample_bernoulli_coalitions(token_stream(0, 98), 2, {5}, 1)
 
 
-def _fresh_stream(seed: int, kind: int, *indices: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(kind, *indices))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _mixed_draws(rng: np.random.Generator, size: int) -> list:
     # 32-bit bounded integers, a permutation and raw words touch every part
     # of the Philox state a re-keying has to reset (counter, key, buffer,
@@ -154,30 +155,41 @@ class TestStreamKeys:
         int(s) for s in np.random.default_rng(404).integers(0, 2**63, size=3)
     ]
 
+    @staticmethod
+    def _families(n: int):
+        tokens = [(i,) for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return ((1, tokens), (2, tokens), (3, pairs))
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_keys_match_seed_sequence(self, seed):
-        tokens = [(i,) for i in range(64)]
-        pairs = [(i, j) for i in range(64) for j in range(i + 1, 64)]
-        for kind, slots in ((1, tokens), (2, tokens), (3, pairs)):
-            expected = [
-                np.random.SeedSequence(entropy=seed, spawn_key=(kind, *slot)).generate_state(2, np.uint64)
-                for slot in slots
-            ]
+        # (h0, h1 ^ id) with (h0, h1) the family's SeedSequence words
+        for kind, slots in self._families(64):
+            words = np.random.SeedSequence(entropy=seed, spawn_key=(kind,)).generate_state(2, np.uint64)
+            h0, h1 = (int(word) for word in words)
+            ids = [slot[0] if len(slot) == 1 else slot[0] * 2**32 + slot[1] for slot in slots]
+            expected = np.array([[h0, h1 ^ ident] for ident in ids], dtype=np.uint64)
             np.testing.assert_array_equal(_philox_keys(seed, kind, slots), expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_slot_of_every_family_has_its_own_key(self, seed):
+        keys = np.concatenate([_philox_keys(seed, kind, slots) for kind, slots in self._families(64)])
+        assert len(keys) == 64 + 64 + 64 * 63 // 2
+        assert len(np.unique(keys, axis=0)) == len(keys)
 
     @pytest.mark.parametrize(
         "seed,kind,indices",
-        [(0, 99, ()), (7, 1, (3,)), (2**64 - 1, 3, (5, 63)), (2**70, 98, (1, 2, 3))],
+        [(0, 99, ()), (7, 1, (3,)), (2**64 - 1, 3, (5, 63)), (2**70, 98, (2**32 - 1, 2**32 - 1))],
     )
     def test_token_stream_matches_fresh_generator(self, seed, kind, indices):
         assert _mixed_draws(token_stream(seed, kind, *indices), 9) == _mixed_draws(
-            _fresh_stream(seed, kind, *indices), 9
+            reference_stream(seed, kind, *indices), 9
         )
 
     def test_rekeyed_generator_forgets_the_previous_slot(self):
         slots = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         for size, (slot, rng) in enumerate(zip(slots, _slot_streams(11, 3, slots)), start=1):
-            assert _mixed_draws(rng, size) == _mixed_draws(_fresh_stream(11, 3, *slot), size)
+            assert _mixed_draws(rng, size) == _mixed_draws(reference_stream(11, 3, *slot), size)
 
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), 7.0])
     def test_seed_of_another_numeric_type_gives_the_int_seed_values(self, seed):
@@ -187,10 +199,11 @@ class TestStreamKeys:
         expected = estimate_all(game, EstimatorConfig(seed=7))
         for field in ("shapley_hat", "banzhaf_hat", "interactions_hat", "effective_sample_size"):
             np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))
-        assert _mixed_draws(token_stream(seed, 3, 1, 2), 5) == _mixed_draws(_fresh_stream(7, 3, 1, 2), 5)
+        assert _mixed_draws(token_stream(seed, 3, 1, 2), 5) == _mixed_draws(reference_stream(7, 3, 1, 2), 5)
 
     def test_bad_key_parts_rejected(self):
-        for seed, kind, indices in ((-1, 1, (0,)), (0, 2**32, (0,)), (0, 1, (-1,)), (0, 1, (2**32,))):
+        bad = ((-1, 1, (0,)), (0, 2**32, (0,)), (0, 1, (-1,)), (0, 1, (2**32,)), (0, 1, (1, 2, 3)))
+        for seed, kind, indices in bad:
             with pytest.raises(ValueError, match="stream key"):
                 token_stream(seed, kind, *indices)
 
@@ -214,11 +227,14 @@ class TestPinnedStream:
     silently shifting every report.  Masks only, so no float math is pinned."""
 
     SEED = 20260318
+    # the first four raw words of Philox(key=(h0, h1 ^ (5 << 32 | 63))) with
+    # bits 5 and 63 cleared, where (h0, h1) = SeedSequence(entropy=SEED,
+    # spawn_key=(3,)).generate_state(2, np.uint64)
     FIRST_CONTEXTS = [
-        2055373070949236191,
-        1843652484238770384,
-        3717263795099168153,
-        7322406645919379785,
+        998759210206867980,
+        5407011651746250967,
+        7088507053547330050,
+        8167636667467827334,
     ]
 
     def test_sampler_on_the_pair_stream(self):

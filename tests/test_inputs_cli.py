@@ -277,6 +277,15 @@ class TestReports:
         rerun = run_attend(parse_document(solver["solver_input"]), cfg)
         assert rerun["solver"]["alphas"] == solver["alphas"]
 
+    def test_a_head_and_the_solver_block_report_the_same_solver_keys(self):
+        cfg = RunConfig(seed=2)
+        head = run_attend(parse_document(_embedding_doc(n=5, d=3, seed=8)), cfg)["heads"][0]
+        solver = run_attend(parse_document(head["solver_input"]), cfg)["solver"]
+        keys = ("alphas", "alpha_sum", "expected_spins", "converged", "iterations_used", "final_residual", "solver_input")
+        assert set(solver) == set(keys)
+        assert {key: head[key] for key in keys} == solver
+        assert solver["alpha_sum"] == float(np.sum(solver["alphas"]))
+
     def test_attend_solver_only_matches_independent_iteration(self):
         # independent route: plain-python synchronous iteration to tolerance
         doc = _solver_doc()
@@ -523,6 +532,47 @@ class TestCli:
         assert code == cli.EXIT_INPUT
         assert err.startswith("input error:") and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("attend", "coalition_gamma"),
+            ("estimate", "coalition_gamma"),
+            ("oracle", "coalition_gamma"),
+            ("oracle", "spin_gamma"),
+        ],
+    )
+    def test_a_temperature_the_values_overflow_is_an_input_error(self, tmp_path, capsys, command, setting):
+        # 1e-310 is positive and finite, but a game value of 0.02 divided by
+        # it is past the float64 range
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(_embedding_doc(n=6, d=4, seed=5)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({setting: 1e-310}))
+        code = cli.main([command, "--input", str(doc_path), "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert err.startswith(f"input error: {setting}: 1e-310 is too small")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [(command, {"coalition_gamma": 1e-300, "spin_gamma": 1e-300}) for command in ("attend", "estimate", "oracle")]
+        # the solver's quotient saturates tanh; only the oracle's exact spin
+        # marginals need it finite
+        + [(command, {"spin_gamma": 1e-310}) for command in ("attend", "estimate")],
+    )
+    def test_tiny_temperatures_the_values_fit_give_reports(self, tmp_path, capsys, command, config):
+        # warnings are errors here, so a solver overflow warning would end in exit 4
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(_embedding_doc(n=6, d=4, seed=5)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = cli.main([command, "--input", str(doc_path), "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert json.loads(captured.out)["config"]["spin_gamma"] == config["spin_gamma"]
+        assert "Warning" not in captured.err and "Traceback" not in captured.err
 
     def test_oracle_report_tabulates_the_game_once(self, tmp_path, capsys, monkeypatch):
         sizes = []

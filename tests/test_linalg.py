@@ -81,3 +81,21 @@ class TestArrayEntries:
         np.testing.assert_array_equal(as_vector([1, 2.5, np.float64(3.0), np.int32(4)]), [1.0, 2.5, 3.0, 4.0])
         np.testing.assert_array_equal(as_vector(np.arange(3, dtype=np.uint8)), [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(as_matrix([np.array([1.0, 2.0]), [3, 4]]), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "check, data, message",
+        [
+            (as_vector, [[1.0, 2.0]], "values: expected a 1-d array, got shape (1, 2)"),
+            (as_vector, 1.0, "values: expected a 1-d array, got shape ()"),
+            (as_matrix, [1.0, 2.0], "values: expected a 2-d array, got shape (2,)"),
+            (as_matrix, [[[1.0]]], "values: expected a 2-d array, got shape (1, 1, 1)"),
+            (as_vector, [], "values: must not be empty"),
+            (as_matrix, [[]], "values: must not be empty"),
+            (as_vector, [1.0, float("inf")], "values: all entries must be finite"),
+            (as_matrix, [[float("nan")]], "values: all entries must be finite"),
+        ],
+    )
+    def test_shape_size_and_finiteness_messages(self, check, data, message):
+        with pytest.raises(ValueError) as rejected:
+            check(data, "values")
+        assert str(rejected.value) == message

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from coalattn import oracles
 from coalattn.games import CountingGame, EmbeddingGame, GibbsTarget, TabularGame
+from coalattn.linalg import TemperatureError
 from coalattn.oracles import (
     EnumerationLimitError,
     exact_banzhaf,
@@ -200,6 +201,36 @@ class TestTiltedOracles:
         game = EmbeddingGame(rng.normal(size=(17, 2)), np.eye(2))
         with pytest.raises(EnumerationLimitError, match="16"):
             exact_tilted_banzhaf(game, 0, GibbsTarget(1.0))
+
+
+class TestTemperatureOverflow:
+    """A gamma so small that a context's ``v / gamma`` overflows float64 is
+    refused by name; the worked table's values are 0.2-1.8."""
+
+    def test_tilted_oracles_refuse_an_overflowing_gamma(self, worked_game):
+        target = GibbsTarget(1e-310)
+        calls = (
+            lambda: exact_tilted_banzhaf(worked_game, 0, target),
+            lambda: exact_tilted_shapley_prefix(worked_game, 1, target),
+            lambda: exact_tilted_interaction(worked_game, 0, 2, target),
+            lambda: exact_gibbs_tilted_values(worked_game, target),
+        )
+        for call in calls:
+            with pytest.raises(TemperatureError, match="^coalition_gamma: 1e-310 is too small"):
+                call()
+
+    def test_the_grand_coalition_is_no_context(self, worked_game):
+        # 1.8 / 8e-309 overflows, but 1.2 / 8e-309, the largest value of a
+        # context, does not
+        target = GibbsTarget(8e-309)
+        values = exact_gibbs_tilted_values(worked_game, target)
+        for field in (values.shapley, values.banzhaf, values.interactions):
+            assert np.all(np.isfinite(field))
+        assert values.banzhaf[2] == exact_tilted_banzhaf(worked_game, 2, target)
+
+    def test_spin_marginals_refuse_an_overflowing_gamma(self):
+        with pytest.raises(TemperatureError, match="^spin_gamma: 1e-310 is too small"):
+            exact_spin_marginals(WORKED_FIELDS, WORKED_COUPLINGS, 1e-310)
 
 
 class TestHamiltonian:

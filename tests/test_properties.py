@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from coalattn.estimators import (
     MODES,
     EstimatorConfig,
+    _philox_keys,
     estimate_all,
     sample_bernoulli_coalitions,
     token_stream,
@@ -242,6 +243,26 @@ def test_bernoulli_sampler_sets_only_allowed_bits(case):
         assert mask < (1 << n)
         assert not any((mask >> t) & 1 for t in excluded)
     np.testing.assert_array_equal(probs, np.full(count, 0.5 ** (n - len(excluded))))
+
+
+@st.composite
+def _slot_families(draw):
+    """(seed, kind, slots): up to 40 token slots ``(i,)`` or pair slots
+    ``(a, b)``, in any order and with repeats, indices anywhere below 2**32."""
+    index = st.integers(0, 2**32 - 1)
+    width = draw(st.sampled_from((1, 2)))
+    slots = draw(st.lists(st.tuples(*[index] * width), min_size=1, max_size=40))
+    return draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**32 - 1)), slots
+
+
+@_SETTINGS
+@given(_slot_families())
+def test_a_slot_key_does_not_depend_on_the_other_slots(case):
+    seed, kind, slots = case
+    keys = _philox_keys(seed, kind, slots)
+    assert keys.dtype == np.uint64 and keys.shape == (len(slots), 2)
+    for r, slot in enumerate(slots):
+        assert keys[r].tolist() == _philox_keys(seed, kind, [slot])[0].tolist()
 
 
 @st.composite
