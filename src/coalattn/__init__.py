@@ -16,7 +16,6 @@ from .games import (
     CountingGame,
     EmbeddingGame,
     Extensions,
-    GibbsTarget,
     TabularGame,
 )
 from .linalg import logistic
@@ -35,7 +34,6 @@ from .oracles import (
     exact_game_values,
     exact_gibbs_tilted_values,
     exact_interaction,
-    exact_shapley,
     exact_spin_marginals,
     hamiltonian,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "CountingGame",
     "EmbeddingGame",
     "Extensions",
-    "GibbsTarget",
     "TabularGame",
     "logistic",
     "EstimatedGameValues",
@@ -75,7 +72,6 @@ __all__ = [
     "exact_game_values",
     "exact_gibbs_tilted_values",
     "exact_interaction",
-    "exact_shapley",
     "exact_spin_marginals",
     "hamiltonian",
     "AttentionOutput",

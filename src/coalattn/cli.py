@@ -17,6 +17,7 @@ import traceback
 
 from .bench import run_bench, write_bench_csv
 from .demo import render_demo, run_demo
+from .estimators import MODES
 from .inputs import InputError, load_config, load_input
 from .linalg import TemperatureError
 from .oracles import EnumerationLimitError
@@ -34,7 +35,7 @@ def _add_common(parser: argparse.ArgumentParser, needs_input: bool) -> None:
         parser.add_argument("--input", required=True, help="input document (JSON)")
     parser.add_argument("--config", help="run configuration file (JSON)")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
-    parser.add_argument("--mode", choices=("gibbs", "classic"), help="estimator mode")
+    parser.add_argument("--mode", choices=MODES, help="estimator mode")
     parser.add_argument("--threads", help="advisory thread-count hint (N or 'auto')")
     parser.add_argument("--out", help="write the report here instead of stdout")
 

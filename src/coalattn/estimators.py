@@ -5,8 +5,8 @@ Two modes share one sampling path:
 ``gibbs``
     the self-normalized scheme: raw weight ``exp(v(C_k)/gamma) / p(C_k)``
     for each sampled coalition, normalized over the batch.  Consistent for
-    the Gibbs-tilted estimands computed exactly by
-    :mod:`coalattn.oracles` (``exact_tilted_*``).
+    the Gibbs-tilted estimands that ``oracles.exact_gibbs_tilted_values``
+    computes exactly.
 
 ``classic``
     plain averaging of the sampled marginal contributions, unbiased for the
@@ -53,7 +53,6 @@ __all__ = [
     "sample_bernoulli_coalitions",
     "gibbs_weights",
     "estimate_all",
-    "token_stream",
 ]
 
 MODES = ("gibbs", "classic")
@@ -158,15 +157,6 @@ def _slot_streams(seed: int, kind: int, slots):
         state["state"]["key"] = key
         rng.bit_generator.state = state
         yield rng
-
-
-def token_stream(seed: int, kind: int, *indices: int) -> np.random.Generator:
-    """Philox generator for one (estimator kind, token/pair) slot, keyed as
-    ``_philox_keys`` keys the slot ``indices``: at most two indices."""
-    seed, kind, indices = int(seed), int(kind), tuple(int(x) for x in indices)
-    if seed < 0 or len(indices) > 2 or any(not 0 <= x < 2**32 for x in (kind, *indices)):
-        raise ValueError("stream key: need a seed >= 0, and kind and up to two indices in [0, 2**32)")
-    return next(_slot_streams(seed, kind, [indices]))
 
 
 @functools.lru_cache(maxsize=64)

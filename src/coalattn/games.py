@@ -47,7 +47,6 @@ from .linalg import as_matrix
 __all__ = [
     "MAX_TOKENS",
     "TABULAR_MAX_TOKENS",
-    "GibbsTarget",
     "Extensions",
     "TabularGame",
     "EmbeddingGame",
@@ -63,17 +62,6 @@ TABULAR_MAX_TOKENS = 20   # 2**20 table entries
 NONLINEARITIES = ("relu", "tanh", "identity")
 
 _TABULATE_CHUNK = 1 << 16  # masks per values_by_mask call of tabulate
-
-
-@dataclass(frozen=True)
-class GibbsTarget:
-    """Temperature of the coalition target distribution ``∝ exp(v(C)/gamma)``."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gibbs target: gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -327,11 +315,10 @@ def monotonicity_violations(game: TabularGame) -> int:
     engine treats it as an optional check rather than an invariant; callers
     typically log a warning when the count is nonzero.
     """
-    table = game.table
-    count = 0
-    masks = np.arange(table.size, dtype=np.int64)
-    for i in range(game.n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        count += int(np.sum(table[without | bit] < table[without]))
-    return count
+    # each axis of the (2,)*n cube is one token's bit, so its two faces pair
+    # every coalition without the token with that coalition plus the token
+    cube = game.table.reshape((2,) * game.n)
+    return sum(
+        int(np.count_nonzero(np.take(cube, 1, axis) < np.take(cube, 0, axis)))
+        for axis in range(game.n)
+    )

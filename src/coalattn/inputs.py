@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .games import (
     MAX_TOKENS,
     NONLINEARITIES,
     TABULAR_MAX_TOKENS,
+    EmbeddingGame,
     TabularGame,
     monotonicity_violations,
     project_values,
@@ -67,19 +68,6 @@ _DOCUMENT_KEYS = {
     "gate_bias",
     "nonlinearity",
     "multi_head",
-}
-
-_CONFIG_KEYS = {
-    "coalition_gamma",
-    "spin_gamma",
-    "sample_count",
-    "max_iterations",
-    "tolerance",
-    "damping",
-    "seed",
-    "mode",
-    "normalization",
-    "threads",
 }
 
 
@@ -126,8 +114,6 @@ class InputDocument:
         if self.embeddings is not None:
             if value_projection is None:
                 raise InputError("embeddings input needs a value_projection to induce a game")
-            from .games import EmbeddingGame
-
             return EmbeddingGame(self.embeddings, value_projection, self.nonlinearity)
         raise InputError("document has no game: neither embeddings nor characteristic_table")
 
@@ -388,6 +374,9 @@ class RunConfig:
             "mode": self.mode,
             "normalization": self.normalization,
         }
+
+
+_CONFIG_KEYS = frozenset(field.name for field in dataclass_fields(RunConfig))
 
 
 def _check_threads(value) -> str:

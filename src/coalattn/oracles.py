@@ -5,30 +5,24 @@ only usable at small ``n``; each refuses beyond its limit with an explicit
 message.  The limits are module constants sized so a single call stays within
 a few seconds of CPython time:
 
-* ``SHAPLEY_ENUM_LIMIT`` (12): subset-weighted closed form of the Shapley
-  value (identical to the permutation average; the literal ``n!`` walk is
-  exposed separately for cross-validation and capped much lower because it
-  is pure-Python).
-* ``SUBSET_ENUM_LIMIT`` (20): Banzhaf and interaction sums over ``2**(n-1)``
-  and ``2**(n-2)`` coalitions.
-* ``SPIN_ENUM_LIMIT`` (16): full ``2**n`` spin-configuration sums.
-* ``TILTED_ENUM_LIMIT`` (16): exact limits of the Gibbs-weighted estimators.
+* ``exact_game_values`` and ``exact_table``: ``SHAPLEY_ENUM_LIMIT`` (12).
+* ``exact_gibbs_tilted_values``, the exact limits of the Gibbs-weighted
+  estimators: ``TILTED_ENUM_LIMIT`` (16).
+* ``exact_banzhaf`` and ``exact_interaction``, one slot each and the only
+  exact path for 13 to 20 tokens: ``SUBSET_ENUM_LIMIT`` (20).
+* ``exact_shapley_by_permutations``, the pure-Python ``n!`` walk that
+  cross-checks the closed form: ``PERMUTATION_ENUM_LIMIT`` (10).
+* ``exact_spin_marginals``: ``SPIN_ENUM_LIMIT`` (16).
 
 Every game oracle reads the game's table as a ``(2,)*n`` cube whose axis
 ``n-1-i`` is the bit of token i.  Fixing the axes of a slot's tokens gives a
 view whose C-order flattening is the contexts that exclude those tokens, in
 increasing mask order, so no oracle filters the ``2**n`` masks.
 ``exact_game_values`` and ``exact_gibbs_tilted_values`` check their limits,
-tabulate the game once, and run the per-token and per-pair oracles on that
-cube, so a call costs ``2**n`` characteristic evaluations.  Given a
-``TabularGame`` they evaluate nothing, so a caller that needs both passes
-them the table from ``exact_table``.
-
-In ``gibbs`` mode the prefix-sampled Shapley estimator and the Bernoulli
-Banzhaf estimator converge to the same tilted average (see
-``exact_tilted_shapley_prefix``), so ``shapley_hat`` and ``banzhaf_hat``
-estimate one quantity and the pipeline's lambda-blend averages two estimators
-of one value.
+tabulate the game once and read each slot's faces of that cube once, so a
+call costs ``2**n`` characteristic evaluations.  Given a ``TabularGame`` they
+evaluate nothing, so a caller that needs both passes them the table from
+``exact_table``.
 
 Partition sums are always formed in log space so the oracle is never the
 numerically fragile side of a comparison.  ``_logsumexp`` is the formula of
@@ -48,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GibbsTarget, TabularGame, tabulate
+from .games import TabularGame, tabulate
 from .linalg import over_temperature
 from .meanfield import check_spin_system
 
@@ -61,15 +55,11 @@ __all__ = [
     "EnumerationLimitError",
     "ExactGameValues",
     "ExactSpinMarginals",
-    "exact_shapley",
     "exact_shapley_by_permutations",
     "exact_banzhaf",
     "exact_interaction",
     "exact_table",
     "exact_game_values",
-    "exact_tilted_shapley_prefix",
-    "exact_tilted_banzhaf",
-    "exact_tilted_interaction",
     "exact_gibbs_tilted_values",
     "hamiltonian",
     "exact_spin_marginals",
@@ -172,32 +162,18 @@ def _shapley_weights(n: int) -> np.ndarray:
     return per_size[_context_sizes(n)]
 
 
-def _shapley(cube: np.ndarray, i: int, weights: np.ndarray) -> float:
-    return float(np.dot(weights, _slot_values(cube, (i,))[1]))
-
-
 def _mean_difference(cube: np.ndarray, slot: tuple[int, ...]) -> float:
     return float(np.mean(_slot_values(cube, slot)[1]))
 
 
-def _pair_matrix(n: int, value) -> np.ndarray:
-    """Symmetric matrix with zero diagonal holding ``value((i, j))`` for i < j."""
+def _pair_matrix(cube: np.ndarray, value) -> np.ndarray:
+    """Symmetric matrix with zero diagonal holding ``value(base, deltas)``
+    of the ``_slot_values`` of each pair ``(i, j)``, i < j."""
+    n = cube.ndim
     out = np.zeros((n, n))
     for i, j in itertools.combinations(range(n), 2):
-        out[i, j] = out[j, i] = value((i, j))
+        out[i, j] = out[j, i] = value(*_slot_values(cube, (i, j)))
     return out
-
-
-def exact_shapley(game, i: int) -> float:
-    """Exact Shapley value of token i.
-
-    Computed by the subset-weighted closed form, which reproduces the
-    average marginal contribution over all ``n!`` token orderings exactly;
-    see ``exact_shapley_by_permutations`` for the literal enumeration.
-    """
-    _require_token(game, i)
-    _require_limit(game.n, SHAPLEY_ENUM_LIMIT, "exact Shapley value")
-    return _shapley(_cube(game), i, _shapley_weights(game.n))
 
 
 def exact_shapley_by_permutations(game, i: int) -> float:
@@ -253,23 +229,23 @@ def exact_table(game) -> TabularGame:
 
 
 def exact_game_values(game) -> ExactGameValues:
-    """All exact per-token and per-pair values in one structure."""
+    """Exact Shapley and Banzhaf value of every token and interaction
+    potential of every pair.
+
+    The Shapley value is the subset-weighted closed form, identical to the
+    average over all ``n!`` token orderings that
+    ``exact_shapley_by_permutations`` walks.
+    """
     n = game.n
     cube = _cube(exact_table(game))
     weights = _shapley_weights(n)
-    return ExactGameValues(
-        shapley=np.array([_shapley(cube, i, weights) for i in range(n)]),
-        banzhaf=np.array([_mean_difference(cube, (i,)) for i in range(n)]),
-        interactions=_pair_matrix(n, lambda pair: _mean_difference(cube, pair)),
-    )
-
-
-def _tilted_cube(game, gamma: float) -> np.ndarray:
-    """The game's cube, once ``v(C) / gamma`` is finite for every coalition C
-    but the grand one, which is the context of no slot."""
-    cube = _cube(game)
-    over_temperature(cube.reshape(-1)[:-1], gamma, "coalition_gamma")
-    return cube
+    shapley, banzhaf = np.empty(n), np.empty(n)
+    for i in range(n):
+        deltas = _slot_values(cube, (i,))[1]
+        shapley[i] = np.dot(weights, deltas)
+        banzhaf[i] = np.mean(deltas)
+    interactions = _pair_matrix(cube, lambda base, deltas: np.mean(deltas))
+    return ExactGameValues(shapley, banzhaf, interactions)
 
 
 def _tilted_average(log_weights: np.ndarray, deltas: np.ndarray) -> float:
@@ -277,11 +253,6 @@ def _tilted_average(log_weights: np.ndarray, deltas: np.ndarray) -> float:
     w = np.exp(shifted)
     w /= w.sum()
     return float(np.dot(w, deltas))
-
-
-def _tilted(cube: np.ndarray, slot: tuple[int, ...], gamma: float) -> float:
-    base, deltas = _slot_values(cube, slot)
-    return _tilted_average(base / gamma, deltas)
 
 
 def _prefix_log_p(n: int) -> np.ndarray:
@@ -294,62 +265,45 @@ def _prefix_log_p(n: int) -> np.ndarray:
     return per_size[_context_sizes(n)]
 
 
-def _tilted_prefix(cube: np.ndarray, i: int, gamma: float, log_p: np.ndarray) -> float:
-    base, deltas = _slot_values(cube, (i,))
-    # actual sampling probability of the prefix set
-    log_q = log_p - math.log(cube.ndim)
-    return _tilted_average(log_q + base / gamma - log_p, deltas)
+def exact_gibbs_tilted_values(game, gamma: float) -> ExactGameValues:
+    """Exact limits of the Gibbs-weighted estimators at coalition
+    temperature *gamma*: the ``exp(v(C)/gamma)``-tilted average of each
+    slot's differences over its contexts C.
 
+    ``banzhaf`` and ``interactions`` are the limits of the Bernoulli
+    estimators, whose proposal is uniform over the contexts, so the
+    self-normalized estimator converges to the tilted average.  ``shapley``
+    is the limit of the permutation-prefix estimator.  Its sampler draws a
+    prefix set P with probability ``q(P) = (1/n) * |P|!(n-1-|P|)!/(n-1)!``
+    while the importance weight divides by ``p(P) = |P|!(n-1-|P|)!/(n-1)!``;
+    the two differ only by the constant 1/n, which cancels under
+    self-normalization, so the prefix limit equals the tilted Banzhaf value.
+    Both densities are kept explicit here so the oracle mirrors the
+    estimator literally.  In ``gibbs`` mode ``shapley_hat`` and
+    ``banzhaf_hat`` therefore estimate one quantity, and the pipeline's
+    lambda-blend averages two estimators of one value.
 
-def exact_tilted_banzhaf(game, i: int, target: GibbsTarget) -> float:
-    """Exact limit of the Gibbs-weighted Banzhaf estimator.
-
-    The Bernoulli proposal is uniform over coalitions excluding i, so the
-    self-normalized estimator converges to the exp(v/gamma)-tilted average
-    of the marginal contributions over that family.
+    Raises ``ValueError`` unless *gamma* is positive and finite, and
+    ``linalg.TemperatureError`` when a context's ``v(C) / gamma`` overflows.
     """
-    _require_token(game, i)
-    _require_limit(game.n, TILTED_ENUM_LIMIT, "tilted Banzhaf value")
-    return _tilted(_tilted_cube(game, target.gamma), (i,), target.gamma)
-
-
-def exact_tilted_shapley_prefix(game, i: int, target: GibbsTarget) -> float:
-    """Exact limit of the Gibbs-weighted permutation-prefix estimator.
-
-    The sampler draws a prefix set P with probability
-    ``q(P) = (1/n) * |P|!(n-1-|P|)!/(n-1)!`` while the importance weight
-    divides by ``p(P) = |P|!(n-1-|P|)!/(n-1)!``; the two differ only by the
-    constant 1/n, which cancels under self-normalization, so this limit in
-    fact coincides with the tilted subset average.  Both densities are kept
-    explicit here so the oracle mirrors the estimator literally.
-    """
-    _require_token(game, i)
-    _require_limit(game.n, TILTED_ENUM_LIMIT, "tilted prefix-sampled Shapley value")
-    return _tilted_prefix(_tilted_cube(game, target.gamma), i, target.gamma, _prefix_log_p(game.n))
-
-
-def exact_tilted_interaction(game, i: int, j: int, target: GibbsTarget) -> float:
-    """Exact limit of the Gibbs-weighted interaction estimator."""
-    _require_token(game, i)
-    _require_token(game, j)
-    if i == j:
-        raise ValueError("tilted interaction: tokens must be distinct")
-    _require_limit(game.n, TILTED_ENUM_LIMIT, "tilted interaction potential")
-    return _tilted(_tilted_cube(game, target.gamma), _pair(i, j), target.gamma)
-
-
-def exact_gibbs_tilted_values(game, target: GibbsTarget) -> ExactGameValues:
-    """Tilted counterparts of every per-token and per-pair value."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = game.n
     _require_limit(n, TILTED_ENUM_LIMIT, "tilted prefix-sampled Shapley value")
-    gamma = target.gamma
-    cube = _tilted_cube(game, gamma)
+    cube = _cube(game)
+    # the grand coalition is the context of no slot, so its v / gamma may overflow
+    over_temperature(cube.reshape(-1)[:-1], gamma, "coalition_gamma")
     log_p = _prefix_log_p(n)
-    return ExactGameValues(
-        shapley=np.array([_tilted_prefix(cube, i, gamma, log_p) for i in range(n)]),
-        banzhaf=np.array([_tilted(cube, (i,), gamma) for i in range(n)]),
-        interactions=_pair_matrix(n, lambda pair: _tilted(cube, pair, gamma)),
-    )
+    # the sampler's actual probability of the prefix set
+    log_q = log_p - math.log(n)
+    shapley, banzhaf = np.empty(n), np.empty(n)
+    for i in range(n):
+        base, deltas = _slot_values(cube, (i,))
+        log_weights = base / gamma
+        shapley[i] = _tilted_average(log_q + log_weights - log_p, deltas)
+        banzhaf[i] = _tilted_average(log_weights, deltas)
+    interactions = _pair_matrix(cube, lambda base, deltas: _tilted_average(base / gamma, deltas))
+    return ExactGameValues(shapley, banzhaf, interactions)
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None):
@@ -388,14 +342,27 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
     """Exact Gibbs marginals of the spin system by full enumeration.
 
     The partition function and the per-spin restricted sums are accumulated
-    in log space; ``alphas[i]`` is ``exp(logZ_{s_i=+1} - logZ)``.  An
-    overflowing ``-H(S)/gamma`` raises ``linalg.TemperatureError``.
+    in log space; ``alphas[i]`` is ``exp(logZ_{s_i=+1} - logZ)``.
+
+    Raises ``ValueError`` naming the fields and couplings when an energy
+    could overflow float64, which no temperature mends: every ``|H(S)|``,
+    and every partial sum of the matrix products that form it, is at most
+    ``sum_i |J_i| + sum_{i,j} |J_ij|``, so a finite bound keeps them all
+    finite.  An overflowing ``-H(S)/gamma`` raises
+    ``linalg.TemperatureError``.
     """
     fields, couplings = check_spin_system(fields, couplings)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = fields.size
     _require_limit(n, SPIN_ENUM_LIMIT, "exact spin marginals")
+    with np.errstate(over="ignore"):
+        bound = float(np.sum(np.abs(fields)) + np.sum(np.abs(couplings)))
+    if not math.isfinite(bound):
+        raise ValueError(
+            "fields, couplings: spin energies overflow float64 "
+            "(sum of |fields| + sum of |couplings| is not finite)"
+        )
 
     configs = np.arange(1 << n, dtype=np.uint64)
     bits = ((configs[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1))

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import estimate_all
-from .games import GibbsTarget
 from .inputs import SCHEMA_VERSION, InputDocument, InputError, RunConfig
+from .linalg import TemperatureError
 from .meanfield import MeanFieldResult, solve_fixed_point
 from .oracles import (
     exact_game_values,
@@ -129,7 +129,7 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
         # one table serves every exact value below
         game = exact_table(doc.build_game(projection))
         exact = exact_game_values(game)
-        tilted = exact_gibbs_tilted_values(game, GibbsTarget(cfg.coalition_gamma))
+        tilted = exact_gibbs_tilted_values(game, cfg.coalition_gamma)
         grand, empty = game.table[-1], game.table[0]  # masks 2**n - 1 and 0
         report["game"] = {
             "n": game.n,
@@ -154,7 +154,12 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
         solved = solve_fixed_point(fields, couplings, cfg.meanfield_config())
 
     if fields is not None:
-        marginals = exact_spin_marginals(fields, couplings, cfg.spin_gamma)
+        try:
+            marginals = exact_spin_marginals(fields, couplings, cfg.spin_gamma)
+        except TemperatureError:
+            raise
+        except ValueError as exc:  # energies that overflow at any temperature
+            raise InputError(str(exc)) from None
         report["spins"] = {
             "fields": np.asarray(fields).tolist(),
             "couplings": np.asarray(couplings).tolist(),

@@ -19,15 +19,13 @@ from coalattn.bench import (
 )
 from coalattn.demo import run_demo
 from coalattn.estimators import EstimatorConfig, estimate_all, gibbs_weights
-from coalattn.games import CountingGame, GibbsTarget, TabularGame
+from coalattn.games import CountingGame, TabularGame
 from coalattn.inputs import RunConfig, parse_document
 from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
 from coalattn.oracles import (
     exact_game_values,
+    exact_gibbs_tilted_values,
     exact_spin_marginals,
-    exact_tilted_banzhaf,
-    exact_tilted_interaction,
-    exact_tilted_shapley_prefix,
 )
 from coalattn.pipeline import HeadParams, MultiHeadParams, multi_head_attend, single_head_attend
 from coalattn.reports import dump_json, run_attend
@@ -151,14 +149,14 @@ def test_criterion_3_classic_estimator_consistency():
 
 def test_criterion_4_gibbs_estimator_consistency():
     game = _fixture_game()
-    target = GibbsTarget(1.0)
+    tilted = exact_gibbs_tilted_values(game, 1.0)
     cfg = EstimatorConfig(sample_count=50_000, seed=2003, gamma=1.0, mode="gibbs")
 
     estimated = estimate_all(game, cfg)
-    slots = [(1, (i,), estimated.shapley_hat[i], exact_tilted_shapley_prefix(game, i, target)) for i in range(8)]
-    slots += [(2, (i,), estimated.banzhaf_hat[i], exact_tilted_banzhaf(game, i, target)) for i in range(8)]
+    slots = [(1, (i,), estimated.shapley_hat[i], tilted.shapley[i]) for i in range(8)]
+    slots += [(2, (i,), estimated.banzhaf_hat[i], tilted.banzhaf[i]) for i in range(8)]
     slots += [
-        (3, (i, j), estimated.interactions_hat[i, j], exact_tilted_interaction(game, i, j, target))
+        (3, (i, j), estimated.interactions_hat[i, j], tilted.interactions[i, j])
         for i in range(8)
         for j in range(i + 1, 8)
     ]

@@ -9,16 +9,13 @@ from coalattn.estimators import (
     gibbs_weights,
     sample_bernoulli_coalitions,
     sample_permutation_prefixes,
-    token_stream,
 )
-from coalattn.games import EmbeddingGame, GibbsTarget, TabularGame
+from coalattn.games import EmbeddingGame, TabularGame
 from coalattn.oracles import (
     exact_banzhaf,
+    exact_game_values,
+    exact_gibbs_tilted_values,
     exact_interaction,
-    exact_shapley,
-    exact_tilted_banzhaf,
-    exact_tilted_interaction,
-    exact_tilted_shapley_prefix,
 )
 
 from conftest import (
@@ -53,7 +50,7 @@ class TestConfigValidation:
 
 class TestPrefixSampling:
     def test_proposal_probability_by_size_n3(self):
-        rng = token_stream(0, 99)
+        rng = reference_stream(0, 99)
         masks, probs = sample_permutation_prefixes(rng, 3, 1, 4000)
         sizes = np.array([int(m).bit_count() for m in masks])
         # p(size 0) = 0!*2!/2! = 1, p(size 1) = 1!*1!/2! = 0.5, p(size 2) = 1
@@ -63,32 +60,32 @@ class TestPrefixSampling:
         assert {0, 1, 2} == set(sizes.tolist())
 
     def test_single_token_sequence(self):
-        masks, probs = sample_permutation_prefixes(token_stream(1, 99), 1, 0, count=1)
+        masks, probs = sample_permutation_prefixes(reference_stream(1, 99), 1, 0, count=1)
         assert masks.tolist() == [0] and probs.tolist() == [1.0]
 
     def test_target_token_never_sampled(self):
-        rng = token_stream(2, 99)
+        rng = reference_stream(2, 99)
         masks, _ = sample_permutation_prefixes(rng, 5, 2, 2000)
         assert not np.any(masks & np.uint64(1 << 2))
 
     def test_prefix_sizes_cover_range(self):
-        rng = token_stream(3, 99)
+        rng = reference_stream(3, 99)
         masks, _ = sample_permutation_prefixes(rng, 4, 0, 4000)
         sizes = {int(m).bit_count() for m in masks}
         assert sizes == {0, 1, 2, 3}
 
     def test_bad_token_rejected(self):
         with pytest.raises(ValueError):
-            sample_permutation_prefixes(token_stream(0, 99), 3, 3, 1)
+            sample_permutation_prefixes(reference_stream(0, 99), 3, 3, 1)
 
     @pytest.mark.parametrize(
         "n,i,seed", [(1, 0, 0), (2, 1, 3), (5, 2, 7), (17, 0, 11), (64, 63, 5), (64, 20, 9)]
     )
     def test_masks_match_masked_sum_of_permuted_bits(self, n, i, seed):
         count = 300
-        masks, probs = sample_permutation_prefixes(token_stream(seed, 99), n, i, count)
+        masks, probs = sample_permutation_prefixes(reference_stream(seed, 99), n, i, count)
         # the same draws, summed over the kept prefix positions
-        rng = token_stream(seed, 99)
+        rng = reference_stream(seed, 99)
         sizes = rng.integers(0, n, size=count)
         expected = np.zeros(count, dtype=np.uint64)
         if n > 1:
@@ -104,38 +101,38 @@ class TestPrefixSampling:
 
 class TestBernoulliSampling:
     def test_single_exclusion_probability(self):
-        _, probs = sample_bernoulli_coalitions(token_stream(0, 98), 3, {1}, 100)
+        _, probs = sample_bernoulli_coalitions(reference_stream(0, 98), 3, {1}, 100)
         np.testing.assert_array_equal(probs, 0.25)
 
     def test_pair_exclusion_probability(self):
-        _, probs = sample_bernoulli_coalitions(token_stream(0, 98), 3, {0, 2}, 100)
+        _, probs = sample_bernoulli_coalitions(reference_stream(0, 98), 3, {0, 2}, 100)
         np.testing.assert_array_equal(probs, 0.5)
 
     def test_two_token_game_hits_both_outcomes(self):
-        rng = token_stream(1, 98)
+        rng = reference_stream(1, 98)
         masks, probs = sample_bernoulli_coalitions(rng, 2, {0}, 500)
         assert set(np.unique(masks).tolist()) == {0, 2}
         np.testing.assert_array_equal(probs, 0.5)
 
     def test_excluded_tokens_absent(self):
-        rng = token_stream(2, 98)
+        rng = reference_stream(2, 98)
         masks, _ = sample_bernoulli_coalitions(rng, 6, {1, 4}, 1000)
         assert not np.any(masks & np.uint64((1 << 1) | (1 << 4)))
 
     def test_scalar_wrapper(self):
-        masks, probs = sample_bernoulli_coalitions(token_stream(3, 98), 3, {2}, count=1)
+        masks, probs = sample_bernoulli_coalitions(reference_stream(3, 98), 3, {2}, count=1)
         assert masks.shape == (1,) and not masks[0] & np.uint64(1 << 2)
         assert probs.tolist() == [0.25]
 
     def test_excluding_every_token_degenerates_to_empty(self):
         # one-token Banzhaf sampling: the only coalition is empty, prob 1
-        masks, probs = sample_bernoulli_coalitions(token_stream(0, 98), 1, {0}, 5)
+        masks, probs = sample_bernoulli_coalitions(reference_stream(0, 98), 1, {0}, 5)
         np.testing.assert_array_equal(masks, 0)
         np.testing.assert_array_equal(probs, 1.0)
 
     def test_out_of_range_exclusion_rejected(self):
         with pytest.raises(ValueError):
-            sample_bernoulli_coalitions(token_stream(0, 98), 2, {5}, 1)
+            sample_bernoulli_coalitions(reference_stream(0, 98), 2, {5}, 1)
 
 
 def _mixed_draws(rng: np.random.Generator, size: int) -> list:
@@ -182,7 +179,7 @@ class TestStreamKeys:
         [(0, 99, ()), (7, 1, (3,)), (2**64 - 1, 3, (5, 63)), (2**70, 98, (2**32 - 1, 2**32 - 1))],
     )
     def test_token_stream_matches_fresh_generator(self, seed, kind, indices):
-        assert _mixed_draws(token_stream(seed, kind, *indices), 9) == _mixed_draws(
+        assert _mixed_draws(next(_slot_streams(seed, kind, [indices])), 9) == _mixed_draws(
             reference_stream(seed, kind, *indices), 9
         )
 
@@ -199,13 +196,8 @@ class TestStreamKeys:
         expected = estimate_all(game, EstimatorConfig(seed=7))
         for field in ("shapley_hat", "banzhaf_hat", "interactions_hat", "effective_sample_size"):
             np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))
-        assert _mixed_draws(token_stream(seed, 3, 1, 2), 5) == _mixed_draws(reference_stream(7, 3, 1, 2), 5)
-
-    def test_bad_key_parts_rejected(self):
-        bad = ((-1, 1, (0,)), (0, 2**32, (0,)), (0, 1, (-1,)), (0, 1, (2**32,)), (0, 1, (1, 2, 3)))
-        for seed, kind, indices in bad:
-            with pytest.raises(ValueError, match="stream key"):
-                token_stream(seed, kind, *indices)
+        rng = next(_slot_streams(seed, 3, [(1, 2)]))
+        assert _mixed_draws(rng, 5) == _mixed_draws(reference_stream(7, 3, 1, 2), 5)
 
 
 class _RecordingGame:
@@ -238,7 +230,7 @@ class TestPinnedStream:
     ]
 
     def test_sampler_on_the_pair_stream(self):
-        masks, _ = sample_bernoulli_coalitions(token_stream(self.SEED, 3, 5, 63), 64, {5, 63}, 4)
+        masks, _ = sample_bernoulli_coalitions(reference_stream(self.SEED, 3, 5, 63), 64, {5, 63}, 4)
         assert masks.tolist() == self.FIRST_CONTEXTS
 
     def test_interaction_batch_evaluates_the_pinned_contexts(self):
@@ -396,16 +388,16 @@ class TestGibbsMode:
     def test_tracks_tilted_oracles_within_three_standard_errors(self):
         rng = np.random.default_rng(201)
         game = random_table_game(rng, 5)
-        target = GibbsTarget(0.8)
+        tilted = exact_gibbs_tilted_values(game, 0.8)
         cfg = EstimatorConfig(sample_count=20_000, seed=77, gamma=0.8, mode="gibbs")
         values = estimate_all(game, cfg)
         for i in range(5):
             estimate, se = _checked_slot(values, game, cfg, _SHAPLEY, (i,))
-            assert abs(estimate - exact_tilted_shapley_prefix(game, i, target)) <= 3 * se
+            assert abs(estimate - tilted.shapley[i]) <= 3 * se
             estimate, se = _checked_slot(values, game, cfg, _BANZHAF, (i,))
-            assert abs(estimate - exact_tilted_banzhaf(game, i, target)) <= 3 * se
+            assert abs(estimate - tilted.banzhaf[i]) <= 3 * se
         estimate, se = _checked_slot(values, game, cfg, _INTERACTION, (0, 3))
-        assert abs(estimate - exact_tilted_interaction(game, 0, 3, target)) <= 3 * se
+        assert abs(estimate - tilted.interactions[0, 3]) <= 3 * se
 
     def test_high_temperature_flattens_to_classic_for_subset_samplers(self, worked_game):
         hot = estimate_all(worked_game, EstimatorConfig(sample_count=500, seed=9, gamma=1e9, mode="gibbs"))
@@ -461,7 +453,8 @@ class TestDeterminism:
         cfg = EstimatorConfig(sample_count=50, seed=11, gamma=1.0, mode="classic")
         values = estimate_all(game, cfg)
         assert values.shapley_hat[0] != values.shapley_hat[1]
-        assert exact_shapley(game, 0) == pytest.approx(exact_shapley(game, 1), abs=1e-15)
+        exact = exact_game_values(game).shapley
+        assert exact[0] == pytest.approx(exact[1], abs=1e-15)
 
 
 class TestDiagnostics:
@@ -478,7 +471,7 @@ class TestDiagnostics:
         values = estimate_all(worked_game, cfg)
         estimate, se = _checked_slot(values, worked_game, cfg, _BANZHAF, (1,))
         # token 1's Banzhaf stream: coalitions of tokens 0 and 2
-        contexts, _ = sample_bernoulli_coalitions(token_stream(6, _BANZHAF, 1), 3, {1}, 400)
+        contexts, _ = sample_bernoulli_coalitions(reference_stream(6, _BANZHAF, 1), 3, {1}, 400)
         contexts = contexts.astype(np.int64)
         marginals = worked_game.table[contexts | 0b010] - worked_game.table[contexts]
         assert estimate == pytest.approx(float(np.mean(marginals)), rel=1e-12)
@@ -499,9 +492,10 @@ class TestConsistencyAgainstExactOracles:
         game = random_table_game(rng, 6)
         cfg = EstimatorConfig(sample_count=30_000, seed=56, gamma=1.0, mode="classic")
         values = estimate_all(game, cfg)
+        exact_shapley = exact_game_values(game).shapley
         for i in range(6):
             estimate, se = _checked_slot(values, game, cfg, _SHAPLEY, (i,))
-            assert abs(estimate - exact_shapley(game, i)) <= 3 * se
+            assert abs(estimate - exact_shapley[i]) <= 3 * se
             estimate, se = _checked_slot(values, game, cfg, _BANZHAF, (i,))
             assert abs(estimate - exact_banzhaf(game, i)) <= 3 * se
         estimate, se = _checked_slot(values, game, cfg, _INTERACTION, (1, 4))

@@ -6,13 +6,13 @@ import pytest
 from coalattn.games import (
     CountingGame,
     EmbeddingGame,
-    GibbsTarget,
     TabularGame,
     monotonicity_violations,
     tabulate,
 )
 
 from coalattn.estimators import gibbs_weights
+from coalattn.oracles import exact_gibbs_tilted_values
 
 from conftest import WORKED_TABLE, additive_table_game, random_table_game
 
@@ -42,44 +42,47 @@ class TestCharacteristicValue:
         assert _value(emb, 0) == 0.0
 
 
-def _gibbs_weights(game, masks, target):
+def _gibbs_weights(game, masks, gamma):
     """Raw weights of *masks* under ``exp(v(C)/gamma)``, as ``gibbs_weights``
     forms them from uniform proposals (common scale: largest weight 1)."""
     values = game.values_by_mask(np.array(masks, dtype=np.uint64))
-    return gibbs_weights(values, np.ones(len(masks)), target.gamma)[0]
+    return gibbs_weights(values, np.ones(len(masks)), gamma)[0]
 
 
 class TestGibbsWeight:
     def test_half(self, worked_game):
-        w = _gibbs_weights(worked_game, [0, 0b010], GibbsTarget(1.0))
+        w = _gibbs_weights(worked_game, [0, 0b010], 1.0)
         assert w[1] / w[0] == pytest.approx(1.65, abs=0.005)
 
     def test_unit_value(self, worked_game):
-        w = _gibbs_weights(worked_game, [0, 0b110], GibbsTarget(1.0))
+        w = _gibbs_weights(worked_game, [0, 0b110], 1.0)
         assert w[1] / w[0] == pytest.approx(2.72, abs=0.005)
 
     def test_zero_value(self, worked_game):
-        assert _gibbs_weights(worked_game, [0], GibbsTarget(0.37))[0] == 1.0
+        assert _gibbs_weights(worked_game, [0], 0.37)[0] == 1.0
 
     def test_monotone_in_value(self, worked_game):
         masks = sorted(range(8), key=lambda m: worked_game.table[m])
-        weights = _gibbs_weights(worked_game, masks, GibbsTarget(0.8))
+        weights = _gibbs_weights(worked_game, masks, 0.8)
         assert all(a <= b for a, b in zip(weights, weights[1:]))
 
     def test_log_weight_matches(self, worked_game):
-        target = GibbsTarget(0.5)
-        w = _gibbs_weights(worked_game, [0, 0b011], target)
-        assert math.log(w[1] / w[0]) == pytest.approx(worked_game.table[0b011] / target.gamma)
+        gamma = 0.5
+        w = _gibbs_weights(worked_game, [0, 0b011], gamma)
+        assert math.log(w[1] / w[0]) == pytest.approx(worked_game.table[0b011] / gamma)
 
     def test_saturates_instead_of_overflowing(self):
         # exp(400 / 0.25) is beyond float64; the weights are formed in log space
         game = additive_table_game([400.0])
-        w = _gibbs_weights(game, [0, 1], GibbsTarget(0.25))
+        w = _gibbs_weights(game, [0, 1], 0.25)
         np.testing.assert_array_equal(w, [0.0, 1.0])
 
-    def test_gamma_must_be_positive(self):
+    def test_gamma_must_be_positive(self, worked_game):
+        # the weights and the tilted oracle check the temperature themselves
         with pytest.raises(ValueError):
-            GibbsTarget(0.0)
+            _gibbs_weights(worked_game, [0], 0.0)
+        with pytest.raises(ValueError):
+            exact_gibbs_tilted_values(worked_game, 0.0)
 
 
 class TestTabularGameValidation:

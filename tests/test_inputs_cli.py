@@ -574,6 +574,29 @@ class TestCli:
         assert json.loads(captured.out)["config"]["spin_gamma"] == config["spin_gamma"]
         assert "Warning" not in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            {"fields": [1e308, 1e308, 1e308]},
+            # one pair's coupling is finite, but s.C.s adds it twice
+            {"fields": [0.0, 0.0], "couplings": [[0.0, 1e308], [1e308, 0.0]]},
+        ],
+        ids=["fields", "couplings"],
+    )
+    def test_spin_energies_past_float64_are_an_input_error(self, tmp_path, capsys, system):
+        # no temperature mends such energies, so the oracle names the spin
+        # system, not spin_gamma; the solver saturates tanh and still reports
+        doc_path = tmp_path / "spins.json"
+        doc_path.write_text(json.dumps({"schema_version": 1, "n": len(system["fields"]), **system}))
+        assert cli.main(["oracle", "--input", str(doc_path)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: fields, couplings: spin energies overflow float64")
+        assert "Warning" not in err and "Traceback" not in err
+        assert cli.main(["attend", "--input", str(doc_path)]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["solver"]["solver_input"]["fields"] == system["fields"]
+        assert "Warning" not in captured.err and "Traceback" not in captured.err
+
     def test_oracle_report_tabulates_the_game_once(self, tmp_path, capsys, monkeypatch):
         sizes = []
         evaluate = EmbeddingGame.values_by_mask

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalattn import oracles
-from coalattn.games import CountingGame, EmbeddingGame, GibbsTarget, TabularGame
+from coalattn.games import CountingGame, EmbeddingGame, TabularGame
 from coalattn.linalg import TemperatureError
 from coalattn.oracles import (
     EnumerationLimitError,
@@ -15,13 +15,9 @@ from coalattn.oracles import (
     exact_game_values,
     exact_gibbs_tilted_values,
     exact_interaction,
-    exact_shapley,
     exact_shapley_by_permutations,
     exact_spin_marginals,
     exact_table,
-    exact_tilted_banzhaf,
-    exact_tilted_interaction,
-    exact_tilted_shapley_prefix,
     hamiltonian,
 )
 
@@ -40,26 +36,30 @@ WORKED_COUPLINGS = [[0.0, 0.466, 0.312], [0.466, 0.0, 0.278], [0.312, 0.278, 0.0
 class TestExactShapley:
     def test_worked_table(self, worked_game):
         # frozen from an independent all-permutations hand enumeration
-        assert exact_shapley(worked_game, 1) == pytest.approx(0.7667, abs=5e-5)
-        assert exact_shapley(worked_game, 0) == pytest.approx(0.516667, abs=5e-6)
-        assert exact_shapley(worked_game, 2) == pytest.approx(0.516667, abs=5e-6)
+        shapley = exact_game_values(worked_game).shapley
+        assert shapley[1] == pytest.approx(0.7667, abs=5e-5)
+        assert shapley[0] == pytest.approx(0.516667, abs=5e-6)
+        assert shapley[2] == pytest.approx(0.516667, abs=5e-6)
 
     def test_efficiency_on_worked_table(self, worked_game):
-        total = sum(exact_shapley(worked_game, i) for i in range(3))
+        shapley = exact_game_values(worked_game).shapley
+        total = sum(shapley[i] for i in range(3))
         assert total == pytest.approx(1.8, abs=1e-12)
 
     def test_additive_game(self):
         weights = [0.3, -1.2, 2.0, 0.05]
         game = additive_table_game(weights)
+        shapley = exact_game_values(game).shapley
         for i, w in enumerate(weights):
-            assert exact_shapley(game, i) == pytest.approx(w, abs=1e-12)
+            assert shapley[i] == pytest.approx(w, abs=1e-12)
 
     def test_agrees_with_permutation_walk(self):
         rng = np.random.default_rng(17)
         for n in (2, 3, 5, 7):
             game = random_table_game(rng, n)
+            shapley = exact_game_values(game).shapley
             for i in range(n):
-                closed = exact_shapley(game, i)
+                closed = shapley[i]
                 walked = exact_shapley_by_permutations(game, i)
                 assert closed == pytest.approx(walked, abs=1e-10)
 
@@ -67,11 +67,7 @@ class TestExactShapley:
         rng = np.random.default_rng(1)
         game = EmbeddingGame(rng.normal(size=(13, 2)), np.eye(2))
         with pytest.raises(EnumerationLimitError, match="12"):
-            exact_shapley(game, 0)
-
-    def test_token_index_validated(self, worked_game):
-        with pytest.raises(ValueError):
-            exact_shapley(worked_game, 3)
+            exact_game_values(game)
 
 
 class TestExactBanzhaf:
@@ -119,7 +115,8 @@ class TestAxioms:
         for _ in range(25):
             n = int(rng.integers(2, 9))
             game = random_table_game(rng, n)
-            total = sum(exact_shapley(game, i) for i in range(n))
+            shapley = exact_game_values(game).shapley
+            total = sum(shapley[i] for i in range(n))
             target = game.table[(1 << n) - 1] - game.table[0]
             assert abs(total - target) < 1e-9
 
@@ -135,7 +132,8 @@ class TestAxioms:
 
         table = np.array([0.5 * (base[m] + base[swap(m)]) for m in range(1 << n)])
         game = TabularGame(table)
-        assert abs(exact_shapley(game, a) - exact_shapley(game, b)) <= 1e-12
+        shapley = exact_game_values(game).shapley
+        assert abs(shapley[a] - shapley[b]) <= 1e-12
         assert abs(exact_banzhaf(game, a) - exact_banzhaf(game, b)) <= 1e-12
 
     def test_dummy_token_scores_exactly_zero(self):
@@ -145,32 +143,24 @@ class TestAxioms:
         low = (1 << (n - 1)) - 1
         table = np.array([base[m & low] for m in range(1 << n)])
         game = TabularGame(table)
-        assert exact_shapley(game, n - 1) == 0.0
+        assert exact_game_values(game).shapley[n - 1] == 0.0
         assert exact_banzhaf(game, n - 1) == 0.0
 
 
 class TestTiltedOracles:
     def test_flattens_to_uniform_at_high_temperature(self, worked_game):
-        hot = GibbsTarget(1e9)
-        assert exact_tilted_banzhaf(worked_game, 1, hot) == pytest.approx(
-            exact_banzhaf(worked_game, 1), abs=1e-6
-        )
-        assert exact_tilted_interaction(worked_game, 0, 1, hot) == pytest.approx(
-            exact_interaction(worked_game, 0, 1), abs=1e-6
-        )
+        hot = exact_gibbs_tilted_values(worked_game, 1e9)
+        assert hot.banzhaf[1] == pytest.approx(exact_banzhaf(worked_game, 1), abs=1e-6)
+        assert hot.interactions[0, 1] == pytest.approx(exact_interaction(worked_game, 0, 1), abs=1e-6)
 
     def test_prefix_limit_is_the_subset_tilted_average(self, worked_game):
         # the prefix sampler's density differs from the weight denominator by
         # the constant 1/n only, so its exact limit coincides with the
         # subset-tilted value; at high temperature both flatten to Banzhaf
-        target = GibbsTarget(0.7)
-        assert exact_tilted_shapley_prefix(worked_game, 1, target) == pytest.approx(
-            exact_tilted_banzhaf(worked_game, 1, target), abs=1e-12
-        )
-        hot = GibbsTarget(1e9)
-        assert exact_tilted_shapley_prefix(worked_game, 1, hot) == pytest.approx(
-            exact_banzhaf(worked_game, 1), abs=1e-6
-        )
+        tilted = exact_gibbs_tilted_values(worked_game, 0.7)
+        assert tilted.shapley[1] == pytest.approx(tilted.banzhaf[1], abs=1e-12)
+        hot = exact_gibbs_tilted_values(worked_game, 1e9)
+        assert hot.shapley[1] == pytest.approx(exact_banzhaf(worked_game, 1), abs=1e-6)
 
     def test_hand_enumeration_of_worked_table(self, worked_game):
         # independent 4-coalition enumeration for token 1 at gamma = 1
@@ -181,18 +171,17 @@ class TestTiltedOracles:
         expected = sum(
             w * (table[m | 0b010] - table[m]) for w, m in zip(weights, masks)
         ) / z
-        got = exact_tilted_banzhaf(worked_game, 1, GibbsTarget(1.0))
+        got = exact_gibbs_tilted_values(worked_game, 1.0).banzhaf[1]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_zero_game_is_uniform(self):
         game = TabularGame(np.zeros(8))
-        target = GibbsTarget(0.3)
-        assert exact_tilted_banzhaf(game, 0, target) == pytest.approx(
+        assert exact_gibbs_tilted_values(game, 0.3).banzhaf[0] == pytest.approx(
             exact_banzhaf(game, 0), abs=1e-15
         )
 
     def test_full_structure(self, worked_game):
-        values = exact_gibbs_tilted_values(worked_game, GibbsTarget(1.0))
+        values = exact_gibbs_tilted_values(worked_game, 1.0)
         np.testing.assert_array_equal(values.interactions, values.interactions.T)
         assert np.all(np.diag(values.interactions) == 0.0)
 
@@ -200,7 +189,7 @@ class TestTiltedOracles:
         rng = np.random.default_rng(3)
         game = EmbeddingGame(rng.normal(size=(17, 2)), np.eye(2))
         with pytest.raises(EnumerationLimitError, match="16"):
-            exact_tilted_banzhaf(game, 0, GibbsTarget(1.0))
+            exact_gibbs_tilted_values(game, 1.0)
 
 
 class TestTemperatureOverflow:
@@ -208,25 +197,16 @@ class TestTemperatureOverflow:
     refused by name; the worked table's values are 0.2-1.8."""
 
     def test_tilted_oracles_refuse_an_overflowing_gamma(self, worked_game):
-        target = GibbsTarget(1e-310)
-        calls = (
-            lambda: exact_tilted_banzhaf(worked_game, 0, target),
-            lambda: exact_tilted_shapley_prefix(worked_game, 1, target),
-            lambda: exact_tilted_interaction(worked_game, 0, 2, target),
-            lambda: exact_gibbs_tilted_values(worked_game, target),
-        )
-        for call in calls:
-            with pytest.raises(TemperatureError, match="^coalition_gamma: 1e-310 is too small"):
-                call()
+        with pytest.raises(TemperatureError, match="^coalition_gamma: 1e-310 is too small"):
+            exact_gibbs_tilted_values(worked_game, 1e-310)
 
     def test_the_grand_coalition_is_no_context(self, worked_game):
         # 1.8 / 8e-309 overflows, but 1.2 / 8e-309, the largest value of a
         # context, does not
-        target = GibbsTarget(8e-309)
-        values = exact_gibbs_tilted_values(worked_game, target)
+        values = exact_gibbs_tilted_values(worked_game, 8e-309)
         for field in (values.shapley, values.banzhaf, values.interactions):
             assert np.all(np.isfinite(field))
-        assert values.banzhaf[2] == exact_tilted_banzhaf(worked_game, 2, target)
+        assert values.banzhaf[2] == reference_tilted_values(worked_game.table, 8e-309)[1][2]
 
     def test_spin_marginals_refuse_an_overflowing_gamma(self):
         with pytest.raises(TemperatureError, match="^spin_gamma: 1e-310 is too small"):
@@ -332,39 +312,31 @@ class TestOneTablePerCall:
         exact_game_values(game)
         assert game.evaluations == 2**n
         game.evaluations = 0
-        exact_gibbs_tilted_values(game, GibbsTarget(0.5))
+        exact_gibbs_tilted_values(game, 0.5)
         assert game.evaluations == 2**n
 
     def test_same_numbers_as_the_per_token_oracles(self):
         rng = np.random.default_rng(23)
         n = 6
         game = EmbeddingGame(rng.normal(size=(n, 3)), rng.normal(size=(3, 4)), "tanh")
-        target = GibbsTarget(0.5)
+        gamma = 0.5
         pairs = list(itertools.combinations(range(n), 2))
         exact = exact_game_values(game)
-        tilted = exact_gibbs_tilted_values(game, target)
-        assert exact.shapley.tolist() == [exact_shapley(game, i) for i in range(n)]
+        tilted = exact_gibbs_tilted_values(game, gamma)
         assert exact.banzhaf.tolist() == [exact_banzhaf(game, i) for i in range(n)]
         assert [exact.interactions[i, j] for i, j in pairs] == [
             exact_interaction(game, i, j) for i, j in pairs
         ]
-        assert tilted.shapley.tolist() == [
-            exact_tilted_shapley_prefix(game, i, target) for i in range(n)
-        ]
-        assert tilted.banzhaf.tolist() == [exact_tilted_banzhaf(game, i, target) for i in range(n)]
-        assert [tilted.interactions[i, j] for i, j in pairs] == [
-            exact_tilted_interaction(game, i, j, target) for i, j in pairs
-        ]
         # both share the cube views, so pin them to the mask-filter formulas too
         table = exact_table(game).table
         _assert_same_bits(exact, reference_game_values(table))
-        _assert_same_bits(tilted, reference_tilted_values(table, target.gamma))
+        _assert_same_bits(tilted, reference_tilted_values(table, gamma))
 
     @pytest.mark.parametrize(
         "oracle, n, limit",
         [
             (exact_game_values, 13, "12"),
-            (lambda game: exact_gibbs_tilted_values(game, GibbsTarget(1.0)), 17, "16"),
+            (lambda game: exact_gibbs_tilted_values(game, 1.0), 17, "16"),
         ],
     )
     def test_limit_refused_before_any_evaluation(self, oracle, n, limit):
@@ -394,15 +366,14 @@ def _reference_table(n: int) -> TabularGame:
 
 class TestMaskFilterReference:
     """The cube-view oracles against ``conftest``'s mask-filter formulas,
-    bit for bit, batched and one slot at a time."""
+    bit for bit, batched and, for the per-slot oracles, one slot at a time."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     def test_exact_values(self, n):
         game = _reference_table(n)
         reference = reference_game_values(game.table)
         _assert_same_bits(exact_game_values(game), reference)
-        shapley, banzhaf, interactions = reference
-        assert _bits([exact_shapley(game, i) for i in range(n)]) == _bits(shapley)
+        _, banzhaf, interactions = reference
         assert _bits([exact_banzhaf(game, i) for i in range(n)]) == _bits(banzhaf)
         for i, j in itertools.permutations(range(n), 2):
             assert _bits(exact_interaction(game, i, j)) == _bits(interactions[i, j])
@@ -410,14 +381,8 @@ class TestMaskFilterReference:
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 16])
     def test_tilted_values(self, n):
         game = _reference_table(n)
-        target = GibbsTarget(0.3)
-        reference = reference_tilted_values(game.table, target.gamma)
-        _assert_same_bits(exact_gibbs_tilted_values(game, target), reference)
-        shapley, banzhaf, interactions = reference
-        assert _bits([exact_tilted_shapley_prefix(game, i, target) for i in range(n)]) == _bits(shapley)
-        assert _bits([exact_tilted_banzhaf(game, i, target) for i in range(n)]) == _bits(banzhaf)
-        for i, j in itertools.permutations(range(n), 2):
-            assert _bits(exact_tilted_interaction(game, i, j, target)) == _bits(interactions[i, j])
+        reference = reference_tilted_values(game.table, 0.3)
+        _assert_same_bits(exact_gibbs_tilted_values(game, 0.3), reference)
 
     @pytest.mark.parametrize("logsumexp", ["engine", "scipy"])
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 16])

@@ -19,15 +19,14 @@ from coalattn.estimators import (
     _philox_keys,
     estimate_all,
     sample_bernoulli_coalitions,
-    token_stream,
 )
 from coalattn.games import (
     NONLINEARITIES,
     CountingGame,
     EmbeddingGame,
     Extensions,
-    GibbsTarget,
     TabularGame,
+    monotonicity_violations,
 )
 from coalattn.inputs import RunConfig, parse_document
 from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
@@ -35,12 +34,16 @@ from coalattn.oracles import (
     exact_game_values,
     exact_gibbs_tilted_values,
     exact_interaction,
-    exact_tilted_interaction,
 )
 from coalattn.pipeline import NORMALIZATIONS
 from coalattn.reports import dump_json, run_attend
 
-from conftest import random_table_game, reference_slot
+from conftest import (
+    random_table_game,
+    reference_monotonicity_violations,
+    reference_slot,
+    reference_stream,
+)
 
 # token counts on either side of the byte boundaries of a mask
 BOUNDARY_TOKEN_COUNTS = (1, 8, 9, 63, 64)
@@ -237,7 +240,7 @@ def _bernoulli_cases(draw):
 @given(_bernoulli_cases())
 def test_bernoulli_sampler_sets_only_allowed_bits(case):
     n, excluded, count, seed = case
-    masks, probs = sample_bernoulli_coalitions(token_stream(seed, 97), n, excluded, count)
+    masks, probs = sample_bernoulli_coalitions(reference_stream(seed, 97), n, excluded, count)
     assert masks.dtype == np.uint64 and masks.shape == (count,)
     for mask in masks.tolist():
         assert mask < (1 << n)
@@ -301,6 +304,24 @@ def test_estimate_all_equals_the_per_slot_estimates(case):
                 assert values.interactions_hat[i, j] == reference_slot(game, cfg, 3, (i, j))[0]
 
 
+@st.composite
+def _monotonicity_tables(draw):
+    """Tables of 1-16 tokens with values rounded to 0-3 decimals, so many
+    pairs tie, and some all zero."""
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.round(rng.uniform(-1.0, 1.0, size=1 << n), draw(st.integers(0, 3)))
+    values *= draw(st.sampled_from((0.0, 1.0)))
+    values[0] = 0.0
+    return TabularGame(values)
+
+
+@_SETTINGS
+@given(_monotonicity_tables())
+def test_monotonicity_count_matches_the_mask_filter(game):
+    assert monotonicity_violations(game) == reference_monotonicity_violations(game.table)
+
+
 # exact-oracle axioms on random tabular games of up to 8 tokens
 _AXIOM_SETTINGS = settings(max_examples=25, deadline=None)
 _AXIOM_TOL = 1e-12
@@ -329,7 +350,7 @@ def test_symmetric_tokens_get_equal_values(game, data):
     swapped = (masks & ~((1 << a) | (1 << b))) | (bit_b << a) | (bit_a << b)
     sym = TabularGame(0.5 * (game.table + game.table[swapped]))
     others = [k for k in range(game.n) if k not in (a, b)]
-    for values in (exact_game_values(sym), exact_gibbs_tilted_values(sym, GibbsTarget(0.5))):
+    for values in (exact_game_values(sym), exact_gibbs_tilted_values(sym, 0.5)):
         assert abs(values.shapley[a] - values.shapley[b]) <= _AXIOM_TOL
         assert abs(values.banzhaf[a] - values.banzhaf[b]) <= _AXIOM_TOL
         gap = values.interactions[a, others] - values.interactions[b, others]
@@ -348,7 +369,7 @@ def test_dummy_token_is_worth_its_own_contribution(base, data):
     rest = (masks >> (p + 1)) << p
     game = TabularGame(base.table[low | rest] + c * ((masks >> p) & 1))
     others = [k for k in range(n) if k != p]
-    for values in (exact_game_values(game), exact_gibbs_tilted_values(game, GibbsTarget(0.5))):
+    for values in (exact_game_values(game), exact_gibbs_tilted_values(game, 0.5)):
         assert abs(values.shapley[p] - c) <= _AXIOM_TOL
         assert abs(values.banzhaf[p] - c) <= _AXIOM_TOL
         assert np.all(np.abs(values.interactions[p, others]) <= _AXIOM_TOL)
@@ -358,10 +379,8 @@ def test_dummy_token_is_worth_its_own_contribution(base, data):
 @given(_table_games(min_n=2), st.data())
 def test_interactions_ignore_pair_orientation(game, data):
     i, j = data.draw(st.lists(st.integers(0, game.n - 1), min_size=2, max_size=2, unique=True))
-    target = GibbsTarget(0.5)
     assert exact_interaction(game, i, j) == exact_interaction(game, j, i)
-    assert exact_tilted_interaction(game, i, j, target) == exact_tilted_interaction(game, j, i, target)
-    for values in (exact_game_values(game), exact_gibbs_tilted_values(game, target)):
+    for values in (exact_game_values(game), exact_gibbs_tilted_values(game, 0.5)):
         np.testing.assert_array_equal(values.interactions, values.interactions.T)
         assert np.all(np.diag(values.interactions) == 0.0)
 
