@@ -33,9 +33,7 @@ from .oracles import (
     exact_banzhaf,
     exact_game_values,
     exact_gibbs_tilted_values,
-    exact_interaction,
     exact_spin_marginals,
-    hamiltonian,
 )
 from .pipeline import (
     AttentionOutput,
@@ -71,9 +69,7 @@ __all__ = [
     "exact_banzhaf",
     "exact_game_values",
     "exact_gibbs_tilted_values",
-    "exact_interaction",
     "exact_spin_marginals",
-    "hamiltonian",
     "AttentionOutput",
     "HeadParams",
     "MultiHeadParams",

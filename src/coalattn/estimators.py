@@ -236,8 +236,10 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
     and shifted by the row's max log-weight before exponentiation, so the
     largest raw weight of a row is 1 and no large exponential is ever formed;
     the common factor cancels in the normalization; an overflowing
-    ``v_k/gamma`` raises ``linalg.TemperatureError``.  Returns (raw,
-    normalized).
+    ``v_k/gamma`` raises ``linalg.TemperatureError``.  A log-weight more
+    than float64's range below its row's max shifts to -inf, a weight of
+    exactly 0, with numpy's overflow warning unless the caller ignores it,
+    as ``estimate_all`` does.  Returns (raw, normalized).
     """
     if np.any(np.isnan(values)):
         raise ValueError("values must not contain NaN")
@@ -320,9 +322,13 @@ def estimate_all(game, cfg: EstimatorConfig) -> EstimatedGameValues:
     n = game.n
     tokens = [(i,) for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    shapley, shapley_ess = _estimate_family(game, cfg, _SHAPLEY_STREAM, tokens)
-    banzhaf, banzhaf_ess = _estimate_family(game, cfg, _BANZHAF_STREAM, tokens)
-    pair_values, _ = _estimate_family(game, cfg, _INTERACTION_STREAM, pairs)
+    # the games keep every value and difference finite, so only the weights'
+    # log-scale shift can overflow, to a weight of exactly 0; one errstate
+    # per call, not per block, as entering one costs about 0.7 us
+    with np.errstate(over="ignore"):
+        shapley, shapley_ess = _estimate_family(game, cfg, _SHAPLEY_STREAM, tokens)
+        banzhaf, banzhaf_ess = _estimate_family(game, cfg, _BANZHAF_STREAM, tokens)
+        pair_values, _ = _estimate_family(game, cfg, _INTERACTION_STREAM, pairs)
     interactions = np.zeros((n, n))
     rows, cols = np.triu_indices(n, 1)  # the order of `pairs`
     interactions[rows, cols] = pair_values

@@ -52,6 +52,7 @@ __all__ = [
     "EmbeddingGame",
     "CountingGame",
     "project_values",
+    "check_table_differences",
     "tabulate",
     "monotonicity_violations",
 ]
@@ -127,6 +128,7 @@ class TabularGame:
             raise ValueError("tabular game: all values must be finite")
         if arr[0] != 0.0:
             raise ValueError(f"tabular game: empty coalition must have value 0, got {arr[0]}")
+        check_table_differences(arr)
         arr.flags.writeable = False
         self._values = arr
         self.n = n
@@ -254,6 +256,25 @@ def project_values(
             "(4 * (sum of the projected rows' norms)**2 is not finite)"
         )
     return projected
+
+
+def check_table_differences(table: np.ndarray, name: str = "tabular game") -> None:
+    """Raise ValueError, naming *name*, when a difference of the finite
+    ``2**n`` values in *table* could overflow float64.
+
+    Every slot's differences have absolute values summing to at most
+    ``S = sum |v|``, and each one is at most ``4 max |v|``, so a finite
+    ``4 n S`` keeps every difference, every average of differences and the
+    sum of the n Shapley values finite.
+    """
+    n = table.size.bit_length() - 1
+    with np.errstate(over="ignore"):
+        bound = 4.0 * n * float(np.sum(np.abs(table)))
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"{name}: value differences overflow float64 "
+            "(4 * n * (sum of |values|) is not finite)"
+        )
 
 
 def _byte_sum_tables(rows: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .games import (
     TABULAR_MAX_TOKENS,
     EmbeddingGame,
     TabularGame,
+    check_table_differences,
     monotonicity_violations,
     project_values,
 )
@@ -52,7 +53,7 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-# advisory thread-count hint; recorded in reports, never changes results
+# advisory thread-count hint; left out of reports, never changes results
 THREADS_ENV_VAR = "COALATTN_THREADS"
 
 _DOCUMENT_KEYS = {
@@ -154,7 +155,12 @@ _HEAD_KEYS = {"value_projection", "gate_weights", "gate_bias"}
 def _parse_head(obj, field: str, d: int | None, embeddings: np.ndarray | None) -> HeadParams:
     """Head parameters with the run's defaults; ``HeadParams`` checks the
     arrays and the bias, this checks the keys, the width ``d`` and, given
-    the document's embeddings, that the head's game stays finite."""
+    the document's embeddings, that the head's game and gate logits stay
+    finite.
+
+    Every partial sum of a token's gate logit ``x_i . w + b`` is at most
+    ``sum_k |x_ik| |w_k| + |b|`` in absolute value, so a finite bound for
+    every token keeps the logits finite."""
     if not isinstance(obj, dict):
         raise _fail(field, "expected an object")
     missing = _HEAD_KEYS - obj.keys()
@@ -171,6 +177,14 @@ def _parse_head(obj, field: str, d: int | None, embeddings: np.ndarray | None) -
         raise _fail(f"{field}.value_projection", f"expected {d} rows to match embeddings")
     if embeddings is not None:
         _checked(project_values, embeddings, head.value_projection, f"{field}.value_projection")
+        with np.errstate(over="ignore"):
+            bounds = np.abs(embeddings) @ np.abs(head.gate_weights) + abs(head.gate_bias)
+        if not np.isfinite(bounds).all():
+            raise _fail(
+                f"{field}.gate_weights",
+                "gate logits overflow float64 with these embeddings "
+                "(sum of |embedding| * |gate_weights| + |gate_bias| is not finite)",
+            )
     return head
 
 
@@ -218,6 +232,7 @@ def parse_document(obj) -> InputDocument:
             raise _fail("characteristic_table", f"expected {1 << n} entries for n={n}, got {table.size}")
         if table[0] != 0.0:
             raise _fail("characteristic_table", f"entry 0 (empty coalition) must be 0, got {table[0]}")
+        _checked(check_table_differences, table, "characteristic_table")
 
     fields = None
     couplings = None
@@ -265,6 +280,19 @@ def parse_document(obj) -> InputDocument:
             MultiHeadParams(heads, output_projection)
         except ValueError as exc:
             raise _fail("multi_head.output_projection", str(exc)) from None
+        if embeddings is not None:
+            # a head's output sum_i alpha_i v_i, with every alpha_i in [0, 1],
+            # is at most sum_i |v_ik| in component k, so finite bounds keep
+            # every partial sum of the output projection finite
+            with np.errstate(over="ignore"):
+                reach = np.concatenate([np.abs(embeddings @ h.value_projection).sum(axis=0) for h in heads])
+                bounds = reach @ np.abs(output_projection)
+            if not np.isfinite(bounds).all():
+                raise _fail(
+                    "multi_head.output_projection",
+                    "outputs overflow float64 with these embeddings "
+                    "(sum_i |v_i| over every head's values v, times |output_projection|, is not finite)",
+                )
     elif single_keys:
         if single_keys != _HEAD_KEYS:
             missing = _HEAD_KEYS - single_keys
@@ -304,8 +332,8 @@ class RunConfig:
 
     The coalition temperature (Gibbs weights) and spin temperature (mean
     field) are distinct settings that default to the same value.  ``threads``
-    is an advisory hint recorded in reports; execution is sequential and
-    results never depend on it.
+    is an advisory hint that ``echo`` leaves out of reports; execution is
+    sequential and results never depend on it.
     """
 
     coalition_gamma: float = 0.25

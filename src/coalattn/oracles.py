@@ -2,27 +2,22 @@
 
 All oracles enumerate the relevant combinatorial family outright, so they are
 only usable at small ``n``; each refuses beyond its limit with an explicit
-message.  The limits are module constants sized so a single call stays within
-a few seconds of CPython time:
+``EnumerationLimitError`` before it evaluates anything.  There are two limits:
 
-* ``exact_game_values`` and ``exact_table``: ``SHAPLEY_ENUM_LIMIT`` (12).
-* ``exact_gibbs_tilted_values``, the exact limits of the Gibbs-weighted
-  estimators: ``TILTED_ENUM_LIMIT`` (16).
-* ``exact_banzhaf`` and ``exact_interaction``, one slot each and the only
-  exact path for 13 to 20 tokens: ``SUBSET_ENUM_LIMIT`` (20).
-* ``exact_shapley_by_permutations``, the pure-Python ``n!`` walk that
-  cross-checks the closed form: ``PERMUTATION_ENUM_LIMIT`` (10).
-* ``exact_spin_marginals``: ``SPIN_ENUM_LIMIT`` (16).
+* the game oracles ``exact_table``, ``exact_game_values``,
+  ``exact_gibbs_tilted_values`` and ``exact_banzhaf``: the table type's
+  ``games.TABULAR_MAX_TOKENS`` (20), where one call takes well under a second;
+* ``exact_spin_marginals``: ``SPIN_ENUM_LIMIT`` (16), because its ``2**n x n``
+  spin matrix and energies take about 0.5 GB at 20 spins.
 
 Every game oracle reads the game's table as a ``(2,)*n`` cube whose axis
 ``n-1-i`` is the bit of token i.  Fixing the axes of a slot's tokens gives a
 view whose C-order flattening is the contexts that exclude those tokens, in
 increasing mask order, so no oracle filters the ``2**n`` masks.
-``exact_game_values`` and ``exact_gibbs_tilted_values`` check their limits,
-tabulate the game once and read each slot's faces of that cube once, so a
-call costs ``2**n`` characteristic evaluations.  Given a ``TabularGame`` they
-evaluate nothing, so a caller that needs both passes them the table from
-``exact_table``.
+Each game oracle tabulates the game once, through ``exact_table``, and
+reads each slot's faces of that cube once, so a call costs ``2**n``
+characteristic evaluations.  Given a ``TabularGame`` they evaluate nothing,
+so a caller that needs several passes them the table from ``exact_table``.
 
 Partition sums are always formed in log space so the oracle is never the
 numerically fragile side of a comparison.  ``_logsumexp`` is the formula of
@@ -42,41 +37,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import TabularGame, tabulate
+from .games import TABULAR_MAX_TOKENS, TabularGame, tabulate
 from .linalg import over_temperature
 from .meanfield import check_spin_system
 
 __all__ = [
-    "SHAPLEY_ENUM_LIMIT",
-    "PERMUTATION_ENUM_LIMIT",
-    "SUBSET_ENUM_LIMIT",
     "SPIN_ENUM_LIMIT",
-    "TILTED_ENUM_LIMIT",
     "EnumerationLimitError",
     "ExactGameValues",
     "ExactSpinMarginals",
-    "exact_shapley_by_permutations",
+    "require_limit",
     "exact_banzhaf",
-    "exact_interaction",
     "exact_table",
     "exact_game_values",
     "exact_gibbs_tilted_values",
-    "hamiltonian",
     "exact_spin_marginals",
 ]
 
-SHAPLEY_ENUM_LIMIT = 12
-PERMUTATION_ENUM_LIMIT = 10
-SUBSET_ENUM_LIMIT = 20
 SPIN_ENUM_LIMIT = 16
-TILTED_ENUM_LIMIT = 16
 
 
 class EnumerationLimitError(Exception):
     """Raised when an oracle is asked to enumerate past its size limit."""
 
 
-def _require_limit(n: int, limit: int, what: str) -> None:
+def require_limit(n: int, spins: bool = False) -> None:
+    """Refuse *n* tokens past the game oracles' limit, or, with *spins*, an
+    *n*-spin system past ``exact_spin_marginals``' limit."""
+    if spins:
+        limit, what = SPIN_ENUM_LIMIT, "exact spin marginals"
+    else:
+        limit, what = TABULAR_MAX_TOKENS, "exact game values"
     if n > limit:
         raise EnumerationLimitError(
             f"{what}: exact enumeration supports at most {limit} tokens, got {n}"
@@ -112,7 +103,7 @@ class ExactSpinMarginals:
 
 def _cube(game) -> np.ndarray:
     """The game's table as a ``(2,)*n`` cube; token i is axis ``n-1-i``."""
-    return tabulate(game).reshape((2,) * game.n)
+    return exact_table(game).table.reshape((2,) * game.n)
 
 
 def _face(cube: np.ndarray, tokens: tuple[int, ...], bits: tuple[int, ...]) -> np.ndarray:
@@ -130,7 +121,7 @@ def _slot_values(cube: np.ndarray, slot: tuple[int, ...]) -> tuple[np.ndarray, n
 
     For ``(i,)`` the differences are ``v(C+i) - v(C)``; for ``(lo, hi)`` with
     ``lo < hi`` they are ``v(C+lo+hi) - v(C+lo) - v(C+hi) + v(C)``, summed
-    in that order so the result does not depend on the argument order.
+    in that order.
     """
     if len(slot) == 1:
         base = _face(cube, slot, (0,))
@@ -141,10 +132,6 @@ def _slot_values(cube: np.ndarray, slot: tuple[int, ...]) -> tuple[np.ndarray, n
             _face(cube, slot, (1, 1)) - _face(cube, slot, (1, 0)) - _face(cube, slot, (0, 1)) + base
         )
     return base.reshape(-1), deltas.reshape(-1)
-
-
-def _pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
 
 
 def _context_sizes(n: int) -> np.ndarray:
@@ -162,10 +149,6 @@ def _shapley_weights(n: int) -> np.ndarray:
     return per_size[_context_sizes(n)]
 
 
-def _mean_difference(cube: np.ndarray, slot: tuple[int, ...]) -> float:
-    return float(np.mean(_slot_values(cube, slot)[1]))
-
-
 def _pair_matrix(cube: np.ndarray, value) -> np.ndarray:
     """Symmetric matrix with zero diagonal holding ``value(base, deltas)``
     of the ``_slot_values`` of each pair ``(i, j)``, i < j."""
@@ -176,55 +159,21 @@ def _pair_matrix(cube: np.ndarray, value) -> np.ndarray:
     return out
 
 
-def exact_shapley_by_permutations(game, i: int) -> float:
-    """Shapley value by walking every permutation; cross-check oracle only.
-
-    Pure-Python ``n!`` enumeration, so the cap is tighter than the closed
-    form's.
-    """
-    _require_token(game, i)
-    _require_limit(game.n, PERMUTATION_ENUM_LIMIT, "permutation-walk Shapley value")
-    n = game.n
-    table = tabulate(game)
-    bit = 1 << i
-    total = 0.0
-    for perm in itertools.permutations(range(n)):
-        mask = 0
-        for t in perm:
-            if t == i:
-                total += table[mask | bit] - table[mask]
-                break
-            mask |= 1 << t
-    return total / math.factorial(n)
-
-
 def exact_banzhaf(game, i: int) -> float:
     """Exact Banzhaf index: mean marginal contribution over all coalitions
     excluding token i, each equally likely."""
     _require_token(game, i)
-    _require_limit(game.n, SUBSET_ENUM_LIMIT, "exact Banzhaf index")
-    return _mean_difference(_cube(game), (i,))
-
-
-def exact_interaction(game, i: int, j: int) -> float:
-    """Exact interaction potential: uniform average of the pairwise second
-    difference over all contexts containing neither token."""
-    _require_token(game, i)
-    _require_token(game, j)
-    if i == j:
-        raise ValueError("interaction potential: tokens must be distinct")
-    _require_limit(game.n, SUBSET_ENUM_LIMIT, "exact interaction potential")
-    return _mean_difference(_cube(game), _pair(i, j))
+    return float(np.mean(_slot_values(_cube(game), (i,))[1]))
 
 
 def exact_table(game) -> TabularGame:
     """The game as a table for the exact oracles, built with ``2**n``
     evaluations; a ``TabularGame`` is returned as it is.
 
-    Past ``SHAPLEY_ENUM_LIMIT`` tokens it refuses before evaluating any
-    coalition, as ``exact_game_values`` does.
+    Past ``games.TABULAR_MAX_TOKENS`` tokens it refuses before evaluating
+    any coalition; every game oracle builds its table here.
     """
-    _require_limit(game.n, SHAPLEY_ENUM_LIMIT, "exact Shapley value")
+    require_limit(game.n)
     return game if isinstance(game, TabularGame) else TabularGame(tabulate(game))
 
 
@@ -233,11 +182,10 @@ def exact_game_values(game) -> ExactGameValues:
     potential of every pair.
 
     The Shapley value is the subset-weighted closed form, identical to the
-    average over all ``n!`` token orderings that
-    ``exact_shapley_by_permutations`` walks.
+    average of the marginal contributions over all ``n!`` token orderings.
     """
     n = game.n
-    cube = _cube(exact_table(game))
+    cube = _cube(game)
     weights = _shapley_weights(n)
     shapley, banzhaf = np.empty(n), np.empty(n)
     for i in range(n):
@@ -289,7 +237,6 @@ def exact_gibbs_tilted_values(game, gamma: float) -> ExactGameValues:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = game.n
-    _require_limit(n, TILTED_ENUM_LIMIT, "tilted prefix-sampled Shapley value")
     cube = _cube(game)
     # the grand coalition is the context of no slot, so its v / gamma may overflow
     over_temperature(cube.reshape(-1)[:-1], gamma, "coalition_gamma")
@@ -297,12 +244,16 @@ def exact_gibbs_tilted_values(game, gamma: float) -> ExactGameValues:
     # the sampler's actual probability of the prefix set
     log_q = log_p - math.log(n)
     shapley, banzhaf = np.empty(n), np.empty(n)
-    for i in range(n):
-        base, deltas = _slot_values(cube, (i,))
-        log_weights = base / gamma
-        shapley[i] = _tilted_average(log_q + log_weights - log_p, deltas)
-        banzhaf[i] = _tilted_average(log_weights, deltas)
-    interactions = _pair_matrix(cube, lambda base, deltas: _tilted_average(base / gamma, deltas))
+    # the table keeps every difference and v / gamma finite, so only a
+    # log-weight's shift by its slot's max can overflow: to -inf, a weight
+    # of exactly 0
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            base, deltas = _slot_values(cube, (i,))
+            log_weights = base / gamma
+            shapley[i] = _tilted_average(log_q + log_weights - log_p, deltas)
+            banzhaf[i] = _tilted_average(log_weights, deltas)
+        interactions = _pair_matrix(cube, lambda base, deltas: _tilted_average(base / gamma, deltas))
     return ExactGameValues(shapley, banzhaf, interactions)
 
 
@@ -315,27 +266,13 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
     a_max = np.max(a, axis=axis, keepdims=True)
     at_max = a == a_max
     m = np.sum(at_max, axis=axis, keepdims=True, dtype=np.float64)
-    shifted = a - a_max
+    # a shift past float64's range is -inf, whose term is exactly 0
+    with np.errstate(over="ignore"):
+        shifted = a - a_max
     shifted[at_max] = -np.inf
     s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
     out = np.log1p(s / m) + np.log(m) + a_max
     return np.squeeze(out, axis=axis)[()]
-
-
-def hamiltonian(fields, couplings, spins) -> float:
-    """Energy of one spin configuration.
-
-    ``H(S) = -sum_i J_i s_i - sum_{i<j} J_ij s_i s_j`` with every spin
-    exactly +1 or -1.
-    """
-    fields, couplings = check_spin_system(fields, couplings)
-    s = np.asarray(spins, dtype=np.float64)
-    if s.shape != fields.shape:
-        raise ValueError(f"spins: expected length {fields.size}, got shape {s.shape}")
-    if not np.all(np.abs(s) == 1.0):
-        raise ValueError("spins: every entry must be exactly +1 or -1")
-    # couplings is symmetric with zero diagonal, so s@C@s double-counts pairs
-    return float(-(fields @ s) - 0.5 * (s @ couplings @ s))
 
 
 def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
@@ -355,7 +292,7 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = fields.size
-    _require_limit(n, SPIN_ENUM_LIMIT, "exact spin marginals")
+    require_limit(n, spins=True)
     with np.errstate(over="ignore"):
         bound = float(np.sum(np.abs(fields)) + np.sum(np.abs(couplings)))
     if not math.isfinite(bound):

@@ -32,6 +32,7 @@ from .oracles import (
     exact_gibbs_tilted_values,
     exact_spin_marginals,
     exact_table,
+    require_limit,
 )
 from .pipeline import (
     AttentionOutput,
@@ -122,6 +123,12 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
     its gap to the exact marginals.
     """
     report: dict = {"schema_version": SCHEMA_VERSION, "config": cfg.echo()}
+    # refuse past either oracle's limit before evaluating anything, the game's first
+    derives_spins = doc.heads is not None and doc.embeddings is not None and len(doc.heads) == 1
+    if doc.has_game:
+        require_limit(doc.n)
+    if derives_spins or doc.has_spin_system:
+        require_limit(doc.n, spins=True)
 
     fields = couplings = solved = None
     if doc.has_game:
@@ -143,7 +150,7 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
             "efficiency_target": float(grand - empty),
             "efficiency_gap": float(np.sum(exact.shapley) - (grand - empty)),
         }
-        if doc.heads is not None and doc.embeddings is not None and len(doc.heads) == 1:
+        if derives_spins:
             head = _head_params_from_doc(doc, cfg)[0]
             result = single_head_attend(doc.embeddings, head, game_values=exact).heads[0]
             fields, couplings = result.field_vector, result.interaction_matrix

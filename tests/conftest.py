@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from coalattn.estimators import sample_bernoulli_coalitions, sample_permutation_prefixes
-from coalattn.games import Extensions, TabularGame
+from coalattn.games import Extensions, TabularGame, tabulate
+from coalattn.meanfield import check_spin_system
+from coalattn.oracles import EnumerationLimitError
 
 # three-token walkthrough table, indexed by coalition bitmask (bit i = token i)
 WORKED_TABLE = (0.0, 0.2, 0.5, 1.2, 0.4, 0.8, 1.0, 1.8)
@@ -190,3 +193,52 @@ def reference_spin_marginals(fields, couplings, gamma: float, logsumexp) -> tupl
     log_z = float(logsumexp(log_weights))
     alphas = [math.exp(float(logsumexp(log_weights[bits[:, i] == 1])) - log_z) for i in range(n)]
     return alphas, log_z
+
+
+# Reference oracles that walk what the engine's closed forms sum: every
+# token ordering, and the energy of one spin configuration.
+
+PERMUTATION_ENUM_LIMIT = 10
+
+
+def exact_shapley_by_permutations(game, i: int) -> float:
+    """Shapley value by walking every permutation; cross-check oracle only.
+
+    Pure-Python ``n!`` enumeration, so the cap is tighter than the closed
+    form's.
+    """
+    if not 0 <= i < game.n:
+        raise ValueError(f"token index {i} out of range for n={game.n}")
+    if game.n > PERMUTATION_ENUM_LIMIT:
+        raise EnumerationLimitError(
+            f"permutation-walk Shapley value: exact enumeration supports at most "
+            f"{PERMUTATION_ENUM_LIMIT} tokens, got {game.n}"
+        )
+    n = game.n
+    table = tabulate(game)
+    bit = 1 << i
+    total = 0.0
+    for perm in itertools.permutations(range(n)):
+        mask = 0
+        for t in perm:
+            if t == i:
+                total += table[mask | bit] - table[mask]
+                break
+            mask |= 1 << t
+    return total / math.factorial(n)
+
+
+def hamiltonian(fields, couplings, spins) -> float:
+    """Energy of one spin configuration.
+
+    ``H(S) = -sum_i J_i s_i - sum_{i<j} J_ij s_i s_j`` with every spin
+    exactly +1 or -1.
+    """
+    fields, couplings = check_spin_system(fields, couplings)
+    s = np.asarray(spins, dtype=np.float64)
+    if s.shape != fields.shape:
+        raise ValueError(f"spins: expected length {fields.size}, got shape {s.shape}")
+    if not np.all(np.abs(s) == 1.0):
+        raise ValueError("spins: every entry must be exactly +1 or -1")
+    # couplings is symmetric with zero diagonal, so s@C@s double-counts pairs
+    return float(-(fields @ s) - 0.5 * (s @ couplings @ s))

@@ -15,7 +15,6 @@ from coalattn.oracles import (
     exact_banzhaf,
     exact_game_values,
     exact_gibbs_tilted_values,
-    exact_interaction,
 )
 
 from conftest import (
@@ -499,4 +498,4 @@ class TestConsistencyAgainstExactOracles:
             estimate, se = _checked_slot(values, game, cfg, _BANZHAF, (i,))
             assert abs(estimate - exact_banzhaf(game, i)) <= 3 * se
         estimate, se = _checked_slot(values, game, cfg, _INTERACTION, (1, 4))
-        assert abs(estimate - exact_interaction(game, 1, 4)) <= 3 * se
+        assert abs(estimate - exact_game_values(game).interactions[1, 4]) <= 3 * se

@@ -413,13 +413,12 @@ class TestCli:
         capsys.readouterr()
 
     def test_limit_refusal_exit_code(self, tmp_path, capsys):
-        n = 18
+        # a table document holds at most 20 tokens, so the game comes from embeddings
         path = tmp_path / "big.json"
-        table = [0.0] + [1.0] * ((1 << n) - 1)
-        path.write_text(json.dumps({"schema_version": 1, "n": n, "characteristic_table": table}))
+        path.write_text(json.dumps(_embedding_doc(n=21, d=2, seed=3)))
         assert cli.main(["oracle", "--input", str(path)]) == cli.EXIT_LIMIT
         err = capsys.readouterr().err
-        assert "12" in err  # refusal names the limit
+        assert "20" in err  # refusal names the limit
 
     @pytest.mark.parametrize("command", ["attend", "oracle"])
     def test_zero_embeddings_are_an_input_error(self, tmp_path, capsys, command):
@@ -493,11 +492,33 @@ class TestCli:
         tabulated = []
         monkeypatch.setattr(oracles, "tabulate", lambda game: tabulated.append(game.n))
         path = tmp_path / "wide.json"
-        path.write_text(json.dumps(_embedding_doc(n=40, d=3, seed=6)))
+        path.write_text(json.dumps(_embedding_doc(n=21, d=3, seed=6)))
         assert cli.main(["oracle", "--input", str(path)]) == cli.EXIT_LIMIT
         err = capsys.readouterr().err
-        assert "at most 12 tokens, got 40" in err
+        assert "at most 20 tokens, got 21" in err
         assert tabulated == []
+
+    def test_oracle_spin_limit_refused_before_tabulating(self, tmp_path, capsys, monkeypatch):
+        # a single head's spin system has one spin per token, so the game
+        # fits its limit but the exact spin marginals do not
+        tabulated = []
+        monkeypatch.setattr(oracles, "tabulate", lambda game: tabulated.append(game.n))
+        path = tmp_path / "spins.json"
+        path.write_text(json.dumps(_embedding_doc(n=17, d=3, seed=6)))
+        assert cli.main(["oracle", "--input", str(path)]) == cli.EXIT_LIMIT
+        err = capsys.readouterr().err
+        assert "exact spin marginals: exact enumeration supports at most 16 tokens, got 17" in err
+        assert tabulated == []
+
+    def test_oracle_reports_sixteen_tokens(self, tmp_path, capsys):
+        path, out = tmp_path / "doc.json", tmp_path / "r.json"
+        path.write_text(json.dumps(_embedding_doc(n=16, d=3, seed=16)))
+        assert cli.main(["oracle", "--input", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        assert report["game"]["n"] == 16
+        assert len(report["game"]["interactions"]) == 16
+        assert len(report["spins"]["alphas"]) == 16
 
     @pytest.mark.parametrize(
         "setting", [{"sample_count": 25.0}, {"seed": 1.5}, {"max_iterations": True}]
@@ -595,6 +616,59 @@ class TestCli:
         assert cli.main(["attend", "--input", str(doc_path)]) == cli.EXIT_OK
         captured = capsys.readouterr()
         assert json.loads(captured.out)["solver"]["solver_input"]["fields"] == system["fields"]
+        assert "Warning" not in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["attend", "estimate", "oracle"])
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (
+                {"n": 2, "embeddings": [[1], [2]], "value_projection": [[1]], "gate_weights": [1e308], "gate_bias": 0},
+                "head.gate_weights",
+            ),
+            ({"n": 2, "characteristic_table": [0, 1e308, 1e308, -1e308]}, "characteristic_table"),
+            (
+                {
+                    "n": 1,
+                    "embeddings": [[1.0]],
+                    "multi_head": {
+                        "heads": [{"value_projection": [[2.0]], "gate_weights": [1.0], "gate_bias": 0.0}],
+                        "output_projection": [[1e308]],
+                    },
+                },
+                "multi_head.output_projection",
+            ),
+        ],
+        ids=["gate-logits", "table-differences", "output-projection"],
+    )
+    def test_overflows_past_any_temperature_are_refused_at_parse(self, tmp_path, capsys, command, doc, field):
+        doc_path, cfg_path = tmp_path / "doc.json", tmp_path / "cfg.json"
+        doc_path.write_text(json.dumps({"schema_version": 1, **doc}))
+        cfg_path.write_text(json.dumps({"coalition_gamma": 1e300}))
+        for argv in ([command, "--input", str(doc_path)], [command, "--input", str(doc_path), "--config", str(cfg_path)]):
+            assert cli.main(argv) == cli.EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {field}: ")
+            assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, doc, config",
+        [
+            # token 2's contexts hold 1e300 and -1e300, so its log-weights span 2e308
+            (command, {"n": 3, "characteristic_table": [0, 1e300, -1e300, 0, 0, 0, 0, 0]}, {"coalition_gamma": 1e-8})
+            for command in ("oracle", "estimate")
+        ]
+        # every -H(S)/gamma is finite, but they span about 2e308
+        + [("oracle", {"n": 3, "fields": [1e154, 0.0, 0.0]}, {"spin_gamma": 1e-154})],
+        ids=["oracle-tilted", "estimate-gibbs", "oracle-spins"],
+    )
+    def test_log_weights_spanning_past_float64_give_reports(self, tmp_path, capsys, command, doc, config):
+        doc_path, cfg_path = tmp_path / "doc.json", tmp_path / "cfg.json"
+        doc_path.write_text(json.dumps({"schema_version": 1, **doc}))
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main([command, "--input", str(doc_path), "--config", str(cfg_path)]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        json.loads(captured.out)
         assert "Warning" not in captured.err and "Traceback" not in captured.err
 
     def test_oracle_report_tabulates_the_game_once(self, tmp_path, capsys, monkeypatch):

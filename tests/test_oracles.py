@@ -14,15 +14,14 @@ from coalattn.oracles import (
     exact_banzhaf,
     exact_game_values,
     exact_gibbs_tilted_values,
-    exact_interaction,
-    exact_shapley_by_permutations,
     exact_spin_marginals,
     exact_table,
-    hamiltonian,
 )
 
 from conftest import (
     additive_table_game,
+    exact_shapley_by_permutations,
+    hamiltonian,
     random_table_game,
     reference_game_values,
     reference_spin_marginals,
@@ -65,8 +64,8 @@ class TestExactShapley:
 
     def test_limit_refused_with_message(self):
         rng = np.random.default_rng(1)
-        game = EmbeddingGame(rng.normal(size=(13, 2)), np.eye(2))
-        with pytest.raises(EnumerationLimitError, match="12"):
+        game = EmbeddingGame(rng.normal(size=(21, 2)), np.eye(2))
+        with pytest.raises(EnumerationLimitError, match="20"):
             exact_game_values(game)
 
 
@@ -95,18 +94,16 @@ class TestExactBanzhaf:
 class TestExactInteraction:
     def test_worked_table(self, worked_game):
         # (0.5 + 0.4) / 2 over the contexts {} and {token 2}
-        assert exact_interaction(worked_game, 0, 1) == pytest.approx(0.45, abs=1e-12)
+        interactions = exact_game_values(worked_game).interactions
+        assert interactions[0, 1] == pytest.approx(0.45, abs=1e-12)
 
     def test_additive_game_vanishes(self):
         game = additive_table_game([1.0, 2.0, 3.0])
-        assert exact_interaction(game, 0, 2) == pytest.approx(0.0, abs=1e-12)
+        assert exact_game_values(game).interactions[0, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_in_arguments(self, worked_game):
-        assert exact_interaction(worked_game, 1, 0) == exact_interaction(worked_game, 0, 1)
-
-    def test_equal_tokens_rejected(self, worked_game):
-        with pytest.raises(ValueError):
-            exact_interaction(worked_game, 1, 1)
+        interactions = exact_game_values(worked_game).interactions
+        assert interactions[1, 0] == interactions[0, 1]
 
 
 class TestAxioms:
@@ -151,7 +148,8 @@ class TestTiltedOracles:
     def test_flattens_to_uniform_at_high_temperature(self, worked_game):
         hot = exact_gibbs_tilted_values(worked_game, 1e9)
         assert hot.banzhaf[1] == pytest.approx(exact_banzhaf(worked_game, 1), abs=1e-6)
-        assert hot.interactions[0, 1] == pytest.approx(exact_interaction(worked_game, 0, 1), abs=1e-6)
+        exact = exact_game_values(worked_game).interactions[0, 1]
+        assert hot.interactions[0, 1] == pytest.approx(exact, abs=1e-6)
 
     def test_prefix_limit_is_the_subset_tilted_average(self, worked_game):
         # the prefix sampler's density differs from the weight denominator by
@@ -187,8 +185,8 @@ class TestTiltedOracles:
 
     def test_limit_refused(self):
         rng = np.random.default_rng(3)
-        game = EmbeddingGame(rng.normal(size=(17, 2)), np.eye(2))
-        with pytest.raises(EnumerationLimitError, match="16"):
+        game = EmbeddingGame(rng.normal(size=(21, 2)), np.eye(2))
+        with pytest.raises(EnumerationLimitError, match="20"):
             exact_gibbs_tilted_values(game, 1.0)
 
 
@@ -324,9 +322,9 @@ class TestOneTablePerCall:
         exact = exact_game_values(game)
         tilted = exact_gibbs_tilted_values(game, gamma)
         assert exact.banzhaf.tolist() == [exact_banzhaf(game, i) for i in range(n)]
-        assert [exact.interactions[i, j] for i, j in pairs] == [
-            exact_interaction(game, i, j) for i, j in pairs
-        ]
+        # a second call tabulates the game afresh
+        again = exact_game_values(game).interactions
+        assert [exact.interactions[i, j] for i, j in pairs] == [again[i, j] for i, j in pairs]
         # both share the cube views, so pin them to the mask-filter formulas too
         table = exact_table(game).table
         _assert_same_bits(exact, reference_game_values(table))
@@ -335,8 +333,8 @@ class TestOneTablePerCall:
     @pytest.mark.parametrize(
         "oracle, n, limit",
         [
-            (exact_game_values, 13, "12"),
-            (lambda game: exact_gibbs_tilted_values(game, 1.0), 17, "16"),
+            (exact_game_values, 21, "20"),
+            (lambda game: exact_gibbs_tilted_values(game, 1.0), 21, "20"),
         ],
     )
     def test_limit_refused_before_any_evaluation(self, oracle, n, limit):
@@ -345,6 +343,11 @@ class TestOneTablePerCall:
         with pytest.raises(EnumerationLimitError, match=limit):
             oracle(game)
         assert game.evaluations == 0
+
+    def test_the_limit_game_matches_the_per_token_oracle(self):
+        # 20 tokens, the game oracles' one limit
+        game = random_table_game(np.random.default_rng(20), 20)
+        assert _bits(exact_game_values(game).banzhaf[7]) == _bits(exact_banzhaf(game, 7))
 
 
 def _bits(values) -> bytes:
@@ -366,7 +369,7 @@ def _reference_table(n: int) -> TabularGame:
 
 class TestMaskFilterReference:
     """The cube-view oracles against ``conftest``'s mask-filter formulas,
-    bit for bit, batched and, for the per-slot oracles, one slot at a time."""
+    bit for bit, batched and, for ``exact_banzhaf``, one token at a time."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     def test_exact_values(self, n):
@@ -375,8 +378,9 @@ class TestMaskFilterReference:
         _assert_same_bits(exact_game_values(game), reference)
         _, banzhaf, interactions = reference
         assert _bits([exact_banzhaf(game, i) for i in range(n)]) == _bits(banzhaf)
+        got = exact_game_values(game).interactions
         for i, j in itertools.permutations(range(n), 2):
-            assert _bits(exact_interaction(game, i, j)) == _bits(interactions[i, j])
+            assert _bits(got[i, j]) == _bits(interactions[i, j])
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 16])
     def test_tilted_values(self, n):

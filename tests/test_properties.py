@@ -30,11 +30,7 @@ from coalattn.games import (
 )
 from coalattn.inputs import RunConfig, parse_document
 from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
-from coalattn.oracles import (
-    exact_game_values,
-    exact_gibbs_tilted_values,
-    exact_interaction,
-)
+from coalattn.oracles import exact_game_values, exact_gibbs_tilted_values
 from coalattn.pipeline import NORMALIZATIONS
 from coalattn.reports import dump_json, run_attend
 
@@ -341,14 +337,18 @@ def test_shapley_efficiency(game):
     assert abs(float(np.sum(values.shapley)) - grand) <= _AXIOM_TOL
 
 
+def _swapped_masks(n: int, a: int, b: int) -> np.ndarray:
+    """Every mask over n tokens with the bits of tokens a and b exchanged."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    bit_a, bit_b = (masks >> a) & 1, (masks >> b) & 1
+    return (masks & ~((1 << a) | (1 << b))) | (bit_b << a) | (bit_a << b)
+
+
 @_AXIOM_SETTINGS
 @given(_table_games(min_n=2), st.data())
 def test_symmetric_tokens_get_equal_values(game, data):
     a, b = data.draw(st.lists(st.integers(0, game.n - 1), min_size=2, max_size=2, unique=True))
-    masks = np.arange(1 << game.n, dtype=np.int64)
-    bit_a, bit_b = (masks >> a) & 1, (masks >> b) & 1
-    swapped = (masks & ~((1 << a) | (1 << b))) | (bit_b << a) | (bit_a << b)
-    sym = TabularGame(0.5 * (game.table + game.table[swapped]))
+    sym = TabularGame(0.5 * (game.table + game.table[_swapped_masks(game.n, a, b)]))
     others = [k for k in range(game.n) if k not in (a, b)]
     for values in (exact_game_values(sym), exact_gibbs_tilted_values(sym, 0.5)):
         assert abs(values.shapley[a] - values.shapley[b]) <= _AXIOM_TOL
@@ -378,11 +378,20 @@ def test_dummy_token_is_worth_its_own_contribution(base, data):
 @_AXIOM_SETTINGS
 @given(_table_games(min_n=2), st.data())
 def test_interactions_ignore_pair_orientation(game, data):
-    i, j = data.draw(st.lists(st.integers(0, game.n - 1), min_size=2, max_size=2, unique=True))
-    assert exact_interaction(game, i, j) == exact_interaction(game, j, i)
-    for values in (exact_game_values(game), exact_gibbs_tilted_values(game, 0.5)):
+    # a pair's interaction depends on neither its orientation nor the
+    # tokens' labels: exchanging the labels of tokens a and b permutes the
+    # interaction matrix's rows and columns the same way
+    a, b = data.draw(st.lists(st.integers(0, game.n - 1), min_size=2, max_size=2, unique=True))
+    relabelled = TabularGame(game.table[_swapped_masks(game.n, a, b)])
+    order = np.arange(game.n)
+    order[[a, b]] = b, a
+    for oracle in (exact_game_values, lambda g: exact_gibbs_tilted_values(g, 0.5)):
+        values = oracle(game)
+        assert values.interactions[a, b] == values.interactions[b, a]
         np.testing.assert_array_equal(values.interactions, values.interactions.T)
         assert np.all(np.diag(values.interactions) == 0.0)
+        moved = oracle(relabelled).interactions
+        assert np.all(np.abs(moved - values.interactions[np.ix_(order, order)]) <= _AXIOM_TOL)
 
 
 # mean-field solver contract on random symmetric, zero-diagonal systems
