@@ -7,7 +7,6 @@ approximation ships with an exhaustive exact oracle for small instances.
 """
 
 from .estimators import (
-    EstimatedGameValues,
     EstimatorConfig,
     estimate_all,
     gibbs_weights,
@@ -16,6 +15,7 @@ from .games import (
     CountingGame,
     EmbeddingGame,
     Extensions,
+    GameValues,
     TabularGame,
 )
 from .linalg import logistic
@@ -28,7 +28,6 @@ from .meanfield import (
 )
 from .oracles import (
     EnumerationLimitError,
-    ExactGameValues,
     ExactSpinMarginals,
     exact_banzhaf,
     exact_game_values,
@@ -52,9 +51,9 @@ __all__ = [
     "CountingGame",
     "EmbeddingGame",
     "Extensions",
+    "GameValues",
     "TabularGame",
     "logistic",
-    "EstimatedGameValues",
     "EstimatorConfig",
     "estimate_all",
     "gibbs_weights",
@@ -64,7 +63,6 @@ __all__ = [
     "solve_fixed_point",
     "spins_to_attention",
     "EnumerationLimitError",
-    "ExactGameValues",
     "ExactSpinMarginals",
     "exact_banzhaf",
     "exact_game_values",

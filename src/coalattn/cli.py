@@ -4,8 +4,9 @@ Subcommands: ``demo`` (bundled walkthrough), ``oracle`` (exact values),
 ``estimate`` (Monte Carlo values), ``attend`` (full pipeline or solver-only),
 ``bench`` (scaling sweep).  Exit codes: 0 success, 2 input or configuration
 errors (including embeddings whose game values cannot be normalized into
-attention scores, and a temperature so small that values divided by it
-overflow), 3 enumeration-limit refusals, 4 internal failures.
+attention scores, a temperature so small that values divided by it
+overflow, and an ``--out`` or ``--trace`` path that cannot be written),
+3 enumeration-limit refusals, 4 internal failures.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import logging
 import sys
 import traceback
+from pathlib import Path
 
 from .bench import run_bench, write_bench_csv
 from .demo import render_demo, run_demo
@@ -77,11 +79,18 @@ def _config_from_args(args) -> "RunConfig":
     return load_config(getattr(args, "config", None), **overrides)
 
 
+def _writing(flag: str, call, *args):
+    """``call(*args)``, whose ``OSError`` is an input error: *flag*'s path
+    cannot be written."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise InputError(f"{flag}: {exc}") from None
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
-        from pathlib import Path
-
-        Path(out_path).write_text(text)
+        _writing("--out", Path(out_path).write_text, text)
     else:
         sys.stdout.write(text)
 
@@ -104,7 +113,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             rows = run_bench(cfg)
             if args.out:
-                write_bench_csv(rows, args.out)
+                _writing("--out", write_bench_csv, rows, args.out)
             bad = [r for r in rows if not r["count_ok"]]
             for row in rows:
                 print(
@@ -123,7 +132,8 @@ def main(argv=None) -> int:
         elif args.command == "estimate":
             report = run_estimate(doc, cfg)
         elif args.command == "attend":
-            report = run_attend(doc, cfg, trace_path=args.trace)
+            # the document is read, so the trace is the command's only file I/O
+            report = _writing("--trace", run_attend, doc, cfg, args.trace)
         else:  # unreachable with required subparsers
             parser.error(f"unknown command {args.command!r}")
         _emit(dump_json(report), args.out)

@@ -43,12 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Extensions
+from .games import Extensions, GameValues
 from .linalg import over_temperature
 
 __all__ = [
     "EstimatorConfig",
-    "EstimatedGameValues",
     "sample_permutation_prefixes",
     "sample_bernoulli_coalitions",
     "gibbs_weights",
@@ -97,21 +96,6 @@ class EstimatorConfig:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class EstimatedGameValues:
-    """Monte Carlo estimates of all per-token and per-pair values.
-
-    ``effective_sample_size[i]`` is the smaller of the two batch diagnostics
-    for token i (prefix batch and Bernoulli batch), the conservative
-    weight-degeneracy indicator.
-    """
-
-    shapley_hat: np.ndarray
-    banzhaf_hat: np.ndarray
-    interactions_hat: np.ndarray
-    effective_sample_size: np.ndarray
 
 
 def _ess(total: float, square_total: float, k: int) -> float:
@@ -308,7 +292,7 @@ def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
     return estimates, ess
 
 
-def estimate_all(game, cfg: EstimatorConfig) -> EstimatedGameValues:
+def estimate_all(game, cfg: EstimatorConfig) -> GameValues:
     """Estimate every token's Shapley and Banzhaf value and every pair's
     interaction potential.
 
@@ -333,9 +317,4 @@ def estimate_all(game, cfg: EstimatorConfig) -> EstimatedGameValues:
     rows, cols = np.triu_indices(n, 1)  # the order of `pairs`
     interactions[rows, cols] = pair_values
     interactions[cols, rows] = pair_values
-    return EstimatedGameValues(
-        shapley_hat=shapley,
-        banzhaf_hat=banzhaf,
-        interactions_hat=interactions,
-        effective_sample_size=np.minimum(shapley_ess, banzhaf_ess),
-    )
+    return GameValues(shapley, banzhaf, interactions, np.minimum(shapley_ess, banzhaf_ess))

@@ -48,6 +48,7 @@ __all__ = [
     "MAX_TOKENS",
     "TABULAR_MAX_TOKENS",
     "Extensions",
+    "GameValues",
     "TabularGame",
     "EmbeddingGame",
     "CountingGame",
@@ -63,6 +64,19 @@ TABULAR_MAX_TOKENS = 20   # 2**20 table entries
 NONLINEARITIES = ("relu", "tanh", "identity")
 
 _TABULATE_CHUNK = 1 << 16  # masks per values_by_mask call of tabulate
+
+
+@dataclass(frozen=True)
+class GameValues:
+    """A game's Shapley vector, Banzhaf vector and pairwise interaction
+    matrix, estimated or exact.  ``estimators.estimate_all`` sets
+    ``effective_sample_size[i]`` to the smaller of token i's two batch
+    diagnostics; the exact oracles leave it None."""
+
+    shapley: np.ndarray
+    banzhaf: np.ndarray
+    interactions: np.ndarray
+    effective_sample_size: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

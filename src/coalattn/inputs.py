@@ -152,11 +152,13 @@ def _as_int(obj, field: str) -> int:
 _HEAD_KEYS = {"value_projection", "gate_weights", "gate_bias"}
 
 
-def _parse_head(obj, field: str, d: int | None, embeddings: np.ndarray | None) -> HeadParams:
-    """Head parameters with the run's defaults; ``HeadParams`` checks the
-    arrays and the bias, this checks the keys, the width ``d`` and, given
-    the document's embeddings, that the head's game and gate logits stay
-    finite.
+def _parse_head(
+    obj, field: str, d: int | None, embeddings: np.ndarray | None, nonlinearity: str
+) -> HeadParams:
+    """Head parameters with the document's *nonlinearity* and the run's
+    defaults; ``HeadParams`` checks the arrays and the bias, this checks the
+    keys, the width ``d`` and, given the document's embeddings, that the
+    head's game and gate logits stay finite.
 
     Every partial sum of a token's gate logit ``x_i . w + b`` is at most
     ``sum_k |x_ik| |w_k| + |b|`` in absolute value, so a finite bound for
@@ -170,7 +172,7 @@ def _parse_head(obj, field: str, d: int | None, embeddings: np.ndarray | None) -
     if extra:
         raise _fail(field, f"unknown keys: {sorted(extra)}")
     try:
-        head = HeadParams(**obj)
+        head = HeadParams(**obj, nonlinearity=nonlinearity)
     except ValueError as exc:
         raise _fail(field, str(exc)) from None
     if d is not None and head.value_projection.shape[0] != d:
@@ -273,7 +275,8 @@ def parse_document(obj) -> InputDocument:
         if not isinstance(raw_heads, list) or not raw_heads:
             raise _fail("multi_head.heads", "expected a non-empty list")
         heads = tuple(
-            _parse_head(h, f"multi_head.heads[{idx}]", d, embeddings) for idx, h in enumerate(raw_heads)
+            _parse_head(h, f"multi_head.heads[{idx}]", d, embeddings, nonlinearity)
+            for idx, h in enumerate(raw_heads)
         )
         output_projection = _checked(as_matrix, block["output_projection"], "multi_head.output_projection")
         try:
@@ -297,7 +300,7 @@ def parse_document(obj) -> InputDocument:
         if single_keys != _HEAD_KEYS:
             missing = _HEAD_KEYS - single_keys
             raise InputError(f"document: incomplete head parameters, missing {sorted(missing)}")
-        heads = (_parse_head({k: obj[k] for k in _HEAD_KEYS}, "head", d, embeddings),)
+        heads = (_parse_head({k: obj[k] for k in _HEAD_KEYS}, "head", d, embeddings, nonlinearity),)
 
     return InputDocument(
         n=n,

@@ -37,14 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import TABULAR_MAX_TOKENS, TabularGame, tabulate
+from .games import TABULAR_MAX_TOKENS, GameValues, TabularGame, tabulate
 from .linalg import over_temperature
 from .meanfield import check_spin_system
 
 __all__ = [
     "SPIN_ENUM_LIMIT",
     "EnumerationLimitError",
-    "ExactGameValues",
     "ExactSpinMarginals",
     "require_limit",
     "exact_banzhaf",
@@ -77,15 +76,6 @@ def require_limit(n: int, spins: bool = False) -> None:
 def _require_token(game, i: int) -> None:
     if not 0 <= i < game.n:
         raise ValueError(f"token index {i} out of range for n={game.n}")
-
-
-@dataclass(frozen=True)
-class ExactGameValues:
-    """Exact Shapley vector, Banzhaf vector, and interaction matrix."""
-
-    shapley: np.ndarray
-    banzhaf: np.ndarray
-    interactions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -177,7 +167,7 @@ def exact_table(game) -> TabularGame:
     return game if isinstance(game, TabularGame) else TabularGame(tabulate(game))
 
 
-def exact_game_values(game) -> ExactGameValues:
+def exact_game_values(game) -> GameValues:
     """Exact Shapley and Banzhaf value of every token and interaction
     potential of every pair.
 
@@ -193,7 +183,7 @@ def exact_game_values(game) -> ExactGameValues:
         shapley[i] = np.dot(weights, deltas)
         banzhaf[i] = np.mean(deltas)
     interactions = _pair_matrix(cube, lambda base, deltas: np.mean(deltas))
-    return ExactGameValues(shapley, banzhaf, interactions)
+    return GameValues(shapley, banzhaf, interactions)
 
 
 def _tilted_average(log_weights: np.ndarray, deltas: np.ndarray) -> float:
@@ -213,7 +203,7 @@ def _prefix_log_p(n: int) -> np.ndarray:
     return per_size[_context_sizes(n)]
 
 
-def exact_gibbs_tilted_values(game, gamma: float) -> ExactGameValues:
+def exact_gibbs_tilted_values(game, gamma: float) -> GameValues:
     """Exact limits of the Gibbs-weighted estimators at coalition
     temperature *gamma*: the ``exp(v(C)/gamma)``-tilted average of each
     slot's differences over its contexts C.
@@ -227,8 +217,8 @@ def exact_gibbs_tilted_values(game, gamma: float) -> ExactGameValues:
     the two differ only by the constant 1/n, which cancels under
     self-normalization, so the prefix limit equals the tilted Banzhaf value.
     Both densities are kept explicit here so the oracle mirrors the
-    estimator literally.  In ``gibbs`` mode ``shapley_hat`` and
-    ``banzhaf_hat`` therefore estimate one quantity, and the pipeline's
+    estimator literally.  In ``gibbs`` mode ``estimate_all(...).shapley``
+    and ``.banzhaf`` therefore estimate one quantity, and the pipeline's
     lambda-blend averages two estimators of one value.
 
     Raises ``ValueError`` unless *gamma* is positive and finite, and
@@ -254,7 +244,7 @@ def exact_gibbs_tilted_values(game, gamma: float) -> ExactGameValues:
             shapley[i] = _tilted_average(log_q + log_weights - log_p, deltas)
             banzhaf[i] = _tilted_average(log_weights, deltas)
         interactions = _pair_matrix(cube, lambda base, deltas: _tilted_average(base / gamma, deltas))
-    return ExactGameValues(shapley, banzhaf, interactions)
+    return GameValues(shapley, banzhaf, interactions)
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None):

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatedGameValues, EstimatorConfig, estimate_all
-from .games import NONLINEARITIES, EmbeddingGame
+from .estimators import EstimatorConfig, estimate_all
+from .games import NONLINEARITIES, EmbeddingGame, GameValues
 from .linalg import as_matrix, as_scalar, as_vector, logistic
 from .meanfield import MeanFieldConfig, MeanFieldResult, solve_fixed_point
-from .oracles import ExactGameValues
 
 __all__ = [
     "NORMALIZATIONS",
@@ -101,27 +100,15 @@ class MultiHeadParams:
 
 @dataclass(frozen=True)
 class HeadResult:
-    """Every intermediate of one head, kept for interpretability.
-
-    ``effective_sample_size`` is None when the head was fed exact values.
-    """
+    """One head's output and weights (``meanfield.alphas``), with the
+    game values it ran on, estimated or injected as given."""
 
     output: np.ndarray
     alphas: np.ndarray
     lambdas: np.ndarray
     field_vector: np.ndarray
-    interaction_matrix: np.ndarray
-    shapley_hat: np.ndarray
-    banzhaf_hat: np.ndarray
-    shapley_norm: np.ndarray
-    banzhaf_norm: np.ndarray
-    effective_sample_size: np.ndarray | None
-    projected_values: np.ndarray
+    values: GameValues
     meanfield: MeanFieldResult
-
-    @property
-    def alpha_sum(self) -> float:
-        return float(np.sum(self.alphas))
 
 
 @dataclass(frozen=True)
@@ -175,23 +162,10 @@ def combine_fields(shapley_norm, banzhaf_norm, lambdas) -> np.ndarray:
     return lam * phi + (1.0 - lam) * beta
 
 
-def _extract_values(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    if isinstance(values, EstimatedGameValues):
-        return (
-            values.shapley_hat,
-            values.banzhaf_hat,
-            values.interactions_hat,
-            values.effective_sample_size,
-        )
-    if isinstance(values, ExactGameValues):
-        return values.shapley, values.banzhaf, values.interactions, None
-    raise TypeError(f"unsupported game-values object: {type(values).__name__}")
-
-
 def single_head_attend(embeddings, params: HeadParams, game_values=None) -> AttentionOutput:
     """Run the full single-head pipeline.
 
-    ``game_values`` may inject precomputed values (estimated or exact); by
+    ``game_values`` may inject a precomputed ``GameValues`` record; by
     default they are estimated on the embedding game induced by this head's
     value projection, so every characteristic evaluation sees the same
     projected vectors that the final aggregation uses.  With injected values
@@ -210,31 +184,24 @@ def single_head_attend(embeddings, params: HeadParams, game_values=None) -> Atte
 
     if game_values is None:
         game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
-        values = game.projected
+        projected = game.projected
         game_values = estimate_all(game, params.estimator)
     else:
-        values = x @ params.value_projection
-    shapley, banzhaf, interactions, ess = _extract_values(game_values)
+        projected = x @ params.value_projection
 
-    shapley_norm = normalize_scores(shapley, params.normalization, "shapley scores")
-    banzhaf_norm = normalize_scores(banzhaf, params.normalization, "banzhaf scores")
+    shapley_norm = normalize_scores(game_values.shapley, params.normalization, "shapley scores")
+    banzhaf_norm = normalize_scores(game_values.banzhaf, params.normalization, "banzhaf scores")
     fields = combine_fields(shapley_norm, banzhaf_norm, lambdas)
 
-    mf = solve_fixed_point(fields, interactions, params.meanfield)
-    z = mf.alphas @ values
+    mf = solve_fixed_point(fields, game_values.interactions, params.meanfield)
+    z = mf.alphas @ projected
 
     head = HeadResult(
         output=z,
         alphas=mf.alphas,
         lambdas=lambdas,
         field_vector=fields,
-        interaction_matrix=np.asarray(interactions),
-        shapley_hat=np.asarray(shapley),
-        banzhaf_hat=np.asarray(banzhaf),
-        shapley_norm=shapley_norm,
-        banzhaf_norm=banzhaf_norm,
-        effective_sample_size=None if ess is None else np.asarray(ess),
-        projected_values=values,
+        values=game_values,
         meanfield=mf,
     )
     return AttentionOutput(output=z, heads=(head,))

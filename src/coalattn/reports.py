@@ -8,10 +8,10 @@ timings, and those are documented as environment-dependent.
 
 Each command runs the engine's one path for its stage: ``run_oracle``
 tabulates the game once (``2**n`` evaluations) for the exact and tilted
-values and feeds the exact values through ``single_head_attend``;
+values and feeds the exact ``GameValues`` through ``single_head_attend``;
 ``run_attend``'s ``--trace`` CSV is the trace the first head's solve
-recorded.  A head fed exact values has no sample size, so its report
-carries ``"effective_sample_size": null``.
+recorded.  Head reports read the head's ``GameValues``; an exact record
+has no sample size, so its report carries ``"effective_sample_size": null``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -52,16 +51,13 @@ __all__ = [
 ]
 
 
-def dump_json(report: dict, path=None) -> str:
-    """Canonical JSON encoding; writes to *path* when given.
+def dump_json(report: dict) -> str:
+    """Canonical JSON encoding of *report*.
 
     NaN and infinities are not JSON, so a report holding one raises
     ``ValueError`` instead of producing an invalid file.
     """
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_trace_csv(trace, path) -> None:
@@ -86,7 +82,6 @@ def _head_params_from_doc(doc: InputDocument, cfg: RunConfig) -> list[HeadParams
                 cfg.seed if len(doc.heads) == 1 else derive_head_seed(cfg.seed, index)
             ),
             meanfield=cfg.meanfield_config(),
-            nonlinearity=doc.nonlinearity,
             normalization=cfg.normalization,
         )
         for index, head in enumerate(doc.heads)
@@ -153,7 +148,7 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
         if derives_spins:
             head = _head_params_from_doc(doc, cfg)[0]
             result = single_head_attend(doc.embeddings, head, game_values=exact).heads[0]
-            fields, couplings = result.field_vector, result.interaction_matrix
+            fields, couplings = result.field_vector, result.values.interactions
             solved = result.meanfield
 
     if doc.has_spin_system:
@@ -193,22 +188,23 @@ def run_estimate(doc: InputDocument, cfg: RunConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "config": cfg.echo(),
         "n": game.n,
-        "shapley_hat": values.shapley_hat.tolist(),
-        "banzhaf_hat": values.banzhaf_hat.tolist(),
-        "interactions_hat": values.interactions_hat.tolist(),
+        "shapley_hat": values.shapley.tolist(),
+        "banzhaf_hat": values.banzhaf.tolist(),
+        "interactions_hat": values.interactions.tolist(),
         "effective_sample_size": values.effective_sample_size.tolist(),
     }
 
 
 def _head_report(result, n: int) -> dict:
-    ess = result.effective_sample_size
+    values = result.values
+    ess = values.effective_sample_size
     return {
-        **_solver_report(result.meanfield, n, result.field_vector, result.interaction_matrix),
+        **_solver_report(result.meanfield, n, result.field_vector, values.interactions),
         "lambdas": result.lambdas.tolist(),
         "field_vector": result.field_vector.tolist(),
-        "interaction_matrix": result.interaction_matrix.tolist(),
-        "shapley_hat": result.shapley_hat.tolist(),
-        "banzhaf_hat": result.banzhaf_hat.tolist(),
+        "interaction_matrix": values.interactions.tolist(),
+        "shapley_hat": values.shapley.tolist(),
+        "banzhaf_hat": values.banzhaf.tolist(),
         "effective_sample_size": None if ess is None else ess.tolist(),
         "output": result.output.tolist(),
     }

@@ -116,8 +116,8 @@ def test_criterion_3_classic_estimator_consistency():
     estimated = estimate_all(game, cfg)
     within_se = per_slot_ok = True
     for kind, estimates, exact_values in (
-        (1, estimated.shapley_hat, exact.shapley),
-        (2, estimated.banzhaf_hat, exact.banzhaf),
+        (1, estimated.shapley, exact.shapley),
+        (2, estimated.banzhaf, exact.banzhaf),
     ):
         for i in range(8):
             slot_estimate, _, se = reference_slot(game, cfg, kind, (i,))
@@ -132,8 +132,8 @@ def test_criterion_3_classic_estimator_consistency():
                 sample_count=sample_count, seed=7000 + rep, gamma=1.0, mode="classic"
             )
             values = estimate_all(game, rep_cfg)
-            shapley_errors.extend((values.shapley_hat - exact.shapley) ** 2)
-            banzhaf_errors.extend((values.banzhaf_hat - exact.banzhaf) ** 2)
+            shapley_errors.extend((values.shapley - exact.shapley) ** 2)
+            banzhaf_errors.extend((values.banzhaf - exact.banzhaf) ** 2)
         return float(np.sqrt(np.mean(shapley_errors))), float(np.sqrt(np.mean(banzhaf_errors)))
 
     ratios = [fine / coarse for fine, coarse in zip(rmse(4096), rmse(1024))]
@@ -153,10 +153,10 @@ def test_criterion_4_gibbs_estimator_consistency():
     cfg = EstimatorConfig(sample_count=50_000, seed=2003, gamma=1.0, mode="gibbs")
 
     estimated = estimate_all(game, cfg)
-    slots = [(1, (i,), estimated.shapley_hat[i], tilted.shapley[i]) for i in range(8)]
-    slots += [(2, (i,), estimated.banzhaf_hat[i], tilted.banzhaf[i]) for i in range(8)]
+    slots = [(1, (i,), estimated.shapley[i], tilted.shapley[i]) for i in range(8)]
+    slots += [(2, (i,), estimated.banzhaf[i], tilted.banzhaf[i]) for i in range(8)]
     slots += [
-        (3, (i, j), estimated.interactions_hat[i, j], tilted.interactions[i, j])
+        (3, (i, j), estimated.interactions[i, j], tilted.interactions[i, j])
         for i in range(8)
         for j in range(i + 1, 8)
     ]

@@ -193,7 +193,7 @@ class TestStreamKeys:
         game = EmbeddingGame(rng.normal(size=(9, 3)), rng.normal(size=(3, 2)))
         got = estimate_all(game, EstimatorConfig(seed=seed))
         expected = estimate_all(game, EstimatorConfig(seed=7))
-        for field in ("shapley_hat", "banzhaf_hat", "interactions_hat", "effective_sample_size"):
+        for field in ("shapley", "banzhaf", "interactions", "effective_sample_size"):
             np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))
         rng = next(_slot_streams(seed, 3, [(1, 2)]))
         assert _mixed_draws(rng, 5) == _mixed_draws(reference_stream(7, 3, 1, 2), 5)
@@ -344,10 +344,10 @@ _SHAPLEY, _BANZHAF, _INTERACTION = 1, 2, 3
 def _slot_estimate(values, kind: int, slot: tuple) -> float:
     """``estimate_all``'s value for one slot."""
     if kind == _SHAPLEY:
-        return values.shapley_hat[slot[0]]
+        return values.shapley[slot[0]]
     if kind == _BANZHAF:
-        return values.banzhaf_hat[slot[0]]
-    return values.interactions_hat[slot]
+        return values.banzhaf[slot[0]]
+    return values.interactions[slot]
 
 
 def _checked_slot(values, game, cfg, kind: int, slot: tuple) -> tuple[float, float]:
@@ -372,9 +372,9 @@ class TestClassicMode:
     def test_worked_table_converges_to_exact(self, worked_game):
         cfg = EstimatorConfig(sample_count=100_000, seed=12, gamma=1.0, mode="classic")
         values = estimate_all(worked_game, cfg)
-        assert values.shapley_hat[1] == pytest.approx(0.7667, abs=0.02)
-        assert values.banzhaf_hat[1] == pytest.approx(0.775, abs=0.02)
-        assert values.interactions_hat[0, 1] == pytest.approx(0.45, abs=0.02)
+        assert values.shapley[1] == pytest.approx(0.7667, abs=0.02)
+        assert values.banzhaf[1] == pytest.approx(0.775, abs=0.02)
+        assert values.interactions[0, 1] == pytest.approx(0.45, abs=0.02)
 
     def test_uniform_weights_and_full_ess(self, worked_game):
         cfg = EstimatorConfig(sample_count=50, seed=3, gamma=1.0, mode="classic")
@@ -401,8 +401,8 @@ class TestGibbsMode:
     def test_high_temperature_flattens_to_classic_for_subset_samplers(self, worked_game):
         hot = estimate_all(worked_game, EstimatorConfig(sample_count=500, seed=9, gamma=1e9, mode="gibbs"))
         cold = estimate_all(worked_game, EstimatorConfig(sample_count=500, seed=9, gamma=1e9, mode="classic"))
-        assert hot.banzhaf_hat[1] == pytest.approx(cold.banzhaf_hat[1], abs=1e-6)
-        assert hot.interactions_hat[0, 1] == pytest.approx(cold.interactions_hat[0, 1], abs=1e-6)
+        assert hot.banzhaf[1] == pytest.approx(cold.banzhaf[1], abs=1e-6)
+        assert hot.interactions[0, 1] == pytest.approx(cold.interactions[0, 1], abs=1e-6)
 
     def test_high_temperature_prefix_estimator_targets_subset_average(self, worked_game):
         # the 1/p reweighting converts the permutation measure into the
@@ -419,9 +419,9 @@ class TestDeterminism:
         cfg = EstimatorConfig(sample_count=300, seed=2024, gamma=0.6, mode="gibbs")
         a = estimate_all(worked_game, cfg)
         b = estimate_all(worked_game, cfg)
-        np.testing.assert_array_equal(a.shapley_hat, b.shapley_hat)
-        np.testing.assert_array_equal(a.banzhaf_hat, b.banzhaf_hat)
-        np.testing.assert_array_equal(a.interactions_hat, b.interactions_hat)
+        np.testing.assert_array_equal(a.shapley, b.shapley)
+        np.testing.assert_array_equal(a.banzhaf, b.banzhaf)
+        np.testing.assert_array_equal(a.interactions, b.interactions)
         np.testing.assert_array_equal(a.effective_sample_size, b.effective_sample_size)
 
     def test_estimate_all_matches_individual_calls(self, worked_game):
@@ -438,7 +438,7 @@ class TestDeterminism:
     def test_interaction_orientation_is_identical(self, worked_game):
         cfg = EstimatorConfig(sample_count=100, seed=5, gamma=1.0, mode="gibbs")
         values = estimate_all(worked_game, cfg)
-        assert values.interactions_hat[2, 0] == values.interactions_hat[0, 2]
+        assert values.interactions[2, 0] == values.interactions[0, 2]
         _checked_slot(values, worked_game, cfg, _INTERACTION, (0, 2))
 
     def test_tokens_use_independent_streams(self):
@@ -451,7 +451,7 @@ class TestDeterminism:
         game = TabularGame(0.5 * (table + table[swapped]))
         cfg = EstimatorConfig(sample_count=50, seed=11, gamma=1.0, mode="classic")
         values = estimate_all(game, cfg)
-        assert values.shapley_hat[0] != values.shapley_hat[1]
+        assert values.shapley[0] != values.shapley[1]
         exact = exact_game_values(game).shapley
         assert exact[0] == pytest.approx(exact[1], abs=1e-15)
 
@@ -479,10 +479,10 @@ class TestDiagnostics:
     def test_structural_shape(self, worked_game):
         cfg = EstimatorConfig(sample_count=10, seed=1, gamma=1.0, mode="gibbs")
         values = estimate_all(worked_game, cfg)
-        assert values.shapley_hat.shape == (3,)
-        np.testing.assert_array_equal(values.interactions_hat, values.interactions_hat.T)
-        assert np.all(np.diag(values.interactions_hat) == 0.0)
-        assert np.all(np.isfinite(values.shapley_hat))
+        assert values.shapley.shape == (3,)
+        np.testing.assert_array_equal(values.interactions, values.interactions.T)
+        assert np.all(np.diag(values.interactions) == 0.0)
+        assert np.all(np.isfinite(values.shapley))
 
 
 class TestConsistencyAgainstExactOracles:

@@ -162,6 +162,13 @@ class TestDocumentValidation:
         parsed = parse_document(doc)
         assert len(parsed.heads) == 2 and parsed.output_projection.shape == (4, 3)
 
+    def test_parsed_heads_carry_the_document_nonlinearity(self):
+        single = _embedding_doc(nonlinearity="tanh")
+        assert [h.nonlinearity for h in parse_document(single).heads] == ["tanh"]
+        head = {key: single.pop(key) for key in ("value_projection", "gate_weights", "gate_bias")}
+        multi = {**single, "multi_head": {"heads": [head, head], "output_projection": np.eye(6, 3).tolist()}}
+        assert [h.nonlinearity for h in parse_document(multi).heads] == ["tanh", "tanh"]
+
     def test_multi_head_projection_rows_checked(self):
         rng = np.random.default_rng(3)
         d = 3
@@ -399,6 +406,36 @@ class TestCli:
         rows = trace.read_text().strip().splitlines()
         assert rows[0] == "iteration,residual"
         assert len(rows) >= 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["oracle", "--input", "{table}", "--out", "{missing}"], "--out"),
+            (["oracle", "--input", "{table}", "--out", "{directory}"], "--out"),
+            (["demo", "--out", "{missing}"], "--out"),
+            (["attend", "--input", "{solver}", "--trace", "{missing}"], "--trace"),
+            (["bench", "--out", "{missing}"], "--out"),
+        ],
+        ids=["oracle-missing-dir", "oracle-directory", "demo-missing-dir", "attend-trace", "bench-missing-dir"],
+    )
+    def test_unwritable_output_paths_are_input_errors(self, tmp_path, capsys, monkeypatch, argv, flag):
+        paths = {
+            "table": tmp_path / "table.json",
+            "solver": tmp_path / "solver.json",
+            "missing": tmp_path / "missing" / "out",
+            "directory": tmp_path,
+        }
+        paths["table"].write_text(json.dumps(_table_doc()))
+        paths["solver"].write_text(json.dumps(_solver_doc()))
+        # one row stands in for the sweep, which criterion 7 runs
+        row = dict(
+            kind="estimate", n=8, parameter=64, measured_count=1, expected_count=1, count_ok=True, seconds=0.0
+        )
+        monkeypatch.setattr(cli, "run_bench", lambda cfg: [row])
+        code = cli.main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert err.startswith(f"input error: {flag}: ")
 
     def test_missing_input_exit_code(self, tmp_path, capsys):
         assert cli.main(["oracle", "--input", str(tmp_path / "nope.json")]) == cli.EXIT_INPUT

@@ -134,9 +134,9 @@ class TestSingleHead:
         out = single_head_attend(x, _head(rng, 4))
         head = out.heads[0]
         assert np.all(head.alphas >= 0.0) and np.all(head.alphas <= 1.0)
-        np.testing.assert_array_equal(head.interaction_matrix, head.interaction_matrix.T)
-        assert np.all(np.diag(head.interaction_matrix) == 0.0)
-        assert math.isfinite(head.alpha_sum)
+        np.testing.assert_array_equal(head.values.interactions, head.values.interactions.T)
+        assert np.all(np.diag(head.values.interactions) == 0.0)
+        assert math.isfinite(float(np.sum(head.alphas)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(62)
@@ -168,6 +168,17 @@ class TestSingleHead:
         report = json.loads(dump_json(_head_report(head, 4)))
         assert report["effective_sample_size"] is None
         assert report["alphas"] == head.alphas.tolist()
+
+    def test_a_head_holds_the_game_values_it_ran_on(self):
+        rng = np.random.default_rng(67)
+        x = rng.normal(size=(4, 3))
+        params = _head(rng, 3)
+        exact = exact_game_values(EmbeddingGame(x, params.value_projection, params.nonlinearity))
+        head = single_head_attend(x, params, game_values=exact).heads[0]
+        assert head.values is exact
+        assert head.values.effective_sample_size is None
+        estimated = single_head_attend(x, params).heads[0].values
+        assert estimated.effective_sample_size.shape == (4,)
 
     def test_zero_embeddings_degenerate(self):
         rng = np.random.default_rng(64)

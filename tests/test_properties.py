@@ -292,12 +292,12 @@ def test_estimate_all_equals_the_per_slot_estimates(case):
             (shapley, shapley_ess, _), (banzhaf, banzhaf_ess, _) = (
                 reference_slot(game, cfg, kind, (i,)) for kind in (1, 2)
             )
-            assert (values.shapley_hat[i], values.banzhaf_hat[i]) == (shapley, banzhaf)
+            assert (values.shapley[i], values.banzhaf[i]) == (shapley, banzhaf)
             assert values.effective_sample_size[i] == min(shapley_ess, banzhaf_ess)
         for i in range(n):
             for j in range(i + 1, n):
-                assert values.interactions_hat[i, j] == values.interactions_hat[j, i]
-                assert values.interactions_hat[i, j] == reference_slot(game, cfg, 3, (i, j))[0]
+                assert values.interactions[i, j] == values.interactions[j, i]
+                assert values.interactions[i, j] == reference_slot(game, cfg, 3, (i, j))[0]
 
 
 @st.composite
