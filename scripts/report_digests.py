@@ -1,0 +1,116 @@
+"""SHA-256 of every report the CLI writes for the benchmark's documents.
+
+Runs ``oracle``, ``estimate`` and ``attend`` through ``coalattn.cli.main``
+on every document of every ``perfbench/workloads.py`` workload for seeds
+1-3, each with its workload's settings as the ``--config`` file, and then
+``demo --out``.  Prints one line per run::
+
+    seed workload index command exit sha256
+
+with ``-`` for the sha256 of a run that wrote no report (and for the
+seed, workload and index of ``demo``).  The same source tree always prints
+the same lines, so two trees' outputs show which reports changed bytes.
+
+    python scripts/report_digests.py [--src DIR] > digests.txt
+    python scripts/report_digests.py --compare BASE.txt HEAD.txt
+
+``--src`` picks the ``coalattn`` sources to run (default: this checkout's
+``src``); the documents always come from this checkout's ``perfbench``,
+which the script only reads.  ``--compare`` prints every line of HEAD that
+differs from BASE's line for the same run, and exits 1 only when a run
+that exited 0 in BASE exits otherwise (or is missing) in HEAD: reports
+that change bytes on purpose still pass.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import logging
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
+COMMANDS = ("oracle", "estimate", "attend")
+
+
+def _digest(code: int, path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if code == 0 else "-"
+
+
+def _run(main, argv: list[str]) -> int:
+    # what a run prints (the demo walkthrough, refusal messages) is not compared
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def digest_lines(src: Path):
+    """Yield one ``seed workload index command exit sha256`` line per run."""
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    from coalattn import cli
+    from workloads import WORKLOADS, documents
+
+    if Path(cli.__file__).resolve().parents[1] != src.resolve():
+        raise SystemExit(f"report_digests: imported coalattn from {cli.__file__}, not from {src}")
+    # log records (monotonicity notes, score warnings) are not compared either
+    logging.basicConfig(handlers=[logging.NullHandler()])
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path, cfg_path, out = (Path(tmp) / name for name in ("doc.json", "cfg.json", "out.json"))
+        for seed in SEEDS:
+            for name, workload in WORKLOADS.items():
+                for index, (text, settings) in enumerate(documents(workload, seed)):
+                    doc_path.write_bytes(text)
+                    cfg_path.write_text(json.dumps(settings))
+                    for command in COMMANDS:
+                        out.unlink(missing_ok=True)
+                        argv = [command, "--input", str(doc_path), "--config", str(cfg_path), "--out", str(out)]
+                        code = _run(cli.main, argv)
+                        yield f"{seed} {name} {index} {command} {code} {_digest(code, out)}"
+        out.unlink(missing_ok=True)
+        code = _run(cli.main, ["demo", "--out", str(out)])
+        yield f"- - - demo {code} {_digest(code, out)}"
+
+
+def _runs(path: str) -> dict[tuple[str, ...], tuple[str, str]]:
+    runs = {}
+    for line in Path(path).read_text().splitlines():
+        *run, code, digest = line.split()
+        runs[tuple(run)] = (code, digest)
+    return runs
+
+
+def compare(base_path: str, head_path: str) -> int:
+    """Print the runs whose exit code or digest changed; 1 if a run that
+    exited 0 in BASE did not in HEAD."""
+    base, head = _runs(base_path), _runs(head_path)
+    broken = 0
+    for run, before in base.items():
+        after = head.get(run, ("missing", "-"))
+        if after != before:
+            print(f"{' '.join(run)}: exit {before[0]} -> {after[0]}, sha256 {before[1]} -> {after[1]}")
+            broken += before[0] == "0" and after[0] != "0"
+    for run in head.keys() - base.keys():
+        print(f"{' '.join(run)}: new run, exit {head[run][0]}")
+    print(f"{len(base)} runs compared; {broken} that exited 0 no longer do")
+    return 1 if broken else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the coalattn sources to run")
+    parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"), help="compare two outputs instead")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    for line in digest_lines(args.src):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,7 +6,8 @@ Subcommands: ``demo`` (bundled walkthrough), ``oracle`` (exact values),
 errors (including embeddings whose game values cannot be normalized into
 attention scores, a temperature so small that values divided by it
 overflow, and an ``--out`` or ``--trace`` path that cannot be written),
-3 enumeration-limit refusals, 4 internal failures.
+3 limit refusals (enumeration limits, and a run that runs out of memory,
+reported as ``limit refusal: out of memory: ...``), 4 internal failures.
 """
 
 from __future__ import annotations
@@ -68,17 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> "RunConfig":
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    return load_config(getattr(args, "config", None), **overrides)
-
-
 def _writing(flag: str, call, *args):
     """``call(*args)``, whose ``OSError`` is an input error: *flag*'s path
     cannot be written."""
@@ -108,7 +98,7 @@ def main(argv=None) -> int:
             print(render_demo(report))
             return EXIT_OK
 
-        cfg = _config_from_args(args)
+        cfg = load_config(args.config, seed=args.seed, mode=args.mode, threads=args.threads)
 
         if args.command == "bench":
             rows = run_bench(cfg)
@@ -148,6 +138,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except EnumerationLimitError as exc:
         print(f"limit refusal: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except MemoryError as exc:
+        print(f"limit refusal: out of memory: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except Exception:  # pragma: no cover - defensive
         traceback.print_exc()

@@ -31,8 +31,9 @@ built ``Philox(key=...)`` without building a generator per slot.  Slots are
 then sampled one by one from their own streams, and a block of at most
 ``_BLOCK_CONTEXTS`` sampled contexts is evaluated by one ``values_by_mask``
 call on the ``Extensions`` of those contexts by each slot's added token
-sets, and weighted row by row, so a slot's numbers do not depend on the
-block it lands in.
+sets.  The block's weights, estimates and effective sample sizes are then
+computed for all its rows at once; every reduction runs along a row alone,
+so a slot's numbers do not depend on the block it lands in.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .games import Extensions, GameValues
 from .linalg import over_temperature
 
 __all__ = [
+    "MAX_SAMPLE_COUNT",
     "EstimatorConfig",
     "sample_permutation_prefixes",
     "sample_bernoulli_coalitions",
@@ -55,6 +57,12 @@ __all__ = [
 ]
 
 MODES = ("gibbs", "classic")
+
+# Largest sample count K accepted: far above any count an estimate needs
+# (the acceptance tests use 50,000), and small enough that every K-long
+# array has a size numpy can represent; a K whose arrays do not fit in
+# memory ends in MemoryError, which the CLI reports as a limit refusal.
+MAX_SAMPLE_COUNT = 2**32
 
 # stream identifiers for the counter-based RNG split
 _SHAPLEY_STREAM = 1
@@ -88,20 +96,14 @@ class EstimatorConfig:
     mode: str = "gibbs"
 
     def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
+            raise ValueError(f"sample_count must lie in 1..{MAX_SAMPLE_COUNT}, got {self.sample_count}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
-def _ess(total: float, square_total: float, k: int) -> float:
-    """Effective sample size ``total**2 / square_total`` of K raw weights,
-    clamped to [1, K] against roundoff."""
-    return min(max(total**2 / square_total, 1.0), float(k))
 
 
 def _philox_keys(seed: int, kind: int, slots) -> np.ndarray:
@@ -236,16 +238,18 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
     return raw, raw / raw.sum(axis=-1, keepdims=True)
 
 
-def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[int, ...]]):
-    """Sample, evaluate and weight the slots of one family, block by block.
+def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[int, ...]]):
+    """Estimate and effective sample size of every slot of one family.
 
     Each slot is a tuple of token indices: ``(i,)`` for the Shapley and
     Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  A block
     holds as many slots as ``_BLOCK_CONTEXTS`` sampled contexts allow, at
-    least one, and is evaluated by one ``values_by_mask`` call on the
-    ``Extensions`` of its contexts by its slots' added sets.  Yields
-    ``(raw_weights, normalized_weights, marginals)`` for consecutive blocks
-    of slots, each of shape ``(slots in block, K)``.
+    least one.  Each block's slots are sampled from their own streams and
+    evaluated by one ``values_by_mask`` call on the ``Extensions`` of their
+    contexts by their added sets; the block is then weighted and reduced
+    row-wise at once, so its rows of the estimates and effective sample
+    sizes are written together.  The ESS of K raw weights is ``total**2 /
+    square_total``, clamped to [1, K] against roundoff.
     """
     n, k = game.n, cfg.sample_count
     # each slot's coalitions are its sampled contexts with every subset of
@@ -255,8 +259,11 @@ def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
         added = np.concatenate([added, added | np.left_shift(np.uint64(1), column)[:, None]], axis=1)
     per_block = max(1, _BLOCK_CONTEXTS // k)
     streams = _slot_streams(cfg.seed, kind, slots)
+    estimates = np.empty(len(slots))
+    ess = np.empty(len(slots))
     for start in range(0, len(slots), per_block):
-        block = slots[start : start + per_block]
+        rows = slice(start, start + per_block)
+        block = slots[rows]
         contexts = np.empty((len(block), k), dtype=np.uint64)
         probs = np.empty((len(block), k))
         for row, (slot, rng) in enumerate(zip(block, streams)):
@@ -264,7 +271,7 @@ def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
                 contexts[row], probs[row] = sample_permutation_prefixes(rng, n, slot[0], k)
             else:
                 contexts[row], probs[row] = sample_bernoulli_coalitions(rng, n, slot, k)
-        values = game.values_by_mask(Extensions(contexts, added[start : start + per_block]))
+        values = game.values_by_mask(Extensions(contexts, added[rows]))
         base = values[:, 0]
         if values.shape[1] == 2:
             marginals = values[:, 1] - base
@@ -274,21 +281,12 @@ def _weighted_blocks(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
             raw, normalized = gibbs_weights(base, probs, cfg.gamma)
         else:
             raw, normalized = np.ones((len(block), k)), np.full((len(block), k), 1.0 / k)
-        yield raw, normalized, marginals
-
-
-def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[int, ...]]):
-    """Estimate and effective sample size of every slot of one family."""
-    estimates = np.empty(len(slots))
-    ess = np.empty(len(slots))
-    row = 0
-    for raw, normalized, marginals in _weighted_blocks(game, cfg, kind, slots):
-        totals = raw.sum(axis=-1).tolist()
-        square_totals = (raw * raw).sum(axis=-1).tolist()
-        for r in range(raw.shape[0]):
-            estimates[row] = np.dot(normalized[r], marginals[r])
-            ess[row] = _ess(totals[r], square_totals[r], raw.shape[1])
-            row += 1
+        # vecdot takes each row's dot product through the same BLAS ddot as
+        # np.dot; the Python float power `t ** 2` (libm pow) keeps the ESS
+        # bits, where an array `t * t` rounds differently on some inputs
+        estimates[rows] = np.vecdot(normalized, marginals)
+        totals, square_totals = raw.sum(axis=-1).tolist(), (raw * raw).sum(axis=-1).tolist()
+        ess[rows] = [min(max(t**2 / q, 1.0), k) for t, q in zip(totals, square_totals)]
     return estimates, ess
 
 

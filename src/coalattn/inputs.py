@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import MODES, EstimatorConfig
+from .estimators import MAX_SAMPLE_COUNT, MODES, EstimatorConfig
 from .games import (
     MAX_TOKENS,
     NONLINEARITIES,
@@ -86,7 +86,6 @@ class InputDocument:
     couplings: np.ndarray | None
     heads: tuple[HeadParams, ...] | None
     output_projection: np.ndarray | None
-    nonlinearity: str
 
     @property
     def has_game(self) -> bool:
@@ -96,12 +95,9 @@ class InputDocument:
     def has_spin_system(self) -> bool:
         return self.fields is not None or self.couplings is not None
 
-    def build_game(self, value_projection=None):
-        """Materialize the document's game.
-
-        Table documents ignore ``value_projection``; embedding documents
-        require one (normally a head's projection).
-        """
+    def build_game(self):
+        """Materialize the document's game: the table's, or the embedding
+        game under the first head's value projection and nonlinearity."""
         if self.characteristic_table is not None:
             game = TabularGame(self.characteristic_table)
             violations = monotonicity_violations(game)
@@ -113,9 +109,10 @@ class InputDocument:
                 )
             return game
         if self.embeddings is not None:
-            if value_projection is None:
+            if self.heads is None:
                 raise InputError("embeddings input needs a value_projection to induce a game")
-            return EmbeddingGame(self.embeddings, value_projection, self.nonlinearity)
+            head = self.heads[0]
+            return EmbeddingGame(self.embeddings, head.value_projection, head.nonlinearity)
         raise InputError("document has no game: neither embeddings nor characteristic_table")
 
     def spin_system(self) -> tuple[np.ndarray, np.ndarray]:
@@ -244,6 +241,16 @@ def parse_document(obj) -> InputDocument:
             raise _fail("fields", f"expected length {n}, got {fields.size}")
     if "couplings" in obj:
         _, couplings = _checked(check_spin_system, np.zeros(n), obj["couplings"])
+        # every partial sum of a local field J_i + sum_j C_ij s_j, with every
+        # |s_j| <= 1, is at most |J_i| + sum_j |C_ij| in absolute value, so
+        # finite row bounds keep the solver's local fields finite
+        with np.errstate(over="ignore"):
+            bounds = np.abs(couplings).sum(axis=1) + (0.0 if fields is None else np.abs(fields))
+        if not np.isfinite(bounds).all():
+            raise InputError(
+                "fields, couplings: local fields overflow float64 "
+                "(|fields_i| + sum_j |couplings_ij| is not finite)"
+            )
 
     if embeddings is None and table is None and fields is None and couplings is None:
         raise InputError(
@@ -251,7 +258,7 @@ def parse_document(obj) -> InputDocument:
             "explicit fields/couplings block"
         )
 
-    nonlinearity = obj.get("nonlinearity", "relu")
+    nonlinearity = obj.get("nonlinearity", HeadParams.nonlinearity)
     if nonlinearity not in NONLINEARITIES:
         raise _fail("nonlinearity", f"must be one of {NONLINEARITIES}")
 
@@ -311,7 +318,6 @@ def parse_document(obj) -> InputDocument:
         couplings=couplings,
         heads=heads,
         output_projection=output_projection,
-        nonlinearity=nonlinearity,
     )
 
 
@@ -331,23 +337,27 @@ def load_input(path) -> InputDocument:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Engine-wide run settings with the stock defaults.
+    """Engine-wide run settings.
 
-    The coalition temperature (Gibbs weights) and spin temperature (mean
-    field) are distinct settings that default to the same value.  ``threads``
-    is an advisory hint that ``echo`` leaves out of reports; execution is
-    sequential and results never depend on it.
+    Every default is the engine's own: ``EstimatorConfig``'s for the
+    coalition temperature (Gibbs weights), sample count, seed and mode,
+    ``MeanFieldConfig``'s for the spin temperature and the solver budget,
+    and ``HeadParams``'s for the normalization, so a default is changed in
+    the engine config alone.  ``threads`` is an advisory hint that ``echo``
+    leaves out of reports; execution is sequential and results never depend
+    on it.  The checks below repeat the engine configs' so that a bad value
+    is refused as ``field: message`` (exit 2).
     """
 
-    coalition_gamma: float = 0.25
-    spin_gamma: float = 0.25
-    sample_count: int = 25
-    max_iterations: int = 25
-    tolerance: float = 1e-4
-    damping: float = 0.7
-    seed: int = 0
-    mode: str = "gibbs"
-    normalization: str = "l1"
+    coalition_gamma: float = EstimatorConfig.gamma
+    spin_gamma: float = MeanFieldConfig.gamma
+    sample_count: int = EstimatorConfig.sample_count
+    max_iterations: int = MeanFieldConfig.max_iterations
+    tolerance: float = MeanFieldConfig.tolerance
+    damping: float = MeanFieldConfig.damping
+    seed: int = EstimatorConfig.seed
+    mode: str = EstimatorConfig.mode
+    normalization: str = HeadParams.normalization
     threads: str = "auto"
 
     def __post_init__(self) -> None:
@@ -360,6 +370,8 @@ class RunConfig:
             _as_int(getattr(self, name), name)
         if self.sample_count < 1:
             raise _fail("sample_count", "must be >= 1")
+        if self.sample_count > MAX_SAMPLE_COUNT:
+            raise _fail("sample_count", f"must be at most {MAX_SAMPLE_COUNT}")
         if self.max_iterations < 1:
             raise _fail("max_iterations", "must be >= 1")
         if not 0.0 <= _checked(as_scalar, self.damping, "damping") < 1.0:
@@ -391,20 +403,11 @@ class RunConfig:
     def echo(self) -> dict:
         """Config snapshot embedded in every report.
 
-        The thread hint is deliberately left out: it is advisory, never
-        changes results, and reports must stay byte-identical across hints.
+        Every setting but the thread hint, which is left out: it is
+        advisory, never changes results, and reports must stay
+        byte-identical across hints.
         """
-        return {
-            "coalition_gamma": self.coalition_gamma,
-            "spin_gamma": self.spin_gamma,
-            "sample_count": self.sample_count,
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "damping": self.damping,
-            "seed": self.seed,
-            "mode": self.mode,
-            "normalization": self.normalization,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self) if f.name != "threads"}
 
 
 _CONFIG_KEYS = frozenset(field.name for field in dataclass_fields(RunConfig))

@@ -113,13 +113,15 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
     Game documents get exact Shapley/Banzhaf/interaction values, their
     Gibbs-tilted counterparts, and the efficiency-axiom check.  Spin
     marginals are included when the document carries explicit fields and
-    couplings, or when they are exactly derivable (embedding game plus gate
-    parameters); the mean-field solution of the same system rides along with
-    its gap to the exact marginals.
+    couplings, or else when they are exactly derivable (embedding game plus
+    one head's gate parameters); the mean-field solution of the same system
+    rides along with its gap to the exact marginals.
     """
     report: dict = {"schema_version": SCHEMA_VERSION, "config": cfg.echo()}
     # refuse past either oracle's limit before evaluating anything, the game's first
-    derives_spins = doc.heads is not None and doc.embeddings is not None and len(doc.heads) == 1
+    derives_spins = (
+        doc.heads is not None and doc.embeddings is not None and len(doc.heads) == 1 and not doc.has_spin_system
+    )
     if doc.has_game:
         require_limit(doc.n)
     if derives_spins or doc.has_spin_system:
@@ -127,9 +129,8 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
 
     fields = couplings = solved = None
     if doc.has_game:
-        projection = doc.heads[0].value_projection if doc.heads else None
         # one table serves every exact value below
-        game = exact_table(doc.build_game(projection))
+        game = exact_table(doc.build_game())
         exact = exact_game_values(game)
         tilted = exact_gibbs_tilted_values(game, cfg.coalition_gamma)
         grand, empty = game.table[-1], game.table[0]  # masks 2**n - 1 and 0
@@ -181,8 +182,7 @@ def run_estimate(doc: InputDocument, cfg: RunConfig) -> dict:
     """Monte Carlo estimates for the document's game."""
     if not doc.has_game:
         raise InputError("document: estimate needs embeddings or a characteristic_table")
-    projection = doc.heads[0].value_projection if doc.heads else None
-    game = doc.build_game(projection)
+    game = doc.build_game()
     values = estimate_all(game, cfg.estimator_config())
     return {
         "schema_version": SCHEMA_VERSION,

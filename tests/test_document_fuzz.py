@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalattn import cli
-from coalattn.estimators import MODES
+from coalattn.estimators import MAX_SAMPLE_COUNT, MODES
+from coalattn.games import NONLINEARITIES
 from coalattn.inputs import RunConfig
 from coalattn.pipeline import NORMALIZATIONS
 
@@ -31,6 +32,10 @@ _NUMBERS = st.one_of(st.sampled_from(_EXTREMES), st.floats(-4.0, 4.0))
 _TEMPERATURES = st.one_of(
     st.sampled_from((1e-310, 1e-300, 1e-154, 1e154, 1e300, 1e308)), st.floats(1e-3, 10.0)
 )
+_TOLERANCES = st.one_of(st.sampled_from((1e-310, 1e-300, 1e308)), st.floats(1e-12, 1.0))
+_DAMPINGS = st.one_of(st.sampled_from((0.0, 1e-310, 0.999999)), st.floats(0.0, 1.0, exclude_max=True))
+# small counts run; the three past the bound must be refused before any allocation
+_SAMPLE_COUNTS = st.sampled_from((*range(1, 9), MAX_SAMPLE_COUNT + 1, 2**62, 10**30))
 
 # what a refusal may name: a document key, a config key, the document itself
 # or the single head ("head.gate_weights")
@@ -55,9 +60,12 @@ def _head(draw, d: int, d_v: int) -> dict:
 @st.composite
 def _documents(draw):
     """(document, config): a game from embeddings or a table, or none, an
-    optional spin system and one head, several heads or none."""
-    n, d, d_v = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    optional spin system, one head, several heads or none, and an optional
+    nonlinearity."""
+    n, d, d_v = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     doc = {"schema_version": 1, "n": n}
+    if draw(st.booleans()):
+        doc["nonlinearity"] = draw(st.sampled_from(NONLINEARITIES))
     game = draw(st.sampled_from(("embeddings", "table", None)))
     if game == "embeddings":
         doc["embeddings"] = _matrix(draw, n, d)
@@ -81,8 +89,10 @@ def _documents(draw):
     cfg = {
         "coalition_gamma": draw(_TEMPERATURES),
         "spin_gamma": draw(_TEMPERATURES),
-        "sample_count": draw(st.integers(1, 8)),
+        "sample_count": draw(_SAMPLE_COUNTS),
         "max_iterations": draw(st.integers(1, 30)),
+        "tolerance": draw(_TOLERANCES),
+        "damping": draw(_DAMPINGS),
         "seed": draw(st.integers(0, 2**64 - 1)),
         "mode": draw(st.sampled_from(MODES)),
         "normalization": draw(st.sampled_from(NORMALIZATIONS)),

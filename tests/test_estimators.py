@@ -40,6 +40,7 @@ class TestConfigValidation:
             {"mode": "jackknife"},
             {"seed": -1},
             {"seed": 2**64},
+            {"sample_count": 2**32 + 1},
         ],
     )
     def test_rejections(self, kwargs):

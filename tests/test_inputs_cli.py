@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import coalattn
-from coalattn import cli, oracles
+from coalattn import cli, oracles, reports
+from coalattn.estimators import EstimatorConfig
 from coalattn.games import EmbeddingGame
 from coalattn.inputs import (
     InputError,
@@ -20,6 +21,7 @@ from coalattn.inputs import (
 )
 from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
 from coalattn.oracles import exact_spin_marginals
+from coalattn.pipeline import HeadParams
 from coalattn.reports import dump_json, run_attend, run_estimate, run_oracle
 
 from conftest import WORKED_TABLE
@@ -169,6 +171,14 @@ class TestDocumentValidation:
         multi = {**single, "multi_head": {"heads": [head, head], "output_projection": np.eye(6, 3).tolist()}}
         assert [h.nonlinearity for h in parse_document(multi).heads] == ["tanh", "tanh"]
 
+    def test_the_built_game_has_the_document_nonlinearity(self):
+        single = _embedding_doc(nonlinearity="tanh")
+        head = {key: single[key] for key in ("value_projection", "gate_weights", "gate_bias")}
+        multi = {key: value for key, value in single.items() if key not in head}
+        multi["multi_head"] = {"heads": [head, head], "output_projection": np.eye(6, 3).tolist()}
+        for doc in (single, multi):
+            assert parse_document(doc).build_game().nonlinearity == "tanh"
+
     def test_multi_head_projection_rows_checked(self):
         rng = np.random.default_rng(3)
         d = 3
@@ -203,6 +213,12 @@ class TestRunConfig:
         assert cfg.coalition_gamma == 0.25 and cfg.spin_gamma == 0.25
         assert cfg.sample_count == 25 and cfg.max_iterations == 25
         assert cfg.tolerance == 1e-4 and cfg.damping == 0.7
+
+    def test_defaults_are_the_engine_defaults(self):
+        cfg = RunConfig()
+        assert cfg.estimator_config() == EstimatorConfig()
+        assert cfg.meanfield_config() == MeanFieldConfig()
+        assert cfg.normalization == HeadParams(np.eye(1), [1.0], 0.0).normalization
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -687,6 +703,68 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"input error: {field}: ")
             assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["attend", "oracle"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # couplings of 1e308 and -1e308 by the parity of i + j: one undamped
+            # step forms inf - inf in couplings @ spins
+            {
+                "n": 5,
+                "fields": [1.0] * 5,
+                "couplings": [[0.0 if i == j else (-1.0) ** (i + j + 1) * 1e308 for j in range(5)] for i in range(5)],
+            },
+            {"n": 3, "couplings": [[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]]},
+        ],
+        ids=["mixed-signs", "one-signed"],
+    )
+    def test_local_fields_past_float64_are_refused_at_parse(self, tmp_path, capsys, command, doc):
+        doc_path, cfg_path = tmp_path / "doc.json", tmp_path / "cfg.json"
+        doc_path.write_text(json.dumps({"schema_version": 1, **doc}))
+        cfg_path.write_text(json.dumps({"damping": 0.0}))
+        assert cli.main([command, "--input", str(doc_path), "--config", str(cfg_path)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: fields, couplings: local fields overflow float64")
+        assert "Traceback" not in err
+
+    def test_oracle_reports_an_explicit_spin_system_without_deriving_one(self, tmp_path, capsys):
+        # both tokens' game values are zero, so no spin system can be derived
+        doc = {
+            "schema_version": 1,
+            "n": 2,
+            "embeddings": [[0.0], [0.0]],
+            "value_projection": [[1.0]],
+            "gate_weights": [0.5],
+            "gate_bias": 0.0,
+            "fields": [0.5, -0.25],
+            "couplings": [[0, 0.1], [0.1, 0]],
+        }
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        code = cli.main(["oracle", "--input", str(doc_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK, captured.err
+        assert json.loads(captured.out)["spins"]["fields"] == [0.5, -0.25]
+
+    @pytest.mark.parametrize("sample_count", [2**32 + 1, 2**62, 10**30])
+    def test_sample_counts_past_the_bound_are_input_errors(self, tmp_path, capsys, sample_count):
+        doc_path, cfg_path = tmp_path / "doc.json", tmp_path / "cfg.json"
+        doc_path.write_text(json.dumps(_embedding_doc()))
+        cfg_path.write_text(json.dumps({"sample_count": sample_count}))
+        for command in ("estimate", "attend"):
+            assert cli.main([command, "--input", str(doc_path), "--config", str(cfg_path)]) == cli.EXIT_INPUT
+            assert capsys.readouterr().err.startswith("input error: sample_count: must be at most ")
+
+    def test_running_out_of_memory_is_a_limit_refusal(self, tmp_path, capsys, monkeypatch):
+        def exhausted(game, cfg):
+            raise MemoryError("Unable to allocate 32.0 GiB")
+
+        monkeypatch.setattr(reports, "estimate_all", exhausted)
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(_embedding_doc()))
+        assert cli.main(["estimate", "--input", str(doc_path)]) == cli.EXIT_LIMIT
+        assert capsys.readouterr().err == "limit refusal: out of memory: Unable to allocate 32.0 GiB\n"
 
     @pytest.mark.parametrize(
         "command, doc, config",
