@@ -2,14 +2,17 @@
 
 Runs ``oracle``, ``estimate`` and ``attend`` through ``coalattn.cli.main``
 on every document of every ``perfbench/workloads.py`` workload for seeds
-1-3, each with its workload's settings as the ``--config`` file, and then
-``demo --out``.  Prints one line per run::
+1-3, each with its workload's settings as the ``--config`` file, then on
+each explicit spin-system document of ``SPIN_SYSTEMS`` under the default
+settings, and then ``demo --out``.  Prints one line per run::
 
     seed workload index command exit sha256
 
-with ``-`` for the sha256 of a run that wrote no report (and for the
-seed, workload and index of ``demo``).  The same source tree always prints
-the same lines, so two trees' outputs show which reports changed bytes.
+with ``-`` for the sha256 of a run that wrote no report, for the seed of
+a spin-system run (whose workload is ``spins`` and whose index is the
+document's name) and for the seed, workload and index of ``demo``.  The
+same source tree always prints the same lines, so two trees' outputs show
+which reports changed bytes.
 
     python scripts/report_digests.py [--src DIR] > digests.txt
     python scripts/report_digests.py --compare BASE.txt HEAD.txt
@@ -37,6 +40,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 COMMANDS = ("oracle", "estimate", "attend")
+
+# The benchmark's documents carry no fields or couplings, so these cover the
+# solver-only attend and the oracle of an explicit spin system: fields only,
+# couplings only, both, and a table game with couplings.
+_FIELDS = [0.423, -0.711, 0.512]
+_COUPLINGS = [[0.0, 0.466, -0.312], [0.466, 0.0, 0.278], [-0.312, 0.278, 0.0]]
+_TABLE = [0.0, 0.2, 0.5, 1.2, 0.4, 0.8, 1.0, 1.8]
+SPIN_SYSTEMS = {
+    "fields": {"fields": _FIELDS},
+    "couplings": {"couplings": _COUPLINGS},
+    "both": {"fields": _FIELDS, "couplings": _COUPLINGS},
+    "table-couplings": {"characteristic_table": _TABLE, "couplings": _COUPLINGS},
+}
 
 
 def _digest(code: int, path: Path) -> str:
@@ -71,6 +87,12 @@ def digest_lines(src: Path):
                         argv = [command, "--input", str(doc_path), "--config", str(cfg_path), "--out", str(out)]
                         code = _run(cli.main, argv)
                         yield f"{seed} {name} {index} {command} {code} {_digest(code, out)}"
+        for name, system in SPIN_SYSTEMS.items():
+            doc_path.write_text(json.dumps({"schema_version": 1, "n": 3, **system}))
+            for command in COMMANDS:
+                out.unlink(missing_ok=True)
+                code = _run(cli.main, [command, "--input", str(doc_path), "--out", str(out)])
+                yield f"- spins {name} {command} {code} {_digest(code, out)}"
         out.unlink(missing_ok=True)
         code = _run(cli.main, ["demo", "--out", str(out)])
         yield f"- - - demo {code} {_digest(code, out)}"

@@ -27,7 +27,7 @@ import numpy as np
 from .estimators import estimate_all
 from .games import CountingGame, EmbeddingGame
 from .inputs import RunConfig
-from .meanfield import MeanFieldConfig, solve_fixed_point
+from .meanfield import solve_fixed_point
 
 __all__ = [
     "ESTIMATE_TOKEN_COUNTS",
@@ -105,12 +105,7 @@ def run_bench(cfg: RunConfig) -> list[dict]:
     iterations = cfg.max_iterations
     for n in SOLVER_TOKEN_COUNTS:
         fields, couplings = synthetic_spin_system(n, cfg.seed)
-        mf_cfg = MeanFieldConfig(
-            gamma=cfg.spin_gamma,
-            max_iterations=iterations,
-            tolerance=_NEVER_CONVERGE,
-            damping=cfg.damping,
-        )
+        mf_cfg = replace(cfg.meanfield_config(), tolerance=_NEVER_CONVERGE)
         start = time.perf_counter()
         result = solve_fixed_point(fields, couplings, mf_cfg)
         elapsed = time.perf_counter() - start

@@ -3,9 +3,10 @@
 Subcommands: ``demo`` (bundled walkthrough), ``oracle`` (exact values),
 ``estimate`` (Monte Carlo values), ``attend`` (full pipeline or solver-only),
 ``bench`` (scaling sweep).  Exit codes: 0 success, 2 input or configuration
-errors (including embeddings whose game values cannot be normalized into
-attention scores, a temperature so small that values divided by it
-overflow, and an ``--out`` or ``--trace`` path that cannot be written),
+errors (including an input or config file that cannot be read or decoded
+as JSON, embeddings whose game values cannot be normalized into attention
+scores, a temperature so small that values divided by it overflow, and an
+``--out`` or ``--trace`` path that cannot be written),
 3 limit refusals (enumeration limits, and a run that runs out of memory,
 reported as ``limit refusal: out of memory: ...``), 4 internal failures.
 """

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Extensions, GameValues
-from .linalg import over_temperature
+from .linalg import as_integer, over_temperature
 
 __all__ = [
     "MAX_SAMPLE_COUNT",
@@ -87,7 +87,9 @@ class EstimatorConfig:
 
     ``sample_count`` is the number of coalitions drawn per estimated
     quantity; ``gamma`` is the coalition temperature used by the gibbs
-    weights (ignored in classic mode).
+    weights (ignored in classic mode).  This is the one check of these run
+    settings: a refusal's message starts with the setting's name
+    (``coalition_gamma`` for ``gamma``).
     """
 
     sample_count: int = 25
@@ -96,14 +98,18 @@ class EstimatorConfig:
     mode: str = "gibbs"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
-            raise ValueError(f"sample_count must lie in 1..{MAX_SAMPLE_COUNT}, got {self.sample_count}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+            raise ValueError(f"coalition_gamma: must be positive and finite, got {self.gamma!r}")
+        for name in ("sample_count", "seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        if self.sample_count < 1:
+            raise ValueError("sample_count: must be >= 1")
+        if self.sample_count > MAX_SAMPLE_COUNT:
+            raise ValueError(f"sample_count: must be at most {MAX_SAMPLE_COUNT}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed: must fit in an unsigned 64-bit integer")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode: must be one of {MODES}")
 
 
 def _philox_keys(seed: int, kind: int, slots) -> np.ndarray:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import MAX_SAMPLE_COUNT, MODES, EstimatorConfig
+from .estimators import EstimatorConfig
 from .games import (
     MAX_TOKENS,
     NONLINEARITIES,
@@ -78,8 +78,11 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class InputDocument:
+    """A validated input document.  An explicit spin system is stored whole,
+    with zeros for a half the document leaves out, so ``fields`` and
+    ``couplings`` are both arrays or both ``None``."""
+
     n: int
-    d: int | None
     embeddings: np.ndarray | None
     characteristic_table: np.ndarray | None
     fields: np.ndarray | None
@@ -93,7 +96,7 @@ class InputDocument:
 
     @property
     def has_spin_system(self) -> bool:
-        return self.fields is not None or self.couplings is not None
+        return self.fields is not None
 
     def build_game(self):
         """Materialize the document's game: the table's, or the embedding
@@ -114,18 +117,6 @@ class InputDocument:
             head = self.heads[0]
             return EmbeddingGame(self.embeddings, head.value_projection, head.nonlinearity)
         raise InputError("document has no game: neither embeddings nor characteristic_table")
-
-    def spin_system(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fields and couplings with zero defaults for a missing half."""
-        if not self.has_spin_system:
-            raise InputError("document has no fields/couplings block")
-        if self.fields is not None:
-            n = self.fields.size
-        else:
-            n = self.couplings.shape[0]
-        fields = self.fields if self.fields is not None else np.zeros(n)
-        couplings = self.couplings if self.couplings is not None else np.zeros((n, n))
-        return fields, couplings
 
 
 def _fail(field: str, message: str) -> "InputError":
@@ -233,26 +224,24 @@ def parse_document(obj) -> InputDocument:
             raise _fail("characteristic_table", f"entry 0 (empty coalition) must be 0, got {table[0]}")
         _checked(check_table_differences, table, "characteristic_table")
 
-    fields = None
-    couplings = None
-    if "fields" in obj:
-        fields = _checked(as_vector, obj["fields"], "fields")
+    fields = couplings = None
+    if "fields" in obj or "couplings" in obj:
+        fields = _checked(as_vector, obj["fields"], "fields") if "fields" in obj else np.zeros(n)
         if fields.size != n:
             raise _fail("fields", f"expected length {n}, got {fields.size}")
-    if "couplings" in obj:
-        _, couplings = _checked(check_spin_system, np.zeros(n), obj["couplings"])
+        fields, couplings = _checked(check_spin_system, fields, obj.get("couplings", np.zeros((n, n))))
         # every partial sum of a local field J_i + sum_j C_ij s_j, with every
         # |s_j| <= 1, is at most |J_i| + sum_j |C_ij| in absolute value, so
         # finite row bounds keep the solver's local fields finite
         with np.errstate(over="ignore"):
-            bounds = np.abs(couplings).sum(axis=1) + (0.0 if fields is None else np.abs(fields))
+            bounds = np.abs(couplings).sum(axis=1) + np.abs(fields)
         if not np.isfinite(bounds).all():
             raise InputError(
                 "fields, couplings: local fields overflow float64 "
                 "(|fields_i| + sum_j |couplings_ij| is not finite)"
             )
 
-    if embeddings is None and table is None and fields is None and couplings is None:
+    if embeddings is None and table is None and fields is None:
         raise InputError(
             "document: needs a game (embeddings or characteristic_table) or an "
             "explicit fields/couplings block"
@@ -311,7 +300,6 @@ def parse_document(obj) -> InputDocument:
 
     return InputDocument(
         n=n,
-        d=d,
         embeddings=embeddings,
         characteristic_table=table,
         fields=fields,
@@ -321,18 +309,25 @@ def parse_document(obj) -> InputDocument:
     )
 
 
+def _read_json(path, what: str):
+    """The JSON value in the file at *path*.  A file that cannot be read or
+    decoded is an ``InputError`` named *what* (``input file`` or ``config
+    file``)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(f"{what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer literal past Python's digit
+        # limit, or arrays nested past the recursion limit
+        raise InputError(f"{what}: cannot decode: {exc}") from None
+
+
 def load_input(path) -> InputDocument:
     """Read and validate an input document from a JSON file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"input file: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"input file: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return parse_document(obj)
+    return parse_document(_read_json(path, "input file"))
 
 
 @dataclass(frozen=True)
@@ -343,10 +338,11 @@ class RunConfig:
     coalition temperature (Gibbs weights), sample count, seed and mode,
     ``MeanFieldConfig``'s for the spin temperature and the solver budget,
     and ``HeadParams``'s for the normalization, so a default is changed in
-    the engine config alone.  ``threads`` is an advisory hint that ``echo``
-    leaves out of reports; execution is sequential and results never depend
-    on it.  The checks below repeat the engine configs' so that a bad value
-    is refused as ``field: message`` (exit 2).
+    the engine config alone.  ``RunConfig`` checks the JSON types; the
+    engine configs check the ranges, naming the setting, so a bad value is
+    refused as ``field: message`` (exit 2).  ``threads`` is an advisory hint
+    that ``echo`` leaves out of reports; execution is sequential and results
+    never depend on it.
     """
 
     coalition_gamma: float = EstimatorConfig.gamma
@@ -361,25 +357,14 @@ class RunConfig:
     threads: str = "auto"
 
     def __post_init__(self) -> None:
-        # values are checked, never converted, so the echo shows them as given
-        for name in ("coalition_gamma", "spin_gamma", "tolerance"):
-            value = getattr(self, name)
-            if not _checked(as_scalar, value, name) > 0:
-                raise _fail(name, f"must be positive and finite, got {value!r}")
+        # JSON types are checked here, never converted, so the echo shows the
+        # values as given; the engine configs check every range
+        for name in ("coalition_gamma", "spin_gamma", "tolerance", "damping"):
+            _checked(as_scalar, getattr(self, name), name)
         for name in ("sample_count", "max_iterations", "seed"):
             _as_int(getattr(self, name), name)
-        if self.sample_count < 1:
-            raise _fail("sample_count", "must be >= 1")
-        if self.sample_count > MAX_SAMPLE_COUNT:
-            raise _fail("sample_count", f"must be at most {MAX_SAMPLE_COUNT}")
-        if self.max_iterations < 1:
-            raise _fail("max_iterations", "must be >= 1")
-        if not 0.0 <= _checked(as_scalar, self.damping, "damping") < 1.0:
-            raise _fail("damping", "must lie in [0, 1)")
-        if not 0 <= self.seed < 2**64:
-            raise _fail("seed", "must fit in an unsigned 64-bit integer")
-        if self.mode not in MODES:
-            raise _fail("mode", f"must be one of {MODES}")
+        _checked(self.estimator_config)
+        _checked(self.meanfield_config)
         if self.normalization not in NORMALIZATIONS:
             raise _fail("normalization", f"must be one of {NORMALIZATIONS}")
         object.__setattr__(self, "threads", _check_threads(self.threads))
@@ -423,7 +408,9 @@ def _check_threads(value) -> str:
     if isinstance(value, str):
         if value == "auto":
             return value
-        if value.isdigit() and int(value) >= 1:
+        # ASCII digits, not all zero; int() would also take other Unicode
+        # digits and refuse strings past 4,300 digits
+        if value.isascii() and value.isdigit() and value.strip("0"):
             return value
         raise _fail("threads", f"expected 'auto' or a positive integer, got {value!r}")
     raise _fail("threads", "expected 'auto' or a positive integer")
@@ -438,13 +425,7 @@ def load_config(path=None, **overrides) -> RunConfig:
     """
     settings: dict = {}
     if path is not None:
-        p = Path(path)
-        try:
-            obj = json.loads(p.read_text())
-        except OSError as exc:
-            raise InputError(f"config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        obj = _read_json(path, "config file")
         if not isinstance(obj, dict):
             raise InputError("config file: expected a JSON object")
         unknown = obj.keys() - _CONFIG_KEYS

@@ -12,7 +12,7 @@ import numbers
 
 import numpy as np
 
-__all__ = ["TemperatureError", "as_scalar", "as_vector", "as_matrix", "over_temperature", "logistic"]
+__all__ = ["TemperatureError", "as_scalar", "as_integer", "as_vector", "as_matrix", "over_temperature", "logistic"]
 
 
 def as_scalar(data, name: str = "scalar") -> float:
@@ -26,6 +26,14 @@ def as_scalar(data, name: str = "scalar") -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name}: must be finite")
     return value
+
+
+def as_integer(data, name: str) -> int:
+    """Validate *data* as a whole number, given as an integer, a numpy
+    integer or an integral float such as ``7.0``, and return it as an int."""
+    if isinstance(data, numbers.Integral) or isinstance(data, float) and data.is_integer():
+        return int(data)
+    raise ValueError(f"{name}: must be an integer")
 
 
 def _check_numbers(data, name: str) -> None:

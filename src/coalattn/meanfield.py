@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_integer, as_matrix, as_vector
 
 __all__ = [
     "MeanFieldConfig",
@@ -37,6 +37,10 @@ _SPIN_CAP = float(np.nextafter(1.0, 0.0))
 
 @dataclass(frozen=True)
 class MeanFieldConfig:
+    """Solver settings and their one check: a refusal's message starts
+    with the run setting's name (``spin_gamma`` for the spin temperature
+    ``gamma``)."""
+
     gamma: float = 0.25
     max_iterations: int = 25
     tolerance: float = 1e-4
@@ -44,13 +48,14 @@ class MeanFieldConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise ValueError(f"spin_gamma: must be positive and finite, got {self.gamma!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+            raise ValueError(f"tolerance: must be positive and finite, got {self.tolerance!r}")
+        object.__setattr__(self, "max_iterations", as_integer(self.max_iterations, "max_iterations"))
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations: must be >= 1")
         if not 0.0 <= self.damping < 1.0:
-            raise ValueError(f"damping must lie in [0, 1), got {self.damping}")
+            raise ValueError("damping: must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
             solved = result.meanfield
 
     if doc.has_spin_system:
-        fields, couplings = doc.spin_system()
+        fields, couplings = doc.fields, doc.couplings
         solved = solve_fixed_point(fields, couplings, cfg.meanfield_config())
 
     if fields is not None:
@@ -234,9 +234,8 @@ def run_attend(doc: InputDocument, cfg: RunConfig, trace_path=None) -> dict:
         return report
 
     if doc.has_spin_system:
-        fields, couplings = doc.spin_system()
-        solved = solve_fixed_point(fields, couplings, cfg.meanfield_config())
-        report["solver"] = _solver_report(solved, doc.n, fields, couplings)
+        solved = solve_fixed_point(doc.fields, doc.couplings, cfg.meanfield_config())
+        report["solver"] = _solver_report(solved, doc.n, doc.fields, doc.couplings)
         if trace_path is not None:
             write_trace_csv(solved.trace, trace_path)
         return report

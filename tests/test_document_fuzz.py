@@ -96,6 +96,7 @@ def _documents(draw):
         "seed": draw(st.integers(0, 2**64 - 1)),
         "mode": draw(st.sampled_from(MODES)),
         "normalization": draw(st.sampled_from(NORMALIZATIONS)),
+        "threads": draw(st.one_of(st.text(), st.just("auto"), st.integers(-1, 8))),
     }
     return doc, cfg
 

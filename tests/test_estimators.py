@@ -41,11 +41,18 @@ class TestConfigValidation:
             {"seed": -1},
             {"seed": 2**64},
             {"sample_count": 2**32 + 1},
+            {"sample_count": 2.5},
+            {"seed": 7.5},
         ],
     )
     def test_rejections(self, kwargs):
         with pytest.raises(ValueError):
             EstimatorConfig(**kwargs)
+
+    def test_whole_numbers_of_other_types_are_stored_as_ints(self):
+        cfg = EstimatorConfig(sample_count=7.0, seed=np.uint64(3))
+        assert cfg == EstimatorConfig(sample_count=7, seed=3)
+        assert type(cfg.sample_count) is int and type(cfg.seed) is int
 
 
 class TestPrefixSampling:

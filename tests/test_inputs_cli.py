@@ -200,6 +200,15 @@ class TestDocumentValidation:
         with pytest.raises(InputError, match="output_projection"):
             parse_document(doc)
 
+    def test_a_missing_half_of_the_spin_system_is_stored_as_zeros(self):
+        solver = _solver_doc()
+        fields_only = parse_document({k: v for k, v in solver.items() if k != "couplings"})
+        np.testing.assert_array_equal(fields_only.fields, solver["fields"])
+        np.testing.assert_array_equal(fields_only.couplings, np.zeros((3, 3)))
+        couplings_only = parse_document({k: v for k, v in solver.items() if k != "fields"})
+        np.testing.assert_array_equal(couplings_only.fields, np.zeros(3))
+        np.testing.assert_array_equal(couplings_only.couplings, solver["couplings"])
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -229,11 +238,18 @@ class TestRunConfig:
             {"normalization": "l2"},
             {"threads": "-3"},
             {"sample_count": 0},
+            {"spin_gamma": -1.0},
+            {"tolerance": 0.0},
+            {"max_iterations": 0},
+            {"seed": 2**64},
+            {"sample_count": 2**32 + 1},
         ],
     )
     def test_rejections(self, kwargs):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as refusal:
             RunConfig(**kwargs)
+        (name,) = kwargs
+        assert str(refusal.value).startswith(f"{name}: ")
 
     def test_file_and_override_precedence(self, tmp_path):
         path = tmp_path / "config.json"
@@ -256,6 +272,11 @@ class TestRunConfig:
     def test_flag_beats_env_hint(self, monkeypatch):
         monkeypatch.setenv("COALATTN_THREADS", "4")
         assert load_config(threads="2").threads == "2"
+
+    def test_a_thread_hint_past_the_int_digit_limit_is_kept(self):
+        # more digits than int() converts, so the hint is never converted
+        hint = "9" * 5000
+        assert load_config(threads=hint).threads == hint
 
 
 class TestReports:
@@ -456,6 +477,40 @@ class TestCli:
     def test_missing_input_exit_code(self, tmp_path, capsys):
         assert cli.main(["oracle", "--input", str(tmp_path / "nope.json")]) == cli.EXIT_INPUT
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"schema_version": 1, "n": ' + b"7" * 5000 + b"}",
+            b'\xff\xfe{"schema_version": 1}',
+        ],
+        ids=["nesting", "digits", "encoding"],
+    )
+    @pytest.mark.parametrize("flag, what", [("--input", "input file"), ("--config", "config file")])
+    def test_undecodable_files_are_input_errors(self, tmp_path, capsys, content, flag, what):
+        doc_path, bad_path = tmp_path / "doc.json", tmp_path / "bad.json"
+        doc_path.write_text(json.dumps(_table_doc()))
+        bad_path.write_bytes(content)
+        argv = ["estimate", "--input", str(doc_path), flag, str(bad_path)]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {what}: ")
+
+    @pytest.mark.parametrize("hint", ["²", "１"])
+    @pytest.mark.parametrize("route", ["flag", "env", "config"])
+    def test_thread_hints_other_than_ascii_digits_are_input_errors(self, tmp_path, capsys, monkeypatch, hint, route):
+        doc_path, cfg_path = tmp_path / "doc.json", tmp_path / "cfg.json"
+        doc_path.write_text(json.dumps(_table_doc()))
+        argv = ["estimate", "--input", str(doc_path)]
+        if route == "flag":
+            argv += ["--threads", hint]
+        elif route == "env":
+            monkeypatch.setenv("COALATTN_THREADS", hint)
+        else:
+            cfg_path.write_text(json.dumps({"threads": hint}))
+            argv += ["--config", str(cfg_path)]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: threads: ")
 
     def test_schema_violation_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -38,6 +38,7 @@ class TestConfigValidation:
             {"tolerance": 0.0},
             {"damping": 1.0},
             {"damping": -0.1},
+            {"max_iterations": 1.5},
         ],
     )
     def test_rejections(self, kwargs):
