@@ -13,25 +13,41 @@ Two modes share one sampling path:
     exact Shapley value (permutation-prefix sampling) and the exact Banzhaf
     index / interaction potential (Bernoulli coalition sampling).
 
-Randomness is counter-based: each slot (one estimated quantity: a token's
-Shapley or Banzhaf value, or a pair's interaction) gets its own Philox
-stream.  The seed and the family's kind are hashed once by
-``SeedSequence(entropy=seed, spawn_key=(kind,))`` into two words ``(h0,
-h1)``, and a slot's key is ``(h0, h1 ^ id)`` with ``id`` its token index, or
-``a << 32 | b`` for a pair ``(a, b)``.  Results are a pure function of
-(game, config) no matter how calls are scheduled, and estimating one token
-never perturbs another.  A Bernoulli coalition is one 64-bit Philox word
-masked to the allowed token bits: every bit of the word is an independent
-fair coin, so each allowed token is a member with probability 1/2.
+Each family of estimates (the tokens' Shapley values, their Banzhaf values,
+the pairs' interactions) draws one pool of K samples, and every slot of the
+family (one estimated quantity) takes its K contexts from that pool.  Every
+sample thus serves every slot, as each sampled permutation serves every
+player in Castro, Gomez & Tejada (*Polynomial calculation of the Shapley
+value based on sampling*, Comput. Oper. Res. 36(5), 2009) and one sample set
+serves every player in Data Banzhaf (Wang & Jia, AISTATS 2023,
+arXiv:2205.15466):
 
-Every estimate runs through one block path.  The Philox keys of all slots
-of a family are formed at once, and a single generator is re-keyed for each
-slot (counter 0, empty buffer), which gives the same words as a freshly
-built ``Philox(key=...)`` without building a generator per slot.  Slots are
-then sampled one by one from their own streams, and a block of at most
-``_BLOCK_CONTEXTS`` sampled contexts is evaluated by one ``values_by_mask``
-call on the ``Extensions`` of those contexts by each slot's added token
-sets.  The block's weights, estimates and effective sample sizes are then
+Shapley
+    K permutations of the n tokens; token i's context in permutation k is
+    the set of tokens before it.  Its size is uniform on ``{0, ..., n-1}``
+    and, given the size, the set is uniform, so its proposal probability is
+    ``|P|!(n-1-|P|)!/(n-1)!`` up to the factor ``1/n`` common to all draws.
+
+Banzhaf and interactions
+    K 64-bit words masked to the n token bits; a slot's contexts are the
+    words with its own tokens' bits cleared.  Every bit of a word is an
+    independent fair coin, so every other token is a member with probability
+    1/2, and each context has proposal probability ``2**-(n - |slot|)``.
+
+Each slot's K contexts therefore have the law that K independent draws of
+its own would have, while the slots of one family share their samples, so
+their errors are correlated.  Randomness is counter-based: a family's pool
+comes from the Philox stream keyed by ``_philox_keys(seed, kind, [()])``,
+the two words ``SeedSequence(entropy=seed, spawn_key=(kind,))`` generates.
+A slot's numbers are a pure function of (game, config, slot), whatever the
+blocking and whichever other slots are estimated.
+
+Every estimate runs through one block path.  A block holds as many slots of
+a family as ``_BLOCK_CONTEXTS`` contexts allow; its coalitions (each slot's
+contexts extended by every subset of the slot's tokens) go to the game as
+one ``games.Extensions`` of the pool, evaluated by one ``values_by_mask``
+call from sums the game shares across the block's rows.  The block's
+weights, estimates, effective sample sizes and standard errors are then
 computed for all its rows at once; every reduction runs along a row alone,
 so a slot's numbers do not depend on the block it lands in.
 """
@@ -50,8 +66,6 @@ from .linalg import as_integer, over_temperature
 __all__ = [
     "MAX_SAMPLE_COUNT",
     "EstimatorConfig",
-    "sample_permutation_prefixes",
-    "sample_bernoulli_coalitions",
     "gibbs_weights",
     "estimate_all",
 ]
@@ -59,26 +73,29 @@ __all__ = [
 MODES = ("gibbs", "classic")
 
 # Largest sample count K accepted: far above any count an estimate needs
-# (the acceptance tests use 50,000), and small enough that every K-long
-# array has a size numpy can represent; a K whose arrays do not fit in
-# memory ends in MemoryError, which the CLI reports as a limit refusal.
+# (the acceptance tests use 50,000), and small enough that every pool, of at
+# most K x 64 entries, has a size numpy can represent; a K whose arrays do
+# not fit in memory ends in MemoryError, which the CLI reports as a limit
+# refusal.
 MAX_SAMPLE_COUNT = 2**32
 
-# stream identifiers for the counter-based RNG split
+# stream identifiers for the counter-based RNG split, one per family
 _SHAPLEY_STREAM = 1
 _BANZHAF_STREAM = 2
 _INTERACTION_STREAM = 3
 
-# Most sampled contexts one values_by_mask call of estimate_all evaluates; a
-# block holds as many whole slots as fit, at least one (one slot per call for
-# K > 512).  Each context is evaluated with all 2 (token) or 4 (pair) of
-# its slot's added sets, but its coalition sum is gathered once, so the
-# working arrays grow with the context count: one d_v-wide row of partial
-# sums per context for an EmbeddingGame.  Blocks spread the per-call cost
-# over many slots (4 pairs per call at K = 256).  On an n=32, d_v=32 game at
-# K = 256, caps of 1024 and 2048 contexts were fastest of 512-4096 (75-85 ms
-# per estimate_all against 110 ms at 512), and 1024 keeps the arrays smaller.
-_BLOCK_CONTEXTS = 1024
+# Most slot contexts one values_by_mask call of estimate_all evaluates; a
+# block holds as many whole slots as fit, at least one (one slot per call
+# for K > 2048).  A game forms its pool's shared sums once per family, and
+# each context of a block then takes a few arrays of O(1) entries (a pair's
+# two free-token bits and dot products, its four values, its weights), so
+# the cap bounds the block's working arrays: about 0.3 MB for the pairs of
+# an n=32, d_v=32 game at K = 256.  On that game, with BLAS on one thread,
+# one estimate_all took 6.0, 4.7 and 5.2 ms at caps of 2048, 4096 and 8192;
+# at 8192 the arrays are large enough to be mapped afresh and faulted in on
+# every block (about 1,800 page faults per call), and the benchmark's
+# attend-wide peak RSS was 41.2 MB against 40.6 MB at 4096.
+_BLOCK_CONTEXTS = 4096
 
 
 @dataclass(frozen=True)
@@ -129,26 +146,19 @@ def _philox_keys(seed: int, kind: int, slots) -> np.ndarray:
     return np.column_stack([np.full_like(ids, h0), ids ^ h1])
 
 
-def _slot_streams(seed: int, kind: int, slots):
-    """Yield each slot's Philox stream, in order.
-
-    One generator is re-keyed per slot: counter 0 and an empty buffer are
-    the state ``Philox`` starts from, so the draws equal those of a new
-    generator.  Each yielded generator is only valid until the next one.
-    """
-    rng = np.random.Generator(np.random.Philox(0))
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": None},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for key in _philox_keys(seed, kind, slots).tolist():
-        state["state"]["key"] = key
-        rng.bit_generator.state = state
-        yield rng
+def _draw_pool(seed: int, kind: int, n: int, count: int) -> np.ndarray:
+    """The pool of one family: ``count`` permutations of the n tokens, shape
+    ``(count, n)``, for the Shapley kind, else ``count`` raw 64-bit words
+    masked to the n token bits, all from the family's Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=_philox_keys(seed, kind, [()])[0]))
+    if kind == _SHAPLEY_STREAM:
+        pool = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    else:
+        # the values rng.integers(0, 2**64, dtype=np.uint64) draws, without
+        # its per-call argument handling
+        pool = rng.bit_generator.random_raw(count) & np.uint64((1 << n) - 1)
+    pool.flags.writeable = False  # so a game forms its shared sums once for all blocks
+    return pool
 
 
 @functools.lru_cache(maxsize=64)
@@ -164,59 +174,17 @@ def _prefix_size_probs(n: int) -> np.ndarray:
     return probs
 
 
-def sample_permutation_prefixes(
-    rng: np.random.Generator, n: int, i: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` permutation prefixes of the tokens other than i.
-
-    Each draw shuffles the remaining ``n-1`` tokens, picks a prefix length
-    uniformly from ``{0, ..., n-1}``, and reports the prefix set together
-    with the proposal probability ``|P|!(n-1-|P|)!/(n-1)!`` used by the
-    importance weights.  Returns (masks, proposal_probs).
-    """
-    if n < 1:
-        raise ValueError("need at least one token")
-    if not 0 <= i < n:
-        raise ValueError(f"token index {i} out of range for n={n}")
-    size_probs = _prefix_size_probs(n)
-    sizes = rng.integers(0, n, size=count)
-    if n == 1:
-        masks = np.zeros(count, dtype=np.uint64)
-        return masks, size_probs[sizes]
-    others = np.array([t for t in range(n) if t != i], dtype=np.uint64)
-    perms = rng.permuted(np.tile(others, (count, 1)), axis=1)
-    # column s of the running OR is the set of the first s permuted tokens
-    prefixes = np.zeros((count, n), dtype=np.uint64)
-    np.bitwise_or.accumulate(np.left_shift(np.uint64(1), perms), axis=1, out=prefixes[:, 1:])
-    masks = prefixes[np.arange(count), sizes]
-    return masks, size_probs[sizes]
-
-
-def sample_bernoulli_coalitions(
-    rng: np.random.Generator, n: int, excluded, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` coalitions, including each non-excluded token with
-    probability 1/2.  Returns (masks, proposal_probs); every draw has the
-    same proposal probability ``2**-(n - |excluded|)``.
-
-    Each coalition is one full-range 64-bit word from *rng* ANDed with the
-    mask of allowed tokens (bits below ``n`` that are not excluded).
-
-    Excluding every token is allowed and degenerates to the empty coalition
-    with proposal probability 1: a one-token game still has a well-defined
-    (empty) coalition family for its lone token.
-    """
-    excluded = frozenset(int(t) for t in excluded)
-    if any(not 0 <= t < n for t in excluded):
-        raise ValueError(f"excluded tokens must lie in 0..{n - 1}")
-    allowed = (1 << n) - 1
-    for t in excluded:
-        allowed &= ~(1 << t)
-    # one raw word per coalition: the values rng.integers(0, 2**64, dtype=np.uint64)
-    # draws, without its per-call argument handling
-    masks = rng.bit_generator.random_raw(count) & np.uint64(allowed)
-    probs = np.full(count, 0.5 ** (n - len(excluded)))
-    return masks, probs
+def _pool_block(pool: np.ndarray, n: int, added: np.ndarray) -> tuple[Extensions, np.ndarray]:
+    """The coalitions of some slots of a family, as the ``Extensions`` of the
+    family's pool by the slots' added sets, and their contexts' proposal
+    probabilities, shape ``(slots, K)`` for a permutation pool and
+    ``(slots, 1)`` for a Bernoulli pool, whose contexts all have
+    probability ``2**-(n - |slot|)``."""
+    if pool.ndim == 2:
+        extensions = Extensions(None, added, pool)
+        return extensions, _prefix_size_probs(n)[extensions.ranks]
+    free = np.bitwise_count(np.bitwise_or.reduce(added, axis=-1))
+    return Extensions(pool, added), 0.5 ** (n - free[:, None].astype(np.int64))
 
 
 def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -245,67 +213,67 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
 
 
 def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[int, ...]]):
-    """Estimate and effective sample size of every slot of one family.
+    """Estimate, effective sample size and standard error of every slot of
+    one family.
 
     Each slot is a tuple of token indices: ``(i,)`` for the Shapley and
     Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  A block
-    holds as many slots as ``_BLOCK_CONTEXTS`` sampled contexts allow, at
-    least one.  Each block's slots are sampled from their own streams and
-    evaluated by one ``values_by_mask`` call on the ``Extensions`` of their
-    contexts by their added sets; the block is then weighted and reduced
-    row-wise at once, so its rows of the estimates and effective sample
-    sizes are written together.  The ESS of K raw weights is ``total**2 /
-    square_total``, clamped to [1, K] against roundoff.
+    holds as many slots as ``_BLOCK_CONTEXTS`` contexts allow, at least one.
+    Each block's slots take their contexts from the family's pool and are
+    evaluated by one ``values_by_mask`` call on an ``Extensions`` of the
+    pool by their added sets; the block is then weighted and reduced
+    row-wise at once.  The ESS of K raw weights is ``total**2 /
+    square_total``, clamped to [1, K] against roundoff, and the standard
+    error is the delta-method ``sqrt(sum_k (w_k (m_k - estimate))**2)`` over
+    the normalized weights w and the marginals m, inf where it passes
+    float64's range.
     """
     n, k = game.n, cfg.sample_count
-    # each slot's coalitions are its sampled contexts with every subset of
-    # its tokens added, in the order none, first, (second, both)
+    # each slot's coalitions are its contexts with every subset of its
+    # tokens added, in the order none, first, (second, both)
     added = np.zeros((len(slots), 1), dtype=np.uint64)
     for column in np.array(slots, dtype=np.uint64).T:
         added = np.concatenate([added, added | np.left_shift(np.uint64(1), column)[:, None]], axis=1)
+    pool = _draw_pool(cfg.seed, kind, n, k)
     per_block = max(1, _BLOCK_CONTEXTS // k)
-    streams = _slot_streams(cfg.seed, kind, slots)
-    estimates = np.empty(len(slots))
-    ess = np.empty(len(slots))
+    estimates, ess, errors = np.empty(len(slots)), np.empty(len(slots)), np.empty(len(slots))
     for start in range(0, len(slots), per_block):
         rows = slice(start, start + per_block)
-        block = slots[rows]
-        contexts = np.empty((len(block), k), dtype=np.uint64)
-        probs = np.empty((len(block), k))
-        for row, (slot, rng) in enumerate(zip(block, streams)):
-            if kind == _SHAPLEY_STREAM:
-                contexts[row], probs[row] = sample_permutation_prefixes(rng, n, slot[0], k)
-            else:
-                contexts[row], probs[row] = sample_bernoulli_coalitions(rng, n, slot, k)
-        values = game.values_by_mask(Extensions(contexts, added[rows]))
-        base = values[:, 0]
+        extensions, probs = _pool_block(pool, n, added[rows])
+        values = game.values_by_mask(extensions)
+        base = values[:, 0].copy()
         if values.shape[1] == 2:
             marginals = values[:, 1] - base
         else:
             marginals = values[:, 3] - values[:, 1] - values[:, 2] + base
+        del values, extensions  # the block's largest arrays: free them before the weights
         if cfg.mode == "gibbs":
             raw, normalized = gibbs_weights(base, probs, cfg.gamma)
         else:
-            raw, normalized = np.ones((len(block), k)), np.full((len(block), k), 1.0 / k)
+            raw, normalized = np.ones(base.shape), np.full(base.shape, 1.0 / k)
         # vecdot takes each row's dot product through the same BLAS ddot as
         # np.dot; the Python float power `t ** 2` (libm pow) keeps the ESS
         # bits, where an array `t * t` rounds differently on some inputs
         estimates[rows] = np.vecdot(normalized, marginals)
         totals, square_totals = raw.sum(axis=-1).tolist(), (raw * raw).sum(axis=-1).tolist()
         ess[rows] = [min(max(t**2 / q, 1.0), k) for t, q in zip(totals, square_totals)]
-    return estimates, ess
+        # w_k (m_k - estimate) is finite, as w_k <= 1; its square may overflow to inf
+        marginals -= estimates[rows, None]
+        marginals *= normalized
+        errors[rows] = np.sqrt((marginals**2).sum(axis=-1))
+    return estimates, ess, errors
 
 
 def estimate_all(game, cfg: EstimatorConfig) -> GameValues:
     """Estimate every token's Shapley and Banzhaf value and every pair's
-    interaction potential.
+    interaction potential, with their standard errors.
 
     Uses ``2K`` characteristic evaluations per token per index family and
     ``4K`` per pair: ``2*K*n*(n+1)`` in total for the full set, all through
     ``values_by_mask``, in the blocks of slots the module docstring
-    describes.  Every number equals, bit for bit, what one slot sampled from
-    a freshly keyed ``Philox`` stream, evaluated as the ``Extensions`` of
-    its own contexts and weighted on its own would give.
+    describes.  Every number equals, bit for bit, what one slot alone would
+    give: its contexts taken from the family's pool, evaluated as an
+    ``Extensions`` of the pool by its own added sets and weighted on its own.
     """
     n = game.n
     tokens = [(i,) for i in range(n)]
@@ -314,11 +282,20 @@ def estimate_all(game, cfg: EstimatorConfig) -> GameValues:
     # log-scale shift can overflow, to a weight of exactly 0; one errstate
     # per call, not per block, as entering one costs about 0.7 us
     with np.errstate(over="ignore"):
-        shapley, shapley_ess = _estimate_family(game, cfg, _SHAPLEY_STREAM, tokens)
-        banzhaf, banzhaf_ess = _estimate_family(game, cfg, _BANZHAF_STREAM, tokens)
-        pair_values, _ = _estimate_family(game, cfg, _INTERACTION_STREAM, pairs)
-    interactions = np.zeros((n, n))
+        shapley, shapley_ess, shapley_se = _estimate_family(game, cfg, _SHAPLEY_STREAM, tokens)
+        banzhaf, banzhaf_ess, banzhaf_se = _estimate_family(game, cfg, _BANZHAF_STREAM, tokens)
+        pair_values, _, pair_se = _estimate_family(game, cfg, _INTERACTION_STREAM, pairs)
     rows, cols = np.triu_indices(n, 1)  # the order of `pairs`
-    interactions[rows, cols] = pair_values
-    interactions[cols, rows] = pair_values
-    return GameValues(shapley, banzhaf, interactions, np.minimum(shapley_ess, banzhaf_ess))
+    interactions, interaction_se = np.zeros((n, n)), np.zeros((n, n))
+    for matrix, entries in ((interactions, pair_values), (interaction_se, pair_se)):
+        matrix[rows, cols] = entries
+        matrix[cols, rows] = entries
+    return GameValues(
+        shapley,
+        banzhaf,
+        interactions,
+        np.minimum(shapley_ess, banzhaf_ess),
+        shapley_se,
+        banzhaf_se,
+        interaction_se,
+    )

@@ -20,19 +20,18 @@ agnostic to the family: ``n`` and ``values_by_mask``.  It is the one
 evaluation entry point: every estimator and oracle evaluates through it
 (``tabulate`` feeds it every mask in chunks), so a ``CountingGame`` sees
 every evaluation.  It takes either an array of masks, whose values come back
-in the array's shape, or an ``Extensions``: K context masks, each extended
-by each of m added sets disjoint from it, whose ``m x K`` values come back
-in the shape ``Extensions.shape``.  A plain array is the case of one added
-set, the empty one.
+in the array's shape, or an ``Extensions``: a pool of K contexts shared by
+rows of m added sets, each row taking the pool's contexts without its own
+tokens (Bernoulli words) or the tokens before its one token (permutations),
+whose ``m x K`` values per row come back in the shape ``Extensions.shape``.
+A plain array is the case of one row with one added set, the empty one.
 
-An ``EmbeddingGame`` gathers the sum ``s`` of each context once and the sum
-``a`` of each added set once, and forms every squared norm as ``|s + a|^2 =
-|s|^2 + 2 a.s + |a|^2``, clamped at 0.  With ``a = 0`` that is exactly the
-squared norm of ``s``, so plain masks and every empty added set get the same
-bits as a direct norm.  Otherwise it rounds differently from the direct
-squared norm of ``s + a``: from the same sums the two differ by at most
-``(d_v + 1) eps (|s| + |a|)^2`` (``eps`` the float64 machine epsilon), which
-only matters where ``s`` nearly cancels ``a``.
+A ``TabularGame`` looks the materialised masks up.  An ``EmbeddingGame``
+evaluates an ``Extensions`` from sums shared by all its rows and kept across
+calls with the same read-only pool, so each coalition costs O(1) once the
+pool is summed; its class docstring gives the formulas and how far their
+rounding may stray from a direct norm of the same coalition.  Plain masks
+get exactly the direct norm of their gathered sums.
 """
 
 from __future__ import annotations
@@ -69,53 +68,109 @@ _TABULATE_CHUNK = 1 << 16  # masks per values_by_mask call of tabulate
 @dataclass(frozen=True)
 class GameValues:
     """A game's Shapley vector, Banzhaf vector and pairwise interaction
-    matrix, estimated or exact.  ``estimators.estimate_all`` sets
-    ``effective_sample_size[i]`` to the smaller of token i's two batch
-    diagnostics; the exact oracles leave it None."""
+    matrix, estimated or exact.
+
+    ``estimators.estimate_all`` also sets ``effective_sample_size[i]`` to the
+    smaller of token i's two batch diagnostics, and one standard error per
+    estimate, shaped like the values it belongs to (the interaction matrix's
+    diagonal is 0); the exact oracles leave them None."""
 
     shapley: np.ndarray
     banzhaf: np.ndarray
     interactions: np.ndarray
     effective_sample_size: np.ndarray | None = None
+    shapley_standard_error: np.ndarray | None = None
+    banzhaf_standard_error: np.ndarray | None = None
+    interaction_standard_error: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class Extensions:
-    """The coalitions ``added[..., :, None] | contexts[..., None, :]``.
+    """K contexts shared by rows of added sets: the coalitions ``added[...,
+    j] | context_r[k]`` of shape ``added.shape + (K,)``.
 
-    ``contexts`` has shape ``(..., K)`` and ``added`` shape ``(..., m)``, both
-    uint64 masks with broadcastable leading axes; every added set must be
-    disjoint from each context of its row, so the coalition is their union.
-    ``shape`` and ``size`` describe the ``(..., m, K)`` coalitions, and
-    ``np.asarray`` builds their masks, so a caller that only takes the size or
-    the masks of its argument sees the coalitions themselves.
+    ``added`` holds uint64 masks of shape ``(..., m)``; a row's *free tokens*
+    are the union of its m added sets.  Every row takes the same K contexts,
+    given in one of two forms:
+
+    * ``contexts``, K uint64 masks: row r's context k is ``contexts[k]`` with
+      r's free tokens cleared.  A pool of K Bernoulli words thus gives every
+      row the words without its own tokens, and contexts disjoint from every
+      free token are taken as they are.
+    * ``orders`` (with ``contexts`` None), a ``(K, n)`` array whose rows are
+      permutations of the n tokens: row r's context k is the set of tokens
+      ``orders[k]`` places before r's free token, of which each row has
+      exactly one.  ``ranks[..., k]`` is that token's place in ``orders[k]``,
+      which is also the size of the context.
+
+    ``shape`` and ``size`` describe the coalitions, and ``np.asarray`` builds
+    their masks, so a caller that only takes the size or the masks of its
+    argument sees the coalitions themselves.
     """
 
-    contexts: np.ndarray
+    contexts: np.ndarray | None
     added: np.ndarray
+    orders: np.ndarray | None = None
+    ranks: np.ndarray | None = field(init=False, default=None)
     shape: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        contexts = np.asarray(self.contexts, dtype=np.uint64)
         added = np.asarray(self.added, dtype=np.uint64)
-        if contexts.ndim < 1 or added.ndim < 1:
-            raise ValueError("extensions: contexts and added sets need a last axis")
-        # an added set misses every context of its row iff it misses their
-        # union; broadcasting the leading axes raises ValueError if they differ
-        overlaps = added & np.bitwise_or.reduce(contexts, axis=-1)[..., None]
-        if overlaps.any():
-            raise ValueError("extensions: an added set overlaps a context of its row")
-        object.__setattr__(self, "contexts", contexts)
+        if added.ndim < 1:
+            raise ValueError("extensions: added sets need a last axis")
         object.__setattr__(self, "added", added)
-        object.__setattr__(self, "shape", overlaps.shape + contexts.shape[-1:])
+        if (self.contexts is None) == (self.orders is None):
+            raise ValueError("extensions: give either contexts or orders")
+        if self.orders is None:
+            contexts = np.asarray(self.contexts, dtype=np.uint64)
+            if contexts.ndim != 1:
+                raise ValueError("extensions: contexts must be one axis of K masks")
+            object.__setattr__(self, "contexts", contexts)
+            object.__setattr__(self, "shape", added.shape + contexts.shape)
+            return
+        orders = np.asarray(self.orders)
+        if orders.ndim != 2 or orders.dtype.kind not in "iu" or orders.shape[1] > MAX_TOKENS:
+            raise ValueError(f"extensions: orders must be a (K, n) integer array with n <= {MAX_TOKENS}")
+        k, n = orders.shape
+        every_token = np.uint64((1 << n) - 1)
+        if orders.size and (
+            orders.min() < 0
+            or orders.max() >= n
+            or np.any(np.bitwise_or.reduce(_token_bits(orders), axis=1) != every_token)
+        ):
+            raise ValueError("extensions: every order must be a permutation of the tokens")
+        free = np.bitwise_or.reduce(added, axis=-1)
+        if np.any(np.bitwise_count(free) != 1) or np.any(free > every_token):
+            raise ValueError("extensions: with orders, every row's added sets hold one token of the orders")
+        places = np.empty_like(orders)
+        np.put_along_axis(places, orders, np.arange(n, dtype=orders.dtype), axis=1)
+        tokens = np.bitwise_count(free - np.uint64(1))
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "ranks", np.moveaxis(places[:, tokens], 0, -1))
+        object.__setattr__(self, "shape", added.shape + (k,))
 
     @property
     def size(self) -> int:
         return math.prod(self.shape)
 
+    def row_contexts(self) -> np.ndarray:
+        """Each row's K context masks, shape ``added.shape[:-1] + (K,)``."""
+        if self.orders is None:
+            return self.contexts & ~np.bitwise_or.reduce(self.added, axis=-1)[..., None]
+        k, n = self.orders.shape
+        # column p of the running OR is the set of the first p tokens of each order
+        prefixes = np.zeros((k, n + 1), dtype=np.uint64)
+        np.bitwise_or.accumulate(_token_bits(self.orders), axis=1, out=prefixes[:, 1:])
+        return prefixes[np.arange(k), self.ranks]
+
     def __array__(self, dtype=None, copy=None):
-        masks = self.added[..., :, None] | self.contexts[..., None, :]
+        masks = self.added[..., :, None] | self.row_contexts()[..., None, :]
         return masks if dtype is None else masks.astype(dtype, copy=False)
+
+
+def _token_bits(tokens: np.ndarray) -> np.ndarray:
+    """The single-bit mask of each token index below 64."""
+    return np.left_shift(np.uint64(1), tokens.astype(np.uint64))
 
 
 _NOTHING_ADDED = np.zeros(1, dtype=np.uint64)
@@ -172,17 +227,45 @@ class EmbeddingGame:
     row per mask byte.  Mask bits at or above ``n`` select zero rows and so
     do not change the value.
 
-    The gathered rows go into buffers the game allocates on first use and
-    enlarges only when a call needs more rows, one pair for the contexts and
-    one for the added sets.  A block's gathers are a few hundred KB, above
+    An ``Extensions`` is evaluated from sums shared by all of its rows and
+    formed once per pool, so each coalition then costs O(1) for a row of one
+    or two free tokens (O(f^2) for f):
+
+    * contexts: the sums ``S_k`` of the K contexts and their squared norms,
+      every token's bit in every context, and every token's dot product
+      ``x_t.S_k`` with every context sum, besides the Gram matrix ``X X^T``
+      formed once per game.  Row r's context k has the sum ``c = S_k -
+      sum_t p_t x_t`` over the row's free tokens t, ``p_t`` the token's bit
+      in context k, so ``x_t.c = x_t.S_k - sum_u p_u x_t.x_u`` and ``|c|^2 =
+      |S_k|^2 - sum_t p_t (x_t.S_k + x_t.c)``; added set j, of sum ``a_j``,
+      gives ``|c + a_j|^2 = |c|^2 + 2 sum_{t in j} x_t.c + |a_j|^2``, with
+      ``|a_j|^2`` the sum of the Gram entries of its tokens, clamped at 0.
+    * orders: the values of the n + 1 prefixes of each order, whose sums run
+      along it; row r's coalitions are the prefix before its token and the
+      one through it.
+
+    Plain masks, and rows with no free token, get ``|S_k|^2``: exactly the
+    squared norm of the gathered sum; an empty context gets exactly 0 for
+    ``c``, so the empty coalition is worth exactly 0.  A prefix is summed along its order,
+    which rounds otherwise than a gathered sum of the same mask, and from the
+    same sums the pooled form of a coalition rounds otherwise than the
+    direct squared norm of ``c + a_j``: the two differ by at most ``2 (d_v +
+    f^2 + 2 f + 4) eps M^2`` (``eps`` the float64 machine epsilon, ``M =
+    |S_k| + sum_t |x_t|`` over the row's free tokens), which only matters
+    where the terms nearly cancel.
+
+    The shared sums of a read-only pool (``contexts`` or ``orders``) are
+    kept for the next call with the same array, so the blocks of rows that
+    one estimate evaluates in turn form them once; a pool must not change
+    while a game holds it.  The gathered rows and the running prefix sums go
+    into two buffers the game allocates on first use and enlarges only when
+    a call needs more rows.  A call's gathers can be a few hundred KB, above
     glibc's initial mmap threshold, so fresh temporaries of that size are
     mapped, or trimmed from the heap, and faulted in again on every call
     unless something else the process allocated earlier has raised glibc's
-    thresholds (about 27,000 minor page faults per ``attend-wide`` operation
-    against a few hundred with the buffers).  The buffers make
-    ``values_by_mask`` reuse the same memory on every call, so one game must
-    not serve concurrent calls; its results are fresh arrays and stay valid
-    after later calls.
+    thresholds.  The buffers make ``values_by_mask`` reuse the same memory on
+    every call, so one game must not serve concurrent calls; its results are
+    fresh arrays and stay valid after later calls.
     """
 
     def __init__(self, embeddings, value_projection, nonlinearity: str = "relu"):
@@ -200,9 +283,12 @@ class EmbeddingGame:
         projected = project_values(x, w)
         projected.flags.writeable = False
         self.projected = projected   # n x d_v, row i is the value vector of token i
+        # the Gram matrix X X^T, with a zero row and column n for padding
+        self._gram = np.zeros((n + 1, n + 1))
+        np.matmul(projected, projected.T, out=self._gram[:n, :n])
         self._byte_sums = _byte_sum_tables(projected)
-        # (sums, gathered rows) for the contexts and for the added sets
-        self._buffers: list[tuple[np.ndarray, np.ndarray] | None] = [None, None]
+        self._buffers: tuple[np.ndarray, np.ndarray] | None = None  # two (rows, d_v) arrays
+        self._pool: tuple = (None,)  # (pool, its shared sums...) of the last read-only pool
         self.nonlinearity = nonlinearity
         self.n = n
 
@@ -211,34 +297,108 @@ class EmbeddingGame:
             extensions, shape = masks, masks.shape
         else:
             extensions, shape = Extensions(np.reshape(masks, -1), _NOTHING_ADDED), np.shape(masks)
-        s, s_squared = self._sums(extensions.contexts, 0)
-        a, a_squared = self._sums(extensions.added, 1)
-        # |s|^2 + 2 a.s + |a|^2, formed in place in the (..., m, K) cross term
-        squared = a @ np.swapaxes(s, -1, -2)
-        squared *= 2.0
-        squared += s_squared[..., None, :]
-        squared += a_squared[..., :, None]
+        if extensions.orders is not None:
+            # an added set holds the row's token or nothing: the prefix through it or before it
+            places = extensions.ranks[..., None, :] + (extensions.added != 0)[..., :, None]
+            values = self._shared(extensions.orders, self._prefix_values)
+            return values[np.arange(places.shape[-1]), places]
+        return self._finish(self._pooled_squares(extensions)).reshape(shape)
+
+    def _finish(self, squared: np.ndarray) -> np.ndarray:
+        """The values of squared norms, formed in place."""
         norms = np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
         if self.nonlinearity == "tanh":  # relu, like identity, keeps the norms
             np.tanh(norms, out=norms)
-        return norms.reshape(shape)
+        return norms
 
-    def _sums(self, masks: np.ndarray, role: int) -> tuple[np.ndarray, np.ndarray]:
+    def _shared(self, pool: np.ndarray, form):
+        """``form(pool)``, kept for the next call while *pool* is read-only."""
+        if self._pool[0] is pool:
+            return self._pool[1]
+        shared = form(pool)
+        self._pool = (pool, shared) if not pool.flags.writeable else (None,)
+        return shared
+
+    def _pooled_squares(self, extensions: Extensions) -> np.ndarray:
+        """Squared norms of the coalitions of contexts given as masks."""
+        contexts, added = extensions.contexts, extensions.added
+        # tokens at or above n add nothing to any sum, so clearing them does not either
+        free = np.bitwise_or.reduce(added, axis=-1) & np.uint64((1 << self.n) - 1)
+        if not free.any():  # every coalition is a plain context
+            return np.broadcast_to(self._sums(contexts)[1], extensions.shape).copy()
+        s_squared, in_pool, x_dot_pool = self._shared(contexts, self._context_sums)
+        # each row's free tokens, lowest first, as single-bit masks padded
+        # with 0 and as indices padded with n, which reads zeros
+        bits = np.zeros(free.shape + (int(np.bitwise_count(free).max()),), dtype=np.uint64)
+        rest = free.copy()
+        for column in range(bits.shape[-1]):
+            bits[..., column] = rest & (~rest + np.uint64(1))
+            rest ^= bits[..., column]
+        tokens = np.where(bits != 0, np.bitwise_count(bits - np.uint64(1)), self.n)
+        gram = self._gram[tokens[..., :, None], tokens[..., None, :]]  # (..., f, f)
+        in_context = in_pool[tokens]  # (..., f, K)
+        x_dot_c = gram @ in_context
+        x_dot_s = x_dot_pool[tokens]
+        np.subtract(x_dot_s, x_dot_c, out=x_dot_c)
+        x_dot_s += x_dot_c
+        c_squared = s_squared - np.einsum("...fk,...fk->...k", in_context, x_dot_s)
+        del in_context, x_dot_s  # free the largest arrays before the result's
+        # a context that held only the row's tokens is empty: its sum is
+        # exactly 0, not the roundoff of S_k less those tokens
+        empty = (contexts & ~free[..., None]) == 0
+        c_squared[empty] = 0.0
+        x_dot_c *= ~empty[..., None, :]
+        in_added = ((added[..., :, None] & bits[..., None, :]) != 0).astype(np.float64)  # (..., m, f)
+        squared = in_added @ x_dot_c
+        squared *= 2.0
+        squared += c_squared[..., None, :]
+        squared += np.einsum("...mf,...fg,...mg->...m", in_added, gram, in_added)[..., None]
+        return squared
+
+    def _context_sums(self, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The squared norms ``|S_k|^2`` of the K contexts' sums, every
+        token's bit in every context and every token's dot product with
+        every context sum, the last two of shape ``(n + 1, K)`` with a row of
+        zeros n for padding."""
+        s, s_squared = self._sums(contexts)
+        in_pool, x_dot_pool = np.zeros((2, self.n + 1, contexts.size))
+        shifts = np.arange(self.n, dtype=np.uint64)[:, None]
+        np.bitwise_and(contexts >> shifts, np.uint64(1), out=in_pool[: self.n], casting="unsafe")
+        np.matmul(self.projected, s.T, out=x_dot_pool[: self.n])
+        return s_squared, in_pool, x_dot_pool
+
+    def _prefix_values(self, orders: np.ndarray) -> np.ndarray:
+        """The values of the n + 1 prefixes of each of the K orders, shape
+        ``(K, n + 1)``."""
+        k, n = orders.shape
+        if n > self.n:
+            raise ValueError(f"embedding game: orders of {n} tokens for a game of {self.n}")
+        running, gathered = self._buffer(k)
+        running[:] = 0.0
+        squared = np.zeros((k, n + 1))
+        for place in range(n):
+            running += self.projected.take(orders[:, place], axis=0, out=gathered, mode="clip")
+            squared[:, place + 1] = np.einsum("ij,ij->i", running, running)
+        return self._finish(squared)
+
+    def _buffer(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two ``(count, d_v)`` views of the game's buffers, valid until the
+        next call."""
+        if self._buffers is None or len(self._buffers[0]) < count:
+            self._buffers = tuple(np.empty((count, self.projected.shape[1])) for _ in range(2))
+        return self._buffers[0][:count], self._buffers[1][:count]
+
+    def _sums(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coalition sums of *masks*, shape ``masks.shape + (d_v,)``, and
         their squared norms, shape ``masks.shape``.
 
-        The sums are a view of the game's buffers for *role* (0 contexts,
-        1 added sets), valid until the next call for that role.
+        The sums are a view of the game's buffers, valid until the next call.
         """
         tables = self._byte_sums
         # byte b of a little-endian 64-bit mask holds the bits of tokens 8b..8b+7
         mask_bytes = np.ascontiguousarray(masks, dtype="<u8").reshape(-1).view(np.uint8)
         rows = mask_bytes.reshape(-1, 8)[:, : tables.shape[0]].T.astype(np.intp)
-        buffers = self._buffers[role]
-        if buffers is None or len(buffers[0]) < rows.shape[1]:
-            buffers = tuple(np.empty(rows.shape[1:] + tables.shape[2:]) for _ in range(2))
-            self._buffers[role] = buffers
-        sums, gathered = (buffer[: rows.shape[1]] for buffer in buffers)
+        sums, gathered = self._buffer(rows.shape[1])
         # byte values index 256 rows, so "clip" never clips; unlike the
         # default "raise", it lets take write into `out` without a copy
         tables[0].take(rows[0], axis=0, out=sums, mode="clip")
@@ -256,7 +416,8 @@ def project_values(
 
     Raises ValueError, naming *name*, when a coalition's squared norm could
     overflow float64.  Every squared norm of a coalition sum, and every
-    intermediate of ``|s|^2 + 2 a.s + |a|^2``, is at most ``4 B^2`` with
+    intermediate the pooled form of ``EmbeddingGame`` builds from dot
+    products of the projected rows, is at most ``4 B^2`` in magnitude with
     ``B = sum_i |x_i W|_2``, so a finite ``4 B^2`` keeps every value of the
     game, and every difference of values the estimators and oracles form,
     finite.

@@ -36,31 +36,40 @@ def as_integer(data, name: str) -> int:
     raise ValueError(f"{name}: must be an integer")
 
 
-def _check_numbers(data, name: str) -> None:
-    """Reject any entry of nested lists that is not a real number; a bool or
-    a numeric string is not one, although ``float()`` would take it.  An
-    array is judged by its dtype alone."""
+def _check_numbers(data, name: str, ndim: int) -> bool:
+    """Reject any entry of nested lists, down to *ndim* levels, that is not a
+    real number; a bool or a numeric string is not one, although ``float()``
+    would take it.  An array is judged by its dtype alone.  Lists nested
+    deeper than *ndim* levels are not looked into, so the walk never goes
+    deeper than *ndim* calls; returns whether there are any."""
     if isinstance(data, np.ndarray):
         if data.dtype.kind not in "iuf":
             raise ValueError(f"{name}: not a numeric array: dtype {data.dtype}")
-        return
+        return False
     if isinstance(data, (list, tuple)):
+        if ndim == 0:
+            return True
+        deeper = False
         # rows of plain floats and ints, as JSON gives them, need no per-entry check
         if not set(map(type, data)) <= {float, int}:
             for item in data:
-                _check_numbers(item, name)
-        return
+                deeper |= _check_numbers(item, name, ndim - 1)
+        return deeper
     if isinstance(data, bool) or not isinstance(data, numbers.Real):
         raise ValueError(f"{name}: not a numeric array: found {type(data).__name__}")
+    return False
 
 
 def _as_array(data, name: str, ndim: int) -> np.ndarray:
     # ragged nesting, strings, bools, objects and ints beyond the float range
-    # all surface as a ValueError naming the field
-    _check_numbers(data, name)
+    # all surface as a ValueError naming the field; nesting too deep for
+    # numpy (past 64 levels) as the wrong dimension
+    deeper = _check_numbers(data, name, ndim)
     try:
         arr = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
+        if deeper:
+            raise ValueError(f"{name}: expected a {ndim}-d array") from None
         raise ValueError(f"{name}: not a numeric array: {exc}") from None
     if arr.ndim != ndim:
         raise ValueError(f"{name}: expected a {ndim}-d array, got shape {arr.shape}")

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from coalattn.estimators import sample_bernoulli_coalitions, sample_permutation_prefixes
 from coalattn.games import Extensions, TabularGame, tabulate
 from coalattn.meanfield import check_spin_system
 from coalattn.oracles import EnumerationLimitError
@@ -53,29 +52,58 @@ def reference_stream(seed: int, kind: int, *indices: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, float]:
-    """(estimate, ESS, standard error) of one slot computed on its own: a
-    freshly keyed ``Philox`` stream (``reference_stream``), one evaluation
-    of the ``Extensions`` of its contexts by the subsets of its tokens, and
-    one weighting.
+def reference_pool(seed: int, kind: int, n: int, count: int) -> np.ndarray:
+    """One family's pool, drawn from a fresh generator on the family's
+    stream (``reference_stream(seed, kind)``): *count* permutations of the
+    n tokens for kind 1 (Shapley), else *count* uniform 64-bit words masked
+    to the n token bits."""
+    rng = reference_stream(seed, kind)
+    if kind == 1:
+        return rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    return rng.integers(0, 2**64, size=count, dtype=np.uint64) & np.uint64((1 << n) - 1)
 
-    *kind* is the stream identifier (1 Shapley prefixes, 2 Banzhaf
-    coalitions, 3 pair interactions) and *slot* the token indices, ``(i,)``
+
+def reference_contexts(pool: np.ndarray, kind: int, n: int, slot: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(context masks, proposal probabilities) of one slot in its family's
+    pool over n tokens, derived on their own: token i's context in
+    permutation k is the sum of the bits of the tokens before i, with
+    probability ``s!(n-1-s)!/(n-1)!`` for its size s; a Bernoulli slot's
+    contexts are the pool words without the slot's bits, each with
+    probability ``2**-(n - |slot|)``."""
+    if kind == 1:
+        places = np.argmax(pool == slot[0], axis=1)
+        before = np.arange(n)[None, :] < places[:, None]
+        masks = np.where(before, np.left_shift(np.uint64(1), pool.astype(np.uint64)), np.uint64(0))
+        probs = [math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n - 1) for s in places]
+        return masks.sum(axis=1, dtype=np.uint64), np.array(probs)
+    slot_bits = np.uint64(sum(1 << t for t in slot))
+    return pool & ~slot_bits, np.full(pool.size, 0.5 ** (n - len(slot)))
+
+
+def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, float]:
+    """(estimate, ESS, standard error) of one slot computed on its own: the
+    family's pool from a fresh generator (``reference_pool``), the slot's
+    contexts derived from it (``reference_contexts``), one evaluation of a
+    one-row ``Extensions`` of the pool by the subsets of the slot's tokens,
+    checked to hold exactly those contexts so extended, and one weighting.
+
+    *kind* is the stream identifier (1 Shapley permutations, 2 Banzhaf
+    words, 3 pair-interaction words) and *slot* the token indices, ``(i,)``
     or ``(a, b)`` with ``a < b``.  The standard error is the delta-method
-    ``sqrt(sum w_k**2 (m_k - est)**2)`` over the normalized weights, which
+    ``sqrt(sum (w_k (m_k - est))**2)`` over the normalized weights, which
     reduces to ``std/sqrt(K)`` for uniform weights.
     """
-    k = cfg.sample_count
-    rng = reference_stream(cfg.seed, kind, *slot)
-    if kind == 1:
-        contexts, probs = sample_permutation_prefixes(rng, game.n, slot[0], k)
-    else:
-        contexts, probs = sample_bernoulli_coalitions(rng, game.n, set(slot), k)
+    k, n = cfg.sample_count, game.n
+    pool = reference_pool(cfg.seed, kind, n, k)
     bits = [1 << t for t in slot]
     added = [0, bits[0]]
     if len(slot) == 2:
         added += [bits[1], bits[0] | bits[1]]
-    values = game.values_by_mask(Extensions(contexts[None], np.array(added, dtype=np.uint64)[None]))[0]
+    added = np.array([added], dtype=np.uint64)
+    contexts, probs = reference_contexts(pool, kind, n, slot)
+    extensions = Extensions(None, added, pool) if kind == 1 else Extensions(pool, added)
+    np.testing.assert_array_equal(np.asarray(extensions)[0], added[0][:, None] | contexts[None, :])
+    values = game.values_by_mask(extensions)[0]
     base = values[0]
     if len(slot) == 1:
         marginals = values[1] - base
@@ -89,7 +117,7 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
         raw, normalized = np.ones(k), np.full(k, 1.0 / k)
     ess = min(max(float(np.sum(raw)) ** 2 / float(np.sum(raw * raw)), 1.0), float(k))
     estimate = float(np.dot(normalized, marginals))
-    se = float(np.sqrt(np.sum(normalized * normalized * (marginals - estimate) ** 2)))
+    se = float(np.sqrt(np.sum((normalized * (marginals - estimate)) ** 2)))
     return estimate, ess, se
 
 

@@ -1,16 +1,20 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from coalattn.estimators import (
+    _BLOCK_CONTEXTS,
     EstimatorConfig,
+    _draw_pool,
     _philox_keys,
-    _slot_streams,
+    _pool_block,
     estimate_all,
     gibbs_weights,
-    sample_bernoulli_coalitions,
-    sample_permutation_prefixes,
 )
-from coalattn.games import EmbeddingGame, TabularGame
+from coalattn.games import EmbeddingGame, Extensions, TabularGame
 from coalattn.oracles import (
     exact_banzhaf,
     exact_game_values,
@@ -21,6 +25,8 @@ from conftest import (
     WORKED_TABLE,
     additive_table_game,
     random_table_game,
+    reference_contexts,
+    reference_pool,
     reference_slot,
     reference_stream,
 )
@@ -55,10 +61,21 @@ class TestConfigValidation:
         assert type(cfg.sample_count) is int and type(cfg.seed) is int
 
 
+def _slot_contexts(seed: int, kind: int, n: int, slot: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """One slot's contexts and their proposal probabilities, as
+    ``estimate_all`` takes them from its family's pool of *count* draws."""
+    added = np.zeros(1, dtype=np.uint64)
+    for t in slot:
+        added = np.concatenate([added, added | np.uint64(1 << t)])
+    extensions, probs = _pool_block(_draw_pool(seed, kind, n, count), n, added[None])
+    return np.asarray(extensions)[0, 0], np.broadcast_to(probs, (1, count))[0]
+
+
 class TestPrefixSampling:
+    """Token i's contexts in a permutation pool: the tokens before it."""
+
     def test_proposal_probability_by_size_n3(self):
-        rng = reference_stream(0, 99)
-        masks, probs = sample_permutation_prefixes(rng, 3, 1, 4000)
+        masks, probs = _slot_contexts(0, 1, 3, (1,), 4000)
         sizes = np.array([int(m).bit_count() for m in masks])
         # p(size 0) = 0!*2!/2! = 1, p(size 1) = 1!*1!/2! = 0.5, p(size 2) = 1
         np.testing.assert_array_equal(probs[sizes == 0], 1.0)
@@ -67,85 +84,128 @@ class TestPrefixSampling:
         assert {0, 1, 2} == set(sizes.tolist())
 
     def test_single_token_sequence(self):
-        masks, probs = sample_permutation_prefixes(reference_stream(1, 99), 1, 0, count=1)
+        masks, probs = _slot_contexts(1, 1, 1, (0,), 1)
         assert masks.tolist() == [0] and probs.tolist() == [1.0]
 
     def test_target_token_never_sampled(self):
-        rng = reference_stream(2, 99)
-        masks, _ = sample_permutation_prefixes(rng, 5, 2, 2000)
+        masks, _ = _slot_contexts(2, 1, 5, (2,), 2000)
         assert not np.any(masks & np.uint64(1 << 2))
 
     def test_prefix_sizes_cover_range(self):
-        rng = reference_stream(3, 99)
-        masks, _ = sample_permutation_prefixes(rng, 4, 0, 4000)
+        masks, _ = _slot_contexts(3, 1, 4, (0,), 4000)
         sizes = {int(m).bit_count() for m in masks}
         assert sizes == {0, 1, 2, 3}
 
     def test_bad_token_rejected(self):
-        with pytest.raises(ValueError):
-            sample_permutation_prefixes(reference_stream(0, 99), 3, 3, 1)
+        with pytest.raises(ValueError, match="one token of the orders"):
+            Extensions(None, np.array([[0, 1 << 3]], dtype=np.uint64), _draw_pool(0, 1, 3, 1))
 
     @pytest.mark.parametrize(
         "n,i,seed", [(1, 0, 0), (2, 1, 3), (5, 2, 7), (17, 0, 11), (64, 63, 5), (64, 20, 9)]
     )
     def test_masks_match_masked_sum_of_permuted_bits(self, n, i, seed):
         count = 300
-        masks, probs = sample_permutation_prefixes(reference_stream(seed, 99), n, i, count)
-        # the same draws, summed over the kept prefix positions
-        rng = reference_stream(seed, 99)
-        sizes = rng.integers(0, n, size=count)
-        expected = np.zeros(count, dtype=np.uint64)
-        if n > 1:
-            others = np.array([t for t in range(n) if t != i], dtype=np.uint64)
-            perms = rng.permuted(np.tile(others, (count, 1)), axis=1)
-            keep = np.arange(n - 1)[None, :] < sizes[:, None]
-            bits = np.left_shift(np.uint64(1), perms)
-            expected = np.where(keep, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+        masks, probs = _slot_contexts(seed, 1, n, (i,), count)
+        # the same permutations, summed over the positions before token i
+        perms = reference_pool(seed, 1, n, count)
+        places = np.argmax(perms == i, axis=1)
+        keep = np.arange(n)[None, :] < places[:, None]
+        bits = np.left_shift(np.uint64(1), perms.astype(np.uint64))
+        expected = np.where(keep, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
         np.testing.assert_array_equal(masks, expected)
         assert masks.dtype == np.uint64
-        assert np.array_equal([int(m).bit_count() for m in masks], sizes)
+        assert np.array_equal([int(m).bit_count() for m in masks], places)
+        np.testing.assert_array_equal(probs, reference_contexts(perms, 1, n, (i,))[1])
 
 
 class TestBernoulliSampling:
+    """A slot's contexts in a Bernoulli pool: the words without its bits."""
+
     def test_single_exclusion_probability(self):
-        _, probs = sample_bernoulli_coalitions(reference_stream(0, 98), 3, {1}, 100)
+        _, probs = _slot_contexts(0, 2, 3, (1,), 100)
         np.testing.assert_array_equal(probs, 0.25)
 
     def test_pair_exclusion_probability(self):
-        _, probs = sample_bernoulli_coalitions(reference_stream(0, 98), 3, {0, 2}, 100)
+        _, probs = _slot_contexts(0, 3, 3, (0, 2), 100)
         np.testing.assert_array_equal(probs, 0.5)
 
     def test_two_token_game_hits_both_outcomes(self):
-        rng = reference_stream(1, 98)
-        masks, probs = sample_bernoulli_coalitions(rng, 2, {0}, 500)
+        masks, probs = _slot_contexts(1, 2, 2, (0,), 500)
         assert set(np.unique(masks).tolist()) == {0, 2}
         np.testing.assert_array_equal(probs, 0.5)
 
     def test_excluded_tokens_absent(self):
-        rng = reference_stream(2, 98)
-        masks, _ = sample_bernoulli_coalitions(rng, 6, {1, 4}, 1000)
+        masks, _ = _slot_contexts(2, 3, 6, (1, 4), 1000)
         assert not np.any(masks & np.uint64((1 << 1) | (1 << 4)))
+        assert np.any(masks & np.uint64(1 << 5))
 
     def test_scalar_wrapper(self):
-        masks, probs = sample_bernoulli_coalitions(reference_stream(3, 98), 3, {2}, count=1)
+        masks, probs = _slot_contexts(3, 2, 3, (2,), 1)
         assert masks.shape == (1,) and not masks[0] & np.uint64(1 << 2)
         assert probs.tolist() == [0.25]
 
     def test_excluding_every_token_degenerates_to_empty(self):
         # one-token Banzhaf sampling: the only coalition is empty, prob 1
-        masks, probs = sample_bernoulli_coalitions(reference_stream(0, 98), 1, {0}, 5)
+        masks, probs = _slot_contexts(0, 2, 1, (0,), 5)
         np.testing.assert_array_equal(masks, 0)
         np.testing.assert_array_equal(probs, 1.0)
 
-    def test_out_of_range_exclusion_rejected(self):
-        with pytest.raises(ValueError):
-            sample_bernoulli_coalitions(reference_stream(0, 98), 2, {5}, 1)
+
+class TestProposalLaw:
+    """Every slot's K contexts have the law of K independent draws of its
+    own: count each context in a large pool at n = 4 and compare the count
+    with its binomial law, and each proposal probability with the law's."""
+
+    K = 200_000
+    # failure probability allowed per test, shared by its at most 8 counts
+    DELTA = 1e-9
+
+    def _check_counts(self, masks: np.ndarray, expected: dict) -> None:
+        # Bernstein's inequality: a Binomial(K, p) count lies within
+        # L/3 + sqrt((L/3)**2 + 2 K p (1-p) L) of K p, L = ln(2/delta),
+        # except with probability delta
+        log_term = math.log(2.0 * len(expected) / self.DELTA)
+        values, counts = np.unique(masks, return_counts=True)
+        assert set(values.tolist()) <= set(expected)
+        seen = dict(zip(values.tolist(), counts.tolist()))
+        for mask, p in expected.items():
+            reach = log_term / 3.0
+            radius = reach + math.sqrt(reach**2 + 2.0 * self.K * p * (1.0 - p) * log_term)
+            assert abs(seen.get(mask, 0) - self.K * p) <= radius
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_prefix_contexts(self, i):
+        n = 4
+        masks, probs = _slot_contexts(41, 1, n, (i,), self.K)
+        others = [t for t in range(n) if t != i]
+        expected = {}
+        for size in range(n):
+            for subset in itertools.combinations(others, size):
+                # size uniform on 0..n-1, the set uniform given its size
+                expected[sum(1 << t for t in subset)] = 1.0 / (n * math.comb(n - 1, size))
+        self._check_counts(masks, expected)
+        sizes = np.bitwise_count(masks)
+        for size in range(n):
+            np.testing.assert_array_equal(probs[sizes == size], 1.0 / math.comb(n - 1, size))
+
+    @pytest.mark.parametrize("kind, slot", [(2, (0,)), (2, (3,)), (3, (0, 1)), (3, (1, 3)), (3, (2, 3))])
+    def test_bernoulli_contexts(self, kind, slot):
+        n = 4
+        masks, probs = _slot_contexts(43, kind, n, slot, self.K)
+        others = [t for t in range(n) if t not in slot]
+        p = 0.5 ** len(others)
+        expected = {
+            sum(1 << t for t in subset): p
+            for size in range(len(others) + 1)
+            for subset in itertools.combinations(others, size)
+        }
+        self._check_counts(masks, expected)
+        np.testing.assert_array_equal(probs, p)
 
 
 def _mixed_draws(rng: np.random.Generator, size: int) -> list:
     # 32-bit bounded integers, a permutation and raw words touch every part
-    # of the Philox state a re-keying has to reset (counter, key, buffer,
-    # buffered 32-bit half)
+    # of the Philox state (counter, key, buffer, buffered 32-bit half)
     return [
         rng.integers(0, 7, size=size).tolist(),
         rng.permuted(np.arange(size)).tolist(),
@@ -181,19 +241,28 @@ class TestStreamKeys:
         assert len(keys) == 64 + 64 + 64 * 63 // 2
         assert len(np.unique(keys, axis=0)) == len(keys)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_the_three_family_keys_differ(self, seed):
+        keys = np.concatenate([_philox_keys(seed, kind, [()]) for kind in (1, 2, 3)])
+        assert len(np.unique(keys, axis=0)) == 3
+
     @pytest.mark.parametrize(
         "seed,kind,indices",
         [(0, 99, ()), (7, 1, (3,)), (2**64 - 1, 3, (5, 63)), (2**70, 98, (2**32 - 1, 2**32 - 1))],
     )
     def test_token_stream_matches_fresh_generator(self, seed, kind, indices):
-        assert _mixed_draws(next(_slot_streams(seed, kind, [indices])), 9) == _mixed_draws(
+        # a key row is a Philox key: the generator it keys draws the
+        # documented stream
+        key = _philox_keys(seed, kind, [indices])[0]
+        assert _mixed_draws(np.random.Generator(np.random.Philox(key=key)), 9) == _mixed_draws(
             reference_stream(seed, kind, *indices), 9
         )
 
-    def test_rekeyed_generator_forgets_the_previous_slot(self):
-        slots = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        for size, (slot, rng) in enumerate(zip(slots, _slot_streams(11, 3, slots)), start=1):
-            assert _mixed_draws(rng, size) == _mixed_draws(reference_stream(11, 3, *slot), size)
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kind", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 9, 64])
+    def test_family_pool_matches_fresh_generator(self, seed, kind, n):
+        np.testing.assert_array_equal(_draw_pool(seed, kind, n, 37), reference_pool(seed, kind, n, 37))
 
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), 7.0])
     def test_seed_of_another_numeric_type_gives_the_int_seed_values(self, seed):
@@ -201,10 +270,10 @@ class TestStreamKeys:
         game = EmbeddingGame(rng.normal(size=(9, 3)), rng.normal(size=(3, 2)))
         got = estimate_all(game, EstimatorConfig(seed=seed))
         expected = estimate_all(game, EstimatorConfig(seed=7))
-        for field in ("shapley", "banzhaf", "interactions", "effective_sample_size"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))
-        rng = next(_slot_streams(seed, 3, [(1, 2)]))
-        assert _mixed_draws(rng, 5) == _mixed_draws(reference_stream(7, 3, 1, 2), 5)
+        for field in dataclasses.fields(expected):
+            np.testing.assert_array_equal(getattr(got, field.name), getattr(expected, field.name))
+        for kind in (1, 2, 3):
+            np.testing.assert_array_equal(_draw_pool(seed, kind, 9, 5), reference_pool(7, kind, 9, 5))
 
 
 class _RecordingGame:
@@ -221,24 +290,36 @@ class _RecordingGame:
 
 
 class TestPinnedStream:
-    """The first interaction contexts of one seed, written out as integers,
-    so a change to the key derivation or the re-keying fails here instead of
-    silently shifting every report.  Masks only, so no float math is pinned."""
+    """The family keys and first pool draws of one seed, written out as
+    integers, so a change to the key derivation or the pool draws fails
+    here instead of silently shifting every report.  Masks only, so no float
+    math is pinned."""
 
     SEED = 20260318
-    # the first four raw words of Philox(key=(h0, h1 ^ (5 << 32 | 63))) with
-    # bits 5 and 63 cleared, where (h0, h1) = SeedSequence(entropy=SEED,
-    # spawn_key=(3,)).generate_state(2, np.uint64)
-    FIRST_CONTEXTS = [
-        998759210206867980,
-        5407011651746250967,
-        7088507053547330050,
-        8167636667467827334,
+    # (h0, h1) = SeedSequence(entropy=SEED, spawn_key=(kind,)).generate_state(2, np.uint64)
+    FAMILY_KEYS = {
+        1: [12164794782058381883, 13745585440701167947],
+        2: [17874541722704740760, 17658661319511904818],
+        3: [11754586227848742299, 5132876179132965608],
+    }
+    # the first four raw words of Philox(key=FAMILY_KEYS[3]), the
+    # interaction pool of a 64-token game
+    FIRST_WORDS = [
+        3150915739607063423,
+        9717895520998054061,
+        10460044175738779126,
+        6262549241783668634,
     ]
+    # the first two permutations of the Shapley pool of an 8-token game
+    FIRST_ORDERS = [[1, 7, 4, 0, 2, 6, 5, 3], [6, 2, 5, 7, 0, 4, 3, 1]]
+
+    def test_family_keys(self):
+        for kind, key in self.FAMILY_KEYS.items():
+            assert _philox_keys(self.SEED, kind, [()]).tolist() == [key]
 
     def test_sampler_on_the_pair_stream(self):
-        masks, _ = sample_bernoulli_coalitions(reference_stream(self.SEED, 3, 5, 63), 64, {5, 63}, 4)
-        assert masks.tolist() == self.FIRST_CONTEXTS
+        assert _draw_pool(self.SEED, 3, 64, 4).tolist() == self.FIRST_WORDS
+        assert _draw_pool(self.SEED, 1, 8, 2).tolist() == self.FIRST_ORDERS
 
     def test_interaction_batch_evaluates_the_pinned_contexts(self):
         rng = np.random.default_rng(1)
@@ -251,8 +332,9 @@ class TestPinnedStream:
         pairs = [(i, j) for i in range(64) for j in range(i + 1, 64)]
         start = 2 * 2 * k * 64 + 4 * k * pairs.index((5, 63))
         bits = [0, 1 << 5, 1 << 63, (1 << 5) | (1 << 63)]
+        contexts = [m & ~bits[3] for m in self.FIRST_WORDS]
         assert len(masks) == 2 * k * 64 * 65
-        assert masks[start : start + 4 * k] == [m | b for b in bits for m in self.FIRST_CONTEXTS]
+        assert masks[start : start + 4 * k] == [m | b for b in bits for m in contexts]
 
 
 class TestTracedEvaluationCount:
@@ -261,8 +343,9 @@ class TestTracedEvaluationCount:
     that count must stay ``2*K*n*(n+1)`` per ``estimate_all`` whatever form
     the masks are handed over in."""
 
-    # K = 25 puts many slots in one evaluation, K = 1100 one slot per call
-    @pytest.mark.parametrize("k", [25, 1100])
+    # K = 25 and 1100 put many slots in one evaluation, the last one partly
+    # filled, and K past the block cap one slot per call
+    @pytest.mark.parametrize("k", [25, 1100, _BLOCK_CONTEXTS + 1])
     @pytest.mark.parametrize("kind", ["embedding", "table"])
     def test_count_is_2kn_n_plus_1(self, monkeypatch, kind, k):
         sizes = []
@@ -358,11 +441,22 @@ def _slot_estimate(values, kind: int, slot: tuple) -> float:
     return values.interactions[slot]
 
 
+def _slot_standard_error(values, kind: int, slot: tuple) -> float:
+    """``estimate_all``'s standard error for one slot."""
+    if kind == _SHAPLEY:
+        return values.shapley_standard_error[slot[0]]
+    if kind == _BANZHAF:
+        return values.banzhaf_standard_error[slot[0]]
+    return values.interaction_standard_error[slot]
+
+
 def _checked_slot(values, game, cfg, kind: int, slot: tuple) -> tuple[float, float]:
     """(estimate, standard error) of one slot of *values*, after checking
-    that ``estimate_all`` gave the per-slot reference estimate bit for bit."""
+    that ``estimate_all`` gave the per-slot reference estimate and standard
+    error bit for bit."""
     estimate, _, se = reference_slot(game, cfg, kind, slot)
     assert _slot_estimate(values, kind, slot) == estimate
+    assert _slot_standard_error(values, kind, slot) == se
     return estimate, se
 
 
@@ -449,10 +543,11 @@ class TestDeterminism:
         assert values.interactions[2, 0] == values.interactions[0, 2]
         _checked_slot(values, worked_game, cfg, _INTERACTION, (0, 2))
 
-    def test_tokens_use_independent_streams(self):
-        # tokens 0 and 1 are interchangeable, so with one shared stream the
-        # prefix sampler would give them mirrored coalitions and equal
-        # Shapley estimates
+    def test_symmetric_tokens_take_different_contexts_from_one_pool(self):
+        # tokens 0 and 1 are interchangeable, so contexts drawn alike for
+        # both (one stream replayed per token) would give them mirrored
+        # coalitions and equal Shapley estimates; from one permutation each
+        # takes the tokens before it, which differ
         table = np.asarray(WORKED_TABLE)
         masks = np.arange(8)
         swapped = (masks & 0b100) | ((masks & 1) << 1) | ((masks >> 1) & 1)
@@ -477,12 +572,13 @@ class TestDiagnostics:
         cfg = EstimatorConfig(sample_count=400, seed=6, gamma=1.0, mode="classic")
         values = estimate_all(worked_game, cfg)
         estimate, se = _checked_slot(values, worked_game, cfg, _BANZHAF, (1,))
-        # token 1's Banzhaf stream: coalitions of tokens 0 and 2
-        contexts, _ = sample_bernoulli_coalitions(reference_stream(6, _BANZHAF, 1), 3, {1}, 400)
+        # the Banzhaf pool without token 1: coalitions of tokens 0 and 2
+        contexts, _ = reference_contexts(reference_pool(6, _BANZHAF, 3, 400), _BANZHAF, 3, (1,))
         contexts = contexts.astype(np.int64)
         marginals = worked_game.table[contexts | 0b010] - worked_game.table[contexts]
         assert estimate == pytest.approx(float(np.mean(marginals)), rel=1e-12)
         assert se == pytest.approx(float(np.std(marginals) / np.sqrt(400)), rel=1e-12)
+        assert values.banzhaf_standard_error[1] == se
 
     def test_structural_shape(self, worked_game):
         cfg = EstimatorConfig(sample_count=10, seed=1, gamma=1.0, mode="gibbs")
@@ -491,6 +587,19 @@ class TestDiagnostics:
         np.testing.assert_array_equal(values.interactions, values.interactions.T)
         assert np.all(np.diag(values.interactions) == 0.0)
         assert np.all(np.isfinite(values.shapley))
+        for name in ("shapley", "banzhaf", "interaction"):
+            errors = getattr(values, f"{name}_standard_error")
+            assert errors.shape == getattr(values, "interactions" if name == "interaction" else name).shape
+            assert np.all(errors >= 0.0) and np.all(np.isfinite(errors))
+        np.testing.assert_array_equal(values.interaction_standard_error, values.interaction_standard_error.T)
+        assert np.all(np.diag(values.interaction_standard_error) == 0.0)
+
+    def test_exact_oracles_leave_the_standard_errors_unset(self, worked_game):
+        for values in (exact_game_values(worked_game), exact_gibbs_tilted_values(worked_game, 0.5)):
+            assert values.effective_sample_size is None
+            assert values.shapley_standard_error is None
+            assert values.banzhaf_standard_error is None
+            assert values.interaction_standard_error is None
 
 
 class TestConsistencyAgainstExactOracles:

@@ -496,6 +496,20 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"input error: {what}: ")
 
+    @pytest.mark.parametrize("depth", [3, 70, 985])
+    def test_arrays_nested_past_their_dimension_are_input_errors(self, tmp_path, depth):
+        # a fresh process, so the JSON reader runs at the CLI's own call depth
+        # and passes nesting about 989 deep on to the document checks
+        path = tmp_path / "doc.json"
+        path.write_text('{"schema_version": 1, "n": 1, "embeddings": ' + "[" * depth + '"x"' + "]" * depth + "}")
+        code = "import sys; from coalattn import cli; sys.exit(cli.main(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": str(Path(coalattn.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code, "estimate", "--input", str(path)], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == cli.EXIT_INPUT
+        assert result.stderr == "input error: embeddings: expected a 2-d array\n"
+
     @pytest.mark.parametrize("hint", ["²", "１"])
     @pytest.mark.parametrize("route", ["flag", "env", "config"])
     def test_thread_hints_other_than_ascii_digits_are_input_errors(self, tmp_path, capsys, monkeypatch, hint, route):

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalattn.estimators import (
+    _BLOCK_CONTEXTS,
     MODES,
     EstimatorConfig,
+    _draw_pool,
     _philox_keys,
+    _pool_block,
     estimate_all,
-    sample_bernoulli_coalitions,
 )
 from coalattn.games import (
     NONLINEARITIES,
@@ -38,7 +40,6 @@ from conftest import (
     random_table_game,
     reference_monotonicity_violations,
     reference_slot,
-    reference_stream,
 )
 
 # token counts on either side of the byte boundaries of a mask
@@ -102,66 +103,148 @@ def test_empty_coalition_is_exactly_zero(n, nonlinearity):
     assert game.values_by_mask(np.zeros(3, dtype=np.uint64)).tolist() == [0.0, 0.0, 0.0]
 
 
-def _disjoint_extensions(rng: np.random.Generator, n: int, rows: int, m: int, k: int) -> Extensions:
-    """Random contexts and added sets over *n* tokens: each row splits the
-    tokens at random, draws its added sets from one part (the first one
-    empty) and its contexts from the other."""
+def _pooled_extensions(rng: np.random.Generator, n: int, rows: int, m: int, k: int) -> Extensions:
+    """K random contexts over *n* tokens shared by *rows* rows of m random
+    added sets each, the first one empty; each row clears its own tokens
+    from the contexts."""
     full = np.uint64((1 << n) - 1)
-    split = rng.integers(0, 2**64, size=(rows, 1), dtype=np.uint64) & full
-    added = rng.integers(0, 2**64, size=(rows, m), dtype=np.uint64) & split
+    added = rng.integers(0, 2**64, size=(rows, m), dtype=np.uint64) & full
     added[:, 0] = 0
-    contexts = rng.integers(0, 2**64, size=(rows, k), dtype=np.uint64) & (full & ~split)
-    return Extensions(contexts, added)
+    return Extensions(rng.integers(0, 2**64, size=k, dtype=np.uint64) & full, added)
+
+
+def _ordered_extensions(rng: np.random.Generator, n: int, rows: int, m: int, k: int) -> Extensions:
+    """K random orders of *n* tokens shared by *rows* rows, each of one
+    random token and m added sets, each that token or nothing (at least
+    one the token)."""
+    orders = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+    tokens = rng.integers(0, n, size=(rows, 1))
+    holds = rng.integers(0, 2, size=(rows, m)).astype(bool)
+    holds[:, -1] = True
+    added = np.where(holds, np.left_shift(np.uint64(1), tokens.astype(np.uint64)), np.uint64(0))
+    return Extensions(None, added, orders)
+
+
+def _membership(masks: np.ndarray, n: int) -> np.ndarray:
+    bits = np.arange(n, dtype=np.uint64)
+    return ((masks[..., None] >> bits) & np.uint64(1)).astype(np.float64)
+
+
+def _pooled_bound(game: EmbeddingGame, extensions: Extensions) -> np.ndarray:
+    """The ``games`` docstring's bound ``2 (d_v + f**2 + 2 f + 4) eps M**2`` on how
+    far a pooled squared norm lies from the direct one of the same sums,
+    for every coalition of *extensions*: M is the norm of the shared
+    context's sum (a Bernoulli word, or a row's prefix) plus the norms of
+    the row's f free tokens."""
+    x = game.projected
+    if extensions.orders is None:
+        shared = np.linalg.norm(_membership(extensions.contexts, game.n) @ x, axis=-1)
+    else:
+        shared = np.linalg.norm(_membership(extensions.row_contexts(), game.n) @ x, axis=-1)[..., None, :]
+    free = np.bitwise_or.reduce(extensions.added, axis=-1)
+    in_free = _membership(free, game.n)
+    reach = shared + (in_free @ np.linalg.norm(x, axis=-1))[..., None, None]
+    width = in_free.sum(axis=-1)[..., None, None]
+    return 2.0 * (x.shape[1] + width**2 + 2.0 * width + 4.0) * np.finfo(float).eps * reach**2
 
 
 @st.composite
-def _extension_cases(draw):
-    n = draw(st.sampled_from(BOUNDARY_TOKEN_COUNTS))
+def _pool_cases(draw):
+    """An embedding game of 1-64 tokens whose entries have 40 significant
+    bits, so that every sum of up to 64 of them is exact and only the
+    squared-norm arithmetic rounds, and an ``Extensions`` of either form."""
+    n = draw(st.integers(1, 64))
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # entries with 40 significant bits: every sum of up to 64 of them is
-    # exact, so only the squared-norm arithmetic rounds
     x = rng.integers(-(2**40), 2**40, size=(n, d)) * 2.0**-40
-    game = EmbeddingGame(x, np.eye(d), "identity")
-    extensions = _disjoint_extensions(
-        rng, n, draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    )
-    return game, extensions
+    game = EmbeddingGame(x, np.eye(d), draw(st.sampled_from(NONLINEARITIES)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 12)))
+    form = _ordered_extensions if draw(st.booleans()) else _pooled_extensions
+    return game, form(rng, n, *shape), rng
 
 
-@_SETTINGS
-@given(_extension_cases())
+@settings(max_examples=60, deadline=None)
+@given(_pool_cases())
 def test_extension_values_match_the_plain_masks(case):
-    # |s + a|^2 formed as |s|^2 + 2 a.s + |a|^2 and the direct |s + a|^2
-    # each round by at most (d + 2) eps/2 (|s| + |a|)^2, and the square root
-    # and re-squaring add 3 eps/2 per side: 8 eps in all for d <= 4
-    game, extensions = case
+    game, extensions, rng = case
+    masks = np.asarray(extensions)
+    assert masks.shape == extensions.shape and masks.size == extensions.size
+    # the pooled evaluation against the direct norms of the materialised
+    # masks; as the square root and both nonlinearities change by at most
+    # sqrt(gap) for a gap of squared norms, the bound's root bounds the values
     got = game.values_by_mask(extensions)
-    ref = game.values_by_mask(np.asarray(extensions))
+    ref = game.values_by_mask(masks)
     assert got.shape == ref.shape == extensions.shape
-    s = game.values_by_mask(extensions.contexts)[..., None, :]
-    a = game.values_by_mask(extensions.added)[..., :, None]
-    assert np.all(np.abs(got**2 - ref**2) <= 8 * np.finfo(float).eps * (s + a) ** 2)
-    # the empty added set is the plain context: the same bits
-    np.testing.assert_array_equal(got[:, 0], ref[:, 0])
+    bound = _pooled_bound(game, extensions)
+    assert np.all(np.abs(got - ref) <= np.sqrt(bound))
+    if game.nonlinearity == "identity":
+        assert np.all(np.abs(got**2 - ref**2) <= bound)
+    # the empty coalition is worth exactly 0, however it is formed
+    assert np.all(got[masks == 0] == 0.0)
+    # rows with no free token take the plain contexts: the same bits
+    if extensions.orders is None:
+        plain = ~np.bitwise_or.reduce(extensions.added, axis=-1).astype(bool)
+        np.testing.assert_array_equal(got[plain], ref[plain])
+    # a table game looks the materialised masks up, bit for bit
+    if game.n <= 12:
+        table = random_table_game(rng, game.n)
+        np.testing.assert_array_equal(table.values_by_mask(extensions), table.table[masks.astype(np.int64)])
+    # a counting game counts the true coalitions
+    counting = CountingGame(game)
+    counting.values_by_mask(extensions)
+    assert counting.evaluations == masks.size
 
 
 @pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
 @pytest.mark.parametrize("n", BOUNDARY_TOKEN_COUNTS)
 def test_empty_context_with_empty_added_set_is_exactly_zero(n, nonlinearity):
     game = _game(n, n, 3, 4, nonlinearity)
-    values = game.values_by_mask(Extensions(np.zeros((2, 3), np.uint64), np.zeros((2, 2), np.uint64)))
+    values = game.values_by_mask(Extensions(np.zeros(3, np.uint64), np.zeros((2, 2), np.uint64)))
     assert values.shape == (2, 2, 3)
     assert values.tolist() == [[[0.0] * 3] * 2] * 2
+    # every order's prefix before its first token is empty
+    orders = np.tile(np.arange(n), (3, 1))
+    values = game.values_by_mask(Extensions(None, np.array([[0, 1]], np.uint64), orders))
+    assert values[0, 0].tolist() == [0.0] * 3
+    # pool words holding only a row's own tokens leave it an empty context
+    top = 1 << (n - 1)
+    words = np.array([1, top, 1 | top], dtype=np.uint64)
+    values = game.values_by_mask(Extensions(words, np.array([[0, 1, top, 1 | top]], np.uint64)))
+    assert values[0, 0].tolist() == [0.0] * 3
 
 
 @pytest.mark.parametrize("n", BOUNDARY_TOKEN_COUNTS)
-def test_added_set_overlapping_a_context_is_rejected(n):
+def test_an_added_set_clears_its_tokens_from_the_contexts(n):
     top = np.uint64(1 << (n - 1))
-    contexts = np.array([[0, 0], [0, top]], dtype=np.uint64)
-    with pytest.raises(ValueError, match="overlaps"):
-        Extensions(contexts, np.array([[top], [top]], dtype=np.uint64))
-    Extensions(contexts, np.array([[top], [0]], dtype=np.uint64))  # disjoint per row
+    contexts = np.array([0, top], dtype=np.uint64)
+    extensions = Extensions(contexts, np.array([[top], [0]], dtype=np.uint64))
+    assert np.asarray(extensions).tolist() == [[[top, top]], [[0, top]]]
+    np.testing.assert_array_equal(extensions.row_contexts(), [[0, 0], [0, top]])
+    game = _game(n, n, 3, 4, "identity")
+    values = game.values_by_mask(extensions)
+    assert values[1, 0].tolist() == game.values_by_mask(contexts).tolist()
+    # the same coalition from two contexts, one of them cleared: equal up to roundoff
+    assert values[0, 0, 0] == pytest.approx(values[0, 0, 1], rel=1e-12)
+
+
+def test_malformed_extensions_are_rejected():
+    words, added = np.zeros(3, np.uint64), np.array([[0, 1]], np.uint64)
+    orders = np.tile(np.arange(4), (3, 1))
+    cases = [
+        ((words, added, orders), "either contexts or orders"),
+        ((None, added), "either contexts or orders"),
+        ((np.zeros((2, 3), np.uint64), added), "one axis"),
+        ((words, np.uint64(1)), "last axis"),
+        ((None, added, np.array([[0, 1, 1, 3]])), "permutation"),
+        ((None, added, np.array([[0, 1, 2, 4]])), "permutation"),
+        ((None, added, orders.astype(float)), "integer array"),
+        ((None, np.array([[1, 2]], np.uint64), orders), "one token"),
+        ((None, np.array([[0, 0]], np.uint64), orders), "one token"),
+        ((None, np.array([[0, 16]], np.uint64), orders), "one token"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Extensions(*args)
 
 
 @_SETTINGS
@@ -169,25 +252,28 @@ def test_added_set_overlapping_a_context_is_rejected(n):
 def test_table_extension_values_are_table_lookups(n, seed):
     rng = np.random.default_rng(seed)
     game = random_table_game(rng, n)
-    extensions = _disjoint_extensions(rng, n, 3, 4, 5)
+    extensions = _pooled_extensions(rng, n, 3, 4, 5)
     got = game.values_by_mask(extensions)
     assert got.shape == (3, 4, 5)
-    masks = extensions.added[..., :, None] | extensions.contexts[..., None, :]
+    free = np.bitwise_or.reduce(extensions.added, axis=-1)
+    masks = extensions.added[..., :, None] | (extensions.contexts & ~free[:, None])[..., None, :]
     np.testing.assert_array_equal(got, game.table[masks.astype(np.int64)])
 
 
 def test_counting_game_counts_every_extension():
     counting = CountingGame(_game(0, 9, 3, 2, "relu"))
-    counting.values_by_mask(_disjoint_extensions(np.random.default_rng(0), 9, 3, 4, 7))
+    rng = np.random.default_rng(0)
+    counting.values_by_mask(_pooled_extensions(rng, 9, 3, 4, 7))
     counting.values_by_mask(Extensions(np.zeros(5, np.uint64), np.zeros(2, np.uint64)))
-    assert counting.evaluations == 3 * 4 * 7 + 2 * 5
+    counting.values_by_mask(_ordered_extensions(rng, 9, 5, 2, 6))
+    assert counting.evaluations == 3 * 4 * 7 + 2 * 5 + 5 * 2 * 6
 
 
 @st.composite
 def _call_sequences(draw):
     """Parameters of an embedding game and ``values_by_mask`` arguments whose
     sizes first grow and then shrink, each a plain mask array or an
-    ``Extensions``."""
+    ``Extensions`` of either form."""
     n = draw(st.sampled_from(BOUNDARY_TOKEN_COUNTS))
     params = (
         draw(st.integers(0, 2**32 - 1)),
@@ -200,11 +286,13 @@ def _call_sequences(draw):
     sizes = sorted(draw(st.lists(st.integers(0, 1500), min_size=2, max_size=5)))
     arguments = []
     for size in sizes + sizes[-2::-1]:
-        if draw(st.booleans()):
+        form = draw(st.sampled_from(("plain", "pooled", "ordered")))
+        if form == "plain":
             arguments.append(rng.integers(0, 2**64, size=size, dtype=np.uint64) & np.uint64((1 << n) - 1))
         else:
             rows, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-            arguments.append(_disjoint_extensions(rng, n, rows, m, max(1, size // rows)))
+            make = _pooled_extensions if form == "pooled" else _ordered_extensions
+            arguments.append(make(rng, n, rows, m, max(1, size // rows)))
     return params, arguments
 
 
@@ -235,13 +323,16 @@ def _bernoulli_cases(draw):
 @_SETTINGS
 @given(_bernoulli_cases())
 def test_bernoulli_sampler_sets_only_allowed_bits(case):
+    # a slot's contexts in a Bernoulli pool: the words without its tokens
     n, excluded, count, seed = case
-    masks, probs = sample_bernoulli_coalitions(reference_stream(seed, 97), n, excluded, count)
+    added = np.array([[0, sum(1 << t for t in excluded)]], dtype=np.uint64)
+    extensions, probs = _pool_block(_draw_pool(seed, 2, n, count), n, added)
+    masks = np.asarray(extensions)[0, 0]
     assert masks.dtype == np.uint64 and masks.shape == (count,)
     for mask in masks.tolist():
         assert mask < (1 << n)
         assert not any((mask >> t) & 1 for t in excluded)
-    np.testing.assert_array_equal(probs, np.full(count, 0.5 ** (n - len(excluded))))
+    np.testing.assert_array_equal(np.broadcast_to(probs, (1, count))[0], np.full(count, 0.5 ** (n - len(excluded))))
 
 
 @st.composite
@@ -273,10 +364,10 @@ def _estimation_cases(draw):
         game = EmbeddingGame(rng.normal(size=(n, 4)), rng.normal(size=(4, 3)), nonlinearity)
     else:
         game = random_table_game(rng, n)
-    # at most 1024 contexts go to one evaluation: K = 5, 25, 100 and 300
-    # leave a partly filled last block, and at K = 1025 every slot alone is
-    # over the cap
-    k = draw(st.sampled_from((1, 5, 25) if n == 64 else (1, 5, 25, 100, 300, 1025)))
+    # at most _BLOCK_CONTEXTS contexts go to one evaluation: K = 5, 25, 100
+    # and 300 leave a partly filled last block, and past the cap every slot
+    # alone is over it
+    k = draw(st.sampled_from((1, 5, 25) if n == 64 else (1, 5, 25, 100, 300, _BLOCK_CONTEXTS + 1)))
     return game, k, draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from((0.05, 0.25, 4.0)))
 
 
