@@ -37,19 +37,20 @@ Banzhaf and interactions
 Each slot's K contexts therefore have the law that K independent draws of
 its own would have, while the slots of one family share their samples, so
 their errors are correlated.  Randomness is counter-based: a family's pool
-comes from the Philox stream keyed by ``_philox_keys(seed, kind, [()])``,
-the two words ``SeedSequence(entropy=seed, spawn_key=(kind,))`` generates.
+comes from the Philox stream keyed by ``_pool_key(seed, kind)``, the two
+words ``SeedSequence(entropy=seed, spawn_key=(kind,))`` generates.
 A slot's numbers are a pure function of (game, config, slot), whatever the
 blocking and whichever other slots are estimated.
 
 Every estimate runs through one block path.  A block holds as many slots of
-a family as ``_BLOCK_CONTEXTS`` contexts allow; its coalitions (each slot's
-contexts extended by every subset of the slot's tokens) go to the game as
-one ``games.Extensions`` of the pool, evaluated by one ``values_by_mask``
-call from sums the game shares across the block's rows.  The block's
-weights, estimates, effective sample sizes and standard errors are then
-computed for all its rows at once; every reduction runs along a row alone,
-so a slot's numbers do not depend on the block it lands in.
+a family as ``_BLOCK_CONTEXTS`` contexts allow; its slots' tokens go to the
+game as one ``games.Extensions`` of the pool, whose coalitions are each
+slot's contexts extended by every subset of the slot's tokens, evaluated by
+one ``values_by_mask`` call from sums the game shares across the block's
+rows.  The block's weights, estimates, effective sample sizes and standard
+errors are then computed for all its rows at once; every reduction runs
+along a row alone, so a slot's numbers do not depend on the block it lands
+in.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ _INTERACTION_STREAM = 3
 # block holds as many whole slots as fit, at least one (one slot per call
 # for K > 2048).  A game forms its pool's shared sums once per family, and
 # each context of a block then takes a few arrays of O(1) entries (a pair's
-# two free-token bits and dot products, its four values, its weights), so
+# two tokens' bits and dot products, its four values, its weights), so
 # the cap bounds the block's working arrays: about 0.3 MB for the pairs of
 # an n=32, d_v=32 game at K = 256.  On that game, with BLAS on one thread,
 # one estimate_all took 6.0, 4.7 and 5.2 ms at caps of 2048, 4096 and 8192;
@@ -129,28 +130,19 @@ class EstimatorConfig:
             raise ValueError(f"mode: must be one of {MODES}")
 
 
-def _philox_keys(seed: int, kind: int, slots) -> np.ndarray:
-    """Philox keys of many slots of one kind, one ``(2,)`` uint64 row each.
-
-    With ``(h0, h1) = np.random.SeedSequence(entropy=seed,
-    spawn_key=(kind,)).generate_state(2, np.uint64)``, row r is ``(h0, h1 ^
-    id)``, where ``id`` packs the slot's indices, each below ``2**32``, into
-    one word: 0 for ``()``, ``i`` for ``(i,)``, ``a << 32 | b`` for ``(a,
-    b)``.  A counter-based generator takes a stream identifier as its key
-    (Salmon et al., *Parallel Random Numbers: As Easy as 1, 2, 3*, SC 2011).
-    """
-    h0, h1 = np.random.SeedSequence(entropy=int(seed), spawn_key=(kind,)).generate_state(2, np.uint64)
-    ids = np.zeros(len(slots), dtype=np.uint64)
-    for column in np.asarray(slots, dtype=np.uint64).T:  # one array per index position
-        ids = ids << np.uint64(32) | column
-    return np.column_stack([np.full_like(ids, h0), ids ^ h1])
+def _pool_key(seed: int, kind: int) -> np.ndarray:
+    """The Philox key of one family's pool: the two words
+    ``np.random.SeedSequence(entropy=seed, spawn_key=(kind,))`` generates.
+    A counter-based generator takes a stream identifier as its key (Salmon
+    et al., *Parallel Random Numbers: As Easy as 1, 2, 3*, SC 2011)."""
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=(kind,)).generate_state(2, np.uint64)
 
 
 def _draw_pool(seed: int, kind: int, n: int, count: int) -> np.ndarray:
     """The pool of one family: ``count`` permutations of the n tokens, shape
     ``(count, n)``, for the Shapley kind, else ``count`` raw 64-bit words
     masked to the n token bits, all from the family's Philox stream."""
-    rng = np.random.Generator(np.random.Philox(key=_philox_keys(seed, kind, [()])[0]))
+    rng = np.random.Generator(np.random.Philox(key=_pool_key(seed, kind)))
     if kind == _SHAPLEY_STREAM:
         pool = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
     else:
@@ -174,17 +166,16 @@ def _prefix_size_probs(n: int) -> np.ndarray:
     return probs
 
 
-def _pool_block(pool: np.ndarray, n: int, added: np.ndarray) -> tuple[Extensions, np.ndarray]:
+def _pool_block(pool: np.ndarray, n: int, tokens: np.ndarray) -> tuple[Extensions, np.ndarray | float]:
     """The coalitions of some slots of a family, as the ``Extensions`` of the
-    family's pool by the slots' added sets, and their contexts' proposal
-    probabilities, shape ``(slots, K)`` for a permutation pool and
-    ``(slots, 1)`` for a Bernoulli pool, whose contexts all have
-    probability ``2**-(n - |slot|)``."""
+    family's pool by the slots' tokens, and their contexts' proposal
+    probabilities: shape ``(slots, K)`` for a permutation pool, and for a
+    Bernoulli pool the one probability ``2**-(n - f)`` of every context of
+    f-token slots."""
     if pool.ndim == 2:
-        extensions = Extensions(None, added, pool)
+        extensions = Extensions(None, tokens, pool)
         return extensions, _prefix_size_probs(n)[extensions.ranks]
-    free = np.bitwise_count(np.bitwise_or.reduce(added, axis=-1))
-    return Extensions(pool, added), 0.5 ** (n - free[:, None].astype(np.int64))
+    return Extensions(pool, tokens), 0.5 ** (n - tokens.shape[-1])
 
 
 def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,16 +203,16 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
     return raw, raw / raw.sum(axis=-1, keepdims=True)
 
 
-def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[int, ...]]):
+def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: np.ndarray):
     """Estimate, effective sample size and standard error of every slot of
     one family.
 
-    Each slot is a tuple of token indices: ``(i,)`` for the Shapley and
+    Each slot is a row of token indices: ``(i,)`` for the Shapley and
     Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  A block
     holds as many slots as ``_BLOCK_CONTEXTS`` contexts allow, at least one.
     Each block's slots take their contexts from the family's pool and are
     evaluated by one ``values_by_mask`` call on an ``Extensions`` of the
-    pool by their added sets; the block is then weighted and reduced
+    pool by their tokens; the block is then weighted and reduced
     row-wise at once.  The ESS of K raw weights is ``total**2 /
     square_total``, clamped to [1, K] against roundoff, and the standard
     error is the delta-method ``sqrt(sum_k (w_k (m_k - estimate))**2)`` over
@@ -229,17 +220,12 @@ def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: list[tuple[in
     float64's range.
     """
     n, k = game.n, cfg.sample_count
-    # each slot's coalitions are its contexts with every subset of its
-    # tokens added, in the order none, first, (second, both)
-    added = np.zeros((len(slots), 1), dtype=np.uint64)
-    for column in np.array(slots, dtype=np.uint64).T:
-        added = np.concatenate([added, added | np.left_shift(np.uint64(1), column)[:, None]], axis=1)
     pool = _draw_pool(cfg.seed, kind, n, k)
     per_block = max(1, _BLOCK_CONTEXTS // k)
     estimates, ess, errors = np.empty(len(slots)), np.empty(len(slots)), np.empty(len(slots))
     for start in range(0, len(slots), per_block):
         rows = slice(start, start + per_block)
-        extensions, probs = _pool_block(pool, n, added[rows])
+        extensions, probs = _pool_block(pool, n, slots[rows])
         values = game.values_by_mask(extensions)
         base = values[:, 0].copy()
         if values.shape[1] == 2:
@@ -273,11 +259,12 @@ def estimate_all(game, cfg: EstimatorConfig) -> GameValues:
     ``values_by_mask``, in the blocks of slots the module docstring
     describes.  Every number equals, bit for bit, what one slot alone would
     give: its contexts taken from the family's pool, evaluated as an
-    ``Extensions`` of the pool by its own added sets and weighted on its own.
+    ``Extensions`` of the pool by its own tokens and weighted on its own.
     """
     n = game.n
-    tokens = [(i,) for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tokens = np.arange(n)[:, None]
+    rows, cols = np.triu_indices(n, 1)
+    pairs = np.column_stack([rows, cols])
     # the games keep every value and difference finite, so only the weights'
     # log-scale shift can overflow, to a weight of exactly 0; one errstate
     # per call, not per block, as entering one costs about 0.7 us
@@ -285,7 +272,6 @@ def estimate_all(game, cfg: EstimatorConfig) -> GameValues:
         shapley, shapley_ess, shapley_se = _estimate_family(game, cfg, _SHAPLEY_STREAM, tokens)
         banzhaf, banzhaf_ess, banzhaf_se = _estimate_family(game, cfg, _BANZHAF_STREAM, tokens)
         pair_values, _, pair_se = _estimate_family(game, cfg, _INTERACTION_STREAM, pairs)
-    rows, cols = np.triu_indices(n, 1)  # the order of `pairs`
     interactions, interaction_se = np.zeros((n, n)), np.zeros((n, n))
     for matrix, entries in ((interactions, pair_values), (interaction_se, pair_se)):
         matrix[rows, cols] = entries

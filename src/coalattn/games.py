@@ -21,10 +21,10 @@ evaluation entry point: every estimator and oracle evaluates through it
 (``tabulate`` feeds it every mask in chunks), so a ``CountingGame`` sees
 every evaluation.  It takes either an array of masks, whose values come back
 in the array's shape, or an ``Extensions``: a pool of K contexts shared by
-rows of m added sets, each row taking the pool's contexts without its own
-tokens (Bernoulli words) or the tokens before its one token (permutations),
-whose ``m x K`` values per row come back in the shape ``Extensions.shape``.
-A plain array is the case of one row with one added set, the empty one.
+rows of f tokens each, each row taking the pool's contexts without its own
+tokens (Bernoulli words) or the tokens before its one token (permutations)
+and adding every subset of its tokens, whose ``2**f x K`` values per row
+come back in the shape ``Extensions.shape``.
 
 A ``TabularGame`` looks the materialised masks up.  An ``EmbeddingGame``
 evaluates an ``Extensions`` from sums shared by all its rows and kept across
@@ -36,6 +36,7 @@ get exactly the direct norm of their gathered sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,22 +87,23 @@ class GameValues:
 
 @dataclass(frozen=True)
 class Extensions:
-    """K contexts shared by rows of added sets: the coalitions ``added[...,
+    """K contexts shared by rows of tokens: the coalitions ``added[...,
     j] | context_r[k]`` of shape ``added.shape + (K,)``.
 
-    ``added`` holds uint64 masks of shape ``(..., m)``; a row's *free tokens*
-    are the union of its m added sets.  Every row takes the same K contexts,
-    given in one of two forms:
+    ``tokens`` holds f distinct token indices per row, shape ``(..., f)``.
+    ``added`` holds, as uint64 masks, the ``2**f`` subsets of each row's
+    tokens in counting order: subset j holds the row's token i when bit i
+    of j is set (none, first, second, both).  Every row takes the same K
+    contexts, given in one of two forms:
 
-    * ``contexts``, K uint64 masks: row r's context k is ``contexts[k]`` with
-      r's free tokens cleared.  A pool of K Bernoulli words thus gives every
-      row the words without its own tokens, and contexts disjoint from every
-      free token are taken as they are.
+    * ``contexts``, K uint64 masks: row r's context k is ``contexts[k]``
+      without r's tokens.  A pool of K Bernoulli words thus gives every row
+      the words without its own tokens.
     * ``orders`` (with ``contexts`` None), a ``(K, n)`` array whose rows are
-      permutations of the n tokens: row r's context k is the set of tokens
-      ``orders[k]`` places before r's free token, of which each row has
-      exactly one.  ``ranks[..., k]`` is that token's place in ``orders[k]``,
-      which is also the size of the context.
+      permutations of the n tokens, for rows of one token: row r's context
+      k is the set of tokens ``orders[k]`` places before r's token.
+      ``ranks[..., k]`` is that token's place in ``orders[k]``, which is
+      also the size of the context.
 
     ``shape`` and ``size`` describe the coalitions, and ``np.asarray`` builds
     their masks, so a caller that only takes the size or the masks of its
@@ -109,15 +111,24 @@ class Extensions:
     """
 
     contexts: np.ndarray | None
-    added: np.ndarray
+    tokens: np.ndarray
     orders: np.ndarray | None = None
+    added: np.ndarray = field(init=False)
     ranks: np.ndarray | None = field(init=False, default=None)
     shape: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        added = np.asarray(self.added, dtype=np.uint64)
-        if added.ndim < 1:
-            raise ValueError("extensions: added sets need a last axis")
+        tokens = np.asarray(self.tokens)
+        if tokens.ndim < 1:
+            raise ValueError("extensions: tokens need a last axis")
+        if tokens.dtype.kind not in "iu" or np.any((tokens < 0) | (tokens >= MAX_TOKENS)):
+            raise ValueError(f"extensions: tokens must be integers in [0, {MAX_TOKENS})")
+        tokens = tokens.astype(np.intp)
+        bits = np.where(_subsets(tokens.shape[-1]) != 0, _token_bits(tokens)[..., None, :], np.uint64(0))
+        added = np.bitwise_or.reduce(bits, axis=-1)  # row r's subset j
+        if np.any(np.bitwise_count(added[..., -1]) != tokens.shape[-1]):
+            raise ValueError("extensions: a row repeats a token")
+        object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "added", added)
         if (self.contexts is None) == (self.orders is None):
             raise ValueError("extensions: give either contexts or orders")
@@ -139,14 +150,12 @@ class Extensions:
             or np.any(np.bitwise_or.reduce(_token_bits(orders), axis=1) != every_token)
         ):
             raise ValueError("extensions: every order must be a permutation of the tokens")
-        free = np.bitwise_or.reduce(added, axis=-1)
-        if np.any(np.bitwise_count(free) != 1) or np.any(free > every_token):
-            raise ValueError("extensions: with orders, every row's added sets hold one token of the orders")
+        if tokens.shape[-1] != 1 or np.any(tokens >= n):
+            raise ValueError("extensions: with orders, every row holds one token of the orders")
         places = np.empty_like(orders)
         np.put_along_axis(places, orders, np.arange(n, dtype=orders.dtype), axis=1)
-        tokens = np.bitwise_count(free - np.uint64(1))
         object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "ranks", np.moveaxis(places[:, tokens], 0, -1))
+        object.__setattr__(self, "ranks", np.moveaxis(places[:, tokens[..., 0]], 0, -1))
         object.__setattr__(self, "shape", added.shape + (k,))
 
     @property
@@ -154,9 +163,9 @@ class Extensions:
         return math.prod(self.shape)
 
     def row_contexts(self) -> np.ndarray:
-        """Each row's K context masks, shape ``added.shape[:-1] + (K,)``."""
+        """Each row's K context masks, shape ``tokens.shape[:-1] + (K,)``."""
         if self.orders is None:
-            return self.contexts & ~np.bitwise_or.reduce(self.added, axis=-1)[..., None]
+            return self.contexts & ~self.added[..., -1:]
         k, n = self.orders.shape
         # column p of the running OR is the set of the first p tokens of each order
         prefixes = np.zeros((k, n + 1), dtype=np.uint64)
@@ -173,7 +182,13 @@ def _token_bits(tokens: np.ndarray) -> np.ndarray:
     return np.left_shift(np.uint64(1), tokens.astype(np.uint64))
 
 
-_NOTHING_ADDED = np.zeros(1, dtype=np.uint64)
+@functools.cache
+def _subsets(f: int) -> np.ndarray:
+    """The ``(2**f, f)`` membership matrix of the subsets of f tokens in
+    counting order: entry ``[j, i]`` is 1.0 when bit i of j is set."""
+    subsets = ((np.arange(1 << f)[:, None] >> np.arange(f)) & 1).astype(np.float64)
+    subsets.flags.writeable = False  # shared by every caller through the cache
+    return subsets
 
 
 class TabularGame:
@@ -229,30 +244,32 @@ class EmbeddingGame:
 
     An ``Extensions`` is evaluated from sums shared by all of its rows and
     formed once per pool, so each coalition then costs O(1) for a row of one
-    or two free tokens (O(f^2) for f):
+    or two tokens (O(f^2) for f); a token at or above ``n`` is refused:
 
     * contexts: the sums ``S_k`` of the K contexts and their squared norms,
       every token's bit in every context, and every token's dot product
       ``x_t.S_k`` with every context sum, besides the Gram matrix ``X X^T``
       formed once per game.  Row r's context k has the sum ``c = S_k -
-      sum_t p_t x_t`` over the row's free tokens t, ``p_t`` the token's bit
-      in context k, so ``x_t.c = x_t.S_k - sum_u p_u x_t.x_u`` and ``|c|^2 =
-      |S_k|^2 - sum_t p_t (x_t.S_k + x_t.c)``; added set j, of sum ``a_j``,
-      gives ``|c + a_j|^2 = |c|^2 + 2 sum_{t in j} x_t.c + |a_j|^2``, with
-      ``|a_j|^2`` the sum of the Gram entries of its tokens, clamped at 0.
+      sum_t p_t x_t`` over the row's tokens t, ``p_t`` the token's bit in
+      context k, so ``x_t.c = x_t.S_k - sum_u p_u x_t.x_u`` and ``|c|^2 =
+      |S_k|^2 - sum_t p_t (x_t.S_k + x_t.c)``; subset j of the tokens, of sum
+      ``a_j``, gives ``|c + a_j|^2 = |c|^2 + 2 sum_{t in j} x_t.c +
+      |a_j|^2``, with ``|a_j|^2`` the sum of the Gram entries of its tokens,
+      the whole clamped at 0.  Both sums over a subset are products with
+      the constant ``2**f x f`` membership matrix of the subsets.
     * orders: the values of the n + 1 prefixes of each order, whose sums run
       along it; row r's coalitions are the prefix before its token and the
       one through it.
 
-    Plain masks, and rows with no free token, get ``|S_k|^2``: exactly the
-    squared norm of the gathered sum; an empty context gets exactly 0 for
-    ``c``, so the empty coalition is worth exactly 0.  A prefix is summed along its order,
-    which rounds otherwise than a gathered sum of the same mask, and from the
-    same sums the pooled form of a coalition rounds otherwise than the
-    direct squared norm of ``c + a_j``: the two differ by at most ``2 (d_v +
-    f^2 + 2 f + 4) eps M^2`` (``eps`` the float64 machine epsilon, ``M =
-    |S_k| + sum_t |x_t|`` over the row's free tokens), which only matters
-    where the terms nearly cancel.
+    Plain masks, and rows of no token, get ``|S_k|^2``: exactly the squared
+    norm of the gathered sum; an empty context gets exactly 0 for ``c``, so
+    the empty coalition is worth exactly 0.  A prefix is summed along its
+    order, which rounds otherwise than a gathered sum of the same mask, and
+    from the same sums the pooled form of a coalition rounds otherwise than
+    the direct squared norm of ``c + a_j``: the two differ by at most ``2
+    (d_v + f^2 + 2 f + 4) eps M^2`` (``eps`` the float64 machine epsilon,
+    ``M = |S_k| + sum_t |x_t|`` over the row's f tokens), which only
+    matters where the terms nearly cancel.
 
     The shared sums of a read-only pool (``contexts`` or ``orders``) are
     kept for the next call with the same array, so the blocks of rows that
@@ -283,9 +300,7 @@ class EmbeddingGame:
         projected = project_values(x, w)
         projected.flags.writeable = False
         self.projected = projected   # n x d_v, row i is the value vector of token i
-        # the Gram matrix X X^T, with a zero row and column n for padding
-        self._gram = np.zeros((n + 1, n + 1))
-        np.matmul(projected, projected.T, out=self._gram[:n, :n])
+        self._gram = projected @ projected.T  # the Gram matrix X X^T
         self._byte_sums = _byte_sum_tables(projected)
         self._buffers: tuple[np.ndarray, np.ndarray] | None = None  # two (rows, d_v) arrays
         self._pool: tuple = (None,)  # (pool, its shared sums...) of the last read-only pool
@@ -293,16 +308,19 @@ class EmbeddingGame:
         self.n = n
 
     def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
-        if isinstance(masks, Extensions):
-            extensions, shape = masks, masks.shape
-        else:
-            extensions, shape = Extensions(np.reshape(masks, -1), _NOTHING_ADDED), np.shape(masks)
+        if not isinstance(masks, Extensions):
+            return self._finish(self._sums(np.asarray(masks))[1])
+        extensions = masks
+        if extensions.tokens.size and extensions.tokens.max() >= self.n:
+            raise ValueError(
+                f"embedding game: token {extensions.tokens.max()} of an extension for a game of {self.n}"
+            )
         if extensions.orders is not None:
-            # an added set holds the row's token or nothing: the prefix through it or before it
-            places = extensions.ranks[..., None, :] + (extensions.added != 0)[..., :, None]
+            # subset 0 is the prefix before the row's token, subset 1 the one through it
+            places = extensions.ranks[..., None, :] + np.arange(2)[:, None]
             values = self._shared(extensions.orders, self._prefix_values)
             return values[np.arange(places.shape[-1]), places]
-        return self._finish(self._pooled_squares(extensions)).reshape(shape)
+        return self._finish(self._pooled_squares(extensions))
 
     def _finish(self, squared: np.ndarray) -> np.ndarray:
         """The values of squared norms, formed in place."""
@@ -321,20 +339,9 @@ class EmbeddingGame:
 
     def _pooled_squares(self, extensions: Extensions) -> np.ndarray:
         """Squared norms of the coalitions of contexts given as masks."""
-        contexts, added = extensions.contexts, extensions.added
-        # tokens at or above n add nothing to any sum, so clearing them does not either
-        free = np.bitwise_or.reduce(added, axis=-1) & np.uint64((1 << self.n) - 1)
-        if not free.any():  # every coalition is a plain context
-            return np.broadcast_to(self._sums(contexts)[1], extensions.shape).copy()
+        contexts, tokens = extensions.contexts, extensions.tokens
         s_squared, in_pool, x_dot_pool = self._shared(contexts, self._context_sums)
-        # each row's free tokens, lowest first, as single-bit masks padded
-        # with 0 and as indices padded with n, which reads zeros
-        bits = np.zeros(free.shape + (int(np.bitwise_count(free).max()),), dtype=np.uint64)
-        rest = free.copy()
-        for column in range(bits.shape[-1]):
-            bits[..., column] = rest & (~rest + np.uint64(1))
-            rest ^= bits[..., column]
-        tokens = np.where(bits != 0, np.bitwise_count(bits - np.uint64(1)), self.n)
+        subsets = _subsets(tokens.shape[-1])  # (m, f)
         gram = self._gram[tokens[..., :, None], tokens[..., None, :]]  # (..., f, f)
         in_context = in_pool[tokens]  # (..., f, K)
         x_dot_c = gram @ in_context
@@ -345,27 +352,24 @@ class EmbeddingGame:
         del in_context, x_dot_s  # free the largest arrays before the result's
         # a context that held only the row's tokens is empty: its sum is
         # exactly 0, not the roundoff of S_k less those tokens
-        empty = (contexts & ~free[..., None]) == 0
+        empty = (contexts & ~extensions.added[..., -1:]) == 0
         c_squared[empty] = 0.0
         x_dot_c *= ~empty[..., None, :]
-        in_added = ((added[..., :, None] & bits[..., None, :]) != 0).astype(np.float64)  # (..., m, f)
-        squared = in_added @ x_dot_c
+        squared = subsets @ x_dot_c
         squared *= 2.0
         squared += c_squared[..., None, :]
-        squared += np.einsum("...mf,...fg,...mg->...m", in_added, gram, in_added)[..., None]
+        squared += np.einsum("mf,...fg,mg->...m", subsets, gram, subsets)[..., None]
         return squared
 
     def _context_sums(self, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The squared norms ``|S_k|^2`` of the K contexts' sums, every
         token's bit in every context and every token's dot product with
-        every context sum, the last two of shape ``(n + 1, K)`` with a row of
-        zeros n for padding."""
+        every context sum, the last two of shape ``(n, K)``."""
         s, s_squared = self._sums(contexts)
-        in_pool, x_dot_pool = np.zeros((2, self.n + 1, contexts.size))
+        in_pool = np.empty((self.n, contexts.size))
         shifts = np.arange(self.n, dtype=np.uint64)[:, None]
-        np.bitwise_and(contexts >> shifts, np.uint64(1), out=in_pool[: self.n], casting="unsafe")
-        np.matmul(self.projected, s.T, out=x_dot_pool[: self.n])
-        return s_squared, in_pool, x_dot_pool
+        np.bitwise_and(contexts >> shifts, np.uint64(1), out=in_pool, casting="unsafe")
+        return s_squared, in_pool, self.projected @ s.T
 
     def _prefix_values(self, orders: np.ndarray) -> np.ndarray:
         """The values of the n + 1 prefixes of each of the K orders, shape

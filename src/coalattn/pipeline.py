@@ -117,13 +117,20 @@ class AttentionOutput:
     heads: tuple[HeadResult, ...]
 
 
-def gate_lambda(embedding, gate_weights, gate_bias: float) -> float:
-    """Gate value in (0, 1): logistic of the affine token score."""
-    x = as_vector(embedding, "embedding")
+def gate_lambda(embeddings, gate_weights, gate_bias: float) -> np.ndarray:
+    """Gate value in (0, 1) of each token, one per row of the ``n x d``
+    *embeddings*: logistic of the affine token score ``x_i . w + b``.
+
+    ``np.vecdot`` forms each row's score as ``x_i @ w`` would, and the
+    scalar ``logistic`` keeps every gate's bits, where a matrix-vector
+    product or an array ``exp`` rounds otherwise on some inputs.
+    """
+    x = as_matrix(embeddings, "embeddings")
     w = as_vector(gate_weights, "gate_weights")
-    if x.size != w.size:
-        raise ValueError(f"gate: embedding has length {x.size}, weights {w.size}")
-    return logistic(float(x @ w) + float(gate_bias))
+    if x.shape[1] != w.size:
+        raise ValueError(f"gate: embeddings have width {x.shape[1]}, weights {w.size}")
+    b = float(gate_bias)
+    return np.array([logistic(t + b) for t in np.vecdot(x, w).tolist()])
 
 
 def normalize_scores(raw, convention: str = "l1", name: str = "scores") -> np.ndarray:
@@ -172,15 +179,13 @@ def single_head_attend(embeddings, params: HeadParams, game_values=None) -> Atte
     no game is built: the aggregation projects the embeddings directly.
     """
     x = as_matrix(embeddings, "embeddings")
-    n, d = x.shape
+    d = x.shape[1]
     if params.value_projection.shape[0] != d:
         raise ValueError(
             f"embeddings have width {d} but the value projection expects "
             f"{params.value_projection.shape[0]}"
         )
-    lambdas = np.array(
-        [gate_lambda(x[i], params.gate_weights, params.gate_bias) for i in range(n)]
-    )
+    lambdas = gate_lambda(x, params.gate_weights, params.gate_bias)
 
     if game_values is None:
         game = EmbeddingGame(x, params.value_projection, params.nonlinearity)

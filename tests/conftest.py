@@ -35,20 +35,14 @@ def additive_table_game(weights) -> TabularGame:
     return TabularGame(values)
 
 
-def reference_stream(seed: int, kind: int, *indices: int) -> np.random.Generator:
-    """A fresh generator on one slot's stream, keyed from the documented
-    formula: with ``(h0, h1)`` the two words ``SeedSequence(entropy=seed,
-    spawn_key=(kind,))`` generates, the key is ``(h0, h1 ^ id)``, where
-    ``id`` is 0 for no index, ``i`` for ``(i,)`` and ``a * 2**32 + b`` for
-    ``(a, b)``.  The key goes to ``Philox`` as a uint64 array: ``Philox``
-    turns a list of Python ints into float64, and a word of 64 bits loses
-    its low bits on the way."""
+def reference_stream(seed: int, kind: int) -> np.random.Generator:
+    """A fresh generator on one family's stream, keyed from the documented
+    formula: the key is the two words ``SeedSequence(entropy=seed,
+    spawn_key=(kind,))`` generates.  The key goes to ``Philox`` as a uint64
+    array: ``Philox`` turns a list of Python ints into float64, and a word
+    of 64 bits loses its low bits on the way."""
     h0, h1 = np.random.SeedSequence(entropy=int(seed), spawn_key=(kind,)).generate_state(2, np.uint64)
-    if len(indices) == 2:
-        ident = indices[0] * 2**32 + indices[1]
-    else:
-        ident = indices[0] if indices else 0
-    key = np.array([int(h0), int(h1) ^ ident], dtype=np.uint64)
+    key = np.array([int(h0), int(h1)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -84,8 +78,9 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     """(estimate, ESS, standard error) of one slot computed on its own: the
     family's pool from a fresh generator (``reference_pool``), the slot's
     contexts derived from it (``reference_contexts``), one evaluation of a
-    one-row ``Extensions`` of the pool by the subsets of the slot's tokens,
-    checked to hold exactly those contexts so extended, and one weighting.
+    one-row ``Extensions`` of the pool by the slot's tokens, checked to hold
+    exactly those contexts extended by every subset of the tokens, and one
+    weighting.
 
     *kind* is the stream identifier (1 Shapley permutations, 2 Banzhaf
     words, 3 pair-interaction words) and *slot* the token indices, ``(i,)``
@@ -99,10 +94,11 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     added = [0, bits[0]]
     if len(slot) == 2:
         added += [bits[1], bits[0] | bits[1]]
-    added = np.array([added], dtype=np.uint64)
+    added = np.array(added, dtype=np.uint64)
     contexts, probs = reference_contexts(pool, kind, n, slot)
-    extensions = Extensions(None, added, pool) if kind == 1 else Extensions(pool, added)
-    np.testing.assert_array_equal(np.asarray(extensions)[0], added[0][:, None] | contexts[None, :])
+    tokens = np.array([slot])
+    extensions = Extensions(None, tokens, pool) if kind == 1 else Extensions(pool, tokens)
+    np.testing.assert_array_equal(np.asarray(extensions)[0], added[:, None] | contexts[None, :])
     values = game.values_by_mask(extensions)[0]
     base = values[0]
     if len(slot) == 1:

@@ -9,8 +9,8 @@ from coalattn.estimators import (
     _BLOCK_CONTEXTS,
     EstimatorConfig,
     _draw_pool,
-    _philox_keys,
     _pool_block,
+    _pool_key,
     estimate_all,
     gibbs_weights,
 )
@@ -64,10 +64,7 @@ class TestConfigValidation:
 def _slot_contexts(seed: int, kind: int, n: int, slot: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
     """One slot's contexts and their proposal probabilities, as
     ``estimate_all`` takes them from its family's pool of *count* draws."""
-    added = np.zeros(1, dtype=np.uint64)
-    for t in slot:
-        added = np.concatenate([added, added | np.uint64(1 << t)])
-    extensions, probs = _pool_block(_draw_pool(seed, kind, n, count), n, added[None])
+    extensions, probs = _pool_block(_draw_pool(seed, kind, n, count), n, np.array([slot]))
     return np.asarray(extensions)[0, 0], np.broadcast_to(probs, (1, count))[0]
 
 
@@ -98,7 +95,7 @@ class TestPrefixSampling:
 
     def test_bad_token_rejected(self):
         with pytest.raises(ValueError, match="one token of the orders"):
-            Extensions(None, np.array([[0, 1 << 3]], dtype=np.uint64), _draw_pool(0, 1, 3, 1))
+            Extensions(None, np.array([[3]]), _draw_pool(0, 1, 3, 1))
 
     @pytest.mark.parametrize(
         "n,i,seed", [(1, 0, 0), (2, 1, 3), (5, 2, 7), (17, 0, 11), (64, 63, 5), (64, 20, 9)]
@@ -219,43 +216,26 @@ class TestStreamKeys:
         int(s) for s in np.random.default_rng(404).integers(0, 2**63, size=3)
     ]
 
-    @staticmethod
-    def _families(n: int):
-        tokens = [(i,) for i in range(n)]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return ((1, tokens), (2, tokens), (3, pairs))
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_keys_match_seed_sequence(self, seed):
-        # (h0, h1 ^ id) with (h0, h1) the family's SeedSequence words
-        for kind, slots in self._families(64):
+        # a family's key is the two words of its SeedSequence
+        for kind in (1, 2, 3):
             words = np.random.SeedSequence(entropy=seed, spawn_key=(kind,)).generate_state(2, np.uint64)
-            h0, h1 = (int(word) for word in words)
-            ids = [slot[0] if len(slot) == 1 else slot[0] * 2**32 + slot[1] for slot in slots]
-            expected = np.array([[h0, h1 ^ ident] for ident in ids], dtype=np.uint64)
-            np.testing.assert_array_equal(_philox_keys(seed, kind, slots), expected)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_every_slot_of_every_family_has_its_own_key(self, seed):
-        keys = np.concatenate([_philox_keys(seed, kind, slots) for kind, slots in self._families(64)])
-        assert len(keys) == 64 + 64 + 64 * 63 // 2
-        assert len(np.unique(keys, axis=0)) == len(keys)
+            key = _pool_key(seed, kind)
+            assert key.dtype == np.uint64 and key.tolist() == words.tolist()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_the_three_family_keys_differ(self, seed):
-        keys = np.concatenate([_philox_keys(seed, kind, [()]) for kind in (1, 2, 3)])
+        keys = np.stack([_pool_key(seed, kind) for kind in (1, 2, 3)])
         assert len(np.unique(keys, axis=0)) == 3
 
-    @pytest.mark.parametrize(
-        "seed,kind,indices",
-        [(0, 99, ()), (7, 1, (3,)), (2**64 - 1, 3, (5, 63)), (2**70, 98, (2**32 - 1, 2**32 - 1))],
-    )
-    def test_token_stream_matches_fresh_generator(self, seed, kind, indices):
-        # a key row is a Philox key: the generator it keys draws the
+    @pytest.mark.parametrize("seed,kind", [(0, 99), (7, 1), (2**64 - 1, 3), (2**70, 98)])
+    def test_pool_stream_matches_fresh_generator(self, seed, kind):
+        # a family key is a Philox key: the generator it keys draws the
         # documented stream
-        key = _philox_keys(seed, kind, [indices])[0]
+        key = _pool_key(seed, kind)
         assert _mixed_draws(np.random.Generator(np.random.Philox(key=key)), 9) == _mixed_draws(
-            reference_stream(seed, kind, *indices), 9
+            reference_stream(seed, kind), 9
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -315,7 +295,7 @@ class TestPinnedStream:
 
     def test_family_keys(self):
         for kind, key in self.FAMILY_KEYS.items():
-            assert _philox_keys(self.SEED, kind, [()]).tolist() == [key]
+            assert _pool_key(self.SEED, kind).tolist() == key
 
     def test_sampler_on_the_pair_stream(self):
         assert _draw_pool(self.SEED, 3, 64, 4).tolist() == self.FIRST_WORDS

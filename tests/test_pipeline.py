@@ -7,6 +7,7 @@ import pytest
 
 from coalattn.estimators import EstimatorConfig
 from coalattn.games import EmbeddingGame
+from coalattn.linalg import logistic
 from coalattn.meanfield import MeanFieldConfig
 from coalattn.oracles import exact_game_values
 from coalattn.pipeline import (
@@ -36,20 +37,27 @@ def _head(rng, d, d_v=None, sample_count=64, seed=5, gamma=0.5, mode="gibbs", da
 
 class TestGateLambda:
     def test_zero_score_is_half(self):
-        assert gate_lambda(np.zeros(3), np.zeros(3), 0.0) == 0.5
+        assert gate_lambda(np.zeros((1, 3)), np.zeros(3), 0.0).tolist() == [0.5]
 
     def test_known_gate_value(self):
         # score log(1.5) through the logistic gives 0.6
-        assert gate_lambda(np.array([1.0]), np.array([math.log(1.5)]), 0.0) == pytest.approx(
+        assert gate_lambda(np.array([[1.0]]), np.array([math.log(1.5)]), 0.0)[0] == pytest.approx(
             0.6, abs=1e-12
         )
 
     def test_saturates_low(self):
-        assert gate_lambda(np.array([1.0]), np.array([-80.0]), 0.0) < 1e-20
+        assert gate_lambda(np.array([[1.0]]), np.array([-80.0]), 0.0)[0] < 1e-20
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            gate_lambda(np.zeros(3), np.zeros(2), 0.0)
+        with pytest.raises(ValueError, match="width 3, weights 2"):
+            gate_lambda(np.zeros((1, 3)), np.zeros(2), 0.0)
+
+    def test_each_row_gets_the_gate_of_its_own_score(self):
+        # one call gives every token the bits of the scalar formula
+        rng = np.random.default_rng(11)
+        x, w, b = rng.normal(size=(40, 7)), rng.normal(size=7), 0.3
+        expected = [logistic(float(row @ w) + b) for row in x]
+        assert gate_lambda(x, w, b).tolist() == expected
 
 
 class TestNormalizeScores:
