@@ -14,15 +14,22 @@ document's name) and for the seed, workload and index of ``demo``.  The
 same source tree always prints the same lines, so two trees' outputs show
 which reports changed bytes.
 
-    python scripts/report_digests.py [--src DIR] > digests.txt
-    python scripts/report_digests.py --compare BASE.txt HEAD.txt
+    python scripts/report_digests.py [--src DIR] [--keep DIR] > digests.txt
+    python scripts/report_digests.py --compare BASE HEAD
 
 ``--src`` picks the ``coalattn`` sources to run (default: this checkout's
 ``src``); the documents always come from this checkout's ``perfbench``,
-which the script only reads.  ``--compare`` prints every line of HEAD that
-differs from BASE's line for the same run, and exits 1 only when a run
-that exited 0 in BASE exits otherwise (or is missing) in HEAD: reports
-that change bytes on purpose still pass.
+which the script only reads.  ``--keep DIR`` also writes every report into
+DIR, named after its run, and the printed lines into ``DIR/digests.txt``.
+
+``--compare`` takes two outputs, each a file of printed lines or a
+``--keep`` directory.  It prints every run of HEAD whose exit code or
+digest differs from BASE's for the same run, and exits 1 only when a run
+that exited 0 in BASE exits otherwise (or is missing) in HEAD: reports that
+change bytes on purpose still pass.  When both sides kept their reports, it
+also prints, for every changed report, the largest absolute and relative
+difference over its numeric leaves, and whether the two reports have the
+same keys and the same array lengths.
 """
 
 from __future__ import annotations
@@ -65,8 +72,13 @@ def _run(main, argv: list[str]) -> int:
         return main(argv)
 
 
-def digest_lines(src: Path):
-    """Yield one ``seed workload index command exit sha256`` line per run."""
+def _report_name(run: tuple[str, ...]) -> str:
+    return "_".join(run) + ".json"
+
+
+def digest_lines(src: Path, keep: Path | None = None):
+    """Yield one ``seed workload index command exit sha256`` line per run,
+    copying each report into *keep* when given."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from coalattn import cli
     from workloads import WORKLOADS, documents
@@ -77,6 +89,12 @@ def digest_lines(src: Path):
     logging.basicConfig(handlers=[logging.NullHandler()])
     with tempfile.TemporaryDirectory() as tmp:
         doc_path, cfg_path, out = (Path(tmp) / name for name in ("doc.json", "cfg.json", "out.json"))
+
+        def line(run: tuple[str, ...], code: int) -> str:
+            if keep is not None and code == 0:
+                (keep / _report_name(run)).write_bytes(out.read_bytes())
+            return f"{' '.join(run)} {code} {_digest(code, out)}"
+
         for seed in SEEDS:
             for name, workload in WORKLOADS.items():
                 for index, (text, settings) in enumerate(documents(workload, seed)):
@@ -85,30 +103,52 @@ def digest_lines(src: Path):
                     for command in COMMANDS:
                         out.unlink(missing_ok=True)
                         argv = [command, "--input", str(doc_path), "--config", str(cfg_path), "--out", str(out)]
-                        code = _run(cli.main, argv)
-                        yield f"{seed} {name} {index} {command} {code} {_digest(code, out)}"
+                        yield line((str(seed), name, str(index), command), _run(cli.main, argv))
         for name, system in SPIN_SYSTEMS.items():
             doc_path.write_text(json.dumps({"schema_version": 1, "n": 3, **system}))
             for command in COMMANDS:
                 out.unlink(missing_ok=True)
-                code = _run(cli.main, [command, "--input", str(doc_path), "--out", str(out)])
-                yield f"- spins {name} {command} {code} {_digest(code, out)}"
+                argv = [command, "--input", str(doc_path), "--out", str(out)]
+                yield line(("-", "spins", name, command), _run(cli.main, argv))
         out.unlink(missing_ok=True)
-        code = _run(cli.main, ["demo", "--out", str(out)])
-        yield f"- - - demo {code} {_digest(code, out)}"
+        yield line(("-", "-", "-", "demo"), _run(cli.main, ["demo", "--out", str(out)]))
 
 
-def _runs(path: str) -> dict[tuple[str, ...], tuple[str, str]]:
+def _runs(path: Path) -> dict[tuple[str, ...], tuple[str, str]]:
     runs = {}
-    for line in Path(path).read_text().splitlines():
+    for line in (path / "digests.txt" if path.is_dir() else path).read_text().splitlines():
         *run, code, digest = line.split()
         runs[tuple(run)] = (code, digest)
     return runs
 
 
-def compare(base_path: str, head_path: str) -> int:
-    """Print the runs whose exit code or digest changed; 1 if a run that
-    exited 0 in BASE did not in HEAD."""
+def _numeric_diff(before, after, path: str = "$") -> tuple[float, float, list[str]]:
+    """The largest absolute and relative difference over the numeric leaves
+    two reports share, and the paths where their keys, array lengths or
+    other leaves differ."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        found = [] if before.keys() == after.keys() else [f"keys differ at {path}"]
+        diffs = [_numeric_diff(before[key], after[key], f"{path}.{key}") for key in before.keys() & after.keys()]
+    elif isinstance(before, list) and isinstance(after, list):
+        found = [] if len(before) == len(after) else [f"lengths {len(before)} and {len(after)} at {path}"]
+        diffs = [_numeric_diff(b, a, f"{path}[{i}]") for i, (b, a) in enumerate(zip(before, after))]
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (before, after)):
+        gap = abs(after - before)
+        scale = max(abs(before), abs(after))
+        return gap, gap / scale if scale else 0.0, []
+    else:
+        return 0.0, 0.0, [] if before == after else [f"leaves differ at {path}"]
+    return (
+        max((d[0] for d in diffs), default=0.0),
+        max((d[1] for d in diffs), default=0.0),
+        found + [entry for d in diffs for entry in d[2]],
+    )
+
+
+def compare(base_path: Path, head_path: Path) -> int:
+    """Print the runs whose exit code or digest changed, with numeric
+    differences where both sides kept their reports; 1 if a run that exited
+    0 in BASE did not in HEAD."""
     base, head = _runs(base_path), _runs(head_path)
     broken = 0
     for run, before in base.items():
@@ -116,6 +156,11 @@ def compare(base_path: str, head_path: str) -> int:
         if after != before:
             print(f"{' '.join(run)}: exit {before[0]} -> {after[0]}, sha256 {before[1]} -> {after[1]}")
             broken += before[0] == "0" and after[0] != "0"
+            reports = [path / _report_name(run) for path in (base_path, head_path)]
+            if all(report.is_file() for report in reports):
+                gap, relative, found = _numeric_diff(*(json.loads(report.read_text()) for report in reports))
+                shape = "keys and array lengths match" if not found else "; ".join(found[:5])
+                print(f"    largest difference {gap:.3g} absolute, {relative:.3g} relative; {shape}")
     for run in head.keys() - base.keys():
         print(f"{' '.join(run)}: new run, exit {head[run][0]}")
     print(f"{len(base)} runs compared; {broken} that exited 0 no longer do")
@@ -125,12 +170,21 @@ def compare(base_path: str, head_path: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the coalattn sources to run")
-    parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"), help="compare two outputs instead")
+    parser.add_argument("--keep", type=Path, help="also write every report and the printed lines here")
+    parser.add_argument(
+        "--compare", nargs=2, type=Path, metavar=("BASE", "HEAD"), help="compare two outputs or kept directories instead"
+    )
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    for line in digest_lines(args.src):
+    lines = []
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
+    for line in digest_lines(args.src, args.keep):
         print(line, flush=True)
+        lines.append(line)
+    if args.keep is not None:
+        (args.keep / "digests.txt").write_text("".join(f"{line}\n" for line in lines))
     return 0
 
 

@@ -42,15 +42,20 @@ words ``SeedSequence(entropy=seed, spawn_key=(kind,))`` generates.
 A slot's numbers are a pure function of (game, config, slot), whatever the
 blocking and whichever other slots are estimated.
 
-Every estimate runs through one block path.  A block holds as many slots of
-a family as ``_BLOCK_CONTEXTS`` contexts allow; its slots' tokens go to the
-game as one ``games.Extensions`` of the pool, whose coalitions are each
-slot's contexts extended by every subset of the slot's tokens, evaluated by
-one ``values_by_mask`` call from sums the game shares across the block's
-rows.  The block's weights, estimates, effective sample sizes and standard
-errors are then computed for all its rows at once; every reduction runs
-along a row alone, so a slot's numbers do not depend on the block it lands
-in.
+Every estimate runs through one block path.  A family's slots go to the
+game as one ``games.Extensions`` of the pool by their tokens, built and
+checked once, and a block takes as many of its rows as ``_BLOCK_CONTEXTS``
+contexts allow, evaluated by one ``values_by_mask`` call from values and
+sums the game shares across the pool.  On a Bernoulli word w a slot's
+columns are w with each subset of the slot's tokens toggled: its context
+(the Gibbs base) is the column of the slot's tokens that w holds, and its
+marginal is the signed alternating sum ``prod_t s_t sum_j (-1)**(f - |j|)
+v_j``, with ``s_t = 1 - 2 b_t`` for token t's bit ``b_t`` in w, which is
+the inclusion-exclusion sum over the context's extensions.  On a
+permutation the columns are the context and the context with the token.
+The block's weights, estimates, effective sample sizes and standard errors
+are then computed for all its rows at once; every reduction runs along a
+row alone, so a slot's numbers do not depend on the block it lands in.
 """
 
 from __future__ import annotations
@@ -87,15 +92,17 @@ _INTERACTION_STREAM = 3
 
 # Most slot contexts one values_by_mask call of estimate_all evaluates; a
 # block holds as many whole slots as fit, at least one (one slot per call
-# for K > 2048).  A game forms its pool's shared sums once per family, and
+# for K > 2048).  A game forms its pool's shared values once per family, and
 # each context of a block then takes a few arrays of O(1) entries (a pair's
-# two tokens' bits and dot products, its four values, its weights), so
-# the cap bounds the block's working arrays: about 0.3 MB for the pairs of
-# an n=32, d_v=32 game at K = 256.  On that game, with BLAS on one thread,
-# one estimate_all took 6.0, 4.7 and 5.2 ms at caps of 2048, 4096 and 8192;
-# at 8192 the arrays are large enough to be mapped afresh and faulted in on
-# every block (about 1,800 page faults per call), and the benchmark's
-# attend-wide peak RSS was 41.2 MB against 40.6 MB at 4096.
+# four values, its weights and marginals), so the cap bounds the block's
+# working arrays: about 0.4 MB for the pairs of an n=32, d_v=32 game at
+# K = 256.  Attend-wide operations (two such heads, BLAS on one thread, a
+# 2-core AMD EPYC VM, two 4-second in-process runs per cap) took, at caps of
+# 2048, 4096, 8192, 16384 and 32768: 13.4, 11.5-11.7, 10.8-11.6, 10.1-10.2
+# and 10.4-10.6 ms, with 257, 280-292, 549-586, 872-915 and 1,600 minor
+# page faults per operation and a peak RSS of 39.8-39.9, 40.0, 40.4,
+# 41.1-41.2 and 43.3-43.4 MB.  Fewer, larger blocks save per-call overhead
+# but fault their arrays in afresh on every block.
 _BLOCK_CONTEXTS = 4096
 
 
@@ -166,8 +173,8 @@ def _prefix_size_probs(n: int) -> np.ndarray:
     return probs
 
 
-def _pool_block(pool: np.ndarray, n: int, tokens: np.ndarray) -> tuple[Extensions, np.ndarray | float]:
-    """The coalitions of some slots of a family, as the ``Extensions`` of the
+def _pool_extensions(pool: np.ndarray, n: int, tokens: np.ndarray) -> tuple[Extensions, np.ndarray | float]:
+    """The coalitions of the slots of a family, as the ``Extensions`` of the
     family's pool by the slots' tokens, and their contexts' proposal
     probabilities: shape ``(slots, K)`` for a permutation pool, and for a
     Bernoulli pool the one probability ``2**-(n - f)`` of every context of
@@ -208,41 +215,54 @@ def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: np.ndarray):
     one family.
 
     Each slot is a row of token indices: ``(i,)`` for the Shapley and
-    Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  A block
-    holds as many slots as ``_BLOCK_CONTEXTS`` contexts allow, at least one.
-    Each block's slots take their contexts from the family's pool and are
-    evaluated by one ``values_by_mask`` call on an ``Extensions`` of the
-    pool by their tokens; the block is then weighted and reduced
-    row-wise at once.  The ESS of K raw weights is ``total**2 /
-    square_total``, clamped to [1, K] against roundoff, and the standard
-    error is the delta-method ``sqrt(sum_k (w_k (m_k - estimate))**2)`` over
-    the normalized weights w and the marginals m, inf where it passes
-    float64's range.
+    Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  The
+    family's ``Extensions`` is built, and its pool checked, once; a block
+    holds as many of its rows as ``_BLOCK_CONTEXTS`` contexts allow, at
+    least one, and is evaluated by one ``values_by_mask`` call, then
+    weighted and reduced row-wise at once, from the base column and the
+    signed alternating sum the module docstring describes.  The ESS of K raw
+    weights is ``total**2 / square_total``, clamped to [1, K] against
+    roundoff, and the standard error is the delta-method ``sqrt(sum_k (w_k
+    (m_k - estimate))**2)`` over the normalized weights w and the marginals
+    m, inf where it passes float64's range.
     """
     n, k = game.n, cfg.sample_count
     pool = _draw_pool(cfg.seed, kind, n, k)
+    family, family_probs = _pool_extensions(pool, n, slots)
+    if pool.ndim == 1:
+        held = ((pool >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)).astype(bool)
+        signs = 1.0 - 2.0 * held  # s_t of every token in every word
     per_block = max(1, _BLOCK_CONTEXTS // k)
     estimates, ess, errors = np.empty(len(slots)), np.empty(len(slots)), np.empty(len(slots))
     for start in range(0, len(slots), per_block):
         rows = slice(start, start + per_block)
-        extensions, probs = _pool_block(pool, n, slots[rows])
-        values = game.values_by_mask(extensions)
-        base = values[:, 0].copy()
-        if values.shape[1] == 2:
-            marginals = values[:, 1] - base
+        values = game.values_by_mask(family.rows(rows))
+        if pool.ndim == 2:
+            probs = family_probs[rows]
+            base, marginals = values[0].copy(), values[1] - values[0]
         else:
-            marginals = values[:, 3] - values[:, 1] - values[:, 2] + base
-        del values, extensions  # the block's largest arrays: free them before the weights
+            probs = family_probs
+            first, sign = held.take(slots[rows, 0], axis=0), signs.take(slots[rows, 0], axis=0)
+            if slots.shape[1] == 1:
+                base = np.where(first, values[1], values[0])
+                marginals = values[1] - values[0]
+            else:
+                second = held.take(slots[rows, 1], axis=0)
+                base = np.where(second, np.where(first, values[3], values[2]), np.where(first, values[1], values[0]))
+                marginals = values[3] - values[1]
+                marginals -= values[2]
+                marginals += values[0]
+                sign *= signs.take(slots[rows, 1], axis=0)
+            marginals *= sign
+        del values  # the block's largest array: free it before the weights
         if cfg.mode == "gibbs":
             raw, normalized = gibbs_weights(base, probs, cfg.gamma)
         else:
             raw, normalized = np.ones(base.shape), np.full(base.shape, 1.0 / k)
-        # vecdot takes each row's dot product through the same BLAS ddot as
-        # np.dot; the Python float power `t ** 2` (libm pow) keeps the ESS
-        # bits, where an array `t * t` rounds differently on some inputs
+        # vecdot takes each row's dot product through the same BLAS ddot as np.dot
         estimates[rows] = np.vecdot(normalized, marginals)
-        totals, square_totals = raw.sum(axis=-1).tolist(), (raw * raw).sum(axis=-1).tolist()
-        ess[rows] = [min(max(t**2 / q, 1.0), k) for t, q in zip(totals, square_totals)]
+        totals = raw.sum(axis=-1)
+        ess[rows] = np.clip(totals * totals / np.vecdot(raw, raw), 1.0, k)
         # w_k (m_k - estimate) is finite, as w_k <= 1; its square may overflow to inf
         marginals -= estimates[rows, None]
         marginals *= normalized

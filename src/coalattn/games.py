@@ -20,23 +20,25 @@ agnostic to the family: ``n`` and ``values_by_mask``.  It is the one
 evaluation entry point: every estimator and oracle evaluates through it
 (``tabulate`` feeds it every mask in chunks), so a ``CountingGame`` sees
 every evaluation.  It takes either an array of masks, whose values come back
-in the array's shape, or an ``Extensions``: a pool of K contexts shared by
-rows of f tokens each, each row taking the pool's contexts without its own
-tokens (Bernoulli words) or the tokens before its one token (permutations)
-and adding every subset of its tokens, whose ``2**f x K`` values per row
-come back in the shape ``Extensions.shape``.
+in the array's shape, or an ``Extensions``: a pool of K entries shared by
+rows of f <= 2 tokens each.  On a Bernoulli word a row takes the word with
+each subset of its tokens toggled, which is the word without the row's
+tokens extended by every subset of them, in an order set by the tokens the
+word holds; on a permutation a row takes the tokens before its one token,
+without and with it.  The ``2**f`` coalitions of every row and entry come
+back in the shape ``Extensions.shape``, subset axis first.
 
 A ``TabularGame`` looks the materialised masks up.  An ``EmbeddingGame``
-evaluates an ``Extensions`` from sums shared by all its rows and kept across
-calls with the same read-only pool, so each coalition costs O(1) once the
-pool is summed; its class docstring gives the formulas and how far their
-rounding may stray from a direct norm of the same coalition.  Plain masks
-get exactly the direct norm of their gathered sums.
+evaluates an ``Extensions`` from per-word (or per-prefix) values and sums
+shared by all its rows and kept across calls with the same read-only pool,
+so each coalition costs O(1) once the pool is summed, and a pair's block
+forms one new squared norm per word; its class docstring gives the formulas
+and how far their rounding may stray from a direct norm of the same
+coalition.  Plain masks get exactly the direct norm of their gathered sums.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,6 +62,7 @@ __all__ = [
 
 MAX_TOKENS = 64           # coalition masks are 64-bit
 TABULAR_MAX_TOKENS = 20   # 2**20 table entries
+_MAX_ROW_TOKENS = 2       # most tokens of one Extensions row: a pair
 
 NONLINEARITIES = ("relu", "tanh", "identity")
 
@@ -87,27 +90,33 @@ class GameValues:
 
 @dataclass(frozen=True)
 class Extensions:
-    """K contexts shared by rows of tokens: the coalitions ``added[...,
-    j] | context_r[k]`` of shape ``added.shape + (K,)``.
+    """K pool entries shared by rows of tokens, each row taking ``2**f``
+    coalitions of every entry: shape ``(2**f,) + tokens.shape[:-1] + (K,)``.
 
-    ``tokens`` holds f distinct token indices per row, shape ``(..., f)``.
-    ``added`` holds, as uint64 masks, the ``2**f`` subsets of each row's
-    tokens in counting order: subset j holds the row's token i when bit i
-    of j is set (none, first, second, both).  Every row takes the same K
-    contexts, given in one of two forms:
+    ``tokens`` holds f distinct token indices per row, shape ``(..., f)``,
+    with f at most 2.  ``added`` holds, as uint64 masks of shape ``(2**f,) +
+    tokens.shape[:-1]``, the ``2**f`` subsets of each row's tokens in
+    counting order: subset j holds the row's token i when bit i of j is set
+    (none, first, second, both).  The pool comes in one of two forms:
 
-    * ``contexts``, K uint64 masks: row r's context k is ``contexts[k]``
-      without r's tokens.  A pool of K Bernoulli words thus gives every row
-      the words without its own tokens.
+    * ``contexts``, K uint64 masks (Bernoulli words): row r's coalition j on
+      word k is ``contexts[k] ^ added[j, r]``, the word with subset j of r's
+      tokens toggled.  Over the ``2**f`` subsets these are r's context k, the
+      word without r's tokens (``row_contexts``), extended by every subset
+      of the tokens; the context itself is coalition j for the subset j of
+      r's tokens that the word holds.
     * ``orders`` (with ``contexts`` None), a ``(K, n)`` array whose rows are
       permutations of the n tokens, for rows of one token: row r's context
-      k is the set of tokens ``orders[k]`` places before r's token.
+      k is the set of tokens ``orders[k]`` places before r's token, and its
+      coalitions are that context and the context with the token, which is
+      the same toggle since a prefix never holds its own token.
       ``ranks[..., k]`` is that token's place in ``orders[k]``, which is
       also the size of the context.
 
     ``shape`` and ``size`` describe the coalitions, and ``np.asarray`` builds
     their masks, so a caller that only takes the size or the masks of its
-    argument sees the coalitions themselves.
+    argument sees the coalitions themselves.  ``rows`` takes some of the
+    rows without checking the pool again.
     """
 
     contexts: np.ndarray | None
@@ -123,10 +132,15 @@ class Extensions:
             raise ValueError("extensions: tokens need a last axis")
         if tokens.dtype.kind not in "iu" or np.any((tokens < 0) | (tokens >= MAX_TOKENS)):
             raise ValueError(f"extensions: tokens must be integers in [0, {MAX_TOKENS})")
+        if tokens.shape[-1] > _MAX_ROW_TOKENS:
+            raise ValueError(f"extensions: a row holds at most {_MAX_ROW_TOKENS} tokens")
         tokens = tokens.astype(np.intp)
-        bits = np.where(_subsets(tokens.shape[-1]) != 0, _token_bits(tokens)[..., None, :], np.uint64(0))
-        added = np.bitwise_or.reduce(bits, axis=-1)  # row r's subset j
-        if np.any(np.bitwise_count(added[..., -1]) != tokens.shape[-1]):
+        bits = _token_bits(tokens)
+        added = np.zeros((1 << tokens.shape[-1],) + tokens.shape[:-1], dtype=np.uint64)
+        for i in range(tokens.shape[-1]):
+            # the subsets holding token i follow, in counting order, those below it
+            np.bitwise_or(added[: 1 << i], bits[..., i], out=added[1 << i : 2 << i])
+        if np.any(np.bitwise_count(added[-1]) != tokens.shape[-1]):
             raise ValueError("extensions: a row repeats a token")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "added", added)
@@ -162,10 +176,24 @@ class Extensions:
     def size(self) -> int:
         return math.prod(self.shape)
 
+    def rows(self, index) -> Extensions:
+        """The ``Extensions`` of the rows ``tokens[index]`` (an index of the
+        first row axis) on the same pool, which is not checked again."""
+        part, added = object.__new__(Extensions), self.added[:, index]
+        vars(part).update(
+            vars(self),
+            tokens=self.tokens[index],
+            added=added,
+            ranks=None if self.ranks is None else self.ranks[index],
+            shape=added.shape + self.shape[-1:],
+        )
+        return part
+
     def row_contexts(self) -> np.ndarray:
-        """Each row's K context masks, shape ``tokens.shape[:-1] + (K,)``."""
+        """Each row's K contexts, shape ``tokens.shape[:-1] + (K,)``: the
+        words without the row's tokens, or the prefixes before its token."""
         if self.orders is None:
-            return self.contexts & ~self.added[..., -1:]
+            return self.contexts & ~self.added[-1][..., None]
         k, n = self.orders.shape
         # column p of the running OR is the set of the first p tokens of each order
         prefixes = np.zeros((k, n + 1), dtype=np.uint64)
@@ -173,22 +201,14 @@ class Extensions:
         return prefixes[np.arange(k), self.ranks]
 
     def __array__(self, dtype=None, copy=None):
-        masks = self.added[..., :, None] | self.row_contexts()[..., None, :]
+        shared = self.contexts if self.orders is None else self.row_contexts()
+        masks = self.added[..., None] ^ shared
         return masks if dtype is None else masks.astype(dtype, copy=False)
 
 
 def _token_bits(tokens: np.ndarray) -> np.ndarray:
     """The single-bit mask of each token index below 64."""
     return np.left_shift(np.uint64(1), tokens.astype(np.uint64))
-
-
-@functools.cache
-def _subsets(f: int) -> np.ndarray:
-    """The ``(2**f, f)`` membership matrix of the subsets of f tokens in
-    counting order: entry ``[j, i]`` is 1.0 when bit i of j is set."""
-    subsets = ((np.arange(1 << f)[:, None] >> np.arange(f)) & 1).astype(np.float64)
-    subsets.flags.writeable = False  # shared by every caller through the cache
-    return subsets
 
 
 class TabularGame:
@@ -218,7 +238,13 @@ class TabularGame:
         self.n = n
 
     def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
-        return self._values[np.asarray(masks).astype(np.int64)]
+        if isinstance(masks, Extensions) and masks.tokens.size and masks.tokens.max() >= self.n:
+            raise ValueError(f"tabular game: token {masks.tokens.max()} of an extension for a game of {self.n}")
+        coalitions = np.asarray(masks).astype(np.uint64, copy=False)
+        top = int(coalitions.max()) if coalitions.size else 0
+        if top >> self.n:
+            raise ValueError(f"tabular game: token {top.bit_length() - 1} of a coalition for a game of {self.n}")
+        return self._values[coalitions]
 
     @property
     def table(self) -> np.ndarray:
@@ -242,34 +268,44 @@ class EmbeddingGame:
     row per mask byte.  Mask bits at or above ``n`` select zero rows and so
     do not change the value.
 
-    An ``Extensions`` is evaluated from sums shared by all of its rows and
-    formed once per pool, so each coalition then costs O(1) for a row of one
-    or two tokens (O(f^2) for f); a token at or above ``n`` is refused:
+    An ``Extensions`` is evaluated from quantities shared by all of its rows
+    and formed once per pool, so each coalition then costs O(1); a token at
+    or above ``n`` is refused:
 
-    * contexts: the sums ``S_k`` of the K contexts and their squared norms,
-      every token's bit in every context, and every token's dot product
-      ``x_t.S_k`` with every context sum, besides the Gram matrix ``X X^T``
-      formed once per game.  Row r's context k has the sum ``c = S_k -
-      sum_t p_t x_t`` over the row's tokens t, ``p_t`` the token's bit in
-      context k, so ``x_t.c = x_t.S_k - sum_u p_u x_t.x_u`` and ``|c|^2 =
-      |S_k|^2 - sum_t p_t (x_t.S_k + x_t.c)``; subset j of the tokens, of sum
-      ``a_j``, gives ``|c + a_j|^2 = |c|^2 + 2 sum_{t in j} x_t.c +
-      |a_j|^2``, with ``|a_j|^2`` the sum of the Gram entries of its tokens,
-      the whole clamped at 0.  Both sums over a subset are products with
-      the constant ``2**f x f`` membership matrix of the subsets.
+    * contexts: with ``S_k`` the sum of word k, ``q0 = |S_k|^2``, the sign
+      ``s_t = 1 - 2 b_t`` of each token's bit ``b_t`` in the word, the Gram
+      matrix ``G = X X^T`` (formed once per game) and ``h_t = 2 s_t x_t.S_k
+      + G_tt``, toggling token t gives the squared norm ``|S_k + s_t x_t|^2 =
+      q0 + h_t``.  The values of every word and of every word with each
+      token toggled are formed with the pool, so a row of one token copies
+      them; a row of two tokens a, b copies those of the word and of its
+      two one-token toggles, and forms one new squared norm per word, ``q0
+      + h_a + h_b + 2 s_a s_b G_ab``, added in that order, and one root.
     * orders: the values of the n + 1 prefixes of each order, whose sums run
       along it; row r's coalitions are the prefix before its token and the
       one through it.
 
-    Plain masks, and rows of no token, get ``|S_k|^2``: exactly the squared
-    norm of the gathered sum; an empty context gets exactly 0 for ``c``, so
-    the empty coalition is worth exactly 0.  A prefix is summed along its
-    order, which rounds otherwise than a gathered sum of the same mask, and
-    from the same sums the pooled form of a coalition rounds otherwise than
-    the direct squared norm of ``c + a_j``: the two differ by at most ``2
-    (d_v + f^2 + 2 f + 4) eps M^2`` (``eps`` the float64 machine epsilon,
-    ``M = |S_k| + sum_t |x_t|`` over the row's f tokens), which only
-    matters where the terms nearly cancel.
+    Plain masks, and rows of no token, get ``q0``: exactly the squared norm
+    of the gathered sum; the sum of the empty word is exactly 0, and a
+    toggle that empties a word (the word holds just the toggled tokens, which
+    only words of one or two tokens can) is set to 0, so the empty coalition
+    is worth exactly 0.  A prefix is summed along its order, which rounds
+    otherwise than a gathered sum of the same mask, and from the same sums
+    the pooled form of a coalition rounds otherwise than the direct squared
+    norm: the two differ by at most ``2 (d_v + f^2 + 2 f + 4) eps M^2``
+    (``eps`` the float64 machine epsilon, ``M = |S_k| + sum_t |x_t|`` over
+    the row's f tokens), which only matters where the terms nearly cancel.
+    For a pair, with ``u = eps/2``: each dot product of d_v terms (``q0``,
+    ``x_t.S_k``, ``G_tt``, ``G_ab``) rounds by at most about ``d_v u`` times
+    the product of its two norms, and each of the five additions (two in
+    the ``h_t``, three in the sum) by at most ``u`` times the magnitudes of
+    its terms; every one of those magnitudes is a term of the expansion
+    ``M^2 = |S_k|^2 + |x_a|^2 + |x_b|^2 + 2|S_k||x_a| + 2|S_k||x_b| +
+    2|x_a||x_b|``, so the pooled square lies within ``(d_v + 5) u M^2`` of
+    the exact one, and the direct square within ``d_v u M^2``: together
+    ``(d_v + 2.5) eps M^2`` to first order in ``eps``, inside the bound for f
+    = 2.  A word and its one-token toggles are the same expansion with fewer
+    terms.
 
     The shared sums of a read-only pool (``contexts`` or ``orders``) are
     kept for the next call with the same array, so the blocks of rows that
@@ -317,10 +353,11 @@ class EmbeddingGame:
             )
         if extensions.orders is not None:
             # subset 0 is the prefix before the row's token, subset 1 the one through it
-            places = extensions.ranks[..., None, :] + np.arange(2)[:, None]
             values = self._shared(extensions.orders, self._prefix_values)
-            return values[np.arange(places.shape[-1]), places]
-        return self._finish(self._pooled_squares(extensions))
+            ranks = extensions.ranks
+            places = ranks + np.arange(2).reshape((2,) + (1,) * ranks.ndim)
+            return values[np.arange(values.shape[0]), places]
+        return self._toggled_values(extensions)
 
     def _finish(self, squared: np.ndarray) -> np.ndarray:
         """The values of squared norms, formed in place."""
@@ -337,39 +374,57 @@ class EmbeddingGame:
         self._pool = (pool, shared) if not pool.flags.writeable else (None,)
         return shared
 
-    def _pooled_squares(self, extensions: Extensions) -> np.ndarray:
-        """Squared norms of the coalitions of contexts given as masks."""
-        contexts, tokens = extensions.contexts, extensions.tokens
-        s_squared, in_pool, x_dot_pool = self._shared(contexts, self._context_sums)
-        subsets = _subsets(tokens.shape[-1])  # (m, f)
-        gram = self._gram[tokens[..., :, None], tokens[..., None, :]]  # (..., f, f)
-        in_context = in_pool[tokens]  # (..., f, K)
-        x_dot_c = gram @ in_context
-        x_dot_s = x_dot_pool[tokens]
-        np.subtract(x_dot_s, x_dot_c, out=x_dot_c)
-        x_dot_s += x_dot_c
-        c_squared = s_squared - np.einsum("...fk,...fk->...k", in_context, x_dot_s)
-        del in_context, x_dot_s  # free the largest arrays before the result's
-        # a context that held only the row's tokens is empty: its sum is
-        # exactly 0, not the roundoff of S_k less those tokens
-        empty = (contexts & ~extensions.added[..., -1:]) == 0
-        c_squared[empty] = 0.0
-        x_dot_c *= ~empty[..., None, :]
-        squared = subsets @ x_dot_c
-        squared *= 2.0
-        squared += c_squared[..., None, :]
-        squared += np.einsum("mf,...fg,mg->...m", subsets, gram, subsets)[..., None]
-        return squared
+    def _toggled_values(self, extensions: Extensions) -> np.ndarray:
+        """The values of the coalitions of an ``Extensions`` of pool words."""
+        tokens = extensions.tokens
+        word_values, toggled_values, toggled_squares, h, signs, doubles = self._shared(
+            extensions.contexts, self._word_values
+        )
+        values = np.empty(extensions.shape)
+        values[0] = word_values
+        if tokens.shape[-1] == 0:
+            return values
+        a = tokens[..., 0]
+        # tokens are below n, so "clip" never clips; it lets take write into `out`
+        toggled_values.take(a, axis=0, out=values[1], mode="clip")
+        if tokens.shape[-1] == 1:
+            return values
+        b = tokens[..., 1]
+        toggled_values.take(b, axis=0, out=values[2], mode="clip")
+        squared = toggled_squares.take(a, axis=0, out=values[3], mode="clip")
+        squared += h.take(b, axis=0, mode="clip")
+        cross = signs.take(a, axis=0, mode="clip")
+        cross *= signs.take(b, axis=0, mode="clip")
+        cross *= 2.0 * self._gram[a, b][..., None]
+        squared += cross
+        if doubles.size:
+            # a word of just the row's two tokens toggles to the empty coalition
+            emptied = extensions.contexts[doubles] == extensions.added[-1][..., None]
+            squared[..., doubles] = np.where(emptied, 0.0, squared[..., doubles])
+        self._finish(squared)
+        return values
 
-    def _context_sums(self, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The squared norms ``|S_k|^2`` of the K contexts' sums, every
-        token's bit in every context and every token's dot product with
-        every context sum, the last two of shape ``(n, K)``."""
-        s, s_squared = self._sums(contexts)
-        in_pool = np.empty((self.n, contexts.size))
+    def _word_values(self, contexts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """What every row of a pool of K words shares: the words' values; the
+        values and squared norms ``q0 + h_t`` of each word with each token t
+        toggled, the ``h_t`` and the signs ``s_t``, all of shape ``(n, K)``;
+        and the indices of the words of two tokens."""
+        s, squares = self._sums(contexts)
+        signs = np.empty((self.n, contexts.size))
         shifts = np.arange(self.n, dtype=np.uint64)[:, None]
-        np.bitwise_and(contexts >> shifts, np.uint64(1), out=in_pool, casting="unsafe")
-        return s_squared, in_pool, self.projected @ s.T
+        np.bitwise_and(contexts >> shifts, np.uint64(1), out=signs, casting="unsafe")
+        signs *= -2.0
+        signs += 1.0
+        h = self.projected @ s.T  # x_t.S_k
+        h *= 2.0
+        h *= signs
+        h += np.diagonal(self._gram)[:, None]
+        toggled_squares = h + squares
+        toggled_values = self._finish(toggled_squares.copy())
+        # the word of the one token t toggles to the empty coalition
+        toggled_values[contexts == _token_bits(np.arange(self.n))[:, None]] = 0.0
+        doubles = np.flatnonzero(np.bitwise_count(contexts) == 2)
+        return self._finish(squares), toggled_values, toggled_squares, h, signs, doubles
 
     def _prefix_values(self, orders: np.ndarray) -> np.ndarray:
         """The values of the n + 1 prefixes of each of the K orders, shape

@@ -79,14 +79,19 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     family's pool from a fresh generator (``reference_pool``), the slot's
     contexts derived from it (``reference_contexts``), one evaluation of a
     one-row ``Extensions`` of the pool by the slot's tokens, checked to hold
-    exactly those contexts extended by every subset of the tokens, and one
-    weighting.
+    exactly each pool entry with every subset of the tokens toggled, and
+    one weighting.
 
     *kind* is the stream identifier (1 Shapley permutations, 2 Banzhaf
     words, 3 pair-interaction words) and *slot* the token indices, ``(i,)``
-    or ``(a, b)`` with ``a < b``.  The standard error is the delta-method
-    ``sqrt(sum (w_k (m_k - est))**2)`` over the normalized weights, which
-    reduces to ``std/sqrt(K)`` for uniform weights.
+    or ``(a, b)`` with ``a < b``.  A permutation's coalitions are the
+    context and the context with the token.  On a Bernoulli word the
+    context is the column of the tokens the word holds, checked against the
+    derived contexts, and the marginal is the alternating sum over the
+    columns, negated when the word holds an odd number of the slot's tokens.
+    The standard error is the delta-method ``sqrt(sum (w_k (m_k -
+    est))**2)`` over the normalized weights, which reduces to
+    ``std/sqrt(K)`` for uniform weights.
     """
     k, n = cfg.sample_count, game.n
     pool = reference_pool(cfg.seed, kind, n, k)
@@ -98,20 +103,29 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     contexts, probs = reference_contexts(pool, kind, n, slot)
     tokens = np.array([slot])
     extensions = Extensions(None, tokens, pool) if kind == 1 else Extensions(pool, tokens)
-    np.testing.assert_array_equal(np.asarray(extensions)[0], added[:, None] | contexts[None, :])
-    values = game.values_by_mask(extensions)[0]
-    base = values[0]
+    shared = contexts if kind == 1 else pool
+    np.testing.assert_array_equal(np.asarray(extensions)[:, 0], added[:, None] ^ shared[None, :])
+    values = game.values_by_mask(extensions)[:, 0]
+    held = np.zeros(k, dtype=np.intp)
+    if kind != 1:
+        for i, t in enumerate(slot):
+            held |= ((pool >> np.uint64(t)) & np.uint64(1)).astype(np.intp) << i
+    columns = np.arange(k)
+    np.testing.assert_array_equal(np.asarray(extensions)[held, 0, columns], contexts)
+    base = values[held, columns]
     if len(slot) == 1:
-        marginals = values[1] - base
+        marginals = values[1] - values[0]
     else:
-        marginals = values[3] - values[1] - values[2] + base
+        marginals = values[3] - values[1] - values[2] + values[0]
+    marginals = np.where(np.bitwise_count(held) % 2 == 1, -marginals, marginals)
     if cfg.mode == "gibbs":
         log_raw = base / cfg.gamma - np.log(probs)
         raw = np.exp(log_raw - np.max(log_raw))
         normalized = raw / raw.sum()
     else:
         raw, normalized = np.ones(k), np.full(k, 1.0 / k)
-    ess = min(max(float(np.sum(raw)) ** 2 / float(np.sum(raw * raw)), 1.0), float(k))
+    total = float(np.sum(raw))
+    ess = min(max(total * total / float(np.dot(raw, raw)), 1.0), float(k))
     estimate = float(np.dot(normalized, marginals))
     se = float(np.sqrt(np.sum((normalized * (marginals - estimate)) ** 2)))
     return estimate, ess, se

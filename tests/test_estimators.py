@@ -9,7 +9,7 @@ from coalattn.estimators import (
     _BLOCK_CONTEXTS,
     EstimatorConfig,
     _draw_pool,
-    _pool_block,
+    _pool_extensions,
     _pool_key,
     estimate_all,
     gibbs_weights,
@@ -64,8 +64,8 @@ class TestConfigValidation:
 def _slot_contexts(seed: int, kind: int, n: int, slot: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
     """One slot's contexts and their proposal probabilities, as
     ``estimate_all`` takes them from its family's pool of *count* draws."""
-    extensions, probs = _pool_block(_draw_pool(seed, kind, n, count), n, np.array([slot]))
-    return np.asarray(extensions)[0, 0], np.broadcast_to(probs, (1, count))[0]
+    extensions, probs = _pool_extensions(_draw_pool(seed, kind, n, count), n, np.array([slot]))
+    return extensions.row_contexts()[0], np.broadcast_to(probs, (1, count))[0]
 
 
 class TestPrefixSampling:
@@ -265,7 +265,7 @@ class _RecordingGame:
         self.batches = []
 
     def values_by_mask(self, masks):
-        self.batches.append(np.asarray(masks).reshape(-1))
+        self.batches.append(np.asarray(masks))
         return self._game.values_by_mask(masks)
 
 
@@ -306,15 +306,20 @@ class TestPinnedStream:
         game = _RecordingGame(EmbeddingGame(rng.normal(size=(64, 3)), rng.normal(size=(3, 2))))
         k = 4
         estimate_all(game, EstimatorConfig(sample_count=k, seed=self.SEED))
-        masks = np.concatenate(game.batches).tolist()
-        # in evaluation order: 2K masks per token for each of the two token
-        # families, then 4K per pair in row-major pair order
+        assert sum(batch.size for batch in game.batches) == 2 * k * 64 * 65
+        # the two token families evaluate (2, slots, K) blocks, then the
+        # pairs (4, pairs, K) blocks in row-major pair order
+        pair_masks = np.concatenate([batch for batch in game.batches if batch.shape[0] == 4], axis=1)
         pairs = [(i, j) for i in range(64) for j in range(i + 1, 64)]
-        start = 2 * 2 * k * 64 + 4 * k * pairs.index((5, 63))
+        assert pair_masks.shape == (4, len(pairs), k)
+        masks = pair_masks[:, pairs.index((5, 63))].tolist()
+        # each word with every subset of the pair toggled, which per word is
+        # the word's context, the word without the pair, with every subset added
         bits = [0, 1 << 5, 1 << 63, (1 << 5) | (1 << 63)]
+        assert masks == [[m ^ b for m in self.FIRST_WORDS] for b in bits]
         contexts = [m & ~bits[3] for m in self.FIRST_WORDS]
-        assert len(masks) == 2 * k * 64 * 65
-        assert masks[start : start + 4 * k] == [m | b for b in bits for m in contexts]
+        for column, context in enumerate(contexts):
+            assert sorted(row[column] for row in masks) == sorted(context | b for b in bits)
 
 
 class TestTracedEvaluationCount:

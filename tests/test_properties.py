@@ -19,7 +19,7 @@ from coalattn.estimators import (
     MODES,
     EstimatorConfig,
     _draw_pool,
-    _pool_block,
+    _pool_extensions,
     estimate_all,
 )
 from coalattn.games import (
@@ -104,9 +104,9 @@ def test_empty_coalition_is_exactly_zero(n, nonlinearity):
 
 
 def _pooled_extensions(rng: np.random.Generator, n: int, rows: int, f: int, k: int) -> Extensions:
-    """K random contexts over *n* tokens shared by *rows* rows of f distinct
-    random tokens each (all n tokens when f > n); each row clears its own
-    tokens from the contexts."""
+    """K random words over *n* tokens shared by *rows* rows of f <= 2
+    distinct random tokens each (all n tokens when f > n); each row toggles
+    every subset of its tokens in every word."""
     tokens = np.argsort(rng.random((rows, n)), axis=1)[:, :f]
     return Extensions(rng.integers(0, 2**64, size=k, dtype=np.uint64) & np.uint64((1 << n) - 1), tokens)
 
@@ -130,14 +130,11 @@ def _pooled_bound(game: EmbeddingGame, extensions: Extensions) -> np.ndarray:
     context's sum (a Bernoulli word, or a row's prefix) plus the norms of
     the row's f tokens."""
     x = game.projected
-    if extensions.orders is None:
-        shared = np.linalg.norm(_membership(extensions.contexts, game.n) @ x, axis=-1)
-    else:
-        shared = np.linalg.norm(_membership(extensions.row_contexts(), game.n) @ x, axis=-1)[..., None, :]
-    free = np.bitwise_or.reduce(extensions.added, axis=-1)
-    in_free = _membership(free, game.n)
-    reach = shared + (in_free @ np.linalg.norm(x, axis=-1))[..., None, None]
-    width = in_free.sum(axis=-1)[..., None, None]
+    shared = extensions.contexts if extensions.orders is None else extensions.row_contexts()
+    shared = np.linalg.norm(_membership(shared, game.n) @ x, axis=-1)
+    in_row = _membership(extensions.added[-1], game.n)  # each row's tokens
+    reach = shared + (in_row @ np.linalg.norm(x, axis=-1))[..., None]
+    width = in_row.sum(axis=-1)[..., None]
     return 2.0 * (x.shape[1] + width**2 + 2.0 * width + 4.0) * np.finfo(float).eps * reach**2
 
 
@@ -154,7 +151,7 @@ def _pool_cases(draw):
     rows, k = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     if draw(st.booleans()):
         return game, _ordered_extensions(rng, n, rows, k), rng
-    return game, _pooled_extensions(rng, n, rows, draw(st.integers(0, 3)), k), rng
+    return game, _pooled_extensions(rng, n, rows, draw(st.integers(0, 2)), k), rng
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,8 +174,8 @@ def test_extension_values_match_the_plain_masks(case):
     assert np.all(got[masks == 0] == 0.0)
     # rows of no token take the plain contexts: the same bits
     if extensions.orders is None:
-        plain = ~np.bitwise_or.reduce(extensions.added, axis=-1).astype(bool)
-        np.testing.assert_array_equal(got[plain], ref[plain])
+        plain = extensions.added[-1] == 0
+        np.testing.assert_array_equal(got[:, plain], ref[:, plain])
     # a table game looks the materialised masks up, bit for bit
     if game.n <= 12:
         table = random_table_game(rng, game.n)
@@ -194,17 +191,26 @@ def test_extension_values_match_the_plain_masks(case):
 def test_empty_context_with_empty_added_set_is_exactly_zero(n, nonlinearity):
     game = _game(n, n, 3, 4, nonlinearity)
     values = game.values_by_mask(Extensions(np.zeros(3, np.uint64), np.zeros((2, 0), np.intp)))
-    assert values.shape == (2, 1, 3)
-    assert values.tolist() == [[[0.0] * 3]] * 2
+    assert values.shape == (1, 2, 3)
+    assert values.tolist() == [[[0.0] * 3] * 2]
     # every order's prefix before its first token is empty
     orders = np.tile(np.arange(n), (3, 1))
     values = game.values_by_mask(Extensions(None, np.array([[0]]), orders))
     assert values[0, 0].tolist() == [0.0] * 3
-    # pool words holding only a row's own tokens leave it an empty context
+    # pool words holding only a row's own tokens leave it an empty context,
+    # the one coalition of each word that toggles all the word's tokens
     top = 1 << (n - 1)
     words = np.array([1, top, 1 | top], dtype=np.uint64)
-    values = game.values_by_mask(Extensions(words, np.array([sorted({0, n - 1})])))
-    assert values[0, 0].tolist() == [0.0] * 3
+    extensions = Extensions(words, np.array([sorted({0, n - 1})]))
+    empty = np.asarray(extensions) == 0
+    np.testing.assert_array_equal(empty.sum(axis=(0, 1)), [1, 1, 1])
+    assert game.values_by_mask(extensions)[empty].tolist() == [0.0] * 3
+    # and so do the words of one token, each toggled by a row of its token
+    singles = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    extensions = Extensions(singles, np.arange(n)[:, None])
+    empty = np.asarray(extensions) == 0
+    assert empty.sum() == n
+    assert game.values_by_mask(extensions)[empty].tolist() == [0.0] * n
 
 
 @pytest.mark.parametrize("n", BOUNDARY_TOKEN_COUNTS)
@@ -212,16 +218,18 @@ def test_an_added_set_clears_its_tokens_from_the_contexts(n):
     top = np.uint64(1 << (n - 1))
     contexts = np.array([0, top], dtype=np.uint64)
     extensions = Extensions(contexts, np.array([[n - 1]]))
-    assert np.asarray(extensions).tolist() == [[[0, 0], [top, top]]]
+    # each word with the token toggled: the contexts, cleared, come first on
+    # the word without the token and second on the word with it
+    assert np.asarray(extensions).tolist() == [[[0, top]], [[top, 0]]]
     np.testing.assert_array_equal(extensions.row_contexts(), [[0, 0]])
     game = _game(n, n, 3, 4, "identity")
     values = game.values_by_mask(extensions)
-    assert values[0, 0].tolist() == [0.0, 0.0]
+    assert [values[0, 0, 0], values[1, 0, 1]] == [0.0, 0.0]
     # a row of no tokens takes the contexts as they are
     plain = game.values_by_mask(Extensions(contexts, np.zeros((1, 0), np.intp)))
     assert plain[0, 0].tolist() == game.values_by_mask(contexts).tolist()
-    # the same coalition from two contexts, one of them cleared: equal up to roundoff
-    assert values[0, 1, 0] == pytest.approx(values[0, 1, 1], rel=1e-12)
+    # the same coalition from the two words: equal up to roundoff
+    assert values[1, 0, 0] == pytest.approx(values[0, 0, 1], rel=1e-12)
 
 
 def test_malformed_extensions_are_rejected():
@@ -238,7 +246,8 @@ def test_malformed_extensions_are_rejected():
         ((None, np.array([[1, 2]]), orders), "one token"),
         ((None, np.zeros((1, 0), np.intp), orders), "one token"),
         ((None, np.array([[4]]), orders), "one token"),
-        ((words, np.array([[2, 5, 2]])), "repeats a token"),
+        ((words, np.array([[2, 2]])), "repeats a token"),
+        ((words, np.array([[2, 5, 7]])), "at most 2 tokens"),
         ((words, np.array([[0.0]])), "integers"),
         ((words, np.array([[-1]])), "integers in"),
         ((words, np.array([[64]])), "integers in"),
@@ -256,16 +265,29 @@ def test_an_embedding_game_refuses_tokens_past_its_own(n):
         game.values_by_mask(Extensions(np.zeros(3, np.uint64), np.array([[0, n]])))
 
 
+@pytest.mark.parametrize("n", (1, 2, 8, 9, 12))
+def test_a_table_game_refuses_tokens_past_its_own(n):
+    game = random_table_game(np.random.default_rng(n), n)
+    with pytest.raises(ValueError, match=f"token {n} of an extension for a game of {n}"):
+        game.values_by_mask(Extensions(np.zeros(3, np.uint64), np.array([[0, n]])))
+    # a plain mask, or a pool word, with a bit at or above n names its highest token
+    for masks in (np.array([1, 1 << n], np.uint64), np.array([-1], np.int64)):
+        top = int(masks.astype(np.uint64).max()).bit_length() - 1
+        with pytest.raises(ValueError, match=f"token {top} of a coalition for a game of {n}"):
+            game.values_by_mask(masks)
+    with pytest.raises(ValueError, match=f"token {n + 2} of a coalition for a game of {n}"):
+        game.values_by_mask(Extensions(np.array([0, 1 << (n + 2)], np.uint64), np.array([[0]])))
+
+
 @_SETTINGS
-@given(st.integers(1, 12), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 12), st.integers(0, 2), st.integers(0, 2**32 - 1))
 def test_table_extension_values_are_table_lookups(n, f, seed):
     rng = np.random.default_rng(seed)
     game = random_table_game(rng, n)
     extensions = _pooled_extensions(rng, n, 3, f, 5)
     got = game.values_by_mask(extensions)
-    assert got.shape == (3, 2 ** min(f, n), 5)
-    free = np.bitwise_or.reduce(extensions.added, axis=-1)
-    masks = extensions.added[..., :, None] | (extensions.contexts & ~free[:, None])[..., None, :]
+    assert got.shape == (2 ** min(f, n), 3, 5)
+    masks = extensions.added[..., None] ^ extensions.contexts
     np.testing.assert_array_equal(got, game.table[masks.astype(np.int64)])
 
 
@@ -301,7 +323,7 @@ def _call_sequences(draw):
         else:
             rows = draw(st.integers(1, 3))
             if form == "pooled":
-                f = draw(st.integers(0, 3))
+                f = draw(st.integers(0, 2))
                 arguments.append(_pooled_extensions(rng, n, rows, f, max(1, size // rows)))
             else:
                 arguments.append(_ordered_extensions(rng, n, rows, max(1, size // rows)))
@@ -328,7 +350,7 @@ def test_reused_gather_buffers_do_not_show_in_results(case):
 @st.composite
 def _bernoulli_cases(draw):
     n = draw(st.sampled_from((1, 63, 64)))
-    excluded = draw(st.sets(st.integers(0, n - 1), max_size=8))
+    excluded = draw(st.sets(st.integers(0, n - 1), max_size=2))
     return n, excluded, draw(st.integers(1, 64)), draw(st.integers(0, 2**64 - 1))
 
 
@@ -338,8 +360,8 @@ def test_bernoulli_sampler_sets_only_allowed_bits(case):
     # a slot's contexts in a Bernoulli pool: the words without its tokens
     n, excluded, count, seed = case
     tokens = np.array(sorted(excluded), dtype=np.intp)[None]
-    extensions, probs = _pool_block(_draw_pool(seed, 2, n, count), n, tokens)
-    masks = np.asarray(extensions)[0, 0]
+    extensions, probs = _pool_extensions(_draw_pool(seed, 2, n, count), n, tokens)
+    masks = extensions.row_contexts()[0]
     assert masks.dtype == np.uint64 and masks.shape == (count,)
     for mask in masks.tolist():
         assert mask < (1 << n)
