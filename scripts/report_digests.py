@@ -24,12 +24,14 @@ DIR, named after its run, and the printed lines into ``DIR/digests.txt``.
 
 ``--compare`` takes two outputs, each a file of printed lines or a
 ``--keep`` directory.  It prints every run of HEAD whose exit code or
-digest differs from BASE's for the same run, and exits 1 only when a run
-that exited 0 in BASE exits otherwise (or is missing) in HEAD: reports that
-change bytes on purpose still pass.  When both sides kept their reports, it
-also prints, for every changed report, the largest absolute and relative
-difference over its numeric leaves, and whether the two reports have the
-same keys and the same array lengths.
+digest differs from BASE's for the same run, then a summary line: the runs
+compared, how many of them changed their digest, and how many that exited 0
+no longer do.  It exits 1 only when a run that exited 0 in BASE exits
+otherwise (or is missing) in HEAD: reports that change bytes on purpose
+still pass.  When both sides kept their reports, it also prints, for every
+changed report, the largest absolute and relative difference over its
+numeric leaves, and whether the two reports have the same keys and the same
+array lengths.
 """
 
 from __future__ import annotations
@@ -147,14 +149,16 @@ def _numeric_diff(before, after, path: str = "$") -> tuple[float, float, list[st
 
 def compare(base_path: Path, head_path: Path) -> int:
     """Print the runs whose exit code or digest changed, with numeric
-    differences where both sides kept their reports; 1 if a run that exited
-    0 in BASE did not in HEAD."""
+    differences where both sides kept their reports, and the counts of runs
+    compared, of changed digests and of runs that stopped exiting 0; 1 if a
+    run that exited 0 in BASE did not in HEAD."""
     base, head = _runs(base_path), _runs(head_path)
-    broken = 0
+    changed = broken = 0
     for run, before in base.items():
         after = head.get(run, ("missing", "-"))
         if after != before:
             print(f"{' '.join(run)}: exit {before[0]} -> {after[0]}, sha256 {before[1]} -> {after[1]}")
+            changed += after[1] != before[1]
             broken += before[0] == "0" and after[0] != "0"
             reports = [path / _report_name(run) for path in (base_path, head_path)]
             if all(report.is_file() for report in reports):
@@ -163,7 +167,7 @@ def compare(base_path: Path, head_path: Path) -> int:
                 print(f"    largest difference {gap:.3g} absolute, {relative:.3g} relative; {shape}")
     for run in head.keys() - base.keys():
         print(f"{' '.join(run)}: new run, exit {head[run][0]}")
-    print(f"{len(base)} runs compared; {broken} that exited 0 no longer do")
+    print(f"{len(base)} runs compared; {changed} changed their digest; {broken} that exited 0 no longer do")
     return 1 if broken else 0
 
 

@@ -60,14 +60,13 @@ row alone, so a slot's numbers do not depend on the block it lands in.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .games import Extensions, GameValues
-from .linalg import as_integer, over_temperature
+from .linalg import TemperatureError, as_integer, over_temperature
 
 __all__ = [
     "MAX_SAMPLE_COUNT",
@@ -151,26 +150,20 @@ def _draw_pool(seed: int, kind: int, n: int, count: int) -> np.ndarray:
     masked to the n token bits, all from the family's Philox stream."""
     rng = np.random.Generator(np.random.Philox(key=_pool_key(seed, kind)))
     if kind == _SHAPLEY_STREAM:
-        pool = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-    else:
-        # the values rng.integers(0, 2**64, dtype=np.uint64) draws, without
-        # its per-call argument handling
-        pool = rng.bit_generator.random_raw(count) & np.uint64((1 << n) - 1)
-    pool.flags.writeable = False  # so a game forms its shared sums once for all blocks
-    return pool
+        return rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    # the values rng.integers(0, 2**64, dtype=np.uint64) draws, without its
+    # per-call argument handling
+    return rng.bit_generator.random_raw(count) & np.uint64((1 << n) - 1)
 
 
-@functools.lru_cache(maxsize=64)
 def _prefix_size_probs(n: int) -> np.ndarray:
     # proposal probability of a specific prefix set of size s: s!(n-1-s)!/(n-1)!
-    probs = np.array(
+    return np.array(
         [
             math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n - 1)
             for s in range(n)
         ]
     )
-    probs.flags.writeable = False  # shared by every caller through the cache
-    return probs
 
 
 def _pool_extensions(pool: np.ndarray, n: int, tokens: np.ndarray) -> tuple[Extensions, np.ndarray | float]:
@@ -194,18 +187,24 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
     and shifted by the row's max log-weight before exponentiation, so the
     largest raw weight of a row is 1 and no large exponential is ever formed;
     the common factor cancels in the normalization; an overflowing
-    ``v_k/gamma`` raises ``linalg.TemperatureError``.  A log-weight more
-    than float64's range below its row's max shifts to -inf, a weight of
-    exactly 0, with numpy's overflow warning unless the caller ignores it,
-    as ``estimate_all`` does.  Returns (raw, normalized).
+    ``v_k/gamma`` raises ``linalg.TemperatureError``, and a NaN value a
+    ``ValueError`` naming it.  A log-weight more than float64's range below
+    its row's max shifts to -inf, a weight of exactly 0, with numpy's
+    overflow warning unless the caller ignores it, as ``estimate_all`` does.
+    Returns (raw, normalized).
     """
-    if np.any(np.isnan(values)):
-        raise ValueError("values must not contain NaN")
     if np.any((probs <= 0.0) | (probs > 1.0)):
         raise ValueError("proposal probabilities must lie in (0, 1]")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    log_raw = over_temperature(values, gamma, "coalition_gamma") - np.log(probs)
+    try:
+        scaled = over_temperature(values, gamma, "coalition_gamma")
+    except TemperatureError:
+        # a NaN is not finite either: look for one only once the check fails
+        if np.any(np.isnan(values)):
+            raise ValueError("values must not contain NaN") from None
+        raise
+    log_raw = scaled - np.log(probs)
     raw = np.exp(log_raw - np.max(log_raw, axis=-1, keepdims=True))
     return raw, raw / raw.sum(axis=-1, keepdims=True)
 

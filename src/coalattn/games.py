@@ -30,11 +30,12 @@ back in the shape ``Extensions.shape``, subset axis first.
 
 A ``TabularGame`` looks the materialised masks up.  An ``EmbeddingGame``
 evaluates an ``Extensions`` from per-word (or per-prefix) values and sums
-shared by all its rows and kept across calls with the same read-only pool,
-so each coalition costs O(1) once the pool is summed, and a pair's block
-forms one new squared norm per word; its class docstring gives the formulas
-and how far their rounding may stray from a direct norm of the same
-coalition.  Plain masks get exactly the direct norm of their gathered sums.
+shared by all its rows and kept across calls with the same pool, which an
+``Extensions`` stores read-only, so each coalition costs O(1) once the pool
+is summed, and a pair's block forms one new squared norm per word; its class
+docstring gives the formulas and how far their rounding may stray from a
+direct norm of the same coalition.  Plain masks get exactly the direct norm
+of their gathered sums.  One game may serve concurrent calls.
 """
 
 from __future__ import annotations
@@ -113,10 +114,12 @@ class Extensions:
       ``ranks[..., k]`` is that token's place in ``orders[k]``, which is
       also the size of the context.
 
-    ``shape`` and ``size`` describe the coalitions, and ``np.asarray`` builds
-    their masks, so a caller that only takes the size or the masks of its
-    argument sees the coalitions themselves.  ``rows`` takes some of the
-    rows without checking the pool again.
+    The pool is stored as a read-only copy, so changing the array given
+    does not change the coalitions.  ``shape`` and ``size`` describe the
+    coalitions, and ``np.asarray`` builds their masks, so a caller that only
+    takes the size or the masks of its argument sees the coalitions
+    themselves.  ``rows`` takes some of the rows on the same pool copy,
+    without checking it again.
     """
 
     contexts: np.ndarray | None
@@ -147,13 +150,14 @@ class Extensions:
         if (self.contexts is None) == (self.orders is None):
             raise ValueError("extensions: give either contexts or orders")
         if self.orders is None:
-            contexts = np.asarray(self.contexts, dtype=np.uint64)
+            contexts = np.array(self.contexts, dtype=np.uint64)
             if contexts.ndim != 1:
                 raise ValueError("extensions: contexts must be one axis of K masks")
+            contexts.flags.writeable = False
             object.__setattr__(self, "contexts", contexts)
             object.__setattr__(self, "shape", added.shape + contexts.shape)
             return
-        orders = np.asarray(self.orders)
+        orders = np.array(self.orders)
         if orders.ndim != 2 or orders.dtype.kind not in "iu" or orders.shape[1] > MAX_TOKENS:
             raise ValueError(f"extensions: orders must be a (K, n) integer array with n <= {MAX_TOKENS}")
         k, n = orders.shape
@@ -168,6 +172,7 @@ class Extensions:
             raise ValueError("extensions: with orders, every row holds one token of the orders")
         places = np.empty_like(orders)
         np.put_along_axis(places, orders, np.arange(n, dtype=orders.dtype), axis=1)
+        orders.flags.writeable = False
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "ranks", np.moveaxis(places[:, tokens[..., 0]], 0, -1))
         object.__setattr__(self, "shape", added.shape + (k,))
@@ -307,18 +312,12 @@ class EmbeddingGame:
     = 2.  A word and its one-token toggles are the same expansion with fewer
     terms.
 
-    The shared sums of a read-only pool (``contexts`` or ``orders``) are
-    kept for the next call with the same array, so the blocks of rows that
-    one estimate evaluates in turn form them once; a pool must not change
-    while a game holds it.  The gathered rows and the running prefix sums go
-    into two buffers the game allocates on first use and enlarges only when
-    a call needs more rows.  A call's gathers can be a few hundred KB, above
-    glibc's initial mmap threshold, so fresh temporaries of that size are
-    mapped, or trimmed from the heap, and faulted in again on every call
-    unless something else the process allocated earlier has raised glibc's
-    thresholds.  The buffers make ``values_by_mask`` reuse the same memory on
-    every call, so one game must not serve concurrent calls; its results are
-    fresh arrays and stay valid after later calls.
+    Calls may run concurrently, from any number of threads, and a call's
+    result never depends on earlier calls: every call allocates its own
+    arrays and returns fresh ones.  The one thing a call leaves behind is
+    the shared sums of the last pool (an ``Extensions``' read-only
+    ``contexts`` or ``orders``), kept so that the blocks of rows one
+    estimate evaluates in turn form them once.
     """
 
     def __init__(self, embeddings, value_projection, nonlinearity: str = "relu"):
@@ -338,8 +337,7 @@ class EmbeddingGame:
         self.projected = projected   # n x d_v, row i is the value vector of token i
         self._gram = projected @ projected.T  # the Gram matrix X X^T
         self._byte_sums = _byte_sum_tables(projected)
-        self._buffers: tuple[np.ndarray, np.ndarray] | None = None  # two (rows, d_v) arrays
-        self._pool: tuple = (None,)  # (pool, its shared sums...) of the last read-only pool
+        self._pool: tuple = (None,)  # (pool, its shared sums) of the last pool
         self.nonlinearity = nonlinearity
         self.n = n
 
@@ -367,11 +365,13 @@ class EmbeddingGame:
         return norms
 
     def _shared(self, pool: np.ndarray, form):
-        """``form(pool)``, kept for the next call while *pool* is read-only."""
-        if self._pool[0] is pool:
-            return self._pool[1]
+        """``form(pool)``, kept for the next call with the same pool."""
+        # one read, so a concurrent call cannot swap another pool's sums in
+        last = self._pool
+        if last[0] is pool:
+            return last[1]
         shared = form(pool)
-        self._pool = (pool, shared) if not pool.flags.writeable else (None,)
+        self._pool = (pool, shared)
         return shared
 
     def _toggled_values(self, extensions: Extensions) -> np.ndarray:
@@ -432,32 +432,23 @@ class EmbeddingGame:
         k, n = orders.shape
         if n > self.n:
             raise ValueError(f"embedding game: orders of {n} tokens for a game of {self.n}")
-        running, gathered = self._buffer(k)
-        running[:] = 0.0
+        width = self.projected.shape[1]
+        running, gathered = np.zeros((k, width)), np.empty((k, width))
         squared = np.zeros((k, n + 1))
         for place in range(n):
             running += self.projected.take(orders[:, place], axis=0, out=gathered, mode="clip")
             squared[:, place + 1] = np.einsum("ij,ij->i", running, running)
         return self._finish(squared)
 
-    def _buffer(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two ``(count, d_v)`` views of the game's buffers, valid until the
-        next call."""
-        if self._buffers is None or len(self._buffers[0]) < count:
-            self._buffers = tuple(np.empty((count, self.projected.shape[1])) for _ in range(2))
-        return self._buffers[0][:count], self._buffers[1][:count]
-
     def _sums(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coalition sums of *masks*, shape ``masks.shape + (d_v,)``, and
-        their squared norms, shape ``masks.shape``.
-
-        The sums are a view of the game's buffers, valid until the next call.
-        """
+        their squared norms, shape ``masks.shape``."""
         tables = self._byte_sums
         # byte b of a little-endian 64-bit mask holds the bits of tokens 8b..8b+7
         mask_bytes = np.ascontiguousarray(masks, dtype="<u8").reshape(-1).view(np.uint8)
         rows = mask_bytes.reshape(-1, 8)[:, : tables.shape[0]].T.astype(np.intp)
-        sums, gathered = self._buffer(rows.shape[1])
+        shape = (rows.shape[1], tables.shape[2])
+        sums, gathered = np.empty(shape), np.empty(shape)
         # byte values index 256 rows, so "clip" never clips; unlike the
         # default "raise", it lets take write into `out` without a copy
         tables[0].take(rows[0], axis=0, out=sums, mode="clip")

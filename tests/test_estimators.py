@@ -402,6 +402,13 @@ class TestNormalizeWeights:
         with pytest.raises(ValueError, match="NaN"):
             gibbs_weights(np.array([np.nan]), np.ones(1), 1.0)
 
+    def test_nan_beside_an_overflowing_value_is_named(self):
+        # 1e308 / 1e-10 overflows too, but the NaN is what the refusal names
+        with pytest.raises(ValueError) as refusal:
+            gibbs_weights(np.array([1e308, np.nan]), np.ones(2), 1e-10)
+        assert type(refusal.value) is ValueError
+        assert str(refusal.value) == "values must not contain NaN"
+
     def test_bad_proposals_rejected(self):
         with pytest.raises(ValueError, match="probabilities"):
             gibbs_weights(np.ones(1), np.zeros(1), 1.0)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,12 +8,13 @@ import pytest
 from coalattn.games import (
     CountingGame,
     EmbeddingGame,
+    Extensions,
     TabularGame,
     monotonicity_violations,
     tabulate,
 )
 
-from coalattn.estimators import gibbs_weights
+from coalattn.estimators import EstimatorConfig, estimate_all, gibbs_weights
 from coalattn.oracles import exact_gibbs_tilted_values
 
 from conftest import WORKED_TABLE, additive_table_game, random_table_game
@@ -162,3 +165,69 @@ def test_counting_game_counts_evaluations(worked_game):
     counting.values_by_mask(np.arange(8, dtype=np.uint64))
     assert counting.evaluations == 9
     assert counting.n == 3
+
+
+def _value_bytes(values) -> tuple[bytes, ...]:
+    """The bytes of every array of a ``GameValues`` or of one value array."""
+    if isinstance(values, np.ndarray):
+        return (values.tobytes(),)
+    return tuple(np.asarray(array).tobytes() for array in vars(values).values())
+
+
+def test_one_embedding_game_serves_concurrent_callers():
+    # four threads share one n=32, d_v=32 game; every call, whichever others
+    # overlap it, gives the bytes a fresh game gives
+    rng = np.random.default_rng(41)
+    params = (rng.normal(size=(32, 32)), rng.normal(size=(32, 32)), "tanh")
+    masks = [rng.integers(0, 2**32, size=20_000, dtype=np.uint64) for _ in range(4)]
+    configs = [EstimatorConfig(sample_count=256, seed=seed) for seed in range(4)]
+    expected = [
+        (_value_bytes(estimate_all(EmbeddingGame(*params), cfg)), _value_bytes(EmbeddingGame(*params).values_by_mask(m)))
+        for cfg, m in zip(configs, masks)
+    ]
+    shared = EmbeddingGame(*params)
+    rounds = 3
+    start = threading.Barrier(len(configs))
+    mismatches, finished = [], []
+
+    def caller(t: int) -> None:
+        for r in range(rounds):
+            start.wait(timeout=30)
+            got = (_value_bytes(estimate_all(shared, configs[t])), _value_bytes(shared.values_by_mask(masks[t])))
+            for what, result, want in zip(("estimate_all", "values_by_mask"), got, expected[t]):
+                if result != want:
+                    mismatches.append(f"round {r}, thread {t}: {what}")
+        finished.append(t)
+
+    threads = [threading.Thread(target=caller, args=(t,)) for t in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and sorted(finished) == list(range(len(configs)))
+    assert mismatches == [], f"{len(mismatches)} of {2 * rounds * len(configs)} checks differ: {mismatches}"
+
+
+def test_extensions_keep_a_read_only_copy_of_their_pool():
+    rng = np.random.default_rng(43)
+    params = (rng.normal(size=(6, 3)), rng.normal(size=(3, 4)))
+    game = EmbeddingGame(*params)
+    words = rng.integers(0, 64, size=5, dtype=np.uint64)
+    orders = rng.permuted(np.tile(np.arange(6), (5, 1)), axis=1)
+    pooled = Extensions(words, np.array([[1, 4], [0, 2]]))
+    ordered = Extensions(None, np.array([[2], [5]]), orders)
+    for extensions, pool, given in ((pooled, pooled.contexts, words), (ordered, ordered.orders, orders)):
+        masks, values = np.asarray(extensions), game.values_by_mask(extensions)
+        assert not pool.flags.writeable and extensions.rows(slice(1)).contexts is extensions.contexts
+        with pytest.raises(ValueError, match="read-only"):
+            pool[0] = pool[1]
+        # other words and other orders, had the pool been kept by reference
+        given[:] = np.bitwise_xor(given, np.uint64(63)) if given is words else given[:, ::-1].copy()
+        np.testing.assert_array_equal(np.asarray(extensions), masks)
+        for evaluator in (game, EmbeddingGame(*params)):
+            assert evaluator.values_by_mask(extensions).tobytes() == values.tobytes()

@@ -332,7 +332,7 @@ def _call_sequences(draw):
 
 @_SETTINGS
 @given(_call_sequences())
-def test_reused_gather_buffers_do_not_show_in_results(case):
+def test_earlier_calls_do_not_change_results(case):
     params, arguments = case
     game = _game(*params)
     results, copies = [], []

@@ -43,4 +43,18 @@ def test_compare_prints_the_numeric_gap_of_each_changed_report(tmp_path, capsys)
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("- - - demo: exit 0 -> 0")
     assert out[1] == "    largest difference 3.11e-15 absolute, 1.04e-15 relative; keys and array lengths match"
-    assert out[2] == "2 runs compared; 0 that exited 0 no longer do"
+    assert out[2] == "2 runs compared; 1 changed their digest; 0 that exited 0 no longer do"
+
+
+def test_compare_counts_changed_digests_apart_from_exit_codes(tmp_path, capsys):
+    # a refusal that moves from exit 2 to exit 3 keeps its digest "-"; a
+    # report that stops exiting 0 changes its digest and fails the comparison
+    (tmp_path / "base").write_text("1 w 0 oracle 0 aa\n1 w 0 estimate 2 -\n1 w 0 attend 0 bb\n- - - demo 0 cc\n")
+    (tmp_path / "head").write_text("1 w 0 oracle 0 aa\n1 w 0 estimate 3 -\n1 w 0 attend 4 -\n- - - demo 0 dd\n")
+    assert report_digests.compare(tmp_path / "base", tmp_path / "head") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "1 w 0 estimate: exit 2 -> 3, sha256 - -> -",
+        "1 w 0 attend: exit 0 -> 4, sha256 bb -> -",
+        "- - - demo: exit 0 -> 0, sha256 cc -> dd",
+        "4 runs compared; 2 changed their digest; 1 that exited 0 no longer do",
+    ]
