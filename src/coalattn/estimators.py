@@ -193,7 +193,8 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
     overflow warning unless the caller ignores it, as ``estimate_all`` does.
     Returns (raw, normalized).
     """
-    if np.any((probs <= 0.0) | (probs > 1.0)):
+    # written so that a NaN, which fails every comparison, is refused too
+    if not np.all((probs > 0.0) & (probs <= 1.0)):
         raise ValueError("proposal probabilities must lie in (0, 1]")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")

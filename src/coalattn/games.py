@@ -114,11 +114,12 @@ class Extensions:
       ``ranks[..., k]`` is that token's place in ``orders[k]``, which is
       also the size of the context.
 
-    The pool is stored as a read-only copy, so changing the array given
-    does not change the coalitions.  ``shape`` and ``size`` describe the
-    coalitions, and ``np.asarray`` builds their masks, so a caller that only
-    takes the size or the masks of its argument sees the coalitions
-    themselves.  ``rows`` takes some of the rows on the same pool copy,
+    The pool is stored as a read-only view of a private copy, so changing
+    the array given does not change the coalitions, and the view's
+    ``writeable`` flag cannot be set again.  ``shape`` and ``size``
+    describe the coalitions, and ``np.asarray`` builds their masks, so a
+    caller that only takes the size or the masks of its argument sees the
+    coalitions themselves.  ``rows`` takes some of the rows on the same pool copy,
     without checking it again.
     """
 
@@ -154,7 +155,7 @@ class Extensions:
             if contexts.ndim != 1:
                 raise ValueError("extensions: contexts must be one axis of K masks")
             contexts.flags.writeable = False
-            object.__setattr__(self, "contexts", contexts)
+            object.__setattr__(self, "contexts", contexts.view())
             object.__setattr__(self, "shape", added.shape + contexts.shape)
             return
         orders = np.array(self.orders)
@@ -173,7 +174,7 @@ class Extensions:
         places = np.empty_like(orders)
         np.put_along_axis(places, orders, np.arange(n, dtype=orders.dtype), axis=1)
         orders.flags.writeable = False
-        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "orders", orders.view())
         object.__setattr__(self, "ranks", np.moveaxis(places[:, tokens[..., 0]], 0, -1))
         object.__setattr__(self, "shape", added.shape + (k,))
 

@@ -93,18 +93,23 @@ def check_spin_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
     return fields, couplings
 
 
-def _update_target(fields, couplings, spins, gamma) -> np.ndarray:
-    # at a tiny gamma the quotient may overflow; tanh(+-inf) is its limit +-1
-    with np.errstate(over="ignore"):
-        target = np.tanh((fields + couplings @ spins) / gamma)
-    return np.clip(target, -_SPIN_CAP, _SPIN_CAP)
+def _update_target(fields, couplings, spins, gamma, target: np.ndarray) -> np.ndarray:
+    """``clip(tanh((fields + couplings @ spins) / gamma))``, written into
+    *target*.  At a tiny gamma the quotient may overflow, and tanh(+-inf) is
+    its limit +-1: the caller ignores numpy's overflow warning."""
+    np.matmul(couplings, spins, out=target)
+    np.add(fields, target, out=target)
+    np.divide(target, gamma, out=target)
+    np.tanh(target, out=target)
+    return np.clip(target, -_SPIN_CAP, _SPIN_CAP, out=target)
 
 
 def mean_field_step(fields, couplings, spins, cfg: MeanFieldConfig) -> np.ndarray:
     """One synchronous update followed by the damped blend."""
     fields, couplings = check_spin_system(fields, couplings)
     spins = as_vector(spins, "spins")
-    target = _update_target(fields, couplings, spins, cfg.gamma)
+    with np.errstate(over="ignore"):
+        target = _update_target(fields, couplings, spins, cfg.gamma, np.empty(fields.size))
     return cfg.damping * spins + (1.0 - cfg.damping) * target
 
 
@@ -119,18 +124,22 @@ def solve_fixed_point(fields, couplings, cfg: MeanFieldConfig) -> MeanFieldResul
     most ``max_iterations + 1`` rows.
     """
     fields, couplings = check_spin_system(fields, couplings)
-    spins = np.zeros(fields.size)
+    spins, target, gap = np.zeros(fields.size), np.empty(fields.size), np.empty(fields.size)
+    keep, take = cfg.damping, 1.0 - cfg.damping
 
     trace: list[tuple[int, float]] = []
     used = 0
-    while True:
-        target = _update_target(fields, couplings, spins, cfg.gamma)
-        defect = float(np.max(np.abs(target - spins)))
-        trace.append((used, defect))
-        if defect < cfg.tolerance or used >= cfg.max_iterations:
-            break
-        spins = cfg.damping * spins + (1.0 - cfg.damping) * target
-        used += 1
+    with np.errstate(over="ignore"):
+        while True:
+            _update_target(fields, couplings, spins, cfg.gamma, target)
+            defect = float(np.max(np.abs(np.subtract(target, spins, out=gap), out=gap)))
+            trace.append((used, defect))
+            if defect < cfg.tolerance or used >= cfg.max_iterations:
+                break
+            # spins = keep * spins + take * target, in place
+            np.multiply(spins, keep, out=spins)
+            np.add(spins, np.multiply(target, take, out=target), out=spins)
+            used += 1
 
     return MeanFieldResult(
         expected_spins=spins,

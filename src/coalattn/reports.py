@@ -1,10 +1,16 @@
 """Report assembly for the oracle / estimate / attend commands.
 
-Reports are plain dicts serialized canonically (sorted keys, two-space
-indent, shortest round-trip float repr, trailing newline) so identical
-inputs and seeds always produce byte-identical files.  Wall-clock timings
-are deliberately kept out of these reports; only the benchmark CSV carries
-timings, and those are documented as environment-dependent.
+Reports are plain dicts serialized canonically so identical inputs and
+seeds always produce byte-identical files: the bytes of
+``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)`` plus a
+trailing newline (sorted keys, two-space indent, shortest round-trip float
+repr).  ``dump_json`` writes them without the standard library's
+pure-Python indent encoder, formatting each list of plain floats with one
+``repr`` and a list the report holds twice once; so each head hands the
+same lists to ``field_vector``/``interaction_matrix`` and to
+``solver_input``.  Wall-clock timings are deliberately kept out of these
+reports; only the benchmark CSV carries timings, and those are documented
+as environment-dependent.
 
 Each command runs the engine's one path for its stage: ``run_oracle``
 tabulates the game once (``2**n`` evaluations) for the exact and tilted
@@ -19,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -52,12 +59,77 @@ __all__ = [
 
 
 def dump_json(report: dict) -> str:
-    """Canonical JSON encoding of *report*.
+    """Canonical JSON encoding of *report*: exactly
+    ``json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\\n"``.
+
+    Dicts with only ``str`` keys, lists, and leaves of the exact types
+    ``str``, ``int``, ``float``, ``bool`` and ``None`` are written here.  A
+    list whose entries are all plain floats is formatted by one ``repr`` of
+    the list, its items put on their own lines; that text is kept for the
+    call by the list's identity, so a list object the report holds twice is
+    formatted once.  Any other node (a tuple, a float or int subclass such
+    as ``np.float64``, a dict with a key that is not a ``str``) is handed to
+    ``json.dumps`` with the same settings and indented to its place.
 
     NaN and infinities are not JSON, so a report holding one raises
     ``ValueError`` instead of producing an invalid file.
     """
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out: list[str] = []
+    _encode(report, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(node, newline: str, out: list[str], float_lists: dict[int, str]) -> None:
+    """Append the JSON text of *node* to *out*, its lines after the first
+    indented as *newline* (a newline and the current indent) says.
+
+    *float_lists* maps the ``id`` of each float-only list met so far to its
+    items' text, ``", "``-separated; every list it names is held by the
+    report, so no id is reused during the call."""
+    kind = type(node)
+    if kind is str:
+        out.append(encode_basestring_ascii(node))
+    elif kind is float:
+        text = repr(node)
+        if "n" in text:  # nan, inf and -inf; a finite float's repr has no n
+            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+        out.append(text)
+    elif kind is int:
+        out.append(repr(node))
+    elif node is None or kind is bool:
+        out.append("null" if node is None else "true" if node else "false")
+    elif (kind is list or kind is dict) and not node:
+        out.append("[]" if kind is list else "{}")
+    elif kind is list:
+        inner = newline + "  "
+        items = float_lists.get(id(node))
+        if items is None and set(map(type, node)) == {float}:
+            items = repr(node)[1:-1]
+            if "n" in items:
+                raise ValueError("Out of range float values are not JSON compliant")
+            float_lists[id(node)] = items
+        if items is not None:
+            out += ("[", inner, items.replace(", ", "," + inner), newline, "]")
+            return
+        separator = "[" + inner
+        for item in node:
+            out.append(separator)
+            _encode(item, inner, out, float_lists)
+            separator = "," + inner
+        out += (newline, "]")
+    elif kind is dict and all(type(key) is str for key in node):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(node):
+            out += (separator, encode_basestring_ascii(key), ": ")
+            _encode(node[key], inner, out, float_lists)
+            separator = "," + inner
+        out += (newline, "}")
+    else:
+        # JSON text holds no raw newline, so each one is a line break to indent
+        text = json.dumps(node, sort_keys=True, indent=2, allow_nan=False)
+        out.append(text.replace("\n", newline))
 
 
 def write_trace_csv(trace, path) -> None:
@@ -88,8 +160,11 @@ def _head_params_from_doc(doc: InputDocument, cfg: RunConfig) -> list[HeadParams
     ]
 
 
-def _solver_report(solved: MeanFieldResult, n: int, fields, couplings) -> dict:
-    """The solver's keys of an ``attend`` report: in each head and in the solver-only block."""
+def _solver_report(solved: MeanFieldResult, n: int, fields: list, couplings: list) -> dict:
+    """The solver's keys of an ``attend`` report: in each head and in the
+    solver-only block.  *fields* and *couplings* are the lists the report
+    carries, so a caller that reports them elsewhere too can pass the same
+    objects, and ``dump_json`` formats them once."""
     return {
         "alphas": solved.alphas.tolist(),
         "alpha_sum": float(np.sum(solved.alphas)),
@@ -101,8 +176,8 @@ def _solver_report(solved: MeanFieldResult, n: int, fields, couplings) -> dict:
         "solver_input": {
             "schema_version": SCHEMA_VERSION,
             "n": n,
-            "fields": np.asarray(fields).tolist(),
-            "couplings": np.asarray(couplings).tolist(),
+            "fields": fields,
+            "couplings": couplings,
         },
     }
 
@@ -134,11 +209,12 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
         exact = exact_game_values(game)
         tilted = exact_gibbs_tilted_values(game, cfg.coalition_gamma)
         grand, empty = game.table[-1], game.table[0]  # masks 2**n - 1 and 0
+        interactions = exact.interactions.tolist()
         report["game"] = {
             "n": game.n,
             "shapley": exact.shapley.tolist(),
             "banzhaf": exact.banzhaf.tolist(),
-            "interactions": exact.interactions.tolist(),
+            "interactions": interactions,
             "tilted_shapley_prefix": tilted.shapley.tolist(),
             "tilted_banzhaf": tilted.banzhaf.tolist(),
             "tilted_interactions": tilted.interactions.tolist(),
@@ -164,8 +240,9 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
         except ValueError as exc:  # energies that overflow at any temperature
             raise InputError(str(exc)) from None
         report["spins"] = {
-            "fields": np.asarray(fields).tolist(),
-            "couplings": np.asarray(couplings).tolist(),
+            "fields": fields.tolist(),
+            # derived couplings are the game's exact interactions: one list serves both
+            "couplings": interactions if derives_spins else couplings.tolist(),
             "alphas": marginals.alphas.tolist(),
             "expected_spins": marginals.expected_spins.tolist(),
             "log_partition": marginals.log_partition,
@@ -198,11 +275,13 @@ def run_estimate(doc: InputDocument, cfg: RunConfig) -> dict:
 def _head_report(result, n: int) -> dict:
     values = result.values
     ess = values.effective_sample_size
+    # one list for each number the head reports twice, so it is formatted once
+    fields, couplings = result.field_vector.tolist(), values.interactions.tolist()
     return {
-        **_solver_report(result.meanfield, n, result.field_vector, values.interactions),
+        **_solver_report(result.meanfield, n, fields, couplings),
         "lambdas": result.lambdas.tolist(),
-        "field_vector": result.field_vector.tolist(),
-        "interaction_matrix": values.interactions.tolist(),
+        "field_vector": fields,
+        "interaction_matrix": couplings,
         "shapley_hat": values.shapley.tolist(),
         "banzhaf_hat": values.banzhaf.tolist(),
         "effective_sample_size": None if ess is None else ess.tolist(),
@@ -235,7 +314,7 @@ def run_attend(doc: InputDocument, cfg: RunConfig, trace_path=None) -> dict:
 
     if doc.has_spin_system:
         solved = solve_fixed_point(doc.fields, doc.couplings, cfg.meanfield_config())
-        report["solver"] = _solver_report(solved, doc.n, doc.fields, doc.couplings)
+        report["solver"] = _solver_report(solved, doc.n, doc.fields.tolist(), doc.couplings.tolist())
         if trace_path is not None:
             write_trace_csv(solved.trace, trace_path)
         return report

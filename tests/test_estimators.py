@@ -414,6 +414,9 @@ class TestNormalizeWeights:
             gibbs_weights(np.ones(1), np.zeros(1), 1.0)
         with pytest.raises(ValueError, match="probabilities"):
             gibbs_weights(np.ones(1), np.array([1.5]), 1.0)
+        # a NaN fails every comparison, so a check for bad values would pass it
+        with pytest.raises(ValueError, match="probabilities"):
+            gibbs_weights(np.ones(2), np.array([np.nan, 0.5]), 1.0)
 
     def test_bad_gamma_rejected(self):
         for gamma in (0.0, -1.0, float("inf"), float("nan")):

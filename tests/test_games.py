@@ -226,6 +226,9 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
         assert not pool.flags.writeable and extensions.rows(slice(1)).contexts is extensions.contexts
         with pytest.raises(ValueError, match="read-only"):
             pool[0] = pool[1]
+        # a view of the read-only copy: its flag cannot be turned back on
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            pool.flags.writeable = True
         # other words and other orders, had the pool been kept by reference
         given[:] = np.bitwise_xor(given, np.uint64(63)) if given is words else given[:, ::-1].copy()
         np.testing.assert_array_equal(np.asarray(extensions), masks)

@@ -397,6 +397,21 @@ def test_dump_json_rejects_nan():
         dump_json({"effective_sample_size": [float("nan")]})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dump_json_rejects_out_of_range_floats(value):
+    # a lone value, a float-only list, a list of float-only lists, a mixed
+    # list and a float subclass
+    for report in (
+        {"x": value},
+        {"x": [0.5, value, 2.0]},
+        {"x": [[0.5], [value]]},
+        {"x": [1, value]},
+        {"x": np.float64(value)},
+    ):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            dump_json(report)
+
+
 class TestCli:
     def test_demo_prints_reference_lines(self, capsys):
         assert cli.main(["demo"]) == 0

@@ -173,7 +173,11 @@ class TestSingleHead:
         params = _head(rng, 3)
         game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
         head = single_head_attend(x, params, game_values=exact_game_values(game)).heads[0]
-        report = json.loads(dump_json(_head_report(head, 4)))
+        built = _head_report(head, 4)
+        # each number the head reports twice is one list, which dump_json formats once
+        assert built["interaction_matrix"] is built["solver_input"]["couplings"]
+        assert built["field_vector"] is built["solver_input"]["fields"]
+        report = json.loads(dump_json(built))
         assert report["effective_sample_size"] is None
         assert report["alphas"] == head.alphas.tolist()
 

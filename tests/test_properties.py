@@ -642,3 +642,40 @@ def test_attend_reports_are_byte_identical_across_thread_hints(case):
         for threads in ("1", "16")
     ]
     assert reports[0] == reports[1]
+
+
+# the floats whose shortest repr switches form or sign: -0.0, subnormals, and
+# either side of the switch to exponent notation (1e16 and 1e-5)
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e16, 9999999999999998.0, 1e-7, 1e-4, 0.1])
+_REPORT_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _EDGE_FLOATS)
+_JSON_LEAVES = st.one_of(
+    _REPORT_FLOATS,
+    _REPORT_FLOATS.map(np.float64),
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f', "é漢字😀 "]),
+    # float-only lists, the form every report array takes
+    st.lists(_REPORT_FLOATS),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+        st.dictionaries(st.integers(), children),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES, st.lists(_REPORT_FLOATS, min_size=1))
+def test_dump_json_writes_the_bytes_of_json_dumps(value, shared):
+    # one list object at two depths, as a head holds its couplings, beside
+    # another list of its length
+    negated = [-x for x in shared]
+    for report in (value, {"shared": shared, "deeper": {"again": [shared, value], "negated": negated}}):
+        assert dump_json(report) == json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
