@@ -31,7 +31,10 @@ otherwise (or is missing) in HEAD: reports that change bytes on purpose
 still pass.  When both sides kept their reports, it also prints, for every
 changed report, the largest absolute and relative difference over its
 numeric leaves, and whether the two reports have the same keys and the same
-array lengths.
+array lengths; its summary line then adds how many changed reports differ in
+keys, array lengths or non-numeric leaves, and the largest absolute
+difference over all of them, so a change of roundoff alone shows in its last
+line.
 """
 
 from __future__ import annotations
@@ -150,10 +153,13 @@ def _numeric_diff(before, after, path: str = "$") -> tuple[float, float, list[st
 def compare(base_path: Path, head_path: Path) -> int:
     """Print the runs whose exit code or digest changed, with numeric
     differences where both sides kept their reports, and the counts of runs
-    compared, of changed digests and of runs that stopped exiting 0; 1 if a
-    run that exited 0 in BASE did not in HEAD."""
+    compared, of changed digests and of runs that stopped exiting 0, with
+    the changed reports' shape changes and largest difference when both
+    sides are kept directories; 1 if a run that exited 0 in BASE did not in
+    HEAD."""
     base, head = _runs(base_path), _runs(head_path)
-    changed = broken = 0
+    changed = broken = reshaped = 0
+    largest = 0.0
     for run, before in base.items():
         after = head.get(run, ("missing", "-"))
         if after != before:
@@ -163,11 +169,15 @@ def compare(base_path: Path, head_path: Path) -> int:
             reports = [path / _report_name(run) for path in (base_path, head_path)]
             if all(report.is_file() for report in reports):
                 gap, relative, found = _numeric_diff(*(json.loads(report.read_text()) for report in reports))
+                largest, reshaped = max(largest, gap), reshaped + bool(found)
                 shape = "keys and array lengths match" if not found else "; ".join(found[:5])
                 print(f"    largest difference {gap:.3g} absolute, {relative:.3g} relative; {shape}")
     for run in head.keys() - base.keys():
         print(f"{' '.join(run)}: new run, exit {head[run][0]}")
-    print(f"{len(base)} runs compared; {changed} changed their digest; {broken} that exited 0 no longer do")
+    summary = f"{len(base)} runs compared; {changed} changed their digest; {broken} that exited 0 no longer do"
+    if base_path.is_dir() and head_path.is_dir():
+        summary += f"; {reshaped} with other keys, lengths or non-numeric leaves; largest difference {largest:.3g}"
+    print(summary)
     return 1 if broken else 0
 
 

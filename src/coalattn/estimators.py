@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Extensions, GameValues
+from .games import Extensions, GameValues, token_members
 from .linalg import TemperatureError, as_integer, over_temperature
 
 __all__ = [
@@ -230,7 +230,7 @@ def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: np.ndarray):
     pool = _draw_pool(cfg.seed, kind, n, k)
     family, family_probs = _pool_extensions(pool, n, slots)
     if pool.ndim == 1:
-        held = ((pool >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)).astype(bool)
+        held = np.ascontiguousarray(token_members(pool, n).T).view(bool)
         signs = 1.0 - 2.0 * held  # s_t of every token in every word
     per_block = max(1, _BLOCK_CONTEXTS // k)
     estimates, ess, errors = np.empty(len(slots)), np.empty(len(slots)), np.empty(len(slots))

@@ -10,10 +10,10 @@ provided:
 
 ``EmbeddingGame``
     the energy form ``v(C) = f(||sum_{i in C} x_i @ W_v||_2)`` with ``f`` a
-    mild nonlinearity, which is what the attention pipeline evaluates.  The
-    coalition sums are read from per-byte partial-sum tables built once per
-    game (``ceil(n/8) * 256 * d_v`` floats), so evaluating a batch of masks
-    is one table gather and add per mask byte plus a row norm.
+    mild nonlinearity, which is what the attention pipeline evaluates.  A
+    batch of masks is unpacked once into its token membership
+    (``token_members``), and its coalition sums are one matrix product of
+    that membership with the projected rows, followed by a row norm.
 
 Both expose the same evaluation interface, so oracles and estimators are
 agnostic to the family: ``n`` and ``values_by_mask``.  It is the one
@@ -35,7 +35,7 @@ shared by all its rows and kept across calls with the same pool, which an
 is summed, and a pair's block forms one new squared norm per word; its class
 docstring gives the formulas and how far their rounding may stray from a
 direct norm of the same coalition.  Plain masks get exactly the direct norm
-of their gathered sums.  One game may serve concurrent calls.
+of their member-matmul sums.  One game may serve concurrent calls.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ __all__ = [
     "check_table_differences",
     "tabulate",
     "monotonicity_violations",
+    "token_members",
 ]
 
 MAX_TOKENS = 64           # coalition masks are 64-bit
@@ -267,12 +268,12 @@ class EmbeddingGame:
     the identity on them; it is kept as the default for symmetry with the
     other nonlinearities.
 
-    Construction tabulates, for each byte position ``b`` of a mask and each
-    byte value ``v``, the sum of the projected rows ``8b + k`` over the bits
-    ``k`` set in ``v``.  The tables hold ``ceil(n/8) * 256 * d_v`` floats
-    (256 KB at n=32, d_v=32); a coalition's sum is then the sum of one table
-    row per mask byte.  Mask bits at or above ``n`` select zero rows and so
-    do not change the value.
+    A game holds its projected rows, their Gram matrix and the shared sums
+    of the last pool it evaluated.  Plain masks are unpacked into a ``(B,
+    n)`` 0/1 membership, and their sums are the one matrix product
+    ``members @ projected``; mask bits at or above ``n`` are never read and
+    so do not change the value.  The product is the BLAS one, whose
+    rounding may differ in the last bits between batches of different sizes.
 
     An ``Extensions`` is evaluated from quantities shared by all of its rows
     and formed once per pool, so each coalition then costs O(1); a token at
@@ -292,13 +293,13 @@ class EmbeddingGame:
       one through it.
 
     Plain masks, and rows of no token, get ``q0``: exactly the squared norm
-    of the gathered sum; the sum of the empty word is exactly 0, and a
+    of the member-matmul sum; the sum of the empty word is exactly 0, and a
     toggle that empties a word (the word holds just the toggled tokens, which
     only words of one or two tokens can) is set to 0, so the empty coalition
     is worth exactly 0.  A prefix is summed along its order, which rounds
-    otherwise than a gathered sum of the same mask, and from the same sums
-    the pooled form of a coalition rounds otherwise than the direct squared
-    norm: the two differ by at most ``2 (d_v + f^2 + 2 f + 4) eps M^2``
+    otherwise than the member-matmul sum of the same mask, and from the same
+    sums the pooled form of a coalition rounds otherwise than the direct
+    squared norm: the two differ by at most ``2 (d_v + f^2 + 2 f + 4) eps M^2``
     (``eps`` the float64 machine epsilon, ``M = |S_k| + sum_t |x_t|`` over
     the row's f tokens), which only matters where the terms nearly cancel.
     For a pair, with ``u = eps/2``: each dot product of d_v terms (``q0``,
@@ -337,14 +338,15 @@ class EmbeddingGame:
         projected.flags.writeable = False
         self.projected = projected   # n x d_v, row i is the value vector of token i
         self._gram = projected @ projected.T  # the Gram matrix X X^T
-        self._byte_sums = _byte_sum_tables(projected)
         self._pool: tuple = (None,)  # (pool, its shared sums) of the last pool
         self.nonlinearity = nonlinearity
         self.n = n
 
     def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
         if not isinstance(masks, Extensions):
-            return self._finish(self._sums(np.asarray(masks))[1])
+            masks = np.asarray(masks)
+            squared = self._sums(token_members(masks, self.n))[1]
+            return self._finish(squared.reshape(masks.shape))
         extensions = masks
         if extensions.tokens.size and extensions.tokens.max() >= self.n:
             raise ValueError(
@@ -410,12 +412,9 @@ class EmbeddingGame:
         values and squared norms ``q0 + h_t`` of each word with each token t
         toggled, the ``h_t`` and the signs ``s_t``, all of shape ``(n, K)``;
         and the indices of the words of two tokens."""
-        s, squares = self._sums(contexts)
-        signs = np.empty((self.n, contexts.size))
-        shifts = np.arange(self.n, dtype=np.uint64)[:, None]
-        np.bitwise_and(contexts >> shifts, np.uint64(1), out=signs, casting="unsafe")
-        signs *= -2.0
-        signs += 1.0
+        members = token_members(contexts, self.n)
+        s, squares = self._sums(members)
+        signs = 1.0 - 2.0 * np.ascontiguousarray(members.T)
         h = self.projected @ s.T  # x_t.S_k
         h *= 2.0
         h *= signs
@@ -441,22 +440,20 @@ class EmbeddingGame:
             squared[:, place + 1] = np.einsum("ij,ij->i", running, running)
         return self._finish(squared)
 
-    def _sums(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coalition sums of *masks*, shape ``masks.shape + (d_v,)``, and
-        their squared norms, shape ``masks.shape``."""
-        tables = self._byte_sums
-        # byte b of a little-endian 64-bit mask holds the bits of tokens 8b..8b+7
-        mask_bytes = np.ascontiguousarray(masks, dtype="<u8").reshape(-1).view(np.uint8)
-        rows = mask_bytes.reshape(-1, 8)[:, : tables.shape[0]].T.astype(np.intp)
-        shape = (rows.shape[1], tables.shape[2])
-        sums, gathered = np.empty(shape), np.empty(shape)
-        # byte values index 256 rows, so "clip" never clips; unlike the
-        # default "raise", it lets take write into `out` without a copy
-        tables[0].take(rows[0], axis=0, out=sums, mode="clip")
-        for b in range(1, tables.shape[0]):
-            sums += tables[b].take(rows[b], axis=0, out=gathered, mode="clip")
-        squared = np.einsum("ij,ij->i", sums, sums)
-        return sums.reshape(masks.shape + sums.shape[-1:]), squared.reshape(masks.shape)
+    def _sums(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coalition sums ``members @ projected`` of a ``(B, n)``
+        membership, and their squared norms, shape ``(B,)``."""
+        sums = members @ self.projected
+        return sums, np.einsum("ij,ij->i", sums, sums)
+
+
+def token_members(masks: np.ndarray, n: int) -> np.ndarray:
+    """The ``(masks.size, n)`` uint8 membership of integer *masks*: entry
+    ``[b, i]`` is bit ``i`` of the b-th mask in C order.  Bits at or above
+    *n* are never read."""
+    # byte j of a little-endian 64-bit mask holds the bits of tokens 8j..8j+7
+    mask_bytes = np.ascontiguousarray(masks, dtype="<u8").reshape(-1).view(np.uint8)
+    return np.unpackbits(mask_bytes.reshape(-1, 8), axis=1, count=n, bitorder="little")
 
 
 def project_values(
@@ -501,26 +498,6 @@ def check_table_differences(table: np.ndarray, name: str = "tabular game") -> No
             f"{name}: value differences overflow float64 "
             "(4 * n * (sum of |values|) is not finite)"
         )
-
-
-def _byte_sum_tables(rows: np.ndarray) -> np.ndarray:
-    """Per-byte partial sums of *rows*: ``tables[b, v]`` is the sum of the
-    rows ``8b + k`` over the bits ``k`` set in the byte value ``v``.
-
-    Rows past the end count as zero, so the tables have shape
-    ``(ceil(n/8), 256, width)``.
-    """
-    n, width = rows.shape
-    byte_count = -(-n // 8)
-    padded = np.zeros((byte_count * 8, width))
-    padded[:n] = rows
-    tables = np.zeros((byte_count, 256, width))
-    for k in range(8):
-        # byte values with highest set bit k: the values below 2**k plus row k,
-        # added in place so no temporary of the tables' size is allocated
-        np.add(tables[:, : 1 << k], padded[k::8, None, :], out=tables[:, 1 << k : 2 << k])
-    tables.flags.writeable = False
-    return tables
 
 
 class CountingGame:

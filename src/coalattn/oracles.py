@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import TABULAR_MAX_TOKENS, GameValues, TabularGame, tabulate
+from .games import TABULAR_MAX_TOKENS, GameValues, TabularGame, tabulate, token_members
 from .linalg import over_temperature
 from .meanfield import check_spin_system
 
@@ -291,9 +291,7 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
             "(sum of |fields| + sum of |couplings| is not finite)"
         )
 
-    configs = np.arange(1 << n, dtype=np.uint64)
-    bits = ((configs[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1))
-    spins = 2.0 * bits.astype(np.float64) - 1.0
+    spins = 2.0 * token_members(np.arange(1 << n, dtype=np.uint64), n) - 1.0
     energies = -(spins @ fields) - 0.5 * np.einsum("ki,ij,kj->k", spins, couplings, spins)
     log_weights = over_temperature(-energies, gamma, "spin_gamma")
 

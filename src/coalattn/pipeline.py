@@ -13,7 +13,6 @@ their sum is reported untouched and is never renormalized to 1.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,6 @@ __all__ = [
     "multi_head_attend",
     "derive_head_seed",
 ]
-
-logger = logging.getLogger(__name__)
 
 NORMALIZATIONS = ("l1", "sum")
 
@@ -136,20 +133,15 @@ def gate_lambda(embeddings, gate_weights, gate_bias: float) -> np.ndarray:
 def normalize_scores(raw, convention: str = "l1", name: str = "scores") -> np.ndarray:
     """Scale a score vector by its L1 norm ("l1") or its signed sum ("sum").
 
-    The two agree for one-signed scores; for mixed signs they diverge, which
-    is logged once per call.  A zero denominator cannot be normalized and is
-    rejected; *name* labels the vector in that error.
+    The two agree for one-signed scores and differ for mixed signs.  A zero
+    denominator cannot be normalized and is rejected; *name* labels the
+    vector in that error.
     """
     if convention not in NORMALIZATIONS:
         raise ValueError(f"normalize_scores: unknown convention {convention!r}")
     v = as_vector(raw, name)
     l1 = float(np.sum(np.abs(v)))
-    total = float(np.sum(v))
-    if abs(total - l1) > 1e-12:
-        logger.warning(
-            "score normalization conventions diverge: sum=%.17g, L1=%.17g", total, l1
-        )
-    denom = l1 if convention == "l1" else total
+    denom = l1 if convention == "l1" else float(np.sum(v))
     if denom == 0.0:
         raise DegenerateScoresError(
             f"cannot normalize {name}: {'all are zero' if l1 == 0.0 else 'they sum to zero'}"

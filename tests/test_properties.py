@@ -23,12 +23,14 @@ from coalattn.estimators import (
     estimate_all,
 )
 from coalattn.games import (
+    _TABULATE_CHUNK,
     NONLINEARITIES,
     CountingGame,
     EmbeddingGame,
     Extensions,
     TabularGame,
     monotonicity_violations,
+    tabulate,
 )
 from coalattn.inputs import RunConfig, parse_document
 from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
@@ -80,20 +82,38 @@ def _games_and_masks(draw):
 
 
 @_SETTINGS
-@given(_games_and_masks(), st.sampled_from(("uint64", "int64", "strided")))
-def test_values_match_membership_matmul(game_and_masks, layout):
+@given(
+    _games_and_masks(),
+    st.sampled_from(("uint64", "int64", "strided", "big-endian", "high-bits")),
+    st.integers(0, 2**32 - 1),
+)
+def test_values_match_membership_matmul(game_and_masks, layout, seed):
     game, masks = game_and_masks
     if layout == "int64":
         given_masks = masks.view(np.int64)  # bit 63 reads as the sign bit
     elif layout == "strided":
         given_masks = np.repeat(masks, 3)[1::3]
         assert not given_masks.flags.c_contiguous
+    elif layout == "big-endian":
+        given_masks = masks.astype(">u8")
+    elif layout == "high-bits":
+        # bits at or above n are not tokens of the game and must not count
+        high = np.random.default_rng(seed).integers(0, 2**64, size=masks.size, dtype=np.uint64)
+        given_masks = masks | (high & ~np.uint64((1 << game.n) - 1))
     else:
         given_masks = masks
     got = game.values_by_mask(given_masks)
     ref = _reference_values(game, masks)
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+def test_tabulate_across_chunks_matches_membership_matmul():
+    game = _game(17, 17, 3, 4, "tanh")
+    masks = np.arange(1 << game.n, dtype=np.uint64)
+    assert masks.size > _TABULATE_CHUNK  # the table takes two calls
+    ref = _reference_values(game, masks)
+    assert np.all(np.abs(tabulate(game) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
 @pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
@@ -436,10 +456,11 @@ def test_classic_shapley_estimates_telescope(case):
       the terms' magnitudes, ``R`` over all tokens, and the correctly
       rounded ``math.fsum`` by ``u R`` more;
     * a table game looks every ``a_k`` up as ``v(N)``; an embedding game
-      sums it along the order, ``v(N)`` from its byte tables: each of the
-      two sums of n rows is within ``(n - 1) u B`` of the exact one, the
-      squared norm, root and ``tanh`` add at most ``(d_v / 2 + 6) u B``,
-      so the two differ by at most ``(2 n + d_v + 10) u B``.
+      sums it along the order, ``v(N)`` from the member matmul: each of
+      the two sums of n rows, added in any order, is within ``(n - 1) u
+      B`` of the exact one, the squared norm, root and ``tanh`` add at most
+      ``(d_v / 2 + 6) u B``, so the two differ by at most ``(2 n + d_v +
+      10) u B``.
 
     For an embedding game ``R`` is ``B`` up to roundoff (``|m_ki| <=
     |x_i W|`` when exact), for a table game ``2 n max |v|``.  Writing the

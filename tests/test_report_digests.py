@@ -43,7 +43,23 @@ def test_compare_prints_the_numeric_gap_of_each_changed_report(tmp_path, capsys)
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("- - - demo: exit 0 -> 0")
     assert out[1] == "    largest difference 3.11e-15 absolute, 1.04e-15 relative; keys and array lengths match"
-    assert out[2] == "2 runs compared; 1 changed their digest; 0 that exited 0 no longer do"
+    assert out[2] == (
+        "2 runs compared; 1 changed their digest; 0 that exited 0 no longer do; "
+        "0 with other keys, lengths or non-numeric leaves; largest difference 3.11e-15"
+    )
+
+
+def test_compare_summary_counts_reshaped_reports_and_the_largest_gap(tmp_path, capsys):
+    # over the changed reports both sides kept: one moved by roundoff, one
+    # by 0.25 with a key added; the report that stopped exiting 0 has none
+    roundoff, reshaped, broken = (("1", "w", "0", command) for command in ("oracle", "estimate", "attend"))
+    _keep(tmp_path / "base", {roundoff: {"x": [1.0]}, reshaped: {"x": [2.0]}, broken: {"x": [9.0]}})
+    _keep(tmp_path / "head", {roundoff: {"x": [1.0 + 2e-16]}, reshaped: {"x": [2.25], "y": 1}})
+    assert report_digests.compare(tmp_path / "base", tmp_path / "head") == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "3 runs compared; 3 changed their digest; 1 that exited 0 no longer do; "
+        "1 with other keys, lengths or non-numeric leaves; largest difference 0.25"
+    )
 
 
 def test_compare_counts_changed_digests_apart_from_exit_codes(tmp_path, capsys):
