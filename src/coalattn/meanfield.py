@@ -93,15 +93,26 @@ def check_spin_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
     return fields, couplings
 
 
-def _update_target(fields, couplings, spins, gamma, target: np.ndarray) -> np.ndarray:
-    """``clip(tanh((fields + couplings @ spins) / gamma))``, written into
-    *target*.  At a tiny gamma the quotient may overflow, and tanh(+-inf) is
-    its limit +-1: the caller ignores numpy's overflow warning."""
-    np.matmul(couplings, spins, out=target)
-    np.add(fields, target, out=target)
-    np.divide(target, gamma, out=target)
-    np.tanh(target, out=target)
-    return np.clip(target, -_SPIN_CAP, _SPIN_CAP, out=target)
+def _target_update(fields, couplings, gamma):
+    """A function ``update(spins, target)`` that writes
+    ``clip(tanh((fields + couplings @ spins) / gamma))`` into *target* and
+    returns it, with its ufuncs bound once per solve.  The clip is
+    ``np.maximum`` then ``np.minimum``, which is ``np.clip``'s result, NaN
+    included, without its Python-level dispatch.  At a tiny gamma the
+    quotient may overflow, and tanh(+-inf) is its limit +-1: the caller
+    ignores numpy's overflow warning."""
+    matmul, add, divide, tanh, maximum, minimum = np.matmul, np.add, np.divide, np.tanh, np.maximum, np.minimum
+    low, high = -_SPIN_CAP, _SPIN_CAP
+
+    def update(spins: np.ndarray, target: np.ndarray) -> np.ndarray:
+        matmul(couplings, spins, out=target)
+        add(fields, target, out=target)
+        divide(target, gamma, out=target)
+        tanh(target, out=target)
+        maximum(target, low, out=target)
+        return minimum(target, high, out=target)
+
+    return update
 
 
 def mean_field_step(fields, couplings, spins, cfg: MeanFieldConfig) -> np.ndarray:
@@ -109,7 +120,7 @@ def mean_field_step(fields, couplings, spins, cfg: MeanFieldConfig) -> np.ndarra
     fields, couplings = check_spin_system(fields, couplings)
     spins = as_vector(spins, "spins")
     with np.errstate(over="ignore"):
-        target = _update_target(fields, couplings, spins, cfg.gamma, np.empty(fields.size))
+        target = _target_update(fields, couplings, cfg.gamma)(spins, np.empty(fields.size))
     return cfg.damping * spins + (1.0 - cfg.damping) * target
 
 
@@ -126,19 +137,21 @@ def solve_fixed_point(fields, couplings, cfg: MeanFieldConfig) -> MeanFieldResul
     fields, couplings = check_spin_system(fields, couplings)
     spins, target, gap = np.zeros(fields.size), np.empty(fields.size), np.empty(fields.size)
     keep, take = cfg.damping, 1.0 - cfg.damping
+    update = _target_update(fields, couplings, cfg.gamma)
+    add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
 
     trace: list[tuple[int, float]] = []
     used = 0
     with np.errstate(over="ignore"):
         while True:
-            _update_target(fields, couplings, spins, cfg.gamma, target)
-            defect = float(np.max(np.abs(np.subtract(target, spins, out=gap), out=gap)))
+            update(spins, target)
+            defect = float(absolute(subtract(target, spins, out=gap), out=gap).max())
             trace.append((used, defect))
             if defect < cfg.tolerance or used >= cfg.max_iterations:
                 break
             # spins = keep * spins + take * target, in place
-            np.multiply(spins, keep, out=spins)
-            np.add(spins, np.multiply(target, take, out=target), out=spins)
+            multiply(spins, keep, out=spins)
+            add(spins, multiply(target, take, out=target), out=spins)
             used += 1
 
     return MeanFieldResult(

@@ -10,14 +10,19 @@ only usable at small ``n``; each refuses beyond its limit with an explicit
 * ``exact_spin_marginals``: ``SPIN_ENUM_LIMIT`` (16), because its ``2**n x n``
   spin matrix and energies take about 0.5 GB at 20 spins.
 
-Every game oracle reads the game's table as a ``(2,)*n`` cube whose axis
-``n-1-i`` is the bit of token i.  Fixing the axes of a slot's tokens gives a
-view whose C-order flattening is the contexts that exclude those tokens, in
-increasing mask order, so no oracle filters the ``2**n`` masks.
-Each game oracle tabulates the game once, through ``exact_table``, and
-reads each slot's faces of that cube once, so a call costs ``2**n``
-characteristic evaluations.  Given a ``TabularGame`` they evaluate nothing,
-so a caller that needs several passes them the table from ``exact_table``.
+Every game oracle makes one pass per token over the game's table, which is
+indexed by coalition mask.  Reshaped to ``(-1, 2, 2**i)``, an array indexed
+by mask holds the masks without bit i and those with it as two views, each
+in increasing mask order (``_split``).  Token i's difference row
+``v(C+i) - v(C)`` over its contexts C is indexed by C with bit i removed, so
+token j > i is bit j-1 of the row: splitting the row there gives the pair's
+second differences ``(v(C+i+j) - v(C+j)) - (v(C+i) - v(C))``.  No oracle
+filters the ``2**n`` masks or stacks the rows of several tokens, so a call
+holds about two tables' worth of rows at most.
+Each game oracle tabulates the game once, through ``exact_table``, so a call
+costs ``2**n`` characteristic evaluations.  Given a ``TabularGame`` they
+evaluate nothing, so a caller that needs several passes them the table from
+``exact_table``.
 
 Partition sums are always formed in log space so the oracle is never the
 numerically fragile side of a comparison.  ``_logsumexp`` is the formula of
@@ -31,7 +36,6 @@ start of every command.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,43 +95,29 @@ class ExactSpinMarginals:
     log_partition: float
 
 
-def _cube(game) -> np.ndarray:
-    """The game's table as a ``(2,)*n`` cube; token i is axis ``n-1-i``."""
-    return exact_table(game).table.reshape((2,) * game.n)
+def _split(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of *values*, an array indexed by mask, at the masks
+    without *bit* and at those with it: two ``(-1, 2**bit)`` views, each
+    indexed by its masks with *bit* removed, so their C-order flattenings
+    list the masks in increasing order."""
+    halves = values.reshape(-1, 2, 1 << bit)
+    return halves[:, 0], halves[:, 1]
 
 
-def _face(cube: np.ndarray, tokens: tuple[int, ...], bits: tuple[int, ...]) -> np.ndarray:
-    """The view of *cube* at the masks holding ``bits[k]`` for ``tokens[k]``;
-    its C-order flattening lists them in increasing mask order."""
-    index = [slice(None)] * cube.ndim
-    for token, bit in zip(tokens, bits):
-        index[cube.ndim - 1 - token] = bit
-    return cube[tuple(index)]
+def _token_row(table: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values ``v(C)`` of token i's contexts C, the masks without it, as
+    a ``_split`` view, and its difference row ``v(C+i) - v(C)``, flat; both
+    in increasing mask order."""
+    base, with_i = _split(table, i)
+    return base, (with_i - base).reshape(-1)
 
 
-def _slot_values(cube: np.ndarray, slot: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The values ``v(C)`` of the contexts C excluding every token of *slot*,
-    in increasing mask order, and the slot's differences on them.
-
-    For ``(i,)`` the differences are ``v(C+i) - v(C)``; for ``(lo, hi)`` with
-    ``lo < hi`` they are ``v(C+lo+hi) - v(C+lo) - v(C+hi) + v(C)``, summed
-    in that order.
-    """
-    if len(slot) == 1:
-        base = _face(cube, slot, (0,))
-        deltas = _face(cube, slot, (1,)) - base
-    else:
-        base = _face(cube, slot, (0, 0))
-        deltas = (
-            _face(cube, slot, (1, 1)) - _face(cube, slot, (1, 0)) - _face(cube, slot, (0, 1)) + base
-        )
-    return base.reshape(-1), deltas.reshape(-1)
-
-
-def _context_sizes(n: int) -> np.ndarray:
-    # the contexts excluding one token, in increasing mask order, have the
-    # sizes of the (n-1)-bit masks in increasing order
-    return np.bitwise_count(np.arange(1 << (n - 1), dtype=np.int64))
+def _pair_row(deltas: np.ndarray, j: int) -> np.ndarray:
+    """The second differences ``(v(C+i+j) - v(C+j)) - (v(C+i) - v(C))`` of
+    token j > i over the contexts excluding both, from token i's difference
+    row, in which token j is bit ``j - 1``."""
+    without, with_j = _split(deltas, j - 1)
+    return (with_j - without).reshape(-1)
 
 
 def _shapley_weights(n: int) -> np.ndarray:
@@ -136,24 +126,15 @@ def _shapley_weights(n: int) -> np.ndarray:
     per_size = np.array(
         [math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n) for s in range(n)]
     )
-    return per_size[_context_sizes(n)]
-
-
-def _pair_matrix(cube: np.ndarray, value) -> np.ndarray:
-    """Symmetric matrix with zero diagonal holding ``value(base, deltas)``
-    of the ``_slot_values`` of each pair ``(i, j)``, i < j."""
-    n = cube.ndim
-    out = np.zeros((n, n))
-    for i, j in itertools.combinations(range(n), 2):
-        out[i, j] = out[j, i] = value(*_slot_values(cube, (i, j)))
-    return out
+    # those contexts have the sizes of the (n-1)-bit masks in increasing order
+    return per_size[np.bitwise_count(np.arange(1 << (n - 1), dtype=np.int64))]
 
 
 def exact_banzhaf(game, i: int) -> float:
     """Exact Banzhaf index: mean marginal contribution over all coalitions
     excluding token i, each equally likely."""
     _require_token(game, i)
-    return float(np.mean(_slot_values(_cube(game), (i,))[1]))
+    return float(np.mean(_token_row(exact_table(game).table, i)[1]))
 
 
 def exact_table(game) -> TabularGame:
@@ -175,32 +156,23 @@ def exact_game_values(game) -> GameValues:
     average of the marginal contributions over all ``n!`` token orderings.
     """
     n = game.n
-    cube = _cube(game)
+    table = exact_table(game).table
     weights = _shapley_weights(n)
-    shapley, banzhaf = np.empty(n), np.empty(n)
+    shapley, banzhaf, interactions = np.empty(n), np.empty(n), np.zeros((n, n))
     for i in range(n):
-        deltas = _slot_values(cube, (i,))[1]
+        deltas = _token_row(table, i)[1]
         shapley[i] = np.dot(weights, deltas)
         banzhaf[i] = np.mean(deltas)
-    interactions = _pair_matrix(cube, lambda base, deltas: np.mean(deltas))
+        for j in range(i + 1, n):
+            interactions[i, j] = interactions[j, i] = np.mean(_pair_row(deltas, j))
     return GameValues(shapley, banzhaf, interactions)
 
 
 def _tilted_average(log_weights: np.ndarray, deltas: np.ndarray) -> float:
-    shifted = log_weights - np.max(log_weights)
-    w = np.exp(shifted)
+    w = log_weights - np.max(log_weights)
+    w = np.exp(w, out=w).reshape(-1)
     w /= w.sum()
     return float(np.dot(w, deltas))
-
-
-def _prefix_log_p(n: int) -> np.ndarray:
-    """Log of the probability ``|P|!(n-1-|P|)!/(n-1)!`` that the prefix
-    estimator's weight divides by, for each context excluding one token, in
-    increasing mask order."""
-    per_size = np.array(
-        [math.lgamma(s + 1) + math.lgamma(n - s) - math.lgamma(n) for s in range(n)]
-    )
-    return per_size[_context_sizes(n)]
 
 
 def exact_gibbs_tilted_values(game, gamma: float) -> GameValues:
@@ -210,14 +182,13 @@ def exact_gibbs_tilted_values(game, gamma: float) -> GameValues:
 
     ``banzhaf`` and ``interactions`` are the limits of the Bernoulli
     estimators, whose proposal is uniform over the contexts, so the
-    self-normalized estimator converges to the tilted average.  ``shapley``
-    is the limit of the permutation-prefix estimator.  Its sampler draws a
-    prefix set P with probability ``q(P) = (1/n) * |P|!(n-1-|P|)!/(n-1)!``
-    while the importance weight divides by ``p(P) = |P|!(n-1-|P|)!/(n-1)!``;
-    the two differ only by the constant 1/n, which cancels under
-    self-normalization, so the prefix limit equals the tilted Banzhaf value.
-    Both densities are kept explicit here so the oracle mirrors the
-    estimator literally.  In ``gibbs`` mode ``estimate_all(...).shapley``
+    self-normalized estimator converges to the tilted average.  ``shapley``,
+    the limit of the permutation-prefix estimator, is a copy of
+    ``banzhaf``: its sampler draws a prefix set P with probability
+    ``q(P) = (1/n) * |P|!(n-1-|P|)!/(n-1)!`` while the importance weight
+    divides by ``p(P) = |P|!(n-1-|P|)!/(n-1)!``, and the constant 1/n
+    between them cancels under self-normalization, so the prefix limit is
+    the tilted Banzhaf value.  In ``gibbs`` mode ``estimate_all(...).shapley``
     and ``.banzhaf`` therefore estimate one quantity, and the pipeline's
     lambda-blend averages two estimators of one value.
 
@@ -227,49 +198,49 @@ def exact_gibbs_tilted_values(game, gamma: float) -> GameValues:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = game.n
-    cube = _cube(game)
+    table = exact_table(game).table
     # the grand coalition is the context of no slot, so its v / gamma may overflow
-    over_temperature(cube.reshape(-1)[:-1], gamma, "coalition_gamma")
-    log_p = _prefix_log_p(n)
-    # the sampler's actual probability of the prefix set
-    log_q = log_p - math.log(n)
-    shapley, banzhaf = np.empty(n), np.empty(n)
+    over_temperature(table[:-1], gamma, "coalition_gamma")
+    banzhaf, interactions = np.empty(n), np.zeros((n, n))
     # the table keeps every difference and v / gamma finite, so only a
     # log-weight's shift by its slot's max can overflow: to -inf, a weight
     # of exactly 0
     with np.errstate(over="ignore"):
         for i in range(n):
-            base, deltas = _slot_values(cube, (i,))
-            log_weights = base / gamma
-            shapley[i] = _tilted_average(log_q + log_weights - log_p, deltas)
+            base, deltas = _token_row(table, i)
+            log_weights = (base / gamma).reshape(-1)
             banzhaf[i] = _tilted_average(log_weights, deltas)
-        interactions = _pair_matrix(cube, lambda base, deltas: _tilted_average(base / gamma, deltas))
-    return GameValues(shapley, banzhaf, interactions)
+            for j in range(i + 1, n):
+                pair_weights = _split(log_weights, j - 1)[0]
+                interactions[i, j] = interactions[j, i] = _tilted_average(pair_weights, _pair_row(deltas, j))
+    return GameValues(banzhaf.copy(), banzhaf, interactions)
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None):
-    """``log(sum(exp(a)))`` of a finite float64 array, over all entries or
-    along *axis*, with the bits of ``scipy.special.logsumexp``: with ``m``
-    entries at the maximum and ``s`` the sum of ``exp(a - max)`` over the
-    others, ``log1p(s/m) + log(m) + max``.  Keeping the maximal terms out of
-    ``s`` keeps the ``log1p`` accurate when they dominate the sum."""
-    a_max = np.max(a, axis=axis, keepdims=True)
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` of a finite float64 array, with the bits of
+    ``scipy.special.logsumexp``: with ``m`` entries at the maximum and ``s``
+    the sum of ``exp(a - max)`` over the others, ``log1p(s/m) + log(m) +
+    max``.  Keeping the maximal terms out of ``s`` keeps the ``log1p``
+    accurate when they dominate the sum."""
+    a_max = np.max(a)
     at_max = a == a_max
-    m = np.sum(at_max, axis=axis, keepdims=True, dtype=np.float64)
+    m = np.sum(at_max, dtype=np.float64)
     # a shift past float64's range is -inf, whose term is exactly 0
     with np.errstate(over="ignore"):
         shifted = a - a_max
     shifted[at_max] = -np.inf
-    s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
-    out = np.log1p(s / m) + np.log(m) + a_max
-    return np.squeeze(out, axis=axis)[()]
+    s = np.sum(np.exp(shifted, out=shifted))
+    return float(np.log1p(s / m) + np.log(m) + a_max)
 
 
 def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
     """Exact Gibbs marginals of the spin system by full enumeration.
 
-    The partition function and the per-spin restricted sums are accumulated
-    in log space; ``alphas[i]`` is ``exp(logZ_{s_i=+1} - logZ)``.
+    The energies of the ``2**n`` configurations S, as rows of +-1, are
+    ``-(S @ fields) - 0.5 * vecdot(S @ couplings, S)``.  The partition
+    function and the per-spin restricted sums are accumulated in log space;
+    ``alphas[i]`` is ``exp(logZ_{s_i=+1} - logZ)``, whose sum runs over the
+    configurations with bit i set (``_split``).
 
     Raises ``ValueError`` naming the fields and couplings when an energy
     could overflow float64, which no temperature mends: every ``|H(S)|``,
@@ -292,13 +263,12 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
         )
 
     spins = 2.0 * token_members(np.arange(1 << n, dtype=np.uint64), n) - 1.0
-    energies = -(spins @ fields) - 0.5 * np.einsum("ki,ij,kj->k", spins, couplings, spins)
+    energies = -(spins @ fields) - 0.5 * np.vecdot(spins @ couplings, spins)
     log_weights = over_temperature(-energies, gamma, "spin_gamma")
 
-    log_z = float(_logsumexp(log_weights))
-    # row i: the configurations with spin i up, in increasing order
-    cube = log_weights.reshape((2,) * n)
-    ups = np.stack([_face(cube, (i,), (1,)).reshape(-1) for i in range(n)])
-    alphas = np.array([math.exp(float(log_up) - log_z) for log_up in _logsumexp(ups, axis=1)])
+    log_z = _logsumexp(log_weights)
+    # spin i is up in the configurations with bit i set
+    ups = (_split(log_weights, i)[1].reshape(-1) for i in range(n))
+    alphas = np.array([math.exp(_logsumexp(up) - log_z) for up in ups])
     expected = 2.0 * alphas - 1.0
     return ExactSpinMarginals(expected_spins=expected, alphas=alphas, log_partition=log_z)

@@ -131,9 +131,9 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     return estimate, ess, se
 
 
-# The exact oracles as they were written before they read the table as a
-# (2,)*n cube: every slot filters the 2**n masks for its contexts.  Kept as
-# an independent reference that the cube views must match bit for bit.
+# The exact oracles by mask filtering: every slot filters the 2**n masks for
+# its contexts.  Kept as an independent reference that the oracles' per-token
+# rows must match bit for bit, so each sums in the oracles' order.
 
 
 def _masks_excluding(n: int, *tokens: int) -> np.ndarray:
@@ -157,7 +157,7 @@ def _reference_pair_deltas(table: np.ndarray, n: int, i: int, j: int) -> tuple[n
     masks = _masks_excluding(n, lo, hi)
     bl, bh = 1 << lo, 1 << hi
     base = table[masks]
-    return base, table[masks | bl | bh] - table[masks | bl] - table[masks | bh] + base
+    return base, (table[masks | bl | bh] - table[masks | bh]) - (table[masks | bl] - base)
 
 
 def reference_game_values(table: np.ndarray) -> tuple[list, list, np.ndarray]:
@@ -182,26 +182,21 @@ def reference_game_values(table: np.ndarray) -> tuple[list, list, np.ndarray]:
 
 def reference_tilted_values(table: np.ndarray, gamma: float) -> tuple[list, list, np.ndarray]:
     """The Gibbs-tilted counterparts of ``reference_game_values``: (prefix
-    Shapley limits, Banzhaf limits, interaction matrix)."""
+    Shapley limits, Banzhaf limits, interaction matrix).  The prefix limit
+    is the tilted Banzhaf value: the prefix sampler's density and the
+    weight's denominator differ by a constant factor, which cancels."""
     n = table.size.bit_length() - 1
-    log_p_by_size = np.array(
-        [math.lgamma(s + 1) + math.lgamma(n - s) - math.lgamma(n) for s in range(n)]
-    )
-    shapley, banzhaf = [], []
+    banzhaf = []
     for i in range(n):
         masks = _masks_excluding(n, i)
         base = table[masks]
-        deltas = table[masks | (1 << i)] - base
-        log_p = log_p_by_size[np.bitwise_count(masks)]
-        log_q = log_p - math.log(n)
-        shapley.append(_reference_tilted_average(log_q + base / gamma - log_p, deltas))
-        banzhaf.append(_reference_tilted_average(base / gamma, deltas))
+        banzhaf.append(_reference_tilted_average(base / gamma, table[masks | (1 << i)] - base))
     interactions = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             base, deltas = _reference_pair_deltas(table, n, i, j)
             interactions[i, j] = interactions[j, i] = _reference_tilted_average(base / gamma, deltas)
-    return shapley, banzhaf, interactions
+    return list(banzhaf), banzhaf, interactions
 
 
 def reference_monotonicity_violations(table: np.ndarray) -> int:
@@ -226,7 +221,7 @@ def reference_spin_marginals(fields, couplings, gamma: float, logsumexp) -> tupl
     configs = np.arange(1 << n, dtype=np.uint64)
     bits = (configs[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
     spins = 2.0 * bits.astype(np.float64) - 1.0
-    energies = -(spins @ fields) - 0.5 * np.einsum("ki,ij,kj->k", spins, couplings, spins)
+    energies = -(spins @ fields) - 0.5 * np.vecdot(spins @ couplings, spins)
     log_weights = -energies / gamma
     log_z = float(logsumexp(log_weights))
     alphas = [math.exp(float(logsumexp(log_weights[bits[:, i] == 1])) - log_z) for i in range(n)]

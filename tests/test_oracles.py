@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalattn import oracles
-from coalattn.games import CountingGame, EmbeddingGame, TabularGame
+from coalattn.games import CountingGame, EmbeddingGame, TabularGame, token_members
 from coalattn.linalg import TemperatureError
 from coalattn.oracles import (
     EnumerationLimitError,
@@ -19,6 +20,8 @@ from coalattn.oracles import (
 )
 
 from conftest import (
+    _masks_excluding,
+    _reference_tilted_average,
     additive_table_game,
     exact_shapley_by_permutations,
     hamiltonian,
@@ -325,7 +328,7 @@ class TestOneTablePerCall:
         # a second call tabulates the game afresh
         again = exact_game_values(game).interactions
         assert [exact.interactions[i, j] for i, j in pairs] == [again[i, j] for i, j in pairs]
-        # both share the cube views, so pin them to the mask-filter formulas too
+        # both read the same per-token rows, so pin them to the mask-filter formulas too
         table = exact_table(game).table
         _assert_same_bits(exact, reference_game_values(table))
         _assert_same_bits(tilted, reference_tilted_values(table, gamma))
@@ -368,7 +371,7 @@ def _reference_table(n: int) -> TabularGame:
 
 
 class TestMaskFilterReference:
-    """The cube-view oracles against ``conftest``'s mask-filter formulas,
+    """The per-token-row oracles against ``conftest``'s mask-filter formulas,
     bit for bit, batched and, for ``exact_banzhaf``, one token at a time."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
@@ -391,8 +394,9 @@ class TestMaskFilterReference:
     @pytest.mark.parametrize("logsumexp", ["engine", "scipy"])
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 16])
     def test_spin_marginals(self, n, logsumexp):
-        # the engine's _logsumexp applied per spin checks the row-wise call
-        # and the cube faces; scipy's is the function the oracle used before
+        # the engine's _logsumexp applied to each spin's mask-filtered "up"
+        # configurations checks the oracle's reshape views; scipy's is the
+        # function the oracle used before
         if logsumexp == "scipy":
             reference_logsumexp = pytest.importorskip("scipy.special").logsumexp
         else:
@@ -403,6 +407,59 @@ class TestMaskFilterReference:
         result = exact_spin_marginals(fields, couplings, gamma)
         assert _bits(result.alphas) == _bits(alphas)
         assert _bits(result.log_partition) == _bits(log_z)
+
+
+class TestEarlierSummationOrders:
+    """The oracles' earlier forms against today's: the four-term second
+    difference ``v(C+lo+hi) - v(C+lo) - v(C+hi) + v(C)``, the prefix
+    Shapley limit with both of its densities explicit, and the
+    three-operand ``einsum`` spin energy.  Today's forms are pinned bit for
+    bit by ``TestMaskFilterReference``; the two differ by roundoff alone."""
+
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_game_values(self, n):
+        game, gamma = _reference_table(n), 0.3
+        table, tol = game.table, 1e-14 * 3.0  # the table's scale
+        exact, tilted = exact_game_values(game), exact_gibbs_tilted_values(game, gamma)
+        log_p_by_size = np.array([math.lgamma(s + 1) + math.lgamma(n - s) - math.lgamma(n) for s in range(n)])
+        for i in range(n):
+            masks = _masks_excluding(n, i)
+            base = table[masks]
+            log_p = log_p_by_size[np.bitwise_count(masks)]
+            log_q = log_p - math.log(n)
+            prefix = _reference_tilted_average(log_q + base / gamma - log_p, table[masks | (1 << i)] - base)
+            assert abs(prefix - tilted.shapley[i]) <= tol
+        for lo, hi in itertools.combinations(range(n), 2):
+            masks = _masks_excluding(n, lo, hi)
+            bl, bh = 1 << lo, 1 << hi
+            base = table[masks]
+            deltas = table[masks | bl | bh] - table[masks | bl] - table[masks | bh] + base
+            assert abs(float(np.mean(deltas)) - exact.interactions[lo, hi]) <= tol
+            assert abs(_reference_tilted_average(base / gamma, deltas) - tilted.interactions[lo, hi]) <= tol
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 16])
+    def test_spin_energies(self, n):
+        fields, couplings = _random_spin_system(np.random.default_rng(2000 + n), n, scale=2.0)
+        spins = 2.0 * token_members(np.arange(1 << n, dtype=np.uint64), n) - 1.0
+        einsum = -(spins @ fields) - 0.5 * np.einsum("ki,ij,kj->k", spins, couplings, spins)
+        vecdot = -(spins @ fields) - 0.5 * np.vecdot(spins @ couplings, spins)
+        # relative to the bound on every |H(S)|
+        bound = float(np.sum(np.abs(fields)) + np.sum(np.abs(couplings)))
+        assert float(np.max(np.abs(vecdot - einsum))) <= 1e-12 * bound
+
+
+@pytest.mark.parametrize("oracle", [exact_game_values, lambda game: exact_gibbs_tilted_values(game, 0.3)])
+def test_traced_peak_stays_within_four_tables(oracle):
+    # one row per token and one pair row at a time; a rewrite that stacks
+    # every token's rows needs n/2 tables and more
+    game = random_table_game(np.random.default_rng(16), 16)
+    tracemalloc.start()
+    try:
+        oracle(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * game.table.nbytes
 
 
 @pytest.fixture(scope="module")
@@ -428,13 +485,6 @@ def _log_weight_arrays(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_log_weight_arrays(), st.integers(1, 20))
-def test_logsumexp_matches_scipy(scipy_logsumexp, a, rows):
+@given(_log_weight_arrays())
+def test_logsumexp_matches_scipy(scipy_logsumexp, a):
     assert _bits(oracles._logsumexp(a)) == _bits(scipy_logsumexp(a))
-    # row-wise: each row's result is that of a call on the row alone
-    width = max(1, a.size // rows)
-    table = a[: rows * width].reshape(-1, width)
-    got = oracles._logsumexp(table, axis=1)
-    assert got.shape == (table.shape[0],)
-    assert _bits(got) == _bits([scipy_logsumexp(row) for row in table])
-    assert _bits(got) == _bits([oracles._logsumexp(row) for row in table])

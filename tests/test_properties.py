@@ -574,6 +574,32 @@ def test_interactions_ignore_pair_orientation(game, data):
         assert np.all(np.abs(moved - values.interactions[np.ix_(order, order)]) <= _AXIOM_TOL)
 
 
+@st.composite
+def _tilted_dummy_cases(draw):
+    """(game, dummy token p, gamma): a random table of 1-9 tokens with a
+    token p inserted that changes no coalition's value, and gamma in
+    [0.05, 5]."""
+    base = random_table_game(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 9)))
+    n = base.n + 1
+    p = draw(st.integers(0, base.n))
+    masks = np.arange(1 << n, dtype=np.int64)
+    game = TabularGame(base.table[(masks & ((1 << p) - 1)) | ((masks >> (p + 1)) << p)])
+    return game, p, draw(st.floats(0.05, 5.0))
+
+
+@_AXIOM_SETTINGS
+@given(_tilted_dummy_cases())
+def test_tilted_oracle_dummy_alias_and_symmetry(case):
+    # every difference of a dummy is v(C) - v(C) or (a - b) - (a - b): exactly 0
+    game, p, gamma = case
+    values = exact_gibbs_tilted_values(game, gamma)
+    assert values.banzhaf[p] == 0.0
+    assert values.shapley[p] == 0.0
+    assert np.all(values.interactions[p] == 0.0)
+    assert values.shapley.tobytes() == values.banzhaf.tobytes()
+    np.testing.assert_array_equal(values.interactions, values.interactions.T)
+
+
 # mean-field solver contract on random symmetric, zero-diagonal systems
 _SOLVER_SETTINGS = settings(max_examples=40, deadline=None)
 
