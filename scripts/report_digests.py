@@ -44,7 +44,6 @@ import contextlib
 import hashlib
 import io
 import json
-import logging
 import sys
 import tempfile
 from pathlib import Path
@@ -90,8 +89,6 @@ def digest_lines(src: Path, keep: Path | None = None):
 
     if Path(cli.__file__).resolve().parents[1] != src.resolve():
         raise SystemExit(f"report_digests: imported coalattn from {cli.__file__}, not from {src}")
-    # log records (monotonicity notes, score warnings) are not compared either
-    logging.basicConfig(handlers=[logging.NullHandler()])
     with tempfile.TemporaryDirectory() as tmp:
         doc_path, cfg_path, out = (Path(tmp) / name for name in ("doc.json", "cfg.json", "out.json"))
 

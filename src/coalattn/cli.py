@@ -6,7 +6,8 @@ Subcommands: ``demo`` (bundled walkthrough), ``oracle`` (exact values),
 errors (including an input or config file that cannot be read or decoded
 as JSON, embeddings whose game values cannot be normalized into attention
 scores, a temperature so small that values divided by it overflow, and an
-``--out`` or ``--trace`` path that cannot be written),
+``--out`` or ``--trace`` path that cannot be written; an unknown flag is
+argparse's usage error, also exit 2),
 3 limit refusals (enumeration limits, and a run that runs out of memory,
 reported as ``limit refusal: out of memory: ...``), 4 internal failures.
 """
@@ -14,7 +15,6 @@ reported as ``limit refusal: out of memory: ...``), 4 internal failures.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 import traceback
 from pathlib import Path
@@ -40,7 +40,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_input: bool) -> None:
     parser.add_argument("--config", help="run configuration file (JSON)")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--mode", choices=MODES, help="estimator mode")
-    parser.add_argument("--threads", help="advisory thread-count hint (N or 'auto')")
     parser.add_argument("--out", help="write the report here instead of stdout")
 
 
@@ -87,7 +86,6 @@ def _emit(text: str, out_path) -> None:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -99,7 +97,7 @@ def main(argv=None) -> int:
             print(render_demo(report))
             return EXIT_OK
 
-        cfg = load_config(args.config, seed=args.seed, mode=args.mode, threads=args.threads)
+        cfg = load_config(args.config, seed=args.seed, mode=args.mode)
 
         if args.command == "bench":
             rows = run_bench(cfg)

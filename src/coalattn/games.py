@@ -58,7 +58,6 @@ __all__ = [
     "project_values",
     "check_table_differences",
     "tabulate",
-    "monotonicity_violations",
     "token_members",
 ]
 
@@ -531,18 +530,3 @@ def tabulate(game) -> np.ndarray:
         out[start:stop] = game.values_by_mask(np.arange(start, stop, dtype=np.uint64))
     return out
 
-
-def monotonicity_violations(game: TabularGame) -> int:
-    """Count of (C, C+{i}) pairs where adding a token decreases the value.
-
-    Monotonicity is not guaranteed by every characteristic function, so the
-    engine treats it as an optional check rather than an invariant; callers
-    typically log a warning when the count is nonzero.
-    """
-    # each axis of the (2,)*n cube is one token's bit, so its two faces pair
-    # every coalition without the token with that coalition plus the token
-    cube = game.table.reshape((2,) * game.n)
-    return sum(
-        int(np.count_nonzero(np.take(cube, 1, axis) < np.take(cube, 0, axis)))
-        for axis in range(game.n)
-    )

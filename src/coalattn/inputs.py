@@ -16,8 +16,6 @@ exit status distinct from enumeration-limit refusals (see ``cli``).
 from __future__ import annotations
 
 import json
-import logging
-import os
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -31,7 +29,6 @@ from .games import (
     EmbeddingGame,
     TabularGame,
     check_table_differences,
-    monotonicity_violations,
     project_values,
 )
 from .linalg import as_matrix, as_scalar, as_vector
@@ -40,7 +37,6 @@ from .pipeline import NORMALIZATIONS, HeadParams, MultiHeadParams
 
 __all__ = [
     "SCHEMA_VERSION",
-    "THREADS_ENV_VAR",
     "InputError",
     "InputDocument",
     "RunConfig",
@@ -49,12 +45,7 @@ __all__ = [
     "load_config",
 ]
 
-logger = logging.getLogger(__name__)
-
 SCHEMA_VERSION = 1
-
-# advisory thread-count hint; left out of reports, never changes results
-THREADS_ENV_VAR = "COALATTN_THREADS"
 
 _DOCUMENT_KEYS = {
     "schema_version",
@@ -102,15 +93,7 @@ class InputDocument:
         """Materialize the document's game: the table's, or the embedding
         game under the first head's value projection and nonlinearity."""
         if self.characteristic_table is not None:
-            game = TabularGame(self.characteristic_table)
-            violations = monotonicity_violations(game)
-            if violations:
-                logger.warning(
-                    "characteristic_table: %d subset pairs violate monotonicity "
-                    "(allowed; reported for awareness)",
-                    violations,
-                )
-            return game
+            return TabularGame(self.characteristic_table)
         if self.embeddings is not None:
             if self.heads is None:
                 raise InputError("embeddings input needs a value_projection to induce a game")
@@ -340,9 +323,7 @@ class RunConfig:
     and ``HeadParams``'s for the normalization, so a default is changed in
     the engine config alone.  ``RunConfig`` checks the JSON types; the
     engine configs check the ranges, naming the setting, so a bad value is
-    refused as ``field: message`` (exit 2).  ``threads`` is an advisory hint
-    that ``echo`` leaves out of reports; execution is sequential and results
-    never depend on it.
+    refused as ``field: message`` (exit 2).
     """
 
     coalition_gamma: float = EstimatorConfig.gamma
@@ -354,7 +335,6 @@ class RunConfig:
     seed: int = EstimatorConfig.seed
     mode: str = EstimatorConfig.mode
     normalization: str = HeadParams.normalization
-    threads: str = "auto"
 
     def __post_init__(self) -> None:
         # JSON types are checked here, never converted, so the echo shows the
@@ -367,7 +347,6 @@ class RunConfig:
         _checked(self.meanfield_config)
         if self.normalization not in NORMALIZATIONS:
             raise _fail("normalization", f"must be one of {NORMALIZATIONS}")
-        object.__setattr__(self, "threads", _check_threads(self.threads))
 
     def estimator_config(self, seed: int | None = None) -> EstimatorConfig:
         return EstimatorConfig(
@@ -386,42 +365,17 @@ class RunConfig:
         )
 
     def echo(self) -> dict:
-        """Config snapshot embedded in every report.
-
-        Every setting but the thread hint, which is left out: it is
-        advisory, never changes results, and reports must stay
-        byte-identical across hints.
-        """
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self) if f.name != "threads"}
+        """Config snapshot embedded in every report: every setting."""
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
 
 _CONFIG_KEYS = frozenset(field.name for field in dataclass_fields(RunConfig))
 
 
-def _check_threads(value) -> str:
-    if isinstance(value, bool):
-        raise _fail("threads", "expected 'auto' or a positive integer")
-    if isinstance(value, int):
-        if value < 1:
-            raise _fail("threads", "must be >= 1")
-        return str(value)
-    if isinstance(value, str):
-        if value == "auto":
-            return value
-        # ASCII digits, not all zero; int() would also take other Unicode
-        # digits and refuse strings past 4,300 digits
-        if value.isascii() and value.isdigit() and value.strip("0"):
-            return value
-        raise _fail("threads", f"expected 'auto' or a positive integer, got {value!r}")
-    raise _fail("threads", "expected 'auto' or a positive integer")
-
-
 def load_config(path=None, **overrides) -> RunConfig:
     """Build a run config from an optional JSON file plus overrides.
 
-    Precedence: built-in defaults < config file < explicit overrides (CLI
-    flags) — with the thread hint additionally read from the environment
-    variable ``COALATTN_THREADS`` when neither file nor flag sets it.
+    Precedence: built-in defaults < config file < explicit overrides (CLI flags).
     """
     settings: dict = {}
     if path is not None:
@@ -435,8 +389,6 @@ def load_config(path=None, **overrides) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             settings[key] = value
-    if "threads" not in settings and os.environ.get(THREADS_ENV_VAR):
-        settings["threads"] = os.environ[THREADS_ENV_VAR]
     try:
         return RunConfig(**settings)
     except TypeError as exc:

@@ -199,19 +199,6 @@ def reference_tilted_values(table: np.ndarray, gamma: float) -> tuple[list, list
     return list(banzhaf), banzhaf, interactions
 
 
-def reference_monotonicity_violations(table: np.ndarray) -> int:
-    """Count of (C, C+{i}) pairs with ``v(C+i) < v(C)``, filtering the
-    ``2**n`` masks for the coalitions without each token."""
-    n = table.size.bit_length() - 1
-    masks = np.arange(table.size, dtype=np.int64)
-    count = 0
-    for i in range(n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        count += int(np.sum(table[without | bit] < table[without]))
-    return count
-
-
 def reference_spin_marginals(fields, couplings, gamma: float, logsumexp) -> tuple[list, float]:
     """(alphas, log partition) of a spin system by full enumeration, with one
     *logsumexp* call per spin over the configurations whose bit is set."""

@@ -10,7 +10,6 @@ from coalattn.games import (
     EmbeddingGame,
     Extensions,
     TabularGame,
-    monotonicity_violations,
     tabulate,
 )
 
@@ -151,12 +150,6 @@ def test_tabulate_matches_scalar_path():
 
 def test_tabulate_is_identity_for_tables(worked_game):
     np.testing.assert_array_equal(tabulate(worked_game), np.asarray(WORKED_TABLE))
-
-
-def test_monotonicity_check_counts_decreases():
-    assert monotonicity_violations(TabularGame(WORKED_TABLE)) == 0
-    dipped = TabularGame([0.0, 1.0, 1.0, 0.5])  # both singleton additions decrease
-    assert monotonicity_violations(dipped) == 2
 
 
 def test_counting_game_counts_evaluations(worked_game):
