@@ -11,8 +11,11 @@ Two conventions of the fixture are worth spelling out:
 
 * the three coalitions are reused for every estimate; when a coalition
   already contains the target token, its marginal is taken against the
-  coalition minus that token, and the interaction contexts are the
-  coalitions stripped of both pair members;
+  coalition minus that token.  The interaction contexts are pinned by the
+  fixture to ``0b000, 0b100, 0b000``: the first two are the coalitions
+  stripped of both pair members, but the third coalition ``0b110`` strips
+  to ``0b100``, and with that context the interaction would be 0.425, not
+  the quoted 0.466;
 * the single-token estimates are fed to the gate blend as-is (the fixture
   treats them as already normalized, there being no full score vector to
   normalize against).
@@ -49,8 +52,9 @@ class _Fixture:
     target_token = 1
     gate = 0.6
 
-    # pair whose interaction is estimated, with the contexts implied by the
-    # fixture's reuse convention (coalitions stripped of both pair members)
+    # pair whose interaction is estimated, with the fixture's pinned contexts:
+    # 0b010 and 0b101 stripped of both pair members, then the empty set where
+    # 0b110 would strip to 0b100 (the module docstring gives the numbers)
     pair = (0, 1)
     pair_contexts = (0b000, 0b100, 0b000)
 

@@ -46,13 +46,10 @@ Every estimate runs through one block path.  A family's slots go to the
 game as one ``games.Extensions`` of the pool by their tokens, built and
 checked once, and a block takes as many of its rows as ``_BLOCK_CONTEXTS``
 contexts allow, evaluated by one ``values_by_mask`` call from values and
-sums the game shares across the pool.  On a Bernoulli word w a slot's
-columns are w with each subset of the slot's tokens toggled: its context
-(the Gibbs base) is the column of the slot's tokens that w holds, and its
-marginal is the signed alternating sum ``prod_t s_t sum_j (-1)**(f - |j|)
-v_j``, with ``s_t = 1 - 2 b_t`` for token t's bit ``b_t`` in w, which is
-the inclusion-exclusion sum over the context's extensions.  On a
-permutation the columns are the context and the context with the token.
+sums the game shares across the pool.  ``Extensions.context_and_difference``
+turns a block's values into each slot's context value (the Gibbs base) and
+its marginal, the inclusion-exclusion difference over the context; the
+``Extensions`` docstring describes the coalitions' order and its inverse.
 The block's weights, estimates, effective sample sizes and standard errors
 are then computed for all its rows at once; every reduction runs along a
 row alone, so a slot's numbers do not depend on the block it lands in.
@@ -65,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Extensions, GameValues, token_members
-from .linalg import TemperatureError, as_integer, over_temperature
+from .games import Extensions, GameValues
+from .linalg import TemperatureError, as_integer, as_scalar, over_temperature
 
 __all__ = [
     "MAX_SAMPLE_COUNT",
@@ -113,7 +110,8 @@ class EstimatorConfig:
     quantity; ``gamma`` is the coalition temperature used by the gibbs
     weights (ignored in classic mode).  This is the one check of these run
     settings: a refusal's message starts with the setting's name
-    (``coalition_gamma`` for ``gamma``).
+    (``coalition_gamma`` for ``gamma``), and a bool is refused for every
+    setting.
     """
 
     sample_count: int = 25
@@ -122,7 +120,7 @@ class EstimatorConfig:
     mode: str = "gibbs"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+        if not as_scalar(self.gamma, "coalition_gamma") > 0.0:
             raise ValueError(f"coalition_gamma: must be positive and finite, got {self.gamma!r}")
         for name in ("sample_count", "seed"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
@@ -166,47 +164,52 @@ def _prefix_size_probs(n: int) -> np.ndarray:
     )
 
 
-def _pool_extensions(pool: np.ndarray, n: int, tokens: np.ndarray) -> tuple[Extensions, np.ndarray | float]:
+def _pool_extensions(pool: np.ndarray, n: int, tokens: np.ndarray) -> tuple[Extensions, np.ndarray]:
     """The coalitions of the slots of a family, as the ``Extensions`` of the
     family's pool by the slots' tokens, and their contexts' proposal
-    probabilities: shape ``(slots, K)`` for a permutation pool, and for a
-    Bernoulli pool the one probability ``2**-(n - f)`` of every context of
-    f-token slots."""
+    probabilities, one row per slot: shape ``(slots, K)`` for a permutation
+    pool, and for a Bernoulli pool ``(slots, 1)``, the one probability
+    ``2**-(n - f)`` of every context of f-token slots."""
     if pool.ndim == 2:
         extensions = Extensions(None, tokens, pool)
         return extensions, _prefix_size_probs(n)[extensions.ranks]
-    return Extensions(pool, tokens), 0.5 ** (n - tokens.shape[-1])
+    return Extensions(pool, tokens), np.full((len(tokens), 1), 0.5 ** (n - tokens.shape[-1]))
 
 
 def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Self-normalized Gibbs importance weights of each row (the last axis)
-    of *values*, with *probs* the matching proposal probabilities.
+    of *values*, with *probs* the matching proposal probabilities, shaped
+    like *values* or broadcast to it.
 
     The raw weight of sample k is ``exp(v_k/gamma) / p_k`` and each row of
     normalized weights sums to one.  Raw weights are formed on the log scale
     and shifted by the row's max log-weight before exponentiation, so the
     largest raw weight of a row is 1 and no large exponential is ever formed;
     the common factor cancels in the normalization; an overflowing
-    ``v_k/gamma`` raises ``linalg.TemperatureError``, and a NaN value a
-    ``ValueError`` naming it.  A log-weight more than float64's range below
-    its row's max shifts to -inf, a weight of exactly 0, with numpy's
-    overflow warning unless the caller ignores it, as ``estimate_all`` does.
-    Returns (raw, normalized).
+    ``v_k/gamma`` raises ``linalg.TemperatureError``, and a NaN or an
+    infinite value a ``ValueError`` naming it.  A log-weight more than
+    float64's range below its row's max shifts to -inf, a weight of exactly
+    0, with numpy's overflow warning unless the caller ignores it, as
+    ``estimate_all`` does.  Returns (raw, normalized).
     """
     # written so that a NaN, which fails every comparison, is refused too
-    if not np.all((probs > 0.0) & (probs <= 1.0)):
+    if not np.logical_and(probs > 0.0, probs <= 1.0).all():
         raise ValueError("proposal probabilities must lie in (0, 1]")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     try:
-        scaled = over_temperature(values, gamma, "coalition_gamma")
+        # a fresh array, in which the log-weights are formed
+        log_raw = over_temperature(values, gamma, "coalition_gamma")
     except TemperatureError:
-        # a NaN is not finite either: look for one only once the check fails
+        # a NaN or an infinity is not finite either: look for one only once
+        # the check fails
         if np.any(np.isnan(values)):
             raise ValueError("values must not contain NaN") from None
+        if np.any(np.isinf(values)):
+            raise ValueError("values must not contain inf or -inf") from None
         raise
-    log_raw = scaled - np.log(probs)
-    raw = np.exp(log_raw - np.max(log_raw, axis=-1, keepdims=True))
+    log_raw -= np.log(probs)
+    raw = np.exp(log_raw - log_raw.max(axis=-1, keepdims=True))
     return raw, raw / raw.sum(axis=-1, keepdims=True)
 
 
@@ -219,44 +222,23 @@ def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: np.ndarray):
     family's ``Extensions`` is built, and its pool checked, once; a block
     holds as many of its rows as ``_BLOCK_CONTEXTS`` contexts allow, at
     least one, and is evaluated by one ``values_by_mask`` call, then
-    weighted and reduced row-wise at once, from the base column and the
-    signed alternating sum the module docstring describes.  The ESS of K raw
+    weighted and reduced row-wise at once, from each row's context value
+    and difference (``Extensions.context_and_difference``).  The ESS of K raw
     weights is ``total**2 / square_total``, clamped to [1, K] against
     roundoff, and the standard error is the delta-method ``sqrt(sum_k (w_k
     (m_k - estimate))**2)`` over the normalized weights w and the marginals
     m, inf where it passes float64's range.
     """
     n, k = game.n, cfg.sample_count
-    pool = _draw_pool(cfg.seed, kind, n, k)
-    family, family_probs = _pool_extensions(pool, n, slots)
-    if pool.ndim == 1:
-        held = np.ascontiguousarray(token_members(pool, n).T).view(bool)
-        signs = 1.0 - 2.0 * held  # s_t of every token in every word
+    family, family_probs = _pool_extensions(_draw_pool(cfg.seed, kind, n, k), n, slots)
     per_block = max(1, _BLOCK_CONTEXTS // k)
     estimates, ess, errors = np.empty(len(slots)), np.empty(len(slots)), np.empty(len(slots))
     for start in range(0, len(slots), per_block):
         rows = slice(start, start + per_block)
-        values = game.values_by_mask(family.rows(rows))
-        if pool.ndim == 2:
-            probs = family_probs[rows]
-            base, marginals = values[0].copy(), values[1] - values[0]
-        else:
-            probs = family_probs
-            first, sign = held.take(slots[rows, 0], axis=0), signs.take(slots[rows, 0], axis=0)
-            if slots.shape[1] == 1:
-                base = np.where(first, values[1], values[0])
-                marginals = values[1] - values[0]
-            else:
-                second = held.take(slots[rows, 1], axis=0)
-                base = np.where(second, np.where(first, values[3], values[2]), np.where(first, values[1], values[0]))
-                marginals = values[3] - values[1]
-                marginals -= values[2]
-                marginals += values[0]
-                sign *= signs.take(slots[rows, 1], axis=0)
-            marginals *= sign
-        del values  # the block's largest array: free it before the weights
+        block = family.rows(rows)
+        base, marginals = block.context_and_difference(game.values_by_mask(block))
         if cfg.mode == "gibbs":
-            raw, normalized = gibbs_weights(base, probs, cfg.gamma)
+            raw, normalized = gibbs_weights(base, family_probs[rows], cfg.gamma)
         else:
             raw, normalized = np.ones(base.shape), np.full(base.shape, 1.0 / k)
         # vecdot takes each row's dot product through the same BLAS ddot as np.dot
@@ -266,7 +248,7 @@ def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: np.ndarray):
         # w_k (m_k - estimate) is finite, as w_k <= 1; its square may overflow to inf
         marginals -= estimates[rows, None]
         marginals *= normalized
-        errors[rows] = np.sqrt((marginals**2).sum(axis=-1))
+        errors[rows] = np.sqrt(np.square(marginals, out=marginals).sum(axis=-1))
     return estimates, ess, errors
 
 

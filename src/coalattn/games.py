@@ -20,13 +20,12 @@ agnostic to the family: ``n`` and ``values_by_mask``.  It is the one
 evaluation entry point: every estimator and oracle evaluates through it
 (``tabulate`` feeds it every mask in chunks), so a ``CountingGame`` sees
 every evaluation.  It takes either an array of masks, whose values come back
-in the array's shape, or an ``Extensions``: a pool of K entries shared by
-rows of f <= 2 tokens each.  On a Bernoulli word a row takes the word with
-each subset of its tokens toggled, which is the word without the row's
-tokens extended by every subset of them, in an order set by the tokens the
-word holds; on a permutation a row takes the tokens before its one token,
-without and with it.  The ``2**f`` coalitions of every row and entry come
-back in the shape ``Extensions.shape``, subset axis first.
+in the array's shape, or an ``Extensions``: a pool of K entries (Bernoulli
+words or permutations) shared by rows of one or two tokens each.  The
+``2**f`` coalitions of every row and entry come back in the shape
+``Extensions.shape``, subset axis first, in the toggle order that the
+``Extensions`` docstring describes once, with its inverse
+(``Extensions.context_and_difference``).
 
 A ``TabularGame`` looks the materialised masks up.  An ``EmbeddingGame``
 evaluates an ``Extensions`` from per-word (or per-prefix) values and sums
@@ -63,11 +62,14 @@ __all__ = [
 
 MAX_TOKENS = 64           # coalition masks are 64-bit
 TABULAR_MAX_TOKENS = 20   # 2**20 table entries
-_MAX_ROW_TOKENS = 2       # most tokens of one Extensions row: a pair
 
 NONLINEARITIES = ("relu", "tanh", "identity")
 
 _TABULATE_CHUNK = 1 << 16  # masks per values_by_mask call of tabulate
+
+# the sign of a difference over an entry holding an even or an odd number of
+# the row's tokens: toggling a held token removes it
+_TOGGLE_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -91,12 +93,13 @@ class GameValues:
 
 @dataclass(frozen=True)
 class Extensions:
-    """K pool entries shared by rows of tokens, each row taking ``2**f``
-    coalitions of every entry: shape ``(2**f,) + tokens.shape[:-1] + (K,)``.
+    """K pool entries shared by rows of one or two tokens, each row taking
+    ``2**f`` coalitions of every entry: shape ``(2**f,) + tokens.shape[:-1]
+    + (K,)``.
 
     ``tokens`` holds f distinct token indices per row, shape ``(..., f)``,
-    with f at most 2.  ``added`` holds, as uint64 masks of shape ``(2**f,) +
-    tokens.shape[:-1]``, the ``2**f`` subsets of each row's tokens in
+    with f one or two.  ``added`` holds, as uint64 masks of shape ``(2**f,)
+    + tokens.shape[:-1]``, the ``2**f`` subsets of each row's tokens in
     counting order: subset j holds the row's token i when bit i of j is set
     (none, first, second, both).  The pool comes in one of two forms:
 
@@ -114,6 +117,19 @@ class Extensions:
       ``ranks[..., k]`` is that token's place in ``orders[k]``, which is
       also the size of the context.
 
+    ``held[t, k]`` (None with orders) tells whether word k holds token t,
+    for every token up to the largest a row holds.
+
+    This toggle order is defined here alone, and ``context_and_difference``
+    inverts it: from the values ``v_j`` of a row's coalitions on an entry it
+    takes the context's value (coalition 0 of a prefix; on a word, the
+    coalition of the subset the word holds) and the inclusion-exclusion
+    difference of the row's tokens over that context, which is the
+    alternating sum ``v_1 - v_0`` or ``((v_3 - v_1) - v_2) + v_0`` times
+    ``prod_t (1 - 2 b_t)`` for the bits ``b_t`` of the row's tokens in the
+    word: toggling a token the word holds removes it, so each held token
+    flips the sum's sign.
+
     The pool is stored as a read-only view of a private copy, so changing
     the array given does not change the coalitions, and the view's
     ``writeable`` flag cannot be set again.  ``shape`` and ``size``
@@ -128,16 +144,15 @@ class Extensions:
     orders: np.ndarray | None = None
     added: np.ndarray = field(init=False)
     ranks: np.ndarray | None = field(init=False, default=None)
+    held: np.ndarray | None = field(init=False, default=None)
     shape: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         tokens = np.asarray(self.tokens)
-        if tokens.ndim < 1:
-            raise ValueError("extensions: tokens need a last axis")
+        if tokens.shape[-1:] not in ((1,), (2,)):
+            raise ValueError("extensions: tokens need a last axis of one or two tokens per row")
         if tokens.dtype.kind not in "iu" or np.any((tokens < 0) | (tokens >= MAX_TOKENS)):
             raise ValueError(f"extensions: tokens must be integers in [0, {MAX_TOKENS})")
-        if tokens.shape[-1] > _MAX_ROW_TOKENS:
-            raise ValueError(f"extensions: a row holds at most {_MAX_ROW_TOKENS} tokens")
         tokens = tokens.astype(np.intp)
         bits = _token_bits(tokens)
         added = np.zeros((1 << tokens.shape[-1],) + tokens.shape[:-1], dtype=np.uint64)
@@ -156,6 +171,8 @@ class Extensions:
                 raise ValueError("extensions: contexts must be one axis of K masks")
             contexts.flags.writeable = False
             object.__setattr__(self, "contexts", contexts.view())
+            members = token_members(contexts, int(tokens.max(initial=0)) + 1)
+            object.__setattr__(self, "held", np.ascontiguousarray(members.T).view(bool))
             object.__setattr__(self, "shape", added.shape + contexts.shape)
             return
         orders = np.array(self.orders)
@@ -205,6 +222,27 @@ class Extensions:
         prefixes = np.zeros((k, n + 1), dtype=np.uint64)
         np.bitwise_or.accumulate(_token_bits(self.orders), axis=1, out=prefixes[:, 1:])
         return prefixes[np.arange(k), self.ranks]
+
+    def context_and_difference(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's context value and inclusion-exclusion difference on
+        every pool entry, both of shape ``tokens.shape[:-1] + (K,)``, from
+        the *values* of these coalitions, shape ``shape``: the inverse of
+        the toggle order the class docstring describes."""
+        # the alternating sum over the subsets: v1 - v0, or ((v3 - v1) - v2) + v0 in place
+        difference = values[1] - values[0] if len(values) == 2 else values[3] - values[1]
+        if len(values) == 4:
+            difference -= values[2]
+            difference += values[0]
+        if self.orders is not None:  # a prefix never holds its own token
+            return values[0].copy(), difference
+        context, odd = values, False
+        for i in range(self.tokens.shape[-1]):
+            held = self.held.take(self.tokens[..., i], axis=0)
+            # keep the subsets that agree with each entry on token i
+            context = np.where(held, context[1::2], context[::2])
+            odd = odd ^ held
+        difference *= _TOGGLE_SIGNS.take(odd.view(np.uint8))
+        return context[0], difference
 
     def __array__(self, dtype=None, copy=None):
         shared = self.contexts if self.orders is None else self.row_contexts()
@@ -291,14 +329,15 @@ class EmbeddingGame:
       along it; row r's coalitions are the prefix before its token and the
       one through it.
 
-    Plain masks, and rows of no token, get ``q0``: exactly the squared norm
-    of the member-matmul sum; the sum of the empty word is exactly 0, and a
-    toggle that empties a word (the word holds just the toggled tokens, which
-    only words of one or two tokens can) is set to 0, so the empty coalition
-    is worth exactly 0.  A prefix is summed along its order, which rounds
-    otherwise than the member-matmul sum of the same mask, and from the same
-    sums the pooled form of a coalition rounds otherwise than the direct
-    squared norm: the two differ by at most ``2 (d_v + f^2 + 2 f + 4) eps M^2``
+    Plain masks, and the pool words themselves (coalition 0 of their
+    rows), get ``q0``: exactly the squared norm of the member-matmul sum;
+    the sum of the empty word is exactly 0, and a toggle that empties a word
+    (the word holds just the toggled tokens, which only words of one or two
+    tokens can) is set to 0, so the empty coalition is worth exactly 0.  A
+    prefix is summed along its order, which rounds otherwise than the
+    member-matmul sum of the same mask, and from the same sums the pooled
+    form of a coalition rounds otherwise than the direct squared norm: the
+    two differ by at most ``2 (d_v + f^2 + 2 f + 4) eps M^2``
     (``eps`` the float64 machine epsilon, ``M = |S_k| + sum_t |x_t|`` over
     the row's f tokens), which only matters where the terms nearly cancel.
     For a pair, with ``u = eps/2``: each dot product of d_v terms (``q0``,
@@ -384,8 +423,6 @@ class EmbeddingGame:
         )
         values = np.empty(extensions.shape)
         values[0] = word_values
-        if tokens.shape[-1] == 0:
-            return values
         a = tokens[..., 0]
         # tokens are below n, so "clip" never clips; it lets take write into `out`
         toggled_values.take(a, axis=0, out=values[1], mode="clip")

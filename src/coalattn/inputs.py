@@ -183,6 +183,8 @@ def parse_document(obj) -> InputDocument:
     embeddings = None
     table = None
     d = _as_int(obj["d"], "d") if "d" in obj else None
+    if d is not None and d < 1:
+        raise _fail("d", "must be >= 1")
 
     if "embeddings" in obj and "characteristic_table" in obj:
         raise InputError(

@@ -30,8 +30,10 @@ def as_scalar(data, name: str = "scalar") -> float:
 
 def as_integer(data, name: str) -> int:
     """Validate *data* as a whole number, given as an integer, a numpy
-    integer or an integral float such as ``7.0``, and return it as an int."""
-    if isinstance(data, numbers.Integral) or isinstance(data, float) and data.is_integer():
+    integer or an integral float such as ``7.0`` (a bool is not one), and
+    return it as an int."""
+    whole = isinstance(data, numbers.Integral) or isinstance(data, float) and data.is_integer()
+    if whole and not isinstance(data, bool):
         return int(data)
     raise ValueError(f"{name}: must be an integer")
 

@@ -14,12 +14,11 @@ damping, and damping never moves the fixed point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_integer, as_matrix, as_vector
+from .linalg import as_integer, as_matrix, as_scalar, as_vector
 
 __all__ = [
     "MeanFieldConfig",
@@ -39,7 +38,7 @@ _SPIN_CAP = float(np.nextafter(1.0, 0.0))
 class MeanFieldConfig:
     """Solver settings and their one check: a refusal's message starts
     with the run setting's name (``spin_gamma`` for the spin temperature
-    ``gamma``)."""
+    ``gamma``), and a bool is refused for every setting."""
 
     gamma: float = 0.25
     max_iterations: int = 25
@@ -47,14 +46,14 @@ class MeanFieldConfig:
     damping: float = 0.7
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+        if not as_scalar(self.gamma, "spin_gamma") > 0.0:
             raise ValueError(f"spin_gamma: must be positive and finite, got {self.gamma!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+        if not as_scalar(self.tolerance, "tolerance") > 0.0:
             raise ValueError(f"tolerance: must be positive and finite, got {self.tolerance!r}")
         object.__setattr__(self, "max_iterations", as_integer(self.max_iterations, "max_iterations"))
         if self.max_iterations < 1:
             raise ValueError("max_iterations: must be >= 1")
-        if not 0.0 <= self.damping < 1.0:
+        if not 0.0 <= as_scalar(self.damping, "damping") < 1.0:
             raise ValueError("damping: must lie in [0, 1)")
 
 

@@ -55,6 +55,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EstimatorConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"sample_count": True}, "sample_count"),
+            ({"seed": False}, "seed"),
+            ({"gamma": True}, "coalition_gamma"),
+            ({"mode": True}, "mode"),
+        ],
+    )
+    def test_bools_are_refused_by_name(self, kwargs, name):
+        with pytest.raises(ValueError) as refusal:
+            EstimatorConfig(**kwargs)
+        assert str(refusal.value).startswith(f"{name}: ")
+
     def test_whole_numbers_of_other_types_are_stored_as_ints(self):
         cfg = EstimatorConfig(sample_count=7.0, seed=np.uint64(3))
         assert cfg == EstimatorConfig(sample_count=7, seed=3)
@@ -408,6 +422,13 @@ class TestNormalizeWeights:
             gibbs_weights(np.array([1e308, np.nan]), np.ones(2), 1e-10)
         assert type(refusal.value) is ValueError
         assert str(refusal.value) == "values must not contain NaN"
+
+    @pytest.mark.parametrize("infinity", [np.inf, -np.inf])
+    def test_infinite_values_are_named_not_the_temperature(self, infinity):
+        with pytest.raises(ValueError) as refusal:
+            gibbs_weights(np.array([infinity, 0.0]), np.ones(2), 1.0)
+        assert type(refusal.value) is ValueError
+        assert str(refusal.value) == "values must not contain inf or -inf"
 
     def test_bad_proposals_rejected(self):
         with pytest.raises(ValueError, match="probabilities"):

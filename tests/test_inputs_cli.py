@@ -534,6 +534,13 @@ class TestCli:
         assert cli.main(["oracle", "--input", str(path)]) == cli.EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_a_width_below_one_is_an_input_error(self, tmp_path, capsys, d):
+        path = tmp_path / "width.json"
+        path.write_text(json.dumps({"schema_version": 1, "n": 1, "d": d, "characteristic_table": [0, 1]}))
+        assert cli.main(["oracle", "--input", str(path)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "input error: d: must be >= 1\n"
+
     def test_limit_refusal_exit_code(self, tmp_path, capsys):
         # a table document holds at most 20 tokens, so the game comes from embeddings
         path = tmp_path / "big.json"

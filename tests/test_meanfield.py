@@ -45,6 +45,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MeanFieldConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"max_iterations": True}, "max_iterations"),
+            ({"tolerance": True}, "tolerance"),
+            ({"damping": False}, "damping"),
+            ({"gamma": True}, "spin_gamma"),
+        ],
+    )
+    def test_bools_are_refused_by_name(self, kwargs, name):
+        with pytest.raises(ValueError) as refusal:
+            MeanFieldConfig(**kwargs)
+        assert str(refusal.value).startswith(f"{name}: ")
+
+    def test_whole_numbers_of_other_types_are_stored_as_ints(self):
+        cfg = MeanFieldConfig(max_iterations=7.0)
+        assert cfg == MeanFieldConfig(max_iterations=np.int64(7)) == MeanFieldConfig(max_iterations=7)
+        assert type(cfg.max_iterations) is int
+
 
 class TestEffectiveField:
     """The field ``h_i + sum_j J_ij m_j`` that one undamped ``gamma=1`` step

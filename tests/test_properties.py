@@ -122,7 +122,7 @@ def test_empty_coalition_is_exactly_zero(n, nonlinearity):
 
 
 def _pooled_extensions(rng: np.random.Generator, n: int, rows: int, f: int, k: int) -> Extensions:
-    """K random words over *n* tokens shared by *rows* rows of f <= 2
+    """K random words over *n* tokens shared by *rows* rows of f = 1 or 2
     distinct random tokens each (all n tokens when f > n); each row toggles
     every subset of its tokens in every word."""
     tokens = np.argsort(rng.random((rows, n)), axis=1)[:, :f]
@@ -169,7 +169,7 @@ def _pool_cases(draw):
     rows, k = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     if draw(st.booleans()):
         return game, _ordered_extensions(rng, n, rows, k), rng
-    return game, _pooled_extensions(rng, n, rows, draw(st.integers(0, 2)), k), rng
+    return game, _pooled_extensions(rng, n, rows, draw(st.integers(1, 2)), k), rng
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,10 +190,9 @@ def test_extension_values_match_the_plain_masks(case):
         assert np.all(np.abs(got**2 - ref**2) <= bound)
     # the empty coalition is worth exactly 0, however it is formed
     assert np.all(got[masks == 0] == 0.0)
-    # rows of no token take the plain contexts: the same bits
+    # the words themselves, coalition 0 of their rows: the same bits
     if extensions.orders is None:
-        plain = extensions.added[-1] == 0
-        np.testing.assert_array_equal(got[:, plain], ref[:, plain])
+        np.testing.assert_array_equal(got[0], ref[0])
     # a table game looks the materialised masks up, bit for bit
     if game.n <= 12:
         table = random_table_game(rng, game.n)
@@ -208,9 +207,10 @@ def test_extension_values_match_the_plain_masks(case):
 @pytest.mark.parametrize("n", BOUNDARY_TOKEN_COUNTS)
 def test_empty_context_with_empty_added_set_is_exactly_zero(n, nonlinearity):
     game = _game(n, n, 3, 4, nonlinearity)
-    values = game.values_by_mask(Extensions(np.zeros(3, np.uint64), np.zeros((2, 0), np.intp)))
-    assert values.shape == (1, 2, 3)
-    assert values.tolist() == [[[0.0] * 3] * 2]
+    # subset 0 toggles no token: the empty words as they are
+    values = game.values_by_mask(Extensions(np.zeros(3, np.uint64), np.array([[0], [n - 1]])))
+    assert values.shape == (2, 2, 3)
+    assert values[0].tolist() == [[0.0] * 3] * 2
     # every order's prefix before its first token is empty
     orders = np.tile(np.arange(n), (3, 1))
     values = game.values_by_mask(Extensions(None, np.array([[0]]), orders))
@@ -243,9 +243,8 @@ def test_an_added_set_clears_its_tokens_from_the_contexts(n):
     game = _game(n, n, 3, 4, "identity")
     values = game.values_by_mask(extensions)
     assert [values[0, 0, 0], values[1, 0, 1]] == [0.0, 0.0]
-    # a row of no tokens takes the contexts as they are
-    plain = game.values_by_mask(Extensions(contexts, np.zeros((1, 0), np.intp)))
-    assert plain[0, 0].tolist() == game.values_by_mask(contexts).tolist()
+    # subset 0 toggles no token: the words as they are, bit for bit
+    assert values[0, 0].tolist() == game.values_by_mask(contexts).tolist()
     # the same coalition from the two words: equal up to roundoff
     assert values[1, 0, 0] == pytest.approx(values[0, 0, 1], rel=1e-12)
 
@@ -262,10 +261,11 @@ def test_malformed_extensions_are_rejected():
         ((None, tokens, np.array([[0, 1, 2, 4]])), "permutation"),
         ((None, tokens, orders.astype(float)), "integer array"),
         ((None, np.array([[1, 2]]), orders), "one token"),
-        ((None, np.zeros((1, 0), np.intp), orders), "one token"),
+        ((None, np.zeros((1, 0), np.intp), orders), "one or two tokens per row"),
         ((None, np.array([[4]]), orders), "one token"),
         ((words, np.array([[2, 2]])), "repeats a token"),
-        ((words, np.array([[2, 5, 7]])), "at most 2 tokens"),
+        ((words, np.array([[2, 5, 7]])), "one or two tokens per row"),
+        ((words, np.zeros((1, 0), np.intp)), "one or two tokens per row"),
         ((words, np.array([[0.0]])), "integers"),
         ((words, np.array([[-1]])), "integers in"),
         ((words, np.array([[64]])), "integers in"),
@@ -298,7 +298,7 @@ def test_a_table_game_refuses_tokens_past_its_own(n):
 
 
 @_SETTINGS
-@given(st.integers(1, 12), st.integers(0, 2), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 12), st.integers(1, 2), st.integers(0, 2**32 - 1))
 def test_table_extension_values_are_table_lookups(n, f, seed):
     rng = np.random.default_rng(seed)
     game = random_table_game(rng, n)
@@ -309,13 +309,34 @@ def test_table_extension_values_are_table_lookups(n, f, seed):
     np.testing.assert_array_equal(got, game.table[masks.astype(np.int64)])
 
 
+@_SETTINGS
+@given(st.integers(1, 12), st.integers(1, 2), st.booleans(), st.integers(0, 2**32 - 1))
+def test_context_and_difference_invert_the_toggle_order(n, f, ordered, seed):
+    # a table of small integers, so that every difference is exact in any order
+    rng = np.random.default_rng(seed)
+    table = rng.integers(-50, 50, size=1 << n).astype(np.float64)
+    table[0] = 0.0
+    game = TabularGame(table)
+    extensions = _ordered_extensions(rng, n, 3, 5) if ordered else _pooled_extensions(rng, n, 3, f, 5)
+    context, difference = extensions.context_and_difference(game.values_by_mask(extensions))
+    contexts = extensions.row_contexts()
+    assert context.shape == difference.shape == contexts.shape
+    np.testing.assert_array_equal(context, table[contexts.astype(np.int64)])
+    # the inclusion-exclusion sum over the context extended by each subset of the row's tokens
+    width = extensions.tokens.shape[-1]
+    expected = np.zeros(contexts.shape)
+    for j, subset in enumerate(extensions.added):
+        expected += (-1.0) ** (width - j.bit_count()) * table[(contexts | subset[..., None]).astype(np.int64)]
+    np.testing.assert_array_equal(difference, expected)
+
+
 def test_counting_game_counts_every_extension():
     counting = CountingGame(_game(0, 9, 3, 2, "relu"))
     rng = np.random.default_rng(0)
     counting.values_by_mask(_pooled_extensions(rng, 9, 3, 2, 7))
-    counting.values_by_mask(Extensions(np.zeros(5, np.uint64), np.zeros((2, 0), np.intp)))
+    counting.values_by_mask(Extensions(np.zeros(5, np.uint64), np.array([[0], [8]])))
     counting.values_by_mask(_ordered_extensions(rng, 9, 5, 6))
-    assert counting.evaluations == 3 * 4 * 7 + 2 * 5 + 5 * 2 * 6
+    assert counting.evaluations == 3 * 4 * 7 + 2 * 2 * 5 + 5 * 2 * 6
 
 
 @st.composite
@@ -341,7 +362,7 @@ def _call_sequences(draw):
         else:
             rows = draw(st.integers(1, 3))
             if form == "pooled":
-                f = draw(st.integers(0, 2))
+                f = draw(st.integers(1, 2))
                 arguments.append(_pooled_extensions(rng, n, rows, f, max(1, size // rows)))
             else:
                 arguments.append(_ordered_extensions(rng, n, rows, max(1, size // rows)))
@@ -368,7 +389,7 @@ def test_earlier_calls_do_not_change_results(case):
 @st.composite
 def _bernoulli_cases(draw):
     n = draw(st.sampled_from((1, 63, 64)))
-    excluded = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    excluded = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
     return n, excluded, draw(st.integers(1, 64)), draw(st.integers(0, 2**64 - 1))
 
 
