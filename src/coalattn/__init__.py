@@ -22,7 +22,6 @@ from .linalg import logistic
 from .meanfield import (
     MeanFieldConfig,
     MeanFieldResult,
-    mean_field_step,
     solve_fixed_point,
     spins_to_attention,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "gibbs_weights",
     "MeanFieldConfig",
     "MeanFieldResult",
-    "mean_field_step",
     "solve_fixed_point",
     "spins_to_attention",
     "EnumerationLimitError",

@@ -2,20 +2,32 @@
 
 The fixture is a tiny tabular game plus three pre-drawn coalitions, a fixed
 gate for token 1, and externally supplied field/coupling values for the
-remaining tokens, so the whole chain — Gibbs weights, Shapley/Banzhaf and
-interaction estimates, field blending, and the first mean-field iterations —
-can be recomputed deterministically and compared against quoted reference
-numbers without touching the samplers.
+remaining tokens, so the whole chain can be recomputed deterministically and
+compared against quoted reference numbers without touching the samplers.
+Every stage runs through the function the engine uses for it:
+
+* coalition values and the target token's marginals: the fixture's
+  ``TabularGame`` evaluates ``games.Extensions(sampled_masks,
+  [[target_token]])``, whose coalition 0 on each word is the word itself,
+  and ``Extensions.context_and_difference`` gives the marginals;
+* Gibbs weights: ``estimators.gibbs_weights`` of the words' values, with
+  equal proposal mass;
+* pair deltas: ``context_and_difference`` of ``Extensions(pair_contexts,
+  [pair])``;
+* gate blend: ``pipeline.combine_fields``;
+* the first two iterations and the fixed point: ``meanfield.solve_fixed_point``
+  from zeros, undamped, with ``max_iterations`` 1 and 2 for the iterations.
 
 Two conventions of the fixture are worth spelling out:
 
-* the three coalitions are reused for every estimate; when a coalition
-  already contains the target token, its marginal is taken against the
-  coalition minus that token.  The interaction contexts are pinned by the
-  fixture to ``0b000, 0b100, 0b000``: the first two are the coalitions
-  stripped of both pair members, but the third coalition ``0b110`` strips
-  to ``0b100``, and with that context the interaction would be 0.425, not
-  the quoted 0.466;
+* the three coalitions are reused for every estimate, and the target's
+  marginals follow the estimator's Bernoulli-pool convention: its context on
+  a word is the word without the target, so a coalition that already
+  contains the target gives its marginal against the coalition minus that
+  token.  The interaction contexts are pinned by the fixture to ``0b000,
+  0b100, 0b000``: the first two are the coalitions stripped of both pair
+  members, but the third coalition ``0b110`` strips to ``0b100``, and with
+  that context the interaction would be 0.425, not the quoted 0.466;
 * the single-token estimates are fed to the gate blend as-is (the fixture
   treats them as already normalized, there being no full score vector to
   normalize against).
@@ -31,8 +43,9 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import gibbs_weights
-from .games import TabularGame
-from .meanfield import MeanFieldConfig, mean_field_step, solve_fixed_point, spins_to_attention
+from .games import Extensions, TabularGame
+from .meanfield import MeanFieldConfig, solve_fixed_point, spins_to_attention
+from .pipeline import combine_fields
 
 __all__ = ["FIXTURE", "run_demo", "render_demo"]
 
@@ -82,20 +95,6 @@ class _Fixture:
 FIXTURE = _Fixture
 
 
-def _fixture_marginals(game: TabularGame, token: int, masks) -> np.ndarray:
-    """Marginal of *token* against each coalition, per the reuse convention."""
-    bit = 1 << token
-    contexts = np.array(masks) & ~bit  # drop the token when the coalition contains it
-    return game.table[contexts | bit] - game.table[contexts]
-
-
-def _fixture_pair_deltas(game: TabularGame, pair, contexts) -> np.ndarray:
-    bi, bj = 1 << pair[0], 1 << pair[1]
-    contexts = np.array(contexts)
-    table = game.table
-    return table[contexts | bi | bj] - table[contexts | bi] - table[contexts | bj] + table[contexts]
-
-
 def _compare(engine, reference) -> dict:
     engine = np.atleast_1d(np.asarray(engine, dtype=np.float64))
     reference = np.atleast_1d(np.asarray(reference, dtype=np.float64))
@@ -118,26 +117,35 @@ def run_demo() -> dict:
     fx = FIXTURE
     game = TabularGame(fx.table)
 
-    coalition_values = game.table[list(fx.sampled_masks)]
+    # the target's two coalitions on each word: the word, then the word with
+    # the target toggled
+    target = Extensions(fx.sampled_masks, [[fx.target_token]])
+    target_values = game.values_by_mask(target)
+    coalition_values = target_values[0, 0]
+    marginals = target.context_and_difference(target_values)[1][0]
     proposals = np.ones(len(fx.sampled_masks))  # equal mass; cancels in normalization
 
-    marginals = _fixture_marginals(game, fx.target_token, fx.sampled_masks)
     _, weights = gibbs_weights(coalition_values, proposals, fx.gamma)
     shapley_hat = float(np.dot(weights, marginals))
     banzhaf_hat = shapley_hat  # same coalitions and weights in the fixture
 
-    pair_deltas = _fixture_pair_deltas(game, fx.pair, fx.pair_contexts)
+    pair = Extensions(fx.pair_contexts, [fx.pair])
+    pair_deltas = pair.context_and_difference(game.values_by_mask(pair))[1][0]
     interaction_hat = float(np.dot(weights, pair_deltas))
 
     # gate blend; the fixture feeds the raw estimates straight in
-    field_target = fx.gate * shapley_hat + (1.0 - fx.gate) * banzhaf_hat
+    field_target = float(combine_fields([shapley_hat], [banzhaf_hat], [fx.gate])[0])
 
     fields = np.array([fx.field_token_0, field_target, fx.field_token_2])
     couplings = np.array(fx.couplings)
 
-    step_cfg = MeanFieldConfig(gamma=fx.gamma, max_iterations=1, tolerance=1e-12, damping=0.0)
-    spins_1 = mean_field_step(fields, couplings, np.zeros(fx.n), step_cfg)
-    spins_2 = mean_field_step(fields, couplings, spins_1, step_cfg)
+    # the first two synchronous iterates from zeros
+    spins_1, spins_2 = (
+        solve_fixed_point(
+            fields, couplings, MeanFieldConfig(gamma=fx.gamma, max_iterations=count, tolerance=1e-12, damping=0.0)
+        ).expected_spins
+        for count in (1, 2)
+    )
 
     solve_cfg = MeanFieldConfig(gamma=fx.gamma, max_iterations=500, tolerance=1e-9, damping=0.0)
     solved = solve_fixed_point(fields, couplings, solve_cfg)

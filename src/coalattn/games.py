@@ -118,7 +118,10 @@ class Extensions:
       also the size of the context.
 
     ``held[t, k]`` (None with orders) tells whether word k holds token t,
-    for every token up to the largest a row holds.
+    for every token that a word or a row holds: its row count is the larger
+    of the bit length of the words' OR and the largest row token plus one.
+    The words are unpacked into it once, and an ``EmbeddingGame`` sums them
+    from it.
 
     This toggle order is defined here alone, and ``context_and_difference``
     inverts it: from the values ``v_j`` of a row's coalitions on an entry it
@@ -171,7 +174,8 @@ class Extensions:
                 raise ValueError("extensions: contexts must be one axis of K masks")
             contexts.flags.writeable = False
             object.__setattr__(self, "contexts", contexts.view())
-            members = token_members(contexts, int(tokens.max(initial=0)) + 1)
+            words_extent = int(np.bitwise_or.reduce(contexts, initial=0)).bit_length()
+            members = token_members(contexts, max(words_extent, int(tokens.max(initial=-1)) + 1))
             object.__setattr__(self, "held", np.ascontiguousarray(members.T).view(bool))
             object.__setattr__(self, "shape", added.shape + contexts.shape)
             return
@@ -383,7 +387,7 @@ class EmbeddingGame:
     def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
         if not isinstance(masks, Extensions):
             masks = np.asarray(masks)
-            squared = self._sums(token_members(masks, self.n))[1]
+            squared = self._sums(token_members(masks, self.n), self.projected)[1]
             return self._finish(squared.reshape(masks.shape))
         extensions = masks
         if extensions.tokens.size and extensions.tokens.max() >= self.n:
@@ -392,7 +396,7 @@ class EmbeddingGame:
             )
         if extensions.orders is not None:
             # subset 0 is the prefix before the row's token, subset 1 the one through it
-            values = self._shared(extensions.orders, self._prefix_values)
+            values = self._shared(extensions, self._prefix_values)
             ranks = extensions.ranks
             places = ranks + np.arange(2).reshape((2,) + (1,) * ranks.ndim)
             return values[np.arange(values.shape[0]), places]
@@ -405,13 +409,14 @@ class EmbeddingGame:
             np.tanh(norms, out=norms)
         return norms
 
-    def _shared(self, pool: np.ndarray, form):
-        """``form(pool)``, kept for the next call with the same pool."""
+    def _shared(self, extensions: Extensions, form):
+        """``form(extensions)``, kept for the next call with the same pool."""
+        pool = extensions.contexts if extensions.orders is None else extensions.orders
         # one read, so a concurrent call cannot swap another pool's sums in
         last = self._pool
         if last[0] is pool:
             return last[1]
-        shared = form(pool)
+        shared = form(extensions)
         self._pool = (pool, shared)
         return shared
 
@@ -419,7 +424,7 @@ class EmbeddingGame:
         """The values of the coalitions of an ``Extensions`` of pool words."""
         tokens = extensions.tokens
         word_values, toggled_values, toggled_squares, h, signs, doubles = self._shared(
-            extensions.contexts, self._word_values
+            extensions, self._word_values
         )
         values = np.empty(extensions.shape)
         values[0] = word_values
@@ -443,28 +448,34 @@ class EmbeddingGame:
         self._finish(squared)
         return values
 
-    def _word_values(self, contexts: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _word_values(self, extensions: Extensions) -> tuple[np.ndarray, ...]:
         """What every row of a pool of K words shares: the words' values; the
         values and squared norms ``q0 + h_t`` of each word with each token t
-        toggled, the ``h_t`` and the signs ``s_t``, all of shape ``(n, K)``;
-        and the indices of the words of two tokens."""
-        members = token_members(contexts, self.n)
-        s, squares = self._sums(members)
-        signs = 1.0 - 2.0 * np.ascontiguousarray(members.T)
-        h = self.projected @ s.T  # x_t.S_k
+        toggled, the ``h_t`` and the signs ``s_t``, all of shape ``(m, K)``
+        for the m tokens below n of ``extensions.held``, which covers every
+        token a word or a row holds; and the indices of the words of two
+        tokens."""
+        contexts = extensions.contexts
+        # a float copy: numpy's matmul of a bool operand skips BLAS
+        members = extensions.held[: self.n].astype(np.float64)
+        m = members.shape[0]
+        s, squares = self._sums(members.T, self.projected[:m])
+        signs = 1.0 - 2.0 * members
+        h = self.projected[:m] @ s.T  # x_t.S_k
         h *= 2.0
         h *= signs
-        h += np.diagonal(self._gram)[:, None]
+        h += np.diagonal(self._gram)[:m, None]
         toggled_squares = h + squares
         toggled_values = self._finish(toggled_squares.copy())
         # the word of the one token t toggles to the empty coalition
-        toggled_values[contexts == _token_bits(np.arange(self.n))[:, None]] = 0.0
+        toggled_values[contexts == _token_bits(np.arange(m))[:, None]] = 0.0
         doubles = np.flatnonzero(np.bitwise_count(contexts) == 2)
         return self._finish(squares), toggled_values, toggled_squares, h, signs, doubles
 
-    def _prefix_values(self, orders: np.ndarray) -> np.ndarray:
+    def _prefix_values(self, extensions: Extensions) -> np.ndarray:
         """The values of the n + 1 prefixes of each of the K orders, shape
         ``(K, n + 1)``."""
+        orders = extensions.orders
         k, n = orders.shape
         if n > self.n:
             raise ValueError(f"embedding game: orders of {n} tokens for a game of {self.n}")
@@ -476,10 +487,12 @@ class EmbeddingGame:
             squared[:, place + 1] = np.einsum("ij,ij->i", running, running)
         return self._finish(squared)
 
-    def _sums(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The coalition sums ``members @ projected`` of a ``(B, n)``
-        membership, and their squared norms, shape ``(B,)``."""
-        sums = members @ self.projected
+    @staticmethod
+    def _sums(members: np.ndarray, projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coalition sums ``members @ projected`` of a ``(B, m)``
+        membership of the first m tokens, and their squared norms, shape
+        ``(B,)``."""
+        sums = members @ projected
         return sums, np.einsum("ij,ij->i", sums, sums)
 
 

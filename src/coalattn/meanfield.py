@@ -24,7 +24,6 @@ __all__ = [
     "MeanFieldConfig",
     "MeanFieldResult",
     "check_spin_system",
-    "mean_field_step",
     "solve_fixed_point",
     "spins_to_attention",
 ]
@@ -92,37 +91,6 @@ def check_spin_system(fields, couplings) -> tuple[np.ndarray, np.ndarray]:
     return fields, couplings
 
 
-def _target_update(fields, couplings, gamma):
-    """A function ``update(spins, target)`` that writes
-    ``clip(tanh((fields + couplings @ spins) / gamma))`` into *target* and
-    returns it, with its ufuncs bound once per solve.  The clip is
-    ``np.maximum`` then ``np.minimum``, which is ``np.clip``'s result, NaN
-    included, without its Python-level dispatch.  At a tiny gamma the
-    quotient may overflow, and tanh(+-inf) is its limit +-1: the caller
-    ignores numpy's overflow warning."""
-    matmul, add, divide, tanh, maximum, minimum = np.matmul, np.add, np.divide, np.tanh, np.maximum, np.minimum
-    low, high = -_SPIN_CAP, _SPIN_CAP
-
-    def update(spins: np.ndarray, target: np.ndarray) -> np.ndarray:
-        matmul(couplings, spins, out=target)
-        add(fields, target, out=target)
-        divide(target, gamma, out=target)
-        tanh(target, out=target)
-        maximum(target, low, out=target)
-        return minimum(target, high, out=target)
-
-    return update
-
-
-def mean_field_step(fields, couplings, spins, cfg: MeanFieldConfig) -> np.ndarray:
-    """One synchronous update followed by the damped blend."""
-    fields, couplings = check_spin_system(fields, couplings)
-    spins = as_vector(spins, "spins")
-    with np.errstate(over="ignore"):
-        target = _target_update(fields, couplings, cfg.gamma)(spins, np.empty(fields.size))
-    return cfg.damping * spins + (1.0 - cfg.damping) * target
-
-
 def solve_fixed_point(fields, couplings, cfg: MeanFieldConfig) -> MeanFieldResult:
     """Iterate the damped synchronous update until self-consistent.
 
@@ -131,19 +99,31 @@ def solve_fixed_point(fields, couplings, cfg: MeanFieldConfig) -> MeanFieldResul
     defect in ``final_residual``.  With all couplings zero and no damping
     the exact solution ``tanh(J_i/gamma)`` is reached in a single update.
     The result's ``trace`` holds the residual of every measured iterate, at
-    most ``max_iterations + 1`` rows.
+    most ``max_iterations + 1`` rows.  With damping 0 and a tolerance that
+    no earlier iterate meets, ``max_iterations = k`` returns the k-th
+    synchronous iterate from zeros.
     """
     fields, couplings = check_spin_system(fields, couplings)
     spins, target, gap = np.zeros(fields.size), np.empty(fields.size), np.empty(fields.size)
-    keep, take = cfg.damping, 1.0 - cfg.damping
-    update = _target_update(fields, couplings, cfg.gamma)
+    gamma, keep, take = cfg.gamma, cfg.damping, 1.0 - cfg.damping
+    low, high = -_SPIN_CAP, _SPIN_CAP
+    # the ufuncs, bound once per solve
+    matmul, divide, tanh, maximum, minimum = np.matmul, np.divide, np.tanh, np.maximum, np.minimum
     add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
 
     trace: list[tuple[int, float]] = []
     used = 0
+    # at a tiny gamma the quotient may overflow, and tanh(+-inf) is its limit +-1
     with np.errstate(over="ignore"):
         while True:
-            update(spins, target)
+            # target = clip(tanh((fields + couplings @ spins) / gamma)), in place;
+            # the clip is np.clip's result, NaN included, without its dispatch
+            matmul(couplings, spins, out=target)
+            add(fields, target, out=target)
+            divide(target, gamma, out=target)
+            tanh(target, out=target)
+            maximum(target, low, out=target)
+            minimum(target, high, out=target)
             defect = float(absolute(subtract(target, spins, out=gap), out=gap).max())
             trace.append((used, defect))
             if defect < cfg.tolerance or used >= cfg.max_iterations:

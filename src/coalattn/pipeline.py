@@ -220,5 +220,4 @@ def multi_head_attend(embeddings, params: MultiHeadParams) -> AttentionOutput:
 def derive_head_seed(seed: int, head_index: int) -> int:
     """Deterministic 64-bit seed for one head, split from the global seed."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_HEAD_STREAM, int(head_index)))
-    lo, hi = ss.generate_state(2, np.uint32)
-    return int(lo) | (int(hi) << 32)
+    return int(ss.generate_state(1, np.uint64)[0])

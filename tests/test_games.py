@@ -227,3 +227,27 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
         np.testing.assert_array_equal(np.asarray(extensions), masks)
         for evaluator in (game, EmbeddingGame(*params)):
             assert evaluator.values_by_mask(extensions).tobytes() == values.tobytes()
+
+
+def test_held_covers_every_token_a_word_or_a_row_holds():
+    words = np.array([0b1, 0b100100, 0], dtype=np.uint64)
+    for tokens, count in (([[0]], 6), ([[0], [7]], 8), ([[1, 2]], 6)):
+        held = Extensions(words, np.array(tokens)).held
+        bits = (words >> np.arange(count, dtype=np.uint64)[:, None]) & np.uint64(1)
+        np.testing.assert_array_equal(held, bits == 1)
+    assert Extensions(np.zeros(2, np.uint64), np.zeros((0, 2), np.intp)).held.shape == (0, 2)
+
+
+def test_embedding_tables_cover_the_held_tokens_below_n():
+    rng = np.random.default_rng(44)
+    game = EmbeddingGame(rng.normal(size=(6, 3)), rng.normal(size=(3, 4)))
+    # tokens 0-2 of 6, in no word that a toggle of a row's tokens empties
+    words = np.array([0b111, 0b110, 0, 0b110, 0b111], dtype=np.uint64)
+    tokens = np.array([[0, 1], [2, 0]])
+    few = Extensions(words, tokens)
+    assert few.held.shape == (3, 5)
+    np.testing.assert_allclose(game.values_by_mask(few), game.values_by_mask(np.asarray(few)), rtol=1e-12)
+    # bits at or above n widen held but are never read
+    high = Extensions(words | np.uint64(1 << 7), tokens)
+    assert high.held.shape == (8, 5)
+    assert game.values_by_mask(high).tobytes() == game.values_by_mask(few).tobytes()

@@ -5,7 +5,6 @@ import pytest
 
 from coalattn.meanfield import (
     MeanFieldConfig,
-    mean_field_step,
     solve_fixed_point,
     spins_to_attention,
 )
@@ -19,6 +18,12 @@ WORKED_COUPLINGS = np.array(
 
 def _undamped(gamma=1.0, tol=1e-6, iters=500):
     return MeanFieldConfig(gamma=gamma, max_iterations=iters, tolerance=tol, damping=0.0)
+
+
+def _iterate(fields, couplings, count, damping=0.0):
+    """The solver's iterate after *count* ``gamma=1`` updates from zeros."""
+    cfg = MeanFieldConfig(gamma=1.0, max_iterations=count, tolerance=1e-12, damping=damping)
+    return solve_fixed_point(fields, couplings, cfg).expected_spins
 
 
 def _random_system(rng, n, coupling_scale=1.0):
@@ -67,51 +72,36 @@ class TestConfigValidation:
 
 class TestEffectiveField:
     """The field ``h_i + sum_j J_ij m_j`` that one undamped ``gamma=1`` step
-    passes through tanh."""
+    from zeros passes through tanh."""
 
     def test_zero_couplings_passthrough(self):
         fields = np.array([0.3, -0.7])
-        got = mean_field_step(fields, np.zeros((2, 2)), np.array([0.9, -0.9]), _undamped())
+        got = _iterate(fields, np.zeros((2, 2)), 1)
         assert got[1] == np.tanh(-0.7)
-
-    def test_worked_second_iteration_value(self):
-        # field on spin 0 once the first-iteration expectations are plugged in
-        spins = np.array([0.0, 0.611, 0.471])
-        got = mean_field_step(WORKED_FIELDS, WORKED_COUPLINGS, spins, _undamped())
-        assert math.atanh(got[0]) == pytest.approx(0.8547, abs=5e-5)
-
-    def test_direct_substitution(self):
-        fields = np.zeros(2)
-        couplings = np.array([[0.0, 1.0], [1.0, 0.0]])
-        got = mean_field_step(fields, couplings, np.array([0.5, -0.5]), _undamped())
-        assert got[0] == np.tanh(-0.5)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            mean_field_step(np.zeros(3), np.zeros((2, 2)), np.zeros(3), _undamped())
+            solve_fixed_point(np.zeros(3), np.zeros((2, 2)), _undamped())
 
 
 class TestMeanFieldStep:
+    """The first iterates of the solver, bounded by its iteration budget."""
+
     def test_first_iteration_from_zero(self):
-        cfg = _undamped()
-        spins = mean_field_step(WORKED_FIELDS, WORKED_COUPLINGS, np.zeros(3), cfg)
+        spins = _iterate(WORKED_FIELDS, WORKED_COUPLINGS, 1)
         np.testing.assert_allclose(spins, [0.400, 0.611, 0.471], atol=1e-3)
 
     def test_second_iteration(self):
-        cfg = _undamped()
-        first = mean_field_step(WORKED_FIELDS, WORKED_COUPLINGS, np.zeros(3), cfg)
-        second = mean_field_step(WORKED_FIELDS, WORKED_COUPLINGS, first, cfg)
+        second = _iterate(WORKED_FIELDS, WORKED_COUPLINGS, 2)
         np.testing.assert_allclose(second, [0.693, 0.773, 0.668], atol=2e-3)
 
     def test_zero_system_stays_zero(self):
-        cfg = _undamped()
-        spins = mean_field_step(np.zeros(4), np.zeros((4, 4)), np.ones(4) * 0.3, cfg)
+        spins = _iterate(np.zeros(4), np.zeros((4, 4)), 1)
         np.testing.assert_array_equal(spins, np.zeros(4))
 
     def test_damping_blends(self):
-        cfg = MeanFieldConfig(gamma=1.0, max_iterations=1, tolerance=1e-9, damping=0.5)
-        start = np.array([0.2])
-        stepped = mean_field_step(np.array([0.0]), np.zeros((1, 1)), start, cfg)
+        # half of the update tanh(atanh(0.2)) blended with the zero start
+        stepped = _iterate(np.array([math.atanh(0.2)]), np.zeros((1, 1)), 1, damping=0.5)
         assert stepped[0] == pytest.approx(0.1, abs=1e-15)
 
 
