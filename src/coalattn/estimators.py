@@ -187,16 +187,16 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
     largest raw weight of a row is 1 and no large exponential is ever formed;
     the common factor cancels in the normalization; an overflowing
     ``v_k/gamma`` raises ``linalg.TemperatureError``, and a NaN or an
-    infinite value a ``ValueError`` naming it.  A log-weight more than
-    float64's range below its row's max shifts to -inf, a weight of exactly
-    0, with numpy's overflow warning unless the caller ignores it, as
-    ``estimate_all`` does.  Returns (raw, normalized).
+    infinite value a ``ValueError`` naming it, as is a *gamma* that is not
+    a positive finite number (named ``coalition_gamma``).  A log-weight
+    more than float64's range below its row's max shifts to -inf, a weight
+    of exactly 0, with numpy's overflow warning unless the caller ignores
+    it, as ``estimate_all`` does.  Returns (raw, normalized).
     """
     # written so that a NaN, which fails every comparison, is refused too
     if not np.logical_and(probs > 0.0, probs <= 1.0).all():
         raise ValueError("proposal probabilities must lie in (0, 1]")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    EstimatorConfig(gamma=gamma)  # the run setting's one check
     try:
         # a fresh array, in which the log-weights are formed
         log_raw = over_temperature(values, gamma, "coalition_gamma")

@@ -118,10 +118,8 @@ class Extensions:
       also the size of the context.
 
     ``held[t, k]`` (None with orders) tells whether word k holds token t,
-    for every token that a word or a row holds: its row count is the larger
-    of the bit length of the words' OR and the largest row token plus one.
-    The words are unpacked into it once, and an ``EmbeddingGame`` sums them
-    from it.
+    for all 64 mask bits, so it depends on the words alone and not on the
+    rows beside them.
 
     This toggle order is defined here alone, and ``context_and_difference``
     inverts it: from the values ``v_j`` of a row's coalitions on an entry it
@@ -174,8 +172,7 @@ class Extensions:
                 raise ValueError("extensions: contexts must be one axis of K masks")
             contexts.flags.writeable = False
             object.__setattr__(self, "contexts", contexts.view())
-            words_extent = int(np.bitwise_or.reduce(contexts, initial=0)).bit_length()
-            members = token_members(contexts, max(words_extent, int(tokens.max(initial=-1)) + 1))
+            members = token_members(contexts, MAX_TOKENS)
             object.__setattr__(self, "held", np.ascontiguousarray(members.T).view(bool))
             object.__setattr__(self, "shape", added.shape + contexts.shape)
             return
@@ -336,12 +333,13 @@ class EmbeddingGame:
     Plain masks, and the pool words themselves (coalition 0 of their
     rows), get ``q0``: exactly the squared norm of the member-matmul sum;
     the sum of the empty word is exactly 0, and a toggle that empties a word
-    (the word holds just the toggled tokens, which only words of one or two
-    tokens can) is set to 0, so the empty coalition is worth exactly 0.  A
-    prefix is summed along its order, which rounds otherwise than the
-    member-matmul sum of the same mask, and from the same sums the pooled
-    form of a coalition rounds otherwise than the direct squared norm: the
-    two differ by at most ``2 (d_v + f^2 + 2 f + 4) eps M^2``
+    (of the tokens below n, the word holds just the toggled ones, which
+    only words of one or two tokens can) is set to 0, so the empty
+    coalition is worth exactly 0.  A prefix is summed along its order,
+    which rounds otherwise than the member-matmul sum of the same mask,
+    and from the same sums the pooled form of a coalition rounds otherwise
+    than the direct squared norm: the two differ by at most
+    ``2 (d_v + f^2 + 2 f + 4) eps M^2``
     (``eps`` the float64 machine epsilon, ``M = |S_k| + sum_t |x_t|`` over
     the row's f tokens), which only matters where the terms nearly cancel.
     For a pair, with ``u = eps/2``: each dot product of d_v terms (``q0``,
@@ -387,7 +385,7 @@ class EmbeddingGame:
     def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
         if not isinstance(masks, Extensions):
             masks = np.asarray(masks)
-            squared = self._sums(token_members(masks, self.n), self.projected)[1]
+            squared = self._sums(token_members(masks, self.n))[1]
             return self._finish(squared.reshape(masks.shape))
         extensions = masks
         if extensions.tokens.size and extensions.tokens.max() >= self.n:
@@ -423,7 +421,7 @@ class EmbeddingGame:
     def _toggled_values(self, extensions: Extensions) -> np.ndarray:
         """The values of the coalitions of an ``Extensions`` of pool words."""
         tokens = extensions.tokens
-        word_values, toggled_values, toggled_squares, h, signs, doubles = self._shared(
+        word_values, toggled_values, toggled_squares, h, signs, doubles, double_words = self._shared(
             extensions, self._word_values
         )
         values = np.empty(extensions.shape)
@@ -443,7 +441,7 @@ class EmbeddingGame:
         squared += cross
         if doubles.size:
             # a word of just the row's two tokens toggles to the empty coalition
-            emptied = extensions.contexts[doubles] == extensions.added[-1][..., None]
+            emptied = double_words == extensions.added[-1][..., None]
             squared[..., doubles] = np.where(emptied, 0.0, squared[..., doubles])
         self._finish(squared)
         return values
@@ -451,26 +449,25 @@ class EmbeddingGame:
     def _word_values(self, extensions: Extensions) -> tuple[np.ndarray, ...]:
         """What every row of a pool of K words shares: the words' values; the
         values and squared norms ``q0 + h_t`` of each word with each token t
-        toggled, the ``h_t`` and the signs ``s_t``, all of shape ``(m, K)``
-        for the m tokens below n of ``extensions.held``, which covers every
-        token a word or a row holds; and the indices of the words of two
-        tokens."""
-        contexts = extensions.contexts
-        # a float copy: numpy's matmul of a bool operand skips BLAS
-        members = extensions.held[: self.n].astype(np.float64)
-        m = members.shape[0]
-        s, squares = self._sums(members.T, self.projected[:m])
-        signs = 1.0 - 2.0 * members
-        h = self.projected[:m] @ s.T  # x_t.S_k
+        toggled, the ``h_t`` and the signs ``s_t``, all of shape ``(n, K)``;
+        and the indices of the words of two tokens, with those words.  Every
+        word is read as its n bits alone, as a plain mask is: it is summed
+        by the route plain masks take, so its value is its plain mask's, its
+        signs are the first n rows of ``extensions.held``, and a toggle
+        empties it when its n bits are the toggled tokens."""
+        words = extensions.contexts & np.uint64((1 << self.n) - 1)
+        s, squares = self._sums(token_members(words, self.n))
+        signs = 1.0 - 2.0 * extensions.held[: self.n]
+        h = self.projected @ s.T  # x_t.S_k
         h *= 2.0
         h *= signs
-        h += np.diagonal(self._gram)[:m, None]
+        h += np.diagonal(self._gram)[:, None]
         toggled_squares = h + squares
         toggled_values = self._finish(toggled_squares.copy())
         # the word of the one token t toggles to the empty coalition
-        toggled_values[contexts == _token_bits(np.arange(m))[:, None]] = 0.0
-        doubles = np.flatnonzero(np.bitwise_count(contexts) == 2)
-        return self._finish(squares), toggled_values, toggled_squares, h, signs, doubles
+        toggled_values[words == _token_bits(np.arange(self.n))[:, None]] = 0.0
+        doubles = np.flatnonzero(np.bitwise_count(words) == 2)
+        return self._finish(squares), toggled_values, toggled_squares, h, signs, doubles, words[doubles]
 
     def _prefix_values(self, extensions: Extensions) -> np.ndarray:
         """The values of the n + 1 prefixes of each of the K orders, shape
@@ -487,12 +484,11 @@ class EmbeddingGame:
             squared[:, place + 1] = np.einsum("ij,ij->i", running, running)
         return self._finish(squared)
 
-    @staticmethod
-    def _sums(members: np.ndarray, projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The coalition sums ``members @ projected`` of a ``(B, m)``
-        membership of the first m tokens, and their squared norms, shape
-        ``(B,)``."""
-        sums = members @ projected
+    def _sums(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coalition sums ``members @ projected`` of a ``(B, n)``
+        membership, and their squared norms, shape ``(B,)``: the one route
+        by which plain masks and pool words are summed."""
+        sums = members @ self.projected
         return sums, np.einsum("ij,ij->i", sums, sums)
 
 

@@ -31,7 +31,7 @@ from .games import (
     check_table_differences,
     project_values,
 )
-from .linalg import as_matrix, as_scalar, as_vector
+from .linalg import as_matrix, as_vector
 from .meanfield import MeanFieldConfig, check_spin_system
 from .pipeline import NORMALIZATIONS, HeadParams, MultiHeadParams
 
@@ -278,10 +278,7 @@ def parse_document(obj) -> InputDocument:
                     "(sum_i |v_i| over every head's values v, times |output_projection|, is not finite)",
                 )
     elif single_keys:
-        if single_keys != _HEAD_KEYS:
-            missing = _HEAD_KEYS - single_keys
-            raise InputError(f"document: incomplete head parameters, missing {sorted(missing)}")
-        heads = (_parse_head({k: obj[k] for k in _HEAD_KEYS}, "head", d, embeddings, nonlinearity),)
+        heads = (_parse_head({k: obj[k] for k in single_keys}, "head", d, embeddings, nonlinearity),)
 
     return InputDocument(
         n=n,
@@ -323,9 +320,10 @@ class RunConfig:
     coalition temperature (Gibbs weights), sample count, seed and mode,
     ``MeanFieldConfig``'s for the spin temperature and the solver budget,
     and ``HeadParams``'s for the normalization, so a default is changed in
-    the engine config alone.  ``RunConfig`` checks the JSON types; the
-    engine configs check the ranges, naming the setting, so a bad value is
-    refused as ``field: message`` (exit 2).
+    the engine config alone.  ``RunConfig`` checks that the integer
+    settings are JSON integers; the engine configs check the numbers and
+    every range, naming the setting, so a bad value is refused as ``field:
+    message`` (exit 2).
     """
 
     coalition_gamma: float = EstimatorConfig.gamma
@@ -339,10 +337,9 @@ class RunConfig:
     normalization: str = HeadParams.normalization
 
     def __post_init__(self) -> None:
-        # JSON types are checked here, never converted, so the echo shows the
-        # values as given; the engine configs check every range
-        for name in ("coalition_gamma", "spin_gamma", "tolerance", "damping"):
-            _checked(as_scalar, getattr(self, name), name)
+        # the integers' JSON types are checked here, never converted, so the
+        # echo shows the values as given; the engine configs check the
+        # floats' types and every range
         for name in ("sample_count", "max_iterations", "seed"):
             _as_int(getattr(self, name), name)
         _checked(self.estimator_config)

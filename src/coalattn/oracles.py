@@ -41,9 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import EstimatorConfig
 from .games import TABULAR_MAX_TOKENS, GameValues, TabularGame, tabulate, token_members
 from .linalg import over_temperature
-from .meanfield import check_spin_system
+from .meanfield import MeanFieldConfig, check_spin_system
 
 __all__ = [
     "SPIN_ENUM_LIMIT",
@@ -192,11 +193,11 @@ def exact_gibbs_tilted_values(game, gamma: float) -> GameValues:
     and ``.banzhaf`` therefore estimate one quantity, and the pipeline's
     lambda-blend averages two estimators of one value.
 
-    Raises ``ValueError`` unless *gamma* is positive and finite, and
+    Raises ``ValueError`` naming ``coalition_gamma`` unless *gamma* is a
+    positive finite number (a bool or a string is not one), and
     ``linalg.TemperatureError`` when a context's ``v(C) / gamma`` overflows.
     """
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    EstimatorConfig(gamma=gamma)  # the run setting's one check
     n = game.n
     table = exact_table(game).table
     # the grand coalition is the context of no slot, so its v / gamma may overflow
@@ -246,12 +247,12 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
     could overflow float64, which no temperature mends: every ``|H(S)|``,
     and every partial sum of the matrix products that form it, is at most
     ``sum_i |J_i| + sum_{i,j} |J_ij|``, so a finite bound keeps them all
-    finite.  An overflowing ``-H(S)/gamma`` raises
-    ``linalg.TemperatureError``.
+    finite.  A *gamma* that is not a positive finite number raises
+    ``ValueError`` naming ``spin_gamma``, and an overflowing
+    ``-H(S)/gamma`` ``linalg.TemperatureError``.
     """
     fields, couplings = check_spin_system(fields, couplings)
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    MeanFieldConfig(gamma=gamma)  # the run setting's one check
     n = fields.size
     require_limit(n, spins=True)
     with np.errstate(over="ignore"):

@@ -440,8 +440,10 @@ class TestNormalizeWeights:
             gibbs_weights(np.ones(2), np.array([np.nan, 0.5]), 1.0)
 
     def test_bad_gamma_rejected(self):
-        for gamma in (0.0, -1.0, float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="gamma"):
+        # by the run setting's name: a bool is not 1.0, and a string is
+        # not a temperature
+        for gamma in (True, "0.25", 0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="^coalition_gamma: "):
                 gibbs_weights(np.ones(1), np.ones(1), gamma)
 
 

@@ -230,12 +230,11 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
 
 
 def test_held_covers_every_token_a_word_or_a_row_holds():
+    # one row per mask bit, whichever rows the words serve: row t is bit t of each word
     words = np.array([0b1, 0b100100, 0], dtype=np.uint64)
-    for tokens, count in (([[0]], 6), ([[0], [7]], 8), ([[1, 2]], 6)):
-        held = Extensions(words, np.array(tokens)).held
-        bits = (words >> np.arange(count, dtype=np.uint64)[:, None]) & np.uint64(1)
-        np.testing.assert_array_equal(held, bits == 1)
-    assert Extensions(np.zeros(2, np.uint64), np.zeros((0, 2), np.intp)).held.shape == (0, 2)
+    bits = (words >> np.arange(64, dtype=np.uint64)[:, None]) & np.uint64(1)
+    for tokens in ([[0]], [[0], [7]], [[1, 2]], np.zeros((0, 2), np.intp)):
+        np.testing.assert_array_equal(Extensions(words, np.array(tokens)).held, bits == 1)
 
 
 def test_embedding_tables_cover_the_held_tokens_below_n():
@@ -245,9 +244,78 @@ def test_embedding_tables_cover_the_held_tokens_below_n():
     words = np.array([0b111, 0b110, 0, 0b110, 0b111], dtype=np.uint64)
     tokens = np.array([[0, 1], [2, 0]])
     few = Extensions(words, tokens)
-    assert few.held.shape == (3, 5)
     np.testing.assert_allclose(game.values_by_mask(few), game.values_by_mask(np.asarray(few)), rtol=1e-12)
-    # bits at or above n widen held but are never read
+    # bits at or above n are never read
     high = Extensions(words | np.uint64(1 << 7), tokens)
-    assert high.held.shape == (8, 5)
     assert game.values_by_mask(high).tobytes() == game.values_by_mask(few).tobytes()
+    # nor by the toggles that empty a word: they read exactly 0, as the
+    # plain mask does, where the rounded sum may read 1e-7
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        game = EmbeddingGame(rng.normal(size=(6, 3)), rng.normal(size=(3, 4)))
+        for word, row in ((0b10000001, [0]), (0b10000011, [0, 1]), (0b11000010, [1])):
+            toggled = game.values_by_mask(Extensions(np.array([word], np.uint64), np.array([row])))
+            assert toggled[-1, 0, 0] == 0.0, f"game {seed}, word {word:#b}"
+
+
+def _assert_rows_read_alone_as_in_their_family(game, make, tokens):
+    """Each row of ``make(tokens)``, an ``Extensions`` on one pool, gives the
+    same coalition values, context values and differences alone as inside
+    the whole family."""
+    family = make(tokens)
+    values = game.values_by_mask(family)
+    context, difference = family.context_and_difference(values)
+    for r in range(len(tokens)):
+        alone = make(tokens[r : r + 1])
+        own = game.values_by_mask(alone)
+        assert own.tobytes() == values[:, r : r + 1].tobytes(), f"row {tokens[r]}"
+        own_context, own_difference = alone.context_and_difference(own)
+        assert own_context.tobytes() == context[r : r + 1].tobytes(), f"row {tokens[r]}"
+        assert own_difference.tobytes() == difference[r : r + 1].tobytes(), f"row {tokens[r]}"
+
+
+def test_a_row_alone_reads_what_it_reads_in_its_family():
+    # the estimator's per-slot promise: a slot's bits never depend on the
+    # rows evaluated beside it; a table sized by the rows reads this entry
+    # one unit in the last place lower alone than among all 32 rows
+    rng = np.random.default_rng(1)
+    game = EmbeddingGame(rng.normal(size=(32, 8)), rng.normal(size=(8, 8)))
+    words = np.array([0b101], dtype=np.uint64)
+    alone = game.values_by_mask(Extensions(words, np.array([[0]])))
+    family = game.values_by_mask(Extensions(words, np.arange(32)[:, None]))
+    assert alone[1, 0, 0] == family[1, 0, 0]
+    _assert_rows_read_alone_as_in_their_family(
+        game, lambda tokens: Extensions(words, tokens), np.arange(32)[:, None]
+    )
+
+
+@pytest.mark.parametrize("table, n", [(False, 9), (False, 16), (False, 32), (False, 64), (True, 9), (True, 12)])
+def test_rows_read_alone_as_in_their_family(table, n):
+    rng = np.random.default_rng(n)
+    game = random_table_game(rng, n) if table else EmbeddingGame(rng.normal(size=(n, 4)), rng.normal(size=(4, 5)))
+    # words that miss the top 3 tokens, so no word reaches the highest rows
+    words = rng.integers(0, 2**63, size=5).astype(np.uint64) & np.uint64((1 << (n - 3)) - 1)
+    orders = rng.permuted(np.tile(np.arange(n), (5, 1)), axis=1)
+    pairs = np.array([(a, b) for a in range(n) for b in range(n) if a != b])
+    singles = np.arange(n)[:, None]
+    for tokens in (singles, pairs[rng.permutation(len(pairs))[:40]]):
+        _assert_rows_read_alone_as_in_their_family(game, lambda rows: Extensions(words, rows), tokens)
+    _assert_rows_read_alone_as_in_their_family(game, lambda rows: Extensions(None, rows, orders), singles)
+
+
+def test_a_pool_word_reads_its_plain_mask():
+    # a pool word is summed as a plain mask is, to the bit; a word summed
+    # by another route reads 12769439625 one unit in the last place apart
+    rng = np.random.default_rng(15)
+    game = EmbeddingGame(rng.normal(size=(34, 15)), rng.normal(size=(15, 10)))
+    words = rng.integers(0, 2**63, size=28).astype(np.uint64) & np.uint64((1 << 34) - 1)
+    assert words[10] == 12769439625
+    for tokens in ([[0]], [[33, 5]]):
+        pooled = game.values_by_mask(Extensions(words, np.array(tokens)))
+        assert pooled[0, 0].tobytes() == game.values_by_mask(words).tobytes()
+    for shape in range(30):
+        n, k, d, d_v = rng.integers(1, 65), rng.integers(1, 40), rng.integers(1, 16), rng.integers(1, 16)
+        game = EmbeddingGame(rng.normal(size=(n, d)), rng.normal(size=(d, d_v)))
+        words = rng.integers(0, 2**64, size=k, dtype=np.uint64) & np.uint64((1 << int(n)) - 1)
+        pooled = game.values_by_mask(Extensions(words, rng.permutation(n)[:1, None]))
+        assert pooled[0, 0].tobytes() == game.values_by_mask(words).tobytes(), f"shape {shape}: n={n}"

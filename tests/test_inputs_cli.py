@@ -136,7 +136,8 @@ class TestDocumentValidation:
     def test_incomplete_head_parameters_rejected(self):
         bad = _embedding_doc()
         del bad["gate_weights"]
-        with pytest.raises(InputError, match="gate_weights"):
+        # the head parser's own keys check, as for a head of a multi_head block
+        with pytest.raises(InputError, match=r"^head: missing keys: \['gate_weights'\]$"):
             parse_document(bad)
 
     def test_some_payload_required(self):

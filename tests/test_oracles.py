@@ -214,6 +214,15 @@ class TestTemperatureOverflow:
             exact_spin_marginals(WORKED_FIELDS, WORKED_COUPLINGS, 1e-310)
 
 
+@pytest.mark.parametrize("gamma", [True, "0.25", 0, float("inf"), float("nan")])
+def test_bad_temperatures_refused_by_name(worked_game, gamma):
+    # a bool is not 1.0, and a string is not a temperature
+    with pytest.raises(ValueError, match="^coalition_gamma: "):
+        exact_gibbs_tilted_values(worked_game, gamma)
+    with pytest.raises(ValueError, match="^spin_gamma: "):
+        exact_spin_marginals(WORKED_FIELDS, WORKED_COUPLINGS, gamma)
+
+
 class TestHamiltonian:
     def test_single_spin(self):
         assert hamiltonian([1.0], [[0.0]], [1.0]) == -1.0
