@@ -13,14 +13,14 @@ Two modes share one sampling path:
     exact Shapley value (permutation-prefix sampling) and the exact Banzhaf
     index / interaction potential (Bernoulli coalition sampling).
 
-Each family of estimates (the tokens' Shapley values, their Banzhaf values,
-the pairs' interactions) draws one pool of K samples, and every slot of the
-family (one estimated quantity) takes its K contexts from that pool.  Every
-sample thus serves every slot, as each sampled permutation serves every
-player in Castro, Gomez & Tejada (*Polynomial calculation of the Shapley
-value based on sampling*, Comput. Oper. Res. 36(5), 2009) and one sample set
-serves every player in Data Banzhaf (Wang & Jia, AISTATS 2023,
-arXiv:2205.15466):
+An estimate draws two pools of K samples: permutations for the tokens'
+Shapley values, and Bernoulli words shared by the two other families, the
+tokens' Banzhaf values and the pairs' interactions.  Every slot of a family
+(one estimated quantity) takes its K contexts from its pool.  Every sample
+thus serves every slot, as each sampled permutation serves every player in
+Castro, Gomez & Tejada (*Polynomial calculation of the Shapley value based
+on sampling*, Comput. Oper. Res. 36(5), 2009) and one sample set serves
+every player in Data Banzhaf (Wang & Jia, AISTATS 2023, arXiv:2205.15466):
 
 Shapley
     K permutations of the n tokens; token i's context in permutation k is
@@ -29,27 +29,31 @@ Shapley
     ``|P|!(n-1-|P|)!/(n-1)!`` up to the factor ``1/n`` common to all draws.
 
 Banzhaf and interactions
-    K 64-bit words masked to the n token bits; a slot's contexts are the
-    words with its own tokens' bits cleared.  Every bit of a word is an
-    independent fair coin, so every other token is a member with probability
-    1/2, and each context has proposal probability ``2**-(n - |slot|)``.
+    one pool of K 64-bit words masked to the n token bits, shared by both
+    families; a slot's contexts are the words with its own tokens' bits
+    cleared.  Every bit of a word is an independent fair coin, so every
+    other token is a member with probability 1/2, and each context has
+    proposal probability ``2**-(n - |slot|)``.
 
 Each slot's K contexts therefore have the law that K independent draws of
-its own would have, while the slots of one family share their samples, so
-their errors are correlated.  Randomness is counter-based: a family's pool
-comes from the Philox stream keyed by ``_pool_key(seed, kind)``, the two
-words ``SeedSequence(entropy=seed, spawn_key=(kind,))`` generates.
+its own would have, while the slots of one pool share their samples, so
+their errors are correlated: those of one family, and the Banzhaf values
+with the interactions.  Randomness is counter-based: a pool comes from the
+Philox stream keyed by ``_pool_key(seed, kind)``, the two words
+``SeedSequence(entropy=seed, spawn_key=(kind,))`` generates.
 A slot's numbers are a pure function of (game, config, slot), whatever the
 blocking and whichever other slots are estimated.
 
 Every estimate runs through one block path.  A family's slots go to the
-game as one ``games.Extensions`` of the pool by their tokens, built and
-checked once, and a block takes as many of its rows as ``_BLOCK_CONTEXTS``
-contexts allow, evaluated by one ``values_by_mask`` call from values and
-sums the game shares across the pool.  ``Extensions.context_and_difference``
-turns a block's values into each slot's context value (the Gibbs base) and
-its marginal, the inclusion-exclusion difference over the context; the
-``Extensions`` docstring describes the coalitions' order and its inverse.
+game as one ``games.Extensions`` of its pool by their tokens, each pool
+copied and checked once, and a block takes as many of its rows as
+``_BLOCK_CONTEXTS`` contexts allow, evaluated by one ``values_by_mask``
+call from values and sums the game shares across the pool, so the
+Banzhaf and pair blocks share one set.
+``Extensions.context_and_difference`` turns a block's values into each
+slot's context value (the Gibbs base) and its marginal, the
+inclusion-exclusion difference over the context; the ``Extensions``
+docstring describes the coalitions' order and its inverse.
 The block's weights, estimates, effective sample sizes and standard errors
 are then computed for all its rows at once; every reduction runs along a
 row alone, so a slot's numbers do not depend on the block it lands in.
@@ -81,14 +85,13 @@ MODES = ("gibbs", "classic")
 # refusal.
 MAX_SAMPLE_COUNT = 2**32
 
-# stream identifiers for the counter-based RNG split, one per family
+# stream identifiers for the counter-based RNG split, one per pool
 _SHAPLEY_STREAM = 1
-_BANZHAF_STREAM = 2
-_INTERACTION_STREAM = 3
+_BERNOULLI_STREAM = 2
 
 # Most slot contexts one values_by_mask call of estimate_all evaluates; a
 # block holds as many whole slots as fit, at least one (one slot per call
-# for K > 2048).  A game forms its pool's shared values once per family, and
+# for K > 2048).  A game forms its pool's shared values once per pool, and
 # each context of a block then takes a few arrays of O(1) entries (a pair's
 # four values, its weights and marginals), so the cap bounds the block's
 # working arrays: about 0.4 MB for the pairs of an n=32, d_v=32 game at
@@ -135,7 +138,7 @@ class EstimatorConfig:
 
 
 def _pool_key(seed: int, kind: int) -> np.ndarray:
-    """The Philox key of one family's pool: the two words
+    """The Philox key of one pool: the two words
     ``np.random.SeedSequence(entropy=seed, spawn_key=(kind,))`` generates.
     A counter-based generator takes a stream identifier as its key (Salmon
     et al., *Parallel Random Numbers: As Easy as 1, 2, 3*, SC 2011)."""
@@ -143,9 +146,9 @@ def _pool_key(seed: int, kind: int) -> np.ndarray:
 
 
 def _draw_pool(seed: int, kind: int, n: int, count: int) -> np.ndarray:
-    """The pool of one family: ``count`` permutations of the n tokens, shape
-    ``(count, n)``, for the Shapley kind, else ``count`` raw 64-bit words
-    masked to the n token bits, all from the family's Philox stream."""
+    """One pool: ``count`` permutations of the n tokens, shape ``(count,
+    n)``, for the Shapley kind, else ``count`` raw 64-bit words masked to
+    the n token bits, all from the kind's Philox stream."""
     rng = np.random.Generator(np.random.Philox(key=_pool_key(seed, kind)))
     if kind == _SHAPLEY_STREAM:
         return rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
@@ -154,26 +157,18 @@ def _draw_pool(seed: int, kind: int, n: int, count: int) -> np.ndarray:
     return rng.bit_generator.random_raw(count) & np.uint64((1 << n) - 1)
 
 
-def _prefix_size_probs(n: int) -> np.ndarray:
-    # proposal probability of a specific prefix set of size s: s!(n-1-s)!/(n-1)!
-    return np.array(
-        [
-            math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n - 1)
-            for s in range(n)
-        ]
+def _proposal_probs(slots: Extensions, n: int) -> np.ndarray:
+    """The proposal probabilities of the contexts of *slots*, the rows of an
+    ``Extensions`` of a pool, one row per slot: shape ``(slots, K)`` for a
+    permutation pool, ``s!(n-1-s)!/(n-1)!`` for a context of size s, and
+    for a Bernoulli pool ``(slots, 1)``, the one probability ``2**-(n - f)``
+    of every context of f-token slots."""
+    if slots.orders is None:
+        return np.full((len(slots.tokens), 1), 0.5 ** (n - slots.tokens.shape[-1]))
+    per_size = np.array(
+        [math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n - 1) for s in range(n)]
     )
-
-
-def _pool_extensions(pool: np.ndarray, n: int, tokens: np.ndarray) -> tuple[Extensions, np.ndarray]:
-    """The coalitions of the slots of a family, as the ``Extensions`` of the
-    family's pool by the slots' tokens, and their contexts' proposal
-    probabilities, one row per slot: shape ``(slots, K)`` for a permutation
-    pool, and for a Bernoulli pool ``(slots, 1)``, the one probability
-    ``2**-(n - f)`` of every context of f-token slots."""
-    if pool.ndim == 2:
-        extensions = Extensions(None, tokens, pool)
-        return extensions, _prefix_size_probs(n)[extensions.ranks]
-    return Extensions(pool, tokens), np.full((len(tokens), 1), 0.5 ** (n - tokens.shape[-1]))
+    return per_size[slots.ranks]
 
 
 def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -213,13 +208,12 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
     return raw, raw / raw.sum(axis=-1, keepdims=True)
 
 
-def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: np.ndarray):
+def _estimate_family(game, cfg: EstimatorConfig, family: Extensions):
     """Estimate, effective sample size and standard error of every slot of
-    one family.
+    one family, the rows of the ``Extensions`` *family* of its pool.
 
     Each slot is a row of token indices: ``(i,)`` for the Shapley and
-    Banzhaf kinds, ``(a, b)`` with ``a < b`` for interactions.  The
-    family's ``Extensions`` is built, and its pool checked, once; a block
+    Banzhaf values, ``(a, b)`` with ``a < b`` for interactions.  A block
     holds as many of its rows as ``_BLOCK_CONTEXTS`` contexts allow, at
     least one, and is evaluated by one ``values_by_mask`` call, then
     weighted and reduced row-wise at once, from each row's context value
@@ -229,16 +223,16 @@ def _estimate_family(game, cfg: EstimatorConfig, kind: int, slots: np.ndarray):
     (m_k - estimate))**2)`` over the normalized weights w and the marginals
     m, inf where it passes float64's range.
     """
-    n, k = game.n, cfg.sample_count
-    family, family_probs = _pool_extensions(_draw_pool(cfg.seed, kind, n, k), n, slots)
+    k, slots = cfg.sample_count, len(family.tokens)
+    probs = _proposal_probs(family, game.n)
     per_block = max(1, _BLOCK_CONTEXTS // k)
-    estimates, ess, errors = np.empty(len(slots)), np.empty(len(slots)), np.empty(len(slots))
-    for start in range(0, len(slots), per_block):
+    estimates, ess, errors = np.empty(slots), np.empty(slots), np.empty(slots)
+    for start in range(0, slots, per_block):
         rows = slice(start, start + per_block)
         block = family.rows(rows)
         base, marginals = block.context_and_difference(game.values_by_mask(block))
         if cfg.mode == "gibbs":
-            raw, normalized = gibbs_weights(base, family_probs[rows], cfg.gamma)
+            raw, normalized = gibbs_weights(base, probs[rows], cfg.gamma)
         else:
             raw, normalized = np.ones(base.shape), np.full(base.shape, 1.0 / k)
         # vecdot takes each row's dot product through the same BLAS ddot as np.dot
@@ -260,20 +254,25 @@ def estimate_all(game, cfg: EstimatorConfig) -> GameValues:
     ``4K`` per pair: ``2*K*n*(n+1)`` in total for the full set, all through
     ``values_by_mask``, in the blocks of slots the module docstring
     describes.  Every number equals, bit for bit, what one slot alone would
-    give: its contexts taken from the family's pool, evaluated as an
-    ``Extensions`` of the pool by its own tokens and weighted on its own.
+    give: its contexts taken from its pool (the permutations for a Shapley
+    value, the words for a Banzhaf value or an interaction), evaluated as
+    an ``Extensions`` of the pool by its own tokens and weighted on its own.
     """
-    n = game.n
+    n, k = game.n, cfg.sample_count
     tokens = np.arange(n)[:, None]
     rows, cols = np.triu_indices(n, 1)
-    pairs = np.column_stack([rows, cols])
+    orders = Extensions(None, tokens, _draw_pool(cfg.seed, _SHAPLEY_STREAM, n, k))
+    words = Extensions(_draw_pool(cfg.seed, _BERNOULLI_STREAM, n, k), tokens)
+    # on the words' copy and evaluated right after their token rows, the
+    # pair rows find the game's sums of the words formed
+    pairs = words.with_tokens(np.column_stack([rows, cols]))
     # the games keep every value and difference finite, so only the weights'
     # log-scale shift can overflow, to a weight of exactly 0; one errstate
     # per call, not per block, as entering one costs about 0.7 us
     with np.errstate(over="ignore"):
-        shapley, shapley_ess, shapley_se = _estimate_family(game, cfg, _SHAPLEY_STREAM, tokens)
-        banzhaf, banzhaf_ess, banzhaf_se = _estimate_family(game, cfg, _BANZHAF_STREAM, tokens)
-        pair_values, _, pair_se = _estimate_family(game, cfg, _INTERACTION_STREAM, pairs)
+        shapley, shapley_ess, shapley_se = _estimate_family(game, cfg, orders)
+        banzhaf, banzhaf_ess, banzhaf_se = _estimate_family(game, cfg, words)
+        pair_values, _, pair_se = _estimate_family(game, cfg, pairs)
     interactions, interaction_se = np.zeros((n, n)), np.zeros((n, n))
     for matrix, entries in ((interactions, pair_values), (interaction_se, pair_se)):
         matrix[rows, cols] = entries

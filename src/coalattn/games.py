@@ -137,7 +137,8 @@ class Extensions:
     describe the coalitions, and ``np.asarray`` builds their masks, so a
     caller that only takes the size or the masks of its argument sees the
     coalitions themselves.  ``rows`` takes some of the rows on the same pool copy,
-    without checking it again.
+    without checking it again, and ``with_tokens`` puts other rows on the
+    same copy of a pool of words.
     """
 
     contexts: np.ndarray | None
@@ -212,6 +213,15 @@ class Extensions:
             shape=added.shape + self.shape[-1:],
         )
         return part
+
+    def with_tokens(self, tokens) -> Extensions:
+        """The ``Extensions`` of other rows, *tokens*, on the same copy of a
+        pool of words, which it shares with its ``held``, unchecked, so a
+        game that evaluates both forms its sums of the pool once.  The rows
+        are checked, and their subsets built, by the constructor."""
+        other = Extensions(self.contexts[:0], tokens)
+        vars(other).update(contexts=self.contexts, held=self.held, shape=other.added.shape + self.contexts.shape)
+        return other
 
     def row_contexts(self) -> np.ndarray:
         """Each row's K contexts, shape ``tokens.shape[:-1] + (K,)``: the
@@ -358,8 +368,9 @@ class EmbeddingGame:
     result never depends on earlier calls: every call allocates its own
     arrays and returns fresh ones.  The one thing a call leaves behind is
     the shared sums of the last pool (an ``Extensions``' read-only
-    ``contexts`` or ``orders``), kept so that the blocks of rows one
-    estimate evaluates in turn form them once.
+    ``contexts`` or ``orders``), kept so that the blocks of rows evaluated
+    in turn on one pool form them once: an estimate's token and pair rows
+    on its pool of words (``Extensions.with_tokens``) share one set.
     """
 
     def __init__(self, embeddings, value_projection, nonlinearity: str = "relu"):

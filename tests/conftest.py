@@ -82,10 +82,10 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     exactly each pool entry with every subset of the tokens toggled, and
     one weighting.
 
-    *kind* is the stream identifier (1 Shapley permutations, 2 Banzhaf
-    words, 3 pair-interaction words) and *slot* the token indices, ``(i,)``
-    or ``(a, b)`` with ``a < b``.  A permutation's coalitions are the
-    context and the context with the token.  On a Bernoulli word the
+    *kind* is the stream identifier (1 Shapley permutations, 2 the words
+    that Banzhaf values and pair interactions share) and *slot* the token
+    indices, ``(i,)`` or ``(a, b)`` with ``a < b``.  A permutation's
+    coalitions are the context and the context with the token.  On a Bernoulli word the
     context is the column of the tokens the word holds, checked against the
     derived contexts, and the marginal is the alternating sum over the
     columns, negated when the word holds an odd number of the slot's tokens.

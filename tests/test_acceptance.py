@@ -156,7 +156,7 @@ def test_criterion_4_gibbs_estimator_consistency():
     slots = [(1, (i,), estimated.shapley[i], tilted.shapley[i]) for i in range(8)]
     slots += [(2, (i,), estimated.banzhaf[i], tilted.banzhaf[i]) for i in range(8)]
     slots += [
-        (3, (i, j), estimated.interactions[i, j], tilted.interactions[i, j])
+        (2, (i, j), estimated.interactions[i, j], tilted.interactions[i, j])
         for i in range(8)
         for j in range(i + 1, 8)
     ]

@@ -9,8 +9,8 @@ from coalattn.estimators import (
     _BLOCK_CONTEXTS,
     EstimatorConfig,
     _draw_pool,
-    _pool_extensions,
     _pool_key,
+    _proposal_probs,
     estimate_all,
     gibbs_weights,
 )
@@ -77,9 +77,11 @@ class TestConfigValidation:
 
 def _slot_contexts(seed: int, kind: int, n: int, slot: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
     """One slot's contexts and their proposal probabilities, as
-    ``estimate_all`` takes them from its family's pool of *count* draws."""
-    extensions, probs = _pool_extensions(_draw_pool(seed, kind, n, count), n, np.array([slot]))
-    return extensions.row_contexts()[0], np.broadcast_to(probs, (1, count))[0]
+    ``estimate_all`` takes them from its pool of *count* draws: the
+    permutations of stream 1 or the words of stream 2."""
+    pool, tokens = _draw_pool(seed, kind, n, count), np.array([slot])
+    extensions = Extensions(None, tokens, pool) if kind == 1 else Extensions(pool, tokens)
+    return extensions.row_contexts()[0], np.broadcast_to(_proposal_probs(extensions, n), (1, count))[0]
 
 
 class TestPrefixSampling:
@@ -137,7 +139,7 @@ class TestBernoulliSampling:
         np.testing.assert_array_equal(probs, 0.25)
 
     def test_pair_exclusion_probability(self):
-        _, probs = _slot_contexts(0, 3, 3, (0, 2), 100)
+        _, probs = _slot_contexts(0, 2, 3, (0, 2), 100)
         np.testing.assert_array_equal(probs, 0.5)
 
     def test_two_token_game_hits_both_outcomes(self):
@@ -146,7 +148,7 @@ class TestBernoulliSampling:
         np.testing.assert_array_equal(probs, 0.5)
 
     def test_excluded_tokens_absent(self):
-        masks, _ = _slot_contexts(2, 3, 6, (1, 4), 1000)
+        masks, _ = _slot_contexts(2, 2, 6, (1, 4), 1000)
         assert not np.any(masks & np.uint64((1 << 1) | (1 << 4)))
         assert np.any(masks & np.uint64(1 << 5))
 
@@ -199,7 +201,7 @@ class TestProposalLaw:
         for size in range(n):
             np.testing.assert_array_equal(probs[sizes == size], 1.0 / math.comb(n - 1, size))
 
-    @pytest.mark.parametrize("kind, slot", [(2, (0,)), (2, (3,)), (3, (0, 1)), (3, (1, 3)), (3, (2, 3))])
+    @pytest.mark.parametrize("kind, slot", [(2, (0,)), (2, (3,)), (2, (0, 1)), (2, (1, 3)), (2, (2, 3))])
     def test_bernoulli_contexts(self, kind, slot):
         n = 4
         masks, probs = _slot_contexts(43, kind, n, slot, self.K)
@@ -232,14 +234,16 @@ class TestStreamKeys:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_keys_match_seed_sequence(self, seed):
-        # a family's key is the two words of its SeedSequence
-        for kind in (1, 2, 3):
+        # a pool's key is the two words of its SeedSequence
+        for kind in (1, 2):
             words = np.random.SeedSequence(entropy=seed, spawn_key=(kind,)).generate_state(2, np.uint64)
             key = _pool_key(seed, kind)
             assert key.dtype == np.uint64 and key.tolist() == words.tolist()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_the_three_family_keys_differ(self, seed):
+        # the two pools' streams and stream 3, which no pool draws: distinct
+        # kinds give distinct keys
         keys = np.stack([_pool_key(seed, kind) for kind in (1, 2, 3)])
         assert len(np.unique(keys, axis=0)) == 3
 
@@ -252,6 +256,8 @@ class TestStreamKeys:
             reference_stream(seed, kind), 9
         )
 
+    # kind 3 is neither pool's stream: _draw_pool draws words on every
+    # stream but the Shapley one
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 9, 64])
@@ -266,7 +272,7 @@ class TestStreamKeys:
         expected = estimate_all(game, EstimatorConfig(seed=7))
         for field in dataclasses.fields(expected):
             np.testing.assert_array_equal(getattr(got, field.name), getattr(expected, field.name))
-        for kind in (1, 2, 3):
+        for kind in (1, 2):
             np.testing.assert_array_equal(_draw_pool(seed, kind, 9, 5), reference_pool(7, kind, 9, 5))
 
 
@@ -284,7 +290,7 @@ class _RecordingGame:
 
 
 class TestPinnedStream:
-    """The family keys and first pool draws of one seed, written out as
+    """The pool keys and first pool draws of one seed, written out as
     integers, so a change to the key derivation or the pool draws fails
     here instead of silently shifting every report.  Masks only, so no float
     math is pinned."""
@@ -294,15 +300,14 @@ class TestPinnedStream:
     FAMILY_KEYS = {
         1: [12164794782058381883, 13745585440701167947],
         2: [17874541722704740760, 17658661319511904818],
-        3: [11754586227848742299, 5132876179132965608],
     }
-    # the first four raw words of Philox(key=FAMILY_KEYS[3]), the
-    # interaction pool of a 64-token game
+    # the first four raw words of Philox(key=FAMILY_KEYS[2]), the Banzhaf
+    # and interaction pool of a 64-token game
     FIRST_WORDS = [
-        3150915739607063423,
-        9717895520998054061,
-        10460044175738779126,
-        6262549241783668634,
+        7531076695659951360,
+        13874506068184411892,
+        15590939155447497981,
+        3683903906639631532,
     ]
     # the first two permutations of the Shapley pool of an 8-token game
     FIRST_ORDERS = [[1, 7, 4, 0, 2, 6, 5, 3], [6, 2, 5, 7, 0, 4, 3, 1]]
@@ -312,7 +317,7 @@ class TestPinnedStream:
             assert _pool_key(self.SEED, kind).tolist() == key
 
     def test_sampler_on_the_pair_stream(self):
-        assert _draw_pool(self.SEED, 3, 64, 4).tolist() == self.FIRST_WORDS
+        assert _draw_pool(self.SEED, 2, 64, 4).tolist() == self.FIRST_WORDS
         assert _draw_pool(self.SEED, 1, 8, 2).tolist() == self.FIRST_ORDERS
 
     def test_interaction_batch_evaluates_the_pinned_contexts(self):
@@ -334,6 +339,36 @@ class TestPinnedStream:
         contexts = [m & ~bits[3] for m in self.FIRST_WORDS]
         for column, context in enumerate(contexts):
             assert sorted(row[column] for row in masks) == sorted(context | b for b in bits)
+
+
+class TestSharedWordPool:
+    """The Banzhaf and pair slots of one estimate share one pool of words:
+    the game sums it once, and every block toggles the same K words."""
+
+    def test_one_word_sum_serves_the_banzhaf_and_pair_blocks(self, monkeypatch):
+        summed = []
+
+        def word_values(game, extensions, _form=EmbeddingGame._word_values):
+            summed.append(extensions.contexts)
+            return _form(game, extensions)
+
+        monkeypatch.setattr(EmbeddingGame, "_word_values", word_values)
+        rng = np.random.default_rng(5)
+        n, k = 9, 700
+        game = _RecordingGame(EmbeddingGame(rng.normal(size=(n, 3)), rng.normal(size=(3, 2))))
+        estimate_all(game, EstimatorConfig(sample_count=k, seed=8))
+        assert len(summed) == 1
+        # K = 700 puts 5 slots in a block: the n Shapley and then the n
+        # Banzhaf rows take (2, slots, K) blocks, the pairs (4, pairs, K)
+        token_rows = np.concatenate([batch for batch in game.batches if batch.shape[0] == 2], axis=1)
+        pair_rows = np.concatenate([batch for batch in game.batches if batch.shape[0] == 4], axis=1)
+        assert token_rows.shape == (2, 2 * n, k) and pair_rows.shape == (4, n * (n - 1) // 2, k)
+        assert len(game.batches) == 2 * 2 + 8
+        # coalition 0 of a row on a word toggles no token: it is the word itself
+        words = summed[0]
+        np.testing.assert_array_equal(words, _draw_pool(8, 2, n, k))
+        np.testing.assert_array_equal(token_rows[0, n:], np.broadcast_to(words, (n, k)))
+        np.testing.assert_array_equal(pair_rows[0], np.broadcast_to(words, pair_rows.shape[1:]))
 
 
 class TestTracedEvaluationCount:
@@ -447,25 +482,23 @@ class TestNormalizeWeights:
                 gibbs_weights(np.ones(1), np.ones(1), gamma)
 
 
-_SHAPLEY, _BANZHAF, _INTERACTION = 1, 2, 3
+# the streams of the permutation pool and of the word pool, which Banzhaf
+# values (slots of one token) and interactions (slots of two) share
+_SHAPLEY, _WORDS = 1, 2
 
 
 def _slot_estimate(values, kind: int, slot: tuple) -> float:
     """``estimate_all``'s value for one slot."""
-    if kind == _SHAPLEY:
-        return values.shapley[slot[0]]
-    if kind == _BANZHAF:
-        return values.banzhaf[slot[0]]
-    return values.interactions[slot]
+    if len(slot) == 2:
+        return values.interactions[slot]
+    return (values.shapley if kind == _SHAPLEY else values.banzhaf)[slot[0]]
 
 
 def _slot_standard_error(values, kind: int, slot: tuple) -> float:
     """``estimate_all``'s standard error for one slot."""
-    if kind == _SHAPLEY:
-        return values.shapley_standard_error[slot[0]]
-    if kind == _BANZHAF:
-        return values.banzhaf_standard_error[slot[0]]
-    return values.interaction_standard_error[slot]
+    if len(slot) == 2:
+        return values.interaction_standard_error[slot]
+    return (values.shapley_standard_error if kind == _SHAPLEY else values.banzhaf_standard_error)[slot[0]]
 
 
 def _checked_slot(values, game, cfg, kind: int, slot: tuple) -> tuple[float, float]:
@@ -486,8 +519,8 @@ class TestClassicMode:
         values = estimate_all(game, cfg)
         for i, w in enumerate(weights):
             assert _checked_slot(values, game, cfg, _SHAPLEY, (i,))[0] == pytest.approx(w, abs=1e-12)
-            assert _checked_slot(values, game, cfg, _BANZHAF, (i,))[0] == pytest.approx(w, abs=1e-12)
-        assert _checked_slot(values, game, cfg, _INTERACTION, (0, 2))[0] == pytest.approx(0.0, abs=1e-12)
+            assert _checked_slot(values, game, cfg, _WORDS, (i,))[0] == pytest.approx(w, abs=1e-12)
+        assert _checked_slot(values, game, cfg, _WORDS, (0, 2))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_table_converges_to_exact(self, worked_game):
         cfg = EstimatorConfig(sample_count=100_000, seed=12, gamma=1.0, mode="classic")
@@ -513,9 +546,9 @@ class TestGibbsMode:
         for i in range(5):
             estimate, se = _checked_slot(values, game, cfg, _SHAPLEY, (i,))
             assert abs(estimate - tilted.shapley[i]) <= 3 * se
-            estimate, se = _checked_slot(values, game, cfg, _BANZHAF, (i,))
+            estimate, se = _checked_slot(values, game, cfg, _WORDS, (i,))
             assert abs(estimate - tilted.banzhaf[i]) <= 3 * se
-        estimate, se = _checked_slot(values, game, cfg, _INTERACTION, (0, 3))
+        estimate, se = _checked_slot(values, game, cfg, _WORDS, (0, 3))
         assert abs(estimate - tilted.interactions[0, 3]) <= 3 * se
 
     def test_high_temperature_flattens_to_classic_for_subset_samplers(self, worked_game):
@@ -549,17 +582,17 @@ class TestDeterminism:
         values = estimate_all(worked_game, cfg)
         for i in range(3):
             shapley_ess = reference_slot(worked_game, cfg, _SHAPLEY, (i,))[1]
-            banzhaf_ess = reference_slot(worked_game, cfg, _BANZHAF, (i,))[1]
+            banzhaf_ess = reference_slot(worked_game, cfg, _WORDS, (i,))[1]
             _checked_slot(values, worked_game, cfg, _SHAPLEY, (i,))
-            _checked_slot(values, worked_game, cfg, _BANZHAF, (i,))
+            _checked_slot(values, worked_game, cfg, _WORDS, (i,))
             assert values.effective_sample_size[i] == min(shapley_ess, banzhaf_ess)
-        _checked_slot(values, worked_game, cfg, _INTERACTION, (0, 2))
+        _checked_slot(values, worked_game, cfg, _WORDS, (0, 2))
 
     def test_interaction_orientation_is_identical(self, worked_game):
         cfg = EstimatorConfig(sample_count=100, seed=5, gamma=1.0, mode="gibbs")
         values = estimate_all(worked_game, cfg)
         assert values.interactions[2, 0] == values.interactions[0, 2]
-        _checked_slot(values, worked_game, cfg, _INTERACTION, (0, 2))
+        _checked_slot(values, worked_game, cfg, _WORDS, (0, 2))
 
     def test_symmetric_tokens_take_different_contexts_from_one_pool(self):
         # tokens 0 and 1 are interchangeable, so contexts drawn alike for
@@ -589,9 +622,9 @@ class TestDiagnostics:
     def test_standard_error_reduces_to_classic_formula(self, worked_game):
         cfg = EstimatorConfig(sample_count=400, seed=6, gamma=1.0, mode="classic")
         values = estimate_all(worked_game, cfg)
-        estimate, se = _checked_slot(values, worked_game, cfg, _BANZHAF, (1,))
+        estimate, se = _checked_slot(values, worked_game, cfg, _WORDS, (1,))
         # the Banzhaf pool without token 1: coalitions of tokens 0 and 2
-        contexts, _ = reference_contexts(reference_pool(6, _BANZHAF, 3, 400), _BANZHAF, 3, (1,))
+        contexts, _ = reference_contexts(reference_pool(6, _WORDS, 3, 400), _WORDS, 3, (1,))
         contexts = contexts.astype(np.int64)
         marginals = worked_game.table[contexts | 0b010] - worked_game.table[contexts]
         assert estimate == pytest.approx(float(np.mean(marginals)), rel=1e-12)
@@ -630,7 +663,7 @@ class TestConsistencyAgainstExactOracles:
         for i in range(6):
             estimate, se = _checked_slot(values, game, cfg, _SHAPLEY, (i,))
             assert abs(estimate - exact_shapley[i]) <= 3 * se
-            estimate, se = _checked_slot(values, game, cfg, _BANZHAF, (i,))
+            estimate, se = _checked_slot(values, game, cfg, _WORDS, (i,))
             assert abs(estimate - exact_banzhaf(game, i)) <= 3 * se
-        estimate, se = _checked_slot(values, game, cfg, _INTERACTION, (1, 4))
+        estimate, se = _checked_slot(values, game, cfg, _WORDS, (1, 4))
         assert abs(estimate - exact_game_values(game).interactions[1, 4]) <= 3 * se

@@ -227,6 +227,15 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
         np.testing.assert_array_equal(np.asarray(extensions), masks)
         for evaluator in (game, EmbeddingGame(*params)):
             assert evaluator.values_by_mask(extensions).tobytes() == values.tobytes()
+    # other rows on the same copy read as they do on a copy of their own
+    tokens = np.array([[3], [0], [5]])
+    other = pooled.with_tokens(tokens)
+    assert other.contexts is pooled.contexts and other.held is pooled.held
+    np.testing.assert_array_equal(np.asarray(other), np.asarray(Extensions(pooled.contexts, tokens)))
+    own = EmbeddingGame(*params).values_by_mask(Extensions(pooled.contexts, tokens))
+    assert game.values_by_mask(other).tobytes() == own.tobytes()
+    with pytest.raises(ValueError, match="repeats a token"):
+        pooled.with_tokens(np.array([[2, 2]]))
 
 
 def test_held_covers_every_token_a_word_or_a_row_holds():

@@ -19,7 +19,7 @@ from coalattn.estimators import (
     MODES,
     EstimatorConfig,
     _draw_pool,
-    _pool_extensions,
+    _proposal_probs,
     estimate_all,
 )
 from coalattn.games import (
@@ -399,8 +399,8 @@ def test_bernoulli_sampler_sets_only_allowed_bits(case):
     # a slot's contexts in a Bernoulli pool: the words without its tokens
     n, excluded, count, seed = case
     tokens = np.array(sorted(excluded), dtype=np.intp)[None]
-    extensions, probs = _pool_extensions(_draw_pool(seed, 2, n, count), n, tokens)
-    masks = extensions.row_contexts()[0]
+    extensions = Extensions(_draw_pool(seed, 2, n, count), tokens)
+    masks, probs = extensions.row_contexts()[0], _proposal_probs(extensions, n)
     assert masks.dtype == np.uint64 and masks.shape == (count,)
     for mask in masks.tolist():
         assert mask < (1 << n)
@@ -441,7 +441,7 @@ def test_estimate_all_equals_the_per_slot_estimates(case):
         for i in range(n):
             for j in range(i + 1, n):
                 assert values.interactions[i, j] == values.interactions[j, i]
-                assert values.interactions[i, j] == reference_slot(game, cfg, 3, (i, j))[0]
+                assert values.interactions[i, j] == reference_slot(game, cfg, 2, (i, j))[0]
 
 
 @st.composite
