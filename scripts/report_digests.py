@@ -30,11 +30,11 @@ no longer do.  It exits 1 only when a run that exited 0 in BASE exits
 otherwise (or is missing) in HEAD: reports that change bytes on purpose
 still pass.  When both sides kept their reports, it also prints, for every
 changed report, the largest absolute and relative difference over its
-numeric leaves, and whether the two reports have the same keys and the same
-array lengths; its summary line then adds how many changed reports differ in
-keys, array lengths or non-numeric leaves, and the largest absolute
-difference over all of them, so a change of roundoff alone shows in its last
-line.
+numeric leaves, and whether the two reports have the same keys (naming each
+key removed or added) and the same array lengths; its summary line then
+adds how many changed reports differ in keys, array lengths or non-numeric
+leaves, and the largest absolute difference over all of them, so a change of
+roundoff alone shows in its last line.
 """
 
 from __future__ import annotations
@@ -127,9 +127,12 @@ def _runs(path: Path) -> dict[tuple[str, ...], tuple[str, str]]:
 def _numeric_diff(before, after, path: str = "$") -> tuple[float, float, list[str]]:
     """The largest absolute and relative difference over the numeric leaves
     two reports share, and the paths where their keys, array lengths or
-    other leaves differ."""
+    other leaves differ; a key difference names each key that *after*
+    removes (``-key``) and adds (``+key``)."""
     if isinstance(before, dict) and isinstance(after, dict):
-        found = [] if before.keys() == after.keys() else [f"keys differ at {path}"]
+        moved = [f"-{key}" for key in sorted(before.keys() - after.keys())]
+        moved += [f"+{key}" for key in sorted(after.keys() - before.keys())]
+        found = [f"keys differ at {path}: {' '.join(moved)}"] if moved else []
         diffs = [_numeric_diff(before[key], after[key], f"{path}.{key}") for key in before.keys() & after.keys()]
     elif isinstance(before, list) and isinstance(after, list):
         found = [] if len(before) == len(after) else [f"lengths {len(before)} and {len(after)} at {path}"]

@@ -184,7 +184,7 @@ def exact_gibbs_tilted_values(game, gamma: float) -> GameValues:
     ``banzhaf`` and ``interactions`` are the limits of the Bernoulli
     estimators, whose proposal is uniform over the contexts, so the
     self-normalized estimator converges to the tilted average.  ``shapley``,
-    the limit of the permutation-prefix estimator, is a copy of
+    the limit of the permutation-prefix estimator, is the same array as
     ``banzhaf``: its sampler draws a prefix set P with probability
     ``q(P) = (1/n) * |P|!(n-1-|P|)!/(n-1)!`` while the importance weight
     divides by ``p(P) = |P|!(n-1-|P|)!/(n-1)!``, and the constant 1/n
@@ -214,7 +214,7 @@ def exact_gibbs_tilted_values(game, gamma: float) -> GameValues:
             for j in range(i + 1, n):
                 pair_weights = _split(log_weights, j - 1)[0]
                 interactions[i, j] = interactions[j, i] = _tilted_average(pair_weights, _pair_row(deltas, j))
-    return GameValues(banzhaf.copy(), banzhaf, interactions)
+    return GameValues(banzhaf, banzhaf, interactions)
 
 
 def _logsumexp(a: np.ndarray) -> float:

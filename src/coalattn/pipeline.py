@@ -97,11 +97,11 @@ class MultiHeadParams:
 
 @dataclass(frozen=True)
 class HeadResult:
-    """One head's output and weights (``meanfield.alphas``), with the
-    game values it ran on, estimated or injected as given."""
+    """One head's output, gates and field, with the game values it ran on,
+    estimated or injected as given, and the solve whose ``alphas`` are the
+    head's weights."""
 
     output: np.ndarray
-    alphas: np.ndarray
     lambdas: np.ndarray
     field_vector: np.ndarray
     values: GameValues
@@ -171,12 +171,6 @@ def single_head_attend(embeddings, params: HeadParams, game_values=None) -> Atte
     no game is built: the aggregation projects the embeddings directly.
     """
     x = as_matrix(embeddings, "embeddings")
-    d = x.shape[1]
-    if params.value_projection.shape[0] != d:
-        raise ValueError(
-            f"embeddings have width {d} but the value projection expects "
-            f"{params.value_projection.shape[0]}"
-        )
     lambdas = gate_lambda(x, params.gate_weights, params.gate_bias)
 
     if game_values is None:
@@ -195,7 +189,6 @@ def single_head_attend(embeddings, params: HeadParams, game_values=None) -> Atte
 
     head = HeadResult(
         output=z,
-        alphas=mf.alphas,
         lambdas=lambdas,
         field_vector=fields,
         values=game_values,

@@ -6,11 +6,13 @@ seeds always produce byte-identical files: the bytes of
 trailing newline (sorted keys, two-space indent, shortest round-trip float
 repr).  ``dump_json`` writes them without the standard library's
 pure-Python indent encoder, formatting each list of plain floats with one
-``repr`` and a list the report holds twice once; so each head hands the
-same lists to ``field_vector``/``interaction_matrix`` and to
-``solver_input``.  Wall-clock timings are deliberately kept out of these
-reports; only the benchmark CSV carries timings, and those are documented
-as environment-dependent.
+``repr`` and a list the report holds twice once; so each head hands one
+list to ``interaction_matrix`` and to ``solver_input.couplings``.  No other
+number is reported twice: a head's field is ``solver_input.fields`` alone,
+and the tilted Shapley limit, which equals the tilted Banzhaf value, is
+``game.tilted_banzhaf``.  Wall-clock timings are deliberately kept out of
+these reports; only the benchmark CSV carries timings, and those are
+documented as environment-dependent.
 
 Each command runs the engine's one path for its stage: ``run_oracle``
 tabulates the game once (``2**n`` evaluations) for the exact and tilted
@@ -215,7 +217,6 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
             "shapley": exact.shapley.tolist(),
             "banzhaf": exact.banzhaf.tolist(),
             "interactions": interactions,
-            "tilted_shapley_prefix": tilted.shapley.tolist(),
             "tilted_banzhaf": tilted.banzhaf.tolist(),
             "tilted_interactions": tilted.interactions.tolist(),
             "efficiency_sum": float(np.sum(exact.shapley)),
@@ -275,12 +276,11 @@ def run_estimate(doc: InputDocument, cfg: RunConfig) -> dict:
 def _head_report(result, n: int) -> dict:
     values = result.values
     ess = values.effective_sample_size
-    # one list for each number the head reports twice, so it is formatted once
-    fields, couplings = result.field_vector.tolist(), values.interactions.tolist()
+    # the head reports its couplings twice, as one list that is formatted once
+    couplings = values.interactions.tolist()
     return {
-        **_solver_report(result.meanfield, n, fields, couplings),
+        **_solver_report(result.meanfield, n, result.field_vector.tolist(), couplings),
         "lambdas": result.lambdas.tolist(),
-        "field_vector": fields,
         "interaction_matrix": couplings,
         "shapley_hat": values.shapley.tolist(),
         "banzhaf_hat": values.banzhaf.tolist(),

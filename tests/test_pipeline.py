@@ -7,6 +7,7 @@ import pytest
 
 from coalattn.estimators import EstimatorConfig
 from coalattn.games import EmbeddingGame
+from coalattn.inputs import RunConfig, parse_document
 from coalattn.linalg import logistic
 from coalattn.meanfield import MeanFieldConfig
 from coalattn.oracles import exact_game_values
@@ -21,7 +22,7 @@ from coalattn.pipeline import (
     normalize_scores,
     single_head_attend,
 )
-from coalattn.reports import _head_report, dump_json
+from coalattn.reports import _head_report, dump_json, run_attend, run_oracle
 
 
 def _head(rng, d, d_v=None, sample_count=64, seed=5, gamma=0.5, mode="gibbs", damping=0.0):
@@ -134,7 +135,7 @@ class TestSingleHead:
         # weight has the single-spin closed form
         alpha = (1.0 + math.tanh(1.0 / gamma)) / 2.0
         assert head.field_vector[0] == pytest.approx(1.0, abs=1e-15)
-        assert head.alphas[0] == pytest.approx(alpha, abs=1e-12)
+        assert head.meanfield.alphas[0] == pytest.approx(alpha, abs=1e-12)
         np.testing.assert_allclose(out.output, [alpha * 3.0], atol=1e-12)
 
     def test_alphas_bounded_and_interactions_symmetric(self):
@@ -142,10 +143,11 @@ class TestSingleHead:
         x = rng.normal(size=(5, 4))
         out = single_head_attend(x, _head(rng, 4))
         head = out.heads[0]
-        assert np.all(head.alphas >= 0.0) and np.all(head.alphas <= 1.0)
+        alphas = head.meanfield.alphas
+        assert np.all(alphas >= 0.0) and np.all(alphas <= 1.0)
         np.testing.assert_array_equal(head.values.interactions, head.values.interactions.T)
         assert np.all(np.diag(head.values.interactions) == 0.0)
-        assert math.isfinite(float(np.sum(head.alphas)))
+        assert math.isfinite(float(np.sum(alphas)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(62)
@@ -154,7 +156,7 @@ class TestSingleHead:
         a = single_head_attend(x, params)
         b = single_head_attend(x, params)
         np.testing.assert_array_equal(a.output, b.output)
-        np.testing.assert_array_equal(a.heads[0].alphas, b.heads[0].alphas)
+        np.testing.assert_array_equal(a.heads[0].meanfield.alphas, b.heads[0].meanfield.alphas)
 
     def test_identical_tokens_share_weights_with_exact_values(self):
         # exchangeable input: with oracle-exact values injected (sampling
@@ -165,7 +167,7 @@ class TestSingleHead:
         params = _head(rng, 4)
         game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
         out = single_head_attend(x, params, game_values=exact_game_values(game))
-        alphas = out.heads[0].alphas
+        alphas = out.heads[0].meanfield.alphas
         assert np.max(alphas) - np.min(alphas) <= 1e-9
 
     def test_head_report_with_exact_values_dumps(self):
@@ -175,12 +177,11 @@ class TestSingleHead:
         game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
         head = single_head_attend(x, params, game_values=exact_game_values(game)).heads[0]
         built = _head_report(head, 4)
-        # each number the head reports twice is one list, which dump_json formats once
+        # the head reports its couplings twice, as one list that dump_json formats once
         assert built["interaction_matrix"] is built["solver_input"]["couplings"]
-        assert built["field_vector"] is built["solver_input"]["fields"]
         report = json.loads(dump_json(built))
         assert report["effective_sample_size"] is None
-        assert report["alphas"] == head.alphas.tolist()
+        assert report["alphas"] == head.meanfield.alphas.tolist()
 
     def test_a_head_holds_the_game_values_it_ran_on(self):
         rng = np.random.default_rng(67)
@@ -243,3 +244,54 @@ class TestMultiHead:
         assert a == derive_head_seed(12345, 0)
         assert a != b
         assert 0 <= a < 2**64
+
+
+def _all_floats(node) -> bool:
+    return type(node) is float or (type(node) is list and bool(node) and all(map(_all_floats, node)))
+
+
+def _float_lists(node, path="$"):
+    """Yield the path and JSON text of every outermost list of the report
+    whose leaves are all floats: a vector, or a matrix as a whole."""
+    if type(node) is dict:
+        for key, item in node.items():
+            yield from _float_lists(item, f"{path}.{key}")
+    elif type(node) is list and _all_floats(node):
+        yield path, json.dumps(node)
+    elif type(node) is list:
+        for index, item in enumerate(node):
+            yield from _float_lists(item, f"{path}[{index}]")
+
+
+def test_each_number_is_reported_once():
+    # a report repeats a float list only where a document needs it: the
+    # head's couplings in its self-contained solver input, the oracle's
+    # exact interactions as the derived spins' couplings, and a single
+    # head's output as the run's
+    rng = np.random.default_rng(81)
+    n, d = 7, 5
+    doc = parse_document(
+        {
+            "schema_version": 1,
+            "n": n,
+            "d": d,
+            "embeddings": rng.normal(size=(n, d)).tolist(),
+            "value_projection": rng.normal(size=(d, d)).tolist(),
+            "gate_weights": rng.normal(size=d).tolist(),
+            "gate_bias": float(rng.normal()),
+        }
+    )
+    cfg = RunConfig(sample_count=64, seed=4)
+    expected = {
+        "attend": {
+            ("$.heads[0].interaction_matrix", "$.heads[0].solver_input.couplings"),
+            ("$.heads[0].output", "$.output"),
+        },
+        "oracle": {("$.game.interactions", "$.spins.couplings")},
+    }
+    for command, report in (("attend", run_attend(doc, cfg)), ("oracle", run_oracle(doc, cfg))):
+        paths_by_list: dict[str, list[str]] = {}
+        for path, text in _float_lists(report):
+            paths_by_list.setdefault(text, []).append(path)
+        repeated = {tuple(sorted(paths)) for paths in paths_by_list.values() if len(paths) > 1}
+        assert repeated == expected[command], command

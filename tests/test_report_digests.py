@@ -18,7 +18,7 @@ def test_numeric_diff_takes_the_largest_gaps_and_names_shape_changes():
     changed = {"alphas": [1.0, 2.0], "config": {"seed": 3, "mode": "classic"}, "extra": 1}
     _, _, found = report_digests._numeric_diff(before, changed)
     assert sorted(found) == [
-        "keys differ at $",
+        "keys differ at $: -ess +extra",
         "leaves differ at $.config.mode",
         "lengths 3 and 2 at $.alphas",
     ]
