@@ -8,11 +8,15 @@ settings, and then ``demo --out``.  Prints one line per run::
 
     seed workload index command exit sha256
 
-with ``-`` for the sha256 of a run that wrote no report, for the seed of
-a spin-system run (whose workload is ``spins`` and whose index is the
-document's name) and for the seed, workload and index of ``demo``.  The
-same source tree always prints the same lines, so two trees' outputs show
-which reports changed bytes.
+where sha256 is the digest of the report of a run that exits 0, and of
+the message it writes to stderr (one line naming the field or limit, with
+no path in it) for a run that exits otherwise, so a refusal whose wording
+changes, or that turns into another refusal with the same exit code, shows
+as well.  ``-`` stands for the seed of a spin-system run (whose workload is
+``spins`` and whose index is the document's name) and for the seed,
+workload and index of ``demo``.  The same source tree always prints the
+same lines, so two trees' outputs show which reports and refusals changed
+bytes.
 
     python scripts/report_digests.py [--src DIR] [--keep DIR] > digests.txt
     python scripts/report_digests.py --compare BASE HEAD
@@ -27,14 +31,14 @@ DIR, named after its run, and the printed lines into ``DIR/digests.txt``.
 digest differs from BASE's for the same run, then a summary line: the runs
 compared, how many of them changed their digest, and how many that exited 0
 no longer do.  It exits 1 only when a run that exited 0 in BASE exits
-otherwise (or is missing) in HEAD: reports that change bytes on purpose
-still pass.  When both sides kept their reports, it also prints, for every
-changed report, the largest absolute and relative difference over its
-numeric leaves, and whether the two reports have the same keys (naming each
-key removed or added) and the same array lengths; its summary line then
-adds how many changed reports differ in keys, array lengths or non-numeric
-leaves, and the largest absolute difference over all of them, so a change of
-roundoff alone shows in its last line.
+otherwise (or is missing) in HEAD: reports and refusals that change bytes
+on purpose still pass.  When both sides kept their reports, it also prints,
+for every changed report, the largest absolute and relative difference over
+its numeric leaves, and whether the two reports have the same keys (naming
+each key removed or added) and the same array lengths; its summary line
+then adds how many changed reports differ in keys, array lengths or
+non-numeric leaves, and the largest absolute difference over all of them,
+so a change of roundoff alone shows in its last line.
 """
 
 from __future__ import annotations
@@ -66,14 +70,17 @@ SPIN_SYSTEMS = {
 }
 
 
-def _digest(code: int, path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest() if code == 0 else "-"
-
-
-def _run(main, argv: list[str]) -> int:
-    # what a run prints (the demo walkthrough, refusal messages) is not compared
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+def _outcome(main, argv: list[str], out: Path) -> tuple[int, str]:
+    """Run *argv*, which writes its report to *out*, through *main*: its exit
+    code and the sha256 of its report, or of what it wrote to stderr (its
+    refusal) when it exits non-zero.  What it prints to stdout (the demo
+    walkthrough) is not compared."""
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    written = out.read_bytes() if code == 0 else stderr.getvalue().encode()
+    return code, hashlib.sha256(written).hexdigest()
 
 
 def _report_name(run: tuple[str, ...]) -> str:
@@ -92,10 +99,11 @@ def digest_lines(src: Path, keep: Path | None = None):
     with tempfile.TemporaryDirectory() as tmp:
         doc_path, cfg_path, out = (Path(tmp) / name for name in ("doc.json", "cfg.json", "out.json"))
 
-        def line(run: tuple[str, ...], code: int) -> str:
+        def line(run: tuple[str, ...], argv: list[str]) -> str:
+            code, digest = _outcome(cli.main, argv + ["--out", str(out)], out)
             if keep is not None and code == 0:
                 (keep / _report_name(run)).write_bytes(out.read_bytes())
-            return f"{' '.join(run)} {code} {_digest(code, out)}"
+            return f"{' '.join(run)} {code} {digest}"
 
         for seed in SEEDS:
             for name, workload in WORKLOADS.items():
@@ -103,17 +111,13 @@ def digest_lines(src: Path, keep: Path | None = None):
                     doc_path.write_bytes(text)
                     cfg_path.write_text(json.dumps(settings))
                     for command in COMMANDS:
-                        out.unlink(missing_ok=True)
-                        argv = [command, "--input", str(doc_path), "--config", str(cfg_path), "--out", str(out)]
-                        yield line((str(seed), name, str(index), command), _run(cli.main, argv))
+                        argv = [command, "--input", str(doc_path), "--config", str(cfg_path)]
+                        yield line((str(seed), name, str(index), command), argv)
         for name, system in SPIN_SYSTEMS.items():
             doc_path.write_text(json.dumps({"schema_version": 1, "n": 3, **system}))
             for command in COMMANDS:
-                out.unlink(missing_ok=True)
-                argv = [command, "--input", str(doc_path), "--out", str(out)]
-                yield line(("-", "spins", name, command), _run(cli.main, argv))
-        out.unlink(missing_ok=True)
-        yield line(("-", "-", "-", "demo"), _run(cli.main, ["demo", "--out", str(out)]))
+                yield line(("-", "spins", name, command), [command, "--input", str(doc_path)])
+        yield line(("-", "-", "-", "demo"), ["demo"])
 
 
 def _runs(path: Path) -> dict[tuple[str, ...], tuple[str, str]]:

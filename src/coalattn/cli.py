@@ -5,8 +5,10 @@ Subcommands: ``demo`` (bundled walkthrough), ``oracle`` (exact values),
 ``bench`` (scaling sweep).  Exit codes: 0 success, 2 input or configuration
 errors (including an input or config file that cannot be read or decoded
 as JSON, embeddings whose game values cannot be normalized into attention
-scores, a temperature so small that values divided by it overflow, and an
-``--out`` or ``--trace`` path that cannot be written; an unknown flag is
+scores, a temperature so small that values divided by it overflow, an
+``--out`` or ``--trace`` path that cannot be written, and a standard output
+that is closed, such as a pipe whose reader has gone, reported as ``input
+error: stdout: ...`` with nothing more written to it; an unknown flag is
 argparse's usage error, also exit 2),
 3 limit refusals (enumeration limits, and a run that runs out of memory,
 reported as ``limit refusal: out of memory: ...``), 4 internal failures.
@@ -15,6 +17,7 @@ reported as ``limit refusal: out of memory: ...``), 4 internal failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -85,49 +88,57 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _run(args) -> int:
+    """Run the parsed command; ``main`` turns its errors into exit codes."""
+    if args.command == "demo":
+        report = run_demo()
+        if args.out:
+            _emit(dump_json(report), args.out)
+        print(render_demo(report))
+        return EXIT_OK
+
+    cfg = load_config(args.config, seed=args.seed, mode=args.mode)
+
+    if args.command == "bench":
+        rows = run_bench(cfg)
+        if args.out:
+            _writing("--out", write_bench_csv, rows, args.out)
+        bad = [r for r in rows if not r["count_ok"]]
+        for row in rows:
+            print(
+                f"{row['kind']:<9} n={row['n']:<3} parameter={row['parameter']:<5} "
+                f"count={row['measured_count']:<10} expected={row['expected_count']:<10} "
+                f"ok={row['count_ok']} seconds={row['seconds']:.4f}"
+            )
+        if bad:
+            print(f"{len(bad)} rows violated the documented operation counts", file=sys.stderr)
+            return EXIT_INTERNAL
+        return EXIT_OK
+
+    doc = load_input(args.input)
+    if args.command == "oracle":
+        report = run_oracle(doc, cfg)
+    elif args.command == "estimate":
+        report = run_estimate(doc, cfg)
+    else:  # attend; the document is read, so the trace is its only file I/O
+        report = _writing("--trace", run_attend, doc, cfg, args.trace)
+    _emit(dump_json(report), args.out)
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "demo":
-            report = run_demo()
-            if args.out:
-                _emit(dump_json(report), args.out)
-            print(render_demo(report))
-            return EXIT_OK
-
-        cfg = load_config(args.config, seed=args.seed, mode=args.mode)
-
-        if args.command == "bench":
-            rows = run_bench(cfg)
-            if args.out:
-                _writing("--out", write_bench_csv, rows, args.out)
-            bad = [r for r in rows if not r["count_ok"]]
-            for row in rows:
-                print(
-                    f"{row['kind']:<9} n={row['n']:<3} parameter={row['parameter']:<5} "
-                    f"count={row['measured_count']:<10} expected={row['expected_count']:<10} "
-                    f"ok={row['count_ok']} seconds={row['seconds']:.4f}"
-                )
-            if bad:
-                print(f"{len(bad)} rows violated the documented operation counts", file=sys.stderr)
-                return EXIT_INTERNAL
-            return EXIT_OK
-
-        doc = load_input(args.input)
-        if args.command == "oracle":
-            report = run_oracle(doc, cfg)
-        elif args.command == "estimate":
-            report = run_estimate(doc, cfg)
-        elif args.command == "attend":
-            # the document is read, so the trace is the command's only file I/O
-            report = _writing("--trace", run_attend, doc, cfg, args.trace)
-        else:  # unreachable with required subparsers
-            parser.error(f"unknown command {args.command!r}")
-        _emit(dump_json(report), args.out)
-        return EXIT_OK
-
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError as exc:
+        # stdout goes to the null device, so the interpreter's last flush writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"input error: stdout: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (InputError, TemperatureError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

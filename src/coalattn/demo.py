@@ -36,6 +36,13 @@ The reference trajectory lists a snapshot after five undamped iterations and
 its mapped weights; the engine's own converged fixed point continues past
 that snapshot, so the report carries both with explicit deltas instead of
 asserting agreement.
+
+Each stage is one block of the report, holding ``engine``, ``reference`` and
+``delta``.  ``render_demo`` prints a row for every such block, in the
+report's order and labelled by its key, so a stage added to ``run_demo``
+shows in the walkthrough with no second edit.  The report's
+``schema_version`` is ``inputs.SCHEMA_VERSION``, the one the other reports
+carry.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import numpy as np
 
 from .estimators import gibbs_weights
 from .games import Extensions, TabularGame
+from .inputs import SCHEMA_VERSION
 from .meanfield import MeanFieldConfig, solve_fixed_point, spins_to_attention
 from .pipeline import combine_fields
 
@@ -96,20 +104,10 @@ FIXTURE = _Fixture
 
 
 def _compare(engine, reference) -> dict:
-    engine = np.atleast_1d(np.asarray(engine, dtype=np.float64))
-    reference = np.atleast_1d(np.asarray(reference, dtype=np.float64))
-    delta = engine - reference
-    if engine.size == 1:
-        return {
-            "engine": float(engine[0]),
-            "reference": float(reference[0]),
-            "delta": float(delta[0]),
-        }
-    return {
-        "engine": engine.tolist(),
-        "reference": reference.tolist(),
-        "delta": delta.tolist(),
-    }
+    """The engine's value beside the quoted one, and their difference: floats
+    for a scalar stage, lists for a stage of one value per token."""
+    engine, reference = np.asarray(engine, dtype=np.float64), np.asarray(reference, dtype=np.float64)
+    return {"engine": engine.tolist(), "reference": reference.tolist(), "delta": (engine - reference).tolist()}
 
 
 def run_demo() -> dict:
@@ -153,7 +151,7 @@ def run_demo() -> dict:
     snapshot_alphas = spins_to_attention(np.array(fx.reference_snapshot_spins))
 
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "table": list(fx.table),
         "sampled_coalitions": [
             [t for t in range(fx.n) if (m >> t) & 1] for m in fx.sampled_masks
@@ -180,47 +178,33 @@ def run_demo() -> dict:
 
 
 def render_demo(report: dict) -> str:
-    """Human-readable rendering of the demo report."""
+    """Human-readable rendering of the demo report: one row per block that
+    holds ``engine``, ``reference`` and ``delta``, in the report's order and
+    labelled by its key, then the fixed point against the quoted snapshot.
+    Engine values print to three decimals, references as quoted."""
 
-    def line(label, block, fmt="{:.3f}"):
-        eng = block["engine"]
-        ref = block["reference"]
-        if isinstance(eng, list):
-            engine_s = " ".join(fmt.format(v) for v in eng)
-            ref_s = " ".join(fmt.format(v) for v in ref)
-            delta = max(abs(d) for d in block["delta"])
-        else:
-            engine_s = fmt.format(eng)
-            ref_s = fmt.format(ref)
-            delta = abs(block["delta"])
-        return f"{label:<28} engine: {engine_s:<24} reference: {ref_s:<24} |delta| <= {delta:.2e}"
+    def numbers(values, fmt="{:.3f}"):
+        return " ".join(fmt.format(v) for v in np.atleast_1d(values))
 
-    fp = report["fixed_point"]
     rows = [
-        "three-token walkthrough (tabular fixture, gamma = 1)",
+        f"three-token walkthrough (tabular fixture, gamma = {FIXTURE.gamma:g})",
         f"coalitions: {report['sampled_coalitions']}",
-        line("normalized weights", report["weights"], "{:.2f}"),
-        line("shapley estimate", report["shapley_estimate"]),
-        line("banzhaf estimate", report["banzhaf_estimate"]),
-        line("interaction estimate", report["interaction_estimate"]),
-        line("blended field (token 1)", report["field_target_token"]),
-        line("iteration-1 spins", report["iteration_1"]),
-        line("iteration-2 spins", report["iteration_2"]),
+    ]
+    for key, block in report.items():
+        if isinstance(block, dict) and block.keys() >= {"engine", "reference", "delta"}:
+            rows.append(
+                f"{key:<28} engine: {numbers(block['engine']):<24} "
+                f"reference: {numbers(block['reference'], '{:g}'):<24} "
+                f"|delta| <= {np.max(np.abs(block['delta'])):.2e}"
+            )
+    fp = report["fixed_point"]
+    rows += [
+        f"{'converged spins':<28} engine: {numbers(fp['engine_spins'])}  ({fp['iterations_used']} iterations)",
+        f"{'converged weights':<28} engine: {numbers(fp['engine_alphas'])}",
         (
-            f"{'converged spins':<28} engine: "
-            + " ".join(f"{v:.3f}" for v in fp["engine_spins"])
-            + f"  ({fp['iterations_used']} iterations)"
-        ),
-        (
-            f"{'converged weights':<28} engine: "
-            + " ".join(f"{v:.3f}" for v in fp["engine_alphas"])
-        ),
-        (
-            f"{'snapshot weights (quoted)':<28} reference: "
-            + " ".join(f"{v:.3f}" for v in fp["snapshot_alphas_quoted"])
-            + "   (5-iteration snapshot; engine continues to the fixed point, "
-            + "max |delta| = "
-            + f"{max(abs(d) for d in fp['delta_alphas_vs_snapshot']):.3f})"
+            f"{'snapshot weights (quoted)':<28} reference: {numbers(fp['snapshot_alphas_quoted'])}"
+            "   (5-iteration snapshot; engine continues to the fixed point, "
+            f"max |delta| = {np.max(np.abs(fp['delta_alphas_vs_snapshot'])):.3f})"
         ),
     ]
     return "\n".join(rows)

@@ -19,8 +19,9 @@ Both expose the same evaluation interface, so oracles and estimators are
 agnostic to the family: ``n`` and ``values_by_mask``.  It is the one
 evaluation entry point: every estimator and oracle evaluates through it
 (``tabulate`` feeds it every mask in chunks), so a ``CountingGame`` sees
-every evaluation.  It takes either an array of masks, whose values come back
-in the array's shape, or an ``Extensions``: a pool of K entries (Bernoulli
+every evaluation.  It takes either an array of integer masks, whose values
+come back in the array's shape (float and bool arrays are refused, not
+truncated), or an ``Extensions``: a pool of K entries (Bernoulli
 words or permutations) shared by rows of one or two tokens each.  The
 ``2**f`` coalitions of every row and entry come back in the shape
 ``Extensions.shape``, subset axis first, in the toggle order that the
@@ -55,7 +56,7 @@ __all__ = [
     "EmbeddingGame",
     "CountingGame",
     "project_values",
-    "check_table_differences",
+    "check_table",
     "tabulate",
     "token_members",
 ]
@@ -168,6 +169,7 @@ class Extensions:
         if (self.contexts is None) == (self.orders is None):
             raise ValueError("extensions: give either contexts or orders")
         if self.orders is None:
+            _integer_masks(self.contexts, "extensions")
             contexts = np.array(self.contexts, dtype=np.uint64)
             if contexts.ndim != 1:
                 raise ValueError("extensions: contexts must be one axis of K masks")
@@ -285,9 +287,7 @@ class TabularGame:
             raise ValueError(f"tabular game: at most {TABULAR_MAX_TOKENS} tokens (got {n})")
         if not np.all(np.isfinite(arr)):
             raise ValueError("tabular game: all values must be finite")
-        if arr[0] != 0.0:
-            raise ValueError(f"tabular game: empty coalition must have value 0, got {arr[0]}")
-        check_table_differences(arr)
+        check_table(arr)
         arr.flags.writeable = False
         self._values = arr
         self.n = n
@@ -295,7 +295,7 @@ class TabularGame:
     def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
         if isinstance(masks, Extensions) and masks.tokens.size and masks.tokens.max() >= self.n:
             raise ValueError(f"tabular game: token {masks.tokens.max()} of an extension for a game of {self.n}")
-        coalitions = np.asarray(masks).astype(np.uint64, copy=False)
+        coalitions = _integer_masks(masks, "tabular game").astype(np.uint64, copy=False)
         top = int(coalitions.max()) if coalitions.size else 0
         if top >> self.n:
             raise ValueError(f"tabular game: token {top.bit_length() - 1} of a coalition for a game of {self.n}")
@@ -395,7 +395,7 @@ class EmbeddingGame:
 
     def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
         if not isinstance(masks, Extensions):
-            masks = np.asarray(masks)
+            masks = _integer_masks(masks, "embedding game")
             squared = self._sums(token_members(masks, self.n))[1]
             return self._finish(squared.reshape(masks.shape))
         extensions = masks
@@ -503,6 +503,15 @@ class EmbeddingGame:
         return sums, np.einsum("ij,ij->i", sums, sums)
 
 
+def _integer_masks(masks, name: str) -> np.ndarray:
+    """*masks* as an integer array; float and bool masks are refused with a
+    ValueError naming *name*, not truncated to the integers below them."""
+    masks = np.asarray(masks)
+    if masks.dtype.kind not in "iu":
+        raise ValueError(f"{name}: masks must be integers, got {masks.dtype}")
+    return masks
+
+
 def token_members(masks: np.ndarray, n: int) -> np.ndarray:
     """The ``(masks.size, n)`` uint8 membership of integer *masks*: entry
     ``[b, i]`` is bit ``i`` of the b-th mask in C order.  Bits at or above
@@ -537,15 +546,19 @@ def project_values(
     return projected
 
 
-def check_table_differences(table: np.ndarray, name: str = "tabular game") -> None:
-    """Raise ValueError, naming *name*, when a difference of the finite
-    ``2**n`` values in *table* could overflow float64.
+def check_table(table: np.ndarray, name: str = "tabular game") -> None:
+    """Raise ValueError, naming *name*, when the finite ``2**n`` values in
+    *table* do not make a game the engine can value: the empty coalition
+    must be worth exactly 0, and no difference of values may overflow
+    float64.
 
     Every slot's differences have absolute values summing to at most
     ``S = sum |v|``, and each one is at most ``4 max |v|``, so a finite
     ``4 n S`` keeps every difference, every average of differences and the
     sum of the n Shapley values finite.
     """
+    if table[0] != 0.0:
+        raise ValueError(f"{name}: empty coalition must have value 0, got {table[0]}")
     n = table.size.bit_length() - 1
     with np.errstate(over="ignore"):
         bound = 4.0 * n * float(np.sum(np.abs(table)))

@@ -28,7 +28,7 @@ from .games import (
     TABULAR_MAX_TOKENS,
     EmbeddingGame,
     TabularGame,
-    check_table_differences,
+    check_table,
     project_values,
 )
 from .linalg import as_matrix, as_vector
@@ -47,19 +47,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_DOCUMENT_KEYS = {
-    "schema_version",
-    "n",
-    "d",
-    "embeddings",
-    "characteristic_table",
-    "fields",
-    "couplings",
-    "value_projection",
-    "gate_weights",
-    "gate_bias",
-    "nonlinearity",
-    "multi_head",
+# the keys of one head's parameters, which a document may give at its top level
+_HEAD_KEYS = {"value_projection", "gate_weights", "gate_bias"}
+_DOCUMENT_KEYS = _HEAD_KEYS | {
+    "schema_version", "n", "d", "embeddings", "characteristic_table",
+    "fields", "couplings", "nonlinearity", "multi_head",
 }
 
 
@@ -118,9 +110,6 @@ def _as_int(obj, field: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise _fail(field, f"expected an integer, got {type(obj).__name__}")
     return obj
-
-
-_HEAD_KEYS = {"value_projection", "gate_weights", "gate_bias"}
 
 
 def _parse_head(
@@ -205,9 +194,7 @@ def parse_document(obj) -> InputDocument:
         table = _checked(as_vector, obj["characteristic_table"], "characteristic_table")
         if table.size != (1 << n):
             raise _fail("characteristic_table", f"expected {1 << n} entries for n={n}, got {table.size}")
-        if table[0] != 0.0:
-            raise _fail("characteristic_table", f"entry 0 (empty coalition) must be 0, got {table[0]}")
-        _checked(check_table_differences, table, "characteristic_table")
+        _checked(check_table, table, "characteristic_table")
 
     fields = couplings = None
     if "fields" in obj or "couplings" in obj:

@@ -3,7 +3,7 @@ the synchronous update written out by hand on the fixture's table."""
 
 import numpy as np
 
-from coalattn.demo import FIXTURE, run_demo
+from coalattn.demo import FIXTURE, render_demo, run_demo
 from coalattn.games import Extensions
 
 
@@ -46,3 +46,14 @@ def test_iterations_are_the_hand_updates_from_zero():
     for name in ("iteration_1", "iteration_2"):
         spins = np.tanh((fields + couplings @ spins) / FIXTURE.gamma)
         np.testing.assert_array_equal(report[name]["engine"], spins)
+
+
+def test_dropping_a_stage_from_the_report_drops_exactly_its_row():
+    report = run_demo()
+    stages = [key for key, block in report.items() if isinstance(block, dict) and "delta" in block]
+    assert len(stages) == 7
+    for dropped in stages:
+        rows = render_demo({key: block for key, block in report.items() if key != dropped}).splitlines()
+        # the header and the coalitions, a row per stage left, the three fixed-point rows
+        assert len(rows) == 11
+        assert [row.split()[0] for row in rows[2:8]] == [stage for stage in stages if stage != dropped]

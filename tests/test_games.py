@@ -238,6 +238,15 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
         pooled.with_tokens(np.array([[2, 2]]))
 
 
+@pytest.mark.parametrize("masks", [np.array([1.5, 2.9]), np.array([True, False])], ids=["float", "bool"])
+def test_masks_and_pools_must_be_integers(worked_game, masks):
+    # truncated, these would read as masks 1 and 2, or 1 and 0
+    embedding = EmbeddingGame(np.eye(3), np.eye(3))
+    for call in (worked_game.values_by_mask, embedding.values_by_mask, lambda pool: Extensions(pool, [[2]])):
+        with pytest.raises(ValueError, match="masks must be integers"):
+            call(masks)
+
+
 def test_held_covers_every_token_a_word_or_a_row_holds():
     # one row per mask bit, whichever rows the words serve: row t is bit t of each word
     words = np.array([0b1, 0b100100, 0], dtype=np.uint64)

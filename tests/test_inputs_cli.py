@@ -11,7 +11,7 @@ import pytest
 import coalattn
 from coalattn import cli, oracles, reports
 from coalattn.estimators import EstimatorConfig
-from coalattn.games import EmbeddingGame
+from coalattn.games import EmbeddingGame, TabularGame
 from coalattn.inputs import (
     InputError,
     RunConfig,
@@ -71,6 +71,16 @@ class TestDocumentValidation:
         bad["characteristic_table"][0] = 0.1
         with pytest.raises(InputError, match="characteristic_table"):
             parse_document(bad)
+
+    def test_a_nonzero_empty_coalition_has_one_wording(self):
+        bad = _table_doc()
+        bad["characteristic_table"][0] = 0.1
+        with pytest.raises(InputError) as parsed:
+            parse_document(bad)
+        with pytest.raises(ValueError) as built:
+            TabularGame(bad["characteristic_table"])
+        assert str(parsed.value) == "characteristic_table: empty coalition must have value 0, got 0.1"
+        assert str(built.value) == "tabular game: empty coalition must have value 0, got 0.1"
 
     def test_game_exclusivity(self):
         bad = _embedding_doc()
@@ -505,6 +515,29 @@ class TestCli:
         )
         assert result.returncode == cli.EXIT_INPUT
         assert result.stderr == "input error: embeddings: expected a 2-d array\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["demo", "oracle", "estimate", "attend", "bench"])
+    def test_a_closed_stdout_is_an_input_error(self, tmp_path, command, unbuffered):
+        # a fresh process whose stdout is a pipe with its read end closed, so
+        # the write or the interpreter's last flush meets a broken pipe
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_table_doc(fields=[0.1, 0.2, 0.3])))
+        argv = [command] if command in ("demo", "bench") else [command, "--input", str(path)]
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(coalattn.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "coalattn.cli", *argv], env=env, stdout=write, stderr=subprocess.PIPE, text=True
+            )
+        finally:
+            os.close(write)
+        assert result.returncode == cli.EXIT_INPUT
+        assert result.stderr.startswith("input error: stdout: ") and result.stderr.count("\n") == 1
 
     def test_unknown_flags_are_usage_errors(self, tmp_path, capsys):
         path = tmp_path / "doc.json"

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
@@ -63,8 +64,9 @@ def test_compare_summary_counts_reshaped_reports_and_the_largest_gap(tmp_path, c
 
 
 def test_compare_counts_changed_digests_apart_from_exit_codes(tmp_path, capsys):
-    # a refusal that moves from exit 2 to exit 3 keeps its digest "-"; a
-    # report that stops exiting 0 changes its digest and fails the comparison
+    # a refusal that moves from exit 2 to exit 3 with the same message keeps
+    # its digest; a report that stops exiting 0 changes its digest and fails
+    # the comparison
     (tmp_path / "base").write_text("1 w 0 oracle 0 aa\n1 w 0 estimate 2 -\n1 w 0 attend 0 bb\n- - - demo 0 cc\n")
     (tmp_path / "head").write_text("1 w 0 oracle 0 aa\n1 w 0 estimate 3 -\n1 w 0 attend 4 -\n- - - demo 0 dd\n")
     assert report_digests.compare(tmp_path / "base", tmp_path / "head") == 1
@@ -74,3 +76,26 @@ def test_compare_counts_changed_digests_apart_from_exit_codes(tmp_path, capsys):
         "- - - demo: exit 0 -> 0, sha256 cc -> dd",
         "4 runs compared; 2 changed their digest; 1 that exited 0 no longer do",
     ]
+
+
+def test_a_refusal_is_digested_by_its_message(tmp_path):
+    out = tmp_path / "out.json"
+
+    def refusing(message):
+        def main(argv):
+            print("walkthrough")  # stdout is not compared
+            sys.stderr.write(message)
+            return 2
+
+        return main
+
+    def reporting(argv):
+        out.write_text("{}")
+        sys.stderr.write("a warning\n")
+        return 0
+
+    field = report_digests._outcome(refusing("input error: n: required\n"), [], out)
+    other = report_digests._outcome(refusing("input error: d: must be >= 1\n"), [], out)
+    assert field == (2, hashlib.sha256(b"input error: n: required\n").hexdigest())
+    assert other[0] == 2 and other[1] != field[1]
+    assert report_digests._outcome(reporting, [], out) == (0, hashlib.sha256(b"{}").hexdigest())
