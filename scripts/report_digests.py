@@ -92,6 +92,7 @@ def digest_lines(src: Path, keep: Path | None = None):
     copying each report into *keep* when given."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from coalattn import cli
+    from coalattn.inputs import SCHEMA_VERSION
     from workloads import WORKLOADS, documents
 
     if Path(cli.__file__).resolve().parents[1] != src.resolve():
@@ -114,7 +115,7 @@ def digest_lines(src: Path, keep: Path | None = None):
                         argv = [command, "--input", str(doc_path), "--config", str(cfg_path)]
                         yield line((str(seed), name, str(index), command), argv)
         for name, system in SPIN_SYSTEMS.items():
-            doc_path.write_text(json.dumps({"schema_version": 1, "n": 3, **system}))
+            doc_path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "n": 3, **system}))
             for command in COMMANDS:
                 yield line(("-", "spins", name, command), [command, "--input", str(doc_path)])
         yield line(("-", "-", "-", "demo"), ["demo"])

@@ -39,6 +39,7 @@ from .pipeline import (
     MultiHeadParams,
     combine_fields,
     gate_lambda,
+    head_field,
     multi_head_attend,
     normalize_scores,
     single_head_attend,
@@ -71,6 +72,7 @@ __all__ = [
     "MultiHeadParams",
     "combine_fields",
     "gate_lambda",
+    "head_field",
     "multi_head_attend",
     "normalize_scores",
     "single_head_attend",

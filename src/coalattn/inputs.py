@@ -4,8 +4,9 @@ The input format is JSON with a versioned ``schema_version`` (currently 1).
 A document describes either a game (exactly one of ``embeddings`` or
 ``characteristic_table``), an explicit spin system (``fields`` and/or
 ``couplings``, for solver-only runs), or both (the oracle command can then
-report game values and spin marginals side by side).  Head parameters ride
-along for pipeline runs: top-level ``value_projection`` / ``gate_weights`` /
+report game values and spin marginals side by side).  An embedding
+document carries head parameters, since its game is induced by the first
+head's value projection: top-level ``value_projection`` / ``gate_weights`` /
 ``gate_bias`` for a single head, or a ``multi_head`` block with per-head
 parameter objects and an ``output_projection``.
 
@@ -63,7 +64,8 @@ class InputError(ValueError):
 class InputDocument:
     """A validated input document.  An explicit spin system is stored whole,
     with zeros for a half the document leaves out, so ``fields`` and
-    ``couplings`` are both arrays or both ``None``."""
+    ``couplings`` are both arrays or both ``None``; a document with
+    ``embeddings`` carries at least one head, so ``heads`` is not ``None``."""
 
     n: int
     embeddings: np.ndarray | None
@@ -87,8 +89,6 @@ class InputDocument:
         if self.characteristic_table is not None:
             return TabularGame(self.characteristic_table)
         if self.embeddings is not None:
-            if self.heads is None:
-                raise InputError("embeddings input needs a value_projection to induce a game")
             head = self.heads[0]
             return EmbeddingGame(self.embeddings, head.value_projection, head.nonlinearity)
         raise InputError("document has no game: neither embeddings nor characteristic_table")
@@ -266,6 +266,11 @@ def parse_document(obj) -> InputDocument:
                 )
     elif single_keys:
         heads = (_parse_head({k: obj[k] for k in single_keys}, "head", d, embeddings, nonlinearity),)
+    elif embeddings is not None:
+        raise InputError(
+            "document: embeddings need head parameters "
+            "(value_projection/gate_weights/gate_bias or a multi_head block)"
+        )
 
     return InputDocument(
         n=n,

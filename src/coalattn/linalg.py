@@ -1,4 +1,7 @@
-"""Shared dense linear-algebra and scalar primitives.
+"""Shared validators and scalar primitives: the number and array checks
+(``as_scalar``, ``as_integer``, ``as_vector``, ``as_matrix``), the division
+by a temperature that refuses an overflow (``over_temperature``), and a
+stable ``logistic``.
 
 Everything runs in float64: the Monte Carlo weights go through exponentials
 and the bundled reference values are quoted to three decimals, so double

@@ -1,9 +1,10 @@
 """End-to-end attention from coalition-game valuation.
 
-Per head: project values, gate each token, estimate Shapley / Banzhaf /
-interaction values on the induced embedding game, normalize and blend the
-two importance vectors into an external field, solve the spin fixed point,
-map spins to weights, and aggregate ``z = sum_i alpha_i v_i``.  Multi-head
+Per head: project values, estimate Shapley / Banzhaf / interaction values
+on the induced embedding game, gate each token and blend the two normalized
+importance vectors into an external field (``head_field``, which the oracle
+also takes with exact values), solve the spin fixed point, map spins to
+weights, and aggregate ``z = sum_i alpha_i v_i``.  Multi-head
 runs heads independently, concatenates their outputs in head order, and
 applies the output projection.
 
@@ -32,6 +33,7 @@ __all__ = [
     "gate_lambda",
     "normalize_scores",
     "combine_fields",
+    "head_field",
     "single_head_attend",
     "multi_head_attend",
     "derive_head_seed",
@@ -97,9 +99,8 @@ class MultiHeadParams:
 
 @dataclass(frozen=True)
 class HeadResult:
-    """One head's output, gates and field, with the game values it ran on,
-    estimated or injected as given, and the solve whose ``alphas`` are the
-    head's weights."""
+    """One head's output, gates and field, with the estimated game values it
+    ran on and the solve whose ``alphas`` are the head's weights."""
 
     output: np.ndarray
     lambdas: np.ndarray
@@ -161,39 +162,33 @@ def combine_fields(shapley_norm, banzhaf_norm, lambdas) -> np.ndarray:
     return lam * phi + (1.0 - lam) * beta
 
 
-def single_head_attend(embeddings, params: HeadParams, game_values=None) -> AttentionOutput:
+def head_field(embeddings, params: HeadParams, values: GameValues) -> tuple[np.ndarray, np.ndarray]:
+    """A head's gates and external field: the gate of each token of
+    *embeddings*, and the gated blend of the normalized Shapley and Banzhaf
+    vectors of *values*.  The one route from a head's game values to its
+    field, for the estimates ``single_head_attend`` makes and the exact
+    values the oracle computes."""
+    lambdas = gate_lambda(embeddings, params.gate_weights, params.gate_bias)
+    shapley_norm = normalize_scores(values.shapley, params.normalization, "shapley scores")
+    banzhaf_norm = normalize_scores(values.banzhaf, params.normalization, "banzhaf scores")
+    return lambdas, combine_fields(shapley_norm, banzhaf_norm, lambdas)
+
+
+def single_head_attend(embeddings, params: HeadParams) -> AttentionOutput:
     """Run the full single-head pipeline.
 
-    ``game_values`` may inject a precomputed ``GameValues`` record; by
-    default they are estimated on the embedding game induced by this head's
-    value projection, so every characteristic evaluation sees the same
-    projected vectors that the final aggregation uses.  With injected values
-    no game is built: the aggregation projects the embeddings directly.
+    The game values are estimated on the embedding game induced by this
+    head's value projection, so every characteristic evaluation sees the
+    same projected vectors that the final aggregation uses; :func:`head_field`
+    turns them into the field the spin system is solved with.
     """
     x = as_matrix(embeddings, "embeddings")
-    lambdas = gate_lambda(x, params.gate_weights, params.gate_bias)
-
-    if game_values is None:
-        game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
-        projected = game.projected
-        game_values = estimate_all(game, params.estimator)
-    else:
-        projected = x @ params.value_projection
-
-    shapley_norm = normalize_scores(game_values.shapley, params.normalization, "shapley scores")
-    banzhaf_norm = normalize_scores(game_values.banzhaf, params.normalization, "banzhaf scores")
-    fields = combine_fields(shapley_norm, banzhaf_norm, lambdas)
-
-    mf = solve_fixed_point(fields, game_values.interactions, params.meanfield)
-    z = mf.alphas @ projected
-
-    head = HeadResult(
-        output=z,
-        lambdas=lambdas,
-        field_vector=fields,
-        values=game_values,
-        meanfield=mf,
-    )
+    game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
+    values = estimate_all(game, params.estimator)
+    lambdas, fields = head_field(x, params, values)
+    mf = solve_fixed_point(fields, values.interactions, params.meanfield)
+    z = mf.alphas @ game.projected
+    head = HeadResult(output=z, lambdas=lambdas, field_vector=fields, values=values, meanfield=mf)
     return AttentionOutput(output=z, heads=(head,))
 
 

@@ -16,10 +16,10 @@ documented as environment-dependent.
 
 Each command runs the engine's one path for its stage: ``run_oracle``
 tabulates the game once (``2**n`` evaluations) for the exact and tilted
-values and feeds the exact ``GameValues`` through ``single_head_attend``;
+values, turns the exact values into a head's field with ``head_field``, as
+``attend`` does its estimates, and solves each spin system once;
 ``run_attend``'s ``--trace`` CSV is the trace the first head's solve
-recorded.  Head reports read the head's ``GameValues``; an exact record
-has no sample size, so its report carries ``"effective_sample_size": null``.
+recorded.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .pipeline import (
     HeadParams,
     MultiHeadParams,
     derive_head_seed,
+    head_field,
     multi_head_attend,
     single_head_attend,
 )
@@ -144,11 +145,6 @@ def write_trace_csv(trace, path) -> None:
 
 
 def _head_params_from_doc(doc: InputDocument, cfg: RunConfig) -> list[HeadParams]:
-    if doc.heads is None:
-        raise InputError(
-            "document: attend needs head parameters "
-            "(value_projection/gate_weights/gate_bias or a multi_head block)"
-        )
     return [
         replace(
             head,
@@ -196,15 +192,13 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
     """
     report: dict = {"schema_version": SCHEMA_VERSION, "config": cfg.echo()}
     # refuse past either oracle's limit before evaluating anything, the game's first
-    derives_spins = (
-        doc.heads is not None and doc.embeddings is not None and len(doc.heads) == 1 and not doc.has_spin_system
-    )
+    derives_spins = doc.embeddings is not None and len(doc.heads) == 1 and not doc.has_spin_system
     if doc.has_game:
         require_limit(doc.n)
     if derives_spins or doc.has_spin_system:
         require_limit(doc.n, spins=True)
 
-    fields = couplings = solved = None
+    fields = couplings = None
     if doc.has_game:
         # one table serves every exact value below
         game = exact_table(doc.build_game())
@@ -224,16 +218,14 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
             "efficiency_gap": float(np.sum(exact.shapley) - (grand - empty)),
         }
         if derives_spins:
-            head = _head_params_from_doc(doc, cfg)[0]
-            result = single_head_attend(doc.embeddings, head, game_values=exact).heads[0]
-            fields, couplings = result.field_vector, result.values.interactions
-            solved = result.meanfield
+            fields = head_field(doc.embeddings, _head_params_from_doc(doc, cfg)[0], exact)[1]
+            couplings = exact.interactions
 
     if doc.has_spin_system:
         fields, couplings = doc.fields, doc.couplings
-        solved = solve_fixed_point(fields, couplings, cfg.meanfield_config())
 
     if fields is not None:
+        solved = solve_fixed_point(fields, couplings, cfg.meanfield_config())
         try:
             marginals = exact_spin_marginals(fields, couplings, cfg.spin_gamma)
         except TemperatureError:
@@ -275,7 +267,6 @@ def run_estimate(doc: InputDocument, cfg: RunConfig) -> dict:
 
 def _head_report(result, n: int) -> dict:
     values = result.values
-    ess = values.effective_sample_size
     # the head reports its couplings twice, as one list that is formatted once
     couplings = values.interactions.tolist()
     return {
@@ -284,7 +275,7 @@ def _head_report(result, n: int) -> dict:
         "interaction_matrix": couplings,
         "shapley_hat": values.shapley.tolist(),
         "banzhaf_hat": values.banzhaf.tolist(),
-        "effective_sample_size": None if ess is None else ess.tolist(),
+        "effective_sample_size": values.effective_sample_size.tolist(),
         "output": result.output.tolist(),
     }
 

@@ -70,10 +70,10 @@ def _documents(draw):
     game = draw(st.sampled_from(("embeddings", "table", None)))
     if game == "embeddings":
         doc["embeddings"] = _matrix(draw, n, d)
-        heads = draw(st.integers(1, 2)) if draw(st.booleans()) else 1
+        heads = draw(st.integers(0, 2)) if draw(st.booleans()) else 1
         if heads == 1:
             doc.update(_head(draw, d, d_v))
-        else:
+        elif heads:
             doc["multi_head"] = {
                 "heads": [_head(draw, d, d_v) for _ in range(heads)],
                 "output_projection": _matrix(draw, heads * d_v, d),

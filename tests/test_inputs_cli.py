@@ -583,6 +583,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "20" in err  # refusal names the limit
 
+    def test_embeddings_without_a_head_get_one_refusal_from_every_command(self, tmp_path, capsys):
+        doc = _embedding_doc(n=3, d=3, seed=4)
+        for key in ("value_projection", "gate_weights", "gate_bias"):
+            del doc[key]
+        path = tmp_path / "headless.json"
+        path.write_text(json.dumps(doc))
+        for command in ("oracle", "estimate", "attend"):
+            assert cli.main([command, "--input", str(path)]) == cli.EXIT_INPUT
+            assert capsys.readouterr().err == (
+                "input error: document: embeddings need head parameters "
+                "(value_projection/gate_weights/gate_bias or a multi_head block)\n"
+            ), command
+
     @pytest.mark.parametrize("command", ["attend", "oracle"])
     def test_zero_embeddings_are_an_input_error(self, tmp_path, capsys, command):
         doc = _embedding_doc(n=3, d=3, seed=4)

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from coalattn.estimators import EstimatorConfig
 from coalattn.games import EmbeddingGame
 from coalattn.inputs import RunConfig, parse_document
 from coalattn.linalg import logistic
-from coalattn.meanfield import MeanFieldConfig
+from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
 from coalattn.oracles import exact_game_values
 from coalattn.pipeline import (
     DegenerateScoresError,
@@ -18,6 +19,7 @@ from coalattn.pipeline import (
     combine_fields,
     derive_head_seed,
     gate_lambda,
+    head_field,
     multi_head_attend,
     normalize_scores,
     single_head_attend,
@@ -159,40 +161,41 @@ class TestSingleHead:
         np.testing.assert_array_equal(a.heads[0].meanfield.alphas, b.heads[0].meanfield.alphas)
 
     def test_identical_tokens_share_weights_with_exact_values(self):
-        # exchangeable input: with oracle-exact values injected (sampling
-        # bypassed), every token must get the same weight
+        # exchangeable input: the field of oracle-exact values (sampling
+        # bypassed) and its solve give every token the same weight
         rng = np.random.default_rng(63)
         row = rng.normal(size=4)
         x = np.tile(row, (5, 1))
         params = _head(rng, 4)
-        game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
-        out = single_head_attend(x, params, game_values=exact_game_values(game))
-        alphas = out.heads[0].meanfield.alphas
+        exact = exact_game_values(EmbeddingGame(x, params.value_projection, params.nonlinearity))
+        alphas = solve_fixed_point(head_field(x, params, exact)[1], exact.interactions, params.meanfield).alphas
         assert np.max(alphas) - np.min(alphas) <= 1e-9
 
-    def test_head_report_with_exact_values_dumps(self):
+    def test_head_report_dumps(self):
         rng = np.random.default_rng(66)
         x = rng.normal(size=(4, 3))
         params = _head(rng, 3)
-        game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
-        head = single_head_attend(x, params, game_values=exact_game_values(game)).heads[0]
+        head = single_head_attend(x, params).heads[0]
         built = _head_report(head, 4)
         # the head reports its couplings twice, as one list that dump_json formats once
         assert built["interaction_matrix"] is built["solver_input"]["couplings"]
         report = json.loads(dump_json(built))
-        assert report["effective_sample_size"] is None
         assert report["alphas"] == head.meanfield.alphas.tolist()
 
     def test_a_head_holds_the_game_values_it_ran_on(self):
         rng = np.random.default_rng(67)
         x = rng.normal(size=(4, 3))
-        params = _head(rng, 3)
-        exact = exact_game_values(EmbeddingGame(x, params.value_projection, params.nonlinearity))
-        head = single_head_attend(x, params, game_values=exact).heads[0]
-        assert head.values is exact
-        assert head.values.effective_sample_size is None
-        estimated = single_head_attend(x, params).heads[0].values
+        estimated = single_head_attend(x, _head(rng, 3)).heads[0].values
         assert estimated.effective_sample_size.shape == (4,)
+
+    def test_a_heads_gates_and_field_are_head_field_of_its_own_values(self):
+        rng = np.random.default_rng(68)
+        x = rng.normal(size=(5, 3))
+        params = _head(rng, 3)
+        head = single_head_attend(x, params).heads[0]
+        lambdas, fields = head_field(x, params, head.values)
+        np.testing.assert_array_equal(head.lambdas, lambdas)
+        np.testing.assert_array_equal(head.field_vector, fields)
 
     def test_zero_embeddings_degenerate(self):
         rng = np.random.default_rng(64)
@@ -295,3 +298,28 @@ def test_each_number_is_reported_once():
             paths_by_list.setdefault(text, []).append(path)
         repeated = {tuple(sorted(paths)) for paths in paths_by_list.values() if len(paths) > 1}
         assert repeated == expected[command], command
+
+
+def test_the_oracle_solves_the_field_of_the_exact_values_once():
+    # a derived spin system takes attend's route from values to a field:
+    # the exact values through head_field, then one solve under the run's
+    # solver settings
+    rng = np.random.default_rng(82)
+    n, d = 6, 4
+    doc = parse_document(
+        {
+            "schema_version": 1,
+            "n": n,
+            "embeddings": rng.normal(size=(n, d)).tolist(),
+            "value_projection": rng.normal(size=(d, d)).tolist(),
+            "gate_weights": rng.normal(size=d).tolist(),
+            "gate_bias": float(rng.normal()),
+        }
+    )
+    cfg = RunConfig(normalization="sum", max_iterations=7, damping=0.3)
+    exact = exact_game_values(doc.build_game())
+    fields = head_field(doc.embeddings, replace(doc.heads[0], normalization="sum"), exact)[1]
+    solved = solve_fixed_point(fields, exact.interactions, cfg.meanfield_config())
+    spins = run_oracle(doc, cfg)["spins"]
+    assert spins["fields"] == fields.tolist()
+    assert spins["meanfield_alphas"] == solved.alphas.tolist()
