@@ -6,14 +6,14 @@ remaining tokens, so the whole chain can be recomputed deterministically and
 compared against quoted reference numbers without touching the samplers.
 Every stage runs through the function the engine uses for it:
 
-* coalition values and the target token's marginals: the fixture's
-  ``TabularGame`` evaluates ``games.Extensions(sampled_masks,
-  [[target_token]])``, whose coalition 0 on each word is the word itself,
-  and ``Extensions.context_and_difference`` gives the marginals;
+* coalition values: the fixture's ``TabularGame`` evaluates the sampled
+  masks as plain masks;
+* the target token's marginals: the same game evaluates
+  ``games.Extensions(sampled_masks, [[target_token]])``, whose differences
+  (through ``Extensions.context_and_difference``) are the marginals;
 * Gibbs weights: ``estimators.gibbs_weights`` of the words' values, with
   equal proposal mass;
-* pair deltas: ``context_and_difference`` of ``Extensions(pair_contexts,
-  [pair])``;
+* pair deltas: the differences of ``Extensions(pair_contexts, [pair])``;
 * gate blend: ``pipeline.combine_fields``;
 * the first two iterations and the fixed point: ``meanfield.solve_fixed_point``
   from zeros, undamped, with ``max_iterations`` 1 and 2 for the iterations.
@@ -115,20 +115,15 @@ def run_demo() -> dict:
     fx = FIXTURE
     game = TabularGame(fx.table)
 
-    # the target's two coalitions on each word: the word, then the word with
-    # the target toggled
-    target = Extensions(fx.sampled_masks, [[fx.target_token]])
-    target_values = game.values_by_mask(target)
-    coalition_values = target_values[0, 0]
-    marginals = target.context_and_difference(target_values)[1][0]
+    coalition_values = game.values_by_mask(np.array(fx.sampled_masks, dtype=np.uint64))
+    marginals = game.values_by_mask(Extensions(fx.sampled_masks, [[fx.target_token]]))[1][0]
     proposals = np.ones(len(fx.sampled_masks))  # equal mass; cancels in normalization
 
     _, weights = gibbs_weights(coalition_values, proposals, fx.gamma)
     shapley_hat = float(np.dot(weights, marginals))
     banzhaf_hat = shapley_hat  # same coalitions and weights in the fixture
 
-    pair = Extensions(fx.pair_contexts, [fx.pair])
-    pair_deltas = pair.context_and_difference(game.values_by_mask(pair))[1][0]
+    pair_deltas = game.values_by_mask(Extensions(fx.pair_contexts, [fx.pair]))[1][0]
     interaction_hat = float(np.dot(weights, pair_deltas))
 
     # gate blend; the fixture feeds the raw estimates straight in

@@ -47,16 +47,16 @@ blocking and whichever other slots are estimated.
 Every estimate runs through one block path.  A family's slots go to the
 game as one ``games.Extensions`` of its pool by their tokens, each pool
 copied and checked once, and a block takes as many of its rows as
-``_BLOCK_CONTEXTS`` contexts allow, evaluated by one ``values_by_mask``
-call from values and sums the game shares across the pool, so the
-Banzhaf and pair blocks share one set.
-``Extensions.context_and_difference`` turns a block's values into each
-slot's context value (the Gibbs base) and its marginal, the
-inclusion-exclusion difference over the context; the ``Extensions``
-docstring describes the coalitions' order and its inverse.
-The block's weights, estimates, effective sample sizes and standard errors
-are then computed for all its rows at once; every reduction runs along a
-row alone, so a slot's numbers do not depend on the block it lands in.
+``_BLOCK_CONTEXTS`` contexts allow.  One ``values_by_mask`` call per
+block returns each slot's context value (the Gibbs base) and its
+marginal, the inclusion-exclusion difference over the context, formed
+from values and sums the game shares across the pool, so the Banzhaf and
+pair blocks share one set; the ``Extensions`` docstring describes the
+coalitions behind them.  A family's proposal probabilities are checked,
+and their logs taken, once.  The block's weights, estimates, effective
+sample sizes and standard errors are then computed for all its rows at
+once; every reduction runs along a row alone, so a slot's numbers do not
+depend on the block it lands in.
 """
 
 from __future__ import annotations
@@ -91,18 +91,20 @@ _BERNOULLI_STREAM = 2
 
 # Most slot contexts one values_by_mask call of estimate_all evaluates; a
 # block holds as many whole slots as fit, at least one (one slot per call
-# for K > 2048).  A game forms its pool's shared values once per pool, and
+# for K > 4096).  A game forms its pool's shared values once per pool, and
 # each context of a block then takes a few arrays of O(1) entries (a pair's
-# four values, its weights and marginals), so the cap bounds the block's
-# working arrays: about 0.4 MB for the pairs of an n=32, d_v=32 game at
-# K = 256.  Attend-wide operations (two such heads, BLAS on one thread, a
-# 2-core AMD EPYC VM, two 4-second in-process runs per cap) took, at caps of
-# 2048, 4096, 8192, 16384 and 32768: 13.4, 11.5-11.7, 10.8-11.6, 10.1-10.2
-# and 10.4-10.6 ms, with 257, 280-292, 549-586, 872-915 and 1,600 minor
-# page faults per operation and a peak RSS of 39.8-39.9, 40.0, 40.4,
-# 41.1-41.2 and 43.3-43.4 MB.  Fewer, larger blocks save per-call overhead
-# but fault their arrays in afresh on every block.
-_BLOCK_CONTEXTS = 4096
+# toggled values, its context, difference and weights), so the cap bounds
+# the block's working arrays: about 0.8 MB for the pairs of an n=32,
+# d_v=32 game at K = 256.  `run_attend` on attend-wide documents (two such
+# heads, BLAS on one thread, a 2-core Intel Xeon VM; 12 rounds of 40
+# operations per cap in one process, rotating the caps' order) took, at
+# caps of 8192 and 16384, a paired median 0.929 and 0.927 times its time
+# at 4096, with 327, 525 and 973 minor page faults per operation at the
+# three caps and a peak RSS of 39.6-39.7, 39.9-40.1 and 40.9-41.0 MB (one
+# process of 300 operations per cap), so 16384 buys no time for its
+# memory.  Fewer, larger blocks save per-call overhead but fault their
+# arrays in afresh on every block.
+_BLOCK_CONTEXTS = 8192
 
 
 @dataclass(frozen=True)
@@ -188,10 +190,21 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
     of exactly 0, with numpy's overflow warning unless the caller ignores
     it, as ``estimate_all`` does.  Returns (raw, normalized).
     """
+    _check_probs(probs)
+    EstimatorConfig(gamma=gamma)  # the run setting's one check
+    raw = _gibbs_kernel(values, np.log(probs), gamma)
+    return raw, raw / raw.sum(axis=-1, keepdims=True)
+
+
+def _check_probs(probs: np.ndarray) -> None:
     # written so that a NaN, which fails every comparison, is refused too
     if not np.logical_and(probs > 0.0, probs <= 1.0).all():
         raise ValueError("proposal probabilities must lie in (0, 1]")
-    EstimatorConfig(gamma=gamma)  # the run setting's one check
+
+
+def _gibbs_kernel(values: np.ndarray, log_probs: np.ndarray, gamma: float) -> np.ndarray:
+    """The raw ``gibbs_weights`` of *values* from the logs of proposal
+    probabilities and a temperature already checked."""
     try:
         # a fresh array, in which the log-weights are formed
         log_raw = over_temperature(values, gamma, "coalition_gamma")
@@ -203,9 +216,9 @@ def gibbs_weights(values: np.ndarray, probs: np.ndarray, gamma: float) -> tuple[
         if np.any(np.isinf(values)):
             raise ValueError("values must not contain inf or -inf") from None
         raise
-    log_raw -= np.log(probs)
-    raw = np.exp(log_raw - log_raw.max(axis=-1, keepdims=True))
-    return raw, raw / raw.sum(axis=-1, keepdims=True)
+    log_raw -= log_probs
+    log_raw -= log_raw.max(axis=-1, keepdims=True)
+    return np.exp(log_raw, out=log_raw)
 
 
 def _estimate_family(game, cfg: EstimatorConfig, family: Extensions):
@@ -215,29 +228,31 @@ def _estimate_family(game, cfg: EstimatorConfig, family: Extensions):
     Each slot is a row of token indices: ``(i,)`` for the Shapley and
     Banzhaf values, ``(a, b)`` with ``a < b`` for interactions.  A block
     holds as many of its rows as ``_BLOCK_CONTEXTS`` contexts allow, at
-    least one, and is evaluated by one ``values_by_mask`` call, then
-    weighted and reduced row-wise at once, from each row's context value
-    and difference (``Extensions.context_and_difference``).  The ESS of K raw
+    least one, and is evaluated by one ``values_by_mask`` call, which
+    returns each row's context value and difference, then weighted and
+    reduced row-wise at once.  The ESS of K raw
     weights is ``total**2 / square_total``, clamped to [1, K] against
     roundoff, and the standard error is the delta-method ``sqrt(sum_k (w_k
     (m_k - estimate))**2)`` over the normalized weights w and the marginals
     m, inf where it passes float64's range.
     """
     k, slots = cfg.sample_count, len(family.tokens)
-    probs = _proposal_probs(family, game.n)
+    if cfg.mode == "gibbs":
+        # cfg checked the temperature; the probabilities are checked here once
+        probs = _proposal_probs(family, game.n)
+        _check_probs(probs)
+        log_probs = np.log(probs)
     per_block = max(1, _BLOCK_CONTEXTS // k)
     estimates, ess, errors = np.empty(slots), np.empty(slots), np.empty(slots)
     for start in range(0, slots, per_block):
         rows = slice(start, start + per_block)
-        block = family.rows(rows)
-        base, marginals = block.context_and_difference(game.values_by_mask(block))
-        if cfg.mode == "gibbs":
-            raw, normalized = gibbs_weights(base, probs[rows], cfg.gamma)
-        else:
-            raw, normalized = np.ones(base.shape), np.full(base.shape, 1.0 / k)
+        base, marginals = game.values_by_mask(family.rows(rows))
+        raw = _gibbs_kernel(base, log_probs[rows], cfg.gamma) if cfg.mode == "gibbs" else np.ones(base.shape)
+        # in classic mode every total is exactly K, every weight 1/K
+        totals = raw.sum(axis=-1)
+        normalized = raw / totals[:, None]
         # vecdot takes each row's dot product through the same BLAS ddot as np.dot
         estimates[rows] = np.vecdot(normalized, marginals)
-        totals = raw.sum(axis=-1)
         ess[rows] = np.clip(totals * totals / np.vecdot(raw, raw), 1.0, k)
         # w_k (m_k - estimate) is finite, as w_k <= 1; its square may overflow to inf
         marginals -= estimates[rows, None]

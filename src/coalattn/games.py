@@ -22,17 +22,21 @@ evaluation entry point: every estimator and oracle evaluates through it
 every evaluation.  It takes either an array of integer masks, whose values
 come back in the array's shape (float and bool arrays are refused, not
 truncated), or an ``Extensions``: a pool of K entries (Bernoulli
-words or permutations) shared by rows of one or two tokens each.  The
-``2**f`` coalitions of every row and entry come back in the shape
-``Extensions.shape``, subset axis first, in the toggle order that the
-``Extensions`` docstring describes once, with its inverse
-(``Extensions.context_and_difference``).
+words or permutations) shared by rows of one or two tokens each, each row
+taking ``2**f`` coalitions of every entry (``Extensions.shape``, subset
+axis first, in the toggle order that the ``Extensions`` docstring
+describes once).  For an ``Extensions`` it returns, for every row and
+entry, the row's context value and the inclusion-exclusion difference of
+its tokens over that context, each of shape ``tokens.shape[:-1] + (K,)``:
+what an estimator reads of the coalitions.
 
-A ``TabularGame`` looks the materialised masks up.  An ``EmbeddingGame``
-evaluates an ``Extensions`` from per-word (or per-prefix) values and sums
-shared by all its rows and kept across calls with the same pool, which an
-``Extensions`` stores read-only, so each coalition costs O(1) once the pool
-is summed, and a pair's block forms one new squared norm per word; its class
+A ``TabularGame`` looks the materialised masks up and hands their values
+to ``Extensions.context_and_difference``, the one written inverse of the
+toggle order.  An ``EmbeddingGame`` forms the context and the difference
+directly from per-word (or per-prefix) values and sums shared by all its
+rows and kept across calls with the same pool, which an ``Extensions``
+stores read-only, so each coalition costs O(1) once the pool is summed,
+and a pair's block forms one new squared norm per word; its class
 docstring gives the formulas and how far their rounding may stray from a
 direct norm of the same coalition.  Plain masks get exactly the direct norm
 of their member-matmul sums.  One game may serve concurrent calls.
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,7 +135,9 @@ class Extensions:
     alternating sum ``v_1 - v_0`` or ``((v_3 - v_1) - v_2) + v_0`` times
     ``prod_t (1 - 2 b_t)`` for the bits ``b_t`` of the row's tokens in the
     word: toggling a token the word holds removes it, so each held token
-    flips the sum's sign.
+    flips the sum's sign.  A game's ``values_by_mask`` of an ``Extensions``
+    returns that pair: a ``TabularGame`` through this inverse, an
+    ``EmbeddingGame`` by the same arithmetic on values it never stacks.
 
     The pool is stored as a read-only view of a private copy, so changing
     the array given does not change the coalitions, and the view's
@@ -292,14 +299,19 @@ class TabularGame:
         self._values = arr
         self.n = n
 
-    def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
-        if isinstance(masks, Extensions) and masks.tokens.size and masks.tokens.max() >= self.n:
-            raise ValueError(f"tabular game: token {masks.tokens.max()} of an extension for a game of {self.n}")
+    def values_by_mask(self, masks: np.ndarray | Extensions):
+        """The values of integer *masks*, in their shape, or of an
+        ``Extensions``, each row's (context value, difference) on every
+        pool entry, from the values of its materialised masks."""
+        extensions = masks if isinstance(masks, Extensions) else None
+        if extensions is not None and extensions.tokens.size and extensions.tokens.max() >= self.n:
+            raise ValueError(f"tabular game: token {extensions.tokens.max()} of an extension for a game of {self.n}")
         coalitions = _integer_masks(masks, "tabular game").astype(np.uint64, copy=False)
         top = int(coalitions.max()) if coalitions.size else 0
         if top >> self.n:
             raise ValueError(f"tabular game: token {top.bit_length() - 1} of a coalition for a game of {self.n}")
-        return self._values[coalitions]
+        values = self._values[coalitions]
+        return values if extensions is None else extensions.context_and_difference(values)
 
     @property
     def table(self) -> np.ndarray:
@@ -331,14 +343,18 @@ class EmbeddingGame:
       ``s_t = 1 - 2 b_t`` of each token's bit ``b_t`` in the word, the Gram
       matrix ``G = X X^T`` (formed once per game) and ``h_t = 2 s_t x_t.S_k
       + G_tt``, toggling token t gives the squared norm ``|S_k + s_t x_t|^2 =
-      q0 + h_t``.  The values of every word and of every word with each
-      token toggled are formed with the pool, so a row of one token copies
-      them; a row of two tokens a, b copies those of the word and of its
-      two one-token toggles, and forms one new squared norm per word, ``q0
-      + h_a + h_b + 2 s_a s_b G_ab``, added in that order, and one root.
+      q0 + h_t``.  The values ``v_0`` of every word and ``v_t`` of every
+      word with each token t toggled are formed with the pool, so a row of
+      one token a reads its difference ``(v_a - v_0) s_a`` from them; a row
+      of two tokens a, b forms one new squared norm per word, ``q0 + h_a +
+      h_b + 2 (s_a s_b) G_ab``, added in that order, and one root, ``v_ab``,
+      and its difference is ``(((v_ab - v_a) - v_b) + v_0) s_a s_b``, with
+      the sign product the cross term forms.  A row's context value is the
+      one of these values its held tokens select: ``v_0`` when the word
+      holds none of them, ``v_ab`` when it holds both.
     * orders: the values of the n + 1 prefixes of each order, whose sums run
-      along it; row r's coalitions are the prefix before its token and the
-      one through it.
+      along it; row r's context value is that of the prefix before its
+      token, and its difference the value of the one through it less that.
 
     Plain masks, and the pool words themselves (coalition 0 of their
     rows), get ``q0``: exactly the squared norm of the member-matmul sum;
@@ -362,7 +378,11 @@ class EmbeddingGame:
     the exact one, and the direct square within ``d_v u M^2``: together
     ``(d_v + 2.5) eps M^2`` to first order in ``eps``, inside the bound for f
     = 2.  A word and its one-token toggles are the same expansion with fewer
-    terms.
+    terms.  As the square root and both nonlinearities move a value by at
+    most the root of a gap in its squared norm, a row's context value lies
+    within the root ``r`` of that bound of the direct one, and its
+    difference, an alternating sum of ``2**f`` values each at most ``M``,
+    within ``2**f (r + 2**f eps M)``.
 
     Calls may run concurrently, from any number of threads, and a call's
     result never depends on earlier calls: every call allocates its own
@@ -393,7 +413,10 @@ class EmbeddingGame:
         self.nonlinearity = nonlinearity
         self.n = n
 
-    def values_by_mask(self, masks: np.ndarray | Extensions) -> np.ndarray:
+    def values_by_mask(self, masks: np.ndarray | Extensions):
+        """The values of integer *masks*, in their shape, or of an
+        ``Extensions``, each row's (context value, difference) on every
+        pool entry, formed as the class docstring describes."""
         if not isinstance(masks, Extensions):
             masks = _integer_masks(masks, "embedding game")
             squared = self._sums(token_members(masks, self.n))[1]
@@ -403,13 +426,12 @@ class EmbeddingGame:
             raise ValueError(
                 f"embedding game: token {extensions.tokens.max()} of an extension for a game of {self.n}"
             )
-        if extensions.orders is not None:
-            # subset 0 is the prefix before the row's token, subset 1 the one through it
-            values = self._shared(extensions, self._prefix_values)
-            ranks = extensions.ranks
-            places = ranks + np.arange(2).reshape((2,) + (1,) * ranks.ndim)
-            return values[np.arange(values.shape[0]), places]
-        return self._toggled_values(extensions)
+        if extensions.orders is None:
+            return self._toggled(extensions)
+        values = self._shared(extensions, self._prefix_values)
+        entries, ranks = np.arange(values.shape[0]), extensions.ranks
+        context = values[entries, ranks]
+        return context, values[entries, ranks + 1] - context
 
     def _finish(self, squared: np.ndarray) -> np.ndarray:
         """The values of squared norms, formed in place."""
@@ -429,56 +451,60 @@ class EmbeddingGame:
         self._pool = (pool, shared)
         return shared
 
-    def _toggled_values(self, extensions: Extensions) -> np.ndarray:
-        """The values of the coalitions of an ``Extensions`` of pool words."""
-        tokens = extensions.tokens
-        word_values, toggled_values, toggled_squares, h, signs, doubles, double_words = self._shared(
-            extensions, self._word_values
-        )
-        values = np.empty(extensions.shape)
-        values[0] = word_values
+    def _toggled(self, extensions: Extensions) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's context value and difference on a pool of words; a row
+        of one token reads its token's, formed with the pool."""
+        pool, tokens = self._shared(extensions, self._word_values), extensions.tokens
         a = tokens[..., 0]
-        # tokens are below n, so "clip" never clips; it lets take write into `out`
-        toggled_values.take(a, axis=0, out=values[1], mode="clip")
+        context_a = pool.contexts.take(a, axis=0)
         if tokens.shape[-1] == 1:
-            return values
+            return context_a, pool.differences.take(a, axis=0)
         b = tokens[..., 1]
-        toggled_values.take(b, axis=0, out=values[2], mode="clip")
-        squared = toggled_squares.take(a, axis=0, out=values[3], mode="clip")
-        squared += h.take(b, axis=0, mode="clip")
-        cross = signs.take(a, axis=0, mode="clip")
-        cross *= signs.take(b, axis=0, mode="clip")
-        cross *= 2.0 * self._gram[a, b][..., None]
-        squared += cross
-        if doubles.size:
+        with_a, with_b = pool.toggled.take(a, axis=0), pool.toggled.take(b, axis=0)
+        sign = pool.signs.take(a, axis=0)
+        sign *= pool.signs.take(b, axis=0)
+        with_both = pool.toggled_squares.take(a, axis=0)
+        with_both += pool.h.take(b, axis=0)
+        with_both += sign * (2.0 * self._gram[a, b][..., None])
+        if pool.doubles.size:
             # a word of just the row's two tokens toggles to the empty coalition
-            emptied = double_words == extensions.added[-1][..., None]
-            squared[..., doubles] = np.where(emptied, 0.0, squared[..., doubles])
-        self._finish(squared)
-        return values
+            emptied = pool.double_words == extensions.added[-1][..., None]
+            with_both[..., pool.doubles] = np.where(emptied, 0.0, with_both[..., pool.doubles])
+        self._finish(with_both)
+        difference = with_both - with_a
+        difference -= with_b
+        difference += pool.values
+        difference *= sign
+        # the context is the word with its held tokens toggled: a's context on
+        # a word without b, else v_b, or v_ab on a word that holds a too
+        held_a, held_b = (extensions.held.take(t, axis=0) for t in (a, b))
+        return np.where(held_b, np.where(held_a, with_both, with_b), context_a), difference
 
-    def _word_values(self, extensions: Extensions) -> tuple[np.ndarray, ...]:
-        """What every row of a pool of K words shares: the words' values; the
-        values and squared norms ``q0 + h_t`` of each word with each token t
-        toggled, the ``h_t`` and the signs ``s_t``, all of shape ``(n, K)``;
-        and the indices of the words of two tokens, with those words.  Every
-        word is read as its n bits alone, as a plain mask is: it is summed
-        by the route plain masks take, so its value is its plain mask's, its
-        signs are the first n rows of ``extensions.held``, and a toggle
-        empties it when its n bits are the toggled tokens."""
+    def _word_values(self, extensions: Extensions) -> _WordTables:
+        """What every row of a pool of K words shares (``_WordTables``).
+        Every word is read as its n bits alone, as a plain mask is: it is
+        summed by the route plain masks take, so its value is its plain
+        mask's, its signs are the first n rows of ``extensions.held``, and a
+        toggle empties it when its n bits are the toggled tokens."""
         words = extensions.contexts & np.uint64((1 << self.n) - 1)
         s, squares = self._sums(token_members(words, self.n))
-        signs = 1.0 - 2.0 * extensions.held[: self.n]
+        held = extensions.held[: self.n]
+        signs = 1.0 - 2.0 * held
         h = self.projected @ s.T  # x_t.S_k
         h *= 2.0
         h *= signs
         h += np.diagonal(self._gram)[:, None]
         toggled_squares = h + squares
-        toggled_values = self._finish(toggled_squares.copy())
+        toggled = self._finish(toggled_squares.copy())
         # the word of the one token t toggles to the empty coalition
-        toggled_values[words == _token_bits(np.arange(self.n))[:, None]] = 0.0
+        toggled[words == _token_bits(np.arange(self.n))[:, None]] = 0.0
+        values = self._finish(squares)
+        differences = toggled - values
+        differences *= signs
         doubles = np.flatnonzero(np.bitwise_count(words) == 2)
-        return self._finish(squares), toggled_values, toggled_squares, h, signs, doubles, words[doubles]
+        return _WordTables(
+            values, toggled, toggled_squares, h, signs, np.where(held, toggled, values), differences, doubles, words[doubles]
+        )
 
     def _prefix_values(self, extensions: Extensions) -> np.ndarray:
         """The values of the n + 1 prefixes of each of the K orders, shape
@@ -501,6 +527,25 @@ class EmbeddingGame:
         by which plain masks and pool words are summed."""
         sums = members @ self.projected
         return sums, np.einsum("ij,ij->i", sums, sums)
+
+
+class _WordTables(NamedTuple):
+    """What every row of a pool of K words shares: the words' values ``v_0``,
+    shape ``(K,)``; of shape ``(n, K)``, the values ``v_t`` and squared
+    norms ``q0 + h_t`` of each word with each token t toggled, the ``h_t``,
+    the signs ``s_t``, and each one-token row's context values and
+    differences ``(v_t - v_0) s_t``; and the indices of the words of two
+    tokens, with those words."""
+
+    values: np.ndarray
+    toggled: np.ndarray
+    toggled_squares: np.ndarray
+    h: np.ndarray
+    signs: np.ndarray
+    contexts: np.ndarray
+    differences: np.ndarray
+    doubles: np.ndarray
+    double_words: np.ndarray
 
 
 def _integer_masks(masks, name: str) -> np.ndarray:

@@ -85,13 +85,15 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     *kind* is the stream identifier (1 Shapley permutations, 2 the words
     that Banzhaf values and pair interactions share) and *slot* the token
     indices, ``(i,)`` or ``(a, b)`` with ``a < b``.  A permutation's
-    coalitions are the context and the context with the token.  On a Bernoulli word the
-    context is the column of the tokens the word holds, checked against the
-    derived contexts, and the marginal is the alternating sum over the
-    columns, negated when the word holds an odd number of the slot's tokens.
-    The standard error is the delta-method ``sqrt(sum (w_k (m_k -
-    est))**2)`` over the normalized weights, which reduces to
-    ``std/sqrt(K)`` for uniform weights.
+    coalitions are the context and the context with the token.  On a
+    Bernoulli word the context is the column of the tokens the word holds,
+    checked against the derived contexts.  The evaluation returns the
+    context values and the marginals; for a table game they are checked
+    against its lookups of the coalitions: the held column, and the
+    alternating sum over the columns, negated when the word holds an odd
+    number of the slot's tokens.  The standard error is the delta-method
+    ``sqrt(sum (w_k (m_k - est))**2)`` over the normalized weights, which
+    reduces to ``std/sqrt(K)`` for uniform weights.
     """
     k, n = cfg.sample_count, game.n
     pool = reference_pool(cfg.seed, kind, n, k)
@@ -104,20 +106,24 @@ def reference_slot(game, cfg, kind: int, slot: tuple) -> tuple[float, float, flo
     tokens = np.array([slot])
     extensions = Extensions(None, tokens, pool) if kind == 1 else Extensions(pool, tokens)
     shared = contexts if kind == 1 else pool
-    np.testing.assert_array_equal(np.asarray(extensions)[:, 0], added[:, None] ^ shared[None, :])
-    values = game.values_by_mask(extensions)[:, 0]
+    masks = np.asarray(extensions)[:, 0]
+    np.testing.assert_array_equal(masks, added[:, None] ^ shared[None, :])
     held = np.zeros(k, dtype=np.intp)
     if kind != 1:
         for i, t in enumerate(slot):
             held |= ((pool >> np.uint64(t)) & np.uint64(1)).astype(np.intp) << i
     columns = np.arange(k)
-    np.testing.assert_array_equal(np.asarray(extensions)[held, 0, columns], contexts)
-    base = values[held, columns]
-    if len(slot) == 1:
-        marginals = values[1] - values[0]
-    else:
-        marginals = values[3] - values[1] - values[2] + values[0]
-    marginals = np.where(np.bitwise_count(held) % 2 == 1, -marginals, marginals)
+    np.testing.assert_array_equal(masks[held, columns], contexts)
+    context, difference = game.values_by_mask(extensions)
+    base, marginals = context[0], difference[0]
+    if isinstance(game, TabularGame):
+        values = game.table[masks.astype(np.int64)]
+        np.testing.assert_array_equal(base, values[held, columns])
+        if len(slot) == 1:
+            alternating = values[1] - values[0]
+        else:
+            alternating = values[3] - values[1] - values[2] + values[0]
+        np.testing.assert_array_equal(marginals, np.where(np.bitwise_count(held) % 2 == 1, -alternating, alternating))
     if cfg.mode == "gibbs":
         log_raw = base / cfg.gamma - np.log(probs)
         raw = np.exp(log_raw - np.max(log_raw))

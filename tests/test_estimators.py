@@ -341,6 +341,56 @@ class TestPinnedStream:
             assert sorted(row[column] for row in masks) == sorted(context | b for b in bits)
 
 
+class TestPinnedBits:
+    """``float.hex`` of some ``estimate_all`` outputs of a seeded embedding
+    game in both modes and of a seeded table game, so a change that moves
+    one bit of an estimate, a standard error or an effective sample size
+    fails here.  The bits come from the engine's float64 arithmetic and
+    numpy's BLAS, ``exp`` and ``log``; a build that rounds those otherwise
+    shows here first."""
+
+    # K = 700 puts several slots in a block and leaves the last one part full
+    CONFIG = {"sample_count": 700, "seed": 11, "gamma": 2.0}
+    # Shapley and Banzhaf values of tokens 3 and 5, the interaction of (2, 6),
+    # their standard errors and token 5's effective sample size
+    PINS = {
+        ("embedding", "gibbs"): (
+            "-0x1.6ed51e90ca520p-1", "-0x1.6cc15c8ef8e1ap+0", "-0x1.2a2d3a442bdd6p-1",
+            "0x1.66e04543fe4b2p-5", "0x1.0d6c688b8f322p-4", "0x1.c7fd26077afc3p-6", "0x1.4d53fee368d32p+4",
+        ),
+        ("embedding", "classic"): (
+            "-0x1.8b6fdbfaebbdep-3", "-0x1.6a317bdff8cf0p-2", "-0x1.0b3d1a5fbe565p+0",
+            "0x1.d26902e338bc6p-6", "0x1.cc14174fd891ap-5", "0x1.d5bd4c3df75fep-6", "0x1.5e00000000000p+9",
+        ),
+        ("table", "gibbs"): (
+            "-0x1.1312ea744ee0ep-4", "-0x1.015f47af76489p-2", "0x1.9e42478bf4c8cp-5",
+            "0x1.28ab26bc18eb0p-5", "0x1.f4ec6d1c351c9p-6", "0x1.033516ae38ab2p-5", "0x1.91654c185ac2fp+8",
+        ),
+    }
+
+    @staticmethod
+    def _games() -> dict:
+        rng = np.random.default_rng(2026)
+        embedding = EmbeddingGame(rng.normal(size=(12, 4)), rng.normal(size=(4, 3)))
+        table = rng.uniform(-1.0, 1.0, size=1 << 7)
+        table[0] = 0.0
+        return {"embedding": embedding, "table": TabularGame(table)}
+
+    @pytest.mark.parametrize("game, mode", sorted(PINS))
+    def test_estimates_keep_their_bits(self, game, mode):
+        values = estimate_all(self._games()[game], EstimatorConfig(mode=mode, **self.CONFIG))
+        got = (
+            values.shapley[3],
+            values.banzhaf[5],
+            values.interactions[2, 6],
+            values.shapley_standard_error[3],
+            values.banzhaf_standard_error[5],
+            values.interaction_standard_error[2, 6],
+            values.effective_sample_size[5],
+        )
+        assert tuple(float(number).hex() for number in got) == self.PINS[game, mode]
+
+
 class TestSharedWordPool:
     """The Banzhaf and pair slots of one estimate share one pool of words:
     the game sums it once, and every block toggles the same K words."""
@@ -358,12 +408,15 @@ class TestSharedWordPool:
         game = _RecordingGame(EmbeddingGame(rng.normal(size=(n, 3)), rng.normal(size=(3, 2))))
         estimate_all(game, EstimatorConfig(sample_count=k, seed=8))
         assert len(summed) == 1
-        # K = 700 puts 5 slots in a block: the n Shapley and then the n
-        # Banzhaf rows take (2, slots, K) blocks, the pairs (4, pairs, K)
+        # a block holds as many slots as _BLOCK_CONTEXTS contexts allow: the
+        # n Shapley and then the n Banzhaf rows take (2, slots, K) blocks,
+        # the pairs (4, pairs, K)
+        per_block = _BLOCK_CONTEXTS // k
+        assert 1 < per_block < n * (n - 1) // 2  # the pairs take several blocks of several slots
         token_rows = np.concatenate([batch for batch in game.batches if batch.shape[0] == 2], axis=1)
         pair_rows = np.concatenate([batch for batch in game.batches if batch.shape[0] == 4], axis=1)
         assert token_rows.shape == (2, 2 * n, k) and pair_rows.shape == (4, n * (n - 1) // 2, k)
-        assert len(game.batches) == 2 * 2 + 8
+        assert len(game.batches) == 2 * -(-n // per_block) + -(-(n * (n - 1) // 2) // per_block)
         # coalition 0 of a row on a word toggles no token: it is the word itself
         words = summed[0]
         np.testing.assert_array_equal(words, _draw_pool(8, 2, n, k))

@@ -161,10 +161,12 @@ def test_counting_game_counts_evaluations(worked_game):
 
 
 def _value_bytes(values) -> tuple[bytes, ...]:
-    """The bytes of every array of a ``GameValues`` or of one value array."""
+    """The bytes of every array of a ``GameValues``, of one value array or
+    of an ``Extensions``' (context values, differences)."""
     if isinstance(values, np.ndarray):
         return (values.tobytes(),)
-    return tuple(np.asarray(array).tobytes() for array in vars(values).values())
+    arrays = values if isinstance(values, tuple) else vars(values).values()
+    return tuple(np.asarray(array).tobytes() for array in arrays)
 
 
 def test_one_embedding_game_serves_concurrent_callers():
@@ -215,7 +217,7 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
     pooled = Extensions(words, np.array([[1, 4], [0, 2]]))
     ordered = Extensions(None, np.array([[2], [5]]), orders)
     for extensions, pool, given in ((pooled, pooled.contexts, words), (ordered, ordered.orders, orders)):
-        masks, values = np.asarray(extensions), game.values_by_mask(extensions)
+        masks, values = np.asarray(extensions), _value_bytes(game.values_by_mask(extensions))
         assert not pool.flags.writeable and extensions.rows(slice(1)).contexts is extensions.contexts
         with pytest.raises(ValueError, match="read-only"):
             pool[0] = pool[1]
@@ -226,14 +228,14 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
         given[:] = np.bitwise_xor(given, np.uint64(63)) if given is words else given[:, ::-1].copy()
         np.testing.assert_array_equal(np.asarray(extensions), masks)
         for evaluator in (game, EmbeddingGame(*params)):
-            assert evaluator.values_by_mask(extensions).tobytes() == values.tobytes()
+            assert _value_bytes(evaluator.values_by_mask(extensions)) == values
     # other rows on the same copy read as they do on a copy of their own
     tokens = np.array([[3], [0], [5]])
     other = pooled.with_tokens(tokens)
     assert other.contexts is pooled.contexts and other.held is pooled.held
     np.testing.assert_array_equal(np.asarray(other), np.asarray(Extensions(pooled.contexts, tokens)))
     own = EmbeddingGame(*params).values_by_mask(Extensions(pooled.contexts, tokens))
-    assert game.values_by_mask(other).tobytes() == own.tobytes()
+    assert _value_bytes(game.values_by_mask(other)) == _value_bytes(own)
     with pytest.raises(ValueError, match="repeats a token"):
         pooled.with_tokens(np.array([[2, 2]]))
 
@@ -262,32 +264,31 @@ def test_embedding_tables_cover_the_held_tokens_below_n():
     words = np.array([0b111, 0b110, 0, 0b110, 0b111], dtype=np.uint64)
     tokens = np.array([[0, 1], [2, 0]])
     few = Extensions(words, tokens)
-    np.testing.assert_allclose(game.values_by_mask(few), game.values_by_mask(np.asarray(few)), rtol=1e-12)
+    values = game.values_by_mask(np.asarray(few))
+    (context, difference), (want_context, want_difference) = game.values_by_mask(few), few.context_and_difference(values)
+    np.testing.assert_allclose(context, want_context, rtol=1e-12)
+    # an alternating sum of four values, each within 1e-12 of its size
+    np.testing.assert_allclose(difference, want_difference, rtol=0.0, atol=4e-12 * np.abs(values).max())
     # bits at or above n are never read
     high = Extensions(words | np.uint64(1 << 7), tokens)
-    assert game.values_by_mask(high).tobytes() == game.values_by_mask(few).tobytes()
-    # nor by the toggles that empty a word: they read exactly 0, as the
-    # plain mask does, where the rounded sum may read 1e-7
+    assert _value_bytes(game.values_by_mask(high)) == _value_bytes(game.values_by_mask(few))
+    # nor by the toggles that empty a word, each the row's context here:
+    # they read exactly 0, as the plain mask does, where the rounded sum may
+    # read 1e-7
     for seed in range(20):
         rng = np.random.default_rng(seed)
         game = EmbeddingGame(rng.normal(size=(6, 3)), rng.normal(size=(3, 4)))
         for word, row in ((0b10000001, [0]), (0b10000011, [0, 1]), (0b11000010, [1])):
-            toggled = game.values_by_mask(Extensions(np.array([word], np.uint64), np.array([row])))
-            assert toggled[-1, 0, 0] == 0.0, f"game {seed}, word {word:#b}"
+            context, _ = game.values_by_mask(Extensions(np.array([word], np.uint64), np.array([row])))
+            assert context[0, 0] == 0.0, f"game {seed}, word {word:#b}"
 
 
 def _assert_rows_read_alone_as_in_their_family(game, make, tokens):
     """Each row of ``make(tokens)``, an ``Extensions`` on one pool, gives the
-    same coalition values, context values and differences alone as inside
-    the whole family."""
-    family = make(tokens)
-    values = game.values_by_mask(family)
-    context, difference = family.context_and_difference(values)
+    same context values and differences alone as inside the whole family."""
+    context, difference = game.values_by_mask(make(tokens))
     for r in range(len(tokens)):
-        alone = make(tokens[r : r + 1])
-        own = game.values_by_mask(alone)
-        assert own.tobytes() == values[:, r : r + 1].tobytes(), f"row {tokens[r]}"
-        own_context, own_difference = alone.context_and_difference(own)
+        own_context, own_difference = game.values_by_mask(make(tokens[r : r + 1]))
         assert own_context.tobytes() == context[r : r + 1].tobytes(), f"row {tokens[r]}"
         assert own_difference.tobytes() == difference[r : r + 1].tobytes(), f"row {tokens[r]}"
 
@@ -299,9 +300,9 @@ def test_a_row_alone_reads_what_it_reads_in_its_family():
     rng = np.random.default_rng(1)
     game = EmbeddingGame(rng.normal(size=(32, 8)), rng.normal(size=(8, 8)))
     words = np.array([0b101], dtype=np.uint64)
-    alone = game.values_by_mask(Extensions(words, np.array([[0]])))
-    family = game.values_by_mask(Extensions(words, np.arange(32)[:, None]))
-    assert alone[1, 0, 0] == family[1, 0, 0]
+    alone, _ = game.values_by_mask(Extensions(words, np.array([[0]])))
+    family, _ = game.values_by_mask(Extensions(words, np.arange(32)[:, None]))
+    assert alone[0, 0] == family[0, 0]  # token 0's context: the word with it toggled
     _assert_rows_read_alone_as_in_their_family(
         game, lambda tokens: Extensions(words, tokens), np.arange(32)[:, None]
     )
@@ -321,6 +322,16 @@ def test_rows_read_alone_as_in_their_family(table, n):
     _assert_rows_read_alone_as_in_their_family(game, lambda rows: Extensions(None, rows, orders), singles)
 
 
+def _assert_free_words_read_their_masks(game, words, tokens, message: str = "") -> np.ndarray:
+    """A word that holds none of the row's tokens is the row's context, and
+    reads its plain mask's value bit for bit; returns which words those are."""
+    extensions = Extensions(words, tokens)
+    context = game.values_by_mask(extensions)[0][0]
+    free = extensions.row_contexts()[0] == words
+    assert context[free].tobytes() == game.values_by_mask(words)[free].tobytes(), message
+    return free
+
+
 def test_a_pool_word_reads_its_plain_mask():
     # a pool word is summed as a plain mask is, to the bit; a word summed
     # by another route reads 12769439625 one unit in the last place apart
@@ -328,12 +339,10 @@ def test_a_pool_word_reads_its_plain_mask():
     game = EmbeddingGame(rng.normal(size=(34, 15)), rng.normal(size=(15, 10)))
     words = rng.integers(0, 2**63, size=28).astype(np.uint64) & np.uint64((1 << 34) - 1)
     assert words[10] == 12769439625
-    for tokens in ([[0]], [[33, 5]]):
-        pooled = game.values_by_mask(Extensions(words, np.array(tokens)))
-        assert pooled[0, 0].tobytes() == game.values_by_mask(words).tobytes()
+    for tokens in ([[1]], [[32, 5]]):  # tokens word 10 does not hold
+        assert _assert_free_words_read_their_masks(game, words, np.array(tokens))[10]
     for shape in range(30):
         n, k, d, d_v = rng.integers(1, 65), rng.integers(1, 40), rng.integers(1, 16), rng.integers(1, 16)
         game = EmbeddingGame(rng.normal(size=(n, d)), rng.normal(size=(d, d_v)))
         words = rng.integers(0, 2**64, size=k, dtype=np.uint64) & np.uint64((1 << int(n)) - 1)
-        pooled = game.values_by_mask(Extensions(words, rng.permutation(n)[:1, None]))
-        assert pooled[0, 0].tobytes() == game.values_by_mask(words).tobytes(), f"shape {shape}: n={n}"
+        _assert_free_words_read_their_masks(game, words, rng.permutation(n)[:1, None], f"shape {shape}: n={n}")

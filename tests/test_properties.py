@@ -33,7 +33,7 @@ from coalattn.games import (
 )
 from coalattn.inputs import RunConfig, parse_document
 from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
-from coalattn.oracles import exact_game_values, exact_gibbs_tilted_values
+from coalattn.oracles import exact_game_values, exact_gibbs_tilted_values, exact_table
 from coalattn.pipeline import NORMALIZATIONS
 from coalattn.reports import dump_json, run_attend
 
@@ -141,27 +141,34 @@ def _membership(masks: np.ndarray, n: int) -> np.ndarray:
     return ((masks[..., None] >> bits) & np.uint64(1)).astype(np.float64)
 
 
-def _pooled_bound(game: EmbeddingGame, extensions: Extensions) -> np.ndarray:
-    """The ``games`` docstring's bound ``2 (d_v + f**2 + 2 f + 4) eps M**2`` on how
-    far a pooled squared norm lies from the direct one of the same sums,
-    for every coalition of *extensions*: M is the norm of the shared
-    context's sum (a Bernoulli word, or a row's prefix) plus the norms of
-    the row's f tokens."""
+def _pooled_reach(game: EmbeddingGame, extensions: Extensions) -> np.ndarray:
+    """``M`` of the ``games`` docstring's bound, for every row and pool
+    entry of *extensions*: the norm of the shared context's sum (a
+    Bernoulli word, or a row's prefix) plus the norms of the row's f
+    tokens."""
     x = game.projected
     shared = extensions.contexts if extensions.orders is None else extensions.row_contexts()
     shared = np.linalg.norm(_membership(shared, game.n) @ x, axis=-1)
     in_row = _membership(extensions.added[-1], game.n)  # each row's tokens
-    reach = shared + (in_row @ np.linalg.norm(x, axis=-1))[..., None]
-    width = in_row.sum(axis=-1)[..., None]
-    return 2.0 * (x.shape[1] + width**2 + 2.0 * width + 4.0) * np.finfo(float).eps * reach**2
+    return shared + (in_row @ np.linalg.norm(x, axis=-1))[..., None]
+
+
+def _pooled_bound(game: EmbeddingGame, extensions: Extensions) -> np.ndarray:
+    """The ``games`` docstring's bound ``2 (d_v + f**2 + 2 f + 4) eps M**2`` on how
+    far a pooled squared norm lies from the direct one of the same sums,
+    for every coalition of a row and pool entry of *extensions*."""
+    width = extensions.tokens.shape[-1]
+    reach = _pooled_reach(game, extensions)
+    return 2.0 * (game.projected.shape[1] + width**2 + 2.0 * width + 4.0) * np.finfo(float).eps * reach**2
 
 
 @st.composite
-def _pool_cases(draw):
-    """An embedding game of 1-64 tokens whose entries have 40 significant
-    bits, so that every sum of up to 64 of them is exact and only the
-    squared-norm arithmetic rounds, and an ``Extensions`` of either form."""
-    n = draw(st.integers(1, 64))
+def _pool_cases(draw, max_tokens: int = 64):
+    """An embedding game of 1-*max_tokens* tokens whose entries have 40
+    significant bits, so that every sum of up to 64 of them is exact and
+    only the squared-norm arithmetic rounds, and an ``Extensions`` of either
+    form."""
+    n = draw(st.integers(1, max_tokens))
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.integers(-(2**40), 2**40, size=(n, d)) * 2.0**-40
@@ -172,63 +179,106 @@ def _pool_cases(draw):
     return game, _pooled_extensions(rng, n, rows, draw(st.integers(1, 2)), k), rng
 
 
+def _difference_bound(extensions: Extensions, root: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The ``EmbeddingGame`` docstring's bound on how far a row's difference
+    strays from the alternating sum of the direct values: ``2**f (r + 2**f
+    eps M)``, with *root* ``r`` the root of the squared-norm bound and
+    *reach* ``M``."""
+    width = 2.0 ** extensions.tokens.shape[-1]
+    return width * (root + width * np.finfo(float).eps * reach)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_pool_cases())
 def test_extension_values_match_the_plain_masks(case):
     game, extensions, rng = case
     masks = np.asarray(extensions)
     assert masks.shape == extensions.shape and masks.size == extensions.size
-    # the pooled evaluation against the direct norms of the materialised
-    # masks; as the square root and both nonlinearities change by at most
-    # sqrt(gap) for a gap of squared norms, the bound's root bounds the values
-    got = game.values_by_mask(extensions)
-    ref = game.values_by_mask(masks)
-    assert got.shape == ref.shape == extensions.shape
-    bound = _pooled_bound(game, extensions)
-    assert np.all(np.abs(got - ref) <= np.sqrt(bound))
+    # the pooled context values and differences against the inverse of the
+    # direct norms of the materialised masks; as the square root and both
+    # nonlinearities change by at most sqrt(gap) for a gap of squared norms,
+    # the bound's root bounds the values
+    context, difference = game.values_by_mask(extensions)
+    ref_context, ref_difference = extensions.context_and_difference(game.values_by_mask(masks))
+    assert context.shape == difference.shape == ref_context.shape == extensions.shape[1:]
+    bound, reach = _pooled_bound(game, extensions), _pooled_reach(game, extensions)
+    assert np.all(np.abs(context - ref_context) <= np.sqrt(bound))
+    assert np.all(np.abs(difference - ref_difference) <= _difference_bound(extensions, np.sqrt(bound), reach))
     if game.nonlinearity == "identity":
-        assert np.all(np.abs(got**2 - ref**2) <= bound)
-    # the empty coalition is worth exactly 0, however it is formed
-    assert np.all(got[masks == 0] == 0.0)
-    # the words themselves, coalition 0 of their rows: the same bits
+        assert np.all(np.abs(context**2 - ref_context**2) <= bound)
+    # the empty context is worth exactly 0, however it is formed
+    contexts = extensions.row_contexts()
+    assert np.all(context[contexts == 0] == 0.0)
+    # a word that holds none of a row's tokens is the row's context: the same bits
     if extensions.orders is None:
-        np.testing.assert_array_equal(got[0], ref[0])
+        free = contexts == extensions.contexts
+        np.testing.assert_array_equal(context[free], ref_context[free])
     # a table game looks the materialised masks up, bit for bit
     if game.n <= 12:
         table = random_table_game(rng, game.n)
-        np.testing.assert_array_equal(table.values_by_mask(extensions), table.table[masks.astype(np.int64)])
+        for got, want in zip(
+            table.values_by_mask(extensions), extensions.context_and_difference(table.table[masks.astype(np.int64)])
+        ):
+            np.testing.assert_array_equal(got, want)
     # a counting game counts the true coalitions
     counting = CountingGame(game)
     counting.values_by_mask(extensions)
     assert counting.evaluations == masks.size
 
 
+@st.composite
+def _own_table_cases(draw):
+    """``_pool_cases`` of at most 10 tokens, whose words gain every nonempty
+    subset of each row's tokens: the word of exactly a row's tokens toggles
+    to the empty coalition."""
+    game, extensions, _ = draw(_pool_cases(max_tokens=10))
+    if extensions.orders is not None:
+        return game, extensions
+    own = extensions.added[1:].reshape(-1)
+    return game, Extensions(np.concatenate([extensions.contexts, own]), extensions.tokens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_own_table_cases())
+def test_extensions_read_as_the_games_own_table(case):
+    """An embedding game reads an ``Extensions`` as the table it tabulates
+    reads it, within the ``EmbeddingGame`` docstring's bound: the context
+    within the root of the squared-norm bound, the difference within
+    ``2**f`` times that plus the rounding of its additions."""
+    game, extensions = case
+    context, difference = game.values_by_mask(extensions)
+    ref_context, ref_difference = exact_table(game).values_by_mask(extensions)
+    root = np.sqrt(_pooled_bound(game, extensions))
+    assert np.all(np.abs(context - ref_context) <= root)
+    assert np.all(np.abs(difference - ref_difference) <= _difference_bound(extensions, root, _pooled_reach(game, extensions)))
+    # an emptied coalition, and an empty context, read exactly 0 on both sides
+    assert np.all(context[extensions.row_contexts() == 0] == 0.0)
+
+
 @pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
 @pytest.mark.parametrize("n", BOUNDARY_TOKEN_COUNTS)
 def test_empty_context_with_empty_added_set_is_exactly_zero(n, nonlinearity):
     game = _game(n, n, 3, 4, nonlinearity)
-    # subset 0 toggles no token: the empty words as they are
-    values = game.values_by_mask(Extensions(np.zeros(3, np.uint64), np.array([[0], [n - 1]])))
-    assert values.shape == (2, 2, 3)
-    assert values[0].tolist() == [[0.0] * 3] * 2
+    # the empty words are every row's context
+    context, _ = game.values_by_mask(Extensions(np.zeros(3, np.uint64), np.array([[0], [n - 1]])))
+    assert context.tolist() == [[0.0] * 3] * 2
     # every order's prefix before its first token is empty
     orders = np.tile(np.arange(n), (3, 1))
-    values = game.values_by_mask(Extensions(None, np.array([[0]]), orders))
-    assert values[0, 0].tolist() == [0.0] * 3
+    context, _ = game.values_by_mask(Extensions(None, np.array([[0]]), orders))
+    assert context[0].tolist() == [0.0] * 3
     # pool words holding only a row's own tokens leave it an empty context,
-    # the one coalition of each word that toggles all the word's tokens
+    # the coalition of each word that toggles all the word's tokens
     top = 1 << (n - 1)
     words = np.array([1, top, 1 | top], dtype=np.uint64)
     extensions = Extensions(words, np.array([sorted({0, n - 1})]))
-    empty = np.asarray(extensions) == 0
-    np.testing.assert_array_equal(empty.sum(axis=(0, 1)), [1, 1, 1])
-    assert game.values_by_mask(extensions)[empty].tolist() == [0.0] * 3
+    np.testing.assert_array_equal(extensions.row_contexts(), [[0, 0, 0]])
+    assert game.values_by_mask(extensions)[0].tolist() == [[0.0] * 3]
     # and so do the words of one token, each toggled by a row of its token
     singles = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
     extensions = Extensions(singles, np.arange(n)[:, None])
-    empty = np.asarray(extensions) == 0
+    empty = extensions.row_contexts() == 0
     assert empty.sum() == n
-    assert game.values_by_mask(extensions)[empty].tolist() == [0.0] * n
+    assert game.values_by_mask(extensions)[0][empty].tolist() == [0.0] * n
 
 
 @pytest.mark.parametrize("n", BOUNDARY_TOKEN_COUNTS)
@@ -241,12 +291,12 @@ def test_an_added_set_clears_its_tokens_from_the_contexts(n):
     assert np.asarray(extensions).tolist() == [[[0, top]], [[top, 0]]]
     np.testing.assert_array_equal(extensions.row_contexts(), [[0, 0]])
     game = _game(n, n, 3, 4, "identity")
-    values = game.values_by_mask(extensions)
-    assert [values[0, 0, 0], values[1, 0, 1]] == [0.0, 0.0]
-    # subset 0 toggles no token: the words as they are, bit for bit
-    assert values[0, 0].tolist() == game.values_by_mask(contexts).tolist()
-    # the same coalition from the two words: equal up to roundoff
-    assert values[1, 0, 0] == pytest.approx(values[0, 0, 1], rel=1e-12)
+    context, difference = game.values_by_mask(extensions)
+    assert context.tolist() == [[0.0, 0.0]]
+    # the token over the same empty context from the two words: the value of
+    # the word of the token, toggled on or off, equal up to roundoff
+    assert difference[0, 0] == pytest.approx(difference[0, 1], rel=1e-12)
+    assert difference[0, 1] == game.values_by_mask(contexts)[1]
 
 
 def test_malformed_extensions_are_rejected():
@@ -303,10 +353,13 @@ def test_table_extension_values_are_table_lookups(n, f, seed):
     rng = np.random.default_rng(seed)
     game = random_table_game(rng, n)
     extensions = _pooled_extensions(rng, n, 3, f, 5)
-    got = game.values_by_mask(extensions)
-    assert got.shape == (2 ** min(f, n), 3, 5)
+    assert extensions.shape == (2 ** min(f, n), 3, 5)
     masks = extensions.added[..., None] ^ extensions.contexts
-    np.testing.assert_array_equal(got, game.table[masks.astype(np.int64)])
+    # the inverse of the toggle order applied to the lookups of the masks
+    want = extensions.context_and_difference(game.table[masks.astype(np.int64)])
+    for got, expected in zip(game.values_by_mask(extensions), want):
+        assert got.shape == (3, 5)
+        np.testing.assert_array_equal(got, expected)
 
 
 @_SETTINGS
@@ -318,7 +371,10 @@ def test_context_and_difference_invert_the_toggle_order(n, f, ordered, seed):
     table[0] = 0.0
     game = TabularGame(table)
     extensions = _ordered_extensions(rng, n, 3, 5) if ordered else _pooled_extensions(rng, n, 3, f, 5)
-    context, difference = extensions.context_and_difference(game.values_by_mask(extensions))
+    context, difference = extensions.context_and_difference(table[np.asarray(extensions).astype(np.int64)])
+    # which is what the table game's own evaluation returns
+    for got, want in zip(game.values_by_mask(extensions), (context, difference)):
+        np.testing.assert_array_equal(got, want)
     contexts = extensions.row_contexts()
     assert context.shape == difference.shape == contexts.shape
     np.testing.assert_array_equal(context, table[contexts.astype(np.int64)])
@@ -374,16 +430,23 @@ def _call_sequences(draw):
 def test_earlier_calls_do_not_change_results(case):
     params, arguments = case
     game = _game(*params)
+
+    def arrays(result) -> list:
+        # the values of plain masks, or an Extensions' contexts and differences
+        return list(result) if isinstance(result, tuple) else [result]
+
+    def contents(result) -> list:
+        return [(array.shape, array.tobytes()) for array in result]
+
     results, copies = [], []
     for argument in arguments:
-        results.append(game.values_by_mask(argument))
-        copies.append(results[-1].copy())
+        results.append(arrays(game.values_by_mask(argument)))
+        copies.append([array.copy() for array in results[-1]])
         # a later call leaves every earlier result as it was
         for result, copy in zip(results, copies):
-            assert result.tobytes() == copy.tobytes()
+            assert contents(result) == contents(copy)
     for argument, result in zip(arguments, results):
-        fresh = _game(*params).values_by_mask(argument)
-        assert fresh.shape == result.shape and fresh.tobytes() == result.tobytes()
+        assert contents(arrays(_game(*params).values_by_mask(argument))) == contents(result)
 
 
 @st.composite
