@@ -10,7 +10,7 @@ Every stage runs through the function the engine uses for it:
   masks as plain masks;
 * the target token's marginals: the same game evaluates
   ``games.Extensions(sampled_masks, [[target_token]])``, whose differences
-  (through ``Extensions.context_and_difference``) are the marginals;
+  (the table's lookups of the words and their toggles) are the marginals;
 * Gibbs weights: ``estimators.gibbs_weights`` of the words' values, with
   equal proposal mass;
 * pair deltas: the differences of ``Extensions(pair_contexts, [pair])``;

@@ -30,16 +30,28 @@ entry, the row's context value and the inclusion-exclusion difference of
 its tokens over that context, each of shape ``tokens.shape[:-1] + (K,)``:
 what an estimator reads of the coalitions.
 
-A ``TabularGame`` looks the materialised masks up and hands their values
-to ``Extensions.context_and_difference``, the one written inverse of the
-toggle order.  An ``EmbeddingGame`` forms the context and the difference
-directly from per-word (or per-prefix) values and sums shared by all its
-rows and kept across calls with the same pool, which an ``Extensions``
-stores read-only, so each coalition costs O(1) once the pool is summed,
-and a pair's block forms one new squared norm per word; its class
-docstring gives the formulas and how far their rounding may stray from a
-direct norm of the same coalition.  Plain masks get exactly the direct norm
-of their member-matmul sums.  One game may serve concurrent calls.
+Both games reach that pair through one function, ``_extension_values``,
+which refuses row tokens past the game's, keeps the tables of the last
+pool, selects each row's context by the word's held bits and forms the
+alternating sums and their signs.  A game supplies only its tables: the
+values of every word and of every word with each token toggled
+(``_word_values``), the values of a block of pair rows' words with both
+tokens toggled (``_pair_values``), and the values of every order's
+prefixes (``_prefix_values``).  A ``TabularGame`` fills them by lookup; an
+``EmbeddingGame`` from per-word sums, so each coalition costs O(1) once
+the pool is summed and a pair's block forms one new squared norm per word;
+its class docstring gives the formulas and how far their rounding may
+stray from a direct norm of the same coalition.  Plain masks get exactly
+the direct norm of their member-matmul sums.  The engine never builds the
+masks of an ``Extensions``' coalitions.
+
+One game may serve concurrent calls, from any number of threads, and a
+call's result never depends on earlier calls: every call allocates its
+own arrays and returns fresh ones.  The one thing a call leaves behind is
+the tables of the last pool (an ``Extensions``' read-only ``contexts`` or
+``orders``), kept so that the blocks of rows evaluated in turn on one pool
+form them once: an estimate's token and pair rows on its pool of words
+(``Extensions.with_tokens``) share one set.
 """
 
 from __future__ import annotations
@@ -72,10 +84,6 @@ TABULAR_MAX_TOKENS = 20   # 2**20 table entries
 NONLINEARITIES = ("relu", "tanh", "identity")
 
 _TABULATE_CHUNK = 1 << 16  # masks per values_by_mask call of tabulate
-
-# the sign of a difference over an entry holding an even or an odd number of
-# the row's tokens: toggling a held token removes it
-_TOGGLE_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -127,26 +135,26 @@ class Extensions:
     for all 64 mask bits, so it depends on the words alone and not on the
     rows beside them.
 
-    This toggle order is defined here alone, and ``context_and_difference``
-    inverts it: from the values ``v_j`` of a row's coalitions on an entry it
-    takes the context's value (coalition 0 of a prefix; on a word, the
-    coalition of the subset the word holds) and the inclusion-exclusion
-    difference of the row's tokens over that context, which is the
-    alternating sum ``v_1 - v_0`` or ``((v_3 - v_1) - v_2) + v_0`` times
+    This toggle order is defined here alone.  A game's ``values_by_mask``
+    of an ``Extensions`` returns, for every row and entry, the context's
+    value (coalition 0 of a prefix; on a word, the coalition of the subset
+    the word holds) and the inclusion-exclusion difference of the row's
+    tokens over that context, which is the alternating sum ``v_1 - v_0`` or
+    ``((v_3 - v_1) - v_2) + v_0`` of the coalitions' values ``v_j`` times
     ``prod_t (1 - 2 b_t)`` for the bits ``b_t`` of the row's tokens in the
     word: toggling a token the word holds removes it, so each held token
-    flips the sum's sign.  A game's ``values_by_mask`` of an ``Extensions``
-    returns that pair: a ``TabularGame`` through this inverse, an
-    ``EmbeddingGame`` by the same arithmetic on values it never stacks.
+    flips the sum's sign.  Both games form that pair in
+    ``_extension_values`` from tables of the pool, never from the
+    coalitions' masks.
 
     The pool is stored as a read-only view of a private copy, so changing
     the array given does not change the coalitions, and the view's
     ``writeable`` flag cannot be set again.  ``shape`` and ``size``
-    describe the coalitions, and ``np.asarray`` builds their masks, so a
-    caller that only takes the size or the masks of its argument sees the
-    coalitions themselves.  ``rows`` takes some of the rows on the same pool copy,
-    without checking it again, and ``with_tokens`` puts other rows on the
-    same copy of a pool of words.
+    describe the coalitions, and ``np.asarray`` builds their masks, as
+    ``row_contexts`` builds each row's contexts: these serve only callers
+    that count or check the coalitions.  ``rows`` takes some of the rows
+    on the same pool copy, without checking it again, and ``with_tokens``
+    puts other rows on the same copy of a pool of words.
     """
 
     contexts: np.ndarray | None
@@ -228,6 +236,8 @@ class Extensions:
         pool of words, which it shares with its ``held``, unchecked, so a
         game that evaluates both forms its sums of the pool once.  The rows
         are checked, and their subsets built, by the constructor."""
+        if self.contexts is None:
+            raise ValueError("extensions: with_tokens needs a pool of words, not orders")
         other = Extensions(self.contexts[:0], tokens)
         vars(other).update(contexts=self.contexts, held=self.held, shape=other.added.shape + self.contexts.shape)
         return other
@@ -237,32 +247,7 @@ class Extensions:
         words without the row's tokens, or the prefixes before its token."""
         if self.orders is None:
             return self.contexts & ~self.added[-1][..., None]
-        k, n = self.orders.shape
-        # column p of the running OR is the set of the first p tokens of each order
-        prefixes = np.zeros((k, n + 1), dtype=np.uint64)
-        np.bitwise_or.accumulate(_token_bits(self.orders), axis=1, out=prefixes[:, 1:])
-        return prefixes[np.arange(k), self.ranks]
-
-    def context_and_difference(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's context value and inclusion-exclusion difference on
-        every pool entry, both of shape ``tokens.shape[:-1] + (K,)``, from
-        the *values* of these coalitions, shape ``shape``: the inverse of
-        the toggle order the class docstring describes."""
-        # the alternating sum over the subsets: v1 - v0, or ((v3 - v1) - v2) + v0 in place
-        difference = values[1] - values[0] if len(values) == 2 else values[3] - values[1]
-        if len(values) == 4:
-            difference -= values[2]
-            difference += values[0]
-        if self.orders is not None:  # a prefix never holds its own token
-            return values[0].copy(), difference
-        context, odd = values, False
-        for i in range(self.tokens.shape[-1]):
-            held = self.held.take(self.tokens[..., i], axis=0)
-            # keep the subsets that agree with each entry on token i
-            context = np.where(held, context[1::2], context[::2])
-            odd = odd ^ held
-        difference *= _TOGGLE_SIGNS.take(odd.view(np.uint8))
-        return context[0], difference
+        return _prefix_masks(self.orders)[np.arange(self.orders.shape[0]), self.ranks]
 
     def __array__(self, dtype=None, copy=None):
         shared = self.contexts if self.orders is None else self.row_contexts()
@@ -273,6 +258,76 @@ class Extensions:
 def _token_bits(tokens: np.ndarray) -> np.ndarray:
     """The single-bit mask of each token index below 64."""
     return np.left_shift(np.uint64(1), tokens.astype(np.uint64))
+
+
+def _prefix_masks(orders: np.ndarray) -> np.ndarray:
+    """The masks of the n + 1 prefixes of each of the K *orders*, shape
+    ``(K, n + 1)``: column p is the set of the first p tokens."""
+    k, n = orders.shape
+    prefixes = np.zeros((k, n + 1), dtype=np.uint64)
+    np.bitwise_or.accumulate(_token_bits(orders), axis=1, out=prefixes[:, 1:])
+    return prefixes
+
+
+def _extension_values(game, extensions: Extensions, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's context value and difference on every pool entry of
+    *extensions*, shape ``tokens.shape[:-1] + (K,)``, from the tables *game*
+    gives its pool; a refusal names *name*.
+
+    The tables are kept on the game for the next call with the same pool:
+    the blocks of one family, and the token and pair rows on one pool of
+    words, read one set.  A row's context value is the table entry its held
+    tokens select, ``v_0`` when the word holds none of them and ``v_ab``
+    when it holds both, or the value of the prefix before its token; its
+    difference is ``(v_a - v_0) s_a``, ``(((v_ab - v_a) - v_b) + v_0) s_a
+    s_b``, or the value of the prefix through its token less the context's.
+    """
+    tokens, orders = extensions.tokens, extensions.orders
+    if tokens.size and tokens.max() >= game.n:
+        raise ValueError(f"{name}: token {tokens.max()} of an extension for a game of {game.n}")
+    if orders is not None and orders.shape[1] > game.n:
+        raise ValueError(f"{name}: orders of {orders.shape[1]} tokens for a game of {game.n}")
+    pool = extensions.contexts if orders is None else orders
+    # one read, so a concurrent call cannot swap another pool's tables in
+    last = game._pool
+    if last[0] is pool:
+        tables = last[1]
+    else:
+        tables = _word_tables(game, extensions) if orders is None else game._prefix_values(orders)
+        game._pool = (pool, tables)
+    if orders is not None:
+        entries, ranks = np.arange(tables.shape[0]), extensions.ranks
+        context = tables[entries, ranks]
+        return context, tables[entries, ranks + 1] - context
+    a = tokens[..., 0]
+    context_a = tables.contexts.take(a, axis=0)
+    if tokens.shape[-1] == 1:
+        return context_a, tables.differences.take(a, axis=0)
+    b = tokens[..., 1]
+    with_a, with_b = tables.toggled.take(a, axis=0), tables.toggled.take(b, axis=0)
+    sign = tables.signs.take(a, axis=0)
+    sign *= tables.signs.take(b, axis=0)
+    with_both = game._pair_values(extensions, tables, sign)
+    difference = with_both - with_a
+    difference -= with_b
+    difference += tables.values
+    difference *= sign
+    # the context is the word with its held tokens toggled: a's context on
+    # a word without b, else v_b, or v_ab on a word that holds a too
+    held_a, held_b = (extensions.held.take(t, axis=0) for t in (a, b))
+    return np.where(held_b, np.where(held_a, with_both, with_b), context_a), difference
+
+
+def _word_tables(game, extensions: Extensions) -> _WordTables:
+    """What every row of a pool of words shares (``_WordTables``), from the
+    values *game* gives the words and their one-token toggles.  A word's
+    signs are the first n rows of ``extensions.held``."""
+    held = extensions.held[: game.n]
+    signs = 1.0 - 2.0 * held
+    values, toggled, pair = game._word_values(extensions, signs)
+    differences = toggled - values
+    differences *= signs
+    return _WordTables(values, toggled, signs, np.where(held, toggled, values), differences, pair)
 
 
 class TabularGame:
@@ -297,21 +352,41 @@ class TabularGame:
         check_table(arr)
         arr.flags.writeable = False
         self._values = arr
+        self._pool: tuple = (None,)  # (pool, its tables) of the last pool
         self.n = n
 
     def values_by_mask(self, masks: np.ndarray | Extensions):
         """The values of integer *masks*, in their shape, or of an
         ``Extensions``, each row's (context value, difference) on every
-        pool entry, from the values of its materialised masks."""
-        extensions = masks if isinstance(masks, Extensions) else None
-        if extensions is not None and extensions.tokens.size and extensions.tokens.max() >= self.n:
-            raise ValueError(f"tabular game: token {extensions.tokens.max()} of an extension for a game of {self.n}")
-        coalitions = _integer_masks(masks, "tabular game").astype(np.uint64, copy=False)
+        pool entry, from the lookups of its pool's tables."""
+        if isinstance(masks, Extensions):
+            return _extension_values(self, masks, "tabular game")
+        return self._lookup(_integer_masks(masks, "tabular game").astype(np.uint64, copy=False))
+
+    def _lookup(self, coalitions: np.ndarray) -> np.ndarray:
+        """The values of uint64 masks; a mask with a bit at or above n is
+        refused."""
         top = int(coalitions.max()) if coalitions.size else 0
         if top >> self.n:
             raise ValueError(f"tabular game: token {top.bit_length() - 1} of a coalition for a game of {self.n}")
-        values = self._values[coalitions]
-        return values if extensions is None else extensions.context_and_difference(values)
+        return self._values[coalitions]
+
+    def _word_values(self, extensions: Extensions, signs: np.ndarray) -> tuple:
+        """``v_0 = table[w]`` of every word, checked to hold no token past
+        n, ``v_t = table[w ^ bit_t]``, and the words for ``_pair_values``; a
+        lookup needs no *signs*."""
+        words = extensions.contexts
+        values = self._lookup(words)
+        return values, self._values[words ^ _token_bits(np.arange(self.n))[:, None]], words
+
+    def _pair_values(self, extensions: Extensions, tables: _WordTables, sign: np.ndarray) -> np.ndarray:
+        """``v_ab = table[w ^ bit_a ^ bit_b]`` of each pair row on every word."""
+        return self._values[tables.pair ^ extensions.added[-1][..., None]]
+
+    def _prefix_values(self, orders: np.ndarray) -> np.ndarray:
+        """The values of the n + 1 prefixes of each of the K *orders*, shape
+        ``(K, n + 1)``."""
+        return self._values[_prefix_masks(orders)]
 
     @property
     def table(self) -> np.ndarray:
@@ -328,8 +403,8 @@ class EmbeddingGame:
     the identity on them; it is kept as the default for symmetry with the
     other nonlinearities.
 
-    A game holds its projected rows, their Gram matrix and the shared sums
-    of the last pool it evaluated.  Plain masks are unpacked into a ``(B,
+    A game holds its projected rows, their Gram matrix and the tables of
+    the last pool it evaluated.  Plain masks are unpacked into a ``(B,
     n)`` 0/1 membership, and their sums are the one matrix product
     ``members @ projected``; mask bits at or above ``n`` are never read and
     so do not change the value.  The product is the BLAS one, whose
@@ -384,13 +459,7 @@ class EmbeddingGame:
     difference, an alternating sum of ``2**f`` values each at most ``M``,
     within ``2**f (r + 2**f eps M)``.
 
-    Calls may run concurrently, from any number of threads, and a call's
-    result never depends on earlier calls: every call allocates its own
-    arrays and returns fresh ones.  The one thing a call leaves behind is
-    the shared sums of the last pool (an ``Extensions``' read-only
-    ``contexts`` or ``orders``), kept so that the blocks of rows evaluated
-    in turn on one pool form them once: an estimate's token and pair rows
-    on its pool of words (``Extensions.with_tokens``) share one set.
+    Calls may run concurrently, as the module docstring says of both games.
     """
 
     def __init__(self, embeddings, value_projection, nonlinearity: str = "relu"):
@@ -409,7 +478,7 @@ class EmbeddingGame:
         projected.flags.writeable = False
         self.projected = projected   # n x d_v, row i is the value vector of token i
         self._gram = projected @ projected.T  # the Gram matrix X X^T
-        self._pool: tuple = (None,)  # (pool, its shared sums) of the last pool
+        self._pool: tuple = (None,)  # (pool, its tables) of the last pool
         self.nonlinearity = nonlinearity
         self.n = n
 
@@ -417,21 +486,11 @@ class EmbeddingGame:
         """The values of integer *masks*, in their shape, or of an
         ``Extensions``, each row's (context value, difference) on every
         pool entry, formed as the class docstring describes."""
-        if not isinstance(masks, Extensions):
-            masks = _integer_masks(masks, "embedding game")
-            squared = self._sums(token_members(masks, self.n))[1]
-            return self._finish(squared.reshape(masks.shape))
-        extensions = masks
-        if extensions.tokens.size and extensions.tokens.max() >= self.n:
-            raise ValueError(
-                f"embedding game: token {extensions.tokens.max()} of an extension for a game of {self.n}"
-            )
-        if extensions.orders is None:
-            return self._toggled(extensions)
-        values = self._shared(extensions, self._prefix_values)
-        entries, ranks = np.arange(values.shape[0]), extensions.ranks
-        context = values[entries, ranks]
-        return context, values[entries, ranks + 1] - context
+        if isinstance(masks, Extensions):
+            return _extension_values(self, masks, "embedding game")
+        masks = _integer_masks(masks, "embedding game")
+        squared = self._sums(token_members(masks, self.n))[1]
+        return self._finish(squared.reshape(masks.shape))
 
     def _finish(self, squared: np.ndarray) -> np.ndarray:
         """The values of squared norms, formed in place."""
@@ -440,56 +499,16 @@ class EmbeddingGame:
             np.tanh(norms, out=norms)
         return norms
 
-    def _shared(self, extensions: Extensions, form):
-        """``form(extensions)``, kept for the next call with the same pool."""
-        pool = extensions.contexts if extensions.orders is None else extensions.orders
-        # one read, so a concurrent call cannot swap another pool's sums in
-        last = self._pool
-        if last[0] is pool:
-            return last[1]
-        shared = form(extensions)
-        self._pool = (pool, shared)
-        return shared
-
-    def _toggled(self, extensions: Extensions) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's context value and difference on a pool of words; a row
-        of one token reads its token's, formed with the pool."""
-        pool, tokens = self._shared(extensions, self._word_values), extensions.tokens
-        a = tokens[..., 0]
-        context_a = pool.contexts.take(a, axis=0)
-        if tokens.shape[-1] == 1:
-            return context_a, pool.differences.take(a, axis=0)
-        b = tokens[..., 1]
-        with_a, with_b = pool.toggled.take(a, axis=0), pool.toggled.take(b, axis=0)
-        sign = pool.signs.take(a, axis=0)
-        sign *= pool.signs.take(b, axis=0)
-        with_both = pool.toggled_squares.take(a, axis=0)
-        with_both += pool.h.take(b, axis=0)
-        with_both += sign * (2.0 * self._gram[a, b][..., None])
-        if pool.doubles.size:
-            # a word of just the row's two tokens toggles to the empty coalition
-            emptied = pool.double_words == extensions.added[-1][..., None]
-            with_both[..., pool.doubles] = np.where(emptied, 0.0, with_both[..., pool.doubles])
-        self._finish(with_both)
-        difference = with_both - with_a
-        difference -= with_b
-        difference += pool.values
-        difference *= sign
-        # the context is the word with its held tokens toggled: a's context on
-        # a word without b, else v_b, or v_ab on a word that holds a too
-        held_a, held_b = (extensions.held.take(t, axis=0) for t in (a, b))
-        return np.where(held_b, np.where(held_a, with_both, with_b), context_a), difference
-
-    def _word_values(self, extensions: Extensions) -> _WordTables:
-        """What every row of a pool of K words shares (``_WordTables``).
-        Every word is read as its n bits alone, as a plain mask is: it is
-        summed by the route plain masks take, so its value is its plain
-        mask's, its signs are the first n rows of ``extensions.held``, and a
-        toggle empties it when its n bits are the toggled tokens."""
+    def _word_values(self, extensions: Extensions, signs: np.ndarray) -> tuple:
+        """``v_0`` of every word, ``v_t`` of every word with each token t
+        toggled, and what ``_pair_values`` reads: the squared norms ``q0 +
+        h_t``, the ``h_t``, and the indices of the words of two tokens, with
+        those words.  Every word is read as its n bits alone, as a plain mask
+        is: it is summed by the route plain masks take, so its value is its
+        plain mask's, and a toggle empties it when its n bits are the toggled
+        tokens."""
         words = extensions.contexts & np.uint64((1 << self.n) - 1)
         s, squares = self._sums(token_members(words, self.n))
-        held = extensions.held[: self.n]
-        signs = 1.0 - 2.0 * held
         h = self.projected @ s.T  # x_t.S_k
         h *= 2.0
         h *= signs
@@ -498,21 +517,27 @@ class EmbeddingGame:
         toggled = self._finish(toggled_squares.copy())
         # the word of the one token t toggles to the empty coalition
         toggled[words == _token_bits(np.arange(self.n))[:, None]] = 0.0
-        values = self._finish(squares)
-        differences = toggled - values
-        differences *= signs
         doubles = np.flatnonzero(np.bitwise_count(words) == 2)
-        return _WordTables(
-            values, toggled, toggled_squares, h, signs, np.where(held, toggled, values), differences, doubles, words[doubles]
-        )
+        return self._finish(squares), toggled, (toggled_squares, h, doubles, words[doubles])
 
-    def _prefix_values(self, extensions: Extensions) -> np.ndarray:
-        """The values of the n + 1 prefixes of each of the K orders, shape
+    def _pair_values(self, extensions: Extensions, tables: _WordTables, sign: np.ndarray) -> np.ndarray:
+        """``v_ab`` of each pair row on every word, from one new squared norm
+        ``q0 + h_a + h_b + 2 (s_a s_b) G_ab`` with *sign* ``s_a s_b``."""
+        toggled_squares, h, doubles, double_words = tables.pair
+        a, b = extensions.tokens[..., 0], extensions.tokens[..., 1]
+        with_both = toggled_squares.take(a, axis=0)
+        with_both += h.take(b, axis=0)
+        with_both += sign * (2.0 * self._gram[a, b][..., None])
+        if doubles.size:
+            # a word of just the row's two tokens toggles to the empty coalition
+            emptied = double_words == extensions.added[-1][..., None]
+            with_both[..., doubles] = np.where(emptied, 0.0, with_both[..., doubles])
+        return self._finish(with_both)
+
+    def _prefix_values(self, orders: np.ndarray) -> np.ndarray:
+        """The values of the n + 1 prefixes of each of the K *orders*, shape
         ``(K, n + 1)``."""
-        orders = extensions.orders
         k, n = orders.shape
-        if n > self.n:
-            raise ValueError(f"embedding game: orders of {n} tokens for a game of {self.n}")
         width = self.projected.shape[1]
         running, gathered = np.zeros((k, width)), np.empty((k, width))
         squared = np.zeros((k, n + 1))
@@ -531,21 +556,17 @@ class EmbeddingGame:
 
 class _WordTables(NamedTuple):
     """What every row of a pool of K words shares: the words' values ``v_0``,
-    shape ``(K,)``; of shape ``(n, K)``, the values ``v_t`` and squared
-    norms ``q0 + h_t`` of each word with each token t toggled, the ``h_t``,
-    the signs ``s_t``, and each one-token row's context values and
-    differences ``(v_t - v_0) s_t``; and the indices of the words of two
-    tokens, with those words."""
+    shape ``(K,)``; of shape ``(n, K)``, the values ``v_t`` of each word with
+    each token t toggled, the signs ``s_t``, and each one-token row's context
+    values and differences ``(v_t - v_0) s_t``; and what the game's
+    ``_pair_values`` reads."""
 
     values: np.ndarray
     toggled: np.ndarray
-    toggled_squares: np.ndarray
-    h: np.ndarray
     signs: np.ndarray
     contexts: np.ndarray
     differences: np.ndarray
-    doubles: np.ndarray
-    double_words: np.ndarray
+    pair: object
 
 
 def _integer_masks(masks, name: str) -> np.ndarray:

@@ -35,6 +35,35 @@ def additive_table_game(weights) -> TabularGame:
     return TabularGame(values)
 
 
+# the sign of a difference over an entry holding an even or an odd number of
+# the row's tokens: toggling a held token removes it
+_TOGGLE_SIGNS = np.array([1.0, -1.0])
+
+
+def context_and_difference(extensions: Extensions, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's context value and inclusion-exclusion difference on
+    every pool entry, both of shape ``tokens.shape[:-1] + (K,)``, from
+    the *values* of the coalitions ``np.asarray(extensions)``, shape
+    ``extensions.shape``: the inverse of the toggle order the
+    ``Extensions`` docstring describes, written on its own as the
+    reference the games' pooled tables are checked against."""
+    # the alternating sum over the subsets: v1 - v0, or ((v3 - v1) - v2) + v0 in place
+    difference = values[1] - values[0] if len(values) == 2 else values[3] - values[1]
+    if len(values) == 4:
+        difference -= values[2]
+        difference += values[0]
+    if extensions.orders is not None:  # a prefix never holds its own token
+        return values[0].copy(), difference
+    context, odd = values, False
+    for i in range(extensions.tokens.shape[-1]):
+        held = extensions.held.take(extensions.tokens[..., i], axis=0)
+        # keep the subsets that agree with each entry on token i
+        context = np.where(held, context[1::2], context[::2])
+        odd = odd ^ held
+    difference *= _TOGGLE_SIGNS.take(odd.view(np.uint8))
+    return context[0], difference
+
+
 def reference_stream(seed: int, kind: int) -> np.random.Generator:
     """A fresh generator on one family's stream, keyed from the documented
     formula: the key is the two words ``SeedSequence(entropy=seed,

@@ -4,7 +4,7 @@ the synchronous update written out by hand on the fixture's table."""
 import numpy as np
 
 from coalattn.demo import FIXTURE, render_demo, run_demo
-from coalattn.games import Extensions
+from coalattn.games import Extensions, TabularGame
 
 
 def _hand_marginals():
@@ -22,14 +22,15 @@ def _hand_pair_deltas():
 
 def test_marginals_and_pair_deltas_are_the_hand_sums(monkeypatch):
     differences = []
-    inverse = Extensions.context_and_difference
+    evaluate = TabularGame.values_by_mask
 
-    def recording(self, values):
-        context, difference = inverse(self, values)
-        differences.append(difference)
-        return context, difference
+    def recording(self, masks):
+        values = evaluate(self, masks)
+        if isinstance(masks, Extensions):
+            differences.append(values[1])
+        return values
 
-    monkeypatch.setattr(Extensions, "context_and_difference", recording)
+    monkeypatch.setattr(TabularGame, "values_by_mask", recording)
     report = run_demo()
     marginals, pair_deltas = differences
     np.testing.assert_array_equal(marginals, [_hand_marginals()])

@@ -398,9 +398,9 @@ class TestSharedWordPool:
     def test_one_word_sum_serves_the_banzhaf_and_pair_blocks(self, monkeypatch):
         summed = []
 
-        def word_values(game, extensions, _form=EmbeddingGame._word_values):
+        def word_values(game, extensions, signs, _form=EmbeddingGame._word_values):
             summed.append(extensions.contexts)
-            return _form(game, extensions)
+            return _form(game, extensions, signs)
 
         monkeypatch.setattr(EmbeddingGame, "_word_values", word_values)
         rng = np.random.default_rng(5)

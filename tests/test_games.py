@@ -16,7 +16,7 @@ from coalattn.games import (
 from coalattn.estimators import EstimatorConfig, estimate_all, gibbs_weights
 from coalattn.oracles import exact_gibbs_tilted_values
 
-from conftest import WORKED_TABLE, additive_table_game, random_table_game
+from conftest import WORKED_TABLE, additive_table_game, context_and_difference, random_table_game
 
 
 def _value(game, mask: int) -> float:
@@ -169,18 +169,25 @@ def _value_bytes(values) -> tuple[bytes, ...]:
     return tuple(np.asarray(array).tobytes() for array in arrays)
 
 
-def test_one_embedding_game_serves_concurrent_callers():
-    # four threads share one n=32, d_v=32 game; every call, whichever others
-    # overlap it, gives the bytes a fresh game gives
+@pytest.mark.parametrize("kind", ["embedding", "table"])
+def test_one_game_serves_concurrent_callers(kind):
+    # four threads share one game, an n=32, d_v=32 embedding game or an n=16
+    # table, each keeping its last pool's tables; every call, whichever
+    # others overlap it, gives the bytes a fresh game gives
     rng = np.random.default_rng(41)
-    params = (rng.normal(size=(32, 32)), rng.normal(size=(32, 32)), "tanh")
-    masks = [rng.integers(0, 2**32, size=20_000, dtype=np.uint64) for _ in range(4)]
-    configs = [EstimatorConfig(sample_count=256, seed=seed) for seed in range(4)]
+    if kind == "embedding":
+        params = (rng.normal(size=(32, 32)), rng.normal(size=(32, 32)), "tanh")
+        fresh, n, mode = lambda: EmbeddingGame(*params), 32, "gibbs"
+    else:
+        table = random_table_game(rng, 16).table
+        fresh, n, mode = lambda: TabularGame(table), 16, "classic"
+    masks = [rng.integers(0, 2**n, size=20_000, dtype=np.uint64) for _ in range(4)]
+    configs = [EstimatorConfig(sample_count=256, seed=seed, mode=mode) for seed in range(4)]
     expected = [
-        (_value_bytes(estimate_all(EmbeddingGame(*params), cfg)), _value_bytes(EmbeddingGame(*params).values_by_mask(m)))
+        (_value_bytes(estimate_all(fresh(), cfg)), _value_bytes(fresh().values_by_mask(m)))
         for cfg, m in zip(configs, masks)
     ]
-    shared = EmbeddingGame(*params)
+    shared = fresh()
     rounds = 3
     start = threading.Barrier(len(configs))
     mismatches, finished = [], []
@@ -240,6 +247,11 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
         pooled.with_tokens(np.array([[2, 2]]))
 
 
+def test_with_tokens_needs_a_pool_of_words():
+    with pytest.raises(ValueError, match="with_tokens needs a pool of words"):
+        Extensions(None, np.array([[0]]), np.tile(np.arange(3), (2, 1))).with_tokens(np.array([[1]]))
+
+
 @pytest.mark.parametrize("masks", [np.array([1.5, 2.9]), np.array([True, False])], ids=["float", "bool"])
 def test_masks_and_pools_must_be_integers(worked_game, masks):
     # truncated, these would read as masks 1 and 2, or 1 and 0
@@ -265,7 +277,7 @@ def test_embedding_tables_cover_the_held_tokens_below_n():
     tokens = np.array([[0, 1], [2, 0]])
     few = Extensions(words, tokens)
     values = game.values_by_mask(np.asarray(few))
-    (context, difference), (want_context, want_difference) = game.values_by_mask(few), few.context_and_difference(values)
+    (context, difference), (want_context, want_difference) = game.values_by_mask(few), context_and_difference(few, values)
     np.testing.assert_allclose(context, want_context, rtol=1e-12)
     # an alternating sum of four values, each within 1e-12 of its size
     np.testing.assert_allclose(difference, want_difference, rtol=0.0, atol=4e-12 * np.abs(values).max())

@@ -38,6 +38,7 @@ from coalattn.pipeline import NORMALIZATIONS
 from coalattn.reports import dump_json, run_attend
 
 from conftest import (
+    context_and_difference,
     random_table_game,
     reference_slot,
 )
@@ -199,7 +200,7 @@ def test_extension_values_match_the_plain_masks(case):
     # nonlinearities change by at most sqrt(gap) for a gap of squared norms,
     # the bound's root bounds the values
     context, difference = game.values_by_mask(extensions)
-    ref_context, ref_difference = extensions.context_and_difference(game.values_by_mask(masks))
+    ref_context, ref_difference = context_and_difference(extensions, game.values_by_mask(masks))
     assert context.shape == difference.shape == ref_context.shape == extensions.shape[1:]
     bound, reach = _pooled_bound(game, extensions), _pooled_reach(game, extensions)
     assert np.all(np.abs(context - ref_context) <= np.sqrt(bound))
@@ -217,7 +218,7 @@ def test_extension_values_match_the_plain_masks(case):
     if game.n <= 12:
         table = random_table_game(rng, game.n)
         for got, want in zip(
-            table.values_by_mask(extensions), extensions.context_and_difference(table.table[masks.astype(np.int64)])
+            table.values_by_mask(extensions), context_and_difference(extensions, table.table[masks.astype(np.int64)])
         ):
             np.testing.assert_array_equal(got, want)
     # a counting game counts the true coalitions
@@ -331,6 +332,11 @@ def test_an_embedding_game_refuses_tokens_past_its_own(n):
     game = _game(n, n, 3, 4, "relu")
     with pytest.raises(ValueError, match=f"token {n} of an extension for a game of {n}"):
         game.values_by_mask(Extensions(np.zeros(3, np.uint64), np.array([[0, n]])))
+    # orders wider than the game, whichever rows they serve
+    orders = np.array([np.arange(n + 1), np.roll(np.arange(n + 1), -1)])
+    for row in ([[0]], [[n - 1]]):
+        with pytest.raises(ValueError, match=f"embedding game: orders of {n + 1} tokens for a game of {n}"):
+            game.values_by_mask(Extensions(None, np.array(row), orders))
 
 
 @pytest.mark.parametrize("n", (1, 2, 8, 9, 12))
@@ -345,6 +351,13 @@ def test_a_table_game_refuses_tokens_past_its_own(n):
             game.values_by_mask(masks)
     with pytest.raises(ValueError, match=f"token {n + 2} of a coalition for a game of {n}"):
         game.values_by_mask(Extensions(np.array([0, 1 << (n + 2)], np.uint64), np.array([[0]])))
+    # orders wider than the game, even where a row's prefixes are below n:
+    # token 0 comes first in both orders
+    orders = np.array([np.arange(n + 3), np.r_[0, np.arange(n + 2, 0, -1)]])
+    for row in ([[0]], [[n - 1]], [[n + 2]]):
+        message = "of an extension" if row[0][0] >= n else f"tabular game: orders of {n + 3} tokens for a game of {n}"
+        with pytest.raises(ValueError, match=message):
+            game.values_by_mask(Extensions(None, np.array(row), orders))
 
 
 @_SETTINGS
@@ -356,7 +369,7 @@ def test_table_extension_values_are_table_lookups(n, f, seed):
     assert extensions.shape == (2 ** min(f, n), 3, 5)
     masks = extensions.added[..., None] ^ extensions.contexts
     # the inverse of the toggle order applied to the lookups of the masks
-    want = extensions.context_and_difference(game.table[masks.astype(np.int64)])
+    want = context_and_difference(extensions, game.table[masks.astype(np.int64)])
     for got, expected in zip(game.values_by_mask(extensions), want):
         assert got.shape == (3, 5)
         np.testing.assert_array_equal(got, expected)
@@ -364,14 +377,14 @@ def test_table_extension_values_are_table_lookups(n, f, seed):
 
 @_SETTINGS
 @given(st.integers(1, 12), st.integers(1, 2), st.booleans(), st.integers(0, 2**32 - 1))
-def test_context_and_difference_invert_the_toggle_order(n, f, ordered, seed):
+def test_table_values_invert_the_toggle_order(n, f, ordered, seed):
     # a table of small integers, so that every difference is exact in any order
     rng = np.random.default_rng(seed)
     table = rng.integers(-50, 50, size=1 << n).astype(np.float64)
     table[0] = 0.0
     game = TabularGame(table)
     extensions = _ordered_extensions(rng, n, 3, 5) if ordered else _pooled_extensions(rng, n, 3, f, 5)
-    context, difference = extensions.context_and_difference(table[np.asarray(extensions).astype(np.int64)])
+    context, difference = context_and_difference(extensions, table[np.asarray(extensions).astype(np.int64)])
     # which is what the table game's own evaluation returns
     for got, want in zip(game.values_by_mask(extensions), (context, difference)):
         np.testing.assert_array_equal(got, want)
