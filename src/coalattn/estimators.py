@@ -238,10 +238,9 @@ def _estimate_family(game, cfg: EstimatorConfig, family: Extensions):
     """
     k, slots = cfg.sample_count, len(family.tokens)
     if cfg.mode == "gibbs":
-        # cfg checked the temperature; the probabilities are checked here once
-        probs = _proposal_probs(family, game.n)
-        _check_probs(probs)
-        log_probs = np.log(probs)
+        # cfg checked the temperature; the probabilities, 1/C(n-1, s) or
+        # 2**-(n-f) with n <= 64, all lie in (0, 1], so they need no check
+        log_probs = np.log(_proposal_probs(family, game.n))
     per_block = max(1, _BLOCK_CONTEXTS // k)
     estimates, ess, errors = np.empty(slots), np.empty(slots), np.empty(slots)
     for start in range(0, slots, per_block):

@@ -22,13 +22,15 @@ evaluation entry point: every estimator and oracle evaluates through it
 every evaluation.  It takes either an array of integer masks, whose values
 come back in the array's shape (float and bool arrays are refused, not
 truncated), or an ``Extensions``: a pool of K entries (Bernoulli
-words or permutations) shared by rows of one or two tokens each, each row
-taking ``2**f`` coalitions of every entry (``Extensions.shape``, subset
-axis first, in the toggle order that the ``Extensions`` docstring
-describes once).  For an ``Extensions`` it returns, for every row and
-entry, the row's context value and the inclusion-exclusion difference of
-its tokens over that context, each of shape ``tokens.shape[:-1] + (K,)``:
-what an estimator reads of the coalitions.
+words or permutations) shared by rows of one or two tokens each, whose
+tokens ``Extensions.mask`` holds as one mask per row.  Each row takes the
+``2**f`` coalitions of every entry with a subset of its tokens toggled, in
+the order that the ``Extensions`` docstring describes once;
+``Extensions.shape`` counts them, subset axis first.  For an
+``Extensions`` it returns, for every row and entry, the row's context
+value and the inclusion-exclusion difference of its tokens over that
+context, each of shape ``tokens.shape[:-1] + (K,)``: what an estimator
+reads of the coalitions.
 
 Both games reach that pair through one function, ``_extension_values``,
 which refuses row tokens past the game's, keeps the tables of the last
@@ -112,17 +114,18 @@ class Extensions:
     + (K,)``.
 
     ``tokens`` holds f distinct token indices per row, shape ``(..., f)``,
-    with f one or two.  ``added`` holds, as uint64 masks of shape ``(2**f,)
-    + tokens.shape[:-1]``, the ``2**f`` subsets of each row's tokens in
-    counting order: subset j holds the row's token i when bit i of j is set
-    (none, first, second, both).  The pool comes in one of two forms:
+    with f one or two, and ``mask`` each row's tokens as one uint64 mask,
+    shape ``tokens.shape[:-1]``.  A row's ``2**f`` subsets of its tokens
+    come in counting order: subset j holds the row's token i when bit i of
+    j is set (none, first, second, both).  The pool comes in one of two
+    forms:
 
     * ``contexts``, K uint64 masks (Bernoulli words): row r's coalition j on
-      word k is ``contexts[k] ^ added[j, r]``, the word with subset j of r's
-      tokens toggled.  Over the ``2**f`` subsets these are r's context k, the
-      word without r's tokens (``row_contexts``), extended by every subset
-      of the tokens; the context itself is coalition j for the subset j of
-      r's tokens that the word holds.
+      word k is word k with subset j of r's tokens toggled.  Over the
+      ``2**f`` subsets these are r's context k, the word without r's tokens
+      (``contexts[k] & ~mask[r]``), extended by every subset of the tokens;
+      the context itself is coalition j for the subset j of r's tokens that
+      the word holds.
     * ``orders`` (with ``contexts`` None), a ``(K, n)`` array whose rows are
       permutations of the n tokens, for rows of one token: row r's context
       k is the set of tokens ``orders[k]`` places before r's token, and its
@@ -149,38 +152,24 @@ class Extensions:
 
     The pool is stored as a read-only view of a private copy, so changing
     the array given does not change the coalitions, and the view's
-    ``writeable`` flag cannot be set again.  ``shape`` and ``size``
-    describe the coalitions, and ``np.asarray`` builds their masks, as
-    ``row_contexts`` builds each row's contexts: these serve only callers
-    that count or check the coalitions.  ``rows`` takes some of the rows
-    on the same pool copy, without checking it again, and ``with_tokens``
-    puts other rows on the same copy of a pool of words.
+    ``writeable`` flag cannot be set again.  ``rows`` takes some of the
+    rows, and ``with_tokens`` puts other rows, checked, on a pool of words:
+    both on the same pool copy, which is not checked again.  ``shape`` and
+    ``size`` describe the coalitions, and ``np.asarray`` builds their
+    masks; that serves only outside counters and tests, never the engine.
     """
 
     contexts: np.ndarray | None
     tokens: np.ndarray
     orders: np.ndarray | None = None
-    added: np.ndarray = field(init=False)
+    mask: np.ndarray = field(init=False)
     ranks: np.ndarray | None = field(init=False, default=None)
     held: np.ndarray | None = field(init=False, default=None)
-    shape: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        tokens = np.asarray(self.tokens)
-        if tokens.shape[-1:] not in ((1,), (2,)):
-            raise ValueError("extensions: tokens need a last axis of one or two tokens per row")
-        if tokens.dtype.kind not in "iu" or np.any((tokens < 0) | (tokens >= MAX_TOKENS)):
-            raise ValueError(f"extensions: tokens must be integers in [0, {MAX_TOKENS})")
-        tokens = tokens.astype(np.intp)
-        bits = _token_bits(tokens)
-        added = np.zeros((1 << tokens.shape[-1],) + tokens.shape[:-1], dtype=np.uint64)
-        for i in range(tokens.shape[-1]):
-            # the subsets holding token i follow, in counting order, those below it
-            np.bitwise_or(added[: 1 << i], bits[..., i], out=added[1 << i : 2 << i])
-        if np.any(np.bitwise_count(added[-1]) != tokens.shape[-1]):
-            raise ValueError("extensions: a row repeats a token")
+        tokens, mask = _checked_rows(self.tokens)
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "mask", mask)
         if (self.contexts is None) == (self.orders is None):
             raise ValueError("extensions: give either contexts or orders")
         if self.orders is None:
@@ -192,12 +181,11 @@ class Extensions:
             object.__setattr__(self, "contexts", contexts.view())
             members = token_members(contexts, MAX_TOKENS)
             object.__setattr__(self, "held", np.ascontiguousarray(members.T).view(bool))
-            object.__setattr__(self, "shape", added.shape + contexts.shape)
             return
         orders = np.array(self.orders)
         if orders.ndim != 2 or orders.dtype.kind not in "iu" or orders.shape[1] > MAX_TOKENS:
             raise ValueError(f"extensions: orders must be a (K, n) integer array with n <= {MAX_TOKENS}")
-        k, n = orders.shape
+        n = orders.shape[1]
         every_token = np.uint64((1 << n) - 1)
         if orders.size and (
             orders.min() < 0
@@ -212,7 +200,11 @@ class Extensions:
         orders.flags.writeable = False
         object.__setattr__(self, "orders", orders.view())
         object.__setattr__(self, "ranks", np.moveaxis(places[:, tokens[..., 0]], 0, -1))
-        object.__setattr__(self, "shape", added.shape + (k,))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        pool = self.contexts if self.orders is None else self.orders
+        return (1 << self.tokens.shape[-1],) + self.tokens.shape[:-1] + (len(pool),)
 
     @property
     def size(self) -> int:
@@ -220,39 +212,54 @@ class Extensions:
 
     def rows(self, index) -> Extensions:
         """The ``Extensions`` of the rows ``tokens[index]`` (an index of the
-        first row axis) on the same pool, which is not checked again."""
-        part, added = object.__new__(Extensions), self.added[:, index]
-        vars(part).update(
-            vars(self),
-            tokens=self.tokens[index],
-            added=added,
-            ranks=None if self.ranks is None else self.ranks[index],
-            shape=added.shape + self.shape[-1:],
-        )
-        return part
+        first row axis) on the same pool."""
+        ranks = None if self.ranks is None else self.ranks[index]
+        return self._on_pool(self.tokens[index], self.mask[index], ranks)
 
     def with_tokens(self, tokens) -> Extensions:
-        """The ``Extensions`` of other rows, *tokens*, on the same copy of a
-        pool of words, which it shares with its ``held``, unchecked, so a
-        game that evaluates both forms its sums of the pool once.  The rows
-        are checked, and their subsets built, by the constructor."""
+        """The ``Extensions`` of other rows, *tokens*, checked as the
+        constructor checks them, on the same copy of a pool of words, which
+        it shares with its ``held``, so a game that evaluates both forms its
+        sums of the pool once."""
         if self.contexts is None:
             raise ValueError("extensions: with_tokens needs a pool of words, not orders")
-        other = Extensions(self.contexts[:0], tokens)
-        vars(other).update(contexts=self.contexts, held=self.held, shape=other.added.shape + self.contexts.shape)
+        return self._on_pool(*_checked_rows(tokens), None)
+
+    def _on_pool(self, tokens: np.ndarray, mask: np.ndarray, ranks: np.ndarray | None) -> Extensions:
+        """Checked rows on this pool: its ``contexts``, ``orders`` and
+        ``held`` as they are, with *tokens*, their *mask* and *ranks*."""
+        other = object.__new__(Extensions)
+        vars(other).update(vars(self), tokens=tokens, mask=mask, ranks=ranks)
         return other
 
-    def row_contexts(self) -> np.ndarray:
-        """Each row's K contexts, shape ``tokens.shape[:-1] + (K,)``: the
-        words without the row's tokens, or the prefixes before its token."""
-        if self.orders is None:
-            return self.contexts & ~self.added[-1][..., None]
-        return _prefix_masks(self.orders)[np.arange(self.orders.shape[0]), self.ranks]
-
     def __array__(self, dtype=None, copy=None):
-        shared = self.contexts if self.orders is None else self.row_contexts()
-        masks = self.added[..., None] ^ shared
+        # each row's subsets in counting order: those holding a token follow
+        # those without it
+        subsets = [np.zeros_like(self.mask)]
+        for bit in np.moveaxis(_token_bits(self.tokens), -1, 0):
+            subsets += [subset | bit for subset in subsets]
+        if self.orders is None:
+            shared = self.contexts
+        else:  # each row's prefixes before its token
+            shared = _prefix_masks(self.orders)[np.arange(len(self.orders)), self.ranks]
+        masks = np.stack(subsets)[..., None] ^ shared
         return masks if dtype is None else masks.astype(dtype, copy=False)
+
+
+def _checked_rows(tokens) -> tuple[np.ndarray, np.ndarray]:
+    """*tokens* checked as rows of one or two distinct token indices below
+    64, as ``intp``, and each row's tokens OR-ed into one uint64 mask."""
+    tokens = np.asarray(tokens)
+    if tokens.shape[-1:] not in ((1,), (2,)):
+        raise ValueError("extensions: tokens need a last axis of one or two tokens per row")
+    if tokens.dtype.kind not in "iu" or np.any((tokens < 0) | (tokens >= MAX_TOKENS)):
+        raise ValueError(f"extensions: tokens must be integers in [0, {MAX_TOKENS})")
+    tokens = tokens.astype(np.intp)
+    bits = _token_bits(tokens)
+    mask = bits[..., 0] | bits[..., -1]  # one bit for a row of one token
+    if np.any(np.bitwise_count(mask) != tokens.shape[-1]):
+        raise ValueError("extensions: a row repeats a token")
+    return tokens, mask
 
 
 def _token_bits(tokens: np.ndarray) -> np.ndarray:
@@ -381,7 +388,7 @@ class TabularGame:
 
     def _pair_values(self, extensions: Extensions, tables: _WordTables, sign: np.ndarray) -> np.ndarray:
         """``v_ab = table[w ^ bit_a ^ bit_b]`` of each pair row on every word."""
-        return self._values[tables.pair ^ extensions.added[-1][..., None]]
+        return self._values[tables.pair ^ extensions.mask[..., None]]
 
     def _prefix_values(self, orders: np.ndarray) -> np.ndarray:
         """The values of the n + 1 prefixes of each of the K *orders*, shape
@@ -530,7 +537,7 @@ class EmbeddingGame:
         with_both += sign * (2.0 * self._gram[a, b][..., None])
         if doubles.size:
             # a word of just the row's two tokens toggles to the empty coalition
-            emptied = double_words == extensions.added[-1][..., None]
+            emptied = double_words == extensions.mask[..., None]
             with_both[..., doubles] = np.where(emptied, 0.0, with_both[..., doubles])
         return self._finish(with_both)
 
@@ -657,8 +664,6 @@ class CountingGame:
 
 def tabulate(game) -> np.ndarray:
     """Evaluate every coalition of a game into a mask-indexed table."""
-    if isinstance(game, TabularGame):
-        return game.table
     size = 1 << game.n
     out = np.empty(size, dtype=np.float64)
     for start in range(0, size, _TABULATE_CHUNK):

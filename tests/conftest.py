@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coalattn.games import Extensions, TabularGame, tabulate
+from coalattn.games import Extensions, TabularGame, _prefix_masks, tabulate
 from coalattn.meanfield import check_spin_system
 from coalattn.oracles import EnumerationLimitError
 
@@ -33,6 +33,27 @@ def additive_table_game(weights) -> TabularGame:
     for mask in range(1 << n):
         values[mask] = sum(weights[i] for i in range(n) if (mask >> i) & 1)
     return TabularGame(values)
+
+
+def subsets(extensions: Extensions) -> np.ndarray:
+    """The ``2**f`` subsets of each row's tokens as uint64 masks, shape
+    ``(2**f,) + tokens.shape[:-1]``, in counting order: subset j holds the
+    row's token i when bit i of j is set (none, first, second, both)."""
+    tokens = extensions.tokens
+    bits = np.left_shift(np.uint64(1), tokens.astype(np.uint64))
+    added = np.zeros((1 << tokens.shape[-1],) + tokens.shape[:-1], dtype=np.uint64)
+    for i in range(tokens.shape[-1]):
+        # the subsets holding token i follow, in counting order, those below it
+        np.bitwise_or(added[: 1 << i], bits[..., i], out=added[1 << i : 2 << i])
+    return added
+
+
+def row_contexts(extensions: Extensions) -> np.ndarray:
+    """Each row's K contexts, shape ``tokens.shape[:-1] + (K,)``: the
+    words without the row's tokens, or the prefixes before its token."""
+    if extensions.orders is None:
+        return extensions.contexts & ~extensions.mask[..., None]
+    return _prefix_masks(extensions.orders)[np.arange(extensions.orders.shape[0]), extensions.ranks]
 
 
 # the sign of a difference over an entry holding an even or an odd number of

@@ -29,6 +29,7 @@ from conftest import (
     reference_pool,
     reference_slot,
     reference_stream,
+    row_contexts,
 )
 
 
@@ -81,7 +82,7 @@ def _slot_contexts(seed: int, kind: int, n: int, slot: tuple, count: int) -> tup
     permutations of stream 1 or the words of stream 2."""
     pool, tokens = _draw_pool(seed, kind, n, count), np.array([slot])
     extensions = Extensions(None, tokens, pool) if kind == 1 else Extensions(pool, tokens)
-    return extensions.row_contexts()[0], np.broadcast_to(_proposal_probs(extensions, n), (1, count))[0]
+    return row_contexts(extensions)[0], np.broadcast_to(_proposal_probs(extensions, n), (1, count))[0]
 
 
 class TestPrefixSampling:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -16,7 +17,13 @@ from coalattn.games import (
 from coalattn.estimators import EstimatorConfig, estimate_all, gibbs_weights
 from coalattn.oracles import exact_gibbs_tilted_values
 
-from conftest import WORKED_TABLE, additive_table_game, context_and_difference, random_table_game
+from conftest import (
+    WORKED_TABLE,
+    additive_table_game,
+    context_and_difference,
+    random_table_game,
+    row_contexts,
+)
 
 
 def _value(game, mask: int) -> float:
@@ -243,8 +250,15 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
     np.testing.assert_array_equal(np.asarray(other), np.asarray(Extensions(pooled.contexts, tokens)))
     own = EmbeddingGame(*params).values_by_mask(Extensions(pooled.contexts, tokens))
     assert _value_bytes(game.values_by_mask(other)) == _value_bytes(own)
-    with pytest.raises(ValueError, match="repeats a token"):
-        pooled.with_tokens(np.array([[2, 2]]))
+    # with_tokens checks the rows itself, and refuses as the constructor does
+    for rows, message in (
+        ([[2, 2]], "a row repeats a token"),
+        ([[0, 1, 2]], "tokens need a last axis of one or two tokens per row"),
+        ([[64]], "tokens must be integers in [0, 64)"),
+    ):
+        for build in (lambda tokens: Extensions(pooled.contexts, tokens), pooled.with_tokens):
+            with pytest.raises(ValueError, match=re.escape(f"extensions: {message}")):
+                build(np.array(rows))
 
 
 def test_with_tokens_needs_a_pool_of_words():
@@ -339,7 +353,7 @@ def _assert_free_words_read_their_masks(game, words, tokens, message: str = "") 
     reads its plain mask's value bit for bit; returns which words those are."""
     extensions = Extensions(words, tokens)
     context = game.values_by_mask(extensions)[0][0]
-    free = extensions.row_contexts()[0] == words
+    free = row_contexts(extensions)[0] == words
     assert context[free].tobytes() == game.values_by_mask(words)[free].tobytes(), message
     return free
 

@@ -41,6 +41,8 @@ from conftest import (
     context_and_difference,
     random_table_game,
     reference_slot,
+    row_contexts,
+    subsets,
 )
 
 # token counts on either side of the byte boundaries of a mask
@@ -148,9 +150,9 @@ def _pooled_reach(game: EmbeddingGame, extensions: Extensions) -> np.ndarray:
     Bernoulli word, or a row's prefix) plus the norms of the row's f
     tokens."""
     x = game.projected
-    shared = extensions.contexts if extensions.orders is None else extensions.row_contexts()
+    shared = extensions.contexts if extensions.orders is None else row_contexts(extensions)
     shared = np.linalg.norm(_membership(shared, game.n) @ x, axis=-1)
-    in_row = _membership(extensions.added[-1], game.n)  # each row's tokens
+    in_row = _membership(extensions.mask, game.n)  # each row's tokens
     return shared + (in_row @ np.linalg.norm(x, axis=-1))[..., None]
 
 
@@ -208,7 +210,7 @@ def test_extension_values_match_the_plain_masks(case):
     if game.nonlinearity == "identity":
         assert np.all(np.abs(context**2 - ref_context**2) <= bound)
     # the empty context is worth exactly 0, however it is formed
-    contexts = extensions.row_contexts()
+    contexts = row_contexts(extensions)
     assert np.all(context[contexts == 0] == 0.0)
     # a word that holds none of a row's tokens is the row's context: the same bits
     if extensions.orders is None:
@@ -235,10 +237,11 @@ def _own_table_cases(draw):
     game, extensions, _ = draw(_pool_cases(max_tokens=10))
     if extensions.orders is not None:
         return game, extensions
-    own = extensions.added[1:].reshape(-1)
+    own = subsets(extensions)[1:].reshape(-1)
     return game, Extensions(np.concatenate([extensions.contexts, own]), extensions.tokens)
 
 
+@pytest.mark.seeded
 @settings(max_examples=60, deadline=None)
 @given(_own_table_cases())
 def test_extensions_read_as_the_games_own_table(case):
@@ -253,7 +256,7 @@ def test_extensions_read_as_the_games_own_table(case):
     assert np.all(np.abs(context - ref_context) <= root)
     assert np.all(np.abs(difference - ref_difference) <= _difference_bound(extensions, root, _pooled_reach(game, extensions)))
     # an emptied coalition, and an empty context, read exactly 0 on both sides
-    assert np.all(context[extensions.row_contexts() == 0] == 0.0)
+    assert np.all(context[row_contexts(extensions) == 0] == 0.0)
 
 
 @pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
@@ -272,12 +275,12 @@ def test_empty_context_with_empty_added_set_is_exactly_zero(n, nonlinearity):
     top = 1 << (n - 1)
     words = np.array([1, top, 1 | top], dtype=np.uint64)
     extensions = Extensions(words, np.array([sorted({0, n - 1})]))
-    np.testing.assert_array_equal(extensions.row_contexts(), [[0, 0, 0]])
+    np.testing.assert_array_equal(row_contexts(extensions), [[0, 0, 0]])
     assert game.values_by_mask(extensions)[0].tolist() == [[0.0] * 3]
     # and so do the words of one token, each toggled by a row of its token
     singles = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
     extensions = Extensions(singles, np.arange(n)[:, None])
-    empty = extensions.row_contexts() == 0
+    empty = row_contexts(extensions) == 0
     assert empty.sum() == n
     assert game.values_by_mask(extensions)[0][empty].tolist() == [0.0] * n
 
@@ -290,7 +293,7 @@ def test_an_added_set_clears_its_tokens_from_the_contexts(n):
     # each word with the token toggled: the contexts, cleared, come first on
     # the word without the token and second on the word with it
     assert np.asarray(extensions).tolist() == [[[0, top]], [[top, 0]]]
-    np.testing.assert_array_equal(extensions.row_contexts(), [[0, 0]])
+    np.testing.assert_array_equal(row_contexts(extensions), [[0, 0]])
     game = _game(n, n, 3, 4, "identity")
     context, difference = game.values_by_mask(extensions)
     assert context.tolist() == [[0.0, 0.0]]
@@ -360,6 +363,7 @@ def test_a_table_game_refuses_tokens_past_its_own(n):
             game.values_by_mask(Extensions(None, np.array(row), orders))
 
 
+@pytest.mark.seeded
 @_SETTINGS
 @given(st.integers(1, 12), st.integers(1, 2), st.integers(0, 2**32 - 1))
 def test_table_extension_values_are_table_lookups(n, f, seed):
@@ -367,7 +371,8 @@ def test_table_extension_values_are_table_lookups(n, f, seed):
     game = random_table_game(rng, n)
     extensions = _pooled_extensions(rng, n, 3, f, 5)
     assert extensions.shape == (2 ** min(f, n), 3, 5)
-    masks = extensions.added[..., None] ^ extensions.contexts
+    masks = subsets(extensions)[..., None] ^ extensions.contexts
+    np.testing.assert_array_equal(np.asarray(extensions), masks)
     # the inverse of the toggle order applied to the lookups of the masks
     want = context_and_difference(extensions, game.table[masks.astype(np.int64)])
     for got, expected in zip(game.values_by_mask(extensions), want):
@@ -375,6 +380,7 @@ def test_table_extension_values_are_table_lookups(n, f, seed):
         np.testing.assert_array_equal(got, expected)
 
 
+@pytest.mark.seeded
 @_SETTINGS
 @given(st.integers(1, 12), st.integers(1, 2), st.booleans(), st.integers(0, 2**32 - 1))
 def test_table_values_invert_the_toggle_order(n, f, ordered, seed):
@@ -388,13 +394,13 @@ def test_table_values_invert_the_toggle_order(n, f, ordered, seed):
     # which is what the table game's own evaluation returns
     for got, want in zip(game.values_by_mask(extensions), (context, difference)):
         np.testing.assert_array_equal(got, want)
-    contexts = extensions.row_contexts()
+    contexts = row_contexts(extensions)
     assert context.shape == difference.shape == contexts.shape
     np.testing.assert_array_equal(context, table[contexts.astype(np.int64)])
     # the inclusion-exclusion sum over the context extended by each subset of the row's tokens
     width = extensions.tokens.shape[-1]
     expected = np.zeros(contexts.shape)
-    for j, subset in enumerate(extensions.added):
+    for j, subset in enumerate(subsets(extensions)):
         expected += (-1.0) ** (width - j.bit_count()) * table[(contexts | subset[..., None]).astype(np.int64)]
     np.testing.assert_array_equal(difference, expected)
 
@@ -476,7 +482,7 @@ def test_bernoulli_sampler_sets_only_allowed_bits(case):
     n, excluded, count, seed = case
     tokens = np.array(sorted(excluded), dtype=np.intp)[None]
     extensions = Extensions(_draw_pool(seed, 2, n, count), tokens)
-    masks, probs = extensions.row_contexts()[0], _proposal_probs(extensions, n)
+    masks, probs = row_contexts(extensions)[0], _proposal_probs(extensions, n)
     assert masks.dtype == np.uint64 and masks.shape == (count,)
     for mask in masks.tolist():
         assert mask < (1 << n)
@@ -500,6 +506,7 @@ def _estimation_cases(draw):
     return game, k, draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from((0.05, 0.25, 4.0)))
 
 
+@pytest.mark.seeded
 @settings(max_examples=10, deadline=None)
 @given(_estimation_cases())
 def test_estimate_all_equals_the_per_slot_estimates(case):
