@@ -61,10 +61,10 @@ def expected_coupling_operations(n: int, iterations: int) -> int:
     return (iterations + 1) * n * n
 
 
-def synthetic_embedding_game(n: int, seed: int, d: int = _SYNTHETIC_DIM) -> EmbeddingGame:
+def synthetic_embedding_game(n: int, seed: int) -> EmbeddingGame:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(10, n)))
-    embeddings = rng.normal(size=(n, d)) / np.sqrt(d)
-    projection = rng.normal(size=(d, d)) / np.sqrt(d)
+    embeddings = rng.normal(size=(n, _SYNTHETIC_DIM)) / np.sqrt(_SYNTHETIC_DIM)
+    projection = rng.normal(size=(_SYNTHETIC_DIM, _SYNTHETIC_DIM)) / np.sqrt(_SYNTHETIC_DIM)
     return EmbeddingGame(embeddings, projection)
 
 

@@ -134,9 +134,10 @@ class Extensions:
       ``ranks[..., k]`` is that token's place in ``orders[k]``, which is
       also the size of the context.
 
-    ``held[t, k]`` (None with orders) tells whether word k holds token t,
-    for all 64 mask bits, so it depends on the words alone and not on the
-    rows beside them.
+    An ``Extensions`` holds the draw and its rows, and no table of them: a
+    game unpacks a pool of words once, to its own n tokens, into the bits
+    it reads (``_word_tables``), so what a row reads of a word depends on
+    the words and the game alone, never on the rows beside it.
 
     This toggle order is defined here alone.  A game's ``values_by_mask``
     of an ``Extensions`` returns, for every row and entry, the context's
@@ -164,7 +165,6 @@ class Extensions:
     orders: np.ndarray | None = None
     mask: np.ndarray = field(init=False)
     ranks: np.ndarray | None = field(init=False, default=None)
-    held: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         tokens, mask = _checked_rows(self.tokens)
@@ -179,8 +179,6 @@ class Extensions:
                 raise ValueError("extensions: contexts must be one axis of K masks")
             contexts.flags.writeable = False
             object.__setattr__(self, "contexts", contexts.view())
-            members = token_members(contexts, MAX_TOKENS)
-            object.__setattr__(self, "held", np.ascontiguousarray(members.T).view(bool))
             return
         orders = np.array(self.orders)
         if orders.ndim != 2 or orders.dtype.kind not in "iu" or orders.shape[1] > MAX_TOKENS:
@@ -218,16 +216,15 @@ class Extensions:
 
     def with_tokens(self, tokens) -> Extensions:
         """The ``Extensions`` of other rows, *tokens*, checked as the
-        constructor checks them, on the same copy of a pool of words, which
-        it shares with its ``held``, so a game that evaluates both forms its
-        sums of the pool once."""
+        constructor checks them, on the same copy of a pool of words, so a
+        game that evaluates both forms its tables of the pool once."""
         if self.contexts is None:
             raise ValueError("extensions: with_tokens needs a pool of words, not orders")
         return self._on_pool(*_checked_rows(tokens), None)
 
     def _on_pool(self, tokens: np.ndarray, mask: np.ndarray, ranks: np.ndarray | None) -> Extensions:
-        """Checked rows on this pool: its ``contexts``, ``orders`` and
-        ``held`` as they are, with *tokens*, their *mask* and *ranks*."""
+        """Checked rows on this pool: its ``contexts`` and ``orders`` as they
+        are, with *tokens*, their *mask* and *ranks*."""
         other = object.__new__(Extensions)
         vars(other).update(vars(self), tokens=tokens, mask=mask, ranks=ranks)
         return other
@@ -321,20 +318,24 @@ def _extension_values(game, extensions: Extensions, name: str) -> tuple[np.ndarr
     difference *= sign
     # the context is the word with its held tokens toggled: a's context on
     # a word without b, else v_b, or v_ab on a word that holds a too
-    held_a, held_b = (extensions.held.take(t, axis=0) for t in (a, b))
+    held_a, held_b = (tables.held.take(t, axis=0) for t in (a, b))
     return np.where(held_b, np.where(held_a, with_both, with_b), context_a), difference
 
 
 def _word_tables(game, extensions: Extensions) -> _WordTables:
-    """What every row of a pool of words shares (``_WordTables``), from the
-    values *game* gives the words and their one-token toggles.  A word's
-    signs are the first n rows of ``extensions.held``."""
-    held = extensions.held[: game.n]
+    """What every row of a pool of words shares (``_WordTables``), from one
+    unpack of the words to the game's n tokens: it gives the held bits and
+    the signs, and *game* forms the values of the words and of their
+    one-token toggles from the words and that unpack.  No bit at or above n
+    is unpacked, so the tables depend on the words and the game alone, not
+    on the rows the pool serves."""
+    members = token_members(extensions.contexts, game.n)
+    held = np.ascontiguousarray(members.T).view(bool)
     signs = 1.0 - 2.0 * held
-    values, toggled, pair = game._word_values(extensions, signs)
+    values, toggled, pair = game._word_values(extensions, members, signs)
     differences = toggled - values
     differences *= signs
-    return _WordTables(values, toggled, signs, np.where(held, toggled, values), differences, pair)
+    return _WordTables(values, toggled, signs, held, np.where(held, toggled, values), differences, pair)
 
 
 class TabularGame:
@@ -378,10 +379,10 @@ class TabularGame:
             raise ValueError(f"tabular game: token {top.bit_length() - 1} of a coalition for a game of {self.n}")
         return self._values[coalitions]
 
-    def _word_values(self, extensions: Extensions, signs: np.ndarray) -> tuple:
+    def _word_values(self, extensions: Extensions, members: np.ndarray, signs: np.ndarray) -> tuple:
         """``v_0 = table[w]`` of every word, checked to hold no token past
         n, ``v_t = table[w ^ bit_t]``, and the words for ``_pair_values``; a
-        lookup needs no *signs*."""
+        lookup needs neither the words' *members* nor their *signs*."""
         words = extensions.contexts
         values = self._lookup(words)
         return values, self._values[words ^ _token_bits(np.arange(self.n))[:, None]], words
@@ -506,16 +507,17 @@ class EmbeddingGame:
             np.tanh(norms, out=norms)
         return norms
 
-    def _word_values(self, extensions: Extensions, signs: np.ndarray) -> tuple:
+    def _word_values(self, extensions: Extensions, members: np.ndarray, signs: np.ndarray) -> tuple:
         """``v_0`` of every word, ``v_t`` of every word with each token t
         toggled, and what ``_pair_values`` reads: the squared norms ``q0 +
         h_t``, the ``h_t``, and the indices of the words of two tokens, with
         those words.  Every word is read as its n bits alone, as a plain mask
-        is: it is summed by the route plain masks take, so its value is its
-        plain mask's, and a toggle empties it when its n bits are the toggled
-        tokens."""
+        is: it is summed from *members*, the ``(K, n)`` unpack of those bits
+        that ``_word_tables`` forms once per pool, by the route plain masks
+        take, so its value is its plain mask's, and a toggle empties it when
+        its n bits are the toggled tokens."""
         words = extensions.contexts & np.uint64((1 << self.n) - 1)
-        s, squares = self._sums(token_members(words, self.n))
+        s, squares = self._sums(members)
         h = self.projected @ s.T  # x_t.S_k
         h *= 2.0
         h *= signs
@@ -564,13 +566,16 @@ class EmbeddingGame:
 class _WordTables(NamedTuple):
     """What every row of a pool of K words shares: the words' values ``v_0``,
     shape ``(K,)``; of shape ``(n, K)``, the values ``v_t`` of each word with
-    each token t toggled, the signs ``s_t``, and each one-token row's context
-    values and differences ``(v_t - v_0) s_t``; and what the game's
-    ``_pair_values`` reads."""
+    each token t toggled, the signs ``s_t``, the bits ``b_t`` (``held[t,
+    k]`` tells whether word k holds token t), and each one-token row's
+    context values and differences ``(v_t - v_0) s_t``; and what the game's
+    ``_pair_values`` reads.  Every bit a game reads of the words is here,
+    unpacked once per pool to the game's n tokens."""
 
     values: np.ndarray
     toggled: np.ndarray
     signs: np.ndarray
+    held: np.ndarray
     contexts: np.ndarray
     differences: np.ndarray
     pair: object

@@ -77,7 +77,9 @@ def context_and_difference(extensions: Extensions, values: np.ndarray) -> tuple[
         return values[0].copy(), difference
     context, odd = values, False
     for i in range(extensions.tokens.shape[-1]):
-        held = extensions.held.take(extensions.tokens[..., i], axis=0)
+        # bit t of every word, for each row's token t
+        token = extensions.tokens[..., i, None].astype(np.uint64)
+        held = ((extensions.contexts >> token) & np.uint64(1)).astype(bool)
         # keep the subsets that agree with each entry on token i
         context = np.where(held, context[1::2], context[::2])
         odd = odd ^ held

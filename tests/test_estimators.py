@@ -399,9 +399,9 @@ class TestSharedWordPool:
     def test_one_word_sum_serves_the_banzhaf_and_pair_blocks(self, monkeypatch):
         summed = []
 
-        def word_values(game, extensions, signs, _form=EmbeddingGame._word_values):
+        def word_values(game, extensions, members, signs, _form=EmbeddingGame._word_values):
             summed.append(extensions.contexts)
-            return _form(game, extensions, signs)
+            return _form(game, extensions, members, signs)
 
         monkeypatch.setattr(EmbeddingGame, "_word_values", word_values)
         rng = np.random.default_rng(5)

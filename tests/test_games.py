@@ -11,6 +11,7 @@ from coalattn.games import (
     EmbeddingGame,
     Extensions,
     TabularGame,
+    _word_tables,
     tabulate,
 )
 
@@ -246,7 +247,7 @@ def test_extensions_keep_a_read_only_copy_of_their_pool():
     # other rows on the same copy read as they do on a copy of their own
     tokens = np.array([[3], [0], [5]])
     other = pooled.with_tokens(tokens)
-    assert other.contexts is pooled.contexts and other.held is pooled.held
+    assert other.contexts is pooled.contexts
     np.testing.assert_array_equal(np.asarray(other), np.asarray(Extensions(pooled.contexts, tokens)))
     own = EmbeddingGame(*params).values_by_mask(Extensions(pooled.contexts, tokens))
     assert _value_bytes(game.values_by_mask(other)) == _value_bytes(own)
@@ -276,11 +277,15 @@ def test_masks_and_pools_must_be_integers(worked_game, masks):
 
 
 def test_held_covers_every_token_a_word_or_a_row_holds():
-    # one row per mask bit, whichever rows the words serve: row t is bit t of each word
+    # one row per token of the game, whichever rows the words serve: row t is bit t of each word
     words = np.array([0b1, 0b100100, 0], dtype=np.uint64)
-    bits = (words >> np.arange(64, dtype=np.uint64)[:, None]) & np.uint64(1)
-    for tokens in ([[0]], [[0], [7]], [[1, 2]], np.zeros((0, 2), np.intp)):
-        np.testing.assert_array_equal(Extensions(words, np.array(tokens)).held, bits == 1)
+    bits = (words >> np.arange(8, dtype=np.uint64)[:, None]) & np.uint64(1)
+    rng = np.random.default_rng(3)
+    games = (random_table_game(rng, 8), EmbeddingGame(rng.normal(size=(8, 3)), rng.normal(size=(3, 2))))
+    for game in games:
+        for tokens in ([[0]], [[0], [7]], [[1, 2]], np.zeros((0, 2), np.intp)):
+            held = _word_tables(game, Extensions(words, np.array(tokens))).held
+            np.testing.assert_array_equal(held, bits == 1)
 
 
 def test_embedding_tables_cover_the_held_tokens_below_n():

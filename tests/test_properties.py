@@ -29,6 +29,7 @@ from coalattn.games import (
     EmbeddingGame,
     Extensions,
     TabularGame,
+    _word_tables,
     tabulate,
 )
 from coalattn.inputs import RunConfig, parse_document
@@ -403,6 +404,46 @@ def test_table_values_invert_the_toggle_order(n, f, ordered, seed):
     for j, subset in enumerate(subsets(extensions)):
         expected += (-1.0) ** (width - j.bit_count()) * table[(contexts | subset[..., None]).astype(np.int64)]
     np.testing.assert_array_equal(difference, expected)
+
+
+def _table_bytes(tables) -> list:
+    """The shape, dtype and bytes of every array of a game's word tables."""
+    arrays = []
+    for part in tables:
+        for array in part if isinstance(part, tuple) else (part,):
+            arrays.append((array.shape, array.dtype.str, array.tobytes()))
+    return arrays
+
+
+@pytest.mark.seeded
+@_SETTINGS
+@given(st.integers(1, 64), st.booleans(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_word_tables_do_not_depend_on_the_rows(n, tabular, k, seed):
+    """A game's tables of one pool of words are the same bytes whatever
+    rows the ``Extensions`` carries: one-token rows, some of them, pair
+    rows, or none.  An embedding game never reads a word's bits at or above
+    n, so its words may hold them and still give the tables of the words
+    without them; a table game refuses such words."""
+    rng = np.random.default_rng(seed)
+    if tabular:
+        n = min(n, 12)
+        game = random_table_game(rng, n)
+    else:
+        game = _game(seed, n, 3, 2, "tanh")
+    low = np.uint64((1 << n) - 1)
+    words = rng.integers(0, 2**64, size=k, dtype=np.uint64)
+    pool = words & low if tabular else words
+    singles = Extensions(pool, np.arange(n)[:, None])
+    pairs = np.argsort(rng.random((3, n)), axis=1)[:, : min(2, n)]
+    want = _table_bytes(_word_tables(game, Extensions(words & low, np.arange(n)[:, None])))
+    for extensions in (
+        singles,
+        singles.rows(np.flatnonzero(rng.random(n) < 0.5)),
+        singles.with_tokens(pairs),
+        Extensions(pool, pairs),
+        Extensions(pool, np.zeros((0, 2), np.intp)),
+    ):
+        assert _table_bytes(_word_tables(game, extensions)) == want
 
 
 def test_counting_game_counts_every_extension():
