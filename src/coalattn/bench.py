@@ -46,6 +46,8 @@ ESTIMATE_SAMPLE_COUNTS = (64, 256, 1024, 4096)
 SOLVER_TOKEN_COUNTS = (8, 16, 32, 64)
 
 _SYNTHETIC_DIM = 16
+# the columns of a row, in the order of the CSV header
+_COLUMNS = ("kind", "n", "parameter", "measured_count", "expected_count", "count_ok", "seconds")
 # tolerance small enough that the solver never stops early, so the sweep
 # runs exactly T updates for every n
 _NEVER_CONVERGE = 1e-300
@@ -77,6 +79,11 @@ def synthetic_spin_system(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return fields, couplings
 
 
+def _row(kind: str, n: int, parameter: int, measured: int, expected: int, seconds: float) -> dict:
+    """One measurement; its count is verified when it equals the formula's."""
+    return dict(zip(_COLUMNS, (kind, n, parameter, measured, expected, measured == expected, seconds)))
+
+
 def run_bench(cfg: RunConfig) -> list[dict]:
     """Run both sweeps; returns one row dict per measurement."""
     rows: list[dict] = []
@@ -90,17 +97,7 @@ def run_bench(cfg: RunConfig) -> list[dict]:
             estimate_all(counting, est_cfg)
             elapsed = time.perf_counter() - start
             expected = expected_characteristic_evaluations(n, sample_count)
-            rows.append(
-                {
-                    "kind": "estimate",
-                    "n": n,
-                    "parameter": sample_count,
-                    "measured_count": counting.evaluations,
-                    "expected_count": expected,
-                    "count_ok": counting.evaluations == expected,
-                    "seconds": elapsed,
-                }
-            )
+            rows.append(_row("estimate", n, sample_count, counting.evaluations, expected, elapsed))
 
     iterations = cfg.max_iterations
     for n in SOLVER_TOKEN_COUNTS:
@@ -109,27 +106,16 @@ def run_bench(cfg: RunConfig) -> list[dict]:
         start = time.perf_counter()
         result = solve_fixed_point(fields, couplings, mf_cfg)
         elapsed = time.perf_counter() - start
-        expected = expected_coupling_operations(n, iterations)
-        measured = (result.iterations_used + 1) * n * n
-        rows.append(
-            {
-                "kind": "solver",
-                "n": n,
-                "parameter": iterations,
-                "measured_count": measured,
-                "expected_count": expected,
-                "count_ok": measured == expected and result.iterations_used == iterations,
-                "seconds": elapsed,
-            }
-        )
+        # (used + 1) n**2 equals (T + 1) n**2 exactly when the solve ran all T updates
+        measured = expected_coupling_operations(n, result.iterations_used)
+        rows.append(_row("solver", n, iterations, measured, expected_coupling_operations(n, iterations), elapsed))
 
     return rows
 
 
 def write_bench_csv(rows: list[dict], path) -> None:
-    columns = ["kind", "n", "parameter", "measured_count", "expected_count", "count_ok", "seconds"]
     with open(Path(path), "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
+        writer = csv.DictWriter(handle, fieldnames=_COLUMNS)
         writer.writeheader()
         for row in rows:
             out = dict(row)

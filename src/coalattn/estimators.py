@@ -26,7 +26,7 @@ Shapley
     K permutations of the n tokens; token i's context in permutation k is
     the set of tokens before it.  Its size is uniform on ``{0, ..., n-1}``
     and, given the size, the set is uniform, so its proposal probability is
-    ``|P|!(n-1-|P|)!/(n-1)!`` up to the factor ``1/n`` common to all draws.
+    ``1/C(n-1, |P|)`` up to the factor ``1/n`` common to all draws.
 
 Banzhaf and interactions
     one pool of K 64-bit words masked to the n token bits, shared by both
@@ -162,14 +162,12 @@ def _draw_pool(seed: int, kind: int, n: int, count: int) -> np.ndarray:
 def _proposal_probs(slots: Extensions, n: int) -> np.ndarray:
     """The proposal probabilities of the contexts of *slots*, the rows of an
     ``Extensions`` of a pool, one row per slot: shape ``(slots, K)`` for a
-    permutation pool, ``s!(n-1-s)!/(n-1)!`` for a context of size s, and
+    permutation pool, ``1/C(n-1, s)`` for a context of size s, and
     for a Bernoulli pool ``(slots, 1)``, the one probability ``2**-(n - f)``
     of every context of f-token slots."""
     if slots.orders is None:
         return np.full((len(slots.tokens), 1), 0.5 ** (n - slots.tokens.shape[-1]))
-    per_size = np.array(
-        [math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n - 1) for s in range(n)]
-    )
+    per_size = np.array([1 / math.comb(n - 1, s) for s in range(n)])
     return per_size[slots.ranks]
 
 

@@ -123,10 +123,8 @@ def _pair_row(deltas: np.ndarray, j: int) -> np.ndarray:
 
 def _shapley_weights(n: int) -> np.ndarray:
     """Permutation-average weight of each context excluding one token, in
-    increasing mask order: ``s!(n-1-s)!/n!`` for a context of size s."""
-    per_size = np.array(
-        [math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n) for s in range(n)]
-    )
+    increasing mask order: ``1/(n C(n-1, s))`` for a context of size s."""
+    per_size = np.array([1 / (n * math.comb(n - 1, s)) for s in range(n)])
     # those contexts have the sizes of the (n-1)-bit masks in increasing order
     return per_size[np.bitwise_count(np.arange(1 << (n - 1), dtype=np.int64))]
 
@@ -186,11 +184,11 @@ def exact_gibbs_tilted_values(game, gamma: float) -> GameValues:
     self-normalized estimator converges to the tilted average.  ``shapley``,
     the limit of the permutation-prefix estimator, is the same array as
     ``banzhaf``: its sampler draws a prefix set P with probability
-    ``q(P) = (1/n) * |P|!(n-1-|P|)!/(n-1)!`` while the importance weight
-    divides by ``p(P) = |P|!(n-1-|P|)!/(n-1)!``, and the constant 1/n
-    between them cancels under self-normalization, so the prefix limit is
-    the tilted Banzhaf value.  In ``gibbs`` mode ``estimate_all(...).shapley``
-    and ``.banzhaf`` therefore estimate one quantity, and the pipeline's
+    ``q(P) = 1/(n C(n-1, |P|))`` while the importance weight divides by
+    ``p(P) = 1/C(n-1, |P|)``, and the constant 1/n between them cancels
+    under self-normalization, so the prefix limit is the tilted Banzhaf
+    value.  In ``gibbs`` mode ``estimate_all(...).shapley`` and
+    ``.banzhaf`` therefore estimate one quantity, and the pipeline's
     lambda-blend averages two estimators of one value.
 
     Raises ``ValueError`` naming ``coalition_gamma`` unless *gamma* is a

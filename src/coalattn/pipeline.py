@@ -182,10 +182,9 @@ def single_head_attend(embeddings, params: HeadParams) -> AttentionOutput:
     same projected vectors that the final aggregation uses; :func:`head_field`
     turns them into the field the spin system is solved with.
     """
-    x = as_matrix(embeddings, "embeddings")
-    game = EmbeddingGame(x, params.value_projection, params.nonlinearity)
+    game = EmbeddingGame(embeddings, params.value_projection, params.nonlinearity)
     values = estimate_all(game, params.estimator)
-    lambdas, fields = head_field(x, params, values)
+    lambdas, fields = head_field(embeddings, params, values)
     mf = solve_fixed_point(fields, values.interactions, params.meanfield)
     z = mf.alphas @ game.projected
     head = HeadResult(output=z, lambdas=lambdas, field_vector=fields, values=values, meanfield=mf)

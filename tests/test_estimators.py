@@ -202,6 +202,18 @@ class TestProposalLaw:
         for size in range(n):
             np.testing.assert_array_equal(probs[sizes == size], 1.0 / math.comb(n - 1, size))
 
+    def test_permutation_probabilities_are_the_factorial_ratios(self):
+        for n in range(1, 65):
+            # the n cyclic shifts place every token at every rank
+            orders = (np.arange(n)[None, :] + np.arange(n)[:, None]) % n
+            probs = _proposal_probs(Extensions(None, np.arange(n)[:, None], orders), n)
+            places = np.argsort(orders, axis=1).T  # places[t, k]: token t's rank in order k
+            expected = [
+                [math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n - 1) for s in row]
+                for row in places.tolist()
+            ]
+            assert probs.tolist() == expected
+
     @pytest.mark.parametrize("kind, slot", [(2, (0,)), (2, (3,)), (2, (0, 1)), (2, (1, 3)), (2, (2, 3))])
     def test_bernoulli_contexts(self, kind, slot):
         n = 4

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import coalattn
-from coalattn import cli, oracles, reports
+from coalattn import bench, cli, oracles, reports
 from coalattn.estimators import EstimatorConfig
 from coalattn.games import EmbeddingGame, TabularGame
 from coalattn.inputs import (
@@ -479,6 +481,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == cli.EXIT_INPUT
         assert err.startswith(f"input error: {flag}: ")
+
+    def test_bench_rows_have_the_csv_columns_in_order(self, tmp_path):
+        rows = bench.run_bench(RunConfig())
+        path = tmp_path / "bench.csv"
+        bench.write_bench_csv(rows, path)
+        header = path.read_text().splitlines()[0].split(",")
+        assert all(list(row) == header for row in rows)
+
+    def test_a_solve_short_of_its_budget_fails_its_count(self, tmp_path, capsys, monkeypatch):
+        solve = bench.solve_fixed_point
+
+        def one_short(fields, couplings, cfg):
+            return solve(fields, couplings, dataclasses.replace(cfg, max_iterations=cfg.max_iterations - 1))
+
+        monkeypatch.setattr(bench, "solve_fixed_point", one_short)
+        path = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--out", str(path)]) == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err == "4 rows violated the documented operation counts\n"
+        iterations = RunConfig().max_iterations
+        with open(path, newline="") as handle:
+            solver = [row for row in csv.DictReader(handle) if row["kind"] == "solver"]
+        assert [int(row["n"]) for row in solver] == list(bench.SOLVER_TOKEN_COUNTS)
+        for row in solver:
+            n = int(row["n"])
+            assert int(row["measured_count"]) == iterations * n * n
+            assert int(row["expected_count"]) == (iterations + 1) * n * n
+            assert row["count_ok"] == "False"
 
     def test_missing_input_exit_code(self, tmp_path, capsys):
         assert cli.main(["oracle", "--input", str(tmp_path / "nope.json")]) == cli.EXIT_INPUT

@@ -65,6 +65,12 @@ class TestExactShapley:
                 walked = exact_shapley_by_permutations(game, i)
                 assert closed == pytest.approx(walked, abs=1e-10)
 
+    def test_weights_are_the_factorial_ratios(self):
+        for n in range(1, 21):
+            per_size = [math.factorial(s) * math.factorial(n - 1 - s) / math.factorial(n) for s in range(n)]
+            sizes = np.bitwise_count(np.arange(1 << (n - 1)))
+            assert oracles._shapley_weights(n).tolist() == [per_size[s] for s in sizes.tolist()]
+
     def test_limit_refused_with_message(self):
         rng = np.random.default_rng(1)
         game = EmbeddingGame(rng.normal(size=(21, 2)), np.eye(2))
