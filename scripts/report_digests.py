@@ -3,8 +3,10 @@
 Runs ``oracle``, ``estimate`` and ``attend`` through ``coalattn.cli.main``
 on every document of every ``perfbench/workloads.py`` workload for seeds
 1-3, each with its workload's settings as the ``--config`` file, then on
-each explicit spin-system document of ``SPIN_SYSTEMS`` under the default
-settings, and then ``demo --out``.  Prints one line per run::
+each explicit spin-system document of ``SPIN_SYSTEMS`` and each document of
+``OVERFLOWS`` (one per float64 overflow guard, so each refusal states its
+bound) under the default settings, and then ``demo --out``.  That is 157
+runs.  Prints one line per run::
 
     seed workload index command exit sha256
 
@@ -12,11 +14,11 @@ where sha256 is the digest of the report of a run that exits 0, and of
 the message it writes to stderr (one line naming the field or limit, with
 no path in it) for a run that exits otherwise, so a refusal whose wording
 changes, or that turns into another refusal with the same exit code, shows
-as well.  ``-`` stands for the seed of a spin-system run (whose workload is
-``spins`` and whose index is the document's name) and for the seed,
-workload and index of ``demo``.  The same source tree always prints the
-same lines, so two trees' outputs show which reports and refusals changed
-bytes.
+as well.  ``-`` stands for the seed of a spin-system or overflow run (whose
+workload is ``spins`` or ``overflow`` and whose index is the document's
+name) and for the seed, workload and index of ``demo``.  The same source
+tree always prints the same lines, so two trees' outputs show which reports
+and refusals changed bytes.
 
     python scripts/report_digests.py [--src DIR] [--keep DIR] > digests.txt
     python scripts/report_digests.py --compare BASE HEAD
@@ -69,6 +71,22 @@ SPIN_SYSTEMS = {
     "table-couplings": {"characteristic_table": _TABLE, "couplings": _COUPLINGS},
 }
 
+# One document, with its own n, past each float64 bound the engine checks
+# before it computes: the gate logits, the table's differences, the
+# multi-head outputs, the local fields, the coalition norms and the spin
+# energies (which only the oracle refuses; attend solves them).
+_HEAD = {"value_projection": [[2.0]], "gate_weights": [1.0], "gate_bias": 0.0}
+OVERFLOWS = {
+    "gate-logits": {"n": 2, "embeddings": [[1], [2]], "value_projection": [[1]], "gate_weights": [1e308], "gate_bias": 0},
+    "table-differences": {"n": 2, "characteristic_table": [0, 1e308, 1e308, -1e308]},
+    "output-projection": {"n": 1, "embeddings": [[1.0]], "multi_head": {"heads": [_HEAD], "output_projection": [[1e308]]}},
+    "local-fields": {"n": 3, "couplings": [[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]]},
+    "coalition-norms": {
+        "n": 2, "embeddings": [[1e200], [1e200]], "value_projection": [[1e200]], "gate_weights": [1.0], "gate_bias": 0,
+    },
+    "spin-energies": {"n": 3, "fields": [1e308] * 3},
+}
+
 
 def _outcome(main, argv: list[str], out: Path) -> tuple[int, str]:
     """Run *argv*, which writes its report to *out*, through *main*: its exit
@@ -114,10 +132,12 @@ def digest_lines(src: Path, keep: Path | None = None):
                     for command in COMMANDS:
                         argv = [command, "--input", str(doc_path), "--config", str(cfg_path)]
                         yield line((str(seed), name, str(index), command), argv)
-        for name, system in SPIN_SYSTEMS.items():
-            doc_path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "n": 3, **system}))
+        named = [("spins", name, {"n": 3, **system}) for name, system in SPIN_SYSTEMS.items()]
+        named += [("overflow", name, doc) for name, doc in OVERFLOWS.items()]
+        for workload, name, doc in named:
+            doc_path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **doc}))
             for command in COMMANDS:
-                yield line(("-", "spins", name, command), [command, "--input", str(doc_path)])
+                yield line(("-", workload, name, command), [command, "--input", str(doc_path)])
         yield line(("-", "-", "-", "demo"), ["demo"])
 
 

@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, require_finite
 
 __all__ = [
     "MAX_TOKENS",
@@ -615,12 +615,11 @@ def project_values(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         projected = embeddings @ value_projection
-        total = float(np.sum(np.sqrt(np.einsum("ij,ij->i", projected, projected))))
-    if not math.isfinite(4.0 * total * total):
-        raise ValueError(
-            f"{name}: coalition norms overflow float64 with these embeddings "
-            "(4 * (sum of the projected rows' norms)**2 is not finite)"
-        )
+    require_finite(
+        lambda: 4.0 * np.sum(np.sqrt(np.einsum("ij,ij->i", projected, projected))) ** 2,
+        f"{name}: coalition norms overflow float64 with these embeddings "
+        "(4 * (sum of the projected rows' norms)**2 is not finite)",
+    )
     return projected
 
 
@@ -638,13 +637,10 @@ def check_table(table: np.ndarray, name: str = "tabular game") -> None:
     if table[0] != 0.0:
         raise ValueError(f"{name}: empty coalition must have value 0, got {table[0]}")
     n = table.size.bit_length() - 1
-    with np.errstate(over="ignore"):
-        bound = 4.0 * n * float(np.sum(np.abs(table)))
-    if not math.isfinite(bound):
-        raise ValueError(
-            f"{name}: value differences overflow float64 "
-            "(4 * n * (sum of |values|) is not finite)"
-        )
+    require_finite(
+        lambda: 4.0 * n * np.sum(np.abs(table)),
+        f"{name}: value differences overflow float64 (4 * n * (sum of |values|) is not finite)",
+    )
 
 
 class CountingGame:

@@ -32,7 +32,7 @@ from .games import (
     check_table,
     project_values,
 )
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, require_finite
 from .meanfield import MeanFieldConfig, check_spin_system
 from .pipeline import NORMALIZATIONS, HeadParams, MultiHeadParams
 
@@ -98,12 +98,13 @@ def _fail(field: str, message: str) -> "InputError":
     return InputError(f"{field}: {message}")
 
 
-def _checked(check, *args):
-    # the shared validators name the field first, so their message is ours
+def _checked(check, *args, field: str | None = None):
+    # the shared validators name the field first, so their message is ours;
+    # a check that does not is named by *field*
     try:
         return check(*args)
     except ValueError as exc:
-        raise InputError(str(exc)) from None
+        raise InputError(str(exc) if field is None else f"{field}: {exc}") from None
 
 
 def _as_int(obj, field: str) -> int:
@@ -131,22 +132,18 @@ def _parse_head(
     extra = obj.keys() - _HEAD_KEYS
     if extra:
         raise _fail(field, f"unknown keys: {sorted(extra)}")
-    try:
-        head = HeadParams(**obj, nonlinearity=nonlinearity)
-    except ValueError as exc:
-        raise _fail(field, str(exc)) from None
+    head = _checked(lambda: HeadParams(**obj, nonlinearity=nonlinearity), field=field)
     if d is not None and head.value_projection.shape[0] != d:
         raise _fail(f"{field}.value_projection", f"expected {d} rows to match embeddings")
     if embeddings is not None:
         _checked(project_values, embeddings, head.value_projection, f"{field}.value_projection")
-        with np.errstate(over="ignore"):
-            bounds = np.abs(embeddings) @ np.abs(head.gate_weights) + abs(head.gate_bias)
-        if not np.isfinite(bounds).all():
-            raise _fail(
-                f"{field}.gate_weights",
-                "gate logits overflow float64 with these embeddings "
-                "(sum of |embedding| * |gate_weights| + |gate_bias| is not finite)",
-            )
+        _checked(
+            require_finite,
+            lambda: np.abs(embeddings) @ np.abs(head.gate_weights) + abs(head.gate_bias),
+            "gate logits overflow float64 with these embeddings "
+            "(sum of |embedding| * |gate_weights| + |gate_bias| is not finite)",
+            field=f"{field}.gate_weights",
+        )
     return head
 
 
@@ -205,13 +202,11 @@ def parse_document(obj) -> InputDocument:
         # every partial sum of a local field J_i + sum_j C_ij s_j, with every
         # |s_j| <= 1, is at most |J_i| + sum_j |C_ij| in absolute value, so
         # finite row bounds keep the solver's local fields finite
-        with np.errstate(over="ignore"):
-            bounds = np.abs(couplings).sum(axis=1) + np.abs(fields)
-        if not np.isfinite(bounds).all():
-            raise InputError(
-                "fields, couplings: local fields overflow float64 "
-                "(|fields_i| + sum_j |couplings_ij| is not finite)"
-            )
+        _checked(
+            require_finite,
+            lambda: np.abs(couplings).sum(axis=1) + np.abs(fields),
+            "fields, couplings: local fields overflow float64 (|fields_i| + sum_j |couplings_ij| is not finite)",
+        )
 
     if embeddings is None and table is None and fields is None:
         raise InputError(
@@ -247,23 +242,19 @@ def parse_document(obj) -> InputDocument:
             for idx, h in enumerate(raw_heads)
         )
         output_projection = _checked(as_matrix, block["output_projection"], "multi_head.output_projection")
-        try:
-            MultiHeadParams(heads, output_projection)
-        except ValueError as exc:
-            raise _fail("multi_head.output_projection", str(exc)) from None
+        _checked(MultiHeadParams, heads, output_projection, field="multi_head.output_projection")
         if embeddings is not None:
             # a head's output sum_i alpha_i v_i, with every alpha_i in [0, 1],
             # is at most sum_i |v_ik| in component k, so finite bounds keep
             # every partial sum of the output projection finite
-            with np.errstate(over="ignore"):
-                reach = np.concatenate([np.abs(embeddings @ h.value_projection).sum(axis=0) for h in heads])
-                bounds = reach @ np.abs(output_projection)
-            if not np.isfinite(bounds).all():
-                raise _fail(
-                    "multi_head.output_projection",
-                    "outputs overflow float64 with these embeddings "
-                    "(sum_i |v_i| over every head's values v, times |output_projection|, is not finite)",
-                )
+            _checked(
+                require_finite,
+                lambda: np.concatenate([np.abs(embeddings @ h.value_projection).sum(axis=0) for h in heads])
+                @ np.abs(output_projection),
+                "outputs overflow float64 with these embeddings "
+                "(sum_i |v_i| over every head's values v, times |output_projection|, is not finite)",
+                field="multi_head.output_projection",
+            )
     elif single_keys:
         heads = (_parse_head({k: obj[k] for k in single_keys}, "head", d, embeddings, nonlinearity),)
     elif embeddings is not None:

@@ -1,7 +1,8 @@
 """Shared validators and scalar primitives: the number and array checks
-(``as_scalar``, ``as_integer``, ``as_vector``, ``as_matrix``), the division
-by a temperature that refuses an overflow (``over_temperature``), and a
-stable ``logistic``.
+(``as_scalar``, ``as_integer``, ``as_vector``, ``as_matrix``), the one
+overflow check for an a-priori float64 bound (``require_finite``), the
+division by a temperature that refuses an overflow (``over_temperature``),
+and a stable ``logistic``.
 
 Everything runs in float64: the Monte Carlo weights go through exponentials
 and the bundled reference values are quoted to three decimals, so double
@@ -15,7 +16,7 @@ import numbers
 
 import numpy as np
 
-__all__ = ["TemperatureError", "as_scalar", "as_integer", "as_vector", "as_matrix", "over_temperature", "logistic"]
+__all__ = ["TemperatureError", "as_scalar", "as_integer", "as_vector", "as_matrix", "require_finite", "over_temperature", "logistic"]
 
 
 def as_scalar(data, name: str = "scalar") -> float:
@@ -93,6 +94,18 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Validate *data* as a finite, non-empty 2-d float64 array."""
     return _as_array(data, name, 2)
+
+
+def require_finite(bound, message: str) -> None:
+    """Raise ``ValueError(message)`` unless every entry of ``bound()`` is
+    finite.  *bound* computes an a-priori bound on what a later computation
+    forms, so a finite bound keeps that computation finite; it runs with
+    numpy's overflow and invalid-value warnings off, since an infinite or
+    NaN bound is the refusal itself, not a fault."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(bound()).all()
+    if not finite:
+        raise ValueError(message)
 
 
 class TemperatureError(ValueError):

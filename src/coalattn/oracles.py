@@ -43,7 +43,7 @@ import numpy as np
 
 from .estimators import EstimatorConfig
 from .games import TABULAR_MAX_TOKENS, GameValues, TabularGame, tabulate, token_members
-from .linalg import over_temperature
+from .linalg import over_temperature, require_finite
 from .meanfield import MeanFieldConfig, check_spin_system
 
 __all__ = [
@@ -253,13 +253,10 @@ def exact_spin_marginals(fields, couplings, gamma: float) -> ExactSpinMarginals:
     MeanFieldConfig(gamma=gamma)  # the run setting's one check
     n = fields.size
     require_limit(n, spins=True)
-    with np.errstate(over="ignore"):
-        bound = float(np.sum(np.abs(fields)) + np.sum(np.abs(couplings)))
-    if not math.isfinite(bound):
-        raise ValueError(
-            "fields, couplings: spin energies overflow float64 "
-            "(sum of |fields| + sum of |couplings| is not finite)"
-        )
+    require_finite(
+        lambda: np.sum(np.abs(fields)) + np.sum(np.abs(couplings)),
+        "fields, couplings: spin energies overflow float64 (sum of |fields| + sum of |couplings| is not finite)",
+    )
 
     spins = 2.0 * token_members(np.arange(1 << n, dtype=np.uint64), n) - 1.0
     energies = -(spins @ fields) - 0.5 * np.vecdot(spins @ couplings, spins)

@@ -53,6 +53,9 @@ def _embedding_doc(n=4, d=3, seed=1, **extra):
 # an integer JSON literal no float can hold
 HUGE = 10**400
 
+# one head of width 1 for the multi-head refusal documents
+_ONE_HEAD = {"value_projection": [[2.0]], "gate_weights": [1.0], "gate_bias": 0.0}
+
 
 def _solver_doc():
     return {
@@ -879,6 +882,94 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("input error: fields, couplings: local fields overflow float64")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "commands, doc, message",
+        [
+            (
+                ("oracle", "attend"),
+                {"n": 2, "embeddings": [[1], [2]], "value_projection": [[1]], "gate_weights": [1e308], "gate_bias": 0},
+                "head.gate_weights: gate logits overflow float64 with these embeddings "
+                "(sum of |embedding| * |gate_weights| + |gate_bias| is not finite)",
+            ),
+            (
+                ("oracle", "attend"),
+                {"n": 2, "characteristic_table": [0, 1e308, 1e308, -1e308]},
+                "characteristic_table: value differences overflow float64 (4 * n * (sum of |values|) is not finite)",
+            ),
+            (
+                ("oracle", "attend"),
+                {"n": 1, "embeddings": [[1.0]], "multi_head": {"heads": [_ONE_HEAD], "output_projection": [[1e308]]}},
+                "multi_head.output_projection: outputs overflow float64 with these embeddings "
+                "(sum_i |v_i| over every head's values v, times |output_projection|, is not finite)",
+            ),
+            (
+                ("oracle", "attend"),
+                {"n": 3, "couplings": [[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]]},
+                "fields, couplings: local fields overflow float64 (|fields_i| + sum_j |couplings_ij| is not finite)",
+            ),
+            (
+                ("oracle", "attend"),
+                {
+                    "n": 2, "embeddings": [[1e200], [1e200]], "value_projection": [[1e200]],
+                    "gate_weights": [1.0], "gate_bias": 0,
+                },
+                "head.value_projection: coalition norms overflow float64 with these embeddings "
+                "(4 * (sum of the projected rows' norms)**2 is not finite)",
+            ),
+            (
+                ("oracle", "attend"),
+                {"n": 2, "embeddings": [[1], [2]], "value_projection": [[1]], "gate_weights": [1.0, 2.0], "gate_bias": 0},
+                "head: value_projection rows must equal gate_weights length",
+            ),
+            (
+                ("oracle", "attend"),
+                {"n": 1, "embeddings": [[1.0]], "multi_head": {"heads": [_ONE_HEAD], "output_projection": [[1.0], [1.0]]}},
+                "multi_head.output_projection: output projection has 2 rows, heads produce a concatenated length of 1",
+            ),
+            # the solver saturates tanh, so only the oracle refuses these fields
+            (
+                ("oracle",),
+                {"n": 3, "fields": [1e308] * 3},
+                "fields, couplings: spin energies overflow float64 (sum of |fields| + sum of |couplings| is not finite)",
+            ),
+        ],
+        ids=[
+            "gate-logits", "table-differences", "output-overflow", "local-fields",
+            "coalition-norms", "head-shape", "output-rows", "spin-energies",
+        ],
+    )
+    def test_each_refusal_keeps_its_whole_message(self, tmp_path, capsys, commands, doc, message):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps({"schema_version": 1, **doc}))
+        for command in commands:
+            assert cli.main([command, "--input", str(doc_path)]) == cli.EXIT_INPUT
+            assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: EmbeddingGame([[1e200], [1e200]], [[1e200]]),
+                "embedding game: coalition norms overflow float64 with these embeddings "
+                "(4 * (sum of the projected rows' norms)**2 is not finite)",
+            ),
+            (
+                lambda: TabularGame([0, 1e308, 1e308, -1e308]),
+                "tabular game: value differences overflow float64 (4 * n * (sum of |values|) is not finite)",
+            ),
+            (
+                lambda: exact_spin_marginals([1e308] * 3, np.zeros((3, 3)), 1.0),
+                "fields, couplings: spin energies overflow float64 (sum of |fields| + sum of |couplings| is not finite)",
+            ),
+        ],
+        ids=["embedding-game", "tabular-game", "spin-marginals"],
+    )
+    def test_each_api_overflow_keeps_its_whole_message(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
 
     def test_oracle_reports_an_explicit_spin_system_without_deriving_one(self, tmp_path, capsys):
         # both tokens' game values are zero, so no spin system can be derived

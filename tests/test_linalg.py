@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from coalattn.games import EmbeddingGame
-from coalattn.linalg import as_matrix, as_vector, logistic
+from coalattn.linalg import as_matrix, as_vector, logistic, require_finite
 
 
 def _l2_norm(*rows):
@@ -99,3 +100,39 @@ class TestArrayEntries:
         with pytest.raises(ValueError) as rejected:
             check(data, "values")
         assert str(rejected.value) == message
+
+
+_HUGE = np.array([1e308, 1e308])
+
+
+class TestRequireFinite:
+    # each test records every warning itself, whatever the configured filters
+    @pytest.mark.parametrize(
+        "bound",
+        [lambda: 0.0, lambda: -1e308, lambda: np.float64(2.5), lambda: _HUGE, lambda: np.eye(3) * 1e300],
+        ids=["zero", "float", "numpy-scalar", "vector", "matrix"],
+    )
+    def test_finite_bounds_pass_silently(self, bound):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert require_finite(bound, "bound: not finite") is None
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda: math.inf,
+            lambda: np.array([1.0, math.nan]),
+            lambda: _HUGE.sum(),
+            lambda: _HUGE * 10.0 - _HUGE * 10.0,
+        ],
+        ids=["inf", "nan", "overflow", "inf-minus-inf"],
+    )
+    def test_a_bound_that_is_not_finite_raises_the_message_alone(self, bound):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as refused:
+                require_finite(bound, "fields: bound (sum of |x|) is not finite")
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == "fields: bound (sum of |x|) is not finite"
+        assert caught == []
