@@ -3,9 +3,10 @@
 Runs ``oracle``, ``estimate`` and ``attend`` through ``coalattn.cli.main``
 on every document of every ``perfbench/workloads.py`` workload for seeds
 1-3, each with its workload's settings as the ``--config`` file, then on
-each explicit spin-system document of ``SPIN_SYSTEMS`` and each document of
+each explicit spin-system document of ``SPIN_SYSTEMS``, each document of
 ``OVERFLOWS`` (one per float64 overflow guard, so each refusal states its
-bound) under the default settings, and then ``demo --out``.  That is 157
+bound) and each document of ``SHAPES`` (one per refusal of a JSON object's
+shape) under the default settings, and then ``demo --out``.  That is 178
 runs.  Prints one line per run::
 
     seed workload index command exit sha256
@@ -14,11 +15,11 @@ where sha256 is the digest of the report of a run that exits 0, and of
 the message it writes to stderr (one line naming the field or limit, with
 no path in it) for a run that exits otherwise, so a refusal whose wording
 changes, or that turns into another refusal with the same exit code, shows
-as well.  ``-`` stands for the seed of a spin-system or overflow run (whose
-workload is ``spins`` or ``overflow`` and whose index is the document's
-name) and for the seed, workload and index of ``demo``.  The same source
-tree always prints the same lines, so two trees' outputs show which reports
-and refusals changed bytes.
+as well.  ``-`` stands for the seed of a spin-system, overflow or shape run
+(whose workload is ``spins``, ``overflow`` or ``shapes`` and whose index is
+the document's name) and for the seed, workload and index of ``demo``.
+The same source tree always prints the same lines, so two trees' outputs
+show which reports and refusals changed bytes.
 
     python scripts/report_digests.py [--src DIR] [--keep DIR] > digests.txt
     python scripts/report_digests.py --compare BASE HEAD
@@ -87,6 +88,21 @@ OVERFLOWS = {
     "spin-energies": {"n": 3, "fields": [1e308] * 3},
 }
 
+# One document per refusal of a JSON object's shape (a value that is not an
+# object, an unknown key or a missing key) of the document, a head and the
+# multi_head block.  A document that is not an object cannot be written
+# here, since every document gets its schema_version merged in.
+_ONE = {"n": 1, "embeddings": [[1.0]]}
+SHAPES = {
+    "document-unknown-key": {**_ONE, **_HEAD, "x": 1},
+    "head-missing-key": {**_ONE, "value_projection": [[2.0]], "gate_bias": 0.0},
+    "head-not-an-object": {**_ONE, "multi_head": {"heads": [1], "output_projection": [[1.0]]}},
+    "head-unknown-key": {**_ONE, "multi_head": {"heads": [{**_HEAD, "x": 1}], "output_projection": [[1.0]]}},
+    "multi-head-not-an-object": {**_ONE, "multi_head": [_HEAD]},
+    "multi-head-unknown-key": {**_ONE, "multi_head": {"heads": [_HEAD], "output_projection": [[1.0]], "x": 1}},
+    "multi-head-missing-key": {**_ONE, "multi_head": {"heads": [_HEAD]}},
+}
+
 
 def _outcome(main, argv: list[str], out: Path) -> tuple[int, str]:
     """Run *argv*, which writes its report to *out*, through *main*: its exit
@@ -134,6 +150,7 @@ def digest_lines(src: Path, keep: Path | None = None):
                         yield line((str(seed), name, str(index), command), argv)
         named = [("spins", name, {"n": 3, **system}) for name, system in SPIN_SYSTEMS.items()]
         named += [("overflow", name, doc) for name, doc in OVERFLOWS.items()]
+        named += [("shapes", name, doc) for name, doc in SHAPES.items()]
         for workload, name, doc in named:
             doc_path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **doc}))
             for command in COMMANDS:

@@ -304,11 +304,14 @@ def _extension_values(game, extensions: Extensions, name: str) -> tuple[np.ndarr
         context = tables[entries, ranks]
         return context, tables[entries, ranks + 1] - context
     a = tokens[..., 0]
-    context_a = tables.contexts.take(a, axis=0)
+    with_a, held_a = tables.toggled.take(a, axis=0), tables.held.take(a, axis=0)
+    context_a = np.where(held_a, with_a, tables.values)
     if tokens.shape[-1] == 1:
-        return context_a, tables.differences.take(a, axis=0)
+        difference = with_a - tables.values
+        difference *= tables.signs.take(a, axis=0)
+        return context_a, difference
     b = tokens[..., 1]
-    with_a, with_b = tables.toggled.take(a, axis=0), tables.toggled.take(b, axis=0)
+    with_b, held_b = tables.toggled.take(b, axis=0), tables.held.take(b, axis=0)
     sign = tables.signs.take(a, axis=0)
     sign *= tables.signs.take(b, axis=0)
     with_both = game._pair_values(extensions, tables, sign)
@@ -318,7 +321,6 @@ def _extension_values(game, extensions: Extensions, name: str) -> tuple[np.ndarr
     difference *= sign
     # the context is the word with its held tokens toggled: a's context on
     # a word without b, else v_b, or v_ab on a word that holds a too
-    held_a, held_b = (tables.held.take(t, axis=0) for t in (a, b))
     return np.where(held_b, np.where(held_a, with_both, with_b), context_a), difference
 
 
@@ -333,9 +335,7 @@ def _word_tables(game, extensions: Extensions) -> _WordTables:
     held = np.ascontiguousarray(members.T).view(bool)
     signs = 1.0 - 2.0 * held
     values, toggled, pair = game._word_values(extensions, members, signs)
-    differences = toggled - values
-    differences *= signs
-    return _WordTables(values, toggled, signs, held, np.where(held, toggled, values), differences, pair)
+    return _WordTables(values, toggled, signs, held, pair)
 
 
 class TabularGame:
@@ -567,8 +567,7 @@ class _WordTables(NamedTuple):
     """What every row of a pool of K words shares: the words' values ``v_0``,
     shape ``(K,)``; of shape ``(n, K)``, the values ``v_t`` of each word with
     each token t toggled, the signs ``s_t``, the bits ``b_t`` (``held[t,
-    k]`` tells whether word k holds token t), and each one-token row's
-    context values and differences ``(v_t - v_0) s_t``; and what the game's
+    k]`` tells whether word k holds token t); and what the game's
     ``_pair_values`` reads.  Every bit a game reads of the words is here,
     unpacked once per pool to the game's n tokens."""
 
@@ -576,8 +575,6 @@ class _WordTables(NamedTuple):
     toggled: np.ndarray
     signs: np.ndarray
     held: np.ndarray
-    contexts: np.ndarray
-    differences: np.ndarray
     pair: object
 
 

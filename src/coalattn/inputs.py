@@ -11,7 +11,12 @@ head's value projection: top-level ``value_projection`` / ``gate_weights`` /
 parameter objects and an ``output_projection``.
 
 Every violation is reported with the offending field name and a nonzero
-exit status distinct from enumeration-limit refusals (see ``cli``).
+exit status distinct from enumeration-limit refusals (see ``cli``).  Each
+JSON object the engine reads (the document, each head, the ``multi_head``
+block, the config file and the config overrides) is checked by one rule,
+in this order, with one of three refusals: ``field: expected a JSON
+object, got <type>``, ``field: unknown keys [...]`` and ``field: missing
+keys [...]``.
 """
 
 from __future__ import annotations
@@ -49,11 +54,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 # the keys of one head's parameters, which a document may give at its top level
-_HEAD_KEYS = {"value_projection", "gate_weights", "gate_bias"}
+_HEAD_KEYS = frozenset({"value_projection", "gate_weights", "gate_bias"})
 _DOCUMENT_KEYS = _HEAD_KEYS | {
     "schema_version", "n", "d", "embeddings", "characteristic_table",
     "fields", "couplings", "nonlinearity", "multi_head",
 }
+_MULTI_HEAD_KEYS = frozenset({"heads", "output_projection"})
 
 
 class InputError(ValueError):
@@ -107,6 +113,21 @@ def _checked(check, *args, field: str | None = None):
         raise InputError(str(exc) if field is None else f"{field}: {exc}") from None
 
 
+def _object(obj, field: str, keys, required=frozenset()) -> dict:
+    """*obj*, checked to be a JSON object whose keys all lie in *keys* and
+    include every key of *required*: a value of another type is refused
+    first, then unknown keys, then missing keys."""
+    if not isinstance(obj, dict):
+        raise _fail(field, f"expected a JSON object, got {type(obj).__name__}")
+    unknown = obj.keys() - keys
+    if unknown:
+        raise _fail(field, f"unknown keys {sorted(unknown)}")
+    missing = required - obj.keys()
+    if missing:
+        raise _fail(field, f"missing keys {sorted(missing)}")
+    return obj
+
+
 def _as_int(obj, field: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise _fail(field, f"expected an integer, got {type(obj).__name__}")
@@ -124,14 +145,7 @@ def _parse_head(
     Every partial sum of a token's gate logit ``x_i . w + b`` is at most
     ``sum_k |x_ik| |w_k| + |b|`` in absolute value, so a finite bound for
     every token keeps the logits finite."""
-    if not isinstance(obj, dict):
-        raise _fail(field, "expected an object")
-    missing = _HEAD_KEYS - obj.keys()
-    if missing:
-        raise _fail(field, f"missing keys: {sorted(missing)}")
-    extra = obj.keys() - _HEAD_KEYS
-    if extra:
-        raise _fail(field, f"unknown keys: {sorted(extra)}")
+    _object(obj, field, _HEAD_KEYS, _HEAD_KEYS)
     head = _checked(lambda: HeadParams(**obj, nonlinearity=nonlinearity), field=field)
     if d is not None and head.value_projection.shape[0] != d:
         raise _fail(f"{field}.value_projection", f"expected {d} rows to match embeddings")
@@ -149,11 +163,7 @@ def _parse_head(
 
 def parse_document(obj) -> InputDocument:
     """Validate a parsed JSON object into an :class:`InputDocument`."""
-    if not isinstance(obj, dict):
-        raise InputError(f"document: expected a JSON object, got {type(obj).__name__}")
-    unknown = obj.keys() - _DOCUMENT_KEYS
-    if unknown:
-        raise InputError(f"document: unknown keys {sorted(unknown)}")
+    _object(obj, "document", _DOCUMENT_KEYS)
     version = _as_int(obj.get("schema_version"), "schema_version") if "schema_version" in obj else None
     if version is None:
         raise InputError("schema_version: required")
@@ -226,14 +236,7 @@ def parse_document(obj) -> InputDocument:
             raise InputError(
                 "document: top-level head parameters and a multi_head block are mutually exclusive"
             )
-        block = obj["multi_head"]
-        if not isinstance(block, dict):
-            raise _fail("multi_head", "expected an object")
-        extra = block.keys() - {"heads", "output_projection"}
-        if extra:
-            raise _fail("multi_head", f"unknown keys {sorted(extra)}")
-        if "heads" not in block or "output_projection" not in block:
-            raise _fail("multi_head", "needs both heads and output_projection")
+        block = _object(obj["multi_head"], "multi_head", _MULTI_HEAD_KEYS, _MULTI_HEAD_KEYS)
         raw_heads = block["heads"]
         if not isinstance(raw_heads, list) or not raw_heads:
             raise _fail("multi_head.heads", "expected a non-empty list")
@@ -361,17 +364,7 @@ def load_config(path=None, **overrides) -> RunConfig:
     """
     settings: dict = {}
     if path is not None:
-        obj = _read_json(path, "config file")
-        if not isinstance(obj, dict):
-            raise InputError("config file: expected a JSON object")
-        unknown = obj.keys() - _CONFIG_KEYS
-        if unknown:
-            raise InputError(f"config file: unknown keys {sorted(unknown)}")
-        settings.update(obj)
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = value
-    try:
-        return RunConfig(**settings)
-    except TypeError as exc:
-        raise InputError(f"config: {exc}") from None
+        settings.update(_object(_read_json(path, "config file"), "config file", _CONFIG_KEYS))
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    settings.update(_object(overrides, "config", _CONFIG_KEYS))
+    return RunConfig(**settings)

@@ -112,6 +112,11 @@ class TestTabularGameValidation:
         with pytest.raises(ValueError, match="at most 20"):
             TabularGame(np.zeros(1 << 21))
 
+    def test_a_nested_table_is_refused(self):
+        with pytest.raises(ValueError) as refusal:
+            TabularGame([[0.0, 1.0]])
+        assert str(refusal.value) == "tabular game: values must be a flat array"
+
 
 class TestEmbeddingGame:
     def test_projection_shape_checked(self):
@@ -121,6 +126,11 @@ class TestEmbeddingGame:
     def test_unknown_nonlinearity_rejected(self):
         with pytest.raises(ValueError, match="nonlinearity"):
             EmbeddingGame(np.ones((2, 2)), np.eye(2), nonlinearity="gelu")
+
+    def test_token_cap(self):
+        with pytest.raises(ValueError) as refusal:
+            EmbeddingGame(np.ones((65, 1)), np.eye(1))
+        assert str(refusal.value) == "embedding game: at most 64 tokens (got 65)"
 
     def test_single_token_value_is_projected_norm(self):
         rng = np.random.default_rng(21)

@@ -152,8 +152,14 @@ class TestDocumentValidation:
         bad = _embedding_doc()
         del bad["gate_weights"]
         # the head parser's own keys check, as for a head of a multi_head block
-        with pytest.raises(InputError, match=r"^head: missing keys: \['gate_weights'\]$"):
+        with pytest.raises(InputError, match=r"^head: missing keys \['gate_weights'\]$"):
             parse_document(bad)
+
+    def test_a_document_without_a_game_builds_none(self):
+        doc = parse_document({"schema_version": 1, "n": 1, "fields": [0.1]})
+        with pytest.raises(InputError) as refusal:
+            doc.build_game()
+        assert str(refusal.value) == "document has no game: neither embeddings nor characteristic_table"
 
     def test_some_payload_required(self):
         with pytest.raises(InputError, match="needs a game"):
@@ -279,6 +285,12 @@ class TestRunConfig:
             with pytest.raises(InputError) as refusal:
                 load_config(path)
             assert str(refusal.value) == f"config file: unknown keys {sorted(settings)}"
+
+    def test_unknown_overrides_are_refused_by_name(self):
+        # the CLI passes only known settings, so this refusal is the API's
+        with pytest.raises(InputError) as refusal:
+            load_config(None, bogus=1, seed=3)
+        assert str(refusal.value) == "config: unknown keys ['bogus']"
 
 
 class TestReports:
@@ -570,6 +582,23 @@ class TestCli:
             os.close(write)
         assert result.returncode == cli.EXIT_INPUT
         assert result.stderr.startswith("input error: stdout: ") and result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("damping, converged, iterations", [(0.0, False, 200), (0.7, True, 10)])
+    def test_a_pair_past_the_contraction_bound_cycles_unless_damped(
+        self, tmp_path, capsys, damping, converged, iterations
+    ):
+        # ||C||_2 / gamma = 4: from zeros the undamped update swings both
+        # spins between about +1 and -1, a 2-cycle whose defect stays near 2
+        doc_path, cfg_path = tmp_path / "doc.json", tmp_path / "cfg.json"
+        doc_path.write_text(
+            json.dumps({"schema_version": 1, "n": 2, "fields": [0.1, 0.1], "couplings": [[0, -4], [-4, 0]]})
+        )
+        cfg_path.write_text(json.dumps({"spin_gamma": 1, "damping": damping, "max_iterations": 200}))
+        assert cli.main(["attend", "--input", str(doc_path), "--config", str(cfg_path)]) == cli.EXIT_OK
+        solver = json.loads(capsys.readouterr().out)["solver"]
+        assert solver["converged"] is converged and solver["iterations_used"] == iterations
+        if not converged:
+            assert solver["final_residual"] == pytest.approx(2.0, abs=0.01)
 
     def test_unknown_flags_are_usage_errors(self, tmp_path, capsys):
         path = tmp_path / "doc.json"
@@ -933,10 +962,37 @@ class TestCli:
                 {"n": 3, "fields": [1e308] * 3},
                 "fields, couplings: spin energies overflow float64 (sum of |fields| + sum of |couplings| is not finite)",
             ),
+            (("oracle",), {}, "n: required"),
+            (("oracle",), {"n": 0, "characteristic_table": [0, 1]}, "n: must lie in 1..64"),
+            (("oracle",), {"n": 65, "characteristic_table": [0, 1]}, "n: must lie in 1..64"),
+            (("oracle",), {"n": 1, "d": 2, "embeddings": [[1.0]], **_ONE_HEAD}, "embeddings: expected width 2, got 1"),
+            (
+                ("oracle",),
+                {"n": 1, "embeddings": [[1.0, 2.0]], **_ONE_HEAD},
+                "head.value_projection: expected 2 rows to match embeddings",
+            ),
+            (("oracle",), {"n": 21, "characteristic_table": [0, 1]}, "characteristic_table: tables support at most 20 tokens"),
+            (
+                ("oracle",),
+                {"n": 1, "characteristic_table": [0, 1], "nonlinearity": "gelu"},
+                "nonlinearity: must be one of ('relu', 'tanh', 'identity')",
+            ),
+            (
+                ("oracle",),
+                {"n": 1, "characteristic_table": [0, 1], "gate_bias": 0.0, "multi_head": {}},
+                "document: top-level head parameters and a multi_head block are mutually exclusive",
+            ),
+            (
+                ("oracle",),
+                {"n": 1, "characteristic_table": [0, 1], "multi_head": {"heads": [], "output_projection": [[1.0]]}},
+                "multi_head.heads: expected a non-empty list",
+            ),
         ],
         ids=[
             "gate-logits", "table-differences", "output-overflow", "local-fields",
             "coalition-norms", "head-shape", "output-rows", "spin-energies",
+            "n-required", "n-zero", "n-past-64", "embedding-width", "head-rows", "table-tokens", "nonlinearity",
+            "head-and-multi-head", "no-heads",
         ],
     )
     def test_each_refusal_keeps_its_whole_message(self, tmp_path, capsys, commands, doc, message):
@@ -945,6 +1001,53 @@ class TestCli:
         for command in commands:
             assert cli.main([command, "--input", str(doc_path)]) == cli.EXIT_INPUT
             assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag, content, message",
+        [
+            ("--input", [1], "document: expected a JSON object, got list"),
+            ("--input", _table_doc(bogus=1), "document: unknown keys ['bogus']"),
+            (
+                "--input",
+                _table_doc(multi_head={"heads": [1], "output_projection": [[1.0]]}),
+                "multi_head.heads[0]: expected a JSON object, got int",
+            ),
+            (
+                "--input",
+                {"schema_version": 1, "n": 1, "embeddings": [[1.0]], "value_projection": [[2.0]], "gate_bias": 0.0},
+                "head: missing keys ['gate_weights']",
+            ),
+            (
+                "--input",
+                _table_doc(multi_head={"heads": [{**_ONE_HEAD, "x": 1}], "output_projection": [[1.0]]}),
+                "multi_head.heads[0]: unknown keys ['x']",
+            ),
+            (
+                "--input",
+                _table_doc(multi_head={"heads": [{"value_projection": [[2.0]], "x": 1}], "output_projection": [[1.0]]}),
+                "multi_head.heads[0]: unknown keys ['x']",
+            ),
+            ("--input", _table_doc(multi_head=[_ONE_HEAD]), "multi_head: expected a JSON object, got list"),
+            (
+                "--input",
+                _table_doc(multi_head={"heads": [_ONE_HEAD], "output_projection": [[1.0]], "x": 1}),
+                "multi_head: unknown keys ['x']",
+            ),
+            ("--input", _table_doc(multi_head={"heads": [_ONE_HEAD]}), "multi_head: missing keys ['output_projection']"),
+            ("--config", [{"seed": 1}], "config file: expected a JSON object, got list"),
+        ],
+        ids=[
+            "document-not-an-object", "document-unknown-key", "head-not-an-object", "head-missing-key",
+            "head-unknown-key", "head-unknown-and-missing", "multi-head-not-an-object", "multi-head-unknown-key",
+            "multi-head-missing-key", "config-not-an-object",
+        ],
+    )
+    def test_each_object_refusal_keeps_its_whole_message(self, tmp_path, capsys, flag, content, message):
+        doc_path, cfg_path = tmp_path / "doc.json", tmp_path / "cfg.json"
+        doc_path.write_text(json.dumps(content if flag == "--input" else _table_doc()))
+        cfg_path.write_text(json.dumps(content if flag == "--config" else {}))
+        assert cli.main(["attend", "--input", str(doc_path), "--config", str(cfg_path)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     @pytest.mark.parametrize(
         "build, message",

@@ -94,6 +94,7 @@ class TestArrayEntries:
             (as_matrix, [[]], "values: must not be empty"),
             (as_vector, [1.0, float("inf")], "values: all entries must be finite"),
             (as_matrix, [[float("nan")]], "values: all entries must be finite"),
+            (as_matrix, [[[1.0]], [1.0]], "values: expected a 2-d array"),
         ],
     )
     def test_shape_size_and_finiteness_messages(self, check, data, message):

@@ -99,6 +99,11 @@ class TestExactBanzhaf:
         with pytest.raises(EnumerationLimitError, match="20"):
             exact_banzhaf(game, 0)
 
+    def test_a_token_past_the_game_is_refused_by_index(self):
+        with pytest.raises(ValueError) as refusal:
+            exact_banzhaf(TabularGame([0.0, 0.9]), 3)
+        assert str(refusal.value) == "token index 3 out of range for n=1"
+
 
 class TestExactInteraction:
     def test_worked_table(self, worked_game):

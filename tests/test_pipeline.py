@@ -241,6 +241,20 @@ class TestMultiHead:
         with pytest.raises(ValueError, match="rows"):
             MultiHeadParams((head, head), np.eye(3))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: HeadParams(np.eye(1), [1.0], 0.0, nonlinearity="gelu"), "head params: unknown nonlinearity 'gelu'"),
+            (lambda: HeadParams(np.eye(1), [1.0], 0.0, normalization="max"), "head params: unknown normalization 'max'"),
+            (lambda: MultiHeadParams((), np.eye(1)), "multi-head params: need at least one head"),
+        ],
+        ids=["nonlinearity", "normalization", "no-heads"],
+    )
+    def test_each_parameter_refusal_keeps_its_whole_message(self, build, message):
+        with pytest.raises(ValueError) as refusal:
+            build()
+        assert str(refusal.value) == message
+
     def test_head_seed_derivation_is_stable_and_distinct(self):
         a = derive_head_seed(12345, 0)
         b = derive_head_seed(12345, 1)

@@ -785,6 +785,44 @@ def test_solver_input_round_trips_to_the_same_solver_block(system):
 
 
 @st.composite
+def _contracting_systems(draw):
+    """(fields, couplings, gamma, ratio) with ``||couplings||_2 / gamma =
+    ratio`` at most 0.95."""
+    n = draw(st.integers(1, 19))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = draw(st.sampled_from((0.25, 1.0, 4.0)))
+    raw = rng.normal(size=(n, n))
+    couplings = raw + raw.T
+    np.fill_diagonal(couplings, 0.0)
+    norm = np.linalg.norm(couplings, 2)
+    if norm:
+        couplings *= draw(st.floats(0.0, 0.95)) * gamma / norm
+    return rng.uniform(-1.0, 1.0, size=n), couplings, gamma, np.linalg.norm(couplings, 2) / gamma
+
+
+@pytest.mark.seeded
+@_SOLVER_SETTINGS
+@given(_contracting_systems())
+def test_a_contraction_converges_to_one_point_at_any_damping(system):
+    """With ``ratio = ||C||_2 / gamma < 1`` the clipped update ``G(s) =
+    clip(tanh((J + C s) / gamma))`` is a contraction in the 2-norm with that
+    constant, since tanh and the clip are 1-Lipschitz.  So it has one fixed
+    point s*, the damped update converges to it too, and an iterate whose
+    defect ``G(s) - s`` is below tol in the max-norm lies within
+    ``sqrt(n) tol / (1 - ratio)`` of s*: two converged solves are within
+    twice that of each other."""
+    fields, couplings, gamma, ratio = system
+    tolerance = 1e-6
+    spins = []
+    for damping in (0.0, 0.5):
+        cfg = MeanFieldConfig(gamma=gamma, max_iterations=10_000, tolerance=tolerance, damping=damping)
+        result = solve_fixed_point(fields, couplings, cfg)
+        assert result.converged
+        spins.append(result.expected_spins)
+    assert np.linalg.norm(spins[0] - spins[1]) <= 2 * math.sqrt(fields.size) * tolerance / (1 - ratio)
+
+
+@st.composite
 def _small_documents(draw):
     n, d, d_v = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
