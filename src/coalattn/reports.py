@@ -15,8 +15,9 @@ these reports; only the benchmark CSV carries timings, and those are
 documented as environment-dependent.
 
 Each command runs the engine's one path for its stage: ``run_oracle``
-tabulates the game once (``2**n`` evaluations) for the exact and tilted
-values, turns the exact values into a head's field with ``head_field``, as
+tabulates the game once (``2**n`` evaluations) and walks the table once
+for the exact and tilted values (``oracles.exact_and_tilted_values``),
+turns the exact values into a head's field with ``head_field``, as
 ``attend`` does its estimates, and solves each spin system once;
 ``run_attend``'s ``--trace`` CSV is the trace the first head's solve
 recorded.
@@ -35,13 +36,7 @@ from .estimators import estimate_all
 from .inputs import SCHEMA_VERSION, InputDocument, InputError, RunConfig
 from .linalg import TemperatureError
 from .meanfield import MeanFieldResult, solve_fixed_point
-from .oracles import (
-    exact_game_values,
-    exact_gibbs_tilted_values,
-    exact_spin_marginals,
-    exact_table,
-    require_limit,
-)
+from .oracles import exact_and_tilted_values, exact_spin_marginals, exact_table, require_limit
 from .pipeline import (
     AttentionOutput,
     HeadParams,
@@ -202,8 +197,7 @@ def run_oracle(doc: InputDocument, cfg: RunConfig) -> dict:
     if doc.has_game:
         # one table serves every exact value below
         game = exact_table(doc.build_game())
-        exact = exact_game_values(game)
-        tilted = exact_gibbs_tilted_values(game, cfg.coalition_gamma)
+        exact, tilted = exact_and_tilted_values(game, cfg.coalition_gamma)
         grand, empty = game.table[-1], game.table[0]  # masks 2**n - 1 and 0
         interactions = exact.interactions.tolist()
         report["game"] = {

@@ -6,7 +6,7 @@ import pytest
 
 from coalattn.games import Extensions, TabularGame, _prefix_masks, tabulate
 from coalattn.meanfield import check_spin_system
-from coalattn.oracles import EnumerationLimitError
+from coalattn.oracles import EnumerationLimitError, _shapley_weights, _split
 
 # three-token walkthrough table, indexed by coalition bitmask (bit i = token i)
 WORKED_TABLE = (0.0, 0.2, 0.5, 1.2, 0.4, 0.8, 1.0, 1.8)
@@ -255,6 +255,60 @@ def reference_tilted_values(table: np.ndarray, gamma: float) -> tuple[list, list
             base, deltas = _reference_pair_deltas(table, n, i, j)
             interactions[i, j] = interactions[j, i] = _reference_tilted_average(base / gamma, deltas)
     return list(banzhaf), banzhaf, interactions
+
+
+# The exact oracles as two walks, one per oracle, each reducing one pair row
+# at a time: the engine's form before one walk served both, kept as the
+# reference its chunked rows must match bit for bit.
+
+
+def _walk_token_row(table: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    base, with_i = _split(table, i)
+    return base, (with_i - base).reshape(-1)
+
+
+def _walk_pair_row(deltas: np.ndarray, j: int) -> np.ndarray:
+    without, with_j = _split(deltas, j - 1)
+    return (with_j - without).reshape(-1)
+
+
+def _walk_tilted_average(log_weights: np.ndarray, deltas: np.ndarray) -> float:
+    w = log_weights - np.max(log_weights)
+    w = np.exp(w, out=w).reshape(-1)
+    w /= w.sum()
+    return float(np.dot(w, deltas))
+
+
+def per_pair_game_values(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Shapley values, Banzhaf values, interaction matrix) of a table game,
+    one token's difference row and one pair's row at a time."""
+    n = table.size.bit_length() - 1
+    weights = _shapley_weights(n)
+    shapley, banzhaf, interactions = np.empty(n), np.empty(n), np.zeros((n, n))
+    for i in range(n):
+        deltas = _walk_token_row(table, i)[1]
+        shapley[i] = np.dot(weights, deltas)
+        banzhaf[i] = np.mean(deltas)
+        for j in range(i + 1, n):
+            interactions[i, j] = interactions[j, i] = np.mean(_walk_pair_row(deltas, j))
+    return shapley, banzhaf, interactions
+
+
+def per_pair_tilted_values(table: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gibbs-tilted counterparts of ``per_pair_game_values`` at *gamma*:
+    (prefix Shapley limits, Banzhaf limits, interaction matrix), the first
+    two the same array."""
+    n = table.size.bit_length() - 1
+    banzhaf, interactions = np.empty(n), np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            base, deltas = _walk_token_row(table, i)
+            log_weights = (base / gamma).reshape(-1)
+            banzhaf[i] = _walk_tilted_average(log_weights, deltas)
+            for j in range(i + 1, n):
+                pair_weights = _split(log_weights, j - 1)[0]
+                interactions[i, j] = interactions[j, i] = _walk_tilted_average(pair_weights, _walk_pair_row(deltas, j))
+    return banzhaf, banzhaf, interactions
 
 
 def reference_spin_marginals(fields, couplings, gamma: float, logsumexp) -> tuple[list, float]:

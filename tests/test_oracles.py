@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from coalattn import oracles
 from coalattn.games import CountingGame, EmbeddingGame, TabularGame, token_members
+from coalattn.inputs import RunConfig, parse_document
 from coalattn.linalg import TemperatureError
 from coalattn.oracles import (
     EnumerationLimitError,
+    exact_and_tilted_values,
     exact_banzhaf,
     exact_game_values,
     exact_gibbs_tilted_values,
     exact_spin_marginals,
     exact_table,
 )
+from coalattn.reports import run_oracle
 
 from conftest import (
     _masks_excluding,
@@ -335,6 +338,9 @@ class TestOneTablePerCall:
         game.evaluations = 0
         exact_gibbs_tilted_values(game, 0.5)
         assert game.evaluations == 2**n
+        game.evaluations = 0
+        exact_and_tilted_values(game, 0.5)
+        assert game.evaluations == 2**n
 
     def test_same_numbers_as_the_per_token_oracles(self):
         rng = np.random.default_rng(23)
@@ -358,6 +364,7 @@ class TestOneTablePerCall:
         [
             (exact_game_values, 21, "20"),
             (lambda game: exact_gibbs_tilted_values(game, 1.0), 21, "20"),
+            pytest.param(lambda game: exact_and_tilted_values(game, 1.0), 21, "20", id="exact_and_tilted_values-21-20"),
         ],
     )
     def test_limit_refused_before_any_evaluation(self, oracle, n, limit):
@@ -468,18 +475,39 @@ class TestEarlierSummationOrders:
         assert float(np.max(np.abs(vecdot - einsum))) <= 1e-12 * bound
 
 
-@pytest.mark.parametrize("oracle", [exact_game_values, lambda game: exact_gibbs_tilted_values(game, 0.3)])
-def test_traced_peak_stays_within_four_tables(oracle):
-    # one row per token and one pair row at a time; a rewrite that stacks
-    # every token's rows needs n/2 tables and more
-    game = random_table_game(np.random.default_rng(16), 16)
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        oracle(game)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * game.table.nbytes
+
+
+@pytest.mark.parametrize("oracle", [exact_game_values, lambda game: exact_gibbs_tilted_values(game, 0.3)])
+def test_traced_peak_stays_within_four_tables(oracle):
+    # one row per token and a chunk of two pair rows at a time, in buffers
+    # reused by every token; a rewrite that stacks every token's rows needs
+    # n/2 tables and more
+    game = random_table_game(np.random.default_rng(16), 16)
+    assert _traced_peak(lambda: oracle(game)) <= 4 * game.table.nbytes
+
+
+def test_the_oracle_command_walks_its_table_within_four_tables():
+    # the report's own copy of the table, and one walk for the exact and the
+    # tilted values: 3.8 tables at 16 tokens
+    table = random_table_game(np.random.default_rng(16), 16).table
+    doc = parse_document({"schema_version": 1, "n": 16, "characteristic_table": table.tolist()})
+    assert _traced_peak(lambda: run_oracle(doc, RunConfig())) <= 4 * table.nbytes
+
+
+def test_spin_marginals_traced_peak_within_two_and_a_half_spin_matrices():
+    # the 2**n x n spin matrix and its product with the couplings, then the
+    # n "up" halves in one array: 2.2 spin matrices at 16 spins
+    n = 16
+    fields, couplings = _random_spin_system(np.random.default_rng(16), n)
+    spin_matrix_bytes = (1 << n) * n * 8
+    assert _traced_peak(lambda: exact_spin_marginals(fields, couplings, 0.5)) <= 2.5 * spin_matrix_bytes
 
 
 @pytest.fixture(scope="module")
@@ -488,11 +516,12 @@ def scipy_logsumexp():
 
 
 @st.composite
-def _log_weight_arrays(draw):
-    """Finite float64 arrays of 1-5000 entries at scales from 1e-300 to
-    1e300, some around a large offset, some with several entries tied at
-    the maximum, and some holding hand-picked floats."""
-    length = draw(st.integers(1, 5000))
+def _log_weight_arrays(draw, length=None):
+    """Finite float64 arrays of *length* entries, or 1-5000, at scales from
+    1e-300 to 1e300, some around a large offset, some with several entries
+    tied at the maximum, and some holding hand-picked floats."""
+    if length is None:
+        length = draw(st.integers(1, 5000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-300, 300))
     offset = draw(st.sampled_from([0.0, 1.0, -745.0, 709.0, 1e15, -1e300]))
@@ -508,3 +537,28 @@ def _log_weight_arrays(draw):
 @given(_log_weight_arrays())
 def test_logsumexp_matches_scipy(scipy_logsumexp, a):
     assert _bits(oracles._logsumexp(a)) == _bits(scipy_logsumexp(a))
+
+
+@st.composite
+def _log_weight_matrices(draw):
+    """1-6 rows of one length, each drawn as ``_log_weight_arrays`` draws an
+    array, some holding the float64 extremes, whose shift by the row's
+    maximum passes float64's range, and 0-2 rows at unit scale, whose terms
+    neither vanish nor round to 1, so the order of their sum shows."""
+    length = draw(st.integers(1, 1000))
+    rows = [draw(_log_weight_arrays(length)) for _ in range(draw(st.integers(1, 6)))]
+    for row in rows:
+        if length > 1 and draw(st.booleans()):
+            row[:2] = np.finfo(float).max, -np.finfo(float).max
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows += list(rng.standard_normal((draw(st.integers(0, 2)), length)))
+    return np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_log_weight_matrices())
+def test_logsumexp_reduces_each_row_as_its_own_call(a):
+    # exact_spin_marginals reduces every spin's "up" half in one call
+    rows = oracles._logsumexp(a)
+    assert rows.shape == (a.shape[0],)
+    assert [_bits(x) for x in rows] == [_bits(oracles._logsumexp(row)) for row in a]

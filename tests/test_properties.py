@@ -34,12 +34,14 @@ from coalattn.games import (
 )
 from coalattn.inputs import RunConfig, parse_document
 from coalattn.meanfield import MeanFieldConfig, solve_fixed_point
-from coalattn.oracles import exact_game_values, exact_gibbs_tilted_values, exact_table
+from coalattn.oracles import exact_and_tilted_values, exact_game_values, exact_gibbs_tilted_values, exact_table
 from coalattn.pipeline import NORMALIZATIONS
 from coalattn.reports import dump_json, run_attend
 
 from conftest import (
     context_and_difference,
+    per_pair_game_values,
+    per_pair_tilted_values,
     random_table_game,
     reference_slot,
     row_contexts,
@@ -723,6 +725,34 @@ def test_tilted_oracle_dummy_alias_and_symmetry(case):
     assert np.all(values.interactions[p] == 0.0)
     assert values.shapley.tobytes() == values.banzhaf.tobytes()
     np.testing.assert_array_equal(values.interactions, values.interactions.T)
+
+
+@st.composite
+def _walk_cases(draw):
+    """(game, gamma): a random table of 1-13 tokens whose values spread over
+    a scale from 1e-3 to 1e3, and gamma in {0.05, 0.25, 0.5, 4}."""
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    game = random_table_game(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 13)), scale)
+    return game, draw(st.sampled_from((0.05, 0.25, 0.5, 4.0)))
+
+
+@pytest.mark.seeded
+@settings(max_examples=30, deadline=None)
+@given(_walk_cases())
+def test_one_walk_has_the_bits_of_the_per_pair_walks(case):
+    # the chunked rows reduce in the per-pair walks' order, so every value
+    # keeps its bits, whichever public oracle computes it
+    game, gamma = case
+    exact, tilted = per_pair_game_values(game.table), per_pair_tilted_values(game.table, gamma)
+    both = exact_and_tilted_values(game, gamma)
+    for values, reference in (
+        (exact_game_values(game), exact),
+        (both[0], exact),
+        (exact_gibbs_tilted_values(game, gamma), tilted),
+        (both[1], tilted),
+    ):
+        for got, want in zip((values.shapley, values.banzhaf, values.interactions), reference):
+            assert got.tobytes() == want.tobytes()
 
 
 # mean-field solver contract on random symmetric, zero-diagonal systems
